@@ -1,29 +1,21 @@
 """Parallel shard-per-CSR-range draw engine vs the serial position surface.
 
 Builds a >=1M-triple synthetic KG on the columnar backend, then times one
-large TWCS draw/estimate loop four ways:
+large TWCS draw/estimate loop three ways:
 
 * **serial design loop** — the single-stream position surface
   (``draw_positions`` / ``update_all_positions``), the PR-1 fast path;
 * **engine, serial** — the sharded engine executing every shard task
   in-process (``workers=None``): the parity reference;
 * **engine, pool** — the same plan fanned across ``REPRO_BENCH_PARALLEL_
-  WORKERS`` processes;
-* **engine, auto** — the adaptive planner's pick, calibrated from this very
-  run's serial/pool measurements, executed twice: once cold (paying any
-  pool/segment startup) and once warm (adopting the parked keep-alive
-  pool).  The planner is pinned to the same shard count, so its run must
-  be bit-identical to the serial engine whatever transport it picks.
+  WORKERS`` processes.
 
-The statistical contract is asserted unconditionally: the pool and auto
-runs must be **bit-identical** (estimates and Eq. (4) cost) to the serial
-engine run, all must agree with the ground truth to sampling accuracy, and
-the planner's *never-slower-than-serial* invariant is gated at every scale:
-the warm auto run must stay within 10% of the serial engine plus an
-absolute noise floor.  The >=2.5x pool speedup and the >=2x auto-vs-pool
-assertions only fire at full scale on a machine with at least 4 CPUs, so
-the CI smoke run (~50k triples, 2 workers, shared runners) stays a
-correctness check — mirroring the other benchmarks' full-scale gating.
+The statistical contract is asserted unconditionally: the pool run must be
+**bit-identical** (estimates and Eq. (4) cost) to the serial engine run,
+and both must agree with the ground truth to sampling accuracy.  The >=2.5x
+pool speedup assertion only fires at full scale on a machine with at least
+4 CPUs, so the CI smoke run (~50k triples, 2 workers, shared runners) stays
+a correctness check — mirroring the other benchmarks' full-scale gating.
 
 Environment knobs: ``REPRO_BENCH_PARALLEL_TRIPLES`` (default 1_000_000),
 ``REPRO_BENCH_PARALLEL_DRAWS`` (default 200_000 cluster draws),
@@ -64,10 +56,6 @@ _LABEL_SEED = 1
 _DRAW_SEED = 2
 _ACCURACY = 0.9
 _SECOND_STAGE = 5
-# Absolute noise floor for the planner's never-slower-than-serial gate: at
-# smoke scale the loops are sub-second, so the 10% relative bound only binds
-# once runs are long enough to time (same shape as the obs-overhead guard).
-_AUTO_FLOOR_SECONDS = 0.5
 
 
 def _git_sha() -> str | None:
@@ -135,16 +123,10 @@ def _serial_design_loop(graph, labels) -> dict:
     return {"seconds": elapsed, "estimate": estimate.value, "std_error": estimate.std_error}
 
 
-def _engine_loop(graph, labels, workers, *, transport=None, planner_decision=None) -> dict:
+def _engine_loop(graph, labels, workers) -> dict:
     from repro.sampling.parallel import ParallelSamplingExecutor
 
-    with ParallelSamplingExecutor(
-        graph,
-        workers=None if transport is not None else workers,
-        num_shards=_SHARDS,
-        transport=transport,
-        planner_decision=planner_decision,
-    ) as executor:
+    with ParallelSamplingExecutor(graph, workers=workers, num_shards=_SHARDS) as executor:
         run = executor.run(
             "twcs", labels, seed=_DRAW_SEED, second_stage_size=_SECOND_STAGE
         )
@@ -156,12 +138,11 @@ def _engine_loop(graph, labels, workers, *, transport=None, planner_decision=Non
         elapsed = time.perf_counter() - started
         estimate = run.estimate()
         cost = run.cost_summary()
-        width = getattr(transport, "workers", None) or workers or 1
         return {
             "workers": workers or 0,
             "transport": executor.transport.kind,
             "shards": run.plan.num_shards,
-            "cpus_used": min(int(width), _available_cpus()),
+            "cpus_used": min(workers or 1, _available_cpus()),
             "seconds": elapsed,
             "estimate": estimate.value,
             "std_error": estimate.std_error,
@@ -172,35 +153,6 @@ def _engine_loop(graph, labels, workers, *, transport=None, planner_decision=Non
             "triples_annotated": cost.triples_annotated,
             "shard_stats": run.shard_stats(),
         }
-
-
-def _auto_loop(graph, serial_result, pool_result, labels) -> dict:
-    """Plan from this run's own measurements, then execute cold and warm.
-
-    The profile is calibrated *from the serial/pool legs just timed* — the
-    planner never sees hand-tuned numbers — and the shard count is pinned
-    to ``_SHARDS`` so whatever transport it picks must replay the serial
-    engine's trajectory bit for bit.
-    """
-    from repro.sampling.planner import AdaptivePlanner, CalibrationProfile
-
-    profile = CalibrationProfile()
-    calibrated = profile.calibrate_from_bench(
-        {"draws": _DRAWS, "engine_serial": serial_result, "engine_pool": pool_result}
-    )
-    planner = AdaptivePlanner(profile)
-    decision = planner.plan(graph.backend.stats(), draws=_DRAWS, batch_size=_BATCH, shards=_SHARDS)
-    transport = AdaptivePlanner.build_transport(decision)
-    # Cold pays pool/segment startup; warm adopts the parked keep-alive pool.
-    cold = _engine_loop(graph, labels, None, transport=transport, planner_decision=decision)
-    warm = _engine_loop(graph, labels, None, transport=transport, planner_decision=decision)
-    return {
-        "decision": decision.as_dict(),
-        "calibrated_transports": calibrated,
-        "profile": profile.to_dict(),
-        "cold": cold,
-        "warm": warm,
-    }
 
 
 def _dump_results(payload: dict) -> None:
@@ -223,14 +175,6 @@ def _dump_results(payload: dict) -> None:
     snapshot = {"meta": payload.get("meta", {}), "series": payload["metrics"]["series"]}
     with open(target / "bench_parallel_metrics.json", "w", encoding="utf-8") as handle:
         json.dump(snapshot, handle, indent=2)
-    # The calibration profile the planner derived from this run, in the exact
-    # format `repro planner calibrate` writes — uploaded as a CI artifact so a
-    # production profile can be seeded from benchmark hardware.
-    auto = payload.get("engine_auto")
-    if auto:
-        with open(target / "planner_profile.json", "w", encoding="utf-8") as handle:
-            json.dump(auto["profile"], handle, indent=2)
-            handle.write("\n")
 
 
 def test_parallel_draw_loop(benchmark):
@@ -255,9 +199,6 @@ def test_parallel_draw_loop(benchmark):
             "engine_pool": _engine_loop(graph, labels, workers=_WORKERS),
             "true_accuracy": float(labels.mean()),
         }
-        payload["engine_auto"] = _auto_loop(
-            graph, payload["engine_serial"], payload["engine_pool"], labels
-        )
         payload["metrics"] = obs_metrics.snapshot()
         return payload
 
@@ -267,7 +208,6 @@ def test_parallel_draw_loop(benchmark):
     serial = results["serial_design"]
     engine = results["engine_serial"]
     pool = results["engine_pool"]
-    auto = results["engine_auto"]
     speedup = serial["seconds"] / pool["seconds"]
     engine_speedup = engine["seconds"] / pool["seconds"]
     emit(
@@ -279,9 +219,6 @@ def test_parallel_draw_loop(benchmark):
                 f"{'serial design loop s':28}{serial['seconds']:>10.2f}",
                 f"{'engine serial s':28}{engine['seconds']:>10.2f}",
                 f"{'engine pool s':28}{pool['seconds']:>10.2f}",
-                f"{'engine auto cold s':28}{auto['cold']['seconds']:>10.2f}",
-                f"{'engine auto warm s':28}{auto['warm']['seconds']:>10.2f}",
-                f"{'planner picked':28}{auto['decision']['transport']:>10}",
                 f"{'speedup vs design loop':28}{speedup:>9.1f}x",
                 f"{'speedup vs engine serial':28}{engine_speedup:>9.1f}x",
                 f"{'estimate (pool)':28}{pool['estimate']:>10.4f}",
@@ -294,8 +231,8 @@ def test_parallel_draw_loop(benchmark):
         ),
     )
 
-    # The determinism contract always holds: pool and both auto runs replay
-    # the serial engine bit for bit.
+    # The determinism contract always holds: the pool run replays the serial
+    # engine bit for bit.
     compared_keys = (
         "estimate",
         "std_error",
@@ -307,31 +244,14 @@ def test_parallel_draw_loop(benchmark):
     )
     for key in compared_keys:
         assert pool[key] == engine[key], key
-    for leg in (auto["cold"], auto["warm"]):
-        for key in compared_keys:
-            assert leg[key] == engine[key], f"auto/{leg['transport']}: {key}"
     # All estimators agree with the truth to sampling accuracy.
-    for estimate in (serial["estimate"], pool["estimate"], auto["warm"]["estimate"]):
+    for estimate in (serial["estimate"], pool["estimate"]):
         assert abs(estimate - results["true_accuracy"]) < 0.01
-
-    # Planner invariant, gated at EVERY scale: the planned configuration is
-    # never slower than the serial engine beyond noise (10% + absolute floor).
-    auto_budget = engine["seconds"] * 1.10 + _AUTO_FLOOR_SECONDS
-    assert auto["warm"]["seconds"] <= auto_budget, (
-        f"planner pick '{auto['decision']['transport']}' took "
-        f"{auto['warm']['seconds']:.3f}s warm, budget {auto_budget:.3f}s "
-        f"(engine serial {engine['seconds']:.3f}s)"
-    )
 
     if results["num_triples"] >= _FULL_SCALE and _available_cpus() >= max(4, _WORKERS):
         assert speedup >= 2.5, (
             f"parallel draw-loop speedup {speedup:.1f}x below the 2.5x target "
             f"({_WORKERS} workers)"
-        )
-        auto_vs_pool = pool["seconds"] / auto["warm"]["seconds"]
-        assert auto_vs_pool >= 2.0, (
-            f"planner pick '{auto['decision']['transport']}' only "
-            f"{auto_vs_pool:.2f}x faster than the pool transport at full scale"
         )
 
 

@@ -24,11 +24,15 @@ is what the KGEval baseline selects from and propagates over.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["CouplingGraphBuilder"]
 
@@ -114,6 +118,8 @@ class CouplingGraphBuilder:
         evidence), so the baseline can still fall back to direct annotation
         for isolated triples.
         """
+        import networkx as nx
+
         graph: nx.Graph = nx.Graph()
         graph.add_nodes_from(kg.triples)
 

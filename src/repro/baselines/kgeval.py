@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.baselines.coupling import CouplingGraphBuilder
 from repro.cost.annotator import SimulatedAnnotator
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["KGEvalResult", "KGEvalBaseline"]
 

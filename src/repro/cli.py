@@ -44,14 +44,14 @@ Five commands cover the common workflows:
   replications on a chosen backend and checks empirical CI coverage against
   a Wilson tolerance band, ``compare`` diffs a ``SCENARIOS_*.json`` result
   file against a committed baseline, ``list`` shows the registry (see
-  ``docs/scenarios.md``);
-* ``planner`` — inspect (``show``) or regenerate (``calibrate``) the adaptive
-  transport planner's calibration profile.  ``evaluate``/``monitor`` default
-  to ``--transport auto``: the shard plan (part of a run's random-stream
-  identity) is a deterministic function of the graph's stats and the MoE
-  target, identical on every host; the planner then picks serial, a warm
-  pool, the shared-memory transport or RPC to *execute* that fixed plan,
-  never slower than serial beyond noise (see ``docs/planner.md``).
+  ``docs/scenarios.md``).
+
+``evaluate`` and ``monitor`` default to ``--transport auto``: the shard plan
+(part of a run's random-stream identity) is a deterministic function of the
+graph's stats and the MoE target, identical on every host.  A one-shard plan
+runs the classic single-stream loop; a larger plan runs in-process on the
+sharded engine.  Worker pools (``--transport pool`` / ``--workers N``) and
+RPC nodes (``--transport rpc``) are explicit opt-ins.
 
 Examples
 --------
@@ -250,15 +250,18 @@ def _load_cli_secret(args: argparse.Namespace):
         raise SystemExit(str(exc)) from exc
 
 
-def _build_transport(args: argparse.Namespace):
-    """Resolve an *explicit* ``--transport`` choice into a ShardTransport.
+def _require_rpc_for_node_flags(args: argparse.Namespace) -> None:
+    """``--nodes``/``--accept-joins`` mean nothing without ``--transport rpc``."""
+    if args.transport != "rpc" and (args.nodes or args.accept_joins):
+        raise SystemExit("--nodes and --accept-joins require --transport rpc")
 
-    Returns ``None`` for ``auto`` (the adaptive planner decides separately,
-    see :func:`_plan_transport`) and for the legacy bare ``--workers``
-    shorthand (the executor then builds its own pool).
+
+def _build_transport(args: argparse.Namespace):
+    """Resolve ``--transport`` into a :class:`ShardTransport`.
+
+    ``auto`` runs the sharded plan in-process, exactly like ``serial``,
+    unless the ``--workers N`` shorthand (N >= 1) asks for a local pool.
     """
-    if args.transport in (None, "auto"):
-        return None
     if args.transport == "rpc":
         from repro.sampling.rpc import SocketRPCTransport
 
@@ -277,101 +280,57 @@ def _build_transport(args: argparse.Namespace):
         SerialTransport,
     )
 
-    if args.transport == "pool":
+    if args.transport == "pool" or (args.transport == "auto" and args.workers):
         workers = args.workers or ParallelSamplingExecutor.default_workers()
         return ProcessPoolTransport(workers)
-    if args.transport == "shm":
-        from repro.sampling.shm import SharedMemoryTransport
-
-        workers = args.workers or ParallelSamplingExecutor.default_workers()
-        return SharedMemoryTransport(workers)
     return SerialTransport()
 
 
-def _plan_transport(args: argparse.Namespace, graph, draws_hint: int | None):
-    """``--transport auto``: let the adaptive planner pick the configuration.
-
-    Returns ``(transport, decision, profile)``; the profile is kept around
-    so the run's measured wall-clock can be folded back into it afterwards
-    (see ``docs/planner.md``).
-    """
-    from repro.sampling.planner import AdaptivePlanner, load_profile
-
-    profile = load_profile(getattr(args, "profile", None))
-    planner = AdaptivePlanner(profile)
-    nodes = [node.strip() for node in (getattr(args, "nodes", "") or "").split(",") if node.strip()]
-    decision = planner.plan(
-        graph.backend.stats(),
-        draws=draws_hint,
-        shards=args.shards,
-        nodes=len(nodes),
-        rpc_window=args.rpc_window if nodes else None,
-    )
-    transport = AdaptivePlanner.build_transport(
-        decision,
-        nodes=nodes,
-        secret=_load_cli_secret(args),
-        join_address=getattr(args, "accept_joins", None),
-    )
-    if getattr(transport, "join_address", None) is not None:
-        print(f"accepting worker joins on {transport.join_address}", flush=True)
-    return transport, decision, profile
-
-
 def _auto_planned_shards(args: argparse.Namespace, graph) -> int:
-    """The deterministic shard count ``--transport auto`` would run with.
+    """The deterministic shard count ``--transport auto`` runs with.
 
     A pure function of the graph's measured stats and the ``--moe`` /
-    ``--confidence`` target — no CPU count, no warm-pool state, no
-    calibration profile — so the *stream identity* of a default seeded run
-    (classic loop vs sharded engine, and at how many shards) is the same
-    on every host and every repetition.  The planner's adaptive inputs
-    only pick which transport executes this fixed plan.
+    ``--confidence`` target, so the *stream identity* of a default seeded
+    run (classic loop vs sharded engine, and at how many shards) is the
+    same on every host and every repetition.
     """
-    from repro.sampling.planner import AdaptivePlanner, plan_shards
+    from repro.sampling.planner import draws_for_target, plan_shards
 
-    draws_hint = AdaptivePlanner.draws_for_target(args.moe, args.confidence)
-    return plan_shards(graph.backend.stats(), draws_hint)
+    return plan_shards(graph.backend.stats(), draws_for_target(args.moe, args.confidence))
 
 
-def _resolve_parallel(args: argparse.Namespace, graph=None, draws_hint: int | None = None):
-    """Resolve the sharded-engine options into ``(transport, shards, decision)``.
+def _resolve_parallel(args: argparse.Namespace, planned_shards: int | None = None):
+    """Resolve the sharded-engine options into ``(transport, shards)``.
 
-    One code path for ``evaluate`` and ``monitor``.  Under ``--transport
-    auto`` (the default) with no ``--workers`` pin, the shard count comes
-    from ``--shards`` or the deterministic ``plan_shards`` policy (graph
-    stats + draw volume only, identical on every host), and the adaptive
-    planner chooses which transport executes that
-    plan from CPU availability and the calibration profile; ``decision``
-    then carries the reasoning.  In explicit modes the shard count obeys
-    ``--shards`` first, then the transport's natural width (pool worker
-    count, RPC node count), then ``max(workers, 1)``.
+    One code path for ``evaluate`` and ``monitor``.  The shard count obeys
+    ``--shards`` first, then ``planned_shards`` (the ``--transport auto``
+    plan, see :func:`_auto_planned_shards`), then the transport's natural
+    width (pool worker count, RPC node count), then ``max(workers, 1)``.
     """
-    if args.transport == "auto" and args.workers is None and graph is not None:
-        transport, decision, profile = _plan_transport(args, graph, draws_hint)
-        shards = args.shards if args.shards is not None else decision.shards
-        return transport, shards, (decision, profile)
     transport = _build_transport(args)
     if args.shards is not None:
         shards = args.shards
-    elif transport is not None and transport.default_shards:
+    elif planned_shards is not None:
+        shards = planned_shards
+    elif transport.default_shards:
         shards = transport.default_shards
     else:
         shards = max(args.workers or 1, 1)
-    return transport, shards, None
+    return transport, shards
 
 
-def _transport_label(args: argparse.Namespace, decision=None) -> str:
-    if decision is not None:
-        return f"auto:{decision.transport}"
+def _transport_label(args: argparse.Namespace) -> str:
     if args.transport == "rpc":
         return f"rpc[{len(_parse_nodes(args))} nodes]"
-    if args.transport not in (None, "auto"):
+    if args.transport != "auto":
         return args.transport
-    return "pool" if args.workers else "serial"
+    if args.workers is not None:
+        return "pool" if args.workers else "serial"
+    return "auto:serial"
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    _require_rpc_for_node_flags(args)
     if args.from_snapshot:
         data = _load_snapshot_dataset(args.from_snapshot)
     else:
@@ -380,19 +339,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         data = LabelledKG(data.graph.to_columnar(), data.oracle)
     elif args.backend == "sqlite":
         data = LabelledKG(data.graph.to_sqlite(), data.oracle)
-    if (
-        args.workers is not None
-        or args.shards is not None
-        or args.transport not in (None, "auto")
-    ):
-        # An explicit pin always engages the sharded engine.
-        return _cmd_evaluate_parallel(args, data)
-    if args.transport == "auto" and _auto_planned_shards(args, data.graph) > 1:
-        # The deterministic shard plan calls for parallelism; which
-        # transport executes it is decided adaptively inside.
-        return _cmd_evaluate_parallel(args, data)
-    # One-shard plan: the classic single-stream evaluator, bit-identical to
-    # every pre-planner default run.
+    planned = None
+    if args.transport == "auto" and args.workers is None and args.shards is None:
+        planned = _auto_planned_shards(args, data.graph)
+    if planned != 1:
+        # A multi-shard plan or an explicit pin engages the sharded engine.
+        return _cmd_evaluate_parallel(args, data, planned)
+    # One-shard plan: the classic single-stream evaluator.
     design = _build_design(
         args.design, data, args.second_stage_size, args.seed, allocation=args.allocation
     )
@@ -413,18 +366,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0 if report.satisfied else 1
 
 
-def _cmd_evaluate_parallel(args: argparse.Namespace, data: LabelledKG) -> int:
+def _cmd_evaluate_parallel(
+    args: argparse.Namespace, data: LabelledKG, planned_shards: int | None = None
+) -> int:
     """``evaluate`` on the sharded position-surface draw engine.
 
     Runs the iterative evaluation on integer positions and boolean label
-    arrays.  ``--transport auto`` (the default) shards deterministically
-    (graph stats + MoE target only) and lets the adaptive planner pick the
-    transport that executes the plan; ``--workers N`` / an explicit
+    arrays.  ``--transport auto`` (the default) runs the deterministic
+    ``planned_shards`` plan in-process; ``--workers N`` / an explicit
     ``--transport`` force a configuration.  For a fixed shard plan the
     estimates are bit-identical for every transport and worker count.
     """
-    import time
-
     import numpy as np
 
     from repro.sampling.parallel import ParallelSamplingExecutor
@@ -432,13 +384,7 @@ def _cmd_evaluate_parallel(args: argparse.Namespace, data: LabelledKG) -> int:
     graph = data.graph
     labels = data.oracle.as_position_array(graph)
     config = EvaluationConfig(moe_target=args.moe, confidence_level=args.confidence)
-    draws_hint = None
-    if args.transport == "auto" and args.workers is None:
-        from repro.sampling.planner import AdaptivePlanner
-
-        draws_hint = AdaptivePlanner.draws_for_target(args.moe, args.confidence)
-    transport, shards, planned = _resolve_parallel(args, graph, draws_hint)
-    decision, profile = planned if planned is not None else (None, None)
+    transport, shards = _resolve_parallel(args, planned_shards)
     strata_rows = None
     if args.design == "twcs-strat":
         strata = stratify_by_size(graph, num_strata=4)
@@ -450,13 +396,7 @@ def _cmd_evaluate_parallel(args: argparse.Namespace, data: LabelledKG) -> int:
             )
             for stratum in strata
         ]
-    with ParallelSamplingExecutor(
-        graph,
-        workers=None if transport is not None else (args.workers or None),
-        num_shards=shards,
-        transport=transport,
-        planner_decision=decision,
-    ) as executor:
+    with ParallelSamplingExecutor(graph, num_shards=shards, transport=transport) as executor:
         run = executor.run(
             args.design if args.design != "twcs-strat" else "twcs",
             labels,
@@ -465,26 +405,8 @@ def _cmd_evaluate_parallel(args: argparse.Namespace, data: LabelledKG) -> int:
             strata=strata_rows,
             allocation=args.allocation if args.design == "twcs-strat" else "proportional",
         )
-        started = time.perf_counter()
         estimate, iterations = run.drive(config)
-        elapsed = time.perf_counter() - started
         cost = run.cost_summary()
-    if decision is not None and profile is not None:
-        # Fold the measured wall-clock back into the calibration profile so
-        # the next planning decision starts from this run's reality.
-        from repro.sampling.planner import save_profile
-
-        profile.observe(
-            decision.transport,
-            draws=estimate.num_units,
-            rounds=run.rounds,
-            seconds=elapsed,
-            workers=decision.workers,
-            # A run on an adopted warm pool never paid the startup cost;
-            # subtracting it anyway would bias per_draw_us low over time.
-            warm=decision.warm,
-        )
-        save_profile(profile, getattr(args, "profile", None))
     satisfied = estimate.num_units >= config.min_units and estimate.satisfies(
         config.moe_target, config.confidence_level
     )
@@ -492,10 +414,8 @@ def _cmd_evaluate_parallel(args: argparse.Namespace, data: LabelledKG) -> int:
     print(f"dataset            : {data.name}")
     print(
         f"design             : {args.design} (m={args.second_stage_size}, "
-        f"shards={run.plan.num_shards}, transport={_transport_label(args, decision)})"
+        f"shards={run.plan.num_shards}, transport={_transport_label(args)})"
     )
-    if decision is not None:
-        print(f"planner            : {decision.transport} — {decision.reason}")
     print(f"true accuracy      : {data.true_accuracy:.1%} (hidden from the estimator)")
     print(f"estimated accuracy : {estimate.value:.1%}")
     print(f"{args.confidence:.0%} interval     : [{interval.lower:.1%}, {interval.upper:.1%}]")
@@ -543,6 +463,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.generators.workload import UpdateWorkloadGenerator
     from repro.storage.snapshot import SnapshotStore
 
+    _require_rpc_for_node_flags(args)
     surface = (
         "position"
         if args.backend in ("columnar", "sqlite") and args.evaluator != "baseline"
@@ -591,40 +512,27 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         "ss": StratifiedIncrementalEvaluator,
         "baseline": BaselineEvolvingEvaluator,
     }
-    explicit_engine = args.workers is not None or args.transport not in (None, "auto")
-    parallel_requested = explicit_engine or args.shards is not None
+    parallel_requested = (
+        args.workers is not None or args.transport != "auto" or args.shards is not None
+    )
     if parallel_requested and surface != "position":
         raise SystemExit(
             "--workers/--shards/--transport requires the position surface: "
             "use --backend columnar (or sqlite) with --evaluator rs or ss"
         )
     config = _Config(moe_target=args.moe, confidence_level=args.confidence)
+    planned = None
+    if surface == "position" and not parallel_requested:
+        # The default (--transport auto).  Whether the sharded engine
+        # engages — part of the run's random-stream identity — is a pure
+        # function of the graph's stats and the MoE target: a one-shard plan
+        # keeps the classic single-stream position surface on every host; a
+        # larger plan runs in-process.
+        planned = _auto_planned_shards(args, data.graph)
     extra = {}
-    decision = None
-    if explicit_engine:
-        transport, shards, _planned = _resolve_parallel(args)
-        extra = {"num_shards": shards}
-        if transport is not None:
-            extra["transport"] = transport
-        else:
-            extra["workers"] = args.workers
-    elif args.transport == "auto" and surface == "position":
-        # Adaptive default.  Whether the sharded engine engages — part of
-        # the run's random-stream identity — is a pure function of the
-        # graph's stats and the MoE target (plus an explicit --shards pin):
-        # a one-shard plan keeps the classic single-stream position surface
-        # (zero engine overhead, historical trajectories) on every host.
-        # Only the transport *executing* a multi-shard plan is adaptive.
-        engage = args.shards is not None or _auto_planned_shards(args, data.graph) > 1
-        if engage:
-            from repro.sampling.planner import AdaptivePlanner
-
-            draws_hint = AdaptivePlanner.draws_for_target(args.moe, args.confidence)
-            transport, shards, planned = _resolve_parallel(args, data.graph, draws_hint)
-            if planned is not None:
-                decision = planned[0]
-            extra = {"num_shards": shards, "transport": transport}
-    engine_engaged = parallel_requested or "transport" in extra
+    if parallel_requested or (planned is not None and planned > 1):
+        transport, shards = _resolve_parallel(args, planned)
+        extra = {"num_shards": shards, "transport": transport}
     evaluator = evaluator_classes[args.evaluator](
         data,
         config=config,
@@ -641,11 +549,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         args.batches, batch_size, args.update_accuracy
     ):
         monitor.apply_update(batch, batch_oracle)
-    if engine_engaged:
-        evaluator.close()
+    evaluator.close()
 
-    if decision is not None:
-        print(f"planner  : {decision.transport} — {decision.reason}")
     print(f"evaluator: {args.evaluator} ({surface} surface, {args.backend} backend)")
     print("batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)")
     for record in monitor.records:
@@ -1035,35 +940,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_planner(args: argparse.Namespace) -> int:
-    """``repro planner show|calibrate``: inspect/regenerate the calibration profile."""
-    import json
-
-    from repro.sampling.planner import default_profile_path, load_profile, save_profile
-
-    path = args.profile or default_profile_path()
-    profile = load_profile(args.profile)
-    if args.planner_command == "show":
-        print(f"profile  : {path}")
-        print(json.dumps(profile.to_dict(), indent=2))
-        return 0
-    # calibrate — fold one or more BENCH_parallel.json payloads in.
-    updated: list[str] = []
-    for bench_file in args.bench:
-        try:
-            with open(bench_file, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read benchmark results {bench_file}: {exc}") from exc
-        updated.extend(profile.calibrate_from_bench(payload))
-    written = save_profile(profile, args.profile)
-    if written is None:
-        raise SystemExit(f"cannot write calibration profile to {path}")
-    print(f"profile  : {written}")
-    print(f"updated  : {', '.join(updated) if updated else 'nothing (no usable legs)'}")
-    return 0
-
-
 # --------------------------------------------------------------------------- #
 # Observability wiring
 # --------------------------------------------------------------------------- #
@@ -1183,7 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  docs/architecture.md   layer-by-layer system walkthrough\n"
             "  docs/wire-protocol.md  RPC protocol v2 frames, tags, handshake\n"
             "  docs/operations.md     cluster runbook (workers, joins, metrics)\n"
-            "  docs/planner.md        adaptive transport planner + calibration"
+            "  docs/scenarios.md      stress-scenario packs and coverage gates"
         ),
     )
     common = argparse.ArgumentParser(add_help=False)
@@ -1243,28 +1119,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="shard count for --workers/--transport runs (default: planner "
-        "decision, max(workers, 1) or the node count); part of the run's "
+        help="shard count for --workers/--transport runs (default: the auto "
+        "shard plan, max(workers, 1) or the node count); part of the run's "
         "random-stream identity",
     )
     evaluate.add_argument(
         "--transport",
-        choices=("auto", "serial", "pool", "shm", "rpc"),
+        choices=("auto", "serial", "pool", "rpc"),
         default="auto",
         help="execution transport for the sharded engine: 'auto' (default — "
-        "a deterministic shard plan from graph stats + the MoE target, "
-        "executed by whichever transport the adaptive planner predicts "
-        "fastest, see docs/planner.md), 'serial' (in-process reference), "
-        "'pool' (local worker processes), 'shm' (shared-memory CSR views + "
-        "warm worker pool), 'rpc' (remote worker nodes via --nodes); "
-        "trajectories are bit-identical across transports for a fixed "
-        "shard plan",
-    )
-    evaluate.add_argument(
-        "--profile",
-        default=None,
-        help="planner calibration profile path for --transport auto "
-        "(default ~/.cache/repro/planner.json or $REPRO_PLANNER_PROFILE)",
+        "a deterministic shard plan from graph stats + the MoE target; one "
+        "shard runs the classic loop, more run in-process), 'serial' "
+        "(in-process reference), 'pool' (local worker processes), 'rpc' "
+        "(remote worker nodes via --nodes); trajectories are bit-identical "
+        "across transports for a fixed shard plan",
     )
     _add_rpc_options(evaluate)
     _add_obs_options(evaluate)
@@ -1366,23 +1234,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="shard count for --workers/--transport runs (default: planner "
-        "decision, max(workers, 1) or the node count)",
+        help="shard count for --workers/--transport runs (default: the auto "
+        "shard plan, max(workers, 1) or the node count)",
     )
     monitor.add_argument(
         "--transport",
-        choices=("auto", "serial", "pool", "shm", "rpc"),
+        choices=("auto", "serial", "pool", "rpc"),
         default="auto",
         help="execution transport for the sharded draw loops (see `evaluate "
-        "--transport`; 'auto' plans adaptively on the position surface and "
+        "--transport`; 'auto' plans shards on the position surface and "
         "keeps the classic loop otherwise); explicit transports require "
         "--backend columnar with --evaluator rs or ss",
-    )
-    monitor.add_argument(
-        "--profile",
-        default=None,
-        help="planner calibration profile path for --transport auto "
-        "(default ~/.cache/repro/planner.json or $REPRO_PLANNER_PROFILE)",
     )
     _add_rpc_options(monitor)
     _add_obs_options(monitor)
@@ -1550,7 +1412,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client_run.add_argument(
         "--transport",
-        choices=("serial", "pool", "shm", "rpc"),
+        choices=("serial", "pool", "rpc"),
         default=None,
         help="ask the daemon to run this session's draw loops on a specific "
         "transport (default: the daemon's classic single-stream loop)",
@@ -1559,7 +1421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the session's pool/shm engine request",
+        help="worker count for the session's pool engine request",
     )
     client_run.add_argument(
         "--shards",
@@ -1644,38 +1506,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="metrics snapshot JSON files (master --metrics-out plus any "
         "worker snapshots; node-less series inherit each file's node id)",
-    )
-
-    planner = subparsers.add_parser(
-        "planner",
-        help="inspect or recalibrate the adaptive transport planner profile",
-    )
-    planner_sub = planner.add_subparsers(dest="planner_command", required=True)
-    planner_show = planner_sub.add_parser(
-        "show", help="print the active calibration profile as JSON"
-    )
-    planner_show.add_argument(
-        "--profile",
-        default=None,
-        help="profile path (default ~/.cache/repro/planner.json or "
-        "$REPRO_PLANNER_PROFILE)",
-    )
-    planner_calibrate = planner_sub.add_parser(
-        "calibrate",
-        help="regenerate per-transport cost coefficients from benchmark "
-        "results (BENCH_parallel.json)",
-    )
-    planner_calibrate.add_argument(
-        "--bench",
-        nargs="+",
-        required=True,
-        help="one or more BENCH_parallel.json payloads to calibrate from",
-    )
-    planner_calibrate.add_argument(
-        "--profile",
-        default=None,
-        help="profile path to write (default ~/.cache/repro/planner.json or "
-        "$REPRO_PLANNER_PROFILE)",
     )
 
     experiment = subparsers.add_parser(
@@ -1772,7 +1602,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _cmd_serve,
         "client": _cmd_client,
         "metrics": _cmd_metrics,
-        "planner": _cmd_planner,
         "scenario": _cmd_scenario,
     }
     handler = handlers.get(args.command)

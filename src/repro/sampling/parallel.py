@@ -63,16 +63,14 @@ Labels never leave the master.
 
 from __future__ import annotations
 
-import atexit
 import math
 import multiprocessing
 import os
 import time
 import uuid
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +102,6 @@ __all__ = [
     "ShardTransport",
     "SerialTransport",
     "ProcessPoolTransport",
-    "shutdown_warm_pools",
 ]
 
 #: Designs the engine can fan out (plus ``"twcs-strat"`` via ``strata=``).
@@ -432,8 +429,8 @@ class ShardTransport(ABC):
     construction and are enforced by the parity suites.
     """
 
-    #: Stable short name for planner decisions, shard stats and metrics
-    #: labels (``"serial"``, ``"pool"``, ``"shm"``, ``"rpc"``).
+    #: Stable short name for shard stats and metrics labels
+    #: (``"serial"``, ``"pool"``, ``"rpc"``).
     kind = "unknown"
 
     def bind(
@@ -489,62 +486,6 @@ class SerialTransport(ShardTransport):
         return [_run_task(task, attached) for task in tasks]
 
 
-#: Parked keep-alive pools awaiting adoption, LRU-ordered and keyed by
-#: ``ProcessPoolTransport._warm_key()``.  Each entry holds the pool, its
-#: ``_ATTACH_REGISTRY`` key, and **strong references to the bound CSR
-#: arrays**: pinning the arrays in the entry itself (not only through the
-#: fork-mode registry) keeps their ``id()``s unambiguous under every start
-#: method — under ``spawn`` there is no registry entry, and without the pin
-#: a freed array's id could be reused by a different graph, letting its
-#: bind adopt a pool whose workers still hold the old CSR.
-_WARM_POOLS: "OrderedDict[tuple, tuple[ProcessPoolExecutor, str | None, tuple]]" = OrderedDict()
-
-#: At most this many pools stay parked; the least-recently-parked is shut
-#: down (and its registry attachment dropped) on overflow, so a long-lived
-#: process walking many graphs cannot accumulate OS processes and pinned
-#: arrays without bound.
-_WARM_POOL_LIMIT = 2
-
-
-def _discard_warm_pool(key: tuple) -> None:
-    pool, attach_key, _pinned = _WARM_POOLS.pop(key)
-    try:
-        pool.shutdown(wait=True)
-    except Exception:
-        # A parked pool whose worker processes already died (SIGKILL'd
-        # children, a broken fork context at interpreter exit) may raise from
-        # shutdown; the entry is already unregistered, and one corpse must
-        # not stop the remaining pools — or the atexit hook — from cleaning
-        # up.
-        pass
-    if attach_key is not None:
-        _ATTACH_REGISTRY.pop(attach_key, None)
-
-
-def _park_warm_pool(
-    key: tuple, pool: ProcessPoolExecutor, attach_key: str | None, pinned: tuple
-) -> None:
-    _WARM_POOLS[key] = (pool, attach_key, pinned)
-    _WARM_POOLS.move_to_end(key)
-    while len(_WARM_POOLS) > _WARM_POOL_LIMIT:
-        _discard_warm_pool(next(iter(_WARM_POOLS)))
-
-
-def shutdown_warm_pools() -> None:
-    """Shut down every parked keep-alive worker pool (also runs at exit).
-
-    Idempotent: an explicit call (a draining ``repro serve`` daemon, a test's
-    teardown) empties the registry, and the ``atexit`` hook re-running over
-    the already-empty registry is a no-op.  Pools that fail to shut down are
-    discarded anyway — see :func:`_discard_warm_pool`.
-    """
-    while _WARM_POOLS:
-        _discard_warm_pool(next(iter(_WARM_POOLS)))
-
-
-atexit.register(shutdown_warm_pools)
-
-
 class ProcessPoolTransport(ShardTransport):
     """Local fork/spawn process-pool execution (the historical ``workers=``).
 
@@ -553,23 +494,14 @@ class ProcessPoolTransport(ShardTransport):
     with a snapshot directory, or by receiving the arrays once per worker
     under ``spawn``.  The pool is created lazily on the first round and can
     be re-created after :meth:`close`.
-
-    With ``keep_alive=True`` (what the adaptive planner requests),
-    :meth:`close` *parks* the live pool in a module registry instead of
-    shutting it down, and a later :meth:`bind` to the **same** CSR index
-    (same array objects or the same snapshot directory, same worker count)
-    adopts it back — so repeated runs over one resident graph pay the fork
-    startup exactly once per process.  Binding to a different index always
-    tears the pool down first; correctness never depends on adoption.
     """
 
     kind = "pool"
 
-    def __init__(self, workers: int, *, keep_alive: bool = False) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self.workers = int(workers)
-        self.keep_alive = bool(keep_alive)
         self._pool: ProcessPoolExecutor | None = None
         self._attach_key: str | None = None
 
@@ -577,28 +509,11 @@ class ProcessPoolTransport(ShardTransport):
     def default_shards(self) -> int | None:
         return self.workers
 
-    def _warm_key(self) -> tuple:
-        """Identity of (worker count, attached CSR index) for pool reuse.
-
-        Array ``id()`` is unambiguous here because a parked pool's
-        ``_WARM_POOLS`` entry holds strong references to the arrays (in
-        every start method) for as long as the key can be looked up.
-        """
-        if self._snapshot is not None:
-            return ("pool", self.workers, "snapshot", self._snapshot)
-        return ("pool", self.workers, id(self._offsets), id(self._positions))
-
     def bind(self, offsets, positions, *, snapshot=None) -> None:
         # A live pool's workers attached to the previously bound index; tear
-        # it down (or park it, when keep-alive) so re-binding can never
-        # execute tasks against stale arrays.
+        # it down so re-binding can never execute tasks against stale arrays.
         self.close()
         super().bind(offsets, positions, snapshot=snapshot)
-        if self.keep_alive:
-            parked = _WARM_POOLS.pop(self._warm_key(), None)
-            if parked is not None:
-                self._pool, self._attach_key, _pinned = parked
-                obs_metrics.counter("sampling_warm_pool_reuse_total", kind=self.kind).inc()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -631,19 +546,6 @@ class ProcessPoolTransport(ShardTransport):
         return [future.result() for future in futures]
 
     def close(self) -> None:
-        bound = getattr(self, "_offsets", None) is not None
-        if self._pool is not None and self.keep_alive and bound:
-            key = self._warm_key()
-            if key not in _WARM_POOLS:
-                # Park the pool for the next transport bound to the same
-                # index, pinning the bound arrays so the id-based key stays
-                # unambiguous for the entry's lifetime.
-                _park_warm_pool(
-                    key, self._pool, self._attach_key, (self._offsets, self._positions)
-                )
-                self._pool = None
-                self._attach_key = None
-                return
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -1037,12 +939,11 @@ class SamplingRun:
     def shard_stats(self) -> list[dict]:
         """Per-shard draw statistics — the single source of truth for them.
 
-        Benchmarks (``BENCH_parallel.json``), exported metrics snapshots and
-        the adaptive transport planner's calibration all read this one
-        structure: per shard, the units and triples drawn, the number of
-        executed tasks, the cumulative worker-side draw seconds (plus the
-        mean per task), and the transport kind that executed the shard —
-        i.e. what the planner actually chose for the run.
+        Benchmarks (``BENCH_parallel.json``) and exported metrics snapshots
+        read this one structure: per shard, the units and triples drawn, the
+        number of executed tasks, the cumulative worker-side draw seconds
+        (plus the mean per task), and the transport kind that executed the
+        shard.
         """
         stats = []
         transport_kind = self._executor.transport.kind
@@ -1061,11 +962,6 @@ class SamplingRun:
                 }
             )
         return stats
-
-    @property
-    def planner_decision(self):
-        """The planner decision that configured this run's executor (or None)."""
-        return self._executor.planner_decision
 
     @property
     def num_units(self) -> int:
@@ -1128,11 +1024,6 @@ class ParallelSamplingExecutor:
         The executor binds it to the population's CSR index and owns it:
         :meth:`close` closes the transport.  Mutually exclusive with
         ``workers``.
-    planner_decision:
-        Optional :class:`~repro.sampling.planner.PlannerDecision` recorded
-        when the adaptive planner chose this executor's configuration;
-        surfaced through :meth:`SamplingRun.shard_stats` and report
-        printing.  Never feeds the draw streams.
     """
 
     def __init__(
@@ -1143,7 +1034,6 @@ class ParallelSamplingExecutor:
         num_shards: int | None = None,
         snapshot: str | Path | None = None,
         transport: ShardTransport | None = None,
-        planner_decision=None,
     ) -> None:
         if graph is None and snapshot is None:
             raise ValueError("either graph or snapshot is required")
@@ -1169,7 +1059,6 @@ class ParallelSamplingExecutor:
                 else SerialTransport()
             )
         self.transport = transport
-        self.planner_decision = planner_decision
         self.transport.bind(self.offsets, self.positions, snapshot=self.snapshot)
         self._bind_generation = transport.bind_generation
         if num_shards is not None:

@@ -25,8 +25,7 @@ Specs
     Quality knobs, as on the CLI.
 ``engine``
     Optional transport-fleet request: ``{"transport": "serial"|"pool"|
-    "shm"|"rpc", "workers": N, "shards": N, "nodes": [...], "rpc_window":
-    N}``.  Shards are part of the random-stream identity; the transport
+    "rpc", "workers": N, "shards": N, "nodes": [...], "rpc_window": N}``.  Shards are part of the random-stream identity; the transport
     only decides where the fixed plan executes.
 
 Checkpoints
@@ -61,7 +60,7 @@ CHECKPOINT_FORMAT = 1
 
 _DATASETS = ("nell", "yago", "movie", "movie-syn")
 _EVALUATORS = ("rs", "ss")
-_ENGINE_TRANSPORTS = ("serial", "pool", "shm", "rpc")
+_ENGINE_TRANSPORTS = ("serial", "pool", "rpc")
 
 
 def normalise_spec(spec) -> dict:
@@ -178,13 +177,7 @@ def _engine_extra(engine: dict | None, fleet_secret) -> dict:
         from repro.sampling.parallel import ParallelSamplingExecutor, ProcessPoolTransport
 
         count = int(workers or ParallelSamplingExecutor.default_workers())
-        extra["transport"] = ProcessPoolTransport(count, keep_alive=True)
-    elif kind == "shm":
-        from repro.sampling.parallel import ParallelSamplingExecutor
-        from repro.sampling.shm import SharedMemoryTransport
-
-        count = int(workers or ParallelSamplingExecutor.default_workers())
-        extra["transport"] = SharedMemoryTransport(count)
+        extra["transport"] = ProcessPoolTransport(count)
     elif kind == "serial":
         from repro.sampling.parallel import SerialTransport
 

@@ -45,7 +45,7 @@ __all__ = ["StorageBackend", "StorageStats", "make_backend", "stats_from_moments
 class StorageStats:
     """Size and cluster-shape summary of one stored graph.
 
-    The adaptive transport planner reads this to size a run: ``num_triples``
+    :func:`repro.sampling.planner.plan_shards` reads this to size a run: ``num_triples``
     bounds the total draw work, ``num_entities`` bounds first-stage
     population, and the cluster-size distribution (mean, max, coefficient of
     variation) measures how *skewed* the entity clusters are — heavily

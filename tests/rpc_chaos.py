@@ -266,7 +266,13 @@ class ChaosProxy:
         except (OSError, ConnectionError):
             pass
         finally:
+            # Linux sends no FIN when one thread closes a socket its sibling
+            # pump is blocked reading, so shut both directions down first.
             for sock in (source, sink):
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
                 try:
                     sock.close()
                 except OSError:
@@ -279,6 +285,10 @@ class ChaosProxy:
         except OSError:
             pass
         for sock in self._conns:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 sock.close()
             except OSError:

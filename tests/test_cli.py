@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -233,3 +240,59 @@ class TestAllocationFlag:
         out = capsys.readouterr().out
         assert code == 0
         assert "estimated accuracy" in out
+
+
+class TestRpcOnlyFlags:
+    @pytest.mark.parametrize("command", ["evaluate", "monitor"])
+    @pytest.mark.parametrize(
+        "flag", [["--nodes", "127.0.0.1:1"], ["--accept-joins", "127.0.0.1:0"]]
+    )
+    @pytest.mark.parametrize("transport", [[], ["--transport", "pool"]])
+    def test_node_flags_require_the_rpc_transport(self, command, flag, transport):
+        # Without --transport rpc nothing would dial the nodes or open the
+        # join listener, so the flags must fail loudly, not be ignored.
+        with pytest.raises(SystemExit, match="--transport rpc"):
+            main([command, "--dataset", "nell", *transport, *flag])
+
+
+class TestHermeticity:
+    def test_commands_write_nothing_under_home_or_cache(self, capsys, tmp_path, monkeypatch):
+        home, cache = tmp_path / "home", tmp_path / "cache"
+        home.mkdir()
+        cache.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        assert main(["evaluate", "--dataset", "nell", "--shards", "2", "--seed", "7"]) == 0
+        main(
+            [
+                "monitor",
+                "--dataset",
+                "nell",
+                "--backend",
+                "columnar",
+                "--evaluator",
+                "ss",
+                "--shards",
+                "2",
+                "--batches",
+                "1",
+                "--seed",
+                "7",
+            ]
+        )
+        assert "shards=2" in capsys.readouterr().out
+        assert list(home.iterdir()) == []
+        assert list(cache.iterdir()) == []
+
+
+def test_importing_the_cli_does_not_load_networkx():
+    # networkx serves only the KGEval baseline; the CLI and the library
+    # import must not pay for it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, repro, repro.cli; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

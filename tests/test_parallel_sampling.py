@@ -406,67 +406,6 @@ class TestPoolParity:
 
 
 @pytest.mark.parallel
-class TestPoolWarmRegistry:
-    """keep_alive parking: pinning, adoption, and the bounded LRU."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_registry(self):
-        from repro.sampling import parallel
-
-        parallel.shutdown_warm_pools()
-        yield
-        parallel.shutdown_warm_pools()
-
-    def _run(self, graph, labels, transport, seed=13):
-        with ParallelSamplingExecutor(graph, num_shards=2, transport=transport) as executor:
-            run = executor.run("twcs", labels, seed=seed)
-            run.step(40)
-            return run.estimate()
-
-    def test_park_pins_arrays_and_adoption_matches_serial(self, labelled):
-        from repro.sampling import parallel
-        from repro.sampling.parallel import ProcessPoolTransport
-
-        data, labels = labelled
-        first = self._run(data.graph, labels, ProcessPoolTransport(2, keep_alive=True))
-        assert len(parallel._WARM_POOLS) == 1
-        # The parked entry itself holds strong references to the bound CSR
-        # arrays (not just the fork-mode registry): this is what keeps the
-        # id()-based warm key unambiguous under every start method.
-        ((key, (_pool, _attach, pinned)),) = parallel._WARM_POOLS.items()
-        offsets, positions = data.graph.backend.csr_arrays()
-        assert pinned[0] is offsets and pinned[1] is positions
-        assert key[2] == id(offsets) and key[3] == id(positions)
-        second = self._run(data.graph, labels, ProcessPoolTransport(2, keep_alive=True))
-        assert second == first
-        serial = self._run(data.graph, labels, None)
-        assert second == serial
-
-    def test_registry_is_lru_bounded(self, labelled):
-        from repro.generators.datasets import make_yago_like
-        from repro.sampling import parallel
-        from repro.sampling.parallel import ProcessPoolTransport
-
-        data, labels = labelled
-        graphs = [(data.graph, labels)]
-        for seed in (1, 2):
-            other = make_yago_like(seed=seed)
-            graph = other.graph.to_columnar()
-            graphs.append((graph, other.oracle.as_position_array(graph)))
-        for graph, graph_labels in graphs:
-            self._run(graph, graph_labels, ProcessPoolTransport(2, keep_alive=True))
-        # Three graphs parked three pools; the cap keeps only the newest
-        # two alive (plus their registry attachments).
-        assert len(parallel._WARM_POOLS) == parallel._WARM_POOL_LIMIT == 2
-        assert len(parallel._ATTACH_REGISTRY) <= parallel._WARM_POOL_LIMIT
-        newest_two = {
-            (id(graph.backend.csr_arrays()[0]), id(graph.backend.csr_arrays()[1]))
-            for graph, _ in graphs[-2:]
-        }
-        assert {key[2:] for key in parallel._WARM_POOLS} == newest_two
-
-
-@pytest.mark.parallel
 class TestEvolvingWorkers:
     """workers= wiring through the evolving evaluators."""
 

@@ -1,18 +1,11 @@
-"""Shutdown/cleanup paths: warm-pool sweeps and worker connection errors.
+"""Shutdown/cleanup paths: worker connection errors.
 
-The three hardened paths this PR fixed are each pinned here:
+A worker's ``_serve_connection`` catches exactly the *expected* failure pair
+(``OSError`` for every socket condition, ``RPCError`` for protocol
+malformations), counts and logs it — while a genuine worker-side bug
+propagates instead of being swallowed by the old bare ``except``.
 
-* ``shutdown_warm_pools`` (fork-pool and shm registries) must release every
-  parked pool even when one of them raises from ``shutdown()`` (children
-  already dead), and must be idempotent — a draining ``repro serve`` daemon
-  calls it explicitly and the ``atexit`` hook runs over the emptied
-  registry afterwards.
-* a worker's ``_serve_connection`` catches exactly the *expected* failure
-  pair (``OSError`` for every socket condition, ``RPCError`` for protocol
-  malformations), counts and logs it — while a genuine worker-side bug
-  propagates instead of being swallowed by the old bare ``except``.
-
-Everything runs in-process with fake pools and socketpairs: tier-1 safe.
+Everything runs in-process with socketpairs: tier-1 safe.
 """
 
 from __future__ import annotations
@@ -22,61 +15,8 @@ import socket
 import pytest
 
 from repro.obs import metrics as obs_metrics
-from repro.sampling import parallel, rpc, shm
+from repro.sampling import rpc
 from repro.storage.distribute import SnapshotCache
-
-
-class _FakePool:
-    """Stands in for a ProcessPoolExecutor in the warm registries."""
-
-    def __init__(self) -> None:
-        self.shutdowns = 0
-
-    def shutdown(self, wait: bool = True) -> None:
-        self.shutdowns += 1
-
-
-class _ExplodingPool(_FakePool):
-    """A parked pool whose worker processes already died."""
-
-    def shutdown(self, wait: bool = True) -> None:
-        super().shutdown(wait)
-        raise OSError("worker processes are gone")
-
-
-# --------------------------------------------------------------------------- #
-# Warm-pool sweeps
-# --------------------------------------------------------------------------- #
-def test_fork_pool_sweep_survives_a_dead_pool():
-    healthy, dead = _FakePool(), _ExplodingPool()
-    parallel._WARM_POOLS[("test", "dead")] = (dead, None, ())
-    parallel._WARM_POOLS[("test", "healthy")] = (healthy, None, ())
-    parallel.shutdown_warm_pools()  # must not raise
-    assert not parallel._WARM_POOLS
-    assert dead.shutdowns == 1
-    assert healthy.shutdowns == 1  # the corpse did not stop the sweep
-
-
-def test_shm_pool_sweep_survives_a_dead_pool():
-    healthy, dead = _FakePool(), _ExplodingPool()
-    shm._WARM_SHM_POOLS[97] = dead
-    shm._WARM_SHM_POOLS[98] = healthy
-    shm.shutdown_warm_pools()  # must not raise
-    assert not shm._WARM_SHM_POOLS
-    assert dead.shutdowns == 1
-    assert healthy.shutdowns == 1
-
-
-def test_warm_pool_sweeps_are_idempotent():
-    pool = _FakePool()
-    parallel._WARM_POOLS[("test", "once")] = (pool, None, ())
-    shm_pool = _FakePool()
-    shm._WARM_SHM_POOLS[99] = shm_pool
-    for _ in range(3):  # explicit drain + atexit re-run + paranoia
-        parallel.shutdown_warm_pools()
-        shm.shutdown_warm_pools()
-    assert pool.shutdowns == 1
-    assert shm_pool.shutdowns == 1
 
 
 # --------------------------------------------------------------------------- #
