@@ -92,7 +92,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import sqlite3
 import sys
+import zipfile
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -129,6 +131,10 @@ __all__ = ["main", "build_parser"]
 
 _DATASETS = ("nell", "yago", "movie", "movie-syn")
 _DESIGNS = ("srs", "rcs", "wcs", "twcs", "twcs-strat")
+# What reopening a missing, foreign or damaged snapshot raises.  EOFError: an
+# empty file; KeyError: an archive without the snapshot's arrays; ValueError:
+# a file numpy would only read as a pickle.
+_SNAPSHOT_OPEN_ERRORS = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, sqlite3.Error)
 
 
 def _load_dataset(name: str, seed: int, movie_scale: float) -> LabelledKG:
@@ -182,49 +188,64 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _labelled_snapshot(path: str, graph, labels) -> LabelledKG:
+    """Label a reopened graph with its stored position-aligned label array."""
+    from repro.labels.oracle import LabelOracle
+
+    try:
+        oracle = LabelOracle.from_positions(graph, labels)
+    except ValueError as exc:
+        raise SystemExit(f"cannot open snapshot {path}: {exc}") from exc
+    return LabelledKG(graph, oracle)
+
+
 def _load_snapshot_dataset(path: str) -> LabelledKG:
     """Reopen a persisted graph + label array as a labelled KG.
 
     Accepts either a format-v2 snapshot (``.npz`` / snapshot directory) or a
     SQLite database written by ``repro snapshot --backend sqlite`` — the
     database is detected by its file header and reopened in place, columns
-    staying on disk.
+    staying on disk.  The stored label array becomes the oracle as is
+    (:meth:`~repro.labels.oracle.LabelOracle.from_positions`), so the
+    sharded engine reads it without materialising a Triple.  A path that is
+    no snapshot exits with ``cannot open snapshot <path>: <reason>``.
     """
-    from repro.labels.oracle import LabelOracle
     from repro.storage.snapshot import SnapshotStore
     from repro.storage.sqlite import is_sqlite_file
 
     if is_sqlite_file(path):
         return _load_sqlite_dataset(path)
     store = SnapshotStore(path)
-    graph = store.load_graph()
-    labels = store.load_labels()
+    try:
+        graph = store.load_graph()
+        labels = store.load_labels()
+    except _SNAPSHOT_OPEN_ERRORS as exc:
+        raise SystemExit(f"cannot open snapshot {path}: {exc}") from exc
     if labels is None:
         raise SystemExit(
             f"snapshot {path} carries no label array; re-create it with "
             "`repro snapshot --with-labels`"
         )
-    oracle = LabelOracle(dict(zip(graph.triples, (bool(v) for v in labels))))
-    return LabelledKG(graph, oracle)
+    return _labelled_snapshot(path, graph, labels)
 
 
 def _load_sqlite_dataset(path: str) -> LabelledKG:
     """Reopen a SQLite graph database (with stored labels) as a labelled KG."""
     from repro.kg.graph import KnowledgeGraph
-    from repro.labels.oracle import LabelOracle
     from repro.storage.sqlite import SqliteStore
 
-    store = SqliteStore(path)
-    name = store.graph_name() or Path(path).stem
-    graph = KnowledgeGraph(name=name, backend=store)
-    labels = store.load_labels()
+    try:
+        store = SqliteStore(path)
+        name = store.graph_name() or Path(path).stem
+        labels = store.load_labels()
+    except _SNAPSHOT_OPEN_ERRORS as exc:
+        raise SystemExit(f"cannot open snapshot {path}: {exc}") from exc
     if labels is None:
         raise SystemExit(
             f"sqlite database {path} carries no label array; re-create it with "
             "`repro snapshot --backend sqlite --with-labels`"
         )
-    oracle = LabelOracle(dict(zip(graph.triples, (bool(v) for v in labels))))
-    return LabelledKG(graph, oracle)
+    return _labelled_snapshot(path, KnowledgeGraph(name=name, backend=store), labels)
 
 
 def _parse_nodes(args: argparse.Namespace) -> list[str]:

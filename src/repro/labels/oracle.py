@@ -9,7 +9,10 @@ annotation *cost* is charged separately by :mod:`repro.cost`.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Mapping
+
+import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
@@ -31,9 +34,55 @@ class LabelOracle:
         by the experiment harness.
     """
 
+    # Set by from_positions only, and cleared by extend.
+    _graph: KnowledgeGraph | None = None
+    _positions: np.ndarray | None = None
+
     def __init__(self, labels: Mapping[Triple, bool], strict: bool = True) -> None:
         self._labels = dict(labels)
         self._strict = strict
+
+    @classmethod
+    def from_positions(cls, graph: KnowledgeGraph, labels: np.ndarray) -> "LabelOracle":
+        """A strict oracle over ``graph`` backed by a position-aligned label array.
+
+        ``labels[i]`` is the label of the triple at position ``i`` of
+        ``graph``, as a labelled snapshot stores it.  For this same ``graph``
+        object :meth:`as_position_array` returns the array (read-only) and
+        :meth:`true_accuracy` counts it, so a position-surface run never
+        materialises a Triple.  The Triple-keyed mapping behind :meth:`label`
+        and the other object-surface calls is built on first use.
+
+        Raises
+        ------
+        ValueError
+            Unless there is exactly one label per triple of ``graph``.
+        """
+        positions = np.asarray(labels, dtype=bool)
+        if positions.shape != (graph.num_triples,):
+            raise ValueError(
+                f"label array of shape {positions.shape} for {graph.num_triples} triples"
+            )
+        positions = positions.view()
+        positions.flags.writeable = False
+        oracle = cls.__new__(cls)
+        oracle._strict = True
+        oracle._graph = graph
+        oracle._positions = positions
+        return oracle
+
+    @functools.cached_property
+    def _labels(self) -> dict[Triple, bool]:
+        # Reached only by a from_positions oracle, on its first object-surface
+        # call: __init__ stores the mapping in the instance dict, which shadows
+        # this descriptor, so dict-built oracles pay nothing per label() call.
+        return dict(zip(self._graph.triples, self._positions.tolist()))
+
+    def _positions_for(self, graph: KnowledgeGraph) -> np.ndarray | None:
+        """The stored label array if it describes ``graph`` as it is now."""
+        if graph is self._graph and self._positions.shape[0] == graph.num_triples:
+            return self._positions
+        return None
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -62,12 +111,14 @@ class LabelOracle:
         (``draw_positions`` / ``update_all_positions``) resolves labels with
         pure array indexing, no Triple hashing.  Unknown triples follow the
         oracle's ``strict`` setting: ``KeyError`` when strict, ``True``
-        otherwise.
+        otherwise.  A :meth:`from_positions` oracle hands its own array back
+        for its own graph, with no conversion.
         """
+        positions = self._positions_for(graph)
+        if positions is not None:
+            return positions
         if not self._strict:
             return graph.position_label_array(self._labels, default=True)
-        import numpy as np
-
         # self.label raises the oracle's KeyError on the first missing triple,
         # so strictness costs no extra pass over the graph.
         return np.fromiter(
@@ -87,6 +138,9 @@ class LabelOracle:
         """The exact population accuracy ``µ(G)`` under this oracle."""
         if graph.num_triples == 0:
             return 0.0
+        positions = self._positions_for(graph)
+        if positions is not None:
+            return int(np.count_nonzero(positions)) / graph.num_triples
         correct = sum(1 for triple in graph if self.label(triple))
         return correct / graph.num_triples
 
@@ -110,12 +164,15 @@ class LabelOracle:
         """Add labels from ``other`` in place (new labels win on conflict).
 
         Evolving-KG evaluation extends the oracle as each update batch arrives
-        with its own ground-truth labels.
+        with its own ground-truth labels.  A :meth:`from_positions` oracle
+        drops its label array here, so the array never disagrees with the
+        mapping.
         """
         if isinstance(other, LabelOracle):
             self._labels.update(other._labels)
         else:
             self._labels.update(other)
+        self._graph = self._positions = None
 
     def merged_with(self, other: "LabelOracle") -> "LabelOracle":
         """Return a new oracle containing this oracle's labels plus ``other``'s.

@@ -6,14 +6,17 @@ each estimator and stops the iterative evaluation once the margin of error
 is also provided for the proportion case: it behaves better for highly
 accurate KGs such as YAGO (99 % accuracy), where the Normal interval collapses
 to zero width whenever a small sample happens to contain no errors.
+
+The Normal quantile is a pure-Python port of the Cephes math library's
+``ndtri`` with the same coefficients and operation order, so critical values,
+stopping decisions and every pinned trajectory are bit-identical to the
+compiled routine, and importing the package loads no statistics library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats as scipy_stats
 
 __all__ = [
     "ConfidenceInterval",
@@ -58,6 +61,113 @@ class ConfidenceInterval:
         )
 
 
+# Cephes ndtri: rational approximations in y - 0.5 for the central region
+# (|y - 0.5| <= 3/8) and in 1/sqrt(-2 log y) for the tails, split at
+# sqrt(-2 log y) = 8, i.e. y = exp(-32).  Leading 1.0 of Q0/Q1/Q2 implied.
+_SQRT_2PI = 2.50662827463100050242e0
+_EXP_MINUS_2 = 0.13533528323661269189
+_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner evaluation of ``coef[0] * x**n + ... + coef[n]`` (Cephes ``polevl``)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """As :func:`_polevl` with an implied leading coefficient 1 (Cephes ``p1evl``)."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Inverse of the standard Normal CDF on [0, 1], bit-identical to Cephes ``ndtri``."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    y, negate = y0, True
+    if y > 1.0 - _EXP_MINUS_2:
+        y, negate = 1.0 - y, False
+    if y > _EXP_MINUS_2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 def normal_critical_value(confidence_level: float) -> float:
     """Return ``z_{alpha/2}`` for a two-sided interval at ``confidence_level``.
 
@@ -66,7 +176,7 @@ def normal_critical_value(confidence_level: float) -> float:
     if not 0.0 < confidence_level < 1.0:
         raise ValueError(f"confidence_level must be in (0, 1), got {confidence_level}")
     alpha = 1.0 - confidence_level
-    return float(scipy_stats.norm.ppf(1.0 - alpha / 2.0))
+    return _ndtri(1.0 - alpha / 2.0)
 
 
 def margin_of_error(std_error: float, confidence_level: float) -> float:

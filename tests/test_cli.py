@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import os
+import re
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -205,12 +209,68 @@ class TestSnapshotEvaluateRoundTrip:
         assert exit_code == 0
         assert "estimated accuracy" in out
 
+    def test_classic_loop_from_snapshot_matches_the_built_dataset(self, capsys, tmp_path):
+        # NELL plans one shard, so this runs the object-surface loop, which
+        # builds the oracle's Triple mapping from the stored array on demand.
+        target = str(tmp_path / "nell.npz")
+        assert main(["snapshot", "--dataset", "nell", "--out", target, "--with-labels"]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", "nell", "--seed", "0"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["evaluate", "--from-snapshot", target, "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "shards=" not in out
+        assert out == expected
+
     def test_evaluate_from_snapshot_without_labels_fails(self, capsys, tmp_path):
         target = str(tmp_path / "bare.npz")
         assert main(["snapshot", "--dataset", "nell", "--out", target]) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit):
             main(["evaluate", "--from-snapshot", target])
+
+    @pytest.mark.parametrize(
+        "kind", ["missing", "empty", "text", "foreign-archive", "bare-directory", "not-a-database"]
+    )
+    def test_evaluate_from_unreadable_snapshot_fails_cleanly(self, tmp_path, kind):
+        # Anything that is not a snapshot exits with one typed message, not a
+        # FileNotFoundError / numpy "pickled data" / sqlite traceback.
+        names = {"bare-directory": "bad", "not-a-database": "bad.sqlite"}
+        target = tmp_path / names.get(kind, "bad.npz")
+        if kind == "empty":
+            target.write_bytes(b"")
+        elif kind == "text":
+            target.write_text("subject\tpredicate\tobject\n")
+        elif kind == "foreign-archive":
+            np.savez(target, weights=np.arange(3))
+        elif kind == "bare-directory":
+            target.mkdir()
+        elif kind == "not-a-database":
+            target.write_bytes(b"SQLite format 3\x00" + b"\xff" * 4096)
+        with pytest.raises(SystemExit, match=f"^cannot open snapshot {re.escape(str(target))}: "):
+            main(["evaluate", "--from-snapshot", str(target)])
+
+    @pytest.mark.parametrize("layout", ["npz", "sqlite"])
+    def test_evaluate_from_snapshot_with_misaligned_labels_fails(self, capsys, tmp_path, layout):
+        # One label short: pairing labels with triples must refuse, not
+        # silently drop the last triple's label.
+        target = tmp_path / f"nell.{layout}"
+        backend = ["--backend", "sqlite"] if layout == "sqlite" else []
+        args = ["snapshot", "--dataset", "nell", "--out", str(target), "--with-labels"]
+        assert main(args + backend) == 0
+        capsys.readouterr()
+        if layout == "npz":
+            with np.load(target) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            arrays["labels"] = arrays["labels"][:-1]
+            np.savez(target, **arrays)
+        else:
+            with closing(sqlite3.connect(target)) as conn:
+                conn.execute("UPDATE meta SET value = value - 1 WHERE key = 'labels_len'")
+                conn.commit()
+        message = f"^cannot open snapshot {re.escape(str(target))}: label array"
+        with pytest.raises(SystemExit, match=message):
+            main(["evaluate", "--from-snapshot", str(target)])
 
 
 class TestAllocationFlag:
@@ -285,14 +345,17 @@ class TestHermeticity:
         assert list(cache.iterdir()) == []
 
 
-def test_importing_the_cli_does_not_load_networkx():
-    # networkx serves only the KGEval baseline; the CLI and the library
-    # import must not pay for it.
+def test_importing_the_cli_loads_neither_networkx_nor_scipy():
+    # networkx serves only the KGEval baseline and scipy only the cost-model
+    # fit; the CLI and the library import must pay for neither.
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, repro, repro.cli; print('networkx' in sys.modules)"
+    code = (
+        "import sys, repro, repro.cli; "
+        "print(sorted(m for m in ('networkx', 'scipy') if m in sys.modules))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

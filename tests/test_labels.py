@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.kg.graph import KnowledgeGraph
@@ -70,6 +71,54 @@ class TestLabelOracle:
         copy = toy_oracle.as_dict()
         copy.clear()
         assert len(toy_oracle) > 0
+
+
+class TestLabelOracleFromPositions:
+    @pytest.fixture()
+    def stored(self, nell):
+        """A columnar graph, its position-aligned labels and the dict oracle behind them."""
+        graph = nell.graph.to_columnar()
+        return graph, nell.oracle.as_position_array(graph), nell.oracle
+
+    def test_hands_its_array_back_read_only(self, stored):
+        graph, labels, _ = stored
+        array = LabelOracle.from_positions(graph, labels).as_position_array(graph)
+        assert np.shares_memory(array, labels)
+        assert not array.flags.writeable
+        assert labels.flags.writeable
+
+    def test_rejects_a_misaligned_array(self, stored):
+        graph, labels, _ = stored
+        for bad in (labels[:-1], np.append(labels, True), labels.reshape(1, -1)):
+            with pytest.raises(ValueError, match="label array"):
+                LabelOracle.from_positions(graph, bad)
+
+    def test_true_accuracy_is_the_dict_oracles_float(self, stored):
+        graph, labels, dict_oracle = stored
+        oracle = LabelOracle.from_positions(graph, labels)
+        assert oracle.true_accuracy(graph) == dict_oracle.true_accuracy(graph)
+
+    def test_another_graph_object_falls_back_to_the_mapping(self, nell, stored):
+        graph, labels, dict_oracle = stored
+        oracle = LabelOracle.from_positions(graph, labels)
+        other = nell.graph  # the same triples, in the same order, on another backend
+        array = oracle.as_position_array(other)
+        assert not np.shares_memory(array, labels)
+        np.testing.assert_array_equal(array, labels)
+        assert oracle.true_accuracy(other) == dict_oracle.true_accuracy(other)
+        assert oracle.as_dict() == dict_oracle.as_dict()
+
+    def test_extend_drops_the_array(self, stored):
+        graph, labels, dict_oracle = stored
+        oracle = LabelOracle.from_positions(graph, labels)
+        first = graph.triple_at(0)
+        flipped = {first: not labels[0]}
+        oracle.extend(flipped)
+        expected = LabelOracle(dict_oracle.as_dict())
+        expected.extend(flipped)
+        assert oracle.label(first) is (not labels[0])
+        assert oracle.as_position_array(graph)[0] == (not labels[0])
+        assert oracle.true_accuracy(graph) == expected.true_accuracy(graph)
 
 
 class TestRandomErrorModel:

@@ -4,11 +4,13 @@ Covers the durability setup (WAL pragmas), reopen persistence, draw-stream
 parity against the columnar backend, resumable checkpointed ingest —
 including a subprocess SIGKILLed mid-load and resumed to a byte-identical
 database — and the CLI surface (``snapshot --backend sqlite`` /
-``evaluate --from-snapshot db.sqlite``).
+``evaluate --from-snapshot db.sqlite``, which reads no triple rows).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import pickle
 import signal
@@ -256,31 +258,44 @@ class TestSqliteIngestResume:
         assert survivor.content_digest() == expected
 
 
+@pytest.fixture(scope="module")
+def movie_sqlite(tmp_path_factory) -> tuple[str, str]:
+    """A labelled MOVIE database (seed 0, default scale) and what ``snapshot`` printed."""
+    target = str(tmp_path_factory.mktemp("movie") / "movie.sqlite")
+    args = ["snapshot", "--dataset", "movie", "--out", target, "--backend", "sqlite"]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(args + ["--with-labels"]) == 0
+    return target, printed.getvalue()
+
+
 class TestSqliteCLI:
-    def test_snapshot_then_evaluate_from_sqlite(self, capsys, tmp_path):
-        target = str(tmp_path / "movie.sqlite")
-        assert (
-            main(
-                [
-                    "snapshot",
-                    "--dataset",
-                    "movie",
-                    "--out",
-                    target,
-                    "--backend",
-                    "sqlite",
-                    "--with-labels",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
+    def test_snapshot_then_evaluate_from_sqlite(self, capsys, movie_sqlite):
+        target, out = movie_sqlite
         assert "sqlite database" in out
         assert is_sqlite_file(target)
         exit_code = main(["evaluate", "--from-snapshot", target, "--seed", "4", "--moe", "0.1"])
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "estimated accuracy" in out
+
+    def test_evaluate_from_sqlite_reads_no_triple_rows(self, capsys, monkeypatch, movie_sqlite):
+        # The stored label array goes to the sharded engine as is, so the
+        # cold path never iterates the database's rows, yet it prints what
+        # the same evaluation of the freshly built graph prints.
+        target, _ = movie_sqlite
+        args = ["--moe", "0.01", "--seed", "0"]
+        assert main(["evaluate", "--dataset", "movie", "--backend", "sqlite", *args]) == 0
+        expected = capsys.readouterr().out
+
+        def refuse_scan(self):
+            raise AssertionError("evaluate --from-snapshot scanned the triple rows")
+
+        monkeypatch.setattr(SqliteStore, "iter_triples", refuse_scan)
+        assert main(["evaluate", "--from-snapshot", target, *args]) == 0
+        out = capsys.readouterr().out
+        assert "shards=8, transport=auto:serial" in out
+        assert out == expected
 
     def test_evaluate_backend_sqlite_matches_columnar(self, capsys):
         args = ["evaluate", "--dataset", "movie", "--seed", "11", "--moe", "0.1"]

@@ -27,6 +27,11 @@ class TestConfidenceIntervals:
         assert normal_critical_value(0.95) == pytest.approx(1.959964, abs=1e-4)
         assert normal_critical_value(0.90) == pytest.approx(1.644854, abs=1e-4)
         assert normal_critical_value(0.99) == pytest.approx(2.575829, abs=1e-4)
+        # Pinned to the last bit: a changed coefficient or operation order in
+        # the ndtri port shows here even where scipy is not installed.
+        assert repr(normal_critical_value(0.90)) == "1.6448536269514722"
+        assert repr(normal_critical_value(0.95)) == "1.959963984540054"
+        assert repr(normal_critical_value(0.99)) == "2.5758293035489004"
 
     def test_critical_value_rejects_bad_level(self):
         with pytest.raises(ValueError):
@@ -127,6 +132,49 @@ class TestConfidenceIntervals:
                 normal_critical_value(bad)
         assert normal_critical_value(1e-9) > 0.0
         assert normal_critical_value(1.0 - 1e-12) > 6.0
+
+    def test_critical_value_matches_scipy_bit_for_bit(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        levels = np.concatenate(
+            [
+                np.linspace(1e-9, 1.0 - 1e-12, 20_001),
+                1.0 - np.logspace(-16, -1, 2_001),
+                [1e-9, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999, 1.0 - 1e-12],
+            ]
+        )
+        expected = scipy_stats.norm.ppf(1 - (1 - levels) / 2).tolist()
+        mismatched = [
+            (level, got, want)
+            for level, want in zip(levels.tolist(), expected)
+            if (got := normal_critical_value(level)) != want
+        ]
+        assert mismatched == []
+
+    def test_ndtri_port_matches_cephes_across_the_unit_interval(self):
+        # Both tails and all three rational approximations (central, and the
+        # two tail pieces split at y = exp(-32)), not only the upper half
+        # that critical values reach.
+        special = pytest.importorskip("scipy.special")
+        from repro.stats.ci import _ndtri
+
+        rng = np.random.default_rng(0)
+        points = np.concatenate(
+            [
+                np.linspace(0.0, 1.0, 100_001)[1:-1],
+                rng.random(20_000),
+                np.logspace(-300, -1, 20_000),
+                1.0 - np.logspace(-16, -1, 2_000),
+                [5e-324, math.exp(-32), math.exp(-2), 1.0 - math.exp(-2)],
+            ]
+        )
+        expected = special.ndtri(points).tolist()
+        mismatched = [
+            (point, got, want)
+            for point, want in zip(points.tolist(), expected)
+            if (got := _ndtri(point)) != want
+        ]
+        assert mismatched == []
+        assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
 
 
 class TestRunningMean:
