@@ -3,7 +3,7 @@
 ``StaticEvaluator`` repeats four steps until the quality requirement is met:
 
 1. **Sample Collector** — ask the sampling design for a small batch of units;
-2. **Sample Pool** — send the units' triples to the annotator for labels;
+2. **Sample Pool** — send the units to the annotator for labels;
 3. **Estimation** — fold the labels into the design's estimator;
 4. **Quality Control** — stop as soon as the margin of error is no larger
    than the user threshold (and the CLT minimum sample size is reached).
@@ -11,16 +11,38 @@
 The evaluator never over-samples: it stops at the end of the first batch whose
 estimate satisfies the requirement, which is the "avoid oversampling and
 unnecessary manual evaluations" property claimed in Section 4.
+
+The loop runs on the position surface: units are integer triple positions,
+and a :class:`~repro.cost.annotator.SimulatedAnnotator` labels them from its
+oracle's position array while charging Eq. (4), so a run builds no Triple.
+Annotators whose labels are not the oracle's (label flips, majority votes,
+or any object with only ``annotate_triples``) get each unit's Triples.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import EvaluationConfig
 from repro.core.result import EvaluationReport
 from repro.cost.annotator import SimulatedAnnotator
+from repro.obs import metrics as obs_metrics
 from repro.sampling.base import SamplingDesign
 
 __all__ = ["StaticEvaluator", "evaluate_accuracy"]
+
+
+def _labels_from_oracle(annotator) -> bool:
+    """Whether ``annotator`` labels exactly as its oracle does.
+
+    Subclasses that only re-price cost components (lognormal noise, drift)
+    keep ``SimulatedAnnotator.annotate_triples``; one that overrides it
+    (``NoisyAnnotator`` flips labels) must see the Triples.
+    """
+    return (
+        isinstance(annotator, SimulatedAnnotator)
+        and type(annotator).annotate_triples is SimulatedAnnotator.annotate_triples
+    )
 
 
 class StaticEvaluator:
@@ -49,6 +71,20 @@ class StaticEvaluator:
         self.annotator = annotator
         self.config = config if config is not None else EvaluationConfig()
 
+    def _annotate(self, units) -> None:
+        """Label one batch of position units and fold it into the design."""
+        design, annotator = self.design, self.annotator
+        graph = design.graph
+        if _labels_from_oracle(annotator):
+            design.update_all_positions(units, annotator.annotate_positions(graph, units))
+            return
+        for unit in units:
+            triples = graph.triples_at(unit.positions)
+            labels = annotator.annotate_triples(triples).labels
+            design.update_positions(
+                unit, np.fromiter((labels[t] for t in triples), dtype=bool, count=len(triples))
+            )
+
     def run(self, reset: bool = True) -> EvaluationReport:
         """Execute the loop until the MoE target is met or samples run out.
 
@@ -67,6 +103,8 @@ class StaticEvaluator:
         cost_before = self.annotator.total_cost_seconds
         triples_before = self.annotator.total_triples_annotated
         entities_before = self.annotator.entities_identified
+        rounds_total = obs_metrics.counter("sampling_rounds_total")
+        units_total = obs_metrics.counter("sampling_units_total")
 
         iterations = 0
         satisfied = False
@@ -79,16 +117,16 @@ class StaticEvaluator:
             if config.max_units is not None and estimate.num_units >= config.max_units:
                 break
 
-            batch = self.design.draw(config.batch_size)
-            if not batch:
+            units = self.design.draw_positions(config.batch_size)
+            if not units:
                 # Population exhausted (e.g. SRS drew every triple): the
                 # estimate is now a census and cannot be improved further.
                 satisfied = estimate.satisfies(config.moe_target, config.confidence_level)
                 break
             iterations += 1
-            for unit in batch:
-                result = self.annotator.annotate_triples(unit.triples)
-                self.design.update(unit, result.labels)
+            rounds_total.inc()
+            units_total.inc(len(units))
+            self._annotate(units)
 
         final_estimate = self.design.estimate()
         if not satisfied:

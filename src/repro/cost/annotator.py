@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cost.model import CostModel
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.labels.oracle import LabelOracle
 
@@ -86,6 +87,9 @@ class _SessionState:
     total_seconds: float = 0.0
     total_triples: int = 0
     labelled: dict[Triple, bool] = field(default_factory=dict)
+    #: Positions labelled through :meth:`SimulatedAnnotator.annotate_positions`,
+    #: per graph object: ``id(graph) -> (graph, label array, positions)``.
+    positions: dict[int, tuple[KnowledgeGraph, np.ndarray, set[int]]] = field(default_factory=dict)
 
 
 class SimulatedAnnotator:
@@ -157,7 +161,11 @@ class SimulatedAnnotator:
     @property
     def labelled_triples(self) -> dict[Triple, bool]:
         """All labels produced in the current session."""
-        return dict(self._session.labelled)
+        labelled = dict(self._session.labelled)
+        for graph, labels, annotated in self._session.positions.values():
+            positions = sorted(annotated)
+            labelled.update(zip(graph.triples_at(positions), labels[positions].tolist()))
+        return labelled
 
     # ------------------------------------------------------------------ #
     # Annotation
@@ -205,6 +213,54 @@ class SimulatedAnnotator:
             newly_identified_entities=new_entities,
             num_triples=new_triples,
         )
+
+    def annotate_positions(self, graph: KnowledgeGraph, units: Sequence) -> np.ndarray:
+        """Annotate position units of ``graph`` and return its label array.
+
+        The position-surface twin of calling :meth:`annotate_triples` once
+        per unit (a :class:`~repro.sampling.base.PositionUnit`), without
+        building a Triple: labels come from the oracle's read-only array for
+        ``graph``, which the caller indexes by position, and Eq. (4) is
+        charged per unit exactly as :meth:`annotate_triples` would charge it:
+        ``c1`` once per subject id per session, so sessions shared across
+        graph objects stay exact, and ``c2`` once per position of this graph
+        object.  A triple already labelled through :meth:`annotate_triples`
+        is free here too.
+        """
+        labels = self.oracle.position_labels(graph)
+        session = self._session
+        entry = session.positions.get(id(graph))
+        annotated = entry[2] if entry is not None else set()
+        session.positions[id(graph)] = (graph, labels, annotated)
+        identified = session.identified_entities
+        identification_cost = self.cost_model.identification_cost
+        validation_cost = self.cost_model.validation_cost
+        noise = self._noise_factor
+        for unit in units:
+            fresh = [p for p in unit.positions.tolist() if p not in annotated]
+            if session.labelled and fresh:
+                triples = graph.triples_at(fresh)
+                fresh = [p for p, t in zip(fresh, triples) if t not in session.labelled]
+            if not fresh:
+                continue
+            annotated.update(fresh)
+            # (subject row, fresh triples): a cluster unit has one subject,
+            # each triple of a triple-level unit finds its own.
+            if unit.entity_row >= 0:
+                runs = [(unit.entity_row, len(fresh))]
+            else:
+                runs = [(row, 1) for row in graph.rows_of_positions(fresh).tolist()]
+            cost = 0.0
+            for row, count in runs:
+                subject = graph.entity_id_of_row(row)
+                if subject not in identified:
+                    identified.add(subject)
+                    cost += identification_cost * noise()
+                for _ in range(count):
+                    cost += validation_cost * noise()
+            session.total_seconds += cost
+            session.total_triples += len(fresh)
+        return labels
 
     def annotate_with_timeline(
         self, triples: Sequence[Triple]

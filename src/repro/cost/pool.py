@@ -79,7 +79,8 @@ class NoisyAnnotator(SimulatedAnnotator):
     def annotate_triples(self, triples: Iterable[Triple]) -> AnnotationResult:
         """Annotate triples, flipping each fresh label with the error rate."""
         triples = list(triples)
-        fresh = [t for t in triples if t not in self.labelled_triples]
+        labelled = self._session.labelled
+        fresh = [t for t in triples if t not in labelled]
         result = super().annotate_triples(triples)
         if self.label_error_rate == 0.0 or not fresh:
             return result

@@ -38,7 +38,7 @@ import numpy as np
 from repro.kg.triple import Triple
 from repro.storage.backend import StorageBackend, make_backend
 
-__all__ = ["EntityCluster", "KnowledgeGraph", "sample_csr_positions_batch"]
+__all__ = ["EntityCluster", "KnowledgeGraph", "csr_position_rows", "sample_csr_positions_batch"]
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,21 @@ def _floyd_sample_batch(sizes: np.ndarray, cap: int, rng: np.random.Generator) -
             t = np.where(collision, base + j, t)
         picks[:, j] = t
     return picks
+
+
+def csr_position_rows(offsets: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The cluster row that owns each position of a CSR cluster index.
+
+    ``rows[p]`` is the row whose slice ``positions[offsets[row]:offsets[row
+    + 1]]`` holds position ``p``: the subject of a triple drawn without its
+    cluster (an SRS draw), which is what Eq. (4) charges ``c1`` for.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    rows = np.empty(int(offsets[-1]), dtype=np.int64)
+    rows[np.asarray(positions, dtype=np.int64)] = np.repeat(
+        np.arange(offsets.shape[0] - 1, dtype=np.int64), np.diff(offsets)
+    )
+    return rows
 
 
 def sample_csr_positions_batch(
@@ -165,6 +180,7 @@ class KnowledgeGraph:
         self._backend: StorageBackend = backend
         self._triples_view: tuple[Triple, ...] | None = None
         self._entity_ids_view: tuple[str, ...] | None = None
+        self._position_rows_view: np.ndarray | None = None
         for triple in triples:
             self.add(triple)
 
@@ -310,6 +326,17 @@ class KnowledgeGraph:
     def cluster_positions_by_row(self, row: int) -> np.ndarray:
         """Positions of cluster ``row``'s triples (zero-copy on columnar backends)."""
         return self._backend.cluster_positions_by_row(row)
+
+    def rows_of_positions(self, positions: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Cluster row of the subject of each triple position.
+
+        One position -> row array, built from the backend's CSR index on first
+        use and rebuilt once the graph has grown.
+        """
+        rows = self._position_rows_view
+        if rows is None or rows.shape[0] != self.num_triples:
+            rows = self._position_rows_view = csr_position_rows(*self._backend.csr_arrays())
+        return rows[np.asarray(positions, dtype=np.int64)]
 
     def labels_for_positions(
         self,

@@ -10,6 +10,7 @@ annotation *cost* is charged separately by :mod:`repro.cost`.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -37,6 +38,9 @@ class LabelOracle:
     # Set by from_positions only, and cleared by extend.
     _graph: KnowledgeGraph | None = None
     _positions: np.ndarray | None = None
+    # The last array position_labels built: (weak graph reference, read-only
+    # array).  Cleared by extend; it never replaces a from_positions array.
+    _built: tuple[weakref.ref, np.ndarray] | None = None
 
     def __init__(self, labels: Mapping[Triple, bool], strict: bool = True) -> None:
         self._labels = dict(labels)
@@ -107,23 +111,42 @@ class LabelOracle:
     def as_position_array(self, graph: KnowledgeGraph):
         """Labels as a boolean array aligned with ``graph`` triple positions.
 
-        One O(M) conversion; afterwards the samplers' position surface
-        (``draw_positions`` / ``update_all_positions``) resolves labels with
-        pure array indexing, no Triple hashing.  Unknown triples follow the
-        oracle's ``strict`` setting: ``KeyError`` when strict, ``True``
-        otherwise.  A :meth:`from_positions` oracle hands its own array back
-        for its own graph, with no conversion.
+        A writable copy of :meth:`position_labels`, except that a
+        :meth:`from_positions` oracle hands its own read-only array back for
+        its own graph.
         """
         positions = self._positions_for(graph)
         if positions is not None:
             return positions
-        if not self._strict:
-            return graph.position_label_array(self._labels, default=True)
-        # self.label raises the oracle's KeyError on the first missing triple,
-        # so strictness costs no extra pass over the graph.
-        return np.fromiter(
-            (self.label(triple) for triple in graph), dtype=bool, count=graph.num_triples
-        )
+        return self.position_labels(graph).copy()
+
+    def position_labels(self, graph: KnowledgeGraph) -> np.ndarray:
+        """The read-only label array of ``graph``, built at most once per graph.
+
+        One O(M) conversion, kept for this ``graph`` object until
+        :meth:`extend` or until the graph grows; afterwards the position
+        surface resolves labels with pure array indexing, no Triple hashing.
+        Unknown triples follow the oracle's ``strict`` setting: ``KeyError``
+        when strict, ``True`` otherwise.
+        """
+        positions = self._positions_for(graph)
+        if positions is not None:
+            return positions
+        if self._built is not None:
+            built_for, array = self._built
+            if built_for() is graph and array.shape[0] == graph.num_triples:
+                return array
+        if self._strict:
+            # self.label raises the oracle's KeyError on the first missing
+            # triple, so strictness costs no extra pass over the graph.
+            array = np.fromiter(
+                (self.label(triple) for triple in graph), dtype=bool, count=graph.num_triples
+            )
+        else:
+            array = graph.position_label_array(self._labels, default=True)
+        array.flags.writeable = False
+        self._built = (weakref.ref(graph), array)
+        return array
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self._labels
@@ -164,15 +187,14 @@ class LabelOracle:
         """Add labels from ``other`` in place (new labels win on conflict).
 
         Evolving-KG evaluation extends the oracle as each update batch arrives
-        with its own ground-truth labels.  A :meth:`from_positions` oracle
-        drops its label array here, so the array never disagrees with the
-        mapping.
+        with its own ground-truth labels.  The oracle drops every label array
+        it holds here, so no array disagrees with the mapping.
         """
         if isinstance(other, LabelOracle):
             self._labels.update(other._labels)
         else:
             self._labels.update(other)
-        self._graph = self._positions = None
+        self._graph = self._positions = self._built = None
 
     def merged_with(self, other: "LabelOracle") -> "LabelOracle":
         """Return a new oracle containing this oracle's labels plus ``other``'s.

@@ -3,13 +3,18 @@
 Every design follows the same life cycle used by the iterative evaluation
 framework (Section 4):
 
-1. :meth:`~repro.sampling.base.SamplingDesign.draw` a batch of *sample units*
-   (individual triples for SRS, cluster draws for the cluster designs);
-2. hand the units' triples to an annotator for labels;
-3. :meth:`~repro.sampling.base.SamplingDesign.update` the design's internal
-   estimator with those labels;
+1. :meth:`~repro.sampling.base.SamplingDesign.draw_positions` a batch of
+   *sample units* (individual triples for SRS, cluster draws for the cluster
+   designs);
+2. hand the units to an annotator for labels;
+3. :meth:`~repro.sampling.base.SamplingDesign.update_all_positions` the
+   design's internal estimator with those labels;
 4. read the current :meth:`~repro.sampling.base.SamplingDesign.estimate` and
    its margin of error.
+
+:meth:`~repro.sampling.base.SamplingDesign.draw` /
+:meth:`~repro.sampling.base.SamplingDesign.update` adapt the same steps to
+Triple objects for annotators that need them.
 
 Available designs:
 

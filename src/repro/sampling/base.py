@@ -1,29 +1,29 @@
 """Common types shared by every sampling design.
 
-Every design supports two draw/estimate surfaces:
+Every design draws and estimates on the *position surface*
+(:meth:`SamplingDesign.draw_positions` /
+:meth:`SamplingDesign.update_all_positions`): units carry integer triple
+positions only and labels arrive as boolean arrays, so the evaluation loop
+never allocates a :class:`~repro.kg.triple.Triple`.  Draws are fully
+deterministic under a fixed seed on any storage backend.
 
-* the object surface (:meth:`SamplingDesign.draw` /
-  :meth:`SamplingDesign.update`) — units carry materialised
-  :class:`~repro.kg.triple.Triple` tuples and labels arrive as a
-  Triple-keyed mapping.  This is what annotation flows need: triples are
-  handed to (simulated) annotators.
-* the position surface (:meth:`SamplingDesign.draw_positions` /
-  :meth:`SamplingDesign.update_positions`) — units carry integer triple
-  positions only and labels arrive as boolean arrays, so hot draw/estimate
-  loops (benchmarks, oracle-backed simulations, pilot sizing sweeps) never
-  allocate per-draw Triple tuples.  Position draws consume the random stream
-  differently from object draws (they use the vectorised batch samplers),
-  but are fully deterministic under a fixed seed on any storage backend.
+The *object surface* (:meth:`SamplingDesign.draw` /
+:meth:`SamplingDesign.update`) is one adapter over it, shared by every
+design, for flows that hand Triples to an annotator: it materialises each
+drawn unit's triples and folds a Triple-keyed label mapping back in.  Both
+surfaces consume the random stream identically.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.stats.ci import ConfidenceInterval, normal_interval
 
@@ -47,10 +47,10 @@ class SampleUnit:
     cluster_size:
         Size ``M_i`` of the sampled cluster (1 for triple-level units).
     positions:
-        Graph positions of :attr:`triples` when the producing design knows
-        them (all backends report positions since the storage refactor);
-        excluded from equality.  Lets estimate code resolve labels through
-        ``KnowledgeGraph.labels_for_positions`` without hashing Triples.
+        Graph positions of :attr:`triples`, set by every design's
+        :meth:`~SamplingDesign.draw`; excluded from equality.  Lets estimate
+        code resolve labels through ``KnowledgeGraph.labels_for_positions``
+        without hashing Triples.
     """
 
     triples: tuple[Triple, ...]
@@ -161,15 +161,18 @@ class SamplingDesign(ABC):
     A design owns both the *sampling* state (what may still be drawn) and the
     *estimation* state (the accumulator over annotated units) so that the
     iterative framework can interleave drawing, annotation and estimation
-    without re-reading earlier samples.
+    without re-reading earlier samples.  Every design samples
+    :attr:`graph`.
     """
 
     #: Human-readable name of the sampling unit ("triple" or "cluster").
     unit_name: str = "unit"
 
+    graph: KnowledgeGraph
+
     @abstractmethod
-    def draw(self, count: int) -> list[SampleUnit]:
-        """Draw up to ``count`` new sample units.
+    def draw_positions(self, count: int) -> list[PositionUnit]:
+        """Draw up to ``count`` new units as position-only views.
 
         May return fewer units than requested when the population is exhausted
         (e.g. SRS without replacement on a small KG); returns an empty list
@@ -177,8 +180,12 @@ class SamplingDesign(ABC):
         """
 
     @abstractmethod
-    def update(self, unit: SampleUnit, labels: dict[Triple, bool]) -> None:
-        """Fold the annotation results for one unit into the estimator."""
+    def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
+        """Fold one position unit into the estimator.
+
+        ``labels`` is a boolean array aligned with ``unit.positions``
+        (typically ``label_array[unit.positions]``).
+        """
 
     @abstractmethod
     def estimate(self) -> Estimate:
@@ -188,46 +195,51 @@ class SamplingDesign(ABC):
     def reset(self) -> None:
         """Clear all sampling and estimation state (start a fresh run)."""
 
-    # ------------------------------------------------------------------ #
-    # Position surface (allocation-free draw/estimate loops)
-    # ------------------------------------------------------------------ #
-    def draw_positions(self, count: int) -> list[PositionUnit]:
-        """Draw up to ``count`` units as position-only views.
-
-        Designs that have not been migrated to the position surface raise
-        ``NotImplementedError``.  The five core designs (SRS, RCS, WCS,
-        TWCS, TSRCS) and ``StratifiedTWCSDesign`` implement it.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the position draw surface"
-        )
-
-    def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Fold one position unit into the estimator.
-
-        ``labels`` is a boolean array aligned with ``unit.positions``
-        (typically ``label_array[unit.positions]``).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the position update surface"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Conveniences shared by all designs
-    # ------------------------------------------------------------------ #
-    def update_all(self, units: list[SampleUnit], labels: dict[Triple, bool]) -> None:
-        """Update the estimator with several units at once."""
-        for unit in units:
-            self.update(unit, labels)
-
     def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
         """Update the estimator with several position units at once.
 
         ``label_array`` is a position-aligned boolean array over the whole
-        graph (see ``KnowledgeGraph.position_label_array``).
+        graph (see ``LabelOracle.position_labels``).
         """
         for unit in units:
             self.update_positions(unit, label_array[unit.positions])
+
+    # ------------------------------------------------------------------ #
+    # Object surface: an adapter for flows that annotate Triples
+    # ------------------------------------------------------------------ #
+    def draw(self, count: int) -> list[SampleUnit]:
+        """Draw up to ``count`` units carrying their materialised triples."""
+        graph = self.graph
+        return [
+            SampleUnit(
+                triples=tuple(graph.triples_at(unit.positions)),
+                entity_id=None if unit.entity_row < 0 else graph.entity_id_of_row(unit.entity_row),
+                cluster_size=unit.cluster_size,
+                positions=unit.positions,
+            )
+            for unit in self.draw_positions(count)
+        ]
+
+    def update(self, unit: SampleUnit, labels: Mapping[Triple, bool]) -> None:
+        """Fold the annotation results for one object unit into the estimator.
+
+        A cluster unit is routed by the row of its ``entity_id``, so a unit
+        rebuilt without positions is still accepted.
+        """
+        position_unit = PositionUnit(
+            positions=np.asarray(() if unit.positions is None else unit.positions, dtype=np.int64),
+            entity_row=-1 if unit.entity_id is None else self.graph.entity_row(unit.entity_id),
+            cluster_size=unit.cluster_size,
+        )
+        values = np.fromiter(
+            (labels[triple] for triple in unit.triples), dtype=bool, count=unit.num_triples
+        )
+        self.update_positions(position_unit, values)
+
+    def update_all(self, units: list[SampleUnit], labels: Mapping[Triple, bool]) -> None:
+        """Update the estimator with several object units at once."""
+        for unit in units:
+            self.update(unit, labels)
 
     @property
     def exhausted(self) -> bool:

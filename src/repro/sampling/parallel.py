@@ -76,7 +76,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cost.model import CostModel
-from repro.kg.graph import _floyd_sample_batch
+from repro.kg.graph import _floyd_sample_batch, csr_position_rows
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
@@ -857,20 +857,14 @@ class SamplingRun:
         # boolean masks make the distinct-entity/-triple counts exact.
         self._position_mask[result.positions] = True
         if design == "srs":
-            self._row_mask[self._resolve_srs_rows(result.positions)] = True
+            # Annotators group SRS-drawn triples by subject.
+            if self._rows_of_position is None:
+                self._rows_of_position = csr_position_rows(
+                    self._executor.offsets, self._executor.positions
+                )
+            self._row_mask[self._rows_of_position[result.positions]] = True
         else:
             self._row_mask[rows] = True
-
-    def _resolve_srs_rows(self, positions: np.ndarray) -> np.ndarray:
-        """Subject rows of SRS-drawn triples (annotators group by subject)."""
-        if self._rows_of_position is None:
-            offsets = self._executor.offsets
-            rows_of = np.empty(int(offsets[-1]), dtype=np.int64)
-            rows_of[np.asarray(self._executor.positions, dtype=np.int64)] = np.repeat(
-                np.arange(offsets.shape[0] - 1, dtype=np.int64), np.diff(offsets)
-            )
-            self._rows_of_position = rows_of
-        return self._rows_of_position[positions]
 
     # ------------------------------------------------------------------ #
     # Read-outs

@@ -17,14 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
-from repro.sampling.base import (
-    Estimate,
-    PositionUnit,
-    SampleUnit,
-    SamplingDesign,
-    segment_label_sums,
-)
+from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
 from repro.stats.running import RunningMean
 
 __all__ = ["RandomClusterDesign"]
@@ -49,17 +42,10 @@ class RandomClusterDesign(SamplingDesign):
         self.graph = graph
         self._rng = np.random.default_rng(seed)
         self._num_entities = graph.num_entities
-        self._entity_ids_cache: list[str] | None = None
         self._permutation: np.ndarray | None = None
         self._cursor = 0
         self._values = RunningMean()
         self._num_triples = 0
-
-    @property
-    def _entity_ids(self) -> list[str]:
-        if self._entity_ids_cache is None:
-            self._entity_ids_cache = list(self.graph.entity_ids)
-        return self._entity_ids_cache
 
     def reset(self) -> None:
         """Forget the draw order and all accumulated labels."""
@@ -88,28 +74,8 @@ class RandomClusterDesign(SamplingDesign):
         self._cursor = end
         return rows
 
-    def draw(self, count: int) -> list[SampleUnit]:
-        """Draw up to ``count`` previously undrawn clusters uniformly."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        graph = self.graph
-        entity_ids = self._entity_ids
-        units = []
-        for row in self._next_rows(count):
-            entity_id = entity_ids[int(row)]
-            positions = graph.cluster_positions(entity_id)
-            units.append(
-                SampleUnit(
-                    triples=tuple(graph.triples_at(positions)),
-                    entity_id=entity_id,
-                    cluster_size=int(positions.shape[0]),
-                    positions=positions,
-                )
-            )
-        return units
-
     def draw_positions(self, count: int) -> list[PositionUnit]:
-        """Draw up to ``count`` undrawn clusters as zero-copy position views."""
+        """Draw up to ``count`` previously undrawn clusters uniformly (zero-copy views)."""
         if count < 0:
             raise ValueError("count must be non-negative")
         graph = self.graph
@@ -125,15 +91,8 @@ class RandomClusterDesign(SamplingDesign):
             )
         return units
 
-    def update(self, unit: SampleUnit, labels: dict[Triple, bool]) -> None:
-        """Add the expansion value ``(N / M) * τ`` of one sampled cluster."""
-        num_correct = sum(1 for triple in unit.triples if labels[triple])
-        scale = self.graph.num_entities / self.graph.num_triples
-        self._values.add(scale * num_correct)
-        self._num_triples += unit.num_triples
-
     def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Position-surface twin of :meth:`update`."""
+        """Add the expansion value ``(N / M) * τ`` of one sampled cluster."""
         scale = self.graph.num_entities / self.graph.num_triples
         self._values.add(scale * int(labels.sum()))
         self._num_triples += int(labels.shape[0])

@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
-from repro.sampling.base import Estimate, PositionUnit, SampleUnit, SamplingDesign
+from repro.sampling.base import Estimate, PositionUnit, SamplingDesign
 
 __all__ = ["SimpleRandomDesign"]
 
@@ -76,24 +75,8 @@ class SimpleRandomDesign(SamplingDesign):
         self._cursor = end
         return positions
 
-    def draw(self, count: int) -> list[SampleUnit]:
-        """Draw up to ``count`` previously undrawn triples uniformly at random."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        positions = self._next_positions(count)
-        triples = self.graph.triples_at(positions)
-        return [
-            SampleUnit(
-                triples=(triple,),
-                entity_id=None,
-                cluster_size=1,
-                positions=positions[index : index + 1],
-            )
-            for index, triple in enumerate(triples)
-        ]
-
     def draw_positions(self, count: int) -> list[PositionUnit]:
-        """Draw up to ``count`` undrawn triples as single-position units."""
+        """Draw up to ``count`` previously undrawn triples uniformly at random."""
         if count < 0:
             raise ValueError("count must be non-negative")
         positions = self._next_positions(count)
@@ -102,15 +85,8 @@ class SimpleRandomDesign(SamplingDesign):
             for index in range(positions.shape[0])
         ]
 
-    def update(self, unit: SampleUnit, labels: dict[Triple, bool]) -> None:
-        """Add the labels of one drawn triple to the running proportion."""
-        for triple in unit.triples:
-            self._num_annotated += 1
-            if labels[triple]:
-                self._num_correct += 1
-
     def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Position-surface twin of :meth:`update`."""
+        """Add the labels of one drawn triple to the running proportion."""
         self._num_annotated += int(labels.shape[0])
         self._num_correct += int(labels.sum())
 

@@ -77,6 +77,23 @@ def _build_strata(
     return strata
 
 
+def _stratum_labels(boundaries: Sequence[float], label_prefix: str) -> dict[int, str]:
+    """Labels of the strata cut by ``boundaries`` (inclusive upper bounds)."""
+    labels = {}
+    for index in range(len(boundaries) + 1):
+        lower = boundaries[index - 1] if index > 0 else None
+        upper = boundaries[index] if index < len(boundaries) else None
+        if lower is None and upper is not None:
+            labels[index] = f"{label_prefix}<= {upper:g}"
+        elif upper is None and lower is not None:
+            labels[index] = f"{label_prefix}> {lower:g}"
+        elif lower is not None and upper is not None:
+            labels[index] = f"{label_prefix}({lower:g}, {upper:g}]"
+        else:
+            labels[index] = f"{label_prefix}-all"
+    return labels
+
+
 def stratify_by_key(
     graph: KnowledgeGraph,
     key: Callable[[str], float],
@@ -95,32 +112,37 @@ def stratify_by_key(
         value = key(entity_id)
         index = int(np.searchsorted(sorted_boundaries, value, side="left"))
         assignment[entity_id] = index
-    labels = {}
-    for index in range(len(sorted_boundaries) + 1):
-        lower = sorted_boundaries[index - 1] if index > 0 else None
-        upper = sorted_boundaries[index] if index < len(sorted_boundaries) else None
-        if lower is None and upper is not None:
-            labels[index] = f"{label_prefix}<= {upper:g}"
-        elif upper is None and lower is not None:
-            labels[index] = f"{label_prefix}> {lower:g}"
-        elif lower is not None and upper is not None:
-            labels[index] = f"{label_prefix}({lower:g}, {upper:g}]"
-        else:
-            labels[index] = f"{label_prefix}-all"
-    return _build_strata(graph, assignment, labels)
+    return _build_strata(graph, assignment, _stratum_labels(sorted_boundaries, label_prefix))
 
 
 def stratify_by_size(graph: KnowledgeGraph, num_strata: int = 4) -> list[Stratum]:
     """Size stratification with the cumulative-√F rule (Table 7's setting).
 
     The paper uses two strata for NELL and four for MOVIE / MOVIE-SYN; the
-    number of strata is a parameter here.
+    number of strata is a parameter here.  Equal to
+    ``stratify_by_key(graph, graph.cluster_size, boundaries, "size")``, with
+    every cluster assigned in one vectorised pass.
     """
     if num_strata < 1:
         raise ValueError("num_strata must be at least 1")
     sizes = graph.cluster_size_array()
     boundaries = cumulative_sqrt_frequency_boundaries(sizes, num_strata)
-    return stratify_by_key(graph, graph.cluster_size, boundaries, label_prefix="size")
+    assignment = np.searchsorted(boundaries, sizes, side="left")
+    labels = _stratum_labels(boundaries, "size")
+    entity_ids = graph.entity_ids
+    strata = []
+    for index in np.unique(assignment).tolist():
+        members = np.flatnonzero(assignment == index)
+        num_triples = int(sizes[members].sum())
+        strata.append(
+            Stratum(
+                label=labels[index],
+                entity_ids=tuple(entity_ids[row] for row in members.tolist()),
+                num_triples=num_triples,
+                weight=num_triples / graph.num_triples,
+            )
+        )
+    return strata
 
 
 def stratify_by_oracle_accuracy(

@@ -11,14 +11,13 @@ When strata are internally homogeneous (clusters of similar accuracy grouped
 together) the combined variance is smaller than un-stratified TWCS at the same
 sample size, which is what buys the additional cost reduction in Table 7.
 
-The design exposes both draw surfaces.  The object surface materialises one
-sub-graph per stratum (built lazily on first use) and hands out Triple-backed
-units for annotation.  The position surface never materialises sub-graphs:
-each stratum keeps an array of parent-graph cluster rows, first-stage draws
-are allocated over the strata (proportionally to the stratum position/triple
-counts, or by Neyman allocation over the observed stratum spreads) and
-sampled straight from the parent graph's CSR index, so a snapshot-loaded
-columnar graph is stratified and sampled without a single Triple allocation.
+The design never materialises sub-graphs: each stratum keeps an array of
+parent-graph cluster rows, first-stage draws are allocated over the strata
+(proportionally to the stratum position/triple counts, or by Neyman
+allocation over the observed stratum spreads) and sampled straight from the
+parent graph's CSR index, so a snapshot-loaded columnar graph is stratified
+and sampled without a single Triple allocation.  Every unit is routed to its
+stratum by its cluster row, since the strata partition the rows.
 """
 
 from __future__ import annotations
@@ -29,16 +28,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
-from repro.sampling.base import (
-    Estimate,
-    PositionUnit,
-    SampleUnit,
-    SamplingDesign,
-    segment_label_sums,
-)
+from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
 from repro.sampling.stratification import Stratum
-from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.stats.allocation import neyman_allocation, proportional_allocation
 from repro.stats.running import RunningMean
 
@@ -101,48 +92,30 @@ class StratifiedTWCSDesign(SamplingDesign):
             # Re-normalise: strata may describe a subset of the graph (e.g. the
             # update stratum of an evolving evaluation).
             self._weights = [weight / total_weight for weight in self._weights]
-        # Per-stratum estimator state, fed by both draw surfaces.
+        # Per-stratum estimator state.
         self._means = [RunningMean() for _ in populated]
         self._triples = [0] * len(populated)
-        # Object surface: one sub-graph TWCS sampler per stratum, built lazily
-        # so position-only runs never pay for sub-graph materialisation.
-        self._designs_cache: list[TwoStageWeightedClusterDesign] | None = None
-        self._unit_to_stratum: dict[int, int] = {}
-        # Position surface: parent-graph rows/sizes per stratum, built lazily.
+        # Parent-graph rows/sizes per stratum, built lazily.
         self._rows_cache: list[np.ndarray] | None = None
         self._row_weights_cache: list[np.ndarray] | None = None
         self._row_stratum_cache: np.ndarray | None = None
         self._sizes_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
-    # Lazy per-surface state
+    # Lazy per-stratum rows
     # ------------------------------------------------------------------ #
-    @property
-    def _designs(self) -> list[TwoStageWeightedClusterDesign]:
-        if self._designs_cache is None:
-            self._designs_cache = [
-                TwoStageWeightedClusterDesign(
-                    self.graph.subset(
-                        stratum.entity_ids, name=f"{self.graph.name}:{stratum.label}"
-                    ),
-                    second_stage_size=self.second_stage_size,
-                    seed=self._rng,
-                )
-                for stratum in self._strata
-            ]
-        return self._designs_cache
-
     def _ensure_position_state(self) -> None:
         if self._rows_cache is not None:
             return
         graph = self.graph
         self._sizes_cache = graph.cluster_size_array()
         self._row_stratum_cache = np.full(graph.num_entities, -1, dtype=np.int64)
+        row_of = {entity_id: row for row, entity_id in enumerate(graph.entity_ids)}
         rows_per_stratum: list[np.ndarray] = []
         weights_per_stratum: list[np.ndarray] = []
         for index, stratum in enumerate(self._strata):
             rows = np.fromiter(
-                (graph.entity_row(entity_id) for entity_id in stratum.entity_ids),
+                (row_of[entity_id] for entity_id in stratum.entity_ids),
                 dtype=np.int64,
                 count=stratum.num_entities,
             )
@@ -165,7 +138,6 @@ class StratifiedTWCSDesign(SamplingDesign):
         """Clear the per-stratum estimators."""
         self._means = [RunningMean() for _ in self._strata]
         self._triples = [0] * len(self._strata)
-        self._unit_to_stratum.clear()
 
     def _stratum_estimate(self, index: int) -> Estimate:
         mean = self._means[index]
@@ -192,42 +164,11 @@ class StratifiedTWCSDesign(SamplingDesign):
                 return neyman_allocation(self._weights, stds, count)
         return proportional_allocation(self._weights, count)
 
-    def draw(self, count: int) -> list[SampleUnit]:
-        """Draw ``count`` cluster units, allocated across strata per the allocation rule."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        allocation = self._allocate(count)
-        units: list[SampleUnit] = []
-        for stratum_index, stratum_count in enumerate(allocation):
-            if stratum_count == 0:
-                continue
-            for unit in self._designs[stratum_index].draw(stratum_count):
-                self._unit_to_stratum[id(unit)] = stratum_index
-                units.append(unit)
-        return units
-
-    def update(self, unit: SampleUnit, labels: dict[Triple, bool]) -> None:
-        """Fold the unit's labels into the estimator of its stratum."""
-        stratum_index = self._unit_to_stratum.pop(id(unit), None)
-        if stratum_index is None:
-            stratum_index = self._stratum_of_entity(unit.entity_id)
-        num_correct = sum(1 for triple in unit.triples if labels[triple])
-        self._means[stratum_index].add(num_correct / unit.num_triples)
-        self._triples[stratum_index] += unit.num_triples
-
-    def _stratum_of_entity(self, entity_id: str | None) -> int:
-        if entity_id is None:
-            raise ValueError("stratified design received a unit without an entity id")
-        for index, stratum in enumerate(self._strata):
-            if entity_id in stratum.entity_ids:
-                return index
-        raise KeyError(f"entity {entity_id!r} does not belong to any stratum")
-
     # ------------------------------------------------------------------ #
-    # Position surface
+    # Draw and update
     # ------------------------------------------------------------------ #
     def draw_positions(self, count: int) -> list[PositionUnit]:
-        """Draw ``count`` cluster units as position-only parent-graph views."""
+        """Draw ``count`` cluster units, allocated across strata per the allocation rule."""
         if count < 0:
             raise ValueError("count must be non-negative")
         self._ensure_position_state()
@@ -249,20 +190,19 @@ class StratifiedTWCSDesign(SamplingDesign):
             batches = self.graph.sample_cluster_positions_batch(
                 rows, self.second_stage_size, self._rng
             )
-            for row, positions in zip(rows, batches):
-                unit = PositionUnit(
+            units.extend(
+                PositionUnit(
                     positions=positions,
                     entity_row=int(row),
                     cluster_size=int(self._sizes_cache[row]),
                 )
-                self._unit_to_stratum[id(unit)] = stratum_index
-                units.append(unit)
+                for row, positions in zip(rows, batches)
+            )
         return units
 
-    def _stratum_of_position_unit(self, unit: PositionUnit) -> int:
-        stratum_index = self._unit_to_stratum.pop(id(unit), None)
-        if stratum_index is not None:
-            return stratum_index
+    def _stratum_of(self, unit: PositionUnit) -> int:
+        if unit.entity_row < 0:
+            raise ValueError("stratified design received a unit without a cluster row")
         self._ensure_position_state()
         assert self._row_stratum_cache is not None
         stratum_index = int(self._row_stratum_cache[unit.entity_row])
@@ -271,8 +211,8 @@ class StratifiedTWCSDesign(SamplingDesign):
         return stratum_index
 
     def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Fold one position unit into its stratum's estimator."""
-        stratum_index = self._stratum_of_position_unit(unit)
+        """Fold one unit's labels into the estimator of its stratum."""
+        stratum_index = self._stratum_of(unit)
         self._means[stratum_index].add(float(labels.mean()))
         self._triples[stratum_index] += int(labels.shape[0])
 
@@ -282,7 +222,7 @@ class StratifiedTWCSDesign(SamplingDesign):
             return
         grouped: dict[int, list[PositionUnit]] = {}
         for unit in units:
-            grouped.setdefault(self._stratum_of_position_unit(unit), []).append(unit)
+            grouped.setdefault(self._stratum_of(unit), []).append(unit)
         for stratum_index, stratum_units in grouped.items():
             counts, sums = segment_label_sums(stratum_units, label_array)
             self._means[stratum_index].add_many(sums / counts)

@@ -26,14 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
-from repro.sampling.base import (
-    Estimate,
-    PositionUnit,
-    SampleUnit,
-    SamplingDesign,
-    segment_label_sums,
-)
+from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
 from repro.stats.running import RunningMean
 
 __all__ = ["TwoStageRandomClusterDesign"]
@@ -68,44 +61,16 @@ class TwoStageRandomClusterDesign(SamplingDesign):
         self.second_stage_size = second_stage_size
         self._rng = np.random.default_rng(seed)
         self._sizes = graph.cluster_size_array()
-        self._entity_ids_cache: list[str] | None = None
         self._values = RunningMean()
         self._num_triples = 0
-
-    @property
-    def _entity_ids(self) -> list[str]:
-        if self._entity_ids_cache is None:
-            self._entity_ids_cache = list(self.graph.entity_ids)
-        return self._entity_ids_cache
 
     def reset(self) -> None:
         """Clear the accumulated per-cluster values."""
         self._values = RunningMean()
         self._num_triples = 0
 
-    def draw(self, count: int) -> list[SampleUnit]:
-        """Draw ``count`` clusters uniformly (with replacement), ``m``-capped."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        entity_ids = self._entity_ids
-        indices = self._rng.integers(0, len(entity_ids), size=count)
-        graph = self.graph
-        units = []
-        for index in indices:
-            entity_id = entity_ids[int(index)]
-            positions = graph.sample_cluster_positions(entity_id, self.second_stage_size, self._rng)
-            units.append(
-                SampleUnit(
-                    triples=tuple(graph.triples_at(positions)),
-                    entity_id=entity_id,
-                    cluster_size=int(self._sizes[index]),
-                    positions=positions,
-                )
-            )
-        return units
-
     def draw_positions(self, count: int) -> list[PositionUnit]:
-        """Draw ``count`` uniform clusters as position-only views."""
+        """Draw ``count`` clusters uniformly (with replacement), ``m``-capped."""
         if count < 0:
             raise ValueError("count must be non-negative")
         rows = self._rng.integers(0, self._sizes.shape[0], size=count)
@@ -116,15 +81,8 @@ class TwoStageRandomClusterDesign(SamplingDesign):
             for row, positions in zip(rows, batches)
         ]
 
-    def update(self, unit: SampleUnit, labels: dict[Triple, bool]) -> None:
-        """Add the size-reweighted value ``(N / M) * M_i * µ̂_i`` of one cluster."""
-        within_accuracy = sum(1 for triple in unit.triples if labels[triple]) / unit.num_triples
-        scale = self.graph.num_entities / self.graph.num_triples
-        self._values.add(scale * unit.cluster_size * within_accuracy)
-        self._num_triples += unit.num_triples
-
     def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Position-surface twin of :meth:`update`."""
+        """Add the size-reweighted value ``(N / M) * M_i * µ̂_i`` of one cluster."""
         scale = self.graph.num_entities / self.graph.num_triples
         self._values.add(scale * unit.cluster_size * float(labels.mean()))
         self._num_triples += int(labels.shape[0])

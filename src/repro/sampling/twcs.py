@@ -23,14 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
-from repro.sampling.base import (
-    Estimate,
-    PositionUnit,
-    SampleUnit,
-    SamplingDesign,
-    segment_label_sums,
-)
+from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
 from repro.stats.running import RunningMean
 
 __all__ = ["TwoStageWeightedClusterDesign"]
@@ -70,46 +63,16 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
         self._sizes = graph.cluster_size_array()
         sizes = self._sizes.astype(float)
         self._weights = sizes / sizes.sum()
-        #: entity-id strings are only needed by the object draw surface;
-        #: materialised lazily so position-only runs never pay for them.
-        self._entity_ids_cache: list[str] | None = None
         self._cluster_means = RunningMean()
         self._num_triples = 0
-
-    @property
-    def _entity_ids(self) -> list[str]:
-        if self._entity_ids_cache is None:
-            self._entity_ids_cache = list(self.graph.entity_ids)
-        return self._entity_ids_cache
 
     def reset(self) -> None:
         """Clear the accumulated within-cluster sample accuracies."""
         self._cluster_means = RunningMean()
         self._num_triples = 0
 
-    def draw(self, count: int) -> list[SampleUnit]:
-        """Draw ``count`` cluster units, each carrying at most ``m`` triples."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        entity_ids = self._entity_ids
-        indices = self._rng.choice(len(entity_ids), size=count, replace=True, p=self._weights)
-        graph = self.graph
-        units = []
-        for index in indices:
-            entity_id = entity_ids[int(index)]
-            positions = graph.sample_cluster_positions(entity_id, self.second_stage_size, self._rng)
-            units.append(
-                SampleUnit(
-                    triples=tuple(graph.triples_at(positions)),
-                    entity_id=entity_id,
-                    cluster_size=int(self._sizes[index]),
-                    positions=positions,
-                )
-            )
-        return units
-
     def draw_positions(self, count: int) -> list[PositionUnit]:
-        """Draw ``count`` cluster units as position-only views (no Triples)."""
+        """Draw ``count`` cluster units, each carrying at most ``m`` positions."""
         if count < 0:
             raise ValueError("count must be non-negative")
         rows = self._rng.choice(self._sizes.shape[0], size=count, replace=True, p=self._weights)
@@ -120,14 +83,8 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
             for row, positions in zip(rows, batches)
         ]
 
-    def update(self, unit: SampleUnit, labels: dict[Triple, bool]) -> None:
-        """Add one cluster's within-sample accuracy ``µ̂_{I_k}`` to the mean."""
-        num_correct = sum(1 for triple in unit.triples if labels[triple])
-        self._cluster_means.add(num_correct / unit.num_triples)
-        self._num_triples += unit.num_triples
-
     def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Position-surface twin of :meth:`update` (labels as a boolean array)."""
+        """Add one cluster's within-sample accuracy ``µ̂_{I_k}`` to the mean."""
         self._cluster_means.add(float(labels.mean()))
         self._num_triples += int(labels.shape[0])
 

@@ -16,14 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
-from repro.sampling.base import (
-    Estimate,
-    PositionUnit,
-    SampleUnit,
-    SamplingDesign,
-    segment_label_sums,
-)
+from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
 from repro.stats.running import RunningMean
 
 __all__ = ["WeightedClusterDesign"]
@@ -52,67 +45,32 @@ class WeightedClusterDesign(SamplingDesign):
         self._sizes = graph.cluster_size_array()
         sizes = self._sizes.astype(float)
         self._weights = sizes / sizes.sum()
-        self._entity_ids_cache: list[str] | None = None
         self._values = RunningMean()
         self._num_triples = 0
-
-    @property
-    def _entity_ids(self) -> list[str]:
-        if self._entity_ids_cache is None:
-            self._entity_ids_cache = list(self.graph.entity_ids)
-        return self._entity_ids_cache
 
     def reset(self) -> None:
         """Clear the accumulated cluster accuracies."""
         self._values = RunningMean()
         self._num_triples = 0
 
-    def _draw_cluster_indices(self, count: int) -> np.ndarray:
-        return self._rng.choice(self._sizes.shape[0], size=count, replace=True, p=self._weights)
-
-    def draw(self, count: int) -> list[SampleUnit]:
-        """Draw ``count`` clusters with probability proportional to size."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        graph = self.graph
-        entity_ids = self._entity_ids
-        units = []
-        for index in self._draw_cluster_indices(count):
-            entity_id = entity_ids[int(index)]
-            positions = graph.cluster_positions(entity_id)
-            units.append(
-                SampleUnit(
-                    triples=tuple(graph.triples_at(positions)),
-                    entity_id=entity_id,
-                    cluster_size=int(self._sizes[index]),
-                    positions=positions,
-                )
-            )
-        return units
-
     def draw_positions(self, count: int) -> list[PositionUnit]:
-        """Draw ``count`` whole clusters as zero-copy position views."""
+        """Draw ``count`` whole clusters with probability proportional to size."""
         if count < 0:
             raise ValueError("count must be non-negative")
         graph = self.graph
         sizes = self._sizes
+        rows = self._rng.choice(sizes.shape[0], size=count, replace=True, p=self._weights)
         return [
             PositionUnit(
                 positions=graph.cluster_positions_by_row(int(row)),
                 entity_row=int(row),
                 cluster_size=int(sizes[row]),
             )
-            for row in self._draw_cluster_indices(count)
+            for row in rows
         ]
 
-    def update(self, unit: SampleUnit, labels: dict[Triple, bool]) -> None:
-        """Add one sampled cluster's accuracy to the Hansen–Hurwitz mean."""
-        num_correct = sum(1 for triple in unit.triples if labels[triple])
-        self._values.add(num_correct / unit.num_triples)
-        self._num_triples += unit.num_triples
-
     def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Position-surface twin of :meth:`update`."""
+        """Add one sampled cluster's accuracy to the Hansen–Hurwitz mean."""
         self._values.add(float(labels.mean()))
         self._num_triples += int(labels.shape[0])
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import sqlite3
@@ -113,6 +114,18 @@ class TestCommands:
         assert "estimated accuracy" in out
         assert "annotation cost" in out
 
+    def test_default_evaluate_exports_its_round_and_unit_counters(self, capsys, tmp_path):
+        from repro.obs import metrics as obs_metrics
+
+        obs_metrics.reset()
+        target = tmp_path / "metrics.json"
+        assert main(["evaluate", "--metrics-out", str(target)]) == 0
+        units = int(re.search(r"sample units\s+: (\d+)", capsys.readouterr().out).group(1))
+        snapshot = json.loads(target.read_text())
+        series = {entry["name"]: entry["value"] for entry in snapshot["series"]}
+        assert series["sampling_units_total"] == units
+        assert series["sampling_rounds_total"] * 10 == units
+
     def test_evaluate_command_srs_on_yago(self, capsys):
         exit_code = main(["evaluate", "--dataset", "yago", "--design", "srs", "--seed", "2"])
         assert exit_code == 0
@@ -210,8 +223,8 @@ class TestSnapshotEvaluateRoundTrip:
         assert "estimated accuracy" in out
 
     def test_classic_loop_from_snapshot_matches_the_built_dataset(self, capsys, tmp_path):
-        # NELL plans one shard, so this runs the object-surface loop, which
-        # builds the oracle's Triple mapping from the stored array on demand.
+        # NELL plans one shard, so this runs the classic single-stream loop,
+        # which labels positions straight from the stored array.
         target = str(tmp_path / "nell.npz")
         assert main(["snapshot", "--dataset", "nell", "--out", target, "--with-labels"]) == 0
         capsys.readouterr()

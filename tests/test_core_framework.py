@@ -8,10 +8,44 @@ import pytest
 
 from repro.core.config import EvaluationConfig
 from repro.core.framework import StaticEvaluator, evaluate_accuracy
+from repro.core.granular import GranularEvaluator
 from repro.cost.annotator import SimulatedAnnotator
+from repro.cost.pool import AnnotationTaskPool, NoisyAnnotator
+from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
+from repro.generators.datasets import make_movie_like
+from repro.generators.workload import UpdateWorkloadGenerator
+from repro.kg.graph import KnowledgeGraph
+from repro.sampling.pilot import run_pilot
+from repro.sampling.rcs import RandomClusterDesign
 from repro.sampling.srs import SimpleRandomDesign
+from repro.sampling.stratification import stratify_by_size
+from repro.sampling.stratified import StratifiedTWCSDesign
+from repro.sampling.tsrcs import TwoStageRandomClusterDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.sampling.wcs import WeightedClusterDesign
+from repro.scenarios import DriftingAnnotator
+from repro.storage.columnar import ColumnarStore
+
+DESIGNS = {
+    "srs": lambda graph, seed: SimpleRandomDesign(graph, seed=seed),
+    "rcs": lambda graph, seed: RandomClusterDesign(graph, seed=seed),
+    "wcs": lambda graph, seed: WeightedClusterDesign(graph, seed=seed),
+    "twcs": lambda graph, seed: TwoStageWeightedClusterDesign(graph, 5, seed=seed),
+    "tsrcs": lambda graph, seed: TwoStageRandomClusterDesign(graph, 5, seed=seed),
+    "twcs-strat": lambda graph, seed: StratifiedTWCSDesign(
+        graph, stratify_by_size(graph, num_strata=4), 5, seed=seed
+    ),
+}
+
+
+def _charged_once_per_subject(annotator: SimulatedAnnotator) -> None:
+    """Eq. (4) with c1 once per distinct subject and c2 once per labelled triple."""
+    labelled = annotator.labelled_triples
+    assert annotator.total_triples_annotated == len(labelled)
+    assert annotator.entities_identified == len({triple.subject for triple in labelled})
+    assert annotator.total_cost_seconds == annotator.cost_model.cost_seconds(
+        annotator.entities_identified, annotator.total_triples_annotated
+    )
 
 
 class TestEvaluationConfig:
@@ -189,3 +223,185 @@ class TestEvaluateAccuracyHelper:
         )
         assert math.isinf(report.margin_of_error)
         assert not report.satisfied
+
+
+class TestPositionLoop:
+    """The loop labels positions and charges Eq. (4) without building Triples."""
+
+    def test_builds_no_triple_with_the_oracle_array(self, nell, monkeypatch):
+        graph = nell.graph.to_columnar()
+        nell.oracle.position_labels(graph)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the position loop materialised a triple")
+
+        monkeypatch.setattr(KnowledgeGraph, "triples_at", refuse)
+        monkeypatch.setattr(ColumnarStore, "triples_at", refuse)
+        monkeypatch.setattr(ColumnarStore, "iter_triples", refuse)
+        config = EvaluationConfig(moe_target=0.05)
+        for name, factory in DESIGNS.items():
+            annotator = SimulatedAnnotator(nell.oracle, seed=1)
+            report = StaticEvaluator(factory(graph, 1), annotator, config).run()
+            assert report.satisfied, name
+            assert report.num_triples_annotated > 0, name
+
+    def test_classic_loop_exports_round_and_unit_counters(self, nell):
+        from repro.obs import metrics as obs_metrics
+
+        obs_metrics.reset()
+        design = TwoStageWeightedClusterDesign(nell.graph, second_stage_size=5, seed=0)
+        report = StaticEvaluator(design, SimulatedAnnotator(nell.oracle)).run()
+        assert obs_metrics.counter("sampling_rounds_total").value == report.iterations
+        assert obs_metrics.counter("sampling_units_total").value == report.num_units
+
+
+@pytest.fixture(scope="module")
+def movie_tenth():
+    """MOVIE x0.1, the graph of the Table-5 rows (draws match on every backend)."""
+    data = make_movie_like(seed=0, scale=0.1)
+    data.oracle.position_labels(data.graph)
+    return data
+
+
+class TestStreamParity:
+    """srs, rcs and wcs kept their streams when the loop moved onto positions."""
+
+    # (units, rounds, triples, entities, cost seconds) at 2 % MoE, as the
+    # object-surface loop produced them.
+    PINNED = {
+        ("srs", 1): (840, 84, 840, 812, 57540.0),
+        ("rcs", 1): (15660, 1566, 146066, 15660, 4356350.0),
+        ("wcs", 1): (160, 16, 4224, 159, 112755.0),
+        ("srs", 2): (840, 84, 840, 810, 57450.0),
+        ("rcs", 2): (14530, 1453, 133283, 14530, 3985925.0),
+        ("wcs", 2): (90, 9, 2844, 90, 75150.0),
+    }
+
+    @pytest.mark.parametrize("design, seed", sorted(PINNED))
+    def test_table5_rows_stop_where_they_did(self, movie_tenth, design, seed):
+        config = EvaluationConfig(moe_target=0.02, confidence_level=0.95)
+        annotator = SimulatedAnnotator(movie_tenth.oracle, seed=seed)
+        report = StaticEvaluator(DESIGNS[design](movie_tenth.graph, seed), annotator, config).run()
+        assert report.satisfied
+        observed = (
+            report.num_units,
+            report.iterations,
+            report.num_triples_annotated,
+            report.num_entities_identified,
+            report.annotation_cost_seconds,
+        )
+        assert observed == self.PINNED[(design, seed)]
+
+
+class TestEdgeAnnotators:
+    CONFIG = EvaluationConfig(moe_target=0.03, confidence_level=0.95)
+
+    def test_noisy_flips_reach_the_estimate(self, nell):
+        config = EvaluationConfig(moe_target=0.001, max_units=200)
+        clean = StaticEvaluator(
+            SimpleRandomDesign(nell.graph, seed=4), SimulatedAnnotator(nell.oracle), config
+        ).run()
+        flipped = StaticEvaluator(
+            SimpleRandomDesign(nell.graph, seed=4),
+            NoisyAnnotator(nell.oracle, label_error_rate=1.0, seed=4),
+            config,
+        ).run()
+        assert flipped.num_units == clean.num_units == 200
+        assert flipped.accuracy == pytest.approx(1.0 - clean.accuracy)
+        assert flipped.annotation_cost_seconds == clean.annotation_cost_seconds
+
+    def test_task_pool_builds_task_records(self, nell):
+        pool = AnnotationTaskPool([SimulatedAnnotator(nell.oracle)])
+        design = TwoStageWeightedClusterDesign(nell.graph, second_stage_size=5, seed=6)
+        pooled = StaticEvaluator(design, pool, self.CONFIG).run()
+        direct = StaticEvaluator(
+            TwoStageWeightedClusterDesign(nell.graph, second_stage_size=5, seed=6),
+            SimulatedAnnotator(nell.oracle),
+            self.CONFIG,
+        ).run()
+        assert len(pool.records) == pooled.num_units
+        assert sum(record.task.size for record in pool.records) == pooled.estimate.num_triples
+        assert pooled.num_units == direct.num_units
+        assert pooled.accuracy == pytest.approx(direct.accuracy)
+        assert pooled.annotation_cost_seconds == direct.annotation_cost_seconds
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [(3, (370, 370, 297, 42470.8)), (4, (330, 330, 279, 37210.50000000001))],
+    )
+    def test_drifting_srs_charges_the_pinned_cost(self, nell, seed, expected):
+        report = StaticEvaluator(
+            SimpleRandomDesign(nell.graph, seed=seed),
+            DriftingAnnotator(nell.oracle, drift=0.5),
+            self.CONFIG,
+        ).run()
+        observed = (
+            report.num_units,
+            report.num_triples_annotated,
+            report.num_entities_identified,
+            report.annotation_cost_seconds,
+        )
+        assert observed == expected
+
+    @pytest.mark.parametrize(
+        "factory, expected",
+        [
+            (SimpleRandomDesign, (280, 280, 239, 17813.922408545022)),
+            (RandomClusterDesign, (817, 1798, 817, 82554.91797427247)),
+            (WeightedClusterDesign, (160, 424, 143, 17260.867584140844)),
+        ],
+        ids=["srs", "rcs", "wcs"],
+    )
+    def test_lognormal_noise_charges_the_pinned_cost(self, nell, factory, expected):
+        annotator = SimulatedAnnotator(nell.oracle, time_noise_sigma=0.5, seed=9)
+        report = StaticEvaluator(factory(nell.graph, seed=5), annotator, self.CONFIG).run()
+        observed = (
+            report.num_units,
+            report.num_triples_annotated,
+            report.num_entities_identified,
+            report.annotation_cost_seconds,
+        )
+        assert observed == expected
+
+
+class TestSharedSessions:
+    """A session shared across graph objects charges c1 once per subject."""
+
+    def test_object_mode_stratified_evaluator(self):
+        base = make_movie_like(seed=3, scale=0.004)
+        evaluator = StratifiedIncrementalEvaluator(base, seed=3)
+        evaluator.evaluate_base()
+        base_subjects = {triple.subject for triple in evaluator.annotator.labelled_triples}
+        generator = UpdateWorkloadGenerator(base, seed=3)
+        for _ in range(2):
+            batch, batch_oracle = generator.generate_batch(base.graph.num_triples // 2, 0.6)
+            evaluator.apply_update(batch, batch_oracle)
+        update_subjects = {
+            triple.subject
+            for triple in evaluator.annotator.labelled_triples
+            if triple not in base.oracle
+        }
+        assert base_subjects & update_subjects
+        _charged_once_per_subject(evaluator.annotator)
+
+    def test_pilot_labels_are_free_in_the_main_run(self, nell):
+        annotator = SimulatedAnnotator(nell.oracle)
+        run_pilot(nell.graph, annotator, num_clusters=40, seed=2)
+        pilot = set(annotator.labelled_triples)
+        design = RandomClusterDesign(nell.graph, seed=2)
+        StaticEvaluator(design, annotator, EvaluationConfig(moe_target=0.02)).run(reset=False)
+        assert pilot < set(annotator.labelled_triples)
+        _charged_once_per_subject(annotator)
+
+    def test_granular_evaluator(self, nell):
+        annotator = SimulatedAnnotator(nell.oracle)
+        # Predicate groups hold 74-108 triples: the five smallest are censused.
+        config = EvaluationConfig(moe_target=0.1, min_units=80)
+        reports = GranularEvaluator(nell.graph, annotator, config, seed=0).evaluate_by_predicate()
+        assert len(reports) > 1
+        assert any(report.exhaustive for report in reports.values())
+        subjects_per_group = sum(
+            report.report.num_entities_identified for report in reports.values()
+        )
+        assert subjects_per_group == annotator.entities_identified
+        _charged_once_per_subject(annotator)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,39 @@ class TestNoisyAnnotator:
         first = NoisyAnnotator(nell.oracle, label_error_rate=0.3, seed=7).annotate_triples(triples)
         second = NoisyAnnotator(nell.oracle, label_error_rate=0.3, seed=7).annotate_triples(triples)
         assert first.labels == second.labels
+
+    def test_fixed_seed_label_and_cost_trajectory(self, nell):
+        triples = list(nell.graph.triples)
+        order = triples[:300] + triples[50:150]
+        annotator = NoisyAnnotator(nell.oracle, label_error_rate=0.3, time_noise_sigma=0.4, seed=11)
+        bits, costs = [], []
+        for start in range(0, len(order), 5):
+            unit = order[start : start + 5]
+            labels = annotator.annotate_triples(unit).labels
+            bits.append("".join(str(int(labels[t])) for t in unit))
+            costs.append(repr(annotator.total_cost_seconds))
+        digest = hashlib.sha256("".join(bits).encode()).hexdigest()[:16]
+        assert digest == "f56af20500800438"
+        assert hashlib.sha256(",".join(costs).encode()).hexdigest()[:16] == "16ac4f534f48e10d"
+        assert costs[-1] == "13264.723300808662"
+        assert annotator.total_triples_annotated == 300
+        assert annotator.entities_identified == 136
+
+    def test_reads_the_session_labels_at_most_once_per_call(self, nell, monkeypatch):
+        annotator = NoisyAnnotator(nell.oracle, label_error_rate=0.3, seed=0)
+        reads = []
+        labelled = NoisyAnnotator.labelled_triples
+
+        def counting(self):
+            reads.append(1)
+            return labelled.fget(self)
+
+        monkeypatch.setattr(NoisyAnnotator, "labelled_triples", property(counting))
+        triples = list(nell.graph.triples)[:50]
+        for start in range(0, len(triples), 5):
+            reads.clear()
+            annotator.annotate_triples(triples[start : start + 5])
+            assert len(reads) <= 1
 
     def test_generator_seed_still_supported(self, toy_oracle):
         rng = np.random.default_rng(0)

@@ -121,6 +121,53 @@ class TestLabelOracleFromPositions:
         assert oracle.true_accuracy(graph) == expected.true_accuracy(graph)
 
 
+class TestPositionLabels:
+    """The oracle keeps the array it built for one graph object."""
+
+    @pytest.fixture()
+    def built(self, nell):
+        graph = nell.graph.to_columnar()
+        return graph, LabelOracle(nell.oracle.as_dict())
+
+    def test_the_same_array_comes_back(self, built, monkeypatch):
+        graph, oracle = built
+        first = oracle.position_labels(graph)
+        assert not first.flags.writeable
+        monkeypatch.setattr(LabelOracle, "label", lambda *args: pytest.fail("rebuilt"))
+        assert oracle.position_labels(graph) is first
+        copy = oracle.as_position_array(graph)
+        assert copy.flags.writeable and not np.shares_memory(copy, first)
+        np.testing.assert_array_equal(copy, first)
+
+    def test_rebuilt_after_extend(self, built):
+        graph, oracle = built
+        first = oracle.position_labels(graph)
+        oracle.extend({graph.triple_at(3): not first[3]})
+        second = oracle.position_labels(graph)
+        assert second is not first
+        assert second[3] == (not first[3])
+        assert (np.flatnonzero(second != first) == [3]).all()
+
+    def test_rebuilt_after_the_graph_grows(self, toy_kg):
+        graph, oracle = toy_kg
+        lenient = LabelOracle(oracle.as_dict(), strict=False)
+        first = lenient.position_labels(graph)
+        graph.add(Triple("athlete_9", "p", "o"))
+        second = lenient.position_labels(graph)
+        assert second.shape == (first.shape[0] + 1,)
+        np.testing.assert_array_equal(second[:-1], first)
+        assert second[-1]
+
+    def test_a_stored_array_survives_another_graph(self, nell):
+        graph = nell.graph.to_columnar()
+        stored = nell.oracle.as_position_array(graph)
+        oracle = LabelOracle.from_positions(graph, stored)
+        other = oracle.as_position_array(nell.graph)
+        np.testing.assert_array_equal(other, stored)
+        assert np.shares_memory(oracle.as_position_array(graph), stored)
+        assert np.shares_memory(oracle.position_labels(graph), stored)
+
+
 class TestRandomErrorModel:
     def test_invalid_error_rate(self):
         with pytest.raises(ValueError):

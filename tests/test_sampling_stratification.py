@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.sampling.base import PositionUnit
 from repro.sampling.stratification import (
     Stratum,
     stratify_by_key,
@@ -14,6 +15,7 @@ from repro.sampling.stratification import (
     stratify_by_size,
 )
 from repro.sampling.stratified import StratifiedTWCSDesign
+from repro.stats.allocation import cumulative_sqrt_frequency_boundaries
 
 
 def annotate_and_update(design, units, oracle):
@@ -75,6 +77,20 @@ class TestStratification:
     def test_stratum_dataclass_properties(self):
         stratum = Stratum(label="s", entity_ids=("a", "b"), num_triples=7, weight=0.5)
         assert stratum.num_entities == 2
+
+
+@pytest.mark.parametrize("backend", ["memory", "columnar"])
+@pytest.mark.parametrize("num_strata", [1, 2, 3, 4])
+def test_size_strata_equal_the_key_rule(nell, backend, num_strata):
+    graph = nell.graph if backend == "memory" else nell.graph.to_columnar()
+    boundaries = cumulative_sqrt_frequency_boundaries(graph.cluster_size_array(), num_strata)
+    expected = stratify_by_key(graph, graph.cluster_size, boundaries, "size")
+    strata = stratify_by_size(graph, num_strata=num_strata)
+    assert strata == expected
+    assert [repr(stratum.weight) for stratum in strata] == [
+        repr(stratum.weight) for stratum in expected
+    ]
+    assert all(type(stratum.num_triples) is int for stratum in strata)
 
 
 class TestStratifiedTWCSDesign:
@@ -177,6 +193,20 @@ class TestStratifiedTWCSDesign:
         foreign = SampleUnit(triples=(Triple("ghost", "p", "o"),), entity_id="ghost")
         with pytest.raises(KeyError):
             design.update(foreign, {Triple("ghost", "p", "o"): True})
+
+    def test_routes_a_unit_by_its_entity_row(self, nell):
+        strata = stratify_by_size(nell.graph, num_strata=3)
+        design = StratifiedTWCSDesign(nell.graph, strata, second_stage_size=3, seed=0)
+        entity_id = strata[2].entity_ids[0]
+        positions = nell.graph.cluster_positions(entity_id)[:3]
+        unit = PositionUnit(
+            positions=positions,
+            entity_row=nell.graph.entity_row(entity_id),
+            cluster_size=nell.graph.cluster_size(entity_id),
+        )
+        design.update_positions(unit, np.ones(positions.shape[0], dtype=bool))
+        units = [estimate.num_units for _, estimate in design.stratum_estimates()]
+        assert units == [0, 0, 1]
 
     def test_reset(self, nell):
         strata = stratify_by_size(nell.graph, num_strata=2)
