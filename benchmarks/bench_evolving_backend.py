@@ -81,10 +81,14 @@ def _worker_run(backend: str, method: str) -> dict:
     from repro.generators.datasets import LabelledKG
     from repro.generators.synthetic_kg import generate_kg
     from repro.generators.workload import UpdateWorkloadGenerator
+    from repro.kg.graph import KnowledgeGraph
     from repro.labels.oracle import LabelOracle
 
     started = time.perf_counter()
-    graph = generate_kg(_kg_config(), seed=_GRAPH_SEED, backend=backend)
+    graph = generate_kg(_kg_config(), seed=_GRAPH_SEED)
+    if backend == "memory":
+        # The object-per-triple layout: the generated triples re-added one by one.
+        graph = KnowledgeGraph(graph, name=graph.name, backend="memory")
     build_seconds = time.perf_counter() - started
 
     label_array = np.random.default_rng(_LABEL_SEED).random(graph.num_triples) < _ACCURACY

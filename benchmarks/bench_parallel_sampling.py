@@ -103,7 +103,7 @@ def _build_graph():
         max_cluster_size=500,
         name="bench-parallel",
     )
-    return generate_kg(config, seed=_GRAPH_SEED, backend="columnar")
+    return generate_kg(config, seed=_GRAPH_SEED)
 
 
 def _serial_design_loop(graph, labels) -> dict:
@@ -298,7 +298,7 @@ def test_observability_overhead(benchmark, tmp_path):
         max_cluster_size=500,
         name="bench-obs-overhead",
     )
-    graph = generate_kg(config, seed=_GRAPH_SEED, backend="columnar")
+    graph = generate_kg(config, seed=_GRAPH_SEED)
     labels = np.random.default_rng(_LABEL_SEED).random(graph.num_triples) < _ACCURACY
 
     def compare():

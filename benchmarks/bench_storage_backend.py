@@ -101,11 +101,13 @@ def _worker_seed() -> dict:
     import numpy as np
 
     from repro.generators.synthetic_kg import generate_kg
+    from repro.kg.graph import KnowledgeGraph
     from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
     rss_before = _rss_kb()
     started = time.perf_counter()
-    graph = generate_kg(_kg_config(), seed=_GRAPH_SEED, backend="memory")
+    # The object-per-triple layout: the generated triples re-added one by one.
+    graph = KnowledgeGraph(generate_kg(_kg_config(), seed=_GRAPH_SEED), backend="memory")
     build_seconds = time.perf_counter() - started
     graph_rss_kb = _rss_kb() - rss_before
 
@@ -142,7 +144,7 @@ def _worker_build_snapshot(snapshot_path: str) -> dict:
     from repro.storage.snapshot import SnapshotStore
 
     started = time.perf_counter()
-    graph = generate_kg(_kg_config(), seed=_GRAPH_SEED, backend="columnar")
+    graph = generate_kg(_kg_config(), seed=_GRAPH_SEED)
     build_seconds = time.perf_counter() - started
     started = time.perf_counter()
     SnapshotStore(snapshot_path).save(graph, name=graph.name)
@@ -490,15 +492,20 @@ def test_twcs_estimate_identical_across_backends(benchmark):
     from repro.core.config import EvaluationConfig
     from repro.core.framework import StaticEvaluator
     from repro.cost.annotator import SimulatedAnnotator
-    from repro.generators.datasets import make_movie_like
+    from repro.generators.datasets import LabelledKG, make_movie_like
+    from repro.kg.graph import KnowledgeGraph
+    from repro.labels.oracle import LabelOracle
     from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
     def run_both():
-        data = make_movie_like(seed=0, scale=movie_scale())
+        columnar = make_movie_like(seed=0, scale=movie_scale())
+        memory = LabelledKG(
+            KnowledgeGraph(columnar.graph.triples, backend="memory"),
+            LabelOracle(columnar.oracle.as_dict()),
+        )
         reports = {}
-        for backend_name in ("memory", "columnar"):
-            graph = data.graph if backend_name == "memory" else data.graph.to_columnar()
-            design = TwoStageWeightedClusterDesign(graph, second_stage_size=5, seed=17)
+        for backend_name, data in (("memory", memory), ("columnar", columnar)):
+            design = TwoStageWeightedClusterDesign(data.graph, second_stage_size=5, seed=17)
             annotator = SimulatedAnnotator(data.oracle, seed=17)
             config = EvaluationConfig(moe_target=0.05, confidence_level=0.95)
             reports[backend_name] = StaticEvaluator(design, annotator, config).run()

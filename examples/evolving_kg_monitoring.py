@@ -107,11 +107,10 @@ def columnar_with_snapshot_resume(snapshot_dir: Path) -> None:
 
         base = LabelledKG(graph, LabelOracle({}, strict=False))
     else:
-        data = build_base(seed=5)
-        graph = data.graph.to_columnar()
-        label_array = data.oracle.as_position_array(graph)
+        base = build_base(seed=5).to_columnar()
+        graph = base.graph
+        label_array = base.oracle.as_position_array(graph)
         store.save(graph.backend, name=graph.name, labels=label_array)
-        base = LabelledKG(graph, data.oracle)
         print(f"built {graph!r} and saved graph + labels to {snapshot_dir}")
 
     evaluator = StratifiedIncrementalEvaluator(

@@ -120,13 +120,17 @@ class CouplingGraphBuilder:
         """
         import networkx as nx
 
+        # Every member comes from the cached Triple view, so each node is keyed
+        # by one object: a columnar graph rebuilds equal but distinct Triples
+        # on each read, and lookups across copies fall back to ``__eq__``.
+        triples = kg.triples
         graph: nx.Graph = nx.Graph()
-        graph.add_nodes_from(kg.triples)
+        graph.add_nodes_from(triples)
 
         by_subject_predicate: dict[tuple[str, str], list[Triple]] = {}
         by_predicate_object: dict[tuple[str, str], list[Triple]] = {}
         by_predicate: dict[str, list[Triple]] = {}
-        for triple in kg:
+        for triple in triples:
             by_subject_predicate.setdefault((triple.subject, triple.predicate), []).append(triple)
             by_predicate_object.setdefault((triple.predicate, triple.obj), []).append(triple)
             by_predicate.setdefault(triple.predicate, []).append(triple)
@@ -135,8 +139,9 @@ class CouplingGraphBuilder:
             self._connect_group(graph, members, self.subject_predicate_weight)
         for members in by_predicate_object.values():
             self._connect_group(graph, members, self.predicate_object_weight)
-        for cluster in kg.clusters():
-            self._connect_group(graph, list(cluster.triples), self.entity_weight)
+        for row in range(kg.num_entities):
+            members = [triples[p] for p in kg.cluster_positions_by_row(row).tolist()]
+            self._connect_group(graph, members, self.entity_weight)
         for members in by_predicate.values():
             self._connect_group(graph, members, self.predicate_weight)
         return graph

@@ -123,7 +123,8 @@ class KGEvalBaseline:
         """
         best_triple: Triple | None = None
         best_benefit = -1.0
-        for triple in self.graph:
+        # The cached view: the coupling graph's node objects, built once.
+        for triple in self.graph.triples:
             if triple in labelled:
                 continue
             benefit = 0.0

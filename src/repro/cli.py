@@ -357,9 +357,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         data = _load_dataset(args.dataset, args.seed, args.movie_scale)
     if args.backend == "columnar":
-        data = LabelledKG(data.graph.to_columnar(), data.oracle)
+        data = data.to_columnar()
     elif args.backend == "sqlite":
-        data = LabelledKG(data.graph.to_sqlite(), data.oracle)
+        data = data.to_sqlite()
     planned = None
     if args.transport == "auto" and args.workers is None and args.shards is None:
         planned = _auto_planned_shards(args, data.graph)
@@ -512,13 +512,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     else:
         data = _load_dataset(args.dataset, args.seed, args.movie_scale)
         if args.backend == "columnar":
-            data = LabelledKG(data.graph.to_columnar(), data.oracle)
+            data = data.to_columnar()
         elif args.backend == "sqlite":
             # The delta machinery needs a frozen columnar base; the sqlite
             # round-trip keeps the persistent copy out-of-core while the
             # derived columns (bit-identical to a direct columnar build)
             # carry the update stream.
-            data = LabelledKG(data.graph.to_sqlite().to_columnar(), data.oracle)
+            data = data.to_sqlite().to_columnar()
         if args.snapshot:
             labels = data.oracle.as_position_array(data.graph)
             data.graph.to_columnar().save_snapshot(args.snapshot, labels=labels)
@@ -791,8 +791,7 @@ def _client_run(args: argparse.Namespace, client, record_row) -> int:
 
     # The workload stream is generated client-side from the same dataset the
     # daemon attaches, exactly like an external update producer would.
-    data = _load_dataset(args.dataset, args.seed, args.movie_scale)
-    data = LabelledKG(data.graph.to_columnar(), data.oracle)
+    data = _load_dataset(args.dataset, args.seed, args.movie_scale).to_columnar()
     spec: dict = {
         "dataset": args.dataset,
         "dataset_seed": args.seed,
@@ -1118,7 +1117,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("memory", "columnar", "sqlite"),
         default="memory",
-        help="storage backend for the evaluated graph; 'sqlite' keeps the "
+        help="storage backend for the evaluated graph; 'memory' keeps the dataset "
+        "as built (a stand-in is built columnar, in RAM), 'sqlite' keeps the "
         "columns in a disk-resident WAL database (default memory)",
     )
     evaluate.add_argument(
@@ -1205,9 +1205,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("memory", "columnar", "sqlite"),
         default="memory",
-        help="storage backend; 'columnar' runs the position-surface evaluators "
-        "with zero-copy delta updates, 'sqlite' keeps the persistent base "
-        "out-of-core and derives the same columns (default memory)",
+        help="storage backend; 'memory' runs the object-surface evaluators, "
+        "'columnar' the position-surface evaluators with zero-copy delta updates, "
+        "'sqlite' keeps the persistent base out-of-core and derives the same "
+        "columns (default memory)",
     )
     monitor.add_argument(
         "--evaluator",

@@ -47,9 +47,8 @@ def _make_base(
     rng = np.random.default_rng(seed)
     base_graph = movie.graph.random_triple_subset(base_fraction, rng, name="MOVIE-base")
     oracle = RandomErrorModel.with_accuracy(base_accuracy, seed=seed).generate(base_graph)
-    if backend == "columnar":
-        base_graph = base_graph.to_columnar()
-    return LabelledKG(base_graph, oracle)
+    base = LabelledKG(base_graph, oracle)
+    return base.to_columnar() if backend == "columnar" else base
 
 
 def _make_evaluator(

@@ -21,7 +21,9 @@ is calibrated to the published gold accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +61,22 @@ class LabelledKG:
         """Exact population accuracy under the oracle."""
         return self.oracle.true_accuracy(self.graph)
 
+    def to_columnar(self) -> "LabelledKG":
+        """This dataset on a columnar backend, its label array carried over."""
+        return self._rebind(self.graph.to_columnar())
+
+    def to_sqlite(self, path: str | Path | None = None) -> "LabelledKG":
+        """This dataset on a SQLite backend (see :meth:`KnowledgeGraph.to_sqlite`)."""
+        return self._rebind(self.graph.to_sqlite(path))
+
+    def _rebind(self, graph: KnowledgeGraph) -> "LabelledKG":
+        # Conversion preserves triple positions, so the label array of the
+        # old graph is the label array of the new one: no Triple is rebuilt.
+        if graph is self.graph:
+            return self
+        labels = self.oracle.position_labels(self.graph)
+        return LabelledKG(graph, LabelOracle.from_positions(graph, labels))
+
 
 def generate_calibrated_labels(
     graph: KnowledgeGraph,
@@ -74,7 +92,8 @@ def generate_calibrated_labels(
     clusters) plus Gaussian noise, then the whole profile is shifted so the
     triple-weighted mean matches the target.  Labels are Bernoulli draws from
     the per-cluster accuracy, so the realised accuracy fluctuates around the
-    target by O(1/sqrt(M)).
+    target by O(1/sqrt(M)).  The oracle holds them as a position-aligned
+    array (:meth:`LabelOracle.from_positions`).
 
     Parameters
     ----------
@@ -91,6 +110,10 @@ def generate_calibrated_labels(
     """
     if not 0.0 <= target_accuracy <= 1.0:
         raise ValueError("target_accuracy must be in [0, 1]")
+    if not -math.inf < size_correlation < math.inf:
+        raise ValueError(f"size_correlation must be finite, got {size_correlation}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     sizes = graph.cluster_size_array().astype(float)
     if sizes.size == 0:
@@ -109,12 +132,12 @@ def generate_calibrated_labels(
         if abs(gap) < 1e-4:
             break
         probabilities = np.clip(probabilities + gap, 0.01, 1.0)
-    labels: dict = {}
-    for cluster, probability in zip(graph.clusters(), probabilities):
-        draws = rng.random(cluster.size)
-        for triple, draw in zip(cluster, draws):
-            labels[triple] = bool(draw < probability)
-    return LabelOracle(labels)
+    # One uniform per triple in cluster order, the stream a per-cluster
+    # ``rng.random(size)`` loop consumes, scattered to triple positions.
+    offsets, positions = graph.backend.csr_arrays()
+    labels = np.empty(graph.num_triples, dtype=bool)
+    labels[positions] = rng.random(positions.shape[0]) < np.repeat(probabilities, np.diff(offsets))
+    return LabelOracle.from_positions(graph, labels)
 
 
 def make_nell_like(seed: int | None = 0) -> LabelledKG:

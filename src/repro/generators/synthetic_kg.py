@@ -9,12 +9,14 @@ is the minimal substrate that reproduces their behaviour on the real datasets.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
+from repro.storage.columnar import ColumnarStore, Vocabulary
 
 __all__ = ["SyntheticKGConfig", "sample_cluster_sizes", "generate_kg"]
 
@@ -78,10 +80,13 @@ class SyntheticKGConfig:
     def __post_init__(self) -> None:
         if self.num_entities < 1:
             raise ValueError("num_entities must be positive")
-        if self.mean_cluster_size < 1.0:
-            raise ValueError("mean_cluster_size must be at least 1")
-        if self.size_skew < 0:
-            raise ValueError("size_skew must be non-negative")
+        # NaN fails every comparison, so each bound is checked as "not inside".
+        if not 1.0 <= self.mean_cluster_size < math.inf:
+            raise ValueError(
+                f"mean_cluster_size must be finite and at least 1, got {self.mean_cluster_size}"
+            )
+        if not 0.0 <= self.size_skew < math.inf:
+            raise ValueError(f"size_skew must be finite and non-negative, got {self.size_skew}")
         if self.max_cluster_size < 1:
             raise ValueError("max_cluster_size must be at least 1")
         if not 0.0 <= self.entity_object_fraction <= 1.0:
@@ -119,18 +124,16 @@ def sample_cluster_sizes(
 def generate_kg(
     config: SyntheticKGConfig,
     seed: int | np.random.Generator | None = None,
-    backend: str = "memory",
 ) -> KnowledgeGraph:
     """Generate a synthetic knowledge graph according to ``config``.
 
-    ``backend="columnar"`` builds the graph directly inside a
-    :class:`~repro.storage.columnar.ColumnarStore` — string ids are interned
-    on the fly and appended to the store's ``int32`` buffers, so no
-    intermediate :class:`~repro.kg.triple.Triple` objects, key tuples or
-    per-cluster position lists are ever allocated.  Both backends consume the
-    random stream identically and produce the *same triples in the same
-    order* for a given seed, so a columnar graph (or a snapshot of it) is a
-    drop-in stand-in for the in-memory one.
+    The graph is built directly as a
+    :class:`~repro.storage.columnar.ColumnarStore`: strings are interned on
+    the fly, each triple's subject, then predicate, then object (the order
+    :meth:`~repro.kg.graph.KnowledgeGraph.to_columnar` interns a graph's
+    triples in), into ``int32`` id columns, so no
+    :class:`~repro.kg.triple.Triple` is allocated.  Each cluster's triples
+    are contiguous, so triple positions follow cluster order.
     """
     rng = np.random.default_rng(seed)
     sizes = sample_cluster_sizes(
@@ -140,73 +143,43 @@ def generate_kg(
         config.max_cluster_size,
         rng,
     )
-    if backend == "columnar":
-        return _generate_columnar(config, sizes, rng)
-    if backend != "memory":
-        raise ValueError(f"unknown backend {backend!r}; choose 'memory' or 'columnar'")
-    graph = KnowledgeGraph(name=config.name)
+    vocab = Vocabulary()
+    subjects, predicate_ids, object_ids = array("i"), array("i"), array("i")
+    flags = array("B")
     predicates = _DEFAULT_PREDICATES
     entity_object_cutoff = config.entity_object_fraction
-    for entity_index, size in enumerate(sizes):
-        subject = f"e{entity_index}"
-        predicate_choices = rng.integers(0, len(predicates), size=int(size))
-        object_draws = rng.random(int(size))
-        for fact_index in range(int(size)):
-            predicate = predicates[int(predicate_choices[fact_index])]
-            is_entity_object = bool(object_draws[fact_index] < entity_object_cutoff)
-            if is_entity_object:
-                target = int(rng.integers(0, config.num_entities))
-                obj = f"e{target}"
-            else:
-                obj = f"value_{entity_index}_{fact_index}"
-            # Predicates may repeat within a cluster; disambiguate the object so
-            # the triple stays unique (the graph is a set of triples).
-            triple = Triple(subject, predicate, obj, is_entity_object=is_entity_object)
-            if triple in graph:
-                triple = Triple(
-                    subject,
-                    predicate,
-                    f"{obj}#{fact_index}",
-                    is_entity_object=is_entity_object,
-                )
-            graph.add(triple)
-    return graph
-
-
-def _generate_columnar(
-    config: SyntheticKGConfig, sizes: np.ndarray, rng: np.random.Generator
-) -> KnowledgeGraph:
-    """Bulk columnar twin of the in-memory generation loop.
-
-    Consumes the random stream in exactly the same order as the memory path.
-    Duplicate disambiguation uses a per-cluster ``(predicate, object)`` set,
-    which is equivalent to the memory path's global ``triple in graph`` check
-    because subjects are unique per cluster.
-    """
-    from repro.storage.columnar import ColumnarStore
-
-    store = ColumnarStore()
-    intern = store.vocab.intern
-    append = store.append_interned
-    predicate_ids = [intern(predicate) for predicate in _DEFAULT_PREDICATES]
-    entity_object_cutoff = config.entity_object_fraction
     num_entities = config.num_entities
-    for entity_index, size in enumerate(sizes):
-        subject_id = intern(f"e{entity_index}")
-        predicate_choices = rng.integers(0, len(predicate_ids), size=int(size))
-        object_draws = rng.random(int(size))
-        seen: set[tuple[int, int]] = set()
-        for fact_index in range(int(size)):
-            predicate_id = predicate_ids[int(predicate_choices[fact_index])]
-            is_entity_object = bool(object_draws[fact_index] < entity_object_cutoff)
+    for entity_index, size in enumerate(sizes.tolist()):
+        predicate_choices = rng.integers(0, len(predicates), size=size).tolist()
+        object_draws = rng.random(size).tolist()
+        # The cluster's strings in interning order: its subject, then each
+        # triple's predicate and object.
+        tokens = [f"e{entity_index}"]
+        seen: set[tuple[str, str]] = set()
+        for fact_index in range(size):
+            predicate = predicates[predicate_choices[fact_index]]
+            is_entity_object = object_draws[fact_index] < entity_object_cutoff
             if is_entity_object:
                 obj = f"e{int(rng.integers(0, num_entities))}"
             else:
                 obj = f"value_{entity_index}_{fact_index}"
-            object_id = intern(obj)
-            if (predicate_id, object_id) in seen:
-                object_id = intern(f"{obj}#{fact_index}")
-            seen.add((predicate_id, object_id))
-            append(subject_id, predicate_id, object_id, is_entity_object)
-    store.finalize()
+            # Predicates may repeat within a cluster; disambiguate the object so
+            # the triple stays unique (the graph is a set of triples).  The
+            # check precedes interning, so a replaced object never gets an id.
+            if (predicate, obj) in seen:
+                obj = f"{obj}#{fact_index}"
+            seen.add((predicate, obj))
+            tokens += (predicate, obj)
+            flags.append(is_entity_object)
+        ids = vocab.intern_many(tokens)
+        subjects.extend(ids[:1] * size)
+        predicate_ids.extend(ids[1::2])
+        object_ids.extend(ids[2::2])
+    store = ColumnarStore.from_arrays(
+        vocab,
+        np.frombuffer(subjects, dtype=np.int32),
+        np.frombuffer(predicate_ids, dtype=np.int32),
+        np.frombuffer(object_ids, dtype=np.int32),
+        np.frombuffer(flags, dtype=np.uint8),
+    )
     return KnowledgeGraph(name=config.name, backend=store)

@@ -14,8 +14,9 @@ models:
   concentrates all error mass in the largest clusters, breaking the smooth
   size/accuracy relationship the cluster designs rely on.
 
-A :class:`~repro.labels.oracle.LabelOracle` wraps any triple→bool mapping and
-is what the simulated annotator consults.
+A :class:`~repro.labels.oracle.LabelOracle` wraps a triple→bool mapping or,
+as every model above returns it, a label array aligned with the graph's triple
+positions; it is what the simulated annotator consults.
 """
 
 from repro.labels.adversarial import AdversarialClusterModel

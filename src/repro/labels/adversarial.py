@@ -76,24 +76,30 @@ class AdversarialClusterModel:
             covered += int(sizes[row])
         return rows
 
-    def generate(self, graph: KnowledgeGraph) -> LabelOracle:
-        """Draw labels for every triple of ``graph`` and return an oracle."""
+    def _poisoned_mask(self, graph: KnowledgeGraph) -> np.ndarray:
+        """:meth:`poisoned_rows` as a boolean array over cluster rows."""
         poisoned = self.poisoned_rows(graph)
-        labels: dict = {}
-        for row, cluster in enumerate(graph.clusters()):
-            accuracy = self.poisoned_accuracy if row in poisoned else self.base_accuracy
-            draws = self._rng.random(cluster.size)
-            for triple, draw in zip(cluster, draws):
-                labels[triple] = bool(draw < accuracy)
-        return LabelOracle(labels)
+        mask = np.zeros(graph.num_entities, dtype=bool)
+        mask[np.fromiter(poisoned, dtype=np.int64, count=len(poisoned))] = True
+        return mask
+
+    def generate(self, graph: KnowledgeGraph) -> LabelOracle:
+        """Draw labels for every triple of ``graph`` and return an oracle.
+
+        One uniform per triple in cluster order (row by row), scattered to
+        the triples' positions.
+        """
+        accuracy = np.where(self._poisoned_mask(graph), self.poisoned_accuracy, self.base_accuracy)
+        offsets, positions = graph.backend.csr_arrays()
+        labels = np.empty(graph.num_triples, dtype=bool)
+        draws = self._rng.random(positions.shape[0])
+        labels[positions] = draws < np.repeat(accuracy, np.diff(offsets))
+        return LabelOracle.from_positions(graph, labels)
 
     def expected_accuracy(self, graph: KnowledgeGraph) -> float:
         """Expected overall accuracy of the labels this model draws for ``graph``."""
         sizes = graph.cluster_size_array()
-        poisoned = self.poisoned_rows(graph)
-        mask = np.zeros(len(sizes), dtype=bool)
-        if poisoned:
-            mask[np.fromiter(poisoned, dtype=np.int64, count=len(poisoned))] = True
+        mask = self._poisoned_mask(graph)
         total = float(sizes.sum())
         if total == 0:
             return 0.0

@@ -15,6 +15,8 @@ smaller ``c`` weaken the size/accuracy correlation.  Paper defaults:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
@@ -57,12 +59,13 @@ class BinomialMixtureModel:
         rho: float = 0.0,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if c < 0:
-            raise ValueError(f"c must be non-negative, got {c}")
-        if sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {sigma}")
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        # NaN fails every comparison, so each bound is checked as "not inside".
+        if not 0 <= c < math.inf:
+            raise ValueError(f"c must be finite and non-negative, got {c}")
+        if not 0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+        if not 1 <= k < math.inf:
+            raise ValueError(f"k must be finite and at least 1, got {k}")
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {rho}")
         self.c = c
@@ -98,25 +101,23 @@ class BinomialMixtureModel:
         equi-correlated labels with correlation ``rho`` and unchanged
         marginals.
         """
-        labels: dict = {}
-        for cluster in graph.clusters():
+        # Clusters in row order; each writes its own slice of the CSR index.
+        # The normal and uniform draws interleave per cluster, so the loop stays.
+        offsets, positions = graph.backend.csr_arrays()
+        labels = np.empty(graph.num_triples, dtype=bool)
+        for row, size in enumerate(np.diff(offsets).tolist()):
+            cluster = positions[offsets[row] : offsets[row + 1]]
             noise = float(self._rng.normal(0.0, self.sigma)) if self.sigma > 0 else 0.0
-            probability = self.cluster_probability(cluster.size, noise)
+            probability = self.cluster_probability(size, noise)
             if self.rho == 0.0:
                 # Exactly the original stream: one uniform block per cluster.
-                draws = self._rng.random(cluster.size)
-                for triple, draw in zip(cluster, draws):
-                    labels[triple] = bool(draw < probability)
+                labels[cluster] = self._rng.random(size) < probability
             else:
                 shared = bool(self._rng.random() < probability)
-                mixture = self._rng.random(cluster.size)
-                draws = self._rng.random(cluster.size)
-                for triple, mix, draw in zip(cluster, mixture, draws):
-                    if mix < self.rho:
-                        labels[triple] = shared
-                    else:
-                        labels[triple] = bool(draw < probability)
-        return LabelOracle(labels)
+                mixture = self._rng.random(size)
+                draws = self._rng.random(size)
+                labels[cluster] = np.where(mixture < self.rho, shared, draws < probability)
+        return LabelOracle.from_positions(graph, labels)
 
     def expected_cluster_accuracy(self, cluster_size: int) -> float:
         """Expected ``p_i`` (noise-free) for a given cluster size."""

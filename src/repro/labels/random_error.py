@@ -45,10 +45,9 @@ class RandomErrorModel:
         return 1.0 - self.error_rate
 
     def generate(self, graph: KnowledgeGraph) -> LabelOracle:
-        """Draw a label for every triple in ``graph`` and return an oracle."""
-        draws = self._rng.random(graph.num_triples)
-        labels = {triple: bool(draw >= self.error_rate) for triple, draw in zip(graph, draws)}
-        return LabelOracle(labels)
+        """Draw a label for every triple in ``graph``, in position order."""
+        labels = self._rng.random(graph.num_triples) >= self.error_rate
+        return LabelOracle.from_positions(graph, labels)
 
     @classmethod
     def with_accuracy(

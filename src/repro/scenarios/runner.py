@@ -177,13 +177,13 @@ def _build_labels(label_spec: LabelSpec, graph: KnowledgeGraph, seed: int) -> La
     raise ValueError(f"label model {label_spec.model!r} needs a dataset-sourced graph")
 
 
-def _to_backend(graph: KnowledgeGraph, backend: str) -> KnowledgeGraph:
+def _to_backend(data: LabelledKG, backend: str) -> LabelledKG:
     if backend == "memory":
-        return graph
+        return data
     if backend == "columnar":
-        return graph.to_columnar()
+        return data.to_columnar()
     if backend == "sqlite":
-        return graph.to_sqlite()
+        return data.to_sqlite()
     raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
 
 
@@ -194,14 +194,14 @@ def _close_backend(graph: KnowledgeGraph) -> None:
         close()
 
 
-def _build_graph_and_oracle(
+def _build_dataset(
     graph_spec: GraphSpec,
     label_spec: LabelSpec,
     graph_seed: int,
     label_seed: int,
     backend: str,
     scenario_name: str,
-) -> tuple[KnowledgeGraph, LabelOracle]:
+) -> LabelledKG:
     if graph_spec.source == "synthetic":
         config = SyntheticKGConfig(
             num_entities=graph_spec.num_entities,
@@ -213,14 +213,13 @@ def _build_graph_and_oracle(
         graph = generate_kg(config, graph_seed)
     else:
         data = _make_dataset(graph_spec.dataset, graph_seed, graph_spec.scale)
-        graph = data.graph
         if label_spec.model == "dataset":
-            return _to_backend(graph, backend), data.oracle
-    # Labels are always drawn on the memory graph, then the graph is re-packed:
-    # conversion preserves triple and cluster order, so the oracle (keyed by
-    # Triple values) and every seeded draw transfer bit-identically.
-    oracle = _build_labels(label_spec, graph, label_seed)
-    return _to_backend(graph, backend), oracle
+            return _to_backend(data, backend)
+        graph = data.graph
+    # Labels are drawn on the generated graph, then the graph is re-packed:
+    # conversion preserves triple positions and cluster order, so the label
+    # array and every seeded draw transfer bit-identically.
+    return _to_backend(LabelledKG(graph, _build_labels(label_spec, graph, label_seed)), backend)
 
 
 def _build_design(name: str, graph: KnowledgeGraph, second_stage_size: int, seed: int):
@@ -315,14 +314,12 @@ def _run_static_rep(
     spec: ScenarioSpec, backend: str, replication: int, rep_seed: int, hasher
 ) -> _RepOutcome:
     seeds = _child_seeds(rep_seed, 3)
-    graph, oracle = _build_graph_and_oracle(
-        spec.graph, spec.labels, seeds[0], seeds[1], backend, spec.name
-    )
+    data = _build_dataset(spec.graph, spec.labels, seeds[0], seeds[1], backend, spec.name)
     outcome = _RepOutcome()
     try:
-        _static_state_eval(spec, graph, oracle, seeds[2], outcome, hasher, replication)
+        _static_state_eval(spec, data.graph, data.oracle, seeds[2], outcome, hasher, replication)
     finally:
-        _close_backend(graph)
+        _close_backend(data.graph)
     return outcome
 
 
@@ -339,10 +336,7 @@ def _run_evolving_rep(
     # by construction — sqlite positions mirror columnar positions).
     base_backend = "columnar" if backend == "sqlite" else backend
     seeds = _child_seeds(rep_seed, 4)
-    graph, oracle = _build_graph_and_oracle(
-        spec.graph, spec.labels, seeds[0], seeds[1], base_backend, spec.name
-    )
-    base = LabelledKG(graph, oracle)
+    base = _build_dataset(spec.graph, spec.labels, seeds[0], seeds[1], base_backend, spec.name)
     evaluator_cls = {
         "rs": ReservoirIncrementalEvaluator,
         "ss": StratifiedIncrementalEvaluator,
@@ -397,14 +391,12 @@ def _run_deletion_rep(
     workload = spec.workload
     num_states = workload.num_batches + 1  # the base state plus one per batch
     seeds = _child_seeds(rep_seed, 3 + num_states)
-    # State bookkeeping always happens on the memory graph; each evaluated
-    # state is converted to the requested backend (order-preserving).
-    base_graph, oracle = _build_graph_and_oracle(
-        spec.graph, spec.labels, seeds[0], seeds[1], "memory", spec.name
-    )
-    live: dict = {triple: oracle.label(triple) for triple in base_graph}
+    # State bookkeeping happens on a Triple -> label dict; each evaluated state
+    # is built as a memory graph, then converted to the backend (order-preserving).
+    base = _build_dataset(spec.graph, spec.labels, seeds[0], seeds[1], "memory", spec.name)
+    live: dict = base.oracle.as_dict()
     generator = UpdateWorkloadGenerator(
-        LabelledKG(base_graph, oracle),
+        base,
         new_entity_fraction=workload.new_entity_fraction,
         seed=seeds[2],
     )
@@ -412,20 +404,19 @@ def _run_deletion_rep(
 
     def evaluate_state(state_index: int) -> None:
         state_graph = KnowledgeGraph(live.keys(), name=f"{spec.name}-state{state_index}")
-        state_oracle = LabelOracle(dict(live))
-        converted = _to_backend(state_graph, backend)
+        converted = _to_backend(LabelledKG(state_graph, LabelOracle(dict(live))), backend)
         try:
             _static_state_eval(
                 spec,
-                converted,
-                state_oracle,
+                converted.graph,
+                converted.oracle,
                 seeds[3 + state_index],
                 outcome,
                 hasher,
                 f"{replication}/{state_index}",
             )
         finally:
-            _close_backend(converted)
+            _close_backend(converted.graph)
 
     evaluate_state(0)
     sizes = batch_schedule(workload.total_updates, workload.num_batches, workload.schedule)
@@ -482,7 +473,7 @@ def _run_fleet_rep(
                         session=session_name,
                     )
                     data = _make_dataset(session_spec.dataset, dataset_seed, spec.graph.scale)
-                    base = LabelledKG(data.graph.to_columnar(), data.oracle)
+                    base = data.to_columnar()
                     generator = UpdateWorkloadGenerator(
                         base,
                         new_entity_fraction=workload.new_entity_fraction,

@@ -153,7 +153,7 @@ def build_base(spec: dict) -> tuple[LabelledKG, object]:
         data = builder(seed=spec["dataset_seed"], scale=spec["movie_scale"])
     else:
         data = builder(seed=spec["dataset_seed"])
-    return LabelledKG(data.graph.to_columnar(), data.oracle), None
+    return data.to_columnar(), None
 
 
 def _engine_extra(engine: dict | None, fleet_secret) -> dict:

@@ -228,9 +228,9 @@ class ColumnarStore(StorageBackend):
     ) -> None:
         """Append one triple given already-interned ids (no dedup check).
 
-        This is the raw bulk-load primitive used by the ingest and generator
-        paths; call :meth:`finalize` with ``dedupe=True`` afterwards if the
-        source may contain duplicates.
+        This is the raw bulk-load primitive used by the ingest paths and
+        :meth:`from_graph`; call :meth:`finalize` with ``dedupe=True``
+        afterwards if the source may contain duplicates.
         """
         if not self._building:
             self._thaw()

@@ -148,6 +148,17 @@ def nell() -> LabelledKG:
 
 
 @pytest.fixture(scope="session")
+def nell_memory(nell) -> LabelledKG:
+    """The same NELL-like triples in an ``InMemoryStore`` with a dict oracle.
+
+    The dataset stand-ins come back columnar, so this is the memory side
+    of every memory-vs-columnar parity check.
+    """
+    graph = KnowledgeGraph(nell.graph.triples, name=nell.name, backend="memory")
+    return LabelledKG(graph, LabelOracle(nell.oracle.as_dict()))
+
+
+@pytest.fixture(scope="session")
 def yago() -> LabelledKG:
     """Session-scoped YAGO-like dataset (≈1 400 triples, 99% accurate)."""
     return make_yago_like(seed=0)

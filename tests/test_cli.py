@@ -286,6 +286,63 @@ class TestSnapshotEvaluateRoundTrip:
             main(["evaluate", "--from-snapshot", str(target)])
 
 
+class TestLabelArrayThroughConversions:
+    """A dataset's label array carries over to every backend it is converted to.
+
+    With every triple scan of the columnar and SQLite stores refused, the
+    commands must still print what they printed when they materialised each
+    triple to rebuild the labels.
+    """
+
+    EVALUATE_MOVIE = (
+        "dataset            : MOVIE-like\n"
+        "design             : twcs (m=5, shards=8, transport=auto:serial)\n"
+        "true accuracy      : 90.0% (hidden from the estimator)\n"
+        "estimated accuracy : 89.8%\n"
+        "95% interval     : [88.8%, 90.8%]\n"
+        "margin of error    : 0.010 (target 0.01)\n"
+        "sample units       : 950 (95 rounds)\n"
+        "triples annotated  : 4114\n"
+        "entities identified: 688\n"
+        "annotation cost    : 37.17 hours\n"
+    )
+    SNAPSHOT_LAYOUTS = {
+        "columnar": ("kg.npz", "stored (format v2)", "npz archive"),
+        "sqlite": ("kg.sqlite", "stored (meta table)", "sqlite database (WAL)"),
+    }
+
+    @pytest.fixture()
+    def no_triple_scans(self, monkeypatch):
+        from repro.storage.columnar import ColumnarStore
+        from repro.storage.sqlite import SqliteStore
+
+        def refuse(store):
+            raise AssertionError(f"{type(store).__name__} materialised every triple")
+
+        monkeypatch.setattr(ColumnarStore, "iter_triples", refuse)
+        monkeypatch.setattr(SqliteStore, "iter_triples", refuse)
+
+    @pytest.mark.parametrize("backend", ["memory", "columnar", "sqlite"])
+    def test_evaluate(self, capsys, no_triple_scans, backend):
+        args = ["evaluate", "--dataset", "movie", "--moe", "0.01", "--backend", backend]
+        assert main(args) == 0
+        assert capsys.readouterr().out == self.EVALUATE_MOVIE
+
+    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
+    def test_snapshot_with_labels(self, capsys, tmp_path, no_triple_scans, backend):
+        name, label_note, layout = self.SNAPSHOT_LAYOUTS[backend]
+        target = tmp_path / name
+        args = ["snapshot", "--dataset", "movie", "--with-labels", "--backend", backend]
+        assert main([*args, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == (
+            "dataset  : MOVIE-like\n"
+            "entities : 2888\n"
+            "triples  : 25388\n"
+            f"labels   : {label_note}\n"
+            f"snapshot : {target} ({layout})\n"
+        )
+
+
 class TestAllocationFlag:
     def test_serial_twcs_strat_honours_allocation(self):
         """--allocation must reach the in-process StratifiedTWCSDesign too."""

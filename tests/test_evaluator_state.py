@@ -17,6 +17,7 @@ from repro.evolving.state import capture_evaluator_state, restore_evaluator
 from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 from repro.generators.datasets import LabelledKG, make_nell_like
 from repro.generators.workload import UpdateWorkloadGenerator
+from repro.kg.graph import KnowledgeGraph
 from repro.labels.oracle import LabelOracle
 from repro.storage.snapshot import SnapshotStore
 
@@ -128,7 +129,10 @@ def test_resume_with_parallel_workers_matches_sharded_serial():
 
 
 def test_capture_requires_position_surface_and_delta_backend():
-    data = make_nell_like(seed=0)
+    nell = make_nell_like(seed=0)
+    data = LabelledKG(
+        KnowledgeGraph(nell.graph.triples, backend="memory"), LabelOracle(nell.oracle.as_dict())
+    )
     object_mode = StratifiedIncrementalEvaluator(data, config=_CONFIG, seed=0)
     with pytest.raises(ValueError, match="position"):
         capture_evaluator_state(object_mode)

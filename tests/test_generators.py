@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.generators.datasets import (
+    LabelledKG,
     generate_calibrated_labels,
     make_movie_full_like,
     make_movie_like,
@@ -14,7 +18,82 @@ from repro.generators.datasets import (
 )
 from repro.generators.synthetic_kg import SyntheticKGConfig, generate_kg, sample_cluster_sizes
 from repro.generators.workload import UpdateWorkloadGenerator
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.statistics import size_accuracy_correlation
+from repro.kg.triple import Triple
+from repro.labels import AdversarialClusterModel, BinomialMixtureModel, RandomErrorModel
+from repro.storage.columnar import ColumnarStore
+
+# SHA-256 of each stand-in as the per-triple memory generator and the
+# Triple-keyed label dicts produced it (see _dataset_digest).
+DATASET_DIGESTS = {
+    "nell-0": "05986264850e4a6336df02cc0ada0713bcd7f6a5235ad04897e0361c3c95fff5",
+    "nell-1": "403b654c3585753aa304f5aedeadf01d4a15b5368b8df9bcf3c7d8d0ad64ea23",
+    "yago-0": "a3253f9b561d51ccb92334d132c44ee05cf6d9aaddcf2c81ac46488637356ac2",
+    "yago-1": "afb945929ddae9e833c84718dbb0b964dce58956d8e750eba8f56ff680495a01",
+    "movie-x0.01-0": "6aff423fe088c9f979344fe034bdc89b400527c47c9c4b221d40546881dcf3b9",
+    "movie-x0.01-8191": "7d9f1f6879852edff675dee74a4ba08180e23a1bf0f987cf49aacdbcc5d3a8ef",
+    "movie-syn-x0.005": "8cf41c26a08fdb6bd931e585b37b709800ff1b9be111c5307787378ba40dc77b",
+    "movie-full-20000": "7c248ffceb6fadf43cfefd1aa64ca9e237283c6203468682ecef4c71690a5569",
+}
+DATASET_BUILDERS = {
+    "nell-0": lambda: make_nell_like(seed=0),
+    "nell-1": lambda: make_nell_like(seed=1),
+    "yago-0": lambda: make_yago_like(seed=0),
+    "yago-1": lambda: make_yago_like(seed=1),
+    "movie-x0.01-0": lambda: make_movie_like(seed=0, scale=0.01),
+    "movie-x0.01-8191": lambda: make_movie_like(seed=8191, scale=0.01),
+    "movie-syn-x0.005": lambda: make_movie_syn(scale=0.005),
+    "movie-full-20000": lambda: make_movie_full_like(20_000),
+}
+
+# Each label model's labels on _interleaved_graph() in position order, as the
+# per-cluster Triple-keyed dicts assigned them ("1" = correct).
+LABEL_MODEL_BITS = {
+    "calibrated": "011110111111110111111001111011101111111101111110111111101110",
+    "random_error": "111001100110111111101010110110101101110111011110010111111011",
+    "binomial_mixture": "001011100010111100011110111101110111101101010101001111010111",
+    "binomial_mixture-rho0.3": "001110100001110101111110101111010001111100011001001010001100",
+    "adversarial": "000110111101100011011111101001011111111110110011110110101111",
+}
+LABEL_MODELS = {
+    "calibrated": lambda graph: generate_calibrated_labels(
+        graph, 0.8, size_correlation=0.2, noise_sigma=0.1, seed=5
+    ),
+    "random_error": lambda graph: RandomErrorModel(0.3, seed=5).generate(graph),
+    "binomial_mixture": lambda graph: BinomialMixtureModel(c=0.3, sigma=0.2, seed=5).generate(
+        graph
+    ),
+    "binomial_mixture-rho0.3": lambda graph: BinomialMixtureModel(
+        c=0.3, sigma=0.2, rho=0.3, seed=5
+    ).generate(graph),
+    "adversarial": lambda graph: AdversarialClusterModel(
+        poisoned_mass=0.3, poisoned_accuracy=0.2, base_accuracy=0.9, seed=5
+    ).generate(graph),
+}
+
+
+def _dataset_digest(data) -> str:
+    """SHA-256 over the vocabulary, id columns, CSR index, labels and accuracy."""
+    graph = data.graph.to_columnar()
+    store = graph.backend
+    digest = hashlib.sha256()
+    for token_id in range(len(store.vocab)):
+        digest.update(store.vocab[token_id].encode() + b"\0")
+    for array in (*store.id_columns(), *store.csr_arrays()):
+        digest.update(np.asarray(array, dtype=np.int64).tobytes())
+    digest.update(np.asarray(data.oracle.as_position_array(graph), dtype=np.uint8).tobytes())
+    digest.update(repr(data.true_accuracy).encode())
+    return digest.hexdigest()
+
+
+def _interleaved_graph() -> KnowledgeGraph:
+    """60 hand-built triples whose 14 clusters interleave in position order."""
+    triples = []
+    for i in range(60):
+        subject = "hub" if i % 5 == 0 else f"s{(i * 7) % 13}"
+        triples.append(Triple(subject, f"p{i % 4}", f"o{i}", is_entity_object=i % 3 == 0))
+    return KnowledgeGraph(triples, name="interleaved")
 
 
 class TestSyntheticKGConfig:
@@ -31,6 +110,13 @@ class TestSyntheticKGConfig:
     def test_invalid_config(self, kwargs):
         with pytest.raises(ValueError):
             SyntheticKGConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["mean_cluster_size", "size_skew"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_are_rejected_by_name(self, name, value):
+        # NaN passes every `x < bound` check, so each bound must reject it.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SyntheticKGConfig(num_entities=10, **{name: value})
 
 
 class TestClusterSizeSampling:
@@ -69,6 +155,19 @@ class TestGenerateKG:
         second = generate_kg(config, seed=3)
         assert list(first) == list(second)
 
+    def test_ids_match_a_repack_of_the_same_triples(self):
+        # Small entity pool, large clusters: many (predicate, object) repeats,
+        # so the disambiguated "#" objects are part of the vocabulary check.
+        config = SyntheticKGConfig(
+            num_entities=40, mean_cluster_size=12.0, max_cluster_size=60, entity_object_fraction=0.9
+        )
+        graph = generate_kg(config, seed=2)
+        assert any("#" in triple.obj for triple in graph)
+        repacked = KnowledgeGraph(graph.triples, backend="memory").to_columnar()
+        expected = repacked.backend.columns()
+        for name, column in graph.backend.columns().items():
+            np.testing.assert_array_equal(column, expected[name], err_msg=name)
+
     def test_entity_object_fraction_zero_and_one(self):
         all_data = generate_kg(
             SyntheticKGConfig(num_entities=50, entity_object_fraction=0.0), seed=0
@@ -98,6 +197,23 @@ class TestCalibratedLabels:
     def test_invalid_target(self, movie_small):
         with pytest.raises(ValueError):
             generate_calibrated_labels(movie_small.graph, 1.2)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("size_correlation", float("nan")),
+            ("size_correlation", float("inf")),
+            ("size_correlation", float("-inf")),
+            ("noise_sigma", float("nan")),
+            ("noise_sigma", float("inf")),
+            ("noise_sigma", -0.1),
+        ],
+    )
+    def test_out_of_range_parameters_are_rejected_by_name(self, movie_small, name, value):
+        # A NaN made every probability NaN (all labels False); inf saturated
+        # them; a NaN or negative noise_sigma silently switched noise off.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            generate_calibrated_labels(movie_small.graph, 0.8, **{name: value})
 
 
 class TestDatasetStandIns:
@@ -141,6 +257,47 @@ class TestDatasetStandIns:
 
     def test_datasets_reproducible_under_seed(self):
         assert make_nell_like(seed=7).true_accuracy == make_nell_like(seed=7).true_accuracy
+
+    @pytest.mark.parametrize("name", sorted(DATASET_DIGESTS))
+    def test_datasets_are_pinned(self, name):
+        assert _dataset_digest(DATASET_BUILDERS[name]()) == DATASET_DIGESTS[name]
+
+    def test_stand_ins_come_back_columnar_with_their_label_array(self):
+        data = make_movie_like(seed=0, scale=0.005)
+        assert isinstance(data.graph.backend, ColumnarStore)
+        assert data.graph.to_columnar() is data.graph
+        assert data.to_columnar() is data
+        labels = data.oracle.as_position_array(data.graph)
+        assert labels is data.oracle.as_position_array(data.graph)
+        assert not labels.flags.writeable
+        assert data.true_accuracy == np.count_nonzero(labels) / data.graph.num_triples
+
+    @pytest.mark.parametrize("convert", ["to_columnar", "to_sqlite"])
+    def test_conversions_carry_the_label_array(self, nell, convert):
+        memory = KnowledgeGraph(nell.graph.triples, name=nell.name, backend="memory")
+        converted = getattr(LabelledKG(memory, nell.oracle), convert)()
+        assert converted.graph is not memory
+        labels = converted.oracle.as_position_array(converted.graph)
+        assert labels is converted.oracle.as_position_array(converted.graph)
+        np.testing.assert_array_equal(labels, nell.oracle.as_position_array(nell.graph))
+        assert converted.true_accuracy == nell.true_accuracy
+
+
+class TestLabelModelsOnInterleavedClusters:
+    def test_cluster_order_differs_from_position_order(self):
+        _, positions = _interleaved_graph().backend.csr_arrays()
+        assert not np.array_equal(positions, np.arange(positions.shape[0]))
+
+    @pytest.mark.parametrize("name", sorted(LABEL_MODEL_BITS))
+    def test_labels_match_the_per_cluster_dict_labels(self, name):
+        graph = _interleaved_graph()
+        oracle = LABEL_MODELS[name](graph)
+        labels = oracle.as_position_array(graph)
+        assert labels is oracle.as_position_array(graph)
+        assert "".join("1" if label else "0" for label in labels.tolist()) == (
+            LABEL_MODEL_BITS[name]
+        )
+        assert [oracle.label(triple) for triple in graph.triples] == labels.tolist()
 
 
 class TestUpdateWorkloadGenerator:

@@ -77,8 +77,10 @@ class TestLabelOracleFromPositions:
     @pytest.fixture()
     def stored(self, nell):
         """A columnar graph, its position-aligned labels and the dict oracle behind them."""
-        graph = nell.graph.to_columnar()
-        return graph, nell.oracle.as_position_array(graph), nell.oracle
+        memory = KnowledgeGraph(nell.graph.triples, name=nell.name, backend="memory")
+        dict_oracle = LabelOracle(nell.oracle.as_dict())
+        graph = memory.to_columnar()
+        return graph, dict_oracle.as_position_array(graph), dict_oracle
 
     def test_hands_its_array_back_read_only(self, stored):
         graph, labels, _ = stored
@@ -101,7 +103,7 @@ class TestLabelOracleFromPositions:
     def test_another_graph_object_falls_back_to_the_mapping(self, nell, stored):
         graph, labels, dict_oracle = stored
         oracle = LabelOracle.from_positions(graph, labels)
-        other = nell.graph  # the same triples, in the same order, on another backend
+        other = nell.graph  # the same triples, in the same order, in another graph object
         array = oracle.as_position_array(other)
         assert not np.shares_memory(array, labels)
         np.testing.assert_array_equal(array, labels)
@@ -158,11 +160,11 @@ class TestPositionLabels:
         np.testing.assert_array_equal(second[:-1], first)
         assert second[-1]
 
-    def test_a_stored_array_survives_another_graph(self, nell):
+    def test_a_stored_array_survives_another_graph(self, nell, nell_memory):
         graph = nell.graph.to_columnar()
         stored = nell.oracle.as_position_array(graph)
         oracle = LabelOracle.from_positions(graph, stored)
-        other = oracle.as_position_array(nell.graph)
+        other = oracle.as_position_array(nell_memory.graph)
         np.testing.assert_array_equal(other, stored)
         assert np.shares_memory(oracle.as_position_array(graph), stored)
         assert np.shares_memory(oracle.position_labels(graph), stored)
@@ -217,6 +219,13 @@ class TestBinomialMixtureModel:
             BinomialMixtureModel(sigma=-1.0)
         with pytest.raises(ValueError):
             BinomialMixtureModel(k=0)
+
+    @pytest.mark.parametrize("name", ["c", "sigma", "k"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_are_rejected_by_name(self, name, value):
+        # NaN passes every `x < bound` check, so each bound must reject it.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            BinomialMixtureModel(**{name: value})
 
     def test_cluster_probability_below_threshold(self):
         model = BinomialMixtureModel(c=0.5, sigma=0.0, k=3)

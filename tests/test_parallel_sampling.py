@@ -64,13 +64,13 @@ class TestSerialEngine:
         assert base[0] != other_seed[0]
         assert base[0] != other_plan[0]
 
-    def test_memory_and_columnar_backends_draw_identically(self):
-        data = make_nell_like(seed=0)
-        memory_labels = data.oracle.as_position_array(data.graph)
-        columnar = data.graph.to_columnar()
-        columnar_labels = data.oracle.as_position_array(columnar)
+    def test_memory_and_columnar_backends_draw_identically(self, nell_memory):
+        memory = nell_memory.graph
+        memory_labels = nell_memory.oracle.as_position_array(memory)
+        columnar = memory.to_columnar()
+        columnar_labels = nell_memory.oracle.as_position_array(columnar)
         for design in PARALLEL_DESIGNS:
-            mem = _run_result(data.graph, memory_labels, design, workers=None, num_shards=3, seed=4)
+            mem = _run_result(memory, memory_labels, design, workers=None, num_shards=3, seed=4)
             col = _run_result(columnar, columnar_labels, design, workers=None, num_shards=3, seed=4)
             assert mem[0] == col[0], design
             assert mem[1] == col[1], design

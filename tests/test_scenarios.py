@@ -246,6 +246,42 @@ class TestRunner:
         assert not result.passed
         assert any("moe" in failure.lower() for failure in result.failures())
 
+    @pytest.mark.parametrize(
+        "mean_cluster_size, model, params, bad_parameter",
+        [
+            ("nan", "binomial_mixture", "{ c = nan }", "mean_cluster_size"),
+            ("2.0", "binomial_mixture", "{ c = nan }", "c"),
+            ("2.0", "calibrated", "{ size_correlation = nan }", "size_correlation"),
+        ],
+    )
+    def test_non_finite_pack_parameters_fail_typed(
+        self, tmp_path, mean_cluster_size, model, params, bad_parameter
+    ):
+        # TOML spells NaN `nan`; a NaN passes every `x < bound` check, so
+        # without a finiteness check this pack ran on a degenerate graph.
+        path = tmp_path / "nan.toml"
+        path.write_text(
+            "\n".join(
+                [
+                    'name = "nan-pack"',
+                    "[[scenarios]]",
+                    'name = "nan-static"',
+                    'kind = "static"',
+                    "replications = 2",
+                    'design = "srs"',
+                    "moe_target = 0.15",
+                    "[scenarios.graph]",
+                    "num_entities = 200",
+                    f"mean_cluster_size = {mean_cluster_size}",
+                    "[scenarios.labels]",
+                    f'model = "{model}"',
+                    f"params = {params}",
+                ]
+            )
+        )
+        with pytest.raises(ValueError, match=f"^{bad_parameter} must be finite"):
+            run_pack(load_pack_file(path), backend="memory", root_seed=0)
+
 
 # --------------------------------------------------------------------------- #
 # Report files

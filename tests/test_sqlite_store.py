@@ -144,11 +144,11 @@ class TestSqliteDrawParity:
         for shards in (1, 2, 4):
             assert repr(columnar.shard_plan(shards)) == repr(sqlite.shard_plan(shards))
 
-    def test_stats_bit_identical_across_backends(self, nell):
+    def test_stats_bit_identical_across_backends(self, nell, nell_memory):
         columnar = nell.graph.to_columnar()
         sqlite = columnar.to_sqlite()
         assert columnar.backend.stats() == sqlite.backend.stats()
-        assert nell.graph.backend.stats() == sqlite.backend.stats()
+        assert nell_memory.graph.backend.stats() == sqlite.backend.stats()
 
 
 class TestSqliteIngestResume:

@@ -166,9 +166,10 @@ class TestSnapshotRoundTrip:
         with pytest.raises(FileNotFoundError):
             SnapshotStore(tmp_path / "nope.npz").load()
 
-    def test_sampler_draws_bit_for_bit_after_roundtrip(self, nell, tmp_path):
+    def test_sampler_draws_bit_for_bit_after_roundtrip(self, nell_memory, tmp_path):
         """Save -> load -> the same seed yields identical draws and estimates."""
-        nell.graph.to_columnar().save_snapshot(tmp_path / "nell")
+        memory = nell_memory.graph
+        memory.to_columnar().save_snapshot(tmp_path / "nell")
         reloaded = KnowledgeGraph.from_snapshot(tmp_path / "nell", mmap=True)
         designs = {
             "srs": lambda g: SimpleRandomDesign(g, seed=5),
@@ -178,11 +179,11 @@ class TestSnapshotRoundTrip:
             "tsrcs": lambda g: TwoStageRandomClusterDesign(g, second_stage_size=3, seed=5),
         }
         for name, factory in designs.items():
-            baseline, roundtrip = factory(nell.graph), factory(reloaded)
+            baseline, roundtrip = factory(memory), factory(reloaded)
             units_a, units_b = baseline.draw(40), roundtrip.draw(40)
             assert [u.triples for u in units_a] == [u.triples for u in units_b], name
             assert [u.entity_id for u in units_a] == [u.entity_id for u in units_b], name
-            labels = {t: nell.oracle.label(t) for u in units_a for t in u.triples}
+            labels = {t: nell_memory.oracle.label(t) for u in units_a for t in u.triples}
             baseline.update_all(units_a, labels)
             roundtrip.update_all(units_b, labels)
             assert baseline.estimate() == roundtrip.estimate(), name
@@ -193,8 +194,8 @@ class TestSnapshotRoundTrip:
 # --------------------------------------------------------------------------- #
 class TestPositionSurface:
     @pytest.mark.parametrize("backend", ["memory", "columnar"])
-    def test_object_units_carry_consistent_positions(self, nell, backend):
-        graph = nell.graph if backend == "memory" else nell.graph.to_columnar()
+    def test_object_units_carry_consistent_positions(self, nell, nell_memory, backend):
+        graph = nell_memory.graph if backend == "memory" else nell.graph
         design = TwoStageWeightedClusterDesign(graph, second_stage_size=3, seed=2)
         for unit in design.draw(30):
             assert unit.positions is not None
@@ -237,9 +238,10 @@ class TestPositionSurface:
         assert (a.num_units, a.num_triples) == (b.num_units, b.num_triples)
 
     @pytest.mark.parametrize("backend", ["memory", "columnar"])
-    def test_draw_positions_estimates_are_sane(self, nell, backend):
-        graph = nell.graph if backend == "memory" else nell.graph.to_columnar()
-        label_array = nell.oracle.as_position_array(graph)
+    def test_draw_positions_estimates_are_sane(self, nell, nell_memory, backend):
+        data = nell_memory if backend == "memory" else nell
+        graph = data.graph
+        label_array = data.oracle.as_position_array(graph)
         estimates = []
         for seed in range(30):
             design = TwoStageWeightedClusterDesign(graph, second_stage_size=4, seed=seed)

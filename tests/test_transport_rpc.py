@@ -118,11 +118,10 @@ def test_rpc_matches_serial_and_pool_for_all_shard_and_node_counts(
     num_shards=st.sampled_from(_SHARD_COUNTS),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_rpc_parity_property(labelled, worker_pool, design, num_shards, seed):
+def test_rpc_parity_property(labelled, nell_memory, worker_pool, design, num_shards, seed):
     """Random (design, K, seed): RPC == serial on both storage backends."""
     data, labels = labelled
-    memory = make_nell_like(seed=0)
-    memory_labels = memory.oracle.as_position_array(memory.graph)
+    memory_labels = nell_memory.oracle.as_position_array(nell_memory.graph)
     serial = _reference_result(
         data.graph, labels, design, workers=None, num_shards=num_shards, seed=seed, units=100
     )
@@ -136,7 +135,7 @@ def test_rpc_parity_property(labelled, worker_pool, design, num_shards, seed):
         units=100,
     )
     rpc_memory = _rpc_result(
-        memory.graph,
+        nell_memory.graph,
         memory_labels,
         design,
         nodes=worker_pool[:2],
@@ -366,13 +365,12 @@ def test_worker_survives_a_master_that_vanishes_mid_exchange(labelled, tmp_path)
 
 
 @pytest.mark.timeout(300)
-def test_pipelined_windows_match_serial_under_skewed_node_delays(labelled, tmp_path):
+def test_pipelined_windows_match_serial_under_skewed_node_delays(labelled, nell_memory, tmp_path):
     """Windows 1/2/8 with one deliberately slow node: bit-identical on both
     backends.  Pipelining and work stealing change *where and when* tasks
     run, never what they draw."""
     data, labels = labelled
-    memory = make_nell_like(seed=0)
-    memory_labels = memory.oracle.as_position_array(memory.graph)
+    memory_labels = nell_memory.oracle.as_position_array(nell_memory.graph)
     fast = WorkerProcess(tmp_path / "win-fast")
     slow = WorkerProcess(tmp_path / "win-slow", task_delay=0.02)
     try:
@@ -392,7 +390,7 @@ def test_pipelined_windows_match_serial_under_skewed_node_delays(labelled, tmp_p
             )
             assert rpc_columnar == serial, window
             rpc_memory = _rpc_result(
-                memory.graph,
+                nell_memory.graph,
                 memory_labels,
                 "twcs",
                 nodes=[fast, slow],
@@ -437,17 +435,16 @@ def test_idle_node_steals_from_a_slow_one_without_perturbing_the_run(labelled, t
 
 
 @pytest.mark.timeout(300)
-def test_late_joining_worker_registers_and_receives_work(labelled, tmp_path):
+def test_late_joining_worker_registers_and_receives_work(labelled, nell_memory, tmp_path):
     """Elastic membership: a `repro worker --join` node registering after a
     completed round is attached (content-addressed CSR catch-up) and handed
     work, with the final trajectory bit-identical to the serial reference —
     on both storage backends, with 3 loopback workers in play."""
     data, labels = labelled
-    memory = make_nell_like(seed=0)
-    memory_labels = memory.oracle.as_position_array(memory.graph)
+    memory_labels = nell_memory.oracle.as_position_array(nell_memory.graph)
     for graph, label_array, tag in (
         (data.graph, labels, "columnar"),
-        (memory.graph, memory_labels, "memory"),
+        (nell_memory.graph, memory_labels, "memory"),
     ):
         with ParallelSamplingExecutor(graph, workers=None, num_shards=4) as serial_ex:
             serial_run = serial_ex.run("twcs", label_array, seed=67)
