@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Five commands cover the common workflows:
+The commands cover the common workflows:
 
 * ``datasets`` — print Table-3-style characteristics of the synthetic dataset
   stand-ins (entities, triples, average cluster size, gold accuracy);
@@ -21,21 +21,10 @@ Five commands cover the common workflows:
   evaluators on a columnar base with zero-copy delta updates;
   ``--snapshot`` persists (and on re-runs reopens) the base graph plus its
   labels, so the expensive build/labelling happens once;
-* ``worker`` — run a sampling worker node for the RPC shard transport:
-  listens on ``--listen HOST:PORT`` (or dials into a running master with
-  ``--join HOST:PORT``), authenticates every connection against
-  ``--secret-file``, receives content-addressed CSR snapshot shards into
-  ``--base-dir`` and executes pipelined shard tasks.  ``evaluate`` /
-  ``monitor`` dispatch to such nodes with ``--transport rpc --nodes
-  host1:p1,host2:p2`` (plus ``--secret-file`` and ``--accept-joins`` for
-  authenticated/elastic clusters) — trajectories are bit-identical to
-  ``--workers`` (pool) and ``--workers 0`` (serial) runs with the same
-  ``--shards``;
 * ``serve`` — run the long-lived multi-session evaluation daemon: graphs stay
-  attached across requests, sessions multiplex over one transport fleet, the
-  latest estimate of every session is an O(1) cached read, and SIGTERM drains
-  gracefully (finish in-flight rounds, checkpoint every session to
-  ``--state-dir``, export ``--metrics-out``);
+  attached across requests, the latest estimate of every session is an O(1)
+  cached read, and SIGTERM drains gracefully (finish in-flight rounds,
+  checkpoint every session to ``--state-dir``, export ``--metrics-out``);
 * ``client`` — talk to a running daemon: ``run`` (the served twin of
   ``monitor`` — bit-identical trajectories), ``estimate`` (non-blocking
   cached read), ``poll`` (threshold wait), ``sessions`` and ``detach``;
@@ -46,12 +35,9 @@ Five commands cover the common workflows:
   file against a committed baseline, ``list`` shows the registry (see
   ``docs/scenarios.md``).
 
-``evaluate`` and ``monitor`` default to ``--transport auto``: the shard plan
-(part of a run's random-stream identity) is a deterministic function of the
-graph's stats and the MoE target, identical on every host.  A one-shard plan
-runs the classic single-stream loop; a larger plan runs in-process on the
-sharded engine.  Worker pools (``--transport pool`` / ``--workers N``) and
-RPC nodes (``--transport rpc``) are explicit opt-ins.
+``evaluate`` and ``monitor`` run one single-stream loop in this process at
+every graph size: the random stream of a seeded run depends on the seed, the
+data and the quality target only.
 
 Examples
 --------
@@ -66,12 +52,9 @@ Examples
     python -m repro snapshot --dataset movie --out movie.sqlite --backend sqlite --with-labels
     python -m repro evaluate --from-snapshot movie.npz
     python -m repro monitor --dataset movie --backend columnar --batches 5
-    python -m repro worker --listen 127.0.0.1:7301 --base-dir /tmp/shards
-    python -m repro evaluate --dataset nell --transport rpc \\
-        --nodes 127.0.0.1:7301,127.0.0.1:7302 --shards 4
-    python -m repro evaluate --dataset nell --workers 2 \\
-        --log-json run.jsonl --metrics-out master.json
-    python -m repro metrics summarize master.json worker1.json
+    python -m repro monitor --dataset nell --backend columnar \\
+        --log-json run.jsonl --metrics-out monitor.json
+    python -m repro metrics summarize monitor.json
     python -m repro serve --listen 127.0.0.1:7400 --state-dir /tmp/serve-state
     python -m repro client run --connect 127.0.0.1:7400 --dataset nell \\
         --evaluator ss --batches 2
@@ -80,12 +63,11 @@ Examples
         --out SCENARIOS_smoke.json
     python -m repro scenario compare baselines/SCENARIOS_smoke.json SCENARIOS_smoke.json
 
-``evaluate``, ``monitor``, ``worker`` and ``serve`` all accept ``--log-json PATH`` /
-``--log-level`` (structured JSON-lines logs with RPC-propagated trace spans)
-and ``--metrics-out PATH`` (a mergeable metrics snapshot written on exit);
-``metrics summarize`` renders any set of snapshots as per-shard and per-node
-tables.  Observability never touches a numpy RNG stream: trajectories are
-bit-identical with the flags on or off.
+``evaluate``, ``monitor`` and ``serve`` all accept ``--log-json PATH`` /
+``--log-level`` (structured JSON-lines logs) and ``--metrics-out PATH`` (a
+mergeable metrics snapshot written on exit); ``metrics summarize`` merges any
+set of snapshots and lists their series.  Observability never touches a numpy
+RNG stream: trajectories are bit-identical with the flags on or off.
 """
 
 from __future__ import annotations
@@ -207,7 +189,7 @@ def _load_snapshot_dataset(path: str) -> LabelledKG:
     database is detected by its file header and reopened in place, columns
     staying on disk.  The stored label array becomes the oracle as is
     (:meth:`~repro.labels.oracle.LabelOracle.from_positions`), so the
-    sharded engine reads it without materialising a Triple.  A path that is
+    evaluation loop reads it without materialising a Triple.  A path that is
     no snapshot exits with ``cannot open snapshot <path>: <reason>``.
     """
     from repro.storage.snapshot import SnapshotStore
@@ -248,16 +230,6 @@ def _load_sqlite_dataset(path: str) -> LabelledKG:
     return _labelled_snapshot(path, KnowledgeGraph(name=name, backend=store), labels)
 
 
-def _parse_nodes(args: argparse.Namespace) -> list[str]:
-    nodes = [node.strip() for node in (args.nodes or "").split(",") if node.strip()]
-    if not nodes and not getattr(args, "accept_joins", None):
-        raise SystemExit(
-            "--transport rpc requires --nodes host:port[,host:port...] "
-            "(or --accept-joins to wait for joining workers)"
-        )
-    return nodes
-
-
 def _load_cli_secret(args: argparse.Namespace):
     if not getattr(args, "secret_file", None):
         return None
@@ -271,87 +243,7 @@ def _load_cli_secret(args: argparse.Namespace):
         raise SystemExit(str(exc)) from exc
 
 
-def _require_rpc_for_node_flags(args: argparse.Namespace) -> None:
-    """``--nodes``/``--accept-joins`` mean nothing without ``--transport rpc``."""
-    if args.transport != "rpc" and (args.nodes or args.accept_joins):
-        raise SystemExit("--nodes and --accept-joins require --transport rpc")
-
-
-def _build_transport(args: argparse.Namespace):
-    """Resolve ``--transport`` into a :class:`ShardTransport`.
-
-    ``auto`` runs the sharded plan in-process, exactly like ``serial``,
-    unless the ``--workers N`` shorthand (N >= 1) asks for a local pool.
-    """
-    if args.transport == "rpc":
-        from repro.sampling.rpc import SocketRPCTransport
-
-        transport = SocketRPCTransport(
-            _parse_nodes(args),
-            secret=_load_cli_secret(args),
-            window=args.rpc_window,
-            join_address=args.accept_joins,
-        )
-        if transport.join_address is not None:
-            print(f"accepting worker joins on {transport.join_address}", flush=True)
-        return transport
-    from repro.sampling.parallel import (
-        ParallelSamplingExecutor,
-        ProcessPoolTransport,
-        SerialTransport,
-    )
-
-    if args.transport == "pool" or (args.transport == "auto" and args.workers):
-        workers = args.workers or ParallelSamplingExecutor.default_workers()
-        return ProcessPoolTransport(workers)
-    return SerialTransport()
-
-
-def _auto_planned_shards(args: argparse.Namespace, graph) -> int:
-    """The deterministic shard count ``--transport auto`` runs with.
-
-    A pure function of the graph's measured stats and the ``--moe`` /
-    ``--confidence`` target, so the *stream identity* of a default seeded
-    run (classic loop vs sharded engine, and at how many shards) is the
-    same on every host and every repetition.
-    """
-    from repro.sampling.planner import draws_for_target, plan_shards
-
-    return plan_shards(graph.backend.stats(), draws_for_target(args.moe, args.confidence))
-
-
-def _resolve_parallel(args: argparse.Namespace, planned_shards: int | None = None):
-    """Resolve the sharded-engine options into ``(transport, shards)``.
-
-    One code path for ``evaluate`` and ``monitor``.  The shard count obeys
-    ``--shards`` first, then ``planned_shards`` (the ``--transport auto``
-    plan, see :func:`_auto_planned_shards`), then the transport's natural
-    width (pool worker count, RPC node count), then ``max(workers, 1)``.
-    """
-    transport = _build_transport(args)
-    if args.shards is not None:
-        shards = args.shards
-    elif planned_shards is not None:
-        shards = planned_shards
-    elif transport.default_shards:
-        shards = transport.default_shards
-    else:
-        shards = max(args.workers or 1, 1)
-    return transport, shards
-
-
-def _transport_label(args: argparse.Namespace) -> str:
-    if args.transport == "rpc":
-        return f"rpc[{len(_parse_nodes(args))} nodes]"
-    if args.transport != "auto":
-        return args.transport
-    if args.workers is not None:
-        return "pool" if args.workers else "serial"
-    return "auto:serial"
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _require_rpc_for_node_flags(args)
     if args.from_snapshot:
         data = _load_snapshot_dataset(args.from_snapshot)
     else:
@@ -360,13 +252,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         data = data.to_columnar()
     elif args.backend == "sqlite":
         data = data.to_sqlite()
-    planned = None
-    if args.transport == "auto" and args.workers is None and args.shards is None:
-        planned = _auto_planned_shards(args, data.graph)
-    if planned != 1:
-        # A multi-shard plan or an explicit pin engages the sharded engine.
-        return _cmd_evaluate_parallel(args, data, planned)
-    # One-shard plan: the classic single-stream evaluator.
     design = _build_design(
         args.design, data, args.second_stage_size, args.seed, allocation=args.allocation
     )
@@ -374,79 +259,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = EvaluationConfig(moe_target=args.moe, confidence_level=args.confidence)
     report = StaticEvaluator(design, annotator, config).run()
     interval = report.confidence_interval
+    # `shards=1` and `(R rounds)` stay in the report because the cold-audit
+    # workload of perfbench parses both (`_REPORT_FIELDS` in perfbench/workloads.py).
     print(f"dataset            : {data.name}")
-    print(f"design             : {args.design} (m={args.second_stage_size})")
+    print(f"design             : {args.design} (m={args.second_stage_size}, shards=1)")
     print(f"true accuracy      : {data.true_accuracy:.1%} (hidden from the estimator)")
     print(f"estimated accuracy : {report.accuracy:.1%}")
     print(f"{args.confidence:.0%} interval     : [{interval.lower:.1%}, {interval.upper:.1%}]")
     print(f"margin of error    : {report.margin_of_error:.3f} (target {args.moe})")
-    print(f"sample units       : {report.num_units}")
+    print(f"sample units       : {report.num_units} ({report.iterations} rounds)")
     print(f"triples annotated  : {report.num_triples_annotated}")
     print(f"entities identified: {report.num_entities_identified}")
     print(f"annotation cost    : {report.annotation_cost_hours:.2f} hours")
     return 0 if report.satisfied else 1
-
-
-def _cmd_evaluate_parallel(
-    args: argparse.Namespace, data: LabelledKG, planned_shards: int | None = None
-) -> int:
-    """``evaluate`` on the sharded position-surface draw engine.
-
-    Runs the iterative evaluation on integer positions and boolean label
-    arrays.  ``--transport auto`` (the default) runs the deterministic
-    ``planned_shards`` plan in-process; ``--workers N`` / an explicit
-    ``--transport`` force a configuration.  For a fixed shard plan the
-    estimates are bit-identical for every transport and worker count.
-    """
-    import numpy as np
-
-    from repro.sampling.parallel import ParallelSamplingExecutor
-
-    graph = data.graph
-    labels = data.oracle.as_position_array(graph)
-    config = EvaluationConfig(moe_target=args.moe, confidence_level=args.confidence)
-    transport, shards = _resolve_parallel(args, planned_shards)
-    strata_rows = None
-    if args.design == "twcs-strat":
-        strata = stratify_by_size(graph, num_strata=4)
-        strata_rows = [
-            np.fromiter(
-                (graph.entity_row(entity_id) for entity_id in stratum.entity_ids),
-                dtype=np.int64,
-                count=stratum.num_entities,
-            )
-            for stratum in strata
-        ]
-    with ParallelSamplingExecutor(graph, num_shards=shards, transport=transport) as executor:
-        run = executor.run(
-            args.design if args.design != "twcs-strat" else "twcs",
-            labels,
-            seed=args.seed,
-            second_stage_size=args.second_stage_size,
-            strata=strata_rows,
-            allocation=args.allocation if args.design == "twcs-strat" else "proportional",
-        )
-        estimate, iterations = run.drive(config)
-        cost = run.cost_summary()
-    satisfied = estimate.num_units >= config.min_units and estimate.satisfies(
-        config.moe_target, config.confidence_level
-    )
-    interval = estimate.confidence_interval(args.confidence)
-    print(f"dataset            : {data.name}")
-    print(
-        f"design             : {args.design} (m={args.second_stage_size}, "
-        f"shards={run.plan.num_shards}, transport={_transport_label(args)})"
-    )
-    print(f"true accuracy      : {data.true_accuracy:.1%} (hidden from the estimator)")
-    print(f"estimated accuracy : {estimate.value:.1%}")
-    print(f"{args.confidence:.0%} interval     : [{interval.lower:.1%}, {interval.upper:.1%}]")
-    moe = estimate.margin_of_error(args.confidence)
-    print(f"margin of error    : {moe:.3f} (target {args.moe})")
-    print(f"sample units       : {estimate.num_units} ({iterations} rounds)")
-    print(f"triples annotated  : {cost.triples_annotated}")
-    print(f"entities identified: {cost.entities_identified}")
-    print(f"annotation cost    : {cost.cost_hours:.2f} hours")
-    return 0 if satisfied else 1
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
@@ -484,7 +309,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.generators.workload import UpdateWorkloadGenerator
     from repro.storage.snapshot import SnapshotStore
 
-    _require_rpc_for_node_flags(args)
     surface = (
         "position"
         if args.backend in ("columnar", "sqlite") and args.evaluator != "baseline"
@@ -533,34 +357,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         "ss": StratifiedIncrementalEvaluator,
         "baseline": BaselineEvolvingEvaluator,
     }
-    parallel_requested = (
-        args.workers is not None or args.transport != "auto" or args.shards is not None
-    )
-    if parallel_requested and surface != "position":
-        raise SystemExit(
-            "--workers/--shards/--transport requires the position surface: "
-            "use --backend columnar (or sqlite) with --evaluator rs or ss"
-        )
     config = _Config(moe_target=args.moe, confidence_level=args.confidence)
-    planned = None
-    if surface == "position" and not parallel_requested:
-        # The default (--transport auto).  Whether the sharded engine
-        # engages — part of the run's random-stream identity — is a pure
-        # function of the graph's stats and the MoE target: a one-shard plan
-        # keeps the classic single-stream position surface on every host; a
-        # larger plan runs in-process.
-        planned = _auto_planned_shards(args, data.graph)
-    extra = {}
-    if parallel_requested or (planned is not None and planned > 1):
-        transport, shards = _resolve_parallel(args, planned)
-        extra = {"num_shards": shards, "transport": transport}
     evaluator = evaluator_classes[args.evaluator](
         data,
         config=config,
         seed=args.seed,
         surface=surface,
         position_labels=position_labels if surface == "position" else None,
-        **extra,
     )
     monitor = EvolvingAccuracyMonitor(evaluator)
     monitor.evaluate_base()
@@ -570,7 +373,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         args.batches, batch_size, args.update_accuracy
     ):
         monitor.apply_update(batch, batch_oracle)
-    evaluator.close()
 
     print(f"evaluator: {args.evaluator} ({surface} surface, {args.backend} backend)")
     print("batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)")
@@ -584,102 +386,19 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return 0 if final.estimation_error <= max(2 * args.moe, 0.15) else 1
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """``repro worker``: serve shard tasks for the RPC transport."""
-    import signal
-
-    from repro.sampling.rpc import RPCError, join_master, parse_node_address, serve_worker
-
-    if bool(args.listen) == bool(args.join):
-        raise SystemExit("pass exactly one of --listen HOST:PORT or --join HOST:PORT")
-    secret = _load_cli_secret(args)
-    args.obs_node_id = f"worker-{os.getpid()}"
-
-    # An orderly SIGTERM (chaos-suite teardown, service managers) must still
-    # run main()'s finally block so --metrics-out snapshots get written.
-    # SIGINT gets the identical handler: a Ctrl-C'd worker converts to
-    # SystemExit(0) at a deterministic point instead of unwinding a
-    # KeyboardInterrupt from an arbitrary bytecode boundary (mid-export,
-    # mid-store), so the metrics snapshot survives interactive shutdowns too.
-    def _on_term(signum, frame):  # pragma: no cover - signal path
-        raise SystemExit(0)
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _on_term)
-        except ValueError:  # pragma: no cover - not the main thread (tests)
-            pass
-
-    if args.join:
-        # Elastic membership: dial a running master and serve it over the
-        # connection we opened (works from behind NAT; no listening port).
-        print(f"worker joining master at {args.join}", flush=True)
-        print(f"snapshot cache     {args.base_dir}", flush=True)
-
-        def on_joined(host: str, port: int) -> None:
-            print(f"worker joined master at {host}:{port}", flush=True)
-
-        try:
-            join_master(
-                args.join,
-                args.base_dir,
-                secret=secret,
-                task_delay=args.task_delay,
-                on_joined=on_joined,
-            )
-        except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-            pass
-        except RPCError as exc:
-            print(f"join failed: {exc}", flush=True)
-            return 1
-        return 0
-
-    host, port = parse_node_address(args.listen)
-
-    def on_ready(bound_host: str, bound_port: int) -> None:
-        # Single parseable line: launchers using port 0 read the real port.
-        args.obs_node_id = f"{bound_host}:{bound_port}"
-        print(f"worker listening on {bound_host}:{bound_port}", flush=True)
-        print(f"snapshot cache     {args.base_dir}", flush=True)
-
-    try:
-        serve_worker(
-            host,
-            port,
-            args.base_dir,
-            secret=secret,
-            on_ready=on_ready,
-            max_connections=args.max_connections,
-            task_delay=args.task_delay,
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the long-lived multi-session evaluation daemon."""
     import signal
     import threading
 
-    from repro.sampling.rpc import load_secret_file, parse_node_address
+    from repro.sampling.rpc import parse_node_address
     from repro.serve.server import EvalServer
 
-    secret = _load_cli_secret(args)
-    fleet_secret = None
-    if args.fleet_secret_file:
-        try:
-            fleet_secret = load_secret_file(args.fleet_secret_file)
-        except OSError as exc:
-            raise SystemExit(
-                f"cannot read --fleet-secret-file {args.fleet_secret_file}: {exc}"
-            ) from exc
     host, port = parse_node_address(args.listen)
     server = EvalServer(
         host,
         port,
-        secret=secret,
-        fleet_secret=fleet_secret,
+        secret=_load_cli_secret(args),
         state_dir=args.state_dir,
         queue_limit=args.queue_limit,
         root_seed=args.root_seed,
@@ -717,6 +436,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_client(args: argparse.Namespace) -> int:
     """``repro client``: talk to a running serve daemon."""
+    from repro.sampling.rpc import RPCError
     from repro.serve.client import ServeClient, ServeRequestError
 
     secret = _load_cli_secret(args)
@@ -782,6 +502,11 @@ def _cmd_client(args: argparse.Namespace) -> int:
     except ServeRequestError as exc:
         print(f"serve error [{exc.code}]: {exc}", flush=True)
         return 1
+    except (RPCError, OSError) as exc:
+        # Unreachable daemon, wrong secret, dropped connection: one line, not
+        # a traceback.
+        print(f"serve error: {exc}", flush=True)
+        return 1
     raise SystemExit(f"unknown client command {args.client_command!r}")
 
 
@@ -801,19 +526,6 @@ def _client_run(args: argparse.Namespace, client, record_row) -> int:
         "moe": args.moe,
         "confidence": args.confidence,
     }
-    engine = {
-        key: value
-        for key, value in (
-            ("transport", args.transport),
-            ("workers", args.workers),
-            ("shards", args.shards),
-            ("nodes", args.nodes.split(",") if args.nodes else None),
-            ("rpc_window", args.rpc_window),
-        )
-        if value is not None
-    }
-    if engine:
-        spec["engine"] = engine
     reply = client.attach(spec, session=args.session)
     session = reply["session"]
     resumed = " (resumed)" if reply.get("resumed") else ""
@@ -963,11 +675,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # Observability wiring
 # --------------------------------------------------------------------------- #
-_OBS_COMMANDS = ("evaluate", "monitor", "worker", "serve")
+_OBS_COMMANDS = ("evaluate", "monitor", "serve")
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
-    """Observability options shared by ``evaluate``, ``monitor`` and ``worker``.
+    """Observability options shared by ``evaluate``, ``monitor`` and ``serve``.
 
     Neither flag ever touches a numpy RNG stream, so instrumented runs stay
     bit-identical to uninstrumented ones.
@@ -977,16 +689,14 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         dest="log_json",
         help="append structured JSON-lines logs (and trace spans) to this "
-        "file; every record carries the run id, so master and worker logs "
-        "stitch into one cross-node trace",
+        "file; every record carries the run id",
     )
     parser.add_argument(
         "--log-level",
         choices=("debug", "info", "warning", "error"),
         default="info",
         dest="log_level",
-        help="minimum level written to --log-json (default info; debug adds "
-        "per-round allocation and per-task span records)",
+        help="minimum level written to --log-json (default info)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -1035,39 +745,6 @@ def _obs_teardown(args: argparse.Namespace, run_id: str) -> None:
 # --------------------------------------------------------------------------- #
 # Parser
 # --------------------------------------------------------------------------- #
-def _add_rpc_options(parser: argparse.ArgumentParser) -> None:
-    """RPC transport options shared by ``evaluate`` and ``monitor``."""
-    parser.add_argument(
-        "--nodes",
-        default=None,
-        help="comma-separated worker node addresses (host:port) for "
-        "--transport rpc; start nodes with `repro worker --listen`",
-    )
-    parser.add_argument(
-        "--secret-file",
-        default=None,
-        dest="secret_file",
-        help="file holding the cluster's shared authentication secret for "
-        "--transport rpc; must match the workers' --secret-file",
-    )
-    parser.add_argument(
-        "--rpc-window",
-        type=int,
-        default=4,
-        dest="rpc_window",
-        help="maximum in-flight tasks per worker node for --transport rpc "
-        "(default 4); never affects the trajectory, only throughput",
-    )
-    parser.add_argument(
-        "--accept-joins",
-        default=None,
-        dest="accept_joins",
-        help="host:port to accept late-joining `repro worker --join` "
-        "registrations on for --transport rpc (port 0 picks one; printed "
-        "on startup); joiners receive work from the next round on",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -1077,8 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Full documentation lives in docs/:\n"
             "  docs/architecture.md   layer-by-layer system walkthrough\n"
-            "  docs/wire-protocol.md  RPC protocol v2 frames, tags, handshake\n"
-            "  docs/operations.md     cluster runbook (workers, joins, metrics)\n"
+            "  docs/wire-protocol.md  serve protocol v2 frames, tags, handshake\n"
+            "  docs/operations.md     serve runbook (secrets, drain, metrics)\n"
             "  docs/scenarios.md      stress-scenario packs and coverage gates"
         ),
     )
@@ -1128,41 +805,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate a reopened snapshot (requires a format-v2 snapshot "
         "saved with --with-labels) instead of building --dataset",
     )
-    evaluate.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan the draw loop across N worker processes via the sharded "
-        "position-surface engine (0 = sharded but in-process; default: the "
-        "single-stream serial loop)",
-    )
-    evaluate.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --workers/--transport runs (default: the auto "
-        "shard plan, max(workers, 1) or the node count); part of the run's "
-        "random-stream identity",
-    )
-    evaluate.add_argument(
-        "--transport",
-        choices=("auto", "serial", "pool", "rpc"),
-        default="auto",
-        help="execution transport for the sharded engine: 'auto' (default — "
-        "a deterministic shard plan from graph stats + the MoE target; one "
-        "shard runs the classic loop, more run in-process), 'serial' "
-        "(in-process reference), 'pool' (local worker processes), 'rpc' "
-        "(remote worker nodes via --nodes); trajectories are bit-identical "
-        "across transports for a fixed shard plan",
-    )
-    _add_rpc_options(evaluate)
     _add_obs_options(evaluate)
     evaluate.add_argument(
         "--allocation",
         choices=("proportional", "neyman"),
         default="proportional",
-        help="per-round stratum allocation for --design twcs-strat runs on the "
-        "sharded engine (default proportional)",
+        help="per-round stratum allocation for --design twcs-strat runs "
+        "(default proportional)",
     )
 
     snapshot = subparsers.add_parser(
@@ -1244,83 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist the base graph + labels here on the first run and reopen "
         "them on later runs (skipping the build/labelling work)",
     )
-    monitor.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan the position-surface draw loops (base stratum, update "
-        "segments) across N worker processes (0 = sharded but in-process); "
-        "requires --backend columnar with --evaluator rs or ss",
-    )
-    monitor.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --workers/--transport runs (default: the auto "
-        "shard plan, max(workers, 1) or the node count)",
-    )
-    monitor.add_argument(
-        "--transport",
-        choices=("auto", "serial", "pool", "rpc"),
-        default="auto",
-        help="execution transport for the sharded draw loops (see `evaluate "
-        "--transport`; 'auto' plans shards on the position surface and "
-        "keeps the classic loop otherwise); explicit transports require "
-        "--backend columnar with --evaluator rs or ss",
-    )
-    _add_rpc_options(monitor)
     _add_obs_options(monitor)
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="run a sampling worker node for the RPC shard transport",
-    )
-    worker.add_argument(
-        "--listen",
-        default=None,
-        help="address to listen on as host:port (port 0 picks a free port, "
-        "printed on startup); mutually exclusive with --join",
-    )
-    worker.add_argument(
-        "--join",
-        default=None,
-        help="register with a running master's --accept-joins listener at "
-        "host:port and serve it over the dialed connection (late-joining "
-        "nodes receive work from the next round on); mutually exclusive "
-        "with --listen",
-    )
-    worker.add_argument(
-        "--base-dir",
-        required=True,
-        dest="base_dir",
-        help="directory for the content-addressed snapshot shard cache "
-        "(persists across connections; an unchanged graph is received once)",
-    )
-    worker.add_argument(
-        "--secret-file",
-        default=None,
-        dest="secret_file",
-        help="file holding the cluster's shared authentication secret; every "
-        "connection must pass the mutual HMAC handshake before any task "
-        "bytes flow (omit for the empty secret — loopback testing only)",
-    )
-    worker.add_argument(
-        "--max-connections",
-        type=int,
-        default=None,
-        dest="max_connections",
-        help="exit after serving this many master connections (default: serve "
-        "forever)",
-    )
-    worker.add_argument(
-        "--task-delay",
-        type=float,
-        default=0.0,
-        dest="task_delay",
-        help="sleep this many seconds before executing each task (throttling/"
-        "fault-injection aid for the chaos suite; default 0)",
-    )
-    _add_obs_options(worker)
 
     serve = subparsers.add_parser(
         "serve",
@@ -1347,14 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="file holding the client-authentication secret; every connection "
         "must pass the mutual HMAC handshake (omit for the empty secret — "
         "loopback testing only)",
-    )
-    serve.add_argument(
-        "--fleet-secret-file",
-        default=None,
-        dest="fleet_secret_file",
-        help="separate secret for the worker fleet that sessions with an rpc "
-        "engine dial (`repro worker` nodes); client and fleet secrets are "
-        "distinct trust domains",
     )
     serve.add_argument(
         "--queue-limit",
@@ -1433,39 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--confidence", type=float, default=0.95, help="confidence level (default 0.95)"
     )
     client_run.add_argument(
-        "--transport",
-        choices=("serial", "pool", "rpc"),
-        default=None,
-        help="ask the daemon to run this session's draw loops on a specific "
-        "transport (default: the daemon's classic single-stream loop)",
-    )
-    client_run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for the session's pool engine request",
-    )
-    client_run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for the session's engine request (part of the "
-        "random-stream identity)",
-    )
-    client_run.add_argument(
-        "--nodes",
-        default=None,
-        help="comma-separated worker addresses for --transport rpc (the "
-        "daemon dials them with its --fleet-secret-file)",
-    )
-    client_run.add_argument(
-        "--rpc-window",
-        type=int,
-        default=None,
-        dest="rpc_window",
-        help="maximum in-flight tasks per worker node for --transport rpc",
-    )
-    client_run.add_argument(
         "--detach",
         action="store_true",
         help="detach (and drop) the session after printing the trajectory",
@@ -1521,13 +1053,12 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_sub = metrics.add_subparsers(dest="metrics_command", required=True)
     summarize = metrics_sub.add_parser(
         "summarize",
-        help="merge snapshot files and print per-shard / per-node tables",
+        help="merge snapshot files and list every series",
     )
     summarize.add_argument(
         "files",
         nargs="+",
-        help="metrics snapshot JSON files (master --metrics-out plus any "
-        "worker snapshots; node-less series inherit each file's node id)",
+        help="metrics snapshot JSON files written by --metrics-out",
     )
 
     experiment = subparsers.add_parser(
@@ -1620,7 +1151,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "snapshot": _cmd_snapshot,
         "monitor": _cmd_monitor,
         "experiment": _cmd_experiment,
-        "worker": _cmd_worker,
         "serve": _cmd_serve,
         "client": _cmd_client,
         "metrics": _cmd_metrics,
@@ -1636,8 +1166,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return handler(args)
     finally:
-        # Runs on clean exit, errors and SIGTERM (the worker converts it to
-        # SystemExit), so --metrics-out snapshots survive orderly shutdowns.
+        # Runs on clean exit and on errors, and after serve's SIGTERM drain,
+        # so --metrics-out snapshots survive orderly shutdowns.
         _obs_teardown(args, run_id)
 
 

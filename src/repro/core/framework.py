@@ -70,6 +70,21 @@ class StaticEvaluator:
         self.design = design
         self.annotator = annotator
         self.config = config if config is not None else EvaluationConfig()
+        self._rounds_total = obs_metrics.counter("sampling_rounds_total")
+        self._units_total = obs_metrics.counter("sampling_units_total")
+
+    def step(self, batch_size: int) -> int:
+        """One round: draw ``batch_size`` units, annotate them, update the design.
+
+        Returns the number of units drawn; ``0`` means the population is
+        exhausted and nothing was annotated.
+        """
+        units = self.design.draw_positions(batch_size)
+        if units:
+            self._rounds_total.inc()
+            self._units_total.inc(len(units))
+            self._annotate(units)
+        return len(units)
 
     def _annotate(self, units) -> None:
         """Label one batch of position units and fold it into the design."""
@@ -103,8 +118,6 @@ class StaticEvaluator:
         cost_before = self.annotator.total_cost_seconds
         triples_before = self.annotator.total_triples_annotated
         entities_before = self.annotator.entities_identified
-        rounds_total = obs_metrics.counter("sampling_rounds_total")
-        units_total = obs_metrics.counter("sampling_units_total")
 
         iterations = 0
         satisfied = False
@@ -117,16 +130,12 @@ class StaticEvaluator:
             if config.max_units is not None and estimate.num_units >= config.max_units:
                 break
 
-            units = self.design.draw_positions(config.batch_size)
-            if not units:
+            if not self.step(config.batch_size):
                 # Population exhausted (e.g. SRS drew every triple): the
                 # estimate is now a census and cannot be improved further.
                 satisfied = estimate.satisfies(config.moe_target, config.confidence_level)
                 break
             iterations += 1
-            rounds_total.inc()
-            units_total.inc(len(units))
-            self._annotate(units)
 
         final_estimate = self.design.estimate()
         if not satisfied:

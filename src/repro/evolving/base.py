@@ -93,29 +93,6 @@ class IncrementalEvaluator(ABC):
         array (position mode only).  When omitted it is derived from the base
         oracle with one O(M) pass; passing it (e.g. from a format-v2 snapshot)
         skips that pass entirely.
-    workers:
-        Position mode only.  ``None`` (default) keeps the single-stream
-        serial draw loops.  ``0`` routes the parallelisable draw loops (base
-        stratum, update segments) through the sharded engine executed
-        in-process — the parity reference; ``>= 1`` fans them across that
-        many worker processes.  For a fixed ``num_shards`` every setting of
-        ``workers >= 0`` yields bit-identical estimate trajectories.
-    num_shards:
-        Shard count for the sharded draw loops (default: the transport's
-        node/worker count when one is given, else ``max(workers, 1)``);
-        part of the run's random-stream identity.
-    transport:
-        Position mode only.  An explicit
-        :class:`~repro.sampling.parallel.ShardTransport` the sharded draw
-        loops execute on — e.g. a
-        :class:`~repro.sampling.rpc.SocketRPCTransport` over remote worker
-        nodes (with shared-secret auth via ``secret=``, task pipelining via
-        ``window=`` and late-joining workers via ``join_address=`` — none
-        of which perturb the trajectory).  Mutually exclusive with
-        ``workers``; for a fixed ``num_shards`` every transport yields
-        bit-identical estimate trajectories (serial == pool == RPC,
-        regardless of window size, node churn or work stealing).  The
-        evaluator owns the transport: :meth:`close` closes it.
     compact_threshold:
         When set and the evolving graph is delta-backed, re-freeze the tail
         into the base whenever it outgrows this fraction of the base
@@ -135,32 +112,14 @@ class IncrementalEvaluator(ABC):
         seed: int | None = None,
         surface: str = "object",
         position_labels: np.ndarray | None = None,
-        workers: int | None = None,
-        num_shards: int | None = None,
-        transport=None,
         compact_threshold: float | None = None,
     ) -> None:
         if surface not in _SURFACES:
             raise ValueError(f"surface must be one of {_SURFACES}, got {surface!r}")
-        if (workers is not None or transport is not None) and surface != "position":
-            raise ValueError("workers/transport requires surface='position'")
-        if workers is not None and transport is not None:
-            raise ValueError("pass either workers= or transport=, not both")
         self.config = config if config is not None else EvaluationConfig()
         self.second_stage_size = second_stage_size
         self.seed = seed
         self.surface = surface
-        self.workers = workers
-        self.transport = transport
-        if num_shards is not None:
-            self.num_shards = num_shards
-        elif transport is not None and getattr(transport, "default_shards", None):
-            # A multi-node transport defaults to one shard per node, so the
-            # distribution the caller configured is actually exercised.
-            self.num_shards = transport.default_shards
-        else:
-            self.num_shards = max(workers or 1, 1)
-        self._executor = None
         self.evolving = EvolvingKnowledgeGraph(base.graph, compact_threshold=compact_threshold)
         # Vocabulary size of the untouched base, recorded before any batch
         # interns new strings; state persistence (snapshot format v3) uses it
@@ -212,30 +171,6 @@ class IncrementalEvaluator(ABC):
     def position_mode(self) -> bool:
         """Whether this evaluator runs on the position surface."""
         return self.surface == "position"
-
-    @property
-    def parallel_mode(self) -> bool:
-        """Whether draw loops route through the sharded engine."""
-        return self.workers is not None or self.transport is not None
-
-    def executor(self):
-        """The lazily created shard executor over the base graph (parallel mode)."""
-        if self._executor is None:
-            from repro.sampling.parallel import ParallelSamplingExecutor
-
-            self._executor = ParallelSamplingExecutor(
-                self.evolving.base,
-                workers=self.workers or None,
-                num_shards=self.num_shards,
-                transport=self.transport,
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the worker pool, if one was started."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
 
     @property
     def labels(self) -> np.ndarray | None:

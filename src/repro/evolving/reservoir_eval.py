@@ -230,8 +230,6 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
     # ------------------------------------------------------------------ #
     def _grow_reservoir(self, count: int) -> int:
         """Annotate the ``count`` highest-key candidates; return how many were added."""
-        if self.position_mode and self.parallel_mode:
-            return self._grow_reservoir_parallel(count)
         added = 0
         while added < count and self._candidates:
             candidate = heapq.heappop(self._candidates)
@@ -243,44 +241,6 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
                 self._insert_annotated(cluster_key, -negated_key, weight, triples)
             added += 1
         return added
-
-    def _grow_reservoir_parallel(self, count: int) -> int:
-        """Sharded growth: fan the batch's second-stage draws across workers.
-
-        The ``count`` highest-key candidates are popped first; the base-row
-        candidates that still need a second-stage sample are drawn in one
-        :meth:`~repro.sampling.parallel.ParallelSamplingExecutor.sample_rows`
-        fan-out (per-shard spawned streams seeded off the main stream), then
-        every candidate is inserted in key order — so the reservoir contents
-        are deterministic for a given shard plan regardless of worker count
-        or scheduling.  Segment-sourced candidates keep the serial path.
-        """
-        popped = []
-        while len(popped) < count and self._candidates:
-            popped.append(heapq.heappop(self._candidates))
-        if not popped:
-            return 0
-        pending = [
-            (index, candidate)
-            for index, candidate in enumerate(popped)
-            if candidate[3][0] is None and candidate[4] is None
-        ]
-        sampled: dict[int, np.ndarray] = {}
-        if pending:
-            rows = np.fromiter(
-                (candidate[3][1] for _, candidate in pending),
-                dtype=np.int64,
-                count=len(pending),
-            )
-            entropy = int(self._rng.integers(np.iinfo(np.int64).max))
-            batches = self.executor().sample_rows(rows, self.second_stage_size, entropy)
-            for (index, _), positions in zip(pending, batches):
-                sampled[index] = positions
-        for index, (negated_key, _, weight, source, positions) in enumerate(popped):
-            self._insert_annotated_positions(
-                source, -negated_key, weight, sampled.get(index, positions)
-            )
-        return len(popped)
 
     # ------------------------------------------------------------------ #
     # Estimation

@@ -135,21 +135,12 @@ def capture_evaluator_state(evaluator) -> dict:
 # --------------------------------------------------------------------------- #
 # Restore
 # --------------------------------------------------------------------------- #
-def restore_evaluator(
-    state: dict,
-    base: LabelledKG,
-    workers: int | None = None,
-    num_shards: int | None = None,
-    transport=None,
-):
+def restore_evaluator(state: dict, base: LabelledKG):
     """Rebuild an evaluator from a captured state over the same base KG.
 
     ``base`` must be (a reload of) the graph the state was captured against
     — same triples, same vocabulary; the delta tail and all sampling state
-    are replayed on top of it.  ``workers`` / ``num_shards`` / ``transport``
-    may differ from the original run (they only affect *future* draw loops
-    and where they execute; for bit-identical continuation pass the original
-    ``num_shards`` — the transport never changes a trajectory).
+    are replayed on top of it.
     """
     version = int(state.get("format", 0))
     if version > STATE_FORMAT_VERSION:
@@ -175,9 +166,6 @@ def restore_evaluator(
         seed=state["seed"],
         surface="position",
         position_labels=labels[:base_triples],
-        workers=workers,
-        num_shards=num_shards,
-        transport=transport,
     )
     if kind == "rs":
         evaluator = ReservoirIncrementalEvaluator(base, **kwargs)

@@ -139,7 +139,6 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
         """Position-surface twin of the StaticEvaluator loop for the base stratum."""
         assert self._labels is not None
         config = self.config
-        run = self._start_parallel_run(segment=None) if self.parallel_mode else None
         iterations = 0
         while True:
             estimate = design.estimate()
@@ -148,53 +147,13 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
                 break
             if config.max_units is not None and estimate.num_units >= config.max_units:
                 break
-            if run is not None:
-                if not self._parallel_step(run, design, None):
-                    break
-            else:
-                units = design.draw_positions(config.batch_size)
-                if not units:
-                    break
-                self._charge_units(units, None)
-                design.update_all_positions(units, self._labels)
+            units = design.draw_positions(config.batch_size)
+            if not units:
+                break
+            self._charge_units(units, None)
+            design.update_all_positions(units, self._labels)
             iterations += 1
         return iterations
-
-    # ------------------------------------------------------------------ #
-    # Sharded draw loops (workers= mode)
-    # ------------------------------------------------------------------ #
-    def _start_parallel_run(self, segment: PositionSegment | None):
-        """One sharded engine run per stratum loop, seeded off the main stream."""
-        assert self._labels is not None
-        entropy = int(self._rng.integers(np.iinfo(np.int64).max))
-        return self.executor().run(
-            "twcs",
-            self._labels,
-            seed=entropy,
-            second_stage_size=self.second_stage_size,
-            segment=segment,
-        )
-
-    def _parallel_step(self, run, design, segment: PositionSegment | None) -> bool:
-        """One engine round: charge the account and feed the stratum design.
-
-        Draws arrive in shard order, so the account charges and accumulator
-        folds are deterministic regardless of worker count or scheduling.
-        Returns whether any unit was drawn.
-        """
-        assert self._account is not None
-        current = self.evolving.current
-        drawn = 0
-        for draw in run.step(self.config.batch_size):
-            for row, positions in zip(draw.rows, draw.unit_positions()):
-                if segment is None:
-                    entity_key = int(row)
-                else:
-                    entity_key = current.entity_row(segment.subjects[int(row)])
-                self._account.charge(entity_key, positions)
-            design.absorb_position_stats(draw.counts, draw.sums)
-            drawn += draw.num_units
-        return drawn > 0
 
     # ------------------------------------------------------------------ #
     # IncrementalEvaluator interface
@@ -262,9 +221,6 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
         self._strata.append(stratum)
 
         config = self.config
-        run = None
-        if self.position_mode and self.parallel_mode:
-            run = self._start_parallel_run(segment=segment)
         iterations = 0
         while True:
             stratum_estimate = stratum.estimate
@@ -278,11 +234,7 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
                 break
             if config.max_units is not None and combined.num_units >= config.max_units:
                 break
-            if run is not None:
-                if not self._parallel_step(run, design, segment):
-                    break
-                iterations += 1
-            elif self.position_mode:
+            if self.position_mode:
                 assert self._labels is not None
                 units = design.draw_positions(config.batch_size)
                 if not units:

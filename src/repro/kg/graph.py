@@ -406,7 +406,6 @@ class KnowledgeGraph:
         rows: np.ndarray,
         cap: int,
         rng: np.random.Generator,
-        executor=None,
     ) -> list[np.ndarray]:
         """Second-stage sample of up to ``cap`` positions from each cluster row.
 
@@ -417,18 +416,7 @@ class KnowledgeGraph:
         instead of one ``rng.choice`` per cluster).  The random stream
         therefore differs from :meth:`sample_cluster_positions`; within one
         backend it is still fully deterministic under a fixed seed.
-
-        With ``executor`` (a
-        :class:`~repro.sampling.parallel.ParallelSamplingExecutor`) the
-        second stage fans out across the executor's shard plan instead: one
-        seed is drawn from ``rng`` and each shard subsamples its clusters
-        under its own spawned stream, so the result is deterministic for a
-        given plan regardless of worker count or scheduling (but consumes
-        the random stream differently from the single-stream path).
         """
-        if executor is not None:
-            entropy = int(rng.integers(np.iinfo(np.int64).max))
-            return executor.sample_rows(rows, cap, entropy)
         rows = np.asarray(rows, dtype=np.int64)
         csr = self._backend.csr_arrays()
         if csr is None:
@@ -442,16 +430,6 @@ class KnowledgeGraph:
             return out  # type: ignore[return-value]
         offsets, positions = csr
         return sample_csr_positions_batch(offsets, positions, rows, cap, rng)
-
-    def shard_plan(self, num_shards: int) -> "ShardPlan":
-        """Split this graph's CSR cluster index into balanced contiguous shards.
-
-        See :class:`~repro.storage.shard.ShardPlan`; the parallel draw engine
-        (:mod:`repro.sampling.parallel`) consumes the plan.
-        """
-        from repro.storage.shard import ShardPlan
-
-        return ShardPlan.for_graph(self, num_shards)
 
     # ------------------------------------------------------------------ #
     # Storage conversion / persistence

@@ -8,9 +8,8 @@ sampling trajectory stays bit-identical:
   labeled series, mergeable JSON snapshots and injectable monotonic clocks.
 * :mod:`repro.obs.logging` — one JSON-lines sink per process behind
   ``get_logger(component)`` facades, off until ``configure()`` is called.
-* :mod:`repro.obs.trace` — span tracer whose :class:`TraceContext` rides
-  the RPC wire on ``ShardTask`` / ``ShardResult``, stitching master and
-  worker logs into one cross-node trace.
+* :mod:`repro.obs.trace` — span tracer: nested timed regions, each logged
+  with its :class:`TraceContext` (trace and span ids).
 
 ``repro.obs.summarize`` renders exported snapshots for the
 ``repro metrics summarize`` CLI.

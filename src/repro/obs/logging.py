@@ -4,8 +4,8 @@ One process-wide sink, configured once (usually from the CLI's ``--log-json``
 flag) and consumed through per-component facades::
 
     from repro.obs.logging import get_logger
-    log = get_logger("rpc.master")
-    log.info("node_drop", address=node.address, reason="connection lost")
+    log = get_logger("serve")
+    log.info("session_attached", session=name, evaluator="ss")
 
 Each record is one JSON object per line: timestamp, level, component, event
 name, the configured run-wide context fields (``run_id``, ``node_id``), then
@@ -156,7 +156,7 @@ class StructLogger:
 
 
 def get_logger(component: str) -> StructLogger:
-    """The logging facade for ``component`` (e.g. ``"rpc.master"``).
+    """The logging facade for ``component`` (e.g. ``"serve"``).
 
     Cheap and import-time safe: records go nowhere until :func:`configure`
     turns the process sink on.

@@ -1,10 +1,11 @@
 """Dependency-free metrics registry: counters, gauges, histograms.
 
-Every instrument is a *labeled series*: ``registry.counter("rpc_frames_sent_total",
-node="127.0.0.1:9001")`` returns the one series for that (name, labels) pair,
-creating it on first use.  Series are cheap to update (one small lock each),
-safe to touch from any thread, and never touch numpy RNG streams — recording
-a metric can never perturb a sampling trajectory.
+Every instrument is a *labeled series*:
+``registry.counter("annotation_triples_total", evaluator="ReservoirIncrementalEvaluator")``
+returns the one series for that (name, labels) pair, creating it on first
+use.  Series are cheap to update (one small lock each), safe to touch from
+any thread, and never touch numpy RNG streams — recording a metric can never
+perturb a sampling trajectory.
 
 Timing sources are injectable: a registry built with a fake monotonic clock
 produces bit-reproducible histograms in tests, while the default uses
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 #: Upper bucket bounds (seconds-ish scale) for histograms; the implicit final
-#: bucket is +inf.  Chosen to span microsecond shard draws to minute-long runs.
+#: bucket is +inf.  Chosen to span microsecond draws to minute-long runs.
 DEFAULT_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 
 

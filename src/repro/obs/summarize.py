@@ -1,16 +1,12 @@
 """Render exported metrics snapshots as human-readable tables.
 
 Backs ``repro metrics summarize FILE...``: each FILE is a JSON snapshot
-written by :meth:`repro.obs.metrics.MetricsRegistry.export` (one per node —
-the master's ``--metrics-out`` plus each worker's).  Snapshots merge via
+written by :meth:`repro.obs.metrics.MetricsRegistry.export` (one per process,
+via ``--metrics-out``).  Snapshots merge via
 :func:`repro.obs.metrics.merge_snapshots`; series that carry no ``node``
-label inherit the exporting file's ``meta.node_id`` so per-node tables line
-up across files.
-
-Two first-class tables — per-shard draw time (from the
-``sampling_shard_draw_seconds`` histogram) and per-node RPC traffic (frame /
-byte / steal / drop counters) — then a catch-all listing of every remaining
-series.
+label inherit the exporting file's ``meta.node_id`` (a serve daemon exports
+its listen address), so the series of different daemons stay apart.  The
+report lists every merged series, one line each.
 """
 
 from __future__ import annotations
@@ -21,17 +17,6 @@ from pathlib import Path
 from repro.obs.metrics import merge_snapshots
 
 __all__ = ["load_snapshot", "merge_files", "render_tables", "summarize_files"]
-
-_SHARD_HISTOGRAM = "sampling_shard_draw_seconds"
-_NODE_COUNTERS = (
-    ("rpc_frames_sent_total", "frames_sent"),
-    ("rpc_frames_received_total", "frames_recv"),
-    ("rpc_bytes_sent_total", "bytes_sent"),
-    ("rpc_bytes_received_total", "bytes_recv"),
-    ("rpc_tasks_stolen_total", "steals"),
-    ("rpc_node_drops_total", "drops"),
-)
-_NODE_COUNTER_NAMES = {name for name, _ in _NODE_COUNTERS}
 
 
 def load_snapshot(path) -> dict:
@@ -51,18 +36,6 @@ def merge_files(paths) -> dict:
     return merge_snapshots(load_snapshot(path) for path in paths)
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(header) for header in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-
-    def line(cells):
-        return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
-    divider = "  ".join("-" * width for width in widths)
-    return "\n".join([line(headers), divider] + [line(row) for row in rows])
-
-
 def _fmt_seconds(value) -> str:
     return "-" if value is None else f"{value:.4f}"
 
@@ -72,58 +45,9 @@ def _fmt_count(value) -> str:
     return str(int(number)) if number == int(number) else f"{number:.3f}"
 
 
-def _shard_table(series: list[dict]) -> str | None:
-    rows = []
-    for entry in series:
-        if entry["kind"] != "histogram" or entry["name"] != _SHARD_HISTOGRAM:
-            continue
-        labels = entry.get("labels", {})
-        count = entry["count"]
-        mean = entry["sum"] / count if count else None
-        rows.append(
-            (
-                labels.get("shard", "?"),
-                [
-                    labels.get("shard", "?"),
-                    str(count),
-                    _fmt_seconds(entry["sum"]),
-                    _fmt_seconds(mean),
-                    _fmt_seconds(entry["min"]),
-                    _fmt_seconds(entry["max"]),
-                ],
-            )
-        )
-    if not rows:
-        return None
-    rows.sort(key=lambda item: (len(item[0]), item[0]))
-    return _table(
-        ["shard", "tasks", "total_s", "mean_s", "min_s", "max_s"],
-        [row for _, row in rows],
-    )
-
-
-def _node_table(series: list[dict]) -> str | None:
-    per_node: dict[str, dict[str, float]] = {}
-    for entry in series:
-        if entry["kind"] != "counter" or entry["name"] not in _NODE_COUNTER_NAMES:
-            continue
-        node = entry.get("labels", {}).get("node", "?")
-        bucket = per_node.setdefault(node, {})
-        bucket[entry["name"]] = bucket.get(entry["name"], 0.0) + entry["value"]
-    if not per_node:
-        return None
-    rows = [
-        [node] + [_fmt_count(counters.get(name, 0)) for name, _ in _NODE_COUNTERS]
-        for node, counters in sorted(per_node.items())
-    ]
-    return _table(["node"] + [column for _, column in _NODE_COUNTERS], rows)
-
-
-def _other_lines(series: list[dict]) -> list[str]:
+def _series_lines(series: list[dict]) -> list[str]:
     lines = []
     for entry in sorted(series, key=lambda item: (item["name"], sorted(item["labels"].items()))):
-        if entry["name"] == _SHARD_HISTOGRAM or entry["name"] in _NODE_COUNTER_NAMES:
-            continue
         labels = entry.get("labels", {})
         label_text = (
             "{" + ",".join(f"{key}={value}" for key, value in sorted(labels.items())) + "}"
@@ -144,20 +68,10 @@ def _other_lines(series: list[dict]) -> list[str]:
 
 def render_tables(merged: dict) -> str:
     """Render one merged snapshot as the summarize report text."""
-    series = merged.get("series", [])
-    sections: list[str] = []
-    shard = _shard_table(series)
-    if shard is not None:
-        sections.append("Per-shard draw time\n" + shard)
-    node = _node_table(series)
-    if node is not None:
-        sections.append("Per-node RPC traffic\n" + node)
-    other = _other_lines(series)
-    if other:
-        sections.append("Other series\n" + "\n".join(other))
-    if not sections:
+    lines = _series_lines(merged.get("series", []))
+    if not lines:
         return "(no series recorded)"
-    return "\n\n".join(sections)
+    return "Series\n" + "\n".join(lines)
 
 
 def summarize_files(paths) -> str:

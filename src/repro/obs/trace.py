@@ -1,12 +1,10 @@
-"""Span tracer whose context rides the RPC wire.
+"""Span tracer for timed regions of a run.
 
-A *trace* is one evaluation run; a *span* is one timed region inside it (a
-sampling round, one shard task on a worker node).  The master opens spans
-around each round, attaches the active :class:`TraceContext` to every
-:class:`~repro.sampling.parallel.ShardTask` it ships, and workers open a
-child span per task and echo their context back on the result — so the
-JSON-lines logs of every node in the fleet share one ``trace_id`` and
-stitch into a single cross-node trace.
+A *trace* is one evaluation run; a *span* is one timed region inside it (for
+example one update batch of a monitoring run).  Spans nest per thread, and
+each carries a :class:`TraceContext` — the run's ``trace_id`` plus its own
+``span_id`` — so the JSON-lines log of a run reads as one tree.  A context
+can also be handed to :func:`span` explicitly as the parent of a new span.
 
 Span and trace ids come from :func:`os.urandom` — **never** from numpy RNG
 streams — and the tracer is disabled by default, so tracing on or off, every
@@ -96,7 +94,7 @@ def current() -> TraceContext | None:
 
 def child_context(parent: TraceContext) -> TraceContext:
     """A fresh span id under *parent*'s trace — works even when tracing is
-    locally disabled, so workers always echo a usable context back."""
+    locally disabled."""
     return TraceContext(trace_id=parent.trace_id, span_id=_new_id(4))
 
 

@@ -42,18 +42,6 @@ from repro.sampling.optimal import (
     expected_twcs_cost_seconds,
     optimal_second_stage_size,
 )
-from repro.sampling.parallel import (
-    PARALLEL_DESIGNS,
-    CostSummary,
-    ParallelSamplingExecutor,
-    ProcessPoolTransport,
-    SamplingRun,
-    SerialTransport,
-    ShardDraw,
-    ShardResult,
-    ShardTask,
-    ShardTransport,
-)
 from repro.sampling.pilot import PilotResult, recommend_design, run_pilot
 from repro.sampling.rcs import RandomClusterDesign
 from repro.sampling.reservoir import ReservoirItem, WeightedReservoir
@@ -83,16 +71,6 @@ __all__ = [
     "StratifiedTWCSDesign",
     "PositionSegment",
     "SegmentTWCSDesign",
-    "ParallelSamplingExecutor",
-    "SamplingRun",
-    "ShardDraw",
-    "CostSummary",
-    "PARALLEL_DESIGNS",
-    "ShardTask",
-    "ShardResult",
-    "ShardTransport",
-    "SerialTransport",
-    "ProcessPoolTransport",
     "PilotResult",
     "run_pilot",
     "recommend_design",

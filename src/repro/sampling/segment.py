@@ -156,16 +156,6 @@ class SegmentTWCSDesign:
         if not units:
             return
         counts, sums = segment_label_sums(units, label_array)
-        self.absorb_position_stats(counts, sums)
-
-    def absorb_position_stats(self, counts: np.ndarray, sums: np.ndarray) -> None:
-        """Fold externally drawn per-cluster ``(counts, sums)`` into the estimator.
-
-        The parallel shard engine's feeding hook, mirroring
-        :meth:`~repro.sampling.twcs.TwoStageWeightedClusterDesign.absorb_position_stats`.
-        """
-        if counts.shape[0] == 0:
-            return
         self._cluster_means.add_many(sums / counts)
         self._num_triples += int(counts.sum())
 

@@ -93,18 +93,6 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
         if not units:
             return
         counts, sums = segment_label_sums(units, label_array)
-        self.absorb_position_stats(counts, sums)
-
-    def absorb_position_stats(self, counts: np.ndarray, sums: np.ndarray) -> None:
-        """Fold externally drawn per-cluster ``(counts, sums)`` into the estimator.
-
-        Lets the parallel shard engine feed this design's Eq. (9) accumulator
-        with draws it performed itself (one
-        :class:`~repro.sampling.parallel.ShardDraw` per call, in shard order),
-        keeping :meth:`estimate` the single source of truth either way.
-        """
-        if counts.shape[0] == 0:
-            return
         self._cluster_means.add_many(sums / counts)
         self._num_triples += int(counts.sum())
 

@@ -1,13 +1,10 @@
-"""Schema'd binary wire codec for the RPC shard transport.
+"""Schema'd binary wire codec for the ``repro serve`` protocol.
 
-The first RPC transport shipped pickled frames — fine on a trusted loopback,
-unacceptable on a real cluster where a stray or hostile peer could feed the
-deserializer arbitrary object graphs.  This module replaces pickle with a
-small, versioned, *closed* codec: every value on the wire is one of a fixed
-set of tagged types, decoded by explicit readers that validate lengths,
-dtypes and field types as they go.  Decoding never constructs anything
-outside this set, so a malformed or malicious frame can produce exactly one
-outcome: :class:`WireError`.
+Every value on the wire is one of a fixed set of tagged types, decoded by
+explicit readers that validate lengths, dtypes and field types as they go.
+Decoding never constructs anything outside this set — there is no pickle
+anywhere on the wire path — so a malformed or malicious frame can produce
+exactly one outcome: :class:`WireError`.
 
 Frame layout (everything big-endian)::
 
@@ -42,12 +39,6 @@ tag   body
        bool/int/uint/float kinds ≤ 8 bytes — never object arrays.
 ``12`` :class:`numpy.random.SeedSequence`: entropy, spawn_key, pool_size,
        n_children_spawned (each a tagged value)
-``13`` :class:`~repro.sampling.parallel.ShardTask` (8 tagged fields)
-``14`` :class:`~repro.sampling.parallel.ShardResult` (8 tagged fields)
-``15`` :class:`~repro.sampling.parallel.ShardSource` (6 tagged fields)
-``16`` :class:`~repro.obs.trace.TraceContext` (trace_id, span_id strings)
-``17`` traced ShardTask: the 8 fields of tag ``13`` + a TraceContext
-``18`` traced ShardResult: the 8 fields of tag ``14`` + a TraceContext
 ``19`` :class:`~repro.kg.triple.Triple` (subject, predicate, object strings +
        is_entity_object bool)
 ``20`` :class:`~repro.sampling.base.Estimate` (value, std_error, num_units,
@@ -57,18 +48,10 @@ tag   body
 ``22`` :class:`~repro.evolving.monitor.MonitorRecord` (7 scalar fields)
 ====  =======================================================================
 
-Tags ``16``–``18`` are the observability extension: a task or result whose
-``trace`` field is ``None`` still encodes under the legacy tags ``13``/``14``
-— **byte-identical** to the pre-trace protocol — so tracing-off peers
-interoperate unchanged, and a pre-trace peer receiving a traced frame fails
-with a typed ``unknown wire tag`` :class:`WireError`, never a hang.
-
-Tags ``19``–``22`` are the ``repro serve`` extension: update triples travel
-from clients to the daemon, and cached estimates (reports, monitor records)
-travel back.  Like the trace tags they are a pure suffix — every value the
-worker protocol exchanges encodes byte-identically to before, so serve-aware
-and worker-only peers interoperate on the shared frames, and a pre-serve
-peer fed a serve frame fails with the typed ``unknown wire tag`` error.
+Tags ``13``–``18`` are retired: they carried the shard tasks, results and
+trace contexts of a removed worker protocol.  Decoding one fails with the
+typed ``unknown wire tag`` :class:`WireError`, like any tag beyond ``22``;
+every other tag keeps its number and its bytes.
 
 Generator states (``Generator.bit_generator.state``) need no tag of their
 own: they are plain dicts of strs, ints (including the 128-bit PCG64 state
@@ -86,9 +69,7 @@ import numpy as np
 from repro.core.result import EvaluationReport
 from repro.evolving.monitor import MonitorRecord
 from repro.kg.triple import Triple
-from repro.obs.trace import TraceContext
 from repro.sampling.base import Estimate
-from repro.sampling.parallel import ShardResult, ShardSource, ShardTask
 
 __all__ = [
     "WIRE_VERSION",
@@ -121,12 +102,6 @@ _T_TUPLE = 9
 _T_DICT = 10
 _T_NDARRAY = 11
 _T_SEEDSEQ = 12
-_T_TASK = 13
-_T_RESULT = 14
-_T_SOURCE = 15
-_T_TRACECTX = 16
-_T_TASK_TRACED = 17
-_T_RESULT_TRACED = 18
 _T_TRIPLE = 19
 _T_ESTIMATE = 20
 _T_REPORT = 21
@@ -237,48 +212,6 @@ def _encode(value, out: bytearray, depth: int) -> None:
         _encode(tuple(value.spawn_key), out, depth + 1)
         _encode(int(value.pool_size), out, depth + 1)
         _encode(int(value.n_children_spawned), out, depth + 1)
-    elif isinstance(value, ShardTask):
-        # trace=None stays on the legacy tag, byte-identical to the
-        # pre-trace protocol; only traced tasks use the extension tag.
-        out.append(_T_TASK if value.trace is None else _T_TASK_TRACED)
-        fields = [
-            value.index,
-            value.design,
-            value.source,
-            value.count,
-            value.cap,
-            value.rng_state,
-            value.perm_seed,
-            value.cursor,
-        ]
-        if value.trace is not None:
-            fields.append(value.trace)
-        for field in fields:
-            _encode(field, out, depth + 1)
-    elif isinstance(value, ShardResult):
-        out.append(_T_RESULT if value.trace is None else _T_RESULT_TRACED)
-        fields = [
-            value.index,
-            value.rows,
-            value.counts,
-            value.sizes,
-            value.positions,
-            value.rng_state,
-            value.cursor,
-            value.elapsed,
-        ]
-        if value.trace is not None:
-            fields.append(value.trace)
-        for field in fields:
-            _encode(field, out, depth + 1)
-    elif isinstance(value, ShardSource):
-        out.append(_T_SOURCE)
-        for field in (value.kind, value.lo, value.hi, value.rows, value.offsets, value.positions):
-            _encode(field, out, depth + 1)
-    elif isinstance(value, TraceContext):
-        out.append(_T_TRACECTX)
-        _encode_str(value.trace_id, out)
-        _encode_str(value.span_id, out)
     elif isinstance(value, Triple):
         out.append(_T_TRIPLE)
         _encode_str(value.subject, out)
@@ -395,10 +328,7 @@ def _decode_array(reader: _Reader) -> np.ndarray:
 
 
 def _expect(value, kinds, what: str):
-    if kinds is None:
-        if value is not None:
-            raise WireError(f"{what} must be None, got {type(value).__name__}")
-    elif not isinstance(value, kinds) or isinstance(value, bool) and kinds is int:
+    if not isinstance(value, kinds) or isinstance(value, bool) and kinds is int:
         raise WireError(f"bad field type for {what}: {type(value).__name__}")
     return value
 
@@ -426,94 +356,6 @@ def _decode_seedseq(reader: _Reader, depth: int) -> np.random.SeedSequence:
         )
     except (TypeError, ValueError) as exc:
         raise WireError(f"invalid SeedSequence on the wire: {exc}") from None
-
-
-def _decode_source(reader: _Reader, depth: int) -> ShardSource:
-    kind = _expect(_decode(reader, depth), str, "ShardSource.kind")
-    lo = _expect(_decode(reader, depth), int, "ShardSource.lo")
-    hi = _expect(_decode(reader, depth), int, "ShardSource.hi")
-    rows = _decode(reader, depth)
-    offsets = _decode(reader, depth)
-    positions = _decode(reader, depth)
-    for name, value in (("rows", rows), ("offsets", offsets), ("positions", positions)):
-        if value is not None and not isinstance(value, np.ndarray):
-            raise WireError(f"ShardSource.{name} must be an array or None")
-    return ShardSource(kind=kind, lo=lo, hi=hi, rows=rows, offsets=offsets, positions=positions)
-
-
-def _decode_rng_state(value, what: str):
-    if value is not None and not isinstance(value, dict):
-        raise WireError(f"{what} must be a dict or None")
-    return value
-
-
-def _decode_tracectx(reader: _Reader, depth: int) -> TraceContext:
-    trace_id = _expect(_decode(reader, depth), str, "TraceContext.trace_id")
-    span_id = _expect(_decode(reader, depth), str, "TraceContext.span_id")
-    return TraceContext(trace_id=trace_id, span_id=span_id)
-
-
-def _decode_trace_field(reader: _Reader, depth: int, what: str) -> TraceContext:
-    value = _decode(reader, depth)
-    if not isinstance(value, TraceContext):
-        raise WireError(f"{what} must be a TraceContext")
-    return value
-
-
-def _decode_task(reader: _Reader, depth: int, *, traced: bool = False) -> ShardTask:
-    index = _expect(_decode(reader, depth), int, "ShardTask.index")
-    design = _expect(_decode(reader, depth), str, "ShardTask.design")
-    source = _decode(reader, depth)
-    if not isinstance(source, ShardSource):
-        raise WireError("ShardTask.source must be a ShardSource")
-    count = _expect(_decode(reader, depth), int, "ShardTask.count")
-    cap = _decode(reader, depth)
-    if cap is not None and not isinstance(cap, int):
-        raise WireError("ShardTask.cap must be an int or None")
-    rng_state = _decode_rng_state(_decode(reader, depth), "ShardTask.rng_state")
-    perm_seed = _decode(reader, depth)
-    if perm_seed is not None and not isinstance(perm_seed, np.random.SeedSequence):
-        raise WireError("ShardTask.perm_seed must be a SeedSequence or None")
-    cursor = _expect(_decode(reader, depth), int, "ShardTask.cursor")
-    trace = _decode_trace_field(reader, depth, "ShardTask.trace") if traced else None
-    return ShardTask(
-        index=index,
-        design=design,
-        source=source,
-        count=count,
-        cap=cap,
-        rng_state=rng_state,
-        perm_seed=perm_seed,
-        cursor=cursor,
-        trace=trace,
-    )
-
-
-def _decode_result(reader: _Reader, depth: int, *, traced: bool = False) -> ShardResult:
-    index = _expect(_decode(reader, depth), int, "ShardResult.index")
-    arrays = []
-    for name in ("rows", "counts", "sizes", "positions"):
-        value = _decode(reader, depth)
-        if not isinstance(value, np.ndarray):
-            raise WireError(f"ShardResult.{name} must be an array")
-        arrays.append(value)
-    rng_state = _decode_rng_state(_decode(reader, depth), "ShardResult.rng_state")
-    cursor = _expect(_decode(reader, depth), int, "ShardResult.cursor")
-    elapsed = _decode(reader, depth)
-    if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)):
-        raise WireError("ShardResult.elapsed must be a number")
-    trace = _decode_trace_field(reader, depth, "ShardResult.trace") if traced else None
-    return ShardResult(
-        index=index,
-        rows=arrays[0],
-        counts=arrays[1],
-        sizes=arrays[2],
-        positions=arrays[3],
-        rng_state=rng_state,
-        cursor=cursor,
-        elapsed=float(elapsed),
-        trace=trace,
-    )
 
 
 def _decode_float_field(reader: _Reader, depth: int, what: str) -> float:
@@ -641,18 +483,6 @@ def _decode(reader: _Reader, depth: int):
         return _decode_array(reader)
     if tag == _T_SEEDSEQ:
         return _decode_seedseq(reader, depth + 1)
-    if tag == _T_TASK:
-        return _decode_task(reader, depth + 1)
-    if tag == _T_RESULT:
-        return _decode_result(reader, depth + 1)
-    if tag == _T_SOURCE:
-        return _decode_source(reader, depth + 1)
-    if tag == _T_TRACECTX:
-        return _decode_tracectx(reader, depth + 1)
-    if tag == _T_TASK_TRACED:
-        return _decode_task(reader, depth + 1, traced=True)
-    if tag == _T_RESULT_TRACED:
-        return _decode_result(reader, depth + 1, traced=True)
     if tag == _T_TRIPLE:
         return _decode_triple(reader, depth + 1)
     if tag == _T_ESTIMATE:

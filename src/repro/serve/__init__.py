@@ -3,7 +3,7 @@
 The batch commands pay full CLI startup, graph construction and plan
 building for every estimate.  This package turns the same machinery into a
 continuously-available daemon: graphs stay attached across requests,
-evaluation *sessions* multiplex over one transport fleet, and the latest
+evaluation *sessions* share one admission queue, and the latest
 :class:`~repro.core.result.EvaluationReport` of every session is an O(1)
 cached read — never a sampling run.
 

@@ -6,9 +6,8 @@ wraps: one authenticated connection, plain method-per-op API, typed
 ``code`` attribute carries the daemon's machine-readable reason, e.g.
 ``"backpressure"`` or ``"spec_mismatch"``).
 
-Connect retries mirror the worker-join behaviour: a daemon that is still
-binding its socket (CI races, supervisor restarts) is retried with a short
-interval instead of failing the first dial.
+A daemon that is still binding its socket (CI races, supervisor restarts) is
+retried with a short interval instead of failing the first dial.
 """
 
 from __future__ import annotations

@@ -1,16 +1,14 @@
 """Serve protocol: framing limits, handshake and request validation.
 
-``repro serve`` speaks the same authenticated v2 wire as the worker
-protocol — identical frames, identical codec, identical mutual-HMAC shape —
-under two *new* domain-separated roles (``serve-client``/``serve-server``),
-so a tag obtained from any worker/join exchange can never be replayed into
-a serve handshake or vice versa.  The server's opening challenge carries
-``service: "serve"``, which lets a client that accidentally dialed a worker
-(or a master that dialed a serve daemon) fail with a typed error instead of
-a confusing auth failure.
+``repro serve`` speaks the authenticated v2 wire of :mod:`repro.sampling.rpc`:
+CRC-checked frames of the :mod:`repro.sampling.wire` codec, opened by a
+mutual HMAC handshake under two domain-separated roles
+(``serve-client``/``serve-server``).  The server's opening challenge carries
+``service: "serve"``, which lets a client that dialed some other service
+fail with a typed error instead of a confusing auth failure.
 
 Requests and replies are plain dicts; update triples and cached results
-ride the serve wire tags (19–22) added to :mod:`repro.sampling.wire`.
+ride the serve wire tags (19–22) of :mod:`repro.sampling.wire`.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ __all__ = [
     "ROLE_SERVER",
     "server_handshake",
     "client_handshake",
+    "as_number",
     "decode_batch",
 ]
 
@@ -53,9 +52,8 @@ ROLE_SERVER = b"serve-server"
 def server_handshake(conn, secret: bytes) -> bool:
     """Challenge/response with a connecting client; True once mutually authed.
 
-    Mirrors the worker-side handshake: version banner + nonce out, HMAC tag
-    over both nonces back, counter-tag returned — all under the small
-    pre-authentication frame limit.
+    Version banner + nonce out, HMAC tag over both nonces back, counter-tag
+    returned — all under the small pre-authentication frame limit.
     """
     nonce = os.urandom(_NONCE_BYTES)
     send_message(
@@ -131,6 +129,21 @@ def client_handshake(sock, secret: bytes) -> None:
         raise RPCError(f"serve handshake failed: {welcome!r}")
     if not _auth_ok(secret, ROLE_SERVER, server_nonce, nonce, welcome.get("auth")):
         raise RPCAuthError("serve daemon failed to prove the shared secret")
+
+
+def as_number(value, kind: type, field: str):
+    """``kind(value)`` for a client-supplied number; ``ValueError`` names the field.
+
+    Only ints and floats (never bools, strings, lists or dicts) convert, so a
+    mistyped request field gets a typed ``bad_request`` reply instead of an
+    unhandled ``TypeError`` in the connection thread.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {type(value).__name__}")
+    try:
+        return kind(value)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"{field} is out of range: {exc}") from None
 
 
 def decode_batch(message: dict) -> tuple[str, tuple[Triple, ...], list[bool]]:

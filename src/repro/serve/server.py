@@ -17,10 +17,10 @@ rounds are in flight.  ``poll`` waits on the session's condition variable
 for a threshold (record count, MoE) instead of busy-polling estimates.
 
 Graceful drain (SIGTERM/SIGINT via the CLI, :meth:`EvalServer.shutdown`
-programmatically): stop accepting, let the worker finish every admitted
-round, checkpoint every session through ``evolving/state.py``, close the
-evaluators.  A daemon restarted with the same ``--state-dir`` resumes each
-session with a bit-identical future trajectory.
+programmatically): stop accepting, let the eval worker finish every admitted
+round, checkpoint every session through ``evolving/state.py``.  A daemon
+restarted with the same ``--state-dir`` resumes each session with a
+bit-identical future trajectory.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class EvalServer:
     secret:
         Shared client-authentication secret (``None`` = empty secret,
         loopback testing only).
-    fleet_secret:
-        Secret for the *worker fleet* an ``engine: rpc`` session dials —
-        distinct from the client secret on purpose: estimate readers and
-        shard workers are different trust domains.
     state_dir:
         Checkpoint directory.  When set, :meth:`start` resumes every
         checkpointed session and a draining :meth:`shutdown` checkpoints
@@ -97,7 +93,6 @@ class EvalServer:
         port: int = 0,
         *,
         secret=None,
-        fleet_secret=None,
         state_dir: str | Path | None = None,
         queue_limit: int = 16,
         root_seed: int = 0,
@@ -107,7 +102,6 @@ class EvalServer:
         self._host = host
         self._port = port
         self._secret = _normalise_secret(secret)
-        self._fleet_secret = fleet_secret
         self._state_dir = Path(state_dir) if state_dir is not None else None
         self._queue: queue.Queue[_Work | None] = queue.Queue(maxsize=queue_limit)
         self._seed_root = np.random.SeedSequence(root_seed)
@@ -169,10 +163,9 @@ class EvalServer:
     def shutdown(self, *, drain: bool = True) -> None:
         """Stop the daemon; with ``drain`` finish and checkpoint everything.
 
-        Idempotent.  Drain order matters: stop admitting, let the worker
+        Idempotent.  Drain order matters: stop admitting, let the eval worker
         finish every already-admitted round (in-flight ``submit --wait``
-        replies resolve), then checkpoint each session and close its
-        evaluator.
+        replies resolve), then checkpoint each session.
         """
         with self._shutdown_lock:
             if self._closed:
@@ -203,12 +196,6 @@ class EvalServer:
                     _log.warning(
                         "checkpoint_failed", session=sess.id, error=f"{type(exc).__name__}: {exc}"
                     )
-            try:
-                sess.close()
-            except Exception as exc:
-                _log.warning(
-                    "session_close_failed", session=sess.id, error=f"{type(exc).__name__}: {exc}"
-                )
             obs_metrics.gauge("serve_sessions_active").dec()
         _log.info("serve_drained", sessions=len(live), checkpointed=checkpointed)
 
@@ -408,9 +395,7 @@ class EvalServer:
                 name = f"session-{self._next_id}"
             seed = self._session_seed(spec)
             base, labels = self._base_for(spec)
-            sess = sessions_mod.build_session(
-                name, spec, seed, base, labels, fleet_secret=self._fleet_secret
-            )
+            sess = sessions_mod.build_session(name, spec, seed, base, labels)
             self._sessions[name] = sess
         obs_metrics.gauge("serve_sessions_active").inc()
         _log.info("session_attached", session=name, evaluator=spec["evaluator"], seed=seed)
@@ -419,7 +404,6 @@ class EvalServer:
             with self._registry_lock:
                 self._sessions.pop(name, None)
             obs_metrics.gauge("serve_sessions_active").dec()
-            sess.close()
             return {
                 "op": "error",
                 "code": "backpressure",
@@ -498,17 +482,24 @@ class EvalServer:
         moe_below = message.get("moe_below")
         if min_records is None and moe_below is None:
             raise ValueError("poll requires min_records and/or moe_below")
-        timeout = min(float(message.get("timeout", 30.0)), _MAX_POLL_WAIT)
+        if min_records is not None:
+            min_records = protocol.as_number(min_records, int, "min_records")
+        if moe_below is not None:
+            moe_below = protocol.as_number(moe_below, float, "moe_below")
+        timeout = protocol.as_number(message.get("timeout", 30.0), float, "timeout")
+        if not timeout >= 0.0:
+            raise ValueError(f"timeout must be a non-negative number, got {timeout}")
+        timeout = min(timeout, _MAX_POLL_WAIT)
 
         def satisfied() -> bool:
             if sess.failed is not None:
                 return True
-            if min_records is not None and len(sess.trajectory) < int(min_records):
+            if min_records is not None and len(sess.trajectory) < min_records:
                 return False
             if moe_below is not None:
                 if sess.latest is None:
                     return False
-                if float(sess.latest["record"].margin_of_error) > float(moe_below):
+                if float(sess.latest["record"].margin_of_error) > moe_below:
                     return False
             return True
 
@@ -561,7 +552,6 @@ class EvalServer:
                 }
         with self._registry_lock:
             self._sessions.pop(sess.id, None)
-        sess.close()
         if self._state_dir is not None:
             sessions_mod.drop_checkpoint(self._state_dir, sess.id)
         obs_metrics.gauge("serve_sessions_active").dec()

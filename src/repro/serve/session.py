@@ -23,10 +23,10 @@ Specs
     attach order).
 ``moe``/``confidence``/``second_stage_size``
     Quality knobs, as on the CLI.
-``engine``
-    Optional transport-fleet request: ``{"transport": "serial"|"pool"|
-    "rpc", "workers": N, "shards": N, "nodes": [...], "rpc_window": N}``.  Shards are part of the random-stream identity; the transport
-    only decides where the fixed plan executes.
+
+Any other key is refused with a :class:`ValueError` that names it, and so is
+a value of the wrong type, so a mistyped spec never silently runs a
+different stream.
 
 Checkpoints
 -----------
@@ -45,6 +45,7 @@ from pathlib import Path
 
 from repro.core.config import EvaluationConfig
 from repro.generators.datasets import LabelledKG
+from repro.serve.protocol import as_number
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -60,13 +61,28 @@ CHECKPOINT_FORMAT = 1
 
 _DATASETS = ("nell", "yago", "movie", "movie-syn")
 _EVALUATORS = ("rs", "ss")
-_ENGINE_TRANSPORTS = ("serial", "pool", "rpc")
+_SPEC_KEYS = frozenset(
+    (
+        "snapshot",
+        "dataset",
+        "dataset_seed",
+        "movie_scale",
+        "evaluator",
+        "seed",
+        "moe",
+        "confidence",
+        "second_stage_size",
+    )
+)
 
 
 def normalise_spec(spec) -> dict:
     """Validate a client spec and fill defaults; raises ``ValueError``."""
     if not isinstance(spec, dict):
         raise ValueError("attach requires a spec dict")
+    unknown = sorted(str(key) for key in spec if key not in _SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown spec key(s): {', '.join(unknown)}")
     out: dict = {}
     snapshot = spec.get("snapshot")
     if snapshot is not None:
@@ -78,32 +94,20 @@ def normalise_spec(spec) -> dict:
         if dataset not in _DATASETS:
             raise ValueError(f"spec.dataset must be one of {_DATASETS}, got {dataset!r}")
         out["dataset"] = dataset
-        out["dataset_seed"] = int(spec.get("dataset_seed", 0))
-        out["movie_scale"] = float(spec.get("movie_scale", 0.01))
+        out["dataset_seed"] = as_number(spec.get("dataset_seed", 0), int, "spec.dataset_seed")
+        out["movie_scale"] = as_number(spec.get("movie_scale", 0.01), float, "spec.movie_scale")
     evaluator = spec.get("evaluator", "ss")
     if evaluator not in _EVALUATORS:
         raise ValueError(f"spec.evaluator must be one of {_EVALUATORS}, got {evaluator!r}")
     out["evaluator"] = evaluator
     seed = spec.get("seed")
-    out["seed"] = None if seed is None else int(seed)
-    out["moe"] = float(spec.get("moe", 0.05))
-    out["confidence"] = float(spec.get("confidence", 0.95))
+    out["seed"] = None if seed is None else as_number(seed, int, "spec.seed")
+    out["moe"] = as_number(spec.get("moe", 0.05), float, "spec.moe")
+    out["confidence"] = as_number(spec.get("confidence", 0.95), float, "spec.confidence")
     if "second_stage_size" in spec:
-        out["second_stage_size"] = int(spec["second_stage_size"])
-    engine = spec.get("engine")
-    if engine is not None:
-        if not isinstance(engine, dict):
-            raise ValueError("spec.engine must be a dict")
-        kind = engine.get("transport")
-        if kind is not None and kind not in _ENGINE_TRANSPORTS:
-            raise ValueError(
-                f"spec.engine.transport must be one of {_ENGINE_TRANSPORTS}, got {kind!r}"
-            )
-        out["engine"] = {
-            key: engine[key]
-            for key in ("transport", "workers", "shards", "nodes", "rpc_window")
-            if engine.get(key) is not None
-        }
+        out["second_stage_size"] = as_number(
+            spec["second_stage_size"], int, "spec.second_stage_size"
+        )
     return out
 
 
@@ -156,45 +160,6 @@ def build_base(spec: dict) -> tuple[LabelledKG, object]:
     return data.to_columnar(), None
 
 
-def _engine_extra(engine: dict | None, fleet_secret) -> dict:
-    """Resolve a spec's engine request into evaluator kwargs."""
-    if not engine:
-        return {}
-    kind = engine.get("transport")
-    workers = engine.get("workers")
-    shards = engine.get("shards")
-    extra: dict = {}
-    if kind == "rpc":
-        from repro.sampling.rpc import SocketRPCTransport
-
-        nodes = [str(node) for node in (engine.get("nodes") or [])]
-        if not nodes:
-            raise ValueError("engine.transport 'rpc' requires engine.nodes")
-        extra["transport"] = SocketRPCTransport(
-            nodes, secret=fleet_secret, window=int(engine.get("rpc_window", 4))
-        )
-    elif kind == "pool":
-        from repro.sampling.parallel import ParallelSamplingExecutor, ProcessPoolTransport
-
-        count = int(workers or ParallelSamplingExecutor.default_workers())
-        extra["transport"] = ProcessPoolTransport(count)
-    elif kind == "serial":
-        from repro.sampling.parallel import SerialTransport
-
-        extra["transport"] = SerialTransport()
-    elif workers is not None:
-        extra["workers"] = int(workers)
-    if extra or shards is not None:
-        transport = extra.get("transport")
-        if shards is not None:
-            extra["num_shards"] = int(shards)
-        elif transport is not None and transport.default_shards:
-            extra["num_shards"] = int(transport.default_shards)
-        else:
-            extra["num_shards"] = max(int(workers or 1), 1)
-    return extra
-
-
 def _evaluator_class(kind: str):
     from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
     from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
@@ -228,7 +193,6 @@ class Session:
         self.latest: dict | None = None
         self.trajectory: list[dict] = []
         self.failed: str | None = None
-        self.engine = bool(spec.get("engine"))
 
     def record_result(self, record, evaluation) -> dict:
         """Fold one completed round into the cached trajectory (worker thread)."""
@@ -257,13 +221,8 @@ class Session:
         with self.lock:
             return self.latest, self.pending, len(self.trajectory), self.failed
 
-    def close(self) -> None:
-        self.evaluator.close()
 
-
-def build_session(
-    session_id: str, spec: dict, seed: int, base: LabelledKG, labels, *, fleet_secret=None
-) -> Session:
+def build_session(session_id: str, spec: dict, seed: int, base: LabelledKG, labels) -> Session:
     """Construct a fresh session exactly like ``repro monitor`` would."""
     from repro.evolving.monitor import EvolvingAccuracyMonitor
 
@@ -276,7 +235,6 @@ def build_session(
     }
     if "second_stage_size" in spec:
         kwargs["second_stage_size"] = spec["second_stage_size"]
-    kwargs.update(_engine_extra(spec.get("engine"), fleet_secret))
     evaluator = _evaluator_class(spec["evaluator"])(base, **kwargs)
     return Session(session_id, spec, seed, evaluator, EvolvingAccuracyMonitor(evaluator))
 
@@ -327,8 +285,7 @@ def restore_session(path: str | Path, base_for) -> Session:
 
     ``base_for(spec)`` supplies the (cached) base graph + labels for the
     checkpoint's spec — the server passes its graph cache, so resuming N
-    sessions over one dataset rebuilds the base once.  Engine requests are
-    honoured on resume too; the transport never changes the trajectory.
+    sessions over one dataset rebuilds the base once.
     """
     from repro.evolving.monitor import EvolvingAccuracyMonitor
     from repro.evolving.state import restore_evaluator
@@ -342,14 +299,7 @@ def restore_session(path: str | Path, base_for) -> Session:
         )
     spec = payload["spec"]
     base, _labels = base_for(spec)
-    extra = _engine_extra(spec.get("engine"), None)
-    evaluator = restore_evaluator(
-        payload["state"],
-        base,
-        workers=extra.get("workers"),
-        num_shards=extra.get("num_shards"),
-        transport=extra.get("transport"),
-    )
+    evaluator = restore_evaluator(payload["state"], base)
     monitor = EvolvingAccuracyMonitor(evaluator)
     monitor.records = list(payload["records"])
     session = Session(payload["session"], spec, int(payload["seed"]), evaluator, monitor)

@@ -26,9 +26,8 @@ __all__ = [
 def largest_remainder(weights: Sequence[float] | np.ndarray, total_samples: int) -> np.ndarray:
     """Split ``total_samples`` by weight with the largest-remainder method.
 
-    The deterministic core shared by :func:`proportional_allocation` and the
-    parallel shard engine's per-round draw allocation: floor the proportional
-    shares, then hand the leftover draws to the largest fractional parts
+    The deterministic core of :func:`proportional_allocation`: floor the
+    proportional shares, then hand the leftover draws to the largest fractional parts
     (stable tie-break).  No minimum-per-entry guarantee — zero-share entries
     stay at zero; returns an ``int64`` array.  A non-positive total or weight
     sum yields all zeros.

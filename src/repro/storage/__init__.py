@@ -15,33 +15,28 @@ to a :class:`~repro.storage.backend.StorageBackend`:
   memory-mappable snapshot directories (format v2 optionally carries
   label/annotation arrays), so big KGs are built once and reopened instantly.
 * :class:`SqliteStore` — disk-resident WAL-mode SQLite backend for graphs
-  larger than memory: the cluster index is an indexed table, planner stats
-  push down into SQL aggregates, and streaming ingest is resumable from a
-  per-batch checkpoint.
+  larger than memory: the cluster index is an indexed table, and streaming
+  ingest is resumable from a per-batch checkpoint.
 * :mod:`repro.storage.ingest` — streaming TSV / N-Triples ingest that
   interns ids on the fly without materialising intermediate Triple lists.
 """
 
-from repro.storage.backend import StorageBackend, StorageStats, make_backend
+from repro.storage.backend import StorageBackend, make_backend
 from repro.storage.columnar import ColumnarStore, Vocabulary
 from repro.storage.delta import DeltaStore
 from repro.storage.ingest import ingest_nt, ingest_rows, ingest_tsv
 from repro.storage.memory import InMemoryStore
-from repro.storage.shard import ShardPlan, ShardView
 from repro.storage.snapshot import SnapshotStore
 from repro.storage.sqlite import SqliteStore
 
 __all__ = [
     "StorageBackend",
-    "StorageStats",
     "make_backend",
     "InMemoryStore",
     "ColumnarStore",
     "DeltaStore",
     "SqliteStore",
     "Vocabulary",
-    "ShardPlan",
-    "ShardView",
     "SnapshotStore",
     "ingest_tsv",
     "ingest_nt",

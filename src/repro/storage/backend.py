@@ -32,65 +32,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.kg.triple import Triple
 
-__all__ = ["StorageBackend", "StorageStats", "make_backend", "stats_from_moments"]
-
-
-@dataclass(frozen=True)
-class StorageStats:
-    """Size and cluster-shape summary of one stored graph.
-
-    :func:`repro.sampling.planner.plan_shards` reads this to size a run: ``num_triples``
-    bounds the total draw work, ``num_entities`` bounds first-stage
-    population, and the cluster-size distribution (mean, max, coefficient of
-    variation) measures how *skewed* the entity clusters are — heavily
-    skewed graphs need finer shard plans so one giant cluster cannot
-    serialise a whole round.
-    """
-
-    num_triples: int
-    num_entities: int
-    mean_cluster_size: float
-    max_cluster_size: int
-    size_cv: float
-
-    @property
-    def skew(self) -> float:
-        """Max-over-mean cluster size; ``1.0`` for perfectly uniform clusters."""
-        if self.mean_cluster_size <= 0.0:
-            return 1.0
-        return self.max_cluster_size / self.mean_cluster_size
-
-
-def stats_from_moments(
-    num_triples: int, num_entities: int, max_size: int, sum_squares: int
-) -> StorageStats:
-    """Fold exact integer cluster-size moments into a :class:`StorageStats`.
-
-    Every backend reduces its cluster sizes to the same four integers —
-    triple count (the sizes' sum), entity count, max size, and sum of
-    squared sizes — and this one function does the float math.  Whether the
-    moments came from a NumPy pass or a SQL aggregate, the resulting floats
-    are bit-identical, which keeps the planner's shard decisions (part of a
-    run's random-stream identity) independent of the storage backend.
-    """
-    if num_entities == 0:
-        return StorageStats(0, 0, 0.0, 0, 0.0)
-    mean = num_triples / num_entities
-    variance = max(sum_squares / num_entities - mean * mean, 0.0)
-    std = float(np.sqrt(variance))
-    return StorageStats(
-        num_triples=int(num_triples),
-        num_entities=int(num_entities),
-        mean_cluster_size=mean,
-        max_cluster_size=int(max_size),
-        size_cv=std / mean if mean > 0 else 0.0,
-    )
+__all__ = ["StorageBackend", "make_backend"]
 
 
 class StorageBackend(ABC):
@@ -186,25 +133,6 @@ class StorageBackend(ABC):
     @abstractmethod
     def cluster_size_array(self) -> np.ndarray:
         """``int64`` cluster sizes aligned with row order."""
-
-    def stats(self) -> StorageStats:
-        """Measured size/skew statistics over the stored clusters.
-
-        Computed from :meth:`cluster_size_array` in one vectorised pass;
-        backends holding the sizes in another form may override with a
-        cheaper path.  This is the planner-facing summary — see
-        :class:`StorageStats`.
-        """
-        sizes = np.asarray(self.cluster_size_array(), dtype=np.int64)
-        num_entities = int(sizes.shape[0])
-        if num_entities == 0:
-            return StorageStats(0, 0, 0.0, 0, 0.0)
-        return stats_from_moments(
-            num_triples=int(sizes.sum()),
-            num_entities=num_entities,
-            max_size=int(sizes.max()),
-            sum_squares=int(np.dot(sizes, sizes)),
-        )
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Return the raw ``(offsets, positions)`` CSR arrays, if the backend

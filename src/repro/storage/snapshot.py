@@ -245,13 +245,7 @@ class SnapshotStore:
             pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
         return target
 
-    def load_evaluator_state(
-        self,
-        base,
-        workers: int | None = None,
-        num_shards: int | None = None,
-        transport=None,
-    ):
+    def load_evaluator_state(self, base):
         """Rebuild the persisted evaluator over ``base`` (a reloaded LabelledKG).
 
         Returns an evaluator ready for the next ``apply_update`` call; its
@@ -266,9 +260,7 @@ class SnapshotStore:
             raise FileNotFoundError(f"no evaluator state at {target}")
         with open(target, "rb") as handle:
             state = pickle.load(handle)
-        return restore_evaluator(
-            state, base, workers=workers, num_shards=num_shards, transport=transport
-        )
+        return restore_evaluator(state, base)
 
 
 def _as_store(source) -> tuple[ColumnarStore, str]:

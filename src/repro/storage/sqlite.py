@@ -8,15 +8,11 @@ so graphs much larger than memory evaluate on one node:
 
 * the CSR cluster index becomes *indexed range scans* — the ``triples`` table
   is indexed on ``(entity_row, position)``, so
-  :meth:`~SqliteStore.cluster_positions_by_row` is one range query and a
-  shard's contiguous entity-row range streams out in index order;
-* :meth:`~SqliteStore.cluster_size_array` and :meth:`~SqliteStore.stats` (the
-  planner's :class:`~repro.storage.backend.StorageStats` input) push down
-  into SQL aggregates over the same index — the per-cluster moments come back
-  as exact integers and the float math is shared with the base class, so the
-  measured graph shape is bit-identical across backends;
+  :meth:`~SqliteStore.cluster_positions_by_row` is one range query;
+* :meth:`~SqliteStore.cluster_size_array` pushes down into one SQL aggregate
+  over the same index;
 * the batch draw surface stays bit-identical to the other backends: the
-  sampling engine needs raw ``(offsets, positions)`` arrays, so
+  sampling designs need raw ``(offsets, positions)`` arrays, so
   :meth:`~SqliteStore.csr_arrays` materialises *only the position index*
   (about 12 bytes per triple) lazily from one index-ordered scan.  The heavy
   string columns and the vocabulary never leave the database file, which is
@@ -52,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.kg.triple import Triple
-from repro.storage.backend import StorageBackend, StorageStats, stats_from_moments
+from repro.storage.backend import StorageBackend
 
 __all__ = ["SqliteStore"]
 
@@ -646,33 +642,15 @@ class SqliteStore(StorageBackend):
             self._sizes = sizes
         return self._sizes
 
-    def stats(self) -> StorageStats:
-        """Planner stats pushed down into one SQL aggregate.
-
-        The inner query groups the cluster index into per-row counts; the
-        outer one folds them into exact integer moments (count, sum, max,
-        sum of squares).  The float math is shared with
-        :meth:`StorageBackend.stats`, so the result is bit-identical to what
-        any other backend reports for the same graph.
-        """
-        record = self._conn.execute(
-            "SELECT COUNT(*), COALESCE(SUM(c), 0), COALESCE(MAX(c), 0), "
-            "COALESCE(SUM(c * c), 0) "
-            "FROM (SELECT COUNT(*) AS c FROM triples GROUP BY entity_row)"
-        ).fetchone()
-        num_entities, num_triples, max_size, sum_squares = (int(v) for v in record)
-        return stats_from_moments(num_triples, num_entities, max_size, sum_squares)
-
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Materialise (lazily, cached) the position index the engine needs.
+        """Materialise (lazily, cached) the position index the designs need.
 
         ``offsets`` comes from the SQL size aggregate; ``positions`` streams
         out of one index-ordered scan (``ORDER BY entity_row, position``).
-        This is the only part of the graph the sampling engine ever holds in
+        This is the only part of the graph the sampling designs ever hold in
         memory (~12 bytes per triple) — the string columns and vocabulary
         stay on disk.  Sharing the array layout with the columnar backend is
-        what makes batch draws and the sharded executor bit-identical across
-        backends.
+        what makes batch draws bit-identical across backends.
         """
         if self._csr is None:
             sizes = self.cluster_size_array()

@@ -33,8 +33,8 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def pytest_runtest_call(item: pytest.Item):
     """Enforce ``@pytest.mark.timeout(N)`` as a hard SIGALRM deadline.
 
-    The RPC suite talks to real subprocesses over real sockets; a protocol
-    bug must fail the test, not hang the whole run.  POSIX-only (SIGALRM);
+    The serve suite talks to a daemon over real loopback sockets; a
+    protocol bug must fail the test, not hang the whole run.  POSIX-only (SIGALRM);
     elsewhere the marker is a no-op.
     """
     marker = item.get_closest_marker("timeout")

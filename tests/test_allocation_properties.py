@@ -1,8 +1,8 @@
 """Property-based tests for the deterministic draw-allocation core.
 
-``largest_remainder`` sits under every per-round decision the sharded
-engine makes (shard splits, stratum splits, WOR budgets), so its invariants
-are load-bearing for the determinism contract: totals must be preserved
+``largest_remainder`` sits under every stratified design's per-round
+allocation (``proportional_allocation``), so its invariants are
+load-bearing for the determinism contract: totals must be preserved
 exactly, ties must break stably (first index wins), and degenerate weight
 vectors must collapse to all-zeros instead of leaking draws.
 """

@@ -45,56 +45,37 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["evaluate", "--design", "magic"])
 
-    def test_evaluate_rpc_hardening_flags(self):
-        args = build_parser().parse_args(
-            [
-                "evaluate",
-                "--transport",
-                "rpc",
-                "--nodes",
-                "h1:1,h2:2",
-                "--secret-file",
-                "cluster.secret",
-                "--rpc-window",
-                "8",
-                "--accept-joins",
-                "127.0.0.1:0",
-            ]
-        )
-        assert args.secret_file == "cluster.secret"
-        assert args.rpc_window == 8
-        assert args.accept_joins == "127.0.0.1:0"
-
-    def test_monitor_shares_the_rpc_hardening_flags(self):
-        args = build_parser().parse_args(["monitor", "--transport", "rpc", "--nodes", "h:1"])
-        assert args.secret_file is None
-        assert args.rpc_window == 4
-        assert args.accept_joins is None
-
-    def test_worker_join_mode_flags(self):
-        args = build_parser().parse_args(
-            [
-                "worker",
-                "--join",
-                "master:7000",
-                "--base-dir",
-                "/tmp/cache",
-                "--secret-file",
-                "s",
-                "--task-delay",
-                "0.25",
-            ]
-        )
-        assert args.join == "master:7000"
-        assert args.listen is None
-        assert args.secret_file == "s"
-        assert args.task_delay == 0.25
-
-    def test_worker_requires_exactly_one_of_listen_and_join(self):
-        with pytest.raises(SystemExit):
-            main(["worker", "--base-dir", "/tmp/cache"])
-        with pytest.raises(SystemExit):
-            main(["worker", "--listen", "a:1", "--join", "b:2", "--base-dir", "/tmp/cache"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--workers", "2"],
+            ["evaluate", "--shards", "2"],
+            ["evaluate", "--transport", "serial"],
+            ["evaluate", "--nodes", "127.0.0.1:1"],
+            ["evaluate", "--secret-file", "cluster.secret"],
+            ["evaluate", "--rpc-window", "8"],
+            ["evaluate", "--accept-joins", "127.0.0.1:0"],
+            ["monitor", "--workers", "2"],
+            ["monitor", "--shards", "2"],
+            ["monitor", "--transport", "serial"],
+            ["monitor", "--nodes", "127.0.0.1:1"],
+            ["monitor", "--secret-file", "cluster.secret"],
+            ["monitor", "--rpc-window", "8"],
+            ["monitor", "--accept-joins", "127.0.0.1:0"],
+            ["worker", "--listen", "127.0.0.1:0", "--base-dir", "/tmp/cache"],
+            ["serve", "--fleet-secret-file", "fleet.secret"],
+            ["client", "run", "--connect", "127.0.0.1:1", "--transport", "serial"],
+            ["client", "run", "--connect", "127.0.0.1:1", "--workers", "2"],
+            ["client", "run", "--connect", "127.0.0.1:1", "--shards", "2"],
+            ["client", "run", "--connect", "127.0.0.1:1", "--nodes", "127.0.0.1:1"],
+            ["client", "run", "--connect", "127.0.0.1:1", "--rpc-window", "8"],
+        ],
+        ids=" ".join,
+    )
+    def test_removed_engine_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
 
 
 class TestCommands:
@@ -223,8 +204,7 @@ class TestSnapshotEvaluateRoundTrip:
         assert "estimated accuracy" in out
 
     def test_classic_loop_from_snapshot_matches_the_built_dataset(self, capsys, tmp_path):
-        # NELL plans one shard, so this runs the classic single-stream loop,
-        # which labels positions straight from the stored array.
+        # The loop labels positions straight from the stored array.
         target = str(tmp_path / "nell.npz")
         assert main(["snapshot", "--dataset", "nell", "--out", target, "--with-labels"]) == 0
         capsys.readouterr()
@@ -232,7 +212,7 @@ class TestSnapshotEvaluateRoundTrip:
         expected = capsys.readouterr().out
         assert main(["evaluate", "--from-snapshot", target, "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "shards=" not in out
+        assert "shards=1)" in out
         assert out == expected
 
     def test_evaluate_from_snapshot_without_labels_fails(self, capsys, tmp_path):
@@ -296,15 +276,15 @@ class TestLabelArrayThroughConversions:
 
     EVALUATE_MOVIE = (
         "dataset            : MOVIE-like\n"
-        "design             : twcs (m=5, shards=8, transport=auto:serial)\n"
+        "design             : twcs (m=5, shards=1)\n"
         "true accuracy      : 90.0% (hidden from the estimator)\n"
         "estimated accuracy : 89.8%\n"
         "95% interval     : [88.8%, 90.8%]\n"
         "margin of error    : 0.010 (target 0.01)\n"
-        "sample units       : 950 (95 rounds)\n"
-        "triples annotated  : 4114\n"
-        "entities identified: 688\n"
-        "annotation cost    : 37.17 hours\n"
+        "sample units       : 990 (99 rounds)\n"
+        "triples annotated  : 4205\n"
+        "entities identified: 705\n"
+        "annotation cost    : 38.01 hours\n"
     )
     SNAPSHOT_LAYOUTS = {
         "columnar": ("kg.npz", "stored (format v2)", "npz archive"),
@@ -372,19 +352,6 @@ class TestAllocationFlag:
         assert "estimated accuracy" in out
 
 
-class TestRpcOnlyFlags:
-    @pytest.mark.parametrize("command", ["evaluate", "monitor"])
-    @pytest.mark.parametrize(
-        "flag", [["--nodes", "127.0.0.1:1"], ["--accept-joins", "127.0.0.1:0"]]
-    )
-    @pytest.mark.parametrize("transport", [[], ["--transport", "pool"]])
-    def test_node_flags_require_the_rpc_transport(self, command, flag, transport):
-        # Without --transport rpc nothing would dial the nodes or open the
-        # join listener, so the flags must fail loudly, not be ignored.
-        with pytest.raises(SystemExit, match="--transport rpc"):
-            main([command, "--dataset", "nell", *transport, *flag])
-
-
 class TestHermeticity:
     def test_commands_write_nothing_under_home_or_cache(self, capsys, tmp_path, monkeypatch):
         home, cache = tmp_path / "home", tmp_path / "cache"
@@ -392,7 +359,7 @@ class TestHermeticity:
         cache.mkdir()
         monkeypatch.setenv("HOME", str(home))
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        assert main(["evaluate", "--dataset", "nell", "--shards", "2", "--seed", "7"]) == 0
+        assert main(["evaluate", "--dataset", "nell", "--seed", "7"]) == 0
         main(
             [
                 "monitor",
@@ -402,15 +369,13 @@ class TestHermeticity:
                 "columnar",
                 "--evaluator",
                 "ss",
-                "--shards",
-                "2",
                 "--batches",
                 "1",
                 "--seed",
                 "7",
             ]
         )
-        assert "shards=2" in capsys.readouterr().out
+        assert "shards=1" in capsys.readouterr().out
         assert list(home.iterdir()) == []
         assert list(cache.iterdir()) == []
 

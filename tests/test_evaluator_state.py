@@ -108,26 +108,6 @@ def test_snapshot_store_round_trip(tmp_path, kind):
     assert _trajectory(resumed) == _trajectory(evaluator)
 
 
-def test_resume_with_parallel_workers_matches_sharded_serial():
-    """workers=0 and workers=2 continuations agree for the same shard plan."""
-    base, updates = _base_and_updates(num_batches=3)
-    evaluator = _fresh_evaluator("ss", base)
-    evaluator.evaluate_base()
-    evaluator.apply_update(*updates[0])
-    state = capture_evaluator_state(evaluator)
-
-    trajectories = []
-    for workers in (0, 2):
-        data = make_nell_like(seed=0)
-        reload_base = LabelledKG(data.graph.to_columnar(), data.oracle)
-        resumed = restore_evaluator(state, reload_base, workers=workers, num_shards=3)
-        for batch, batch_oracle in updates[1:]:
-            resumed.apply_update(batch, batch_oracle)
-        trajectories.append(_trajectory(resumed))
-        resumed.close()
-    assert trajectories[0] == trajectories[1]
-
-
 def test_capture_requires_position_surface_and_delta_backend():
     nell = make_nell_like(seed=0)
     data = LabelledKG(

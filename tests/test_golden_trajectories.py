@@ -1,13 +1,18 @@
 """Golden-trajectory regression suite.
 
 Every fixed-seed trajectory here is pinned bit-for-bit in
-``tests/golden/*.json``: the sharded engine's per-round estimate/cost
-series for all five cluster designs plus stratified TWCS (both allocation
-rules), and the full evaluation histories of both incremental evolving
-evaluators on the position surface.  A refactor — like swapping the shard
-execution transport — can no longer silently shift numbers: any divergence
-fails here with a pointer to ``--update-golden``, which rewrites the files
-for an *intentional* trajectory change (review that diff!).
+``tests/golden/*.json``: the evaluation engine's per-round estimate/cost
+series — the single-stream loop's own
+:meth:`~repro.core.framework.StaticEvaluator.step`, 4 rounds of 40 units —
+for the five designs plus stratified TWCS under both allocation rules, and
+the full evaluation histories of both incremental evolving evaluators on the
+position surface.  A refactor can no longer silently shift numbers: any
+divergence fails here with a pointer to ``--update-golden``, which rewrites
+the files for an *intentional* trajectory change (review that diff!).
+
+Each static golden also replays on the out-of-core sqlite backend: a
+disk-resident backend may change where the bytes live, never what the loop
+draws.
 
 Floats survive the JSON round-trip exactly (``repr``-based shortest
 serialisation), so ``==`` on the loaded payload is a bit-identity check.
@@ -15,124 +20,102 @@ serialisation), so ``==`` on the loaded payload is a bit-identity check.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.config import EvaluationConfig
+from repro.core.framework import StaticEvaluator
+from repro.cost.annotator import SimulatedAnnotator
 from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
 from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 from repro.generators.datasets import LabelledKG, make_nell_like
 from repro.generators.workload import UpdateWorkloadGenerator
-from repro.sampling.parallel import PARALLEL_DESIGNS, ParallelSamplingExecutor
+from repro.sampling.rcs import RandomClusterDesign
+from repro.sampling.srs import SimpleRandomDesign
 from repro.sampling.stratification import stratify_by_size
+from repro.sampling.stratified import StratifiedTWCSDesign
+from repro.sampling.tsrcs import TwoStageRandomClusterDesign
+from repro.sampling.twcs import TwoStageWeightedClusterDesign
+from repro.sampling.wcs import WeightedClusterDesign
 
 _SEED = 2026
 _ROUNDS = 4
 _ROUND_SIZE = 40
 
+STATIC_DESIGNS = {
+    "srs": SimpleRandomDesign,
+    "rcs": RandomClusterDesign,
+    "wcs": WeightedClusterDesign,
+    "twcs": TwoStageWeightedClusterDesign,
+    "tsrcs": TwoStageRandomClusterDesign,
+}
+
 
 @pytest.fixture(scope="module")
 def labelled():
-    data = make_nell_like(seed=0)
-    graph = data.graph.to_columnar()
-    return LabelledKG(graph, data.oracle), data.oracle.as_position_array(graph)
+    return make_nell_like(seed=0).to_columnar()
 
 
 @pytest.fixture(scope="module")
 def labelled_sqlite():
-    """The same labelled graph re-packed onto the out-of-core sqlite backend.
-
-    Replaying the *same* golden files against this fixture is the storage
-    contract made executable: a disk-resident backend may change where the
-    bytes live, never what the engine draws.
-    """
-    data = make_nell_like(seed=0)
-    graph = data.graph.to_columnar()
-    labels = data.oracle.as_position_array(graph)
-    return LabelledKG(graph.to_sqlite(), data.oracle), labels
+    """The same labelled graph re-packed onto the out-of-core sqlite backend."""
+    return make_nell_like(seed=0).to_sqlite()
 
 
-def _strata_rows(graph) -> list[np.ndarray]:
-    return [
-        np.fromiter(
-            (graph.entity_row(entity_id) for entity_id in stratum.entity_ids),
-            dtype=np.int64,
-            count=stratum.num_entities,
+def static_design(graph, design: str, allocation: str | None = None):
+    """One golden case's design: ``design`` seeded with the golden seed, or
+    stratified TWCS over three size strata when ``allocation`` is given."""
+    if allocation is None:
+        return STATIC_DESIGNS[design](graph, seed=_SEED)
+    strata = stratify_by_size(graph, num_strata=3)
+    return StratifiedTWCSDesign(graph, strata, seed=_SEED, allocation=allocation)
+
+
+def static_trajectory(data: LabelledKG, design) -> list[dict]:
+    """Per-round (estimate, cost) series of the classic loop's own step."""
+    annotator = SimulatedAnnotator(data.oracle, seed=_SEED)
+    evaluator = StaticEvaluator(design, annotator)
+    trajectory = []
+    for _ in range(_ROUNDS):
+        evaluator.step(_ROUND_SIZE)
+        estimate = design.estimate()
+        trajectory.append(
+            {
+                "value": float(estimate.value),
+                "std_error": float(estimate.std_error),
+                "num_units": int(estimate.num_units),
+                "num_triples": int(estimate.num_triples),
+                "entities_identified": int(annotator.entities_identified),
+                "triples_annotated": int(annotator.total_triples_annotated),
+                "cost_seconds": float(annotator.total_cost_seconds),
+            }
         )
-        for stratum in stratify_by_size(graph, num_strata=3)
-    ]
+    return trajectory
 
 
-def _engine_trajectory(graph, labels, design, *, strata=None, allocation="proportional"):
-    """Per-round (estimate, cost) series of a sharded serial engine run."""
-    with ParallelSamplingExecutor(graph, workers=None, num_shards=2) as executor:
-        run = executor.run(
-            design, labels, seed=_SEED, strata=strata, allocation=allocation
-        )
-        trajectory = []
-        for _ in range(_ROUNDS):
-            run.step(_ROUND_SIZE)
-            estimate = run.estimate()
-            cost = run.cost_summary()
-            trajectory.append(
-                {
-                    "value": float(estimate.value),
-                    "std_error": float(estimate.std_error),
-                    "num_units": int(estimate.num_units),
-                    "num_triples": int(estimate.num_triples),
-                    "entities_identified": int(cost.entities_identified),
-                    "triples_annotated": int(cost.triples_annotated),
-                    "cost_seconds": float(cost.cost_seconds),
-                }
-            )
-        return trajectory
-
-
-@pytest.mark.parametrize("design", PARALLEL_DESIGNS)
+@pytest.mark.parametrize("design", sorted(STATIC_DESIGNS))
 def test_engine_design_trajectory_is_pinned(labelled, golden, design):
-    data, labels = labelled
     golden.check(
-        f"engine_{design}", _engine_trajectory(data.graph, labels, design)
+        f"static_{design}", static_trajectory(labelled, static_design(labelled.graph, design))
     )
 
 
 @pytest.mark.parametrize("allocation", ["proportional", "neyman"])
 def test_engine_stratified_trajectory_is_pinned(labelled, golden, allocation):
-    data, labels = labelled
-    golden.check(
-        f"engine_twcs_strat_{allocation}",
-        _engine_trajectory(
-            data.graph,
-            labels,
-            "twcs",
-            strata=_strata_rows(data.graph),
-            allocation=allocation,
-        ),
-    )
+    design = static_design(labelled.graph, "twcs", allocation)
+    golden.check(f"static_twcs_strat_{allocation}", static_trajectory(labelled, design))
 
 
-@pytest.mark.parametrize("design", PARALLEL_DESIGNS)
+@pytest.mark.parametrize("design", sorted(STATIC_DESIGNS))
 def test_engine_design_trajectory_replays_on_sqlite(labelled_sqlite, golden, design):
     """The sqlite backend replays the columnar-pinned goldens bit-for-bit."""
-    data, labels = labelled_sqlite
-    golden.check(
-        f"engine_{design}", _engine_trajectory(data.graph, labels, design)
-    )
+    data = labelled_sqlite
+    golden.check(f"static_{design}", static_trajectory(data, static_design(data.graph, design)))
 
 
 @pytest.mark.parametrize("allocation", ["proportional", "neyman"])
 def test_engine_stratified_trajectory_replays_on_sqlite(labelled_sqlite, golden, allocation):
-    data, labels = labelled_sqlite
-    golden.check(
-        f"engine_twcs_strat_{allocation}",
-        _engine_trajectory(
-            data.graph,
-            labels,
-            "twcs",
-            strata=_strata_rows(data.graph),
-            allocation=allocation,
-        ),
-    )
+    design = static_design(labelled_sqlite.graph, "twcs", allocation)
+    golden.check(f"static_twcs_strat_{allocation}", static_trajectory(labelled_sqlite, design))
 
 
 def _evolving_trajectory(base, cls):

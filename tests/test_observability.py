@@ -4,8 +4,8 @@ Two halves:
 
 * **Unit coverage** of `repro.obs` — the metrics registry (labeled series,
   snapshot/export/merge), the structured JSON-lines logger (levels, context,
-  reset), the span tracer (nesting, wire-context hand-off), and the
-  ``metrics summarize`` table renderer.
+  reset), the span tracer (nesting, explicit parent contexts), and the
+  ``metrics summarize`` renderer.
 * **The sacred invariant** — re-running the pinned golden trajectories with
   the *entire* observability stack live (debug-level JSON logs, tracing
   enabled, metrics recording) must reproduce every golden bit-for-bit.
@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 import pytest
-from test_golden_trajectories import _engine_trajectory, _strata_rows
+from test_golden_trajectories import STATIC_DESIGNS, static_design, static_trajectory
 
 from repro.core.config import EvaluationConfig
 from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
@@ -30,7 +30,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, merge_snapshots
 from repro.obs.summarize import load_snapshot, render_tables, summarize_files
-from repro.sampling.parallel import PARALLEL_DESIGNS
 
 _SEED = 2026
 
@@ -49,9 +48,7 @@ def _clean_obs_state():
 
 @pytest.fixture(scope="module")
 def labelled():
-    data = make_nell_like(seed=0)
-    graph = data.graph.to_columnar()
-    return LabelledKG(graph, data.oracle), data.oracle.as_position_array(graph)
+    return make_nell_like(seed=0).to_columnar()
 
 
 # --------------------------------------------------------------------------- #
@@ -223,12 +220,12 @@ def test_spans_nest_and_link_parents(tmp_path):
 
 
 def test_explicit_parent_spans_work_without_enable(tmp_path):
-    # The worker-side path: a task arrives carrying a TraceContext and the
-    # worker opens a child span under it even though tracing is off locally.
-    path = tmp_path / "worker.jsonl"
+    # A caller holding a TraceContext opens a child span under it even
+    # though tracing is off locally.
+    path = tmp_path / "child.jsonl"
     obs_logging.configure(path, level="debug")
     parent = obs_trace.TraceContext(trace_id="feed" * 4, span_id="0a0b")
-    with obs_trace.span("worker.task", parent=parent, shard=3) as task_span:
+    with obs_trace.span("child.task", parent=parent, shard=3) as task_span:
         assert task_span.context.trace_id == parent.trace_id
         assert task_span.parent_id == parent.span_id
     (record,) = _read_records(path)
@@ -242,41 +239,33 @@ def test_explicit_parent_spans_work_without_enable(tmp_path):
 # --------------------------------------------------------------------------- #
 def test_render_tables_sections(tmp_path):
     registry = MetricsRegistry()
-    registry.histogram("sampling_shard_draw_seconds", shard="0").observe(0.01)
-    registry.histogram("sampling_shard_draw_seconds", shard="1").observe(0.03)
-    registry.counter("rpc_frames_sent_total", node="127.0.0.1:9001").inc(12)
-    registry.counter("rpc_node_drops_total", node="127.0.0.1:9001").inc()
+    registry.histogram("serve_request_seconds", op="estimate").observe(0.01)
+    registry.counter("serve_connections_total").inc(12)
     registry.counter("sampling_rounds_total").inc(4)
     text = render_tables(registry.snapshot())
-    assert "Per-shard draw time" in text
-    assert "Per-node RPC traffic" in text
-    assert "Other series" in text
-    assert "127.0.0.1:9001" in text
+    assert text.splitlines()[0] == "Series"
     assert "sampling_rounds_total  4" in text
+    assert "serve_connections_total  12" in text
+    assert "serve_request_seconds{op=estimate}  count=1" in text
 
 
 def test_render_tables_empty_snapshot():
     assert render_tables({"series": []}) == "(no series recorded)"
 
 
-def test_summarize_merges_worker_files_by_node_id(tmp_path):
-    # Master labels its counters by node address; the worker's unlabeled
-    # counters pick up node= from its exported node_id and land in the
-    # same table row.
-    master = MetricsRegistry()
-    master.counter("rpc_frames_sent_total", node="127.0.0.1:7001").inc(5)
-    master_path = tmp_path / "master.json"
-    master.export(master_path, meta={})
-    worker = MetricsRegistry()
-    worker.counter("rpc_frames_received_total").inc(5)
-    worker_path = tmp_path / "worker.json"
-    worker.export(worker_path, meta={"node_id": "127.0.0.1:7001"})
-    text = summarize_files([master_path, worker_path])
-    lines = [line for line in text.splitlines() if line.startswith("127.0.0.1:7001")]
-    assert len(lines) == 1
-    columns = lines[0].split()
-    assert columns[1] == "5"  # frames_sent from the master file
-    assert columns[2] == "5"  # frames_recv from the worker file
+def test_summarize_keeps_files_apart_by_node_id(tmp_path):
+    # Two daemons export the same counter; each file's node id labels its
+    # node-less series, so the merged report shows one line per daemon.
+    paths = []
+    for port, value in ((7400, 5), (7401, 3)):
+        registry = MetricsRegistry()
+        registry.counter("serve_connections_total").inc(value)
+        path = tmp_path / f"serve-{port}.json"
+        registry.export(path, meta={"node_id": f"127.0.0.1:{port}"})
+        paths.append(path)
+    lines = summarize_files(paths).splitlines()
+    assert "serve_connections_total{node=127.0.0.1:7400}  5" in lines
+    assert "serve_connections_total{node=127.0.0.1:7401}  3" in lines
 
 
 # --------------------------------------------------------------------------- #
@@ -293,32 +282,20 @@ def full_observability(tmp_path):
     obs_logging.reset()
     # The instrumentation must actually have fired — a parity test against
     # a silently disabled stack would prove nothing.
-    records = _read_records(log_path)
-    assert any(record["event"] == "span" for record in records)
-    assert any(record["event"] == "shard_task" for record in records)
     names = {entry["name"] for entry in obs_metrics.snapshot()["series"]}
-    assert "sampling_shard_draw_seconds" in names
     assert "sampling_rounds_total" in names
+    assert "sampling_units_total" in names
 
 
-@pytest.mark.parametrize("design", PARALLEL_DESIGNS)
+@pytest.mark.parametrize("design", sorted(STATIC_DESIGNS))
 def test_goldens_replay_bitwise_with_obs_active(labelled, golden, full_observability, design):
-    data, labels = labelled
-    golden.check(f"engine_{design}", _engine_trajectory(data.graph, labels, design))
+    trajectory = static_trajectory(labelled, static_design(labelled.graph, design))
+    golden.check(f"static_{design}", trajectory)
 
 
 def test_stratified_golden_replays_bitwise_with_obs_active(labelled, golden, full_observability):
-    data, labels = labelled
-    golden.check(
-        "engine_twcs_strat_neyman",
-        _engine_trajectory(
-            data.graph,
-            labels,
-            "twcs",
-            strata=_strata_rows(data.graph),
-            allocation="neyman",
-        ),
-    )
+    design = static_design(labelled.graph, "twcs", "neyman")
+    golden.check("static_twcs_strat_neyman", static_trajectory(labelled, design))
 
 
 @pytest.mark.parametrize(

@@ -1,312 +1,160 @@
-"""Fault-injection suite for the RPC shard transport.
+"""Fault injection on the authenticated serve wire.
 
-Every scenario wedges a fault into a real master ↔ ``repro worker``
-exchange — truncated frames, delayed and duplicated responses, corrupted
-task bytes, mid-task SIGKILL, wrong-secret connects — and asserts the
-transport's only two permitted outcomes:
+Every scenario wedges a fault into a real client ↔ daemon exchange —
+wrong-secret connects, a corrupted request frame, a truncated reply,
+slow fragmented replies — and asserts one of the two permitted outcomes:
 
-* the run **replays bit-identically** against the pinned golden twcs
-  trajectory (survivors re-execute from the tasks' recorded RNG states), or
+* the session **replays bit-identically** against the pinned golden
+  trajectory (``tests/golden/evolving_ss.json``), or
 * a **typed error** (:class:`RPCError` / :class:`RPCAuthError`) surfaces.
 
-Never a hang (hard SIGALRM ``timeout`` markers), never a corrupt merge,
-never arbitrary code execution from wire bytes.
+Never a hang (``timeout`` markers), never a half-applied batch.
+Everything runs in-process over loopback sockets.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
+import socket
 
 import pytest
-from rpc_chaos import ChaosProxy, WorkerProcess
+from serve_helpers import (
+    SECRET,
+    ScriptedDaemon,
+    SlowReplyProxy,
+    golden_payload,
+    spec,
+    wait_for,
+    workload,
+)
 
 from repro.generators.datasets import LabelledKG, make_nell_like
-from repro.sampling.parallel import ParallelSamplingExecutor
-from repro.sampling.rpc import RPCAuthError, RPCError, SocketRPCTransport
-
-pytestmark = [pytest.mark.rpc, pytest.mark.chaos]
+from repro.obs import metrics as obs_metrics
+from repro.sampling import wire
+from repro.sampling.rpc import RPCAuthError, RPCError, load_secret_file
+from repro.serve import protocol
+from repro.serve.client import ServeClient, ServeRequestError
+from repro.serve.server import EvalServer
 
 
 @pytest.fixture(scope="module")
-def labelled():
+def base():
     data = make_nell_like(seed=0)
-    graph = data.graph.to_columnar()
-    return LabelledKG(graph, data.oracle), data.oracle.as_position_array(graph)
+    return LabelledKG(data.graph.to_columnar(), data.oracle)
 
 
-def _twcs_trajectory(graph, labels, transport):
-    """The exact golden-pinned twcs run (seed 2026, 2 shards, 4×40 units)."""
-    with ParallelSamplingExecutor(graph, num_shards=2, transport=transport) as executor:
-        run = executor.run("twcs", labels, seed=2026)
-        trajectory = []
-        for _ in range(4):
-            run.step(40)
-            estimate = run.estimate()
-            cost = run.cost_summary()
-            trajectory.append(
-                {
-                    "value": float(estimate.value),
-                    "std_error": float(estimate.std_error),
-                    "num_units": int(estimate.num_units),
-                    "num_triples": int(estimate.num_triples),
-                    "entities_identified": int(cost.entities_identified),
-                    "triples_annotated": int(cost.triples_annotated),
-                    "cost_seconds": float(cost.cost_seconds),
-                }
-            )
-        stats = transport.stats()
-    return trajectory, stats
+@pytest.fixture()
+def server():
+    server = EvalServer(port=0, secret=SECRET, queue_limit=8)
+    server.start()
+    yield server
+    server.shutdown(drain=True)
 
 
-@pytest.mark.timeout(180)
-def test_truncated_result_frame_reassigns_and_replays_golden(labelled, tmp_path, golden):
-    """A node crashing mid-reply-frame is dropped; the golden replays exactly."""
-    data, labels = labelled
-    healthy = WorkerProcess(tmp_path / "trunc-healthy")
-    victim = WorkerProcess(tmp_path / "trunc-victim")
-    proxy = ChaosProxy(victim.address, truncate_result_at=1)
-    try:
-        transport = SocketRPCTransport([healthy.address, proxy.address])
-        trajectory, stats = _twcs_trajectory(data.graph, labels, transport)
-        golden.check("engine_twcs", trajectory)
-        assert stats["live_nodes"] == 1
-        dead = next(node for node in stats["nodes"] if node["dead"])
-        assert dead["address"] == proxy.address
-    finally:
-        proxy.close()
-        healthy.stop()
-        victim.stop()
-
-
-@pytest.mark.timeout(120)
-def test_truncated_frame_with_no_survivor_raises_typed_error(labelled, tmp_path):
-    data, labels = labelled
-    victim = WorkerProcess(tmp_path / "trunc-only")
-    proxy = ChaosProxy(victim.address, truncate_result_at=1)
-    try:
-        transport = SocketRPCTransport([proxy.address])
-        with pytest.raises(RPCError):
-            _twcs_trajectory(data.graph, labels, transport)
-    finally:
-        proxy.close()
-        victim.stop()
-
-
-@pytest.mark.timeout(180)
-def test_delayed_replies_stay_bit_identical(labelled, tmp_path, golden):
-    """A deterministically slow node changes nothing but wall-clock time."""
-    data, labels = labelled
-    fast = WorkerProcess(tmp_path / "delay-fast")
-    slow = WorkerProcess(tmp_path / "delay-slow")
-    proxy = ChaosProxy(slow.address, delay_results=0.05)
-    try:
-        transport = SocketRPCTransport([fast.address, proxy.address], window=4)
-        trajectory, stats = _twcs_trajectory(data.graph, labels, transport)
-        golden.check("engine_twcs", trajectory)
-        assert stats["live_nodes"] == 2
-    finally:
-        proxy.close()
-        fast.stop()
-        slow.stop()
-
-
-@pytest.mark.timeout(180)
-def test_duplicated_result_frame_fails_closed_and_replays_golden(labelled, tmp_path, golden):
-    """A replayed/duplicated reply desyncs that node only; the run survives."""
-    data, labels = labelled
-    healthy = WorkerProcess(tmp_path / "dup-healthy")
-    victim = WorkerProcess(tmp_path / "dup-victim")
-    proxy = ChaosProxy(victim.address, duplicate_result_at=1)
-    try:
-        transport = SocketRPCTransport([healthy.address, proxy.address])
-        trajectory, stats = _twcs_trajectory(data.graph, labels, transport)
-        golden.check("engine_twcs", trajectory)
-        # The healthy node must have survived whatever the duplicate did.
-        healthy_stats = next(n for n in stats["nodes"] if n["address"] == healthy.address)
-        assert not healthy_stats["dead"]
-    finally:
-        proxy.close()
-        healthy.stop()
-        victim.stop()
-
-
-@pytest.mark.timeout(180)
-def test_corrupted_task_frame_is_caught_by_crc_and_replayed(labelled, tmp_path, golden):
-    """A flipped wire byte dies on the codec CRC, never inside the worker."""
-    data, labels = labelled
-    healthy = WorkerProcess(tmp_path / "crc-healthy")
-    victim = WorkerProcess(tmp_path / "crc-victim")
-    proxy = ChaosProxy(victim.address, corrupt_task_at=1)
-    try:
-        transport = SocketRPCTransport([healthy.address, proxy.address])
-        trajectory, stats = _twcs_trajectory(data.graph, labels, transport)
-        golden.check("engine_twcs", trajectory)
-        assert stats["live_nodes"] >= 1
-        # The worker itself survived the corrupt frame (connection-level drop).
-        assert victim.proc.poll() is None
-    finally:
-        proxy.close()
-        healthy.stop()
-        victim.stop()
-
-
-@pytest.mark.timeout(180)
-def test_sigkill_mid_task_replays_golden(labelled, tmp_path, golden):
-    """SIGKILL while a task is executing: survivors re-execute it identically."""
-    from repro.obs import metrics as obs_metrics
-
-    data, labels = labelled
-    obs_metrics.reset()  # scope the master-side counters to this scenario
-    # The survivor is throttled a little too, so the run is still in
-    # flight when the timer fires and the master observes the death
-    # (instead of the whole trajectory completing in milliseconds).
-    survivor = WorkerProcess(tmp_path / "kill-survivor", task_delay=0.05)
-    victim = WorkerProcess(tmp_path / "kill-victim", task_delay=0.25)
-    timer = threading.Timer(0.3, victim.kill)
-    try:
-        transport = SocketRPCTransport([survivor.address, victim.address])
-        timer.start()
-        trajectory, stats = _twcs_trajectory(data.graph, labels, transport)
-        golden.check("engine_twcs", trajectory)
-        assert stats["live_nodes"] >= 1
-        survivor_stats = next(n for n in stats["nodes"] if n["address"] == survivor.address)
-        assert not survivor_stats["dead"]
-        # The master's metrics registry recorded the drop, labeled with the
-        # victim's address — and no other node was ever latched dead.
-        drops = [
-            (entry["labels"]["node"], entry["value"])
-            for entry in obs_metrics.snapshot()["series"]
-            if entry["name"] == "rpc_node_drops_total"
-        ]
-        assert len(drops) == 1, drops
-        assert drops[0][0] == victim.address
-        assert drops[0][1] >= 1.0
-        # The survivor's structured JSON log shows it authenticated and
-        # actually executed shard tasks for this run.
-        survivor.stop()  # orderly SIGTERM also flushes its metrics snapshot
-        assert survivor.structured_events("handshake_ok")
-        assert survivor.structured_events("shard_task")
-        assert survivor.metrics_path.exists()
-        import json
-
-        snapshot = json.loads(survivor.metrics_path.read_text())
-        names = {entry["name"] for entry in snapshot["series"]}
-        assert "rpc_task_service_seconds" in names
-    finally:
-        timer.cancel()
-        survivor.stop()
-        victim.stop()
-
-
-@pytest.mark.timeout(120)
+@pytest.mark.timeout(60)
 @pytest.mark.parametrize(
-    "worker_secret, master_secret",
+    "server_secret, client_secret",
     [("alpha", "beta"), ("alpha", None), (None, "beta")],
 )
-def test_wrong_secret_is_rejected_before_any_task_bytes(
-    labelled, tmp_path, worker_secret, master_secret
-):
+def test_wrong_secret_is_rejected_before_any_task_bytes(server_secret, client_secret):
     """Auth mismatch (either direction) is a typed error with zero work done."""
-    data, labels = labelled
-    worker = WorkerProcess(tmp_path / "auth-victim", secret=worker_secret)
+    daemon = EvalServer(port=0, secret=server_secret, queue_limit=8)
+    daemon.start()
     try:
-        transport = SocketRPCTransport([worker.address], secret=master_secret)
+        failures = obs_metrics.counter("serve_auth_failures_total")
+        before = failures.value
         with pytest.raises(RPCAuthError):
-            _twcs_trajectory(data.graph, labels, transport)
-        stats = transport.stats()
-        assert stats["nodes"][0]["auth_failed"]
-        assert stats["nodes"][0]["tasks_executed"] == 0
-        assert stats["snapshots_shipped"] == 0
-        # Nothing reached the worker's content-addressed cache: no task
-        # bytes, no snapshot bytes, before authentication.
-        digests = [d for d in os.listdir(worker.cache_dir) if not d.startswith(".")]
-        assert digests == []
-        assert worker.proc.poll() is None
-        # The rejection left a structured audit record in the worker's log
-        # (written just after the auth_error reply; poll briefly for it).
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and not worker.structured_events("auth_failed"):
-            time.sleep(0.05)
-        assert worker.structured_events("auth_failed")
+            ServeClient(daemon.address, secret=client_secret, connect_retries=1)
+        assert wait_for(lambda: failures.value == before + 1)
+        # Nothing reached the dispatcher, and the daemon still serves a
+        # client that holds its secret.
+        with ServeClient(daemon.address, secret=server_secret, connect_retries=1) as client:
+            assert client.sessions()["entries"] == []
     finally:
-        worker.stop()
+        daemon.shutdown(drain=True)
 
 
-@pytest.mark.timeout(120)
-def test_join_listener_is_not_a_signing_oracle_for_worker_auth(tmp_path):
-    """Relay-attack regression: a tag minted by the master's ``--accept-joins``
-    listener (role ``join-master``) must never authenticate anyone to a
-    listening worker (role ``listen-master``) — the handshake tags are
-    domain-separated per direction and bind both nonces."""
-    import socket as socket_module
-
-    from repro.sampling.rpc import (
-        PROTOCOL_VERSION,
-        parse_node_address,
-        recv_message,
-        send_message,
-    )
-
-    worker = WorkerProcess(tmp_path / "oracle-worker", secret="alpha")
-    transport = SocketRPCTransport(
-        [], secret="alpha", join_address="127.0.0.1:0", connect_timeout=2.0
-    )
+@pytest.mark.timeout(300)
+def test_matching_secret_serves_the_golden_trajectory(base, golden, tmp_path):
+    """The positive auth path: a secret file on one side, the same secret as a
+    string on the other, and a bit-identical session."""
+    secret_file = tmp_path / "serve.secret"
+    secret_file.write_text("s3cr3t\n")
+    daemon = EvalServer(port=0, secret=load_secret_file(secret_file), queue_limit=8)
+    daemon.start()
     try:
-        # Step 1: open a connection to the worker and capture its challenge
-        # nonce without answering yet.
-        host, port = worker.address.rsplit(":", 1)
-        victim = socket_module.create_connection((host, int(port)), timeout=10)
-        victim.settimeout(10)
-        challenge = recv_message(victim)
-        assert challenge["op"] == "challenge"
-        # Step 2: replay that nonce into the master's join listener and
-        # harvest the authenticated welcome it sends back *before* it could
-        # verify us.
-        oracle = socket_module.create_connection(
-            parse_node_address(transport.join_address), timeout=10
-        )
-        oracle.settimeout(10)
-        send_message(
-            oracle, {"op": "join", "version": PROTOCOL_VERSION, "nonce": challenge["nonce"]}
-        )
-        transport._accept_joins()  # master processes the queued join, sends welcome
-        welcome = recv_message(oracle)
-        assert welcome is not None and welcome["op"] == "welcome"
-        # Step 3: relay the harvested tag to the worker as if it were a
-        # master hello.  Domain separation must make the worker reject it.
-        send_message(
-            victim,
-            {
-                "op": "hello",
-                "version": PROTOCOL_VERSION,
-                "auth": welcome["auth"],
-                "nonce": welcome["nonce"],
-            },
-        )
-        reply = recv_message(victim)
-        assert reply is None or reply.get("op") == "auth_error"
-        assert worker.proc.poll() is None
+        with ServeClient(daemon.address, secret="s3cr3t", connect_retries=1) as client:
+            client.attach(spec("ss"), session="authed")
+            for batch, oracle in workload(base):
+                client.submit_batch("authed", batch, oracle)
+            entries = client.trajectory("authed")["entries"]
     finally:
-        transport.close()
-        worker.stop()
+        daemon.shutdown(drain=True)
+    golden.check("evolving_ss", golden_payload(entries))
 
 
-@pytest.mark.timeout(180)
-def test_matching_secret_serves_the_golden_trajectory(labelled, tmp_path, golden):
-    """The positive auth path: same secret on both sides, bit-identical run."""
-    data, labels = labelled
-    workers = [
-        WorkerProcess(tmp_path / f"auth-ok-{index}", secret="s3cr3t") for index in range(2)
-    ]
+@pytest.mark.timeout(60)
+def test_truncated_frame_with_no_survivor_raises_typed_error():
+    """A reply cut off mid-frame by a vanishing daemon is a typed RPCError."""
+    reply = wire.encode_frame({"op": "sessions", "entries": []})
+    daemon = ScriptedDaemon(SECRET, [reply[:-3]])
+    client = ServeClient(daemon.address, secret=SECRET, connect_retries=1)
     try:
-        transport = SocketRPCTransport(
-            [worker.address for worker in workers], secret="s3cr3t"
-        )
-        trajectory, stats = _twcs_trajectory(data.graph, labels, transport)
-        golden.check("engine_twcs", trajectory)
-        assert stats["live_nodes"] == 2
+        with pytest.raises(RPCError, match="mid-frame") as excinfo:
+            client.sessions()
+        assert not isinstance(excinfo.value, ServeRequestError)
     finally:
-        for worker in workers:
-            worker.stop()
+        client.close()
+        daemon.join()
+
+
+@pytest.mark.timeout(300)
+def test_corrupted_task_frame_is_caught_by_crc_and_replayed(server, base, golden):
+    """A submit with a flipped byte dies on the frame CRC before the evaluator
+    sees it; submitting the batch again replays the golden trajectory."""
+    batches = workload(base)
+    with ServeClient(server.address, secret=SECRET, connect_retries=1) as client:
+        client.attach(spec("ss"), session="crc")
+        batch, oracle = batches[0]
+        frame = bytearray(
+            wire.encode_frame(
+                {
+                    "op": "submit",
+                    "session": "crc",
+                    "batch_id": batch.batch_id,
+                    "triples": list(batch.triples),
+                    "labels": [oracle.label(triple) for triple in batch.triples],
+                    "wait": True,
+                }
+            )
+        )
+        frame[-2] ^= 0x5A  # a payload byte: the CRC check must catch it
+        errors = obs_metrics.counter("serve_conn_errors_total")
+        before = errors.value
+        host, port = server.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=30) as raw:
+            protocol.client_handshake(raw, SECRET)
+            raw.sendall(bytes(frame))
+            assert raw.recv(1) == b""  # the daemon drops the connection
+        assert errors.value == before + 1
+        reply = client.estimate("crc")
+        assert reply["num_records"] == 1 and reply["pending"] == 0
+        for batch, oracle in batches:
+            client.submit_batch("crc", batch, oracle)
+        entries = client.trajectory("crc")["entries"]
+    golden.check("evolving_ss", golden_payload(entries))
+
+
+@pytest.mark.timeout(300)
+def test_delayed_replies_stay_bit_identical(server, base, golden):
+    """Replies that arrive late and in 7-byte fragments change nothing but
+    wall-clock time."""
+    proxy = SlowReplyProxy(server.address)
+    try:
+        with ServeClient(proxy.address, secret=SECRET, connect_retries=1) as client:
+            client.attach(spec("ss"), session="slow")
+            for batch, oracle in workload(base):
+                client.submit_batch("slow", batch, oracle)
+            entries = client.trajectory("slow")["entries"]
+    finally:
+        proxy.close()
+    golden.check("evolving_ss", golden_payload(entries))

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.statistics import cluster_size_summary
 from repro.kg.triple import Triple
 from repro.storage import SqliteStore, make_backend
 from repro.storage.sqlite import is_sqlite_file
@@ -78,12 +78,12 @@ class TestSqliteBasics:
         original = toy_graph.to_sqlite(path=db)
         digest = original.backend.content_digest()
         triples = tuple(original.backend.iter_triples())
-        stats = original.backend.stats()
+        sizes = original.backend.cluster_size_array().copy()
         original.backend.close()
         reopened = SqliteStore(db)
         assert reopened.content_digest() == digest
         assert tuple(reopened.iter_triples()) == triples
-        assert reopened.stats() == stats
+        np.testing.assert_array_equal(reopened.cluster_size_array(), sizes)
         assert reopened.num_triples == toy_graph.num_triples
         # And it keeps accepting adds with continuing positions/rows.
         assert reopened.add(Triple("brand", "new", "triple"))
@@ -120,35 +120,24 @@ class TestSqliteBasics:
 
 
 class TestSqliteDrawParity:
-    def test_executor_draws_match_columnar(self, nell):
-        from repro.sampling.parallel import ParallelSamplingExecutor
-
+    def test_batch_draws_match_columnar(self, nell):
         columnar = nell.graph.to_columnar()
         sqlite = columnar.to_sqlite()
         rows = np.arange(48) % columnar.num_entities
-        with (
-            ParallelSamplingExecutor(columnar, workers=None, num_shards=2) as ex_col,
-            ParallelSamplingExecutor(sqlite, workers=None, num_shards=2) as ex_sq,
-        ):
-            rng_col = np.random.default_rng(2026)
-            rng_sq = np.random.default_rng(2026)
-            draws_col = columnar.sample_cluster_positions_batch(rows, 5, rng_col, executor=ex_col)
-            draws_sq = sqlite.sample_cluster_positions_batch(rows, 5, rng_sq, executor=ex_sq)
+        rng_col = np.random.default_rng(2026)
+        rng_sq = np.random.default_rng(2026)
+        draws_col = columnar.sample_cluster_positions_batch(rows, 5, rng_col)
+        draws_sq = sqlite.sample_cluster_positions_batch(rows, 5, rng_sq)
         assert all(np.array_equal(a, b) for a, b in zip(draws_col, draws_sq))
         # The RNG streams were consumed identically too.
         assert rng_col.integers(0, 2**62) == rng_sq.integers(0, 2**62)
 
-    def test_shard_plan_matches_columnar(self, nell):
-        columnar = nell.graph.to_columnar()
-        sqlite = columnar.to_sqlite()
-        for shards in (1, 2, 4):
-            assert repr(columnar.shard_plan(shards)) == repr(sqlite.shard_plan(shards))
-
     def test_stats_bit_identical_across_backends(self, nell, nell_memory):
         columnar = nell.graph.to_columnar()
         sqlite = columnar.to_sqlite()
-        assert columnar.backend.stats() == sqlite.backend.stats()
-        assert nell_memory.graph.backend.stats() == sqlite.backend.stats()
+        for other in (columnar, nell_memory.graph):
+            np.testing.assert_array_equal(other.cluster_size_array(), sqlite.cluster_size_array())
+            assert cluster_size_summary(other) == cluster_size_summary(sqlite)
 
 
 class TestSqliteIngestResume:
@@ -280,7 +269,7 @@ class TestSqliteCLI:
         assert "estimated accuracy" in out
 
     def test_evaluate_from_sqlite_reads_no_triple_rows(self, capsys, monkeypatch, movie_sqlite):
-        # The stored label array goes to the sharded engine as is, so the
+        # The stored label array goes to the evaluation loop as is, so the
         # cold path never iterates the database's rows, yet it prints what
         # the same evaluation of the freshly built graph prints.
         target, _ = movie_sqlite
@@ -294,7 +283,7 @@ class TestSqliteCLI:
         monkeypatch.setattr(SqliteStore, "iter_triples", refuse_scan)
         assert main(["evaluate", "--from-snapshot", target, *args]) == 0
         out = capsys.readouterr().out
-        assert "shards=8, transport=auto:serial" in out
+        assert "shards=1)" in out
         assert out == expected
 
     def test_evaluate_backend_sqlite_matches_columnar(self, capsys):

@@ -101,7 +101,9 @@ class TestBackendEquivalence:
         for triple in triples:
             assert (triple in memory) == (triple in sqlite)
         assert not sqlite.backend.contains(Triple("never", "seen", "this"))
-        assert memory.backend.stats() == sqlite.backend.stats()
+        np.testing.assert_array_equal(
+            memory.backend.cluster_size_array(), sqlite.backend.cluster_size_array()
+        )
 
     @given(_triple_lists)
     @settings(max_examples=20, deadline=None)
@@ -403,7 +405,7 @@ def _column_digest(store) -> str:
 
 class TestLoaderParity:
     """Any loader, same bytes: Triple objects, TSV, NT, and SQLite ingest
-    must produce identical id columns and identical planner stats."""
+    must produce identical id columns and identical cluster sizes."""
 
     # Flags stay False: TSV cannot carry the entity-object flag, so the
     # four-way comparison uses literal objects everywhere.
@@ -444,10 +446,9 @@ class TestLoaderParity:
             assert _column_digest(via_tsv.backend) == reference
             assert _column_digest(via_nt.backend) == reference
             assert _column_digest(sqlite_store) == reference
-            reference_stats = via_objects.backend.stats()
-            assert via_tsv.backend.stats() == reference_stats
-            assert via_nt.backend.stats() == reference_stats
-            assert sqlite_store.stats() == reference_stats
+            reference_sizes = via_objects.backend.cluster_size_array()
+            for store in (via_tsv.backend, via_nt.backend, sqlite_store):
+                np.testing.assert_array_equal(store.cluster_size_array(), reference_sizes)
 
 
 # --------------------------------------------------------------------------- #

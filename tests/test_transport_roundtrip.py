@@ -1,230 +1,65 @@
-"""Round-trip properties of the shard transport wire layer.
+"""Round-trip properties of the serve transport.
 
-The RPC protocol's correctness reduces to ``decode ∘ encode == id`` on the
-objects that cross it — :class:`ShardTask` / :class:`ShardResult` (with
-every :class:`ShardSource` kind and the live numpy RNG state they carry)
-and the content-addressed snapshot packages.  Hypothesis drives randomized
-instances through the byte codec; no sockets are involved, so this runs in
-the tier-1 leg.
+:func:`~repro.sampling.rpc.send_message` / :func:`~repro.sampling.rpc.recv_message`
+move one CRC-checked wire frame over a connected socket; the serve
+protocol's correctness reduces to ``recv ∘ send == id`` on what crosses
+it — submitted batches (Triples + labels), round results (an
+EvaluationReport and a MonitorRecord) and live RNG state.  Hypothesis drives
+randomized values through a loopback socket pair.
 """
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from serve_helpers import replies, submits
 
-from repro.obs.trace import TraceContext
-from repro.sampling.parallel import ShardResult, ShardSource, ShardTask
-from repro.sampling.rpc import decode_message, encode_message
-from repro.storage.distribute import (
-    SnapshotCache,
-    csr_digest,
-    pack_array,
-    pack_csr,
-    unpack_array,
-)
-
-_int_arrays = st.lists(
-    st.integers(min_value=0, max_value=2**31 - 1), min_size=0, max_size=24
-).map(lambda values: np.asarray(values, dtype=np.int64))
+from repro.core.result import EvaluationReport
+from repro.evolving.monitor import MonitorRecord
+from repro.sampling.rpc import recv_message, send_message
+from repro.serve.protocol import MAX_REQUEST_BYTES
 
 
-def _sources():
-    ranges = st.tuples(
-        st.integers(min_value=0, max_value=100), st.integers(min_value=0, max_value=100)
-    ).map(lambda pair: ShardSource(kind="range", lo=min(pair), hi=max(pair)))
-    rows = _int_arrays.map(lambda array: ShardSource(kind="rows", rows=array))
-    csr = st.lists(
-        st.integers(min_value=0, max_value=9), min_size=0, max_size=12
-    ).map(
-        lambda sizes: ShardSource(
-            kind="csr",
-            offsets=np.concatenate(([0], np.cumsum(sizes))).astype(np.int64),
-            positions=np.arange(int(sum(sizes)), dtype=np.int64),
-        )
-    )
-    return st.one_of(ranges, rows, csr)
+def _roundtrip(value):
+    first, second = socket.socketpair()
+    with first, second:
+        send_message(first, value)
+        return recv_message(second, limit=MAX_REQUEST_BYTES)
 
 
-def _traces():
-    """Optional trace contexts: the fuzz corpus covers both wire encodings
-    (legacy untraced tags and the traced v2 tags)."""
-    hex_id = st.text(alphabet="0123456789abcdef", min_size=1, max_size=32)
-    return st.one_of(st.none(), st.builds(TraceContext, trace_id=hex_id, span_id=hex_id))
+@given(message=submits())
+def test_task_roundtrip_is_identity(message):
+    decoded = _roundtrip(message)
+    assert decoded == message
+    assert [triple.is_entity_object for triple in decoded["triples"]] == [
+        triple.is_entity_object for triple in message["triples"]
+    ]
 
 
-def _traces_equal(first, second) -> bool:
-    if first is None or second is None:
-        return (first is None) == (second is None)
-    return first.trace_id == second.trace_id and first.span_id == second.span_id
-
-
-def _tasks():
-    return st.builds(
-        ShardTask,
-        index=st.integers(min_value=0, max_value=64),
-        design=st.sampled_from(["srs", "rcs", "wcs", "twcs", "tsrcs", "fixed"]),
-        source=_sources(),
-        count=st.integers(min_value=0, max_value=1_000),
-        cap=st.integers(min_value=1, max_value=50),
-        rng_state=st.one_of(
-            st.none(),
-            st.integers(min_value=0, max_value=2**32 - 1).map(
-                lambda seed: np.random.default_rng(seed).bit_generator.state
-            ),
-        ),
-        perm_seed=st.one_of(
-            st.none(),
-            st.integers(min_value=0, max_value=2**32 - 1).map(np.random.SeedSequence),
-        ),
-        cursor=st.integers(min_value=0, max_value=10_000),
-        trace=_traces(),
-    )
-
-
-def _results():
-    return st.builds(
-        ShardResult,
-        index=st.integers(min_value=0, max_value=64),
-        rows=_int_arrays,
-        counts=_int_arrays,
-        sizes=_int_arrays,
-        positions=_int_arrays,
-        rng_state=st.integers(min_value=0, max_value=2**32 - 1).map(
-            lambda seed: np.random.default_rng(seed).bit_generator.state
-        ),
-        cursor=st.integers(min_value=0, max_value=10_000),
-        elapsed=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-        trace=_traces(),
-    )
-
-
-def _arrays_equal(first: np.ndarray | None, second: np.ndarray | None) -> bool:
-    if first is None or second is None:
-        return (first is None) == (second is None)
-    return (
-        first.dtype == second.dtype
-        and first.shape == second.shape
-        and bool(np.array_equal(first, second))
-    )
-
-
-def _sources_equal(first: ShardSource, second: ShardSource) -> bool:
-    return (
-        first.kind == second.kind
-        and first.lo == second.lo
-        and first.hi == second.hi
-        and _arrays_equal(first.rows, second.rows)
-        and _arrays_equal(first.offsets, second.offsets)
-        and _arrays_equal(first.positions, second.positions)
-    )
-
-
-def _seeds_equal(first, second) -> bool:
-    if first is None or second is None:
-        return (first is None) == (second is None)
-    return first.entropy == second.entropy and first.spawn_key == second.spawn_key
-
-
-@given(task=_tasks())
-def test_task_roundtrip_is_identity(task):
-    decoded = decode_message(encode_message(task))
-    assert isinstance(decoded, ShardTask)
-    assert decoded.index == task.index
-    assert decoded.design == task.design
-    assert decoded.count == task.count
-    assert decoded.cap == task.cap
-    assert decoded.cursor == task.cursor
-    assert decoded.rng_state == task.rng_state
-    assert _seeds_equal(decoded.perm_seed, task.perm_seed)
-    assert _sources_equal(decoded.source, task.source)
-    assert _traces_equal(decoded.trace, task.trace)
-
-
-@given(result=_results())
-def test_result_roundtrip_is_identity(result):
-    decoded = decode_message(encode_message(result))
-    assert isinstance(decoded, ShardResult)
-    assert decoded.index == result.index
-    assert decoded.cursor == result.cursor
-    assert decoded.elapsed == result.elapsed
-    assert decoded.rng_state == result.rng_state
-    assert _traces_equal(decoded.trace, result.trace)
-    for name in ("rows", "counts", "sizes", "positions"):
-        assert _arrays_equal(getattr(decoded, name), getattr(result, name))
-
-
-@given(task=_tasks())
-def test_roundtrip_preserves_draw_behaviour(task):
-    """A decoded task with live RNG state resumes the *same* random stream."""
-    decoded = decode_message(encode_message(task))
-    if task.rng_state is None:
-        return
-    original = np.random.default_rng()
-    original.bit_generator.state = task.rng_state
-    restored = np.random.default_rng()
-    restored.bit_generator.state = decoded.rng_state
-    np.testing.assert_array_equal(
-        original.integers(0, 1 << 30, size=8), restored.integers(0, 1 << 30, size=8)
-    )
+@given(message=replies())
+def test_result_roundtrip_is_identity(message):
+    decoded = _roundtrip(message)
+    assert decoded == message
+    assert isinstance(decoded["report"], EvaluationReport)
+    assert isinstance(decoded["record"], MonitorRecord)
 
 
 @given(
-    offsets=st.lists(st.integers(min_value=0, max_value=7), min_size=0, max_size=16).map(
-        lambda sizes: np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    advance=st.integers(min_value=0, max_value=64),
 )
-def test_csr_package_roundtrip_and_digest_stability(offsets):
-    positions = np.arange(int(offsets[-1]), dtype=np.int64)
-    package = pack_csr(offsets, positions)
-    assert _arrays_equal(unpack_array(package["cluster_offsets"]), offsets)
-    assert _arrays_equal(unpack_array(package["cluster_positions"]), positions)
-    # The digest is a function of content only: same arrays, same address.
-    assert csr_digest(offsets, positions) == csr_digest(offsets.copy(), positions.copy())
-    # Any content change moves the address.
-    if positions.shape[0]:
-        changed = positions.copy()
-        changed[0] += 1
-        assert csr_digest(offsets, changed) != csr_digest(offsets, positions)
-
-
-def test_digest_covers_dtype_and_split():
-    values = np.arange(6, dtype=np.int64)
-    assert csr_digest(values, values) != csr_digest(values, values.astype(np.int32))
-    # Swapping bytes between the two arrays must not collide.
-    assert csr_digest(values[:2], values[2:]) != csr_digest(values[:4], values[4:])
-
-
-def test_snapshot_cache_roundtrip(tmp_path):
-    offsets = np.asarray([0, 2, 5], dtype=np.int64)
-    positions = np.asarray([4, 1, 0, 3, 2], dtype=np.int64)
-    digest = csr_digest(offsets, positions)
-    cache = SnapshotCache(tmp_path / "cache")
-    assert not cache.has(digest)
-    cache.store(digest, pack_csr(offsets, positions))
-    assert cache.has(digest)
-    assert cache.digests() == [digest]
-    loaded_offsets, loaded_positions = cache.load_csr(digest)
-    np.testing.assert_array_equal(loaded_offsets, offsets)
-    np.testing.assert_array_equal(loaded_positions, positions)
-    # Storing again is a no-op, and a second cache over the same root sees it.
-    cache.store(digest, pack_csr(offsets, positions))
-    assert SnapshotCache(tmp_path / "cache").has(digest)
-
-
-def test_snapshot_cache_sweeps_staging_leftovers(tmp_path):
-    """Orphaned .tmp-* staging dirs never shadow digests and get swept."""
-    root = tmp_path / "cache"
-    root.mkdir()
-    (root / ".tmp-deadbeef-orphan").mkdir()
-    cache = SnapshotCache(root)
-    assert cache.digests() == []
-    assert not (root / ".tmp-deadbeef-orphan").exists()
-
-
-def test_pack_array_is_portable_npy():
-    array = np.asarray([[1, 2], [3, 4]], dtype=np.int32)
-    restored = unpack_array(pack_array(array))
-    assert restored.dtype == array.dtype
-    np.testing.assert_array_equal(restored, array)
+def test_roundtrip_preserves_draw_behaviour(seed, advance):
+    """A received generator state or seed sequence resumes the *same* stream."""
+    original = np.random.default_rng(seed)
+    original.integers(0, 100, size=advance)
+    restored = np.random.default_rng()
+    restored.bit_generator.state = _roundtrip(original.bit_generator.state)
+    np.testing.assert_array_equal(
+        original.integers(0, 1 << 30, size=8), restored.integers(0, 1 << 30, size=8)
+    )
+    sequence = np.random.SeedSequence(seed).spawn(2)[1]
+    received = _roundtrip(sequence)
+    np.testing.assert_array_equal(received.generate_state(4), sequence.generate_state(4))

@@ -1,11 +1,11 @@
 """Fuzz suite for the schema'd wire codec (`repro.sampling.wire`).
 
-Two properties carry the transport's safety story:
+Two properties carry the serve wire's safety story:
 
-* **Fidelity** — ``decode(encode(x)) == x`` over randomized
-  :class:`ShardTask` / :class:`ShardResult` trees, live RNG streams
-  included (the strategies are shared with the transport round-trip
-  suite).
+* **Fidelity** — ``decode(encode(x)) == x`` over randomized serve messages:
+  update submits carrying Triples and labels, and result replies carrying
+  an :class:`EvaluationReport` and a :class:`MonitorRecord`; live RNG
+  streams and seed sequences included.
 * **Totality under hostility** — decoding mutated or arbitrary bytes never
   executes anything and never escapes with anything but
   :class:`WireError`: every single-byte flip of a valid frame is caught by
@@ -20,66 +20,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_transport_roundtrip import (
-    _arrays_equal,
-    _results,
-    _seeds_equal,
-    _sources_equal,
-    _tasks,
-    _traces_equal,
-)
+from serve_helpers import replies, submits
 
 from repro.core.result import EvaluationReport
 from repro.evolving.monitor import MonitorRecord
 from repro.kg.triple import Triple
-from repro.obs.trace import TraceContext
 from repro.sampling import wire
 from repro.sampling.base import Estimate
-from repro.sampling.parallel import ShardResult, ShardTask
 from repro.sampling.wire import WireError
 
 
-def _tasks_equal(first: ShardTask, second: ShardTask) -> bool:
-    return (
-        first.index == second.index
-        and first.design == second.design
-        and first.count == second.count
-        and first.cap == second.cap
-        and first.cursor == second.cursor
-        and first.rng_state == second.rng_state
-        and _seeds_equal(first.perm_seed, second.perm_seed)
-        and _sources_equal(first.source, second.source)
-        and _traces_equal(first.trace, second.trace)
-    )
+def _serve_values():
+    return st.one_of(submits(), replies())
 
 
 # --------------------------------------------------------------------------- #
 # Fidelity
 # --------------------------------------------------------------------------- #
-@given(task=_tasks())
-def test_task_frame_roundtrip(task):
-    decoded = wire.decode_frame(wire.encode_frame(task))
-    assert isinstance(decoded, ShardTask)
-    assert _tasks_equal(decoded, task)
+@given(message=submits())
+def test_task_frame_roundtrip(message):
+    """A serve submit, the daemon's unit of work, crosses the wire intact."""
+    decoded = wire.decode_frame(wire.encode_frame(message))
+    assert decoded == message
+    assert [triple.is_entity_object for triple in decoded["triples"]] == [
+        triple.is_entity_object for triple in message["triples"]
+    ]
 
 
-@given(result=_results())
-def test_result_frame_roundtrip(result):
-    decoded = wire.decode_frame(wire.encode_frame(result))
-    assert isinstance(decoded, ShardResult)
-    assert decoded.index == result.index
-    assert decoded.cursor == result.cursor
-    assert decoded.elapsed == result.elapsed
-    assert decoded.rng_state == result.rng_state
-    assert _traces_equal(decoded.trace, result.trace)
-    for name in ("rows", "counts", "sizes", "positions"):
-        assert _arrays_equal(getattr(decoded, name), getattr(result, name))
+@given(message=replies())
+def test_result_frame_roundtrip(message):
+    decoded = wire.decode_frame(wire.encode_frame(message))
+    assert decoded == message
+    assert isinstance(decoded["report"], EvaluationReport)
+    assert isinstance(decoded["record"], MonitorRecord)
 
 
 @given(
     message=st.fixed_dictionaries(
         {
-            "op": st.sampled_from(["hello", "task", "result", "attach"]),
+            "op": st.sampled_from(["hello", "attach", "submit", "estimate"]),
             "id": st.integers(min_value=0, max_value=2**40),
             "nonce": st.binary(min_size=0, max_size=32),
             "digests": st.lists(st.text(max_size=16), max_size=4),
@@ -119,10 +98,10 @@ def test_seedsequence_spawn_tree_roundtrip():
 # Totality under hostility
 # --------------------------------------------------------------------------- #
 @settings(max_examples=300)
-@given(task=_tasks(), mutation=st.tuples(st.integers(min_value=0), st.integers(1, 255)))
-def test_any_single_byte_flip_raises_wire_error(task, mutation):
+@given(value=_serve_values(), mutation=st.tuples(st.integers(min_value=0), st.integers(1, 255)))
+def test_any_single_byte_flip_raises_wire_error(value, mutation):
     """decode(mutate(encode(x))) is always WireError — never code execution."""
-    encoded = bytearray(wire.encode_frame(task))
+    encoded = bytearray(wire.encode_frame(value))
     position, flip = mutation
     position %= len(encoded)
     encoded[position] ^= flip
@@ -130,17 +109,17 @@ def test_any_single_byte_flip_raises_wire_error(task, mutation):
         wire.decode_frame(bytes(encoded))
 
 
-@given(result=_results(), cut=st.integers(min_value=0, max_value=10_000))
-def test_truncated_frames_raise_wire_error(result, cut):
-    encoded = wire.encode_frame(result)
+@given(value=_serve_values(), cut=st.integers(min_value=0, max_value=10_000))
+def test_truncated_frames_raise_wire_error(value, cut):
+    encoded = wire.encode_frame(value)
     with pytest.raises(WireError):
         wire.decode_frame(encoded[: cut % len(encoded)])
 
 
-@given(task=_tasks(), junk=st.binary(min_size=1, max_size=64))
-def test_trailing_junk_raises_wire_error(task, junk):
+@given(value=_serve_values(), junk=st.binary(min_size=1, max_size=64))
+def test_trailing_junk_raises_wire_error(value, junk):
     with pytest.raises(WireError):
-        wire.decode_frame(wire.encode_frame(task) + junk)
+        wire.decode_frame(wire.encode_frame(value) + junk)
 
 
 @given(data=st.binary(max_size=256))
@@ -199,35 +178,8 @@ def test_huge_declared_containers_are_bounded():
 
 
 # --------------------------------------------------------------------------- #
-# Trace-context tag: back-compat and forward hostility
+# Unknown and retired tags
 # --------------------------------------------------------------------------- #
-@given(task=_tasks(), result=_results())
-def test_trace_tag_selection_is_exact(task, result):
-    """``trace=None`` keeps the legacy tags (so old peers decode the frame
-    byte-identically); a carried trace switches to the traced tags."""
-    from dataclasses import replace
-
-    task_payload = wire.dumps(task)
-    expected_task = wire._T_TASK if task.trace is None else wire._T_TASK_TRACED
-    assert task_payload[0] == expected_task
-    result_payload = wire.dumps(result)
-    expected_result = wire._T_RESULT if result.trace is None else wire._T_RESULT_TRACED
-    assert result_payload[0] == expected_result
-    # Stripping the trace reproduces the exact legacy byte stream: the
-    # traced encoding is a pure suffix extension, not a re-layout.
-    stripped = wire.dumps(replace(task, trace=None))
-    if task.trace is not None:
-        assert stripped[0] == wire._T_TASK
-        assert task_payload[1 : len(stripped)] == stripped[1:]
-
-
-def test_trace_context_roundtrips_standalone():
-    context = TraceContext(trace_id="cafe" * 4, span_id="beef" * 2)
-    decoded = wire.loads(wire.dumps(context))
-    assert isinstance(decoded, TraceContext)
-    assert decoded == context
-
-
 @settings(max_examples=200)
 @given(
     tag=st.integers(min_value=wire._T_MONITOR_RECORD + 1, max_value=255),
@@ -240,28 +192,12 @@ def test_unknown_future_tags_raise_typed_error(tag, junk):
         wire.loads(bytes([tag]) + junk)
 
 
-def test_task_trace_field_must_be_a_trace_context():
-    """A forged traced-task frame whose trace field is some other value dies
-    on the schema check, not inside the constructor."""
-    from repro.sampling.parallel import ShardSource
-
-    task = ShardTask(
-        index=0,
-        design="srs",
-        source=ShardSource(kind="range", lo=0, hi=4),
-        count=1,
-        cap=1,
-        rng_state=None,
-        perm_seed=None,
-        cursor=0,
-    )
-    task_payload = bytearray(wire.dumps(task))
-    assert task_payload[0] == wire._T_TASK
-    task_payload[0] = wire._T_TASK_TRACED
-    # The traced decoder now expects one more field; a truncated or
-    # wrongly-typed tail is a WireError either way.
-    with pytest.raises(WireError):
-        wire.loads(bytes(task_payload))
+@given(tag=st.integers(min_value=13, max_value=18), junk=st.binary(max_size=64))
+def test_retired_shard_tags_raise_typed_error(tag, junk):
+    """Tags 13-18 carried the removed worker protocol's shard tasks, results
+    and trace contexts; a frame using one fails as a typed WireError."""
+    with pytest.raises(WireError, match="unknown wire tag"):
+        wire.loads(bytes([tag]) + junk)
 
 
 # --------------------------------------------------------------------------- #
@@ -347,18 +283,108 @@ def test_serve_payloads_nest_inside_messages():
 
 
 def test_serve_tags_are_a_pure_suffix():
-    """Tags 19-22 extend the table without renumbering: every pre-serve tag
-    keeps its value, so frames that avoid serve types are byte-identical to
-    what an old peer emits, and an old peer meeting a serve frame dies on
-    its own `unknown wire tag` guard rather than misparsing."""
+    """Tags 19-22 keep their numbers although 13-18 are retired: frames stay
+    byte-identical to what earlier serve peers emit, and a peer meeting a
+    tag it does not know dies on its `unknown wire tag` guard rather than
+    misparsing."""
     assert (
         wire._T_TRIPLE,
         wire._T_ESTIMATE,
         wire._T_REPORT,
         wire._T_MONITOR_RECORD,
     ) == (19, 20, 21, 22)
-    assert wire._T_RESULT_TRACED == 18  # the previous ceiling is untouched
+    assert wire._T_SEEDSEQ == 12
     assert wire.dumps(Triple("s", "p", "o"))[0] == wire._T_TRIPLE
+
+
+def _pinned_values() -> dict:
+    estimate = Estimate(value=0.875, std_error=0.0125, num_units=40, num_triples=310)
+    return {
+        "base": {
+            "none": None,
+            "yes": True,
+            "no": False,
+            "int": -7,
+            "big": 2**80,
+            "float": 0.25,
+            "str": "sé",
+            "bytes": b"\x00\xff",
+            "list": [1, "a"],
+            "tuple": (2, 3),
+            "array": np.arange(3, dtype=np.int32),
+            "seed": np.random.SeedSequence(1234, spawn_key=(1, 2)),
+        },
+        "triple": Triple("athlete_1", "plays_for", "team_2", is_entity_object=True),
+        "estimate": estimate,
+        "report": EvaluationReport(
+            estimate=estimate,
+            confidence_level=0.95,
+            moe_target=0.05,
+            satisfied=True,
+            iterations=7,
+            num_units=40,
+            num_triples_annotated=310,
+            num_entities_identified=38,
+            annotation_cost_seconds=1234.5,
+        ),
+        "record": MonitorRecord(
+            batch_index=3,
+            batch_id="delta-2",
+            estimated_accuracy=0.8854,
+            margin_of_error=0.0505,
+            true_accuracy=0.8973,
+            incremental_cost_hours=0.26,
+            cumulative_cost_hours=2.59,
+        ),
+    }
+
+
+#: Frames of the values above as encoded before tags 13-18 were retired: one
+#: covering tags 0-12 and one per serve tag (19-22).
+PINNED_FRAMES = {
+    "base": (
+        "52570100000000000000011c941f6a110a0000000c000000046e6f6e6500000000037965"
+        "7301000000026e6f0200000003696e7403fffffffffffffff90000000362696704000000"
+        "000b010000000000000000000000000005666c6f6174053fd00000000000000000000373"
+        "7472060000000373c3a900000005627974657307000000000000000200ff000000046c69"
+        "73740800000002030000000000000001060000000161000000057475706c650900000002"
+        "0300000000000000020300000000000000030000000561727261790b033c693401000000"
+        "0000000003000000000000000c00000000010000000200000000000004736565640c0300"
+        "000000000004d20900000002030000000000000001030000000000000002030000000000"
+        "000004030000000000000000"
+    ),
+    "triple": (
+        "525701000000000000000029b3e7bff61306000000096174686c6574655f310600000009"
+        "706c6179735f666f7206000000067465616d5f3201"
+    ),
+    "estimate": (
+        "525701000000000000000025fcbc299114053fec000000000000053f8999999999999a03"
+        "0000000000000028030000000000000136"
+    ),
+    "report": (
+        "5257010000000000000000662e2ca5541514053fec000000000000053f8999999999999a"
+        "030000000000000028030000000000000136053fee666666666666053fa999999999999a"
+        "010300000000000000070300000000000000280300000000000001360300000000000000"
+        "260540934a0000000000"
+    ),
+    "record": (
+        "525701000000000000000043834e09dd16030000000000000003060000000764656c7461"
+        "2d32053fec5532617c1bda053fa9db22d0e56042053fecb6ae7d566cf4053fd0a3d70a3d"
+        "70a4054004b851eb851eb8"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FRAMES))
+def test_frames_keep_their_pinned_bytes(name):
+    value = _pinned_values()[name]
+    frame = bytes.fromhex(PINNED_FRAMES[name])
+    assert wire.encode_frame(value) == frame
+    decoded = wire.decode_frame(frame)
+    if name == "base":
+        assert wire.encode_frame(decoded) == frame
+    else:
+        assert decoded == value
 
 
 @given(junk=st.binary(max_size=32))

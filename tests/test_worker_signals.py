@@ -1,38 +1,61 @@
-"""Worker shutdown-signal regression: SIGINT must export metrics too.
+"""Shutdown-signal regression for the long-running ``repro serve`` process.
 
-``repro worker`` converts SIGTERM into an orderly ``SystemExit`` so that
-``--metrics-out`` gets written by ``main()``'s finally block.  SIGINT (an
-interactive Ctrl-C) historically unwound as a ``KeyboardInterrupt`` from an
-arbitrary bytecode boundary instead, silently dropping the snapshot.  Both
-signals now share the handler; this suite pins that for each one the worker
-exits 0 and its metrics file exists with the right meta.
+The daemon turns SIGTERM *and* SIGINT into a drain that falls through to
+``main()``'s finally block, so ``--metrics-out`` gets written either way.
+An interactive Ctrl-C must not unwind as a ``KeyboardInterrupt`` from an
+arbitrary bytecode boundary and silently drop the snapshot.  For each signal
+this suite pins that the process exits 0 and its metrics file exists with
+the right meta.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import signal
-import time
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from rpc_chaos import WorkerProcess
 
-pytestmark = [pytest.mark.rpc]
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
 @pytest.mark.timeout(60)
 def test_worker_exports_metrics_on_shutdown_signal(tmp_path, signum):
-    worker = WorkerProcess(tmp_path / "cache", name=f"sig-{signum.name.lower()}")
-    try:
-        # Let the worker settle into its accept loop before interrupting it.
-        time.sleep(0.5)
-        worker.proc.send_signal(signum)
-        assert worker.proc.wait(timeout=30) == 0
-    finally:
-        worker.stop()
-    assert worker.metrics_path.is_file(), (
-        f"{signum.name} shutdown dropped the --metrics-out snapshot"
+    metrics_path = tmp_path / f"serve-{signum.name.lower()}.metrics.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--metrics-out",
+            str(metrics_path),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
     )
-    snapshot = json.loads(worker.metrics_path.read_text())
-    assert snapshot["meta"]["command"] == "worker"
+    try:
+        # The handlers are installed before the daemon announces its port.
+        banner = proc.stdout.readline()
+        assert banner.startswith("serve listening on "), banner
+        proc.send_signal(signum)
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert metrics_path.is_file(), f"{signum.name} shutdown dropped the --metrics-out snapshot"
+    snapshot = json.loads(metrics_path.read_text())
+    assert snapshot["meta"]["command"] == "serve"
+    assert snapshot["meta"]["node_id"] == banner.removeprefix("serve listening on ").strip()
