@@ -1,9 +1,8 @@
 """Evolving-KG backend benchmark: columnar + delta segments vs in-memory.
 
 Reproduces the Figure 8/9 update loops — base evaluation followed by a stream
-of insertion batches handled by the position-surface incremental evaluators
-(Algorithms 1 and 2) — on a >=1M-triple synthetic KG, once per storage
-backend:
+of insertion batches handled by the incremental evaluators (Algorithms 1 and
+2) — on a >=1M-triple synthetic KG, once per storage backend:
 
 * **memory** — the evolving graph is a full object copy of the base
   (O(M) per-triple adds before the first batch even arrives) and position
@@ -13,8 +12,8 @@ backend:
   base, update batches append CSR segments, and draws run on the frozen CSR
   index.
 
-Because position-mode evaluators consume the random stream identically on
-every backend, the two runs must produce **bit-identical** estimate
+Because the evaluators consume the random stream identically on every
+backend, the two runs must produce **bit-identical** estimate
 trajectories — the benchmark asserts that — while the columnar run is
 expected to finish the whole update loop >=3x faster at 1M triples (the
 speed assertion is only enforced at full scale so the CI smoke run at ~50k
@@ -92,9 +91,8 @@ def _worker_run(backend: str, method: str) -> dict:
     build_seconds = time.perf_counter() - started
 
     label_array = np.random.default_rng(_LABEL_SEED).random(graph.num_triples) < _ACCURACY
-    # The position surface reads ground truth from the label array, so the
-    # Triple-keyed oracle can stay an empty stub even at 1M triples.
-    base = LabelledKG(graph, LabelOracle({}, strict=False))
+    # The label array is the whole oracle: no Triple-keyed mapping at 1M triples.
+    base = LabelledKG(graph, LabelOracle.from_positions(graph, label_array))
 
     # Pre-generate the identical update stream outside the timed section.
     workload = UpdateWorkloadGenerator(base, seed=_WORKLOAD_SEED)
@@ -106,7 +104,7 @@ def _worker_run(backend: str, method: str) -> dict:
         "RS": ReservoirIncrementalEvaluator,
     }[method]
     started = time.perf_counter()
-    evaluator = cls(base, seed=_EVAL_SEED, surface="position", position_labels=label_array)
+    evaluator = cls(base, seed=_EVAL_SEED)
     setup_seconds = time.perf_counter() - started
 
     started = time.perf_counter()

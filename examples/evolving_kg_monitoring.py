@@ -11,13 +11,15 @@ of error:
 * RS       — reservoir incremental evaluation (Algorithm 1),
 * SS       — stratified incremental evaluation (Algorithm 2).
 
-The second part shows the production-scale variant of the same workflow: the
-base KG moves to the columnar backend and is persisted as a format-v2
-snapshot (columns + label array), and the evaluator runs on the *position
-surface* — update batches become appended CSR segments over a zero-copy
-DeltaStore view, no Triple objects are materialised, and re-running the
-script reopens the snapshot instead of rebuilding the base.  Position-mode
-estimates are bit-identical across storage backends under a fixed seed.
+Every evaluator samples integer triple positions and reads ground truth from
+a position-aligned label array.  The second part shows the production-scale
+variant of the same workflow: the base KG moves to the columnar backend and
+is persisted as a format-v2 snapshot (columns + label array), update batches
+become appended CSR segments over a zero-copy DeltaStore view, no Triple
+objects are materialised, and re-running the script reopens the snapshot
+(its stored label array becomes the oracle via
+``LabelOracle.from_positions``) instead of rebuilding the base.  Estimates
+are bit-identical across storage backends under a fixed seed.
 
 Run with:  python examples/evolving_kg_monitoring.py
 """
@@ -31,6 +33,7 @@ from repro import (
     BaselineEvolvingEvaluator,
     EvolvingAccuracyMonitor,
     LabelledKG,
+    LabelOracle,
     RandomErrorModel,
     ReservoirIncrementalEvaluator,
     StratifiedIncrementalEvaluator,
@@ -99,23 +102,16 @@ def columnar_with_snapshot_resume(snapshot_dir: Path) -> None:
     store = SnapshotStore(snapshot_dir)
     if store.exists():
         graph = store.load_graph(mmap=True)
-        label_array = store.load_labels(mmap=True)
+        # The stored label array is the whole oracle: no Triple-keyed mapping.
+        base = LabelledKG(graph, LabelOracle.from_positions(graph, store.load_labels(mmap=True)))
         print(f"reopened {graph!r} from {snapshot_dir} (labels persisted alongside)")
-        # The position surface reads ground truth from the label array, so a
-        # Triple-keyed oracle is not needed on the resume path.
-        from repro import LabelOracle
-
-        base = LabelledKG(graph, LabelOracle({}, strict=False))
     else:
         base = build_base(seed=5).to_columnar()
         graph = base.graph
-        label_array = base.oracle.as_position_array(graph)
-        store.save(graph.backend, name=graph.name, labels=label_array)
+        store.save(graph.backend, name=graph.name, labels=base.oracle.as_position_array(graph))
         print(f"built {graph!r} and saved graph + labels to {snapshot_dir}")
 
-    evaluator = StratifiedIncrementalEvaluator(
-        base, seed=1, surface="position", position_labels=np.asarray(label_array, dtype=bool)
-    )
+    evaluator = StratifiedIncrementalEvaluator(base, seed=1)
     monitor = EvolvingAccuracyMonitor(evaluator)
     monitor.evaluate_base()
     workload = UpdateWorkloadGenerator(base, seed=99)
@@ -124,7 +120,7 @@ def columnar_with_snapshot_resume(snapshot_dir: Path) -> None:
         batch, batch_oracle = workload.generate_batch(batch_size, accuracy)
         monitor.apply_update(batch, batch_oracle)
 
-    print("=== SS on columnar + DeltaStore (position surface) ===")
+    print("=== SS on columnar + DeltaStore ===")
     print("batch  estimate  truth   MoE    total-cost(h)")
     for record in monitor.records:
         print(

@@ -17,10 +17,10 @@ The commands cover the common workflows:
   ``--with-labels`` stores the ground-truth label array next to the columns;
 * ``monitor`` — run an evolving-KG monitoring session (Section 7.3.2): a base
   dataset receives a stream of update batches and an incremental evaluator
-  tracks its accuracy.  ``--backend columnar`` runs the position-surface
-  evaluators on a columnar base with zero-copy delta updates;
-  ``--snapshot`` persists (and on re-runs reopens) the base graph plus its
-  labels, so the expensive build/labelling happens once;
+  tracks its accuracy on a columnar base with zero-copy delta updates;
+  ``--snapshot`` persists (and on re-runs reopens, like ``evaluate
+  --from-snapshot``) the base graph plus its labels, so the expensive
+  build/labelling happens once;
 * ``serve`` — run the long-lived multi-session evaluation daemon: graphs stay
   attached across requests, the latest estimate of every session is an O(1)
   cached read, and SIGTERM drains gracefully (finish in-flight rounds,
@@ -51,8 +51,8 @@ Examples
     python -m repro snapshot --dataset movie --out movie.npz --with-labels
     python -m repro snapshot --dataset movie --out movie.sqlite --backend sqlite --with-labels
     python -m repro evaluate --from-snapshot movie.npz
-    python -m repro monitor --dataset movie --backend columnar --batches 5
-    python -m repro monitor --dataset nell --backend columnar \\
+    python -m repro monitor --dataset movie --batches 5
+    python -m repro monitor --dataset nell \\
         --log-json run.jsonl --metrics-out monitor.json
     python -m repro metrics summarize monitor.json
     python -m repro serve --listen 127.0.0.1:7400 --state-dir /tmp/serve-state
@@ -301,53 +301,28 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.core.config import EvaluationConfig as _Config
     from repro.evolving.baseline import BaselineEvolvingEvaluator
     from repro.evolving.monitor import EvolvingAccuracyMonitor
     from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
     from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
     from repro.generators.workload import UpdateWorkloadGenerator
-    from repro.storage.snapshot import SnapshotStore
 
-    surface = (
-        "position"
-        if args.backend in ("columnar", "sqlite") and args.evaluator != "baseline"
-        else "object"
-    )
-    position_labels = None
-    if args.snapshot and SnapshotStore(args.snapshot).exists():
-        if surface == "position":
-            # The position surface reads ground truth from the label array
-            # only, so skip the O(M) Triple/oracle-dict materialisation and
-            # reopen the columns directly.
-            from repro.labels.oracle import LabelOracle
-
-            store = SnapshotStore(args.snapshot)
-            position_labels = store.load_labels()
-            if position_labels is None:
-                raise SystemExit(
-                    f"snapshot {args.snapshot} carries no label array; re-create "
-                    "it with `repro monitor --snapshot` or `repro snapshot --with-labels`"
-                )
-            data = LabelledKG(store.load_graph(), LabelOracle({}, strict=False))
-        else:
-            data = _load_snapshot_dataset(args.snapshot)
+    # The delta machinery evolves a frozen columnar base, so every base ends
+    # up as columns; to_columnar() hands a columnar graph back unchanged.
+    if args.snapshot and Path(args.snapshot).exists():
+        data = _load_snapshot_dataset(args.snapshot).to_columnar()
         print(f"base KG  : {data.graph!r} (reopened from {args.snapshot})")
     else:
         data = _load_dataset(args.dataset, args.seed, args.movie_scale)
-        if args.backend == "columnar":
-            data = data.to_columnar()
-        elif args.backend == "sqlite":
-            # The delta machinery needs a frozen columnar base; the sqlite
-            # round-trip keeps the persistent copy out-of-core while the
-            # derived columns (bit-identical to a direct columnar build)
-            # carry the update stream.
-            data = data.to_sqlite().to_columnar()
+        if args.backend == "sqlite":
+            # The sqlite round-trip keeps the persistent copy out-of-core
+            # while the derived columns (bit-identical to a direct columnar
+            # build) carry the update stream.
+            data = data.to_sqlite()
+        data = data.to_columnar()
         if args.snapshot:
             labels = data.oracle.as_position_array(data.graph)
-            data.graph.to_columnar().save_snapshot(args.snapshot, labels=labels)
-            if surface == "position":
-                position_labels = labels
+            data.graph.save_snapshot(args.snapshot, labels=labels)
             print(f"base KG  : {data.graph!r} (snapshot saved to {args.snapshot})")
         else:
             print(f"base KG  : {data.graph!r}")
@@ -357,14 +332,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         "ss": StratifiedIncrementalEvaluator,
         "baseline": BaselineEvolvingEvaluator,
     }
-    config = _Config(moe_target=args.moe, confidence_level=args.confidence)
-    evaluator = evaluator_classes[args.evaluator](
-        data,
-        config=config,
-        seed=args.seed,
-        surface=surface,
-        position_labels=position_labels if surface == "position" else None,
-    )
+    config = EvaluationConfig(moe_target=args.moe, confidence_level=args.confidence)
+    evaluator = evaluator_classes[args.evaluator](data, config=config, seed=args.seed)
     monitor = EvolvingAccuracyMonitor(evaluator)
     monitor.evaluate_base()
     workload = UpdateWorkloadGenerator(data, seed=args.seed)
@@ -374,7 +343,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     ):
         monitor.apply_update(batch, batch_oracle)
 
-    print(f"evaluator: {args.evaluator} ({surface} surface, {args.backend} backend)")
+    print(f"evaluator: {args.evaluator} ({args.backend} backend)")
     print("batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)")
     for record in monitor.records:
         print(
@@ -852,12 +821,11 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--dataset", choices=_DATASETS, default="movie")
     monitor.add_argument(
         "--backend",
-        choices=("memory", "columnar", "sqlite"),
-        default="memory",
-        help="storage backend; 'memory' runs the object-surface evaluators, "
-        "'columnar' the position-surface evaluators with zero-copy delta updates, "
-        "'sqlite' keeps the persistent base out-of-core and derives the same "
-        "columns (default memory)",
+        choices=("columnar", "sqlite"),
+        default="columnar",
+        help="storage backend of the base: 'columnar' evolves it through zero-copy "
+        "delta updates, 'sqlite' keeps the persistent base out-of-core and derives "
+        "the same columns (default columnar)",
     )
     monitor.add_argument(
         "--evaluator",
@@ -891,7 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot",
         default=None,
         help="persist the base graph + labels here on the first run and reopen "
-        "them on later runs (skipping the build/labelling work)",
+        "them on later runs (skipping the build/labelling work); an existing path "
+        "is reopened like `evaluate --from-snapshot` reopens it",
     )
     _add_obs_options(monitor)
 

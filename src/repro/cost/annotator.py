@@ -297,8 +297,8 @@ class PositionAnnotationAccount:
     annotation.  The account mirrors :class:`SimulatedAnnotator`'s session
     semantics exactly — ``c1`` is charged once per distinct entity, ``c2``
     once per distinct triple position, and re-annotating already-labelled
-    positions is free — which keeps position-mode cost reports comparable to
-    (and as deterministic as) the object-mode ones.
+    positions is free — which keeps the evolving evaluators' cost reports
+    comparable to (and as deterministic as) the static loop's.
 
     :meth:`mark_annotated` seeds the account without charging, so a
     monitoring run resumed from a snapshot (format v2 ``annotated`` array)

@@ -9,17 +9,17 @@ import numpy as np
 
 from repro.core.config import EvaluationConfig
 from repro.core.result import EvaluationReport
-from repro.cost.annotator import PositionAnnotationAccount, SimulatedAnnotator
+from repro.cost.annotator import PositionAnnotationAccount
 from repro.cost.model import CostModel
 from repro.generators.datasets import LabelledKG
 from repro.kg.updates import EvolvingKnowledgeGraph, UpdateBatch
 from repro.labels.oracle import LabelOracle
 from repro.obs import metrics as obs_metrics
+from repro.sampling.base import Estimate, PositionUnit
 from repro.sampling.segment import PositionSegment
+from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
 __all__ = ["UpdateEvaluation", "IncrementalEvaluator"]
-
-_SURFACES = ("object", "position")
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,27 @@ class IncrementalEvaluator(ABC):
     """Base class for evaluators that track an evolving knowledge graph.
 
     Subclasses are constructed around a labelled base KG and then fed update
-    batches one at a time.  They own an annotator whose session spans the
-    whole lifetime of the evaluator, so annotations paid for earlier states
+    batches one at a time.  Sampling, labels and cost accounting all run on
+    integer triple positions: ground truth is a position-aligned boolean
+    array, extended per batch, and Eq. (4) cost is charged to one
+    :class:`~repro.cost.annotator.PositionAnnotationAccount` whose session
+    spans the evaluator's lifetime, so annotations paid for earlier states
     are naturally reused (or deliberately discarded, in the Baseline's case).
+    Each update batch is sampled as an appended CSR
+    :class:`~repro.sampling.segment.PositionSegment`; on a columnar base the
+    evolved graph is a zero-copy :class:`~repro.storage.delta.DeltaStore`
+    view.  The random stream is consumed identically on every storage
+    backend, so a fixed seed yields bit-identical estimates across backends.
 
     Parameters
     ----------
     base:
-        The labelled base knowledge graph ``G``.
+        The labelled base knowledge graph ``G``.  Its oracle's label array is
+        read once (:meth:`~repro.labels.oracle.LabelOracle.as_position_array`):
+        an oracle built with
+        :meth:`~repro.labels.oracle.LabelOracle.from_positions` (a stored
+        label array) hands it over as is; a Triple-keyed one costs one O(M)
+        pass.
     config:
         Quality requirement applied to every state (default: 5 % MoE, 95 %).
     cost_model:
@@ -78,21 +91,6 @@ class IncrementalEvaluator(ABC):
         TWCS second-stage cap ``m`` used by all evaluators.
     seed:
         Seed for all randomness (sampling and reservoir keys).
-    surface:
-        ``"object"`` (default) — annotation flows through Triple objects and
-        a :class:`~repro.cost.annotator.SimulatedAnnotator`, the seed
-        behaviour.  ``"position"`` — sampling, labels and cost accounting run
-        on integer triple positions and boolean label arrays, with update
-        batches handled as appended CSR segments; on a columnar base the
-        evolved graph is a zero-copy
-        :class:`~repro.storage.delta.DeltaStore` view.  Position-mode runs
-        consume the random stream identically on every storage backend, so a
-        fixed seed yields bit-identical estimates across backends.
-    position_labels:
-        Ground-truth labels for the base graph as a position-aligned boolean
-        array (position mode only).  When omitted it is derived from the base
-        oracle with one O(M) pass; passing it (e.g. from a format-v2 snapshot)
-        skips that pass entirely.
     compact_threshold:
         When set and the evolving graph is delta-backed, re-freeze the tail
         into the base whenever it outgrows this fraction of the base
@@ -110,46 +108,22 @@ class IncrementalEvaluator(ABC):
         cost_model: CostModel | None = None,
         second_stage_size: int = 5,
         seed: int | None = None,
-        surface: str = "object",
-        position_labels: np.ndarray | None = None,
         compact_threshold: float | None = None,
     ) -> None:
-        if surface not in _SURFACES:
-            raise ValueError(f"surface must be one of {_SURFACES}, got {surface!r}")
         self.config = config if config is not None else EvaluationConfig()
         self.second_stage_size = second_stage_size
         self.seed = seed
-        self.surface = surface
         self.evolving = EvolvingKnowledgeGraph(base.graph, compact_threshold=compact_threshold)
         # Vocabulary size of the untouched base, recorded before any batch
         # interns new strings; state persistence (snapshot format v3) uses it
         # to capture exactly the strings an update stream added.
         vocab = getattr(base.graph.backend, "vocab", None)
         self._base_vocab_size = len(vocab) if vocab is not None else None
-        if surface == "position":
-            # The oracle is only read (never extended) in position mode: the
-            # ground truth lives in the position-aligned label array, which is
-            # extended per batch instead.
-            self.oracle = base.oracle
-            if position_labels is not None:
-                self._labels = np.asarray(position_labels, dtype=bool)
-                if self._labels.shape[0] != base.graph.num_triples:
-                    raise ValueError(
-                        "position_labels must be aligned with the base graph "
-                        f"({self._labels.shape[0]} labels, "
-                        f"{base.graph.num_triples} triples)"
-                    )
-            else:
-                self._labels = base.oracle.as_position_array(base.graph)
-            self._account: PositionAnnotationAccount | None = PositionAnnotationAccount(cost_model)
-        else:
-            self.oracle = LabelOracle(base.oracle.as_dict())
-            self._labels = None
-            self._account = None
-        self.annotator = SimulatedAnnotator(self.oracle, cost_model=cost_model, seed=seed)
+        self._labels = base.oracle.as_position_array(base.graph)
+        self._account = PositionAnnotationAccount(cost_model)
         self.history: list[UpdateEvaluation] = []
-        # Cost charged in annotator sessions that have since been reset (only
-        # the Baseline resets sessions); added back so cumulative cost is
+        # Cost charged to accounts that have since been replaced (only the
+        # Baseline replaces its account); added back so cumulative cost is
         # monotone across snapshots for every evaluator.
         self._discarded_cost_seconds = 0.0
 
@@ -168,36 +142,21 @@ class IncrementalEvaluator(ABC):
     # Shared helpers
     # ------------------------------------------------------------------ #
     @property
-    def position_mode(self) -> bool:
-        """Whether this evaluator runs on the position surface."""
-        return self.surface == "position"
-
-    @property
-    def labels(self) -> np.ndarray | None:
-        """Position-aligned ground-truth labels (position mode only)."""
+    def labels(self) -> np.ndarray:
+        """Position-aligned ground-truth labels of the evolved graph."""
         return self._labels
 
     @property
-    def account(self) -> PositionAnnotationAccount | None:
-        """The position-surface cost account (position mode only)."""
+    def account(self) -> PositionAnnotationAccount:
+        """The cost account charged by the current annotation session."""
         return self._account
 
-    def _register_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> list[bool]:
-        """Record the batch in the evolving graph and extend the oracle.
-
-        Returns the per-triple added flags (``False`` for duplicates the
-        graph already contained).
-        """
-        self.oracle.extend(batch_oracle)
-        return self.evolving.apply(batch)
-
     def _append_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> PositionSegment:
-        """Position-mode twin of :meth:`_register_update`.
+        """Apply one batch and return the appended CSR segment to sample.
 
-        Applies the batch, extends the label array with the batch's ground
-        truth and returns the appended CSR segment the evaluator samples.
+        The label array grows by the batch's ground truth for every triple
+        the graph actually added (duplicates keep their original label).
         """
-        assert self._labels is not None
         first_position = self.evolving.current.num_triples
         flags = self.evolving.apply(batch)
         segment = PositionSegment.from_batch(batch.triples, flags, first_position)
@@ -213,71 +172,113 @@ class IncrementalEvaluator(ABC):
         self._labels = np.concatenate([self._labels, batch_labels])
         return segment
 
-    def current_true_accuracy(self) -> float:
-        """Exact accuracy of the evolved graph under the ground truth.
+    def _entity_row(self, segment: PositionSegment | None, cluster: int) -> int:
+        """Evolved-graph entity row of ``cluster`` in ``segment``.
 
-        O(1)-ish in position mode (one array mean); one O(M) oracle pass in
-        object mode.
+        ``segment=None`` means ``cluster`` already is a base graph row: base
+        rows coincide with the evolved graph's rows on every backend
+        (first-seen order is preserved by copy and delta view), so c1 is
+        charged once per entity across the base and every update segment.
         """
-        if self._labels is not None:
-            if self._labels.shape[0] == 0:
-                return 0.0
-            return float(self._labels.mean())
-        return self.oracle.true_accuracy(self.evolving.current)
+        if segment is None:
+            return cluster
+        return self.evolving.current.entity_row(segment.subjects[cluster])
+
+    def _charge_units(self, units: list[PositionUnit], segment: PositionSegment | None) -> None:
+        """Charge the account for a batch of drawn cluster units."""
+        for unit in units:
+            self._account.charge(self._entity_row(segment, unit.entity_row), unit.positions)
+
+    def _meets_target(self, estimate: Estimate) -> bool:
+        config = self.config
+        return estimate.num_units >= config.min_units and estimate.satisfies(
+            config.moe_target, config.confidence_level
+        )
+
+    def _run_static(self, design: TwoStageWeightedClusterDesign) -> int:
+        """The static TWCS loop over a whole graph; returns the rounds run.
+
+        Draw, charge and fold one round of position units at a time until
+        the estimate meets the quality requirement, exactly as
+        :meth:`~repro.core.framework.StaticEvaluator.run` stops.
+        """
+        config = self.config
+        iterations = 0
+        while True:
+            estimate = design.estimate()
+            if self._meets_target(estimate):
+                break
+            if config.max_units is not None and estimate.num_units >= config.max_units:
+                break
+            units = design.draw_positions(config.batch_size)
+            if not units:
+                break
+            self._charge_units(units, None)
+            design.update_all_positions(units, self._labels)
+            iterations += 1
+        return iterations
+
+    def current_true_accuracy(self) -> float:
+        """Exact accuracy of the evolved graph under the ground truth (one array mean)."""
+        if self._labels.shape[0] == 0:
+            return 0.0
+        return float(self._labels.mean())
 
     # ------------------------------------------------------------------ #
-    # Unified cost accounting across surfaces
+    # Cost accounting and reports
     # ------------------------------------------------------------------ #
     def _cost_totals(self) -> tuple[float, int, int]:
         """Current ``(cost_seconds, triples_annotated, entities_identified)``."""
-        if self._account is not None:
-            return (
-                self._account.total_cost_seconds,
-                self._account.total_triples_annotated,
-                self._account.entities_identified,
-            )
         return (
-            self.annotator.total_cost_seconds,
-            self.annotator.total_triples_annotated,
-            self.annotator.entities_identified,
+            self._account.total_cost_seconds,
+            self._account.total_triples_annotated,
+            self._account.entities_identified,
         )
 
-    def _report_fields(self, totals_before: tuple[float, int, int]) -> tuple[int, int, float]:
-        """Incremental ``(triples, entities, cost_seconds)`` since ``totals_before``."""
+    def _report(
+        self,
+        estimate: Estimate,
+        iterations: int,
+        satisfied: bool,
+        totals_before: tuple[float, int, int],
+    ) -> EvaluationReport:
+        """A report whose cost fields cover the work since ``totals_before``."""
         cost_now, triples_now, entities_now = self._cost_totals()
         cost_before, triples_before, entities_before = totals_before
-        return (
-            triples_now - triples_before,
-            entities_now - entities_before,
-            cost_now - cost_before,
+        return EvaluationReport(
+            estimate=estimate,
+            confidence_level=self.config.confidence_level,
+            moe_target=self.config.moe_target,
+            satisfied=satisfied,
+            iterations=iterations,
+            num_units=estimate.num_units,
+            num_triples_annotated=triples_now - triples_before,
+            num_entities_identified=entities_now - entities_before,
+            annotation_cost_seconds=cost_now - cost_before,
         )
 
     def _record(self, batch_id: str, report: EvaluationReport) -> UpdateEvaluation:
-        cost_now, triples_now, entities_now = self._cost_totals()
-        # Annotation-cost deltas since the previous recorded state: the
-        # counters advance batch by batch even though the account only
-        # exposes cumulative totals.
-        last_cost, last_triples, last_entities = getattr(
-            self, "_obs_last_totals", (0.0, 0, 0)
-        )
+        # The counters advance by this state's own incremental work, which
+        # stays right across a Baseline account swap and a resumed evaluator.
         kind = type(self).__name__
         obs_metrics.counter("annotation_cost_seconds_total", evaluator=kind).inc(
-            max(0.0, cost_now - last_cost)
+            report.annotation_cost_seconds
         )
         obs_metrics.counter("annotation_triples_total", evaluator=kind).inc(
-            max(0, triples_now - last_triples)
+            report.num_triples_annotated
         )
         obs_metrics.counter("annotation_entities_total", evaluator=kind).inc(
-            max(0, entities_now - last_entities)
+            report.num_entities_identified
         )
-        self._obs_last_totals = (cost_now, triples_now, entities_now)
         evaluation = UpdateEvaluation(
-            batch_id=batch_id,
-            report=report,
-            cumulative_cost_seconds=cost_now + self._discarded_cost_seconds,
+            batch_id=batch_id, report=report, cumulative_cost_seconds=self._spent_seconds()
         )
         self.history.append(evaluation)
         return evaluation
+
+    def _spent_seconds(self) -> float:
+        """Annotation seconds charged since the evaluator was created."""
+        return self._account.total_cost_seconds + self._discarded_cost_seconds
 
     @property
     def latest(self) -> UpdateEvaluation:
@@ -293,4 +294,4 @@ class IncrementalEvaluator(ABC):
     @property
     def total_cost_hours(self) -> float:
         """Total annotation hours spent by this evaluator so far."""
-        return (self._cost_totals()[0] + self._discarded_cost_seconds) / 3600.0
+        return self._spent_seconds() / 3600.0

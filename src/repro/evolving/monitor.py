@@ -59,10 +59,6 @@ class EvolvingAccuracyMonitor:
         self.evaluator = evaluator
         self.records: list[MonitorRecord] = []
 
-    def _true_accuracy(self) -> float:
-        # One array mean in position mode; a full oracle pass in object mode.
-        return self.evaluator.current_true_accuracy()
-
     def evaluate_base(self) -> MonitorRecord:
         """Evaluate the base graph and record the starting point."""
         evaluation = self.evaluator.evaluate_base()
@@ -71,7 +67,7 @@ class EvolvingAccuracyMonitor:
             batch_id="base",
             estimated_accuracy=evaluation.accuracy,
             margin_of_error=evaluation.report.margin_of_error,
-            true_accuracy=self._true_accuracy(),
+            true_accuracy=self.evaluator.current_true_accuracy(),
             incremental_cost_hours=evaluation.incremental_cost_hours,
             cumulative_cost_hours=evaluation.cumulative_cost_hours,
         )
@@ -99,7 +95,7 @@ class EvolvingAccuracyMonitor:
             batch_id=batch.batch_id,
             estimated_accuracy=evaluation.accuracy,
             margin_of_error=evaluation.report.margin_of_error,
-            true_accuracy=self._true_accuracy(),
+            true_accuracy=self.evaluator.current_true_accuracy(),
             incremental_cost_hours=evaluation.incremental_cost_hours,
             cumulative_cost_hours=evaluation.cumulative_cost_hours,
         )

@@ -24,11 +24,10 @@ Keeping the keys of *all* clusters (annotated or not) makes the reservoir
 nested in its capacity, so growing it later never contradicts an earlier
 sampling decision.
 
-On the position surface (``surface="position"``) clusters are addressed as
-CSR rows of the frozen base graph or as clusters of an appended update
-segment; annotation resolves boolean label arrays by integer position and
-cost is charged through the position account, so the whole update loop runs
-without materialising a single Triple.
+Clusters are addressed as CSR rows of the frozen base graph or as clusters
+of an appended update segment; annotation resolves boolean label arrays by
+integer position and cost is charged through the position account, so the
+whole update loop runs without materialising a single Triple.
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.result import EvaluationReport
 from repro.evolving.base import IncrementalEvaluator, UpdateEvaluation
-from repro.kg.triple import Triple
 from repro.kg.updates import UpdateBatch
 from repro.labels.oracle import LabelOracle
 from repro.obs import metrics as obs_metrics
@@ -53,19 +50,8 @@ __all__ = ["ReservoirIncrementalEvaluator"]
 
 
 @dataclass
-class _ReservoirEntry:
-    """One annotated cluster currently in the reservoir (object surface)."""
-
-    cluster_key: str
-    key: float
-    weight: float
-    triples: tuple[Triple, ...]
-    accuracy: float
-
-
-@dataclass
 class _PositionEntry:
-    """One annotated cluster currently in the reservoir (position surface).
+    """One annotated cluster currently in the reservoir.
 
     ``source`` addresses the cluster's population: ``(None, row)`` for a base
     graph CSR row, ``(segment, cluster)`` for a cluster of an appended update
@@ -90,7 +76,7 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
         super().__init__(*args, **kwargs)
         self._rng = np.random.default_rng(self.seed)
         # Annotated clusters, as a min-heap on the A-Res key.
-        self._reservoir: list[tuple[float, int, object]] = []
+        self._reservoir: list[tuple[float, int, _PositionEntry]] = []
         # Clusters that received a key but were never annotated, as a max-heap
         # (negated keys); used when the reservoir needs to grow.
         self._candidates: list[tuple] = []
@@ -104,12 +90,8 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
     # ------------------------------------------------------------------ #
     # Key handling
     # ------------------------------------------------------------------ #
-    def _draw_key(self, weight: float) -> float:
-        uniform = max(float(self._rng.random()), np.finfo(float).tiny)
-        return float(uniform ** (1.0 / weight))
-
     def _draw_keys(self, weights: np.ndarray) -> np.ndarray:
-        """Vectorised twin of :meth:`_draw_key`: one A-Res key per weight."""
+        """One A-Res key ``u^{1/weight}`` per weight."""
         uniforms = np.maximum(self._rng.random(weights.shape[0]), np.finfo(float).tiny)
         return uniforms ** (1.0 / weights)
 
@@ -118,69 +100,28 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
         return self._tiebreak
 
     # ------------------------------------------------------------------ #
-    # Reservoir bookkeeping shared by both surfaces
+    # Reservoir bookkeeping
     # ------------------------------------------------------------------ #
-    def _push_reservoir(self, key: float, entry, accuracy: float, num_triples: int) -> None:
-        heapq.heappush(self._reservoir, (key, self._next_tiebreak(), entry))
-        self._stats.add(accuracy)
-        self._stats_triples += num_triples
+    def _push_reservoir(self, entry: _PositionEntry) -> None:
+        heapq.heappush(self._reservoir, (entry.key, self._next_tiebreak(), entry))
+        self._stats.add(entry.accuracy)
+        self._stats_triples += entry.num_triples
 
-    def _pop_reservoir_min(self):
+    def _pop_reservoir_min(self) -> _PositionEntry:
         key, tiebreak, entry = heapq.heappop(self._reservoir)
         self._stats.remove(entry.accuracy)
-        self._stats_triples -= (
-            entry.num_triples if isinstance(entry, _PositionEntry) else len(entry.triples)
-        )
+        self._stats_triples -= entry.num_triples
         obs_metrics.counter("reservoir_evictions_total").inc()
         return entry
 
     # ------------------------------------------------------------------ #
-    # Object surface: annotation of one cluster (second stage of TWCS)
-    # ------------------------------------------------------------------ #
-    def _annotate_cluster(self, triples: tuple[Triple, ...]) -> tuple[tuple[Triple, ...], float]:
-        take = min(len(triples), self.second_stage_size)
-        chosen_indices = self._rng.choice(len(triples), size=take, replace=False)
-        chosen = tuple(triples[int(i)] for i in chosen_indices)
-        result = self.annotator.annotate_triples(chosen)
-        accuracy = sum(1 for t in chosen if result.labels[t]) / len(chosen)
-        return chosen, accuracy
-
-    def _insert_annotated(
-        self, cluster_key: str, key: float, weight: float, triples: tuple[Triple, ...]
-    ) -> None:
-        sampled, accuracy = self._annotate_cluster(triples)
-        entry = _ReservoirEntry(
-            cluster_key=cluster_key,
-            key=key,
-            weight=weight,
-            triples=sampled,
-            accuracy=accuracy,
-        )
-        self._push_reservoir(key, entry, accuracy, len(sampled))
-
-    def _push_candidate(
-        self, cluster_key: str, key: float, weight: float, triples: tuple[Triple, ...]
-    ) -> None:
-        heapq.heappush(
-            self._candidates, (-key, self._next_tiebreak(), cluster_key, weight, triples)
-        )
-
-    # ------------------------------------------------------------------ #
-    # Position surface: annotation of one cluster
+    # Annotation of one cluster (second stage of TWCS)
     # ------------------------------------------------------------------ #
     def _cluster_population(self, source: tuple[PositionSegment | None, int]) -> np.ndarray:
         segment, index = source
         if segment is None:
             return self.evolving.base.cluster_positions_by_row(index)
         return segment.cluster_positions(index)
-
-    def _entity_key_of(self, source: tuple[PositionSegment | None, int]) -> int:
-        segment, index = source
-        if segment is None:
-            # Base rows coincide with the evolved graph's rows on every
-            # backend (first-seen order is preserved by copy and delta view).
-            return index
-        return self.evolving.current.entity_row(segment.subjects[index])
 
     def _insert_annotated_positions(
         self,
@@ -193,11 +134,9 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
 
         ``positions`` carries a previously annotated second-stage sample (an
         evicted entry re-entering through the candidate heap): it is reused
-        verbatim — the account's dedup makes re-annotation free and the
-        accuracy unchanged — mirroring the object surface, which stores the
-        sampled triples in the candidate for the same reason.
+        verbatim, so the account's dedup makes re-annotation free and the
+        accuracy unchanged.
         """
-        assert self._labels is not None and self._account is not None
         if positions is None:
             population = np.asarray(self._cluster_population(source))
             if population.shape[0] > self.second_stage_size:
@@ -208,11 +147,12 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
             else:
                 positions = population
         accuracy = float(self._labels[positions].mean())
-        self._account.charge(self._entity_key_of(source), positions)
-        entry = _PositionEntry(
-            source=source, key=key, weight=weight, positions=positions, accuracy=accuracy
+        self._account.charge(self._entity_row(*source), positions)
+        self._push_reservoir(
+            _PositionEntry(
+                source=source, key=key, weight=weight, positions=positions, accuracy=accuracy
+            )
         )
-        self._push_reservoir(key, entry, accuracy, int(positions.shape[0]))
 
     def _push_position_candidate(
         self,
@@ -226,19 +166,14 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
         )
 
     # ------------------------------------------------------------------ #
-    # Growth (dispatches on surface)
+    # Growth
     # ------------------------------------------------------------------ #
     def _grow_reservoir(self, count: int) -> int:
         """Annotate the ``count`` highest-key candidates; return how many were added."""
         added = 0
         while added < count and self._candidates:
-            candidate = heapq.heappop(self._candidates)
-            if self.position_mode:
-                negated_key, _, weight, source, positions = candidate
-                self._insert_annotated_positions(source, -negated_key, weight, positions)
-            else:
-                negated_key, _, cluster_key, weight, triples = candidate
-                self._insert_annotated(cluster_key, -negated_key, weight, triples)
+            negated_key, _, weight, source, positions = heapq.heappop(self._candidates)
+            self._insert_annotated_positions(source, -negated_key, weight, positions)
             added += 1
         return added
 
@@ -262,8 +197,7 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
         iterations = 0
         while True:
             estimate = self._current_estimate()
-            enough = estimate.num_units >= config.min_units
-            if enough and estimate.satisfies(config.moe_target, config.confidence_level):
+            if self._meets_target(estimate):
                 break
             if config.max_units is not None and estimate.num_units >= config.max_units:
                 break
@@ -273,50 +207,28 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
             iterations += 1
         return self._current_estimate(), iterations
 
-    def _build_report(
-        self,
-        estimate: Estimate,
-        iterations: int,
-        totals_before: tuple[float, int, int],
-    ) -> EvaluationReport:
-        triples, entities, cost_seconds = self._report_fields(totals_before)
-        return EvaluationReport(
-            estimate=estimate,
-            confidence_level=self.config.confidence_level,
-            moe_target=self.config.moe_target,
-            satisfied=estimate.num_units >= self.config.min_units
-            and estimate.satisfies(self.config.moe_target, self.config.confidence_level),
-            iterations=iterations,
-            num_units=estimate.num_units,
-            num_triples_annotated=triples,
-            num_entities_identified=entities,
-            annotation_cost_seconds=cost_seconds,
-        )
-
     # ------------------------------------------------------------------ #
     # IncrementalEvaluator interface
     # ------------------------------------------------------------------ #
+    def _finish(self, batch_id: str, totals_before: tuple[float, int, int]) -> UpdateEvaluation:
+        estimate, iterations = self._satisfy_quality()
+        report = self._report(estimate, iterations, self._meets_target(estimate), totals_before)
+        return self._record(batch_id, report)
+
     def evaluate_base(self) -> UpdateEvaluation:
         """Key every base cluster, annotate the top-key ones until the MoE target holds."""
         totals_before = self._cost_totals()
-        if self.position_mode:
-            sizes = self.evolving.base.cluster_size_array().astype(float)
-            keys = self._draw_keys(sizes)
-            # Bulk-build the candidate heap: O(N) heapify instead of N pushes.
-            assert not self._candidates
-            self._candidates = [
-                (-key, row + 1, weight, (None, row), None)
-                for row, (key, weight) in enumerate(zip(keys.tolist(), sizes.tolist()))
-            ]
-            heapq.heapify(self._candidates)
-            self._tiebreak = sizes.shape[0]
-        else:
-            for cluster in self.evolving.base.clusters():
-                key = self._draw_key(float(cluster.size))
-                self._push_candidate(cluster.entity_id, key, float(cluster.size), cluster.triples)
-        estimate, iterations = self._satisfy_quality()
-        report = self._build_report(estimate, iterations, totals_before)
-        return self._record("base", report)
+        sizes = self.evolving.base.cluster_size_array().astype(float)
+        keys = self._draw_keys(sizes)
+        # Bulk-build the candidate heap: O(N) heapify instead of N pushes.
+        assert not self._candidates
+        self._candidates = [
+            (-key, row + 1, weight, (None, row), None)
+            for row, (key, weight) in enumerate(zip(keys.tolist(), sizes.tolist()))
+        ]
+        heapq.heapify(self._candidates)
+        self._tiebreak = sizes.shape[0]
+        return self._finish("base", totals_before)
 
     def apply_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> UpdateEvaluation:
         """Algorithm 1: stochastically refresh the reservoir, then re-check quality."""
@@ -324,51 +236,29 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
             raise RuntimeError("evaluate_base() must be called before apply_update()")
         totals_before = self._cost_totals()
 
-        replacements = 0
-        if self.position_mode:
-            segment = self._append_update(batch, batch_oracle)
-            sizes = segment.sizes().astype(float)
-            if sizes.shape[0]:
-                keys = self._draw_keys(sizes)
-                reservoir = self._reservoir
-                candidates = self._candidates
-                heappush = heapq.heappush
-                for index, (key, weight) in enumerate(zip(keys.tolist(), sizes.tolist())):
-                    if key > reservoir[0][0]:
-                        evicted = self._pop_reservoir_min()
-                        self._push_position_candidate(
-                            evicted.source, evicted.key, evicted.weight, evicted.positions
-                        )
-                        self._insert_annotated_positions((segment, index), key, weight)
-                        replacements += 1
-                    else:
-                        self._tiebreak += 1
-                        heappush(
-                            candidates, (-key, self._tiebreak, weight, (segment, index), None)
-                        )
-        else:
-            self._register_update(batch, batch_oracle)
-            for cluster_key, insertion in batch.entity_insertions().items():
-                weight = float(insertion.size)
-                key = self._draw_key(weight)
-                smallest_key = self._reservoir[0][0]
-                if key > smallest_key:
-                    # Replace the minimum-key cluster (its annotations are paid
-                    # for but no longer contribute to the estimator), as in
-                    # Algorithm 1.
+        # Every per-entity insertion set Δ_e is a fresh cluster of the
+        # appended segment, keyed u^{1/|Δ_e|}; a key above the reservoir's
+        # minimum replaces that cluster (its annotations stay paid for but
+        # leave the estimator), as in Algorithm 1.
+        segment = self._append_update(batch, batch_oracle)
+        sizes = segment.sizes().astype(float)
+        if sizes.shape[0]:
+            keys = self._draw_keys(sizes)
+            reservoir = self._reservoir
+            candidates = self._candidates
+            heappush = heapq.heappush
+            for index, (key, weight) in enumerate(zip(keys.tolist(), sizes.tolist())):
+                if key > reservoir[0][0]:
                     evicted = self._pop_reservoir_min()
-                    self._push_candidate(
-                        evicted.cluster_key, evicted.key, evicted.weight, evicted.triples
+                    self._push_position_candidate(
+                        evicted.source, evicted.key, evicted.weight, evicted.positions
                     )
-                    self._insert_annotated(cluster_key, key, weight, insertion.triples)
-                    replacements += 1
+                    self._insert_annotated_positions((segment, index), key, weight)
+                    self._replacements_total += 1
                 else:
-                    self._push_candidate(cluster_key, key, weight, insertion.triples)
-        self._replacements_total += replacements
-
-        estimate, iterations = self._satisfy_quality()
-        report = self._build_report(estimate, iterations, totals_before)
-        return self._record(batch.batch_id, report)
+                    self._tiebreak += 1
+                    heappush(candidates, (-key, self._tiebreak, weight, (segment, index), None))
+        return self._finish(batch.batch_id, totals_before)
 
     # ------------------------------------------------------------------ #
     # Introspection

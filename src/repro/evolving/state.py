@@ -10,10 +10,9 @@ trajectory, as if it had never been interrupted.
 
 Supported evaluators: :class:`~repro.evolving.reservoir_eval.
 ReservoirIncrementalEvaluator` and :class:`~repro.evolving.stratified_eval.
-StratifiedIncrementalEvaluator` on the *position surface* with a
-columnar/delta-backed evolving graph (the configuration ``repro monitor
---backend columnar`` runs).  Capture at a batch boundary — after
-``evaluate_base()`` or any ``apply_update()`` returns.
+StratifiedIncrementalEvaluator` over a columnar/delta-backed evolving graph
+(the configuration every ``repro monitor`` run builds).  Capture at a batch
+boundary — after ``evaluate_base()`` or any ``apply_update()`` returns.
 
 The state dictionary contains NumPy arrays, plain scalars and the package's
 own small dataclasses (``RunningMean``, ``PositionSegment``, reservoir
@@ -33,6 +32,7 @@ import numpy as np
 from repro.core.config import EvaluationConfig
 from repro.cost.annotator import PositionAnnotationAccount
 from repro.generators.datasets import LabelledKG
+from repro.labels.oracle import LabelOracle
 from repro.sampling.segment import SegmentTWCSDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.storage.delta import DeltaStore
@@ -68,8 +68,6 @@ def _require_delta(evaluator) -> DeltaStore:
 def capture_evaluator_state(evaluator) -> dict:
     """Snapshot everything needed to resume ``evaluator`` mid-sequence."""
     kind = _kind_of(evaluator)
-    if not evaluator.position_mode:
-        raise ValueError("state persistence requires surface='position'")
     delta = _require_delta(evaluator)
     if delta.base.num_triples != evaluator.evolving.base.num_triples:
         # A compaction folded update triples into the delta's base; the
@@ -80,7 +78,6 @@ def capture_evaluator_state(evaluator) -> dict:
             "compact_threshold unset on monitored evaluators"
         )
     account = evaluator.account
-    assert account is not None and evaluator.labels is not None
     assert evaluator._base_vocab_size is not None
     vocab = delta.base.vocab
     tail_s, tail_p, tail_o, tail_f = delta.tail_arrays()
@@ -138,9 +135,10 @@ def capture_evaluator_state(evaluator) -> dict:
 def restore_evaluator(state: dict, base: LabelledKG):
     """Rebuild an evaluator from a captured state over the same base KG.
 
-    ``base`` must be (a reload of) the graph the state was captured against
-    — same triples, same vocabulary; the delta tail and all sampling state
-    are replayed on top of it.
+    ``base.graph`` must be (a reload of) the graph the state was captured
+    against — same triples, same vocabulary; the delta tail and all sampling
+    state are replayed on top of it.  Ground truth comes from the state's
+    label array, so ``base.oracle`` is never read.
     """
     version = int(state.get("format", 0))
     if version > STATE_FORMAT_VERSION:
@@ -159,13 +157,12 @@ def restore_evaluator(state: dict, base: LabelledKG):
             f"base graph has {base.graph.num_triples} triples but the state "
             f"was captured against {base_triples}"
         )
+    base = LabelledKG(base.graph, LabelOracle.from_positions(base.graph, labels[:base_triples]))
     kwargs = dict(
         config=EvaluationConfig(**state["config"]),
         cost_model=state["cost_model"],
         second_stage_size=state["second_stage_size"],
         seed=state["seed"],
-        surface="position",
-        position_labels=labels[:base_triples],
     )
     if kind == "rs":
         evaluator = ReservoirIncrementalEvaluator(base, **kwargs)

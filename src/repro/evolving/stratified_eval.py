@@ -13,9 +13,8 @@ discarded, SS is cheaper than the reservoir approach — but a bad initial
 estimate of a large stratum persists, which is the fault-tolerance trade-off
 shown in Figure 9.
 
-On the position surface (``surface="position"``) the base stratum runs the
-TWCS position loop over the (frozen) base graph's CSR index and each update
-batch becomes an appended CSR segment sampled with
+The base stratum runs the static TWCS loop over the (frozen) base graph's CSR
+index and each update batch becomes an appended CSR segment sampled with
 :class:`~repro.sampling.segment.SegmentTWCSDesign`; labels resolve by integer
 position and cost is charged through the position account, so no Triple
 objects are materialised anywhere in the update loop.
@@ -28,13 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.framework import StaticEvaluator
 from repro.core.result import EvaluationReport
 from repro.evolving.base import IncrementalEvaluator, UpdateEvaluation
-from repro.kg.graph import KnowledgeGraph
 from repro.kg.updates import UpdateBatch
 from repro.labels.oracle import LabelOracle
-from repro.sampling.base import Estimate, PositionUnit
+from repro.sampling.base import Estimate
 from repro.sampling.segment import PositionSegment, SegmentTWCSDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
@@ -108,52 +105,7 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
         satisfied = not math.isinf(estimate.std_error) and estimate.satisfies(
             self.config.moe_target, self.config.confidence_level
         )
-        triples, entities, cost_seconds = self._report_fields(totals_before)
-        return EvaluationReport(
-            estimate=estimate,
-            confidence_level=self.config.confidence_level,
-            moe_target=self.config.moe_target,
-            satisfied=satisfied,
-            iterations=iterations,
-            num_units=estimate.num_units,
-            num_triples_annotated=triples,
-            num_entities_identified=entities,
-            annotation_cost_seconds=cost_seconds,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Position-surface annotation
-    # ------------------------------------------------------------------ #
-    def _charge_units(self, units: list[PositionUnit], segment: PositionSegment | None) -> None:
-        """Charge the position account for a batch of drawn cluster units."""
-        assert self._account is not None
-        current = self.evolving.current
-        for unit in units:
-            if segment is None:
-                entity_key = unit.entity_row
-            else:
-                entity_key = current.entity_row(segment.subjects[unit.entity_row])
-            self._account.charge(entity_key, unit.positions)
-
-    def _drive_position_base(self, design: TwoStageWeightedClusterDesign) -> int:
-        """Position-surface twin of the StaticEvaluator loop for the base stratum."""
-        assert self._labels is not None
-        config = self.config
-        iterations = 0
-        while True:
-            estimate = design.estimate()
-            enough = estimate.num_units >= config.min_units
-            if enough and estimate.satisfies(config.moe_target, config.confidence_level):
-                break
-            if config.max_units is not None and estimate.num_units >= config.max_units:
-                break
-            units = design.draw_positions(config.batch_size)
-            if not units:
-                break
-            self._charge_units(units, None)
-            design.update_all_positions(units, self._labels)
-            iterations += 1
-        return iterations
+        return self._report(estimate, iterations, satisfied, totals_before)
 
     # ------------------------------------------------------------------ #
     # IncrementalEvaluator interface
@@ -164,11 +116,7 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
         design = TwoStageWeightedClusterDesign(
             self.evolving.base, second_stage_size=self.second_stage_size, seed=self._rng
         )
-        if self.position_mode:
-            iterations = self._drive_position_base(design)
-        else:
-            evaluator = StaticEvaluator(design, self.annotator, self.config)
-            iterations = evaluator.run(reset=False).iterations
+        iterations = self._run_static(design)
         self._strata.append(
             _StratumState(
                 stratum_id="base",
@@ -185,39 +133,23 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
             raise RuntimeError("evaluate_base() must be called before apply_update()")
         totals_before = self._cost_totals()
 
-        segment: PositionSegment | None = None
-        if self.position_mode:
-            segment = self._append_update(batch, batch_oracle)
-            if segment.num_triples == 0:
-                # Every batch triple was a duplicate: nothing new to sample.
-                report = self._build_report(0, totals_before)
-                return self._record(batch.batch_id, report)
-            design: TwoStageWeightedClusterDesign | SegmentTWCSDesign = SegmentTWCSDesign(
-                segment, second_stage_size=self.second_stage_size, seed=self._rng
-            )
-            stratum = _StratumState(
-                stratum_id=batch.batch_id,
-                num_triples=segment.num_triples,
-                design=design,
-                segment=segment,
-            )
-        else:
-            flags = self._register_update(batch, batch_oracle)
-            # The stratum covers only the triples actually added to G + Δ:
-            # re-inserted duplicates already belong to an earlier stratum's
-            # weight, and counting them twice would bias the Eq. (13)
-            # combination (the position surface dedups identically).
-            added = [triple for triple, was_added in zip(batch.triples, flags) if was_added]
-            if not added:
-                report = self._build_report(0, totals_before)
-                return self._record(batch.batch_id, report)
-            batch_graph = KnowledgeGraph(added, name=batch.batch_id)
-            design = TwoStageWeightedClusterDesign(
-                batch_graph, second_stage_size=self.second_stage_size, seed=self._rng
-            )
-            stratum = _StratumState(
-                stratum_id=batch.batch_id, num_triples=len(added), design=design
-            )
+        # The segment covers only the triples actually added to G + Δ:
+        # re-inserted duplicates already belong to an earlier stratum's
+        # weight, and counting them twice would bias the Eq. (13) combination.
+        segment = self._append_update(batch, batch_oracle)
+        if segment.num_triples == 0:
+            # Every batch triple was a duplicate: nothing new to sample.
+            report = self._build_report(0, totals_before)
+            return self._record(batch.batch_id, report)
+        design = SegmentTWCSDesign(
+            segment, second_stage_size=self.second_stage_size, seed=self._rng
+        )
+        stratum = _StratumState(
+            stratum_id=batch.batch_id,
+            num_triples=segment.num_triples,
+            design=design,
+            segment=segment,
+        )
         self._strata.append(stratum)
 
         config = self.config
@@ -234,22 +166,12 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
                 break
             if config.max_units is not None and combined.num_units >= config.max_units:
                 break
-            if self.position_mode:
-                assert self._labels is not None
-                units = design.draw_positions(config.batch_size)
-                if not units:
-                    break
-                iterations += 1
-                self._charge_units(units, segment)
-                design.update_all_positions(units, self._labels)
-            else:
-                object_units = design.draw(config.batch_size)
-                if not object_units:
-                    break
-                iterations += 1
-                for unit in object_units:
-                    result = self.annotator.annotate_triples(unit.triples)
-                    design.update(unit, result.labels)
+            units = design.draw_positions(config.batch_size)
+            if not units:
+                break
+            iterations += 1
+            self._charge_units(units, segment)
+            design.update_all_positions(units, self._labels)
 
         report = self._build_report(iterations, totals_before)
         return self._record(batch.batch_id, report)

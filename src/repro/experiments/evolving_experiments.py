@@ -36,36 +36,26 @@ _EVALUATORS: dict[str, type[IncrementalEvaluator]] = {
 
 
 def _make_base(
-    seed: int,
-    movie_scale: float,
-    base_fraction: float,
-    base_accuracy: float,
-    backend: str = "memory",
+    seed: int, movie_scale: float, base_fraction: float, base_accuracy: float
 ) -> LabelledKG:
-    """Build the evolving-KG base: a subset of MOVIE relabelled with REM labels."""
+    """Build the evolving-KG base: a subset of MOVIE relabelled with REM labels.
+
+    The base is columnar, so update batches append to a zero-copy delta view.
+    """
     movie = make_movie_like(seed=seed, scale=movie_scale)
     rng = np.random.default_rng(seed)
     base_graph = movie.graph.random_triple_subset(base_fraction, rng, name="MOVIE-base")
     oracle = RandomErrorModel.with_accuracy(base_accuracy, seed=seed).generate(base_graph)
-    base = LabelledKG(base_graph, oracle)
-    return base.to_columnar() if backend == "columnar" else base
+    return LabelledKG(base_graph, oracle).to_columnar()
 
 
 def _make_evaluator(
-    method: str,
-    base: LabelledKG,
-    config: EvaluationConfig,
-    seed: int,
-    backend: str = "memory",
+    method: str, base: LabelledKG, config: EvaluationConfig, seed: int
 ) -> IncrementalEvaluator:
     evaluator_cls = _EVALUATORS.get(method)
     if evaluator_cls is None:
         raise ValueError(f"unknown evolving evaluation method {method!r}")
-    # RS/SS run the position surface on the columnar backend (appended CSR
-    # segments over a DeltaStore view); the Baseline re-annotates Triples and
-    # therefore always runs the object surface.
-    surface = "position" if backend == "columnar" and method != "Baseline" else "object"
-    return evaluator_cls(base, config=config, seed=seed, surface=surface)
+    return evaluator_cls(base, config=config, seed=seed)
 
 
 # --------------------------------------------------------------------------- #
@@ -82,7 +72,6 @@ def figure8_single_update(
     fixed_update_accuracy: float = 0.9,
     fixed_update_fraction: float = 0.5,
     methods: tuple[str, ...] = ("Baseline", "RS", "SS"),
-    backend: str = "memory",
 ) -> dict[str, list[dict[str, object]]]:
     """Figure 8: evaluation cost after one update batch.
 
@@ -96,9 +85,9 @@ def figure8_single_update(
     def run_one(
         method: str, update_fraction: float, update_accuracy: float, trial_seed: int
     ) -> dict[str, float]:
-        base = _make_base(trial_seed, movie_scale, base_fraction, base_accuracy, backend)
+        base = _make_base(trial_seed, movie_scale, base_fraction, base_accuracy)
         config = EvaluationConfig(moe_target=0.05, confidence_level=0.95)
-        evaluator = _make_evaluator(method, base, config, trial_seed, backend)
+        evaluator = _make_evaluator(method, base, config, trial_seed)
         evaluator.evaluate_base()
         workload = UpdateWorkloadGenerator(base, seed=trial_seed)
         update_size = max(1, int(round(update_fraction * base.graph.num_triples)))
@@ -190,9 +179,8 @@ def _run_trajectory(
     batch_fraction: float,
     update_accuracy: float,
     seed: int,
-    backend: str = "memory",
 ) -> SequenceTrajectory:
-    evaluator = _make_evaluator(method, base, config, seed, backend)
+    evaluator = _make_evaluator(method, base, config, seed)
     monitor = EvolvingAccuracyMonitor(evaluator)
     monitor.evaluate_base()
     workload = UpdateWorkloadGenerator(base, seed=seed)
@@ -220,7 +208,6 @@ def figure9_update_sequence(
     update_accuracy: float = 0.9,
     methods: tuple[str, ...] = ("RS", "SS"),
     progress: Callable[[str], None] | None = None,
-    backend: str = "memory",
 ) -> dict[str, object]:
     """Figure 9: accuracy tracking over a sequence of update batches.
 
@@ -233,7 +220,7 @@ def figure9_update_sequence(
     trajectories: dict[str, list[SequenceTrajectory]] = {method: [] for method in methods}
     for trial_index in range(num_trials):
         trial_seed = seed + trial_index
-        base = _make_base(trial_seed, movie_scale, base_fraction, base_accuracy, backend)
+        base = _make_base(trial_seed, movie_scale, base_fraction, base_accuracy)
         for method in methods:
             if progress is not None:
                 progress(f"trial {trial_index} method {method}")
@@ -246,7 +233,6 @@ def figure9_update_sequence(
                     batch_fraction,
                     update_accuracy,
                     trial_seed,
-                    backend,
                 )
             )
 

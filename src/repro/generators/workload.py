@@ -147,8 +147,8 @@ class UpdateWorkloadGenerator:
         """Generate one insertion batch of ``num_triples`` triples.
 
         Returns the batch and a label oracle covering exactly the inserted
-        triples (merge it into the base oracle with
-        :meth:`~repro.labels.oracle.LabelOracle.merged_with`).
+        triples; an evaluator's ``apply_update`` reads from it the label of
+        every triple the batch adds to the graph.
 
         Parameters
         ----------

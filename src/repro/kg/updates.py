@@ -6,8 +6,9 @@ into per-entity insertion sets ``Δ_e``; the evolved graph is ``G + Δ``.
 
 Section 6.1 additionally treats every ``Δ_e`` as a *new, independent cluster*
 even when the entity already exists in the base graph, so that cluster weights
-stay constant for weighted reservoir sampling.  :class:`UpdateBatch` therefore
-exposes its per-entity insertion sets with batch-scoped cluster keys.
+stay constant for weighted reservoir sampling; the evaluators sample each
+applied batch as an appended segment of such clusters
+(:class:`~repro.sampling.segment.PositionSegment`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.kg.graph import EntityCluster, KnowledgeGraph
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 
 __all__ = ["UpdateBatch", "EvolvingKnowledgeGraph"]
@@ -28,9 +29,7 @@ class UpdateBatch:
     Parameters
     ----------
     batch_id:
-        Identifier of the batch (e.g. ``"delta-3"``); used to derive
-        batch-scoped cluster keys so insertions for an existing entity form a
-        fresh cluster, as required by the reservoir scheme of Section 6.1.
+        Identifier of the batch (e.g. ``"delta-3"``).
     triples:
         The inserted triples.
     """
@@ -48,30 +47,6 @@ class UpdateBatch:
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self.triples)
-
-    def entity_insertions(self) -> dict[str, EntityCluster]:
-        """Group the insertions by subject id into per-entity clusters ``Δ_e``.
-
-        The returned mapping is keyed by a *batch-scoped* cluster key
-        ``"{batch_id}/{entity_id}"`` so a ``Δ_e`` never merges with the
-        entity's existing cluster in the base graph.
-        """
-        grouped: dict[str, list[Triple]] = {}
-        for triple in self.triples:
-            grouped.setdefault(triple.subject, []).append(triple)
-        return {
-            f"{self.batch_id}/{entity_id}": EntityCluster(entity_id, tuple(triples))
-            for entity_id, triples in grouped.items()
-        }
-
-    def as_knowledge_graph(self, name: str | None = None) -> KnowledgeGraph:
-        """Materialise the batch as a standalone :class:`KnowledgeGraph`.
-
-        Stratified incremental evaluation (Algorithm 2) treats each batch as an
-        independent stratum and runs TWCS on it directly, which needs a full
-        graph view of the batch.
-        """
-        return KnowledgeGraph(self.triples, name=name if name is not None else self.batch_id)
 
 
 class EvolvingKnowledgeGraph:
@@ -142,8 +117,8 @@ class EvolvingKnowledgeGraph:
         """Apply one insertion batch to the current graph.
 
         Returns one added-flag per batch triple (``False`` for duplicates
-        that were already present), which is what the position-surface
-        evaluators need to map the batch onto its appended graph positions.
+        that were already present), which is what the evaluators need to
+        map the batch onto its appended graph positions.
 
         With ``compact_threshold`` set and a delta-backed current graph, the
         tail is re-frozen into the base whenever it outgrows that fraction

@@ -35,11 +35,11 @@ class LabelOracle:
         by the experiment harness.
     """
 
-    # Set by from_positions only, and cleared by extend.
+    # Set by from_positions only.
     _graph: KnowledgeGraph | None = None
     _positions: np.ndarray | None = None
     # The last array position_labels built: (weak graph reference, read-only
-    # array).  Cleared by extend; it never replaces a from_positions array.
+    # array).  It never replaces a from_positions array.
     _built: tuple[weakref.ref, np.ndarray] | None = None
 
     def __init__(self, labels: Mapping[Triple, bool], strict: bool = True) -> None:
@@ -123,9 +123,9 @@ class LabelOracle:
     def position_labels(self, graph: KnowledgeGraph) -> np.ndarray:
         """The read-only label array of ``graph``, built at most once per graph.
 
-        One O(M) conversion, kept for this ``graph`` object until
-        :meth:`extend` or until the graph grows; afterwards the position
-        surface resolves labels with pure array indexing, no Triple hashing.
+        One O(M) conversion, kept for this ``graph`` object until the graph
+        grows; afterwards the position surface resolves labels with pure
+        array indexing, no Triple hashing.
         Unknown triples follow the oracle's ``strict`` setting: ``KeyError``
         when strict, ``True`` otherwise.
         """
@@ -179,32 +179,6 @@ class LabelOracle:
             cluster.entity_id: sum(1 for t in cluster if self.label(t)) / cluster.size
             for cluster in graph.clusters()
         }
-
-    # ------------------------------------------------------------------ #
-    # Composition
-    # ------------------------------------------------------------------ #
-    def extend(self, other: "LabelOracle | Mapping[Triple, bool]") -> None:
-        """Add labels from ``other`` in place (new labels win on conflict).
-
-        Evolving-KG evaluation extends the oracle as each update batch arrives
-        with its own ground-truth labels.  The oracle drops every label array
-        it holds here, so no array disagrees with the mapping.
-        """
-        if isinstance(other, LabelOracle):
-            self._labels.update(other._labels)
-        else:
-            self._labels.update(other)
-        self._graph = self._positions = self._built = None
-
-    def merged_with(self, other: "LabelOracle") -> "LabelOracle":
-        """Return a new oracle containing this oracle's labels plus ``other``'s.
-
-        Labels from ``other`` win on conflict; used when an evolving KG's
-        update batches carry their own synthetic labels.
-        """
-        combined = dict(self._labels)
-        combined.update(other._labels)
-        return LabelOracle(combined, strict=self._strict)
 
     def as_dict(self) -> dict[Triple, bool]:
         """Return a copy of the underlying triple-to-label mapping."""

@@ -377,11 +377,11 @@ def _run_evolving_rep(
             float(record.true_accuracy),
             float(record.cumulative_cost_hours),
         )
-    annotator = evaluator.annotator
+    account = evaluator.account
     predicted = cost_model.cost_seconds(
-        annotator.entities_identified, annotator.total_triples_annotated
+        account.entities_identified, account.total_triples_annotated
     )
-    outcome.check_cost(annotator.total_cost_seconds, predicted, 1.0)
+    outcome.check_cost(account.total_cost_seconds, predicted, 1.0)
     return outcome
 
 

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.generators.datasets import LabelledKG
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
 from repro.sampling.rpc import RPCError, _normalise_secret, recv_message, send_message
@@ -106,7 +107,7 @@ class EvalServer:
         self._queue: queue.Queue[_Work | None] = queue.Queue(maxsize=queue_limit)
         self._seed_root = np.random.SeedSequence(root_seed)
         self._sessions: dict[str, Session] = {}
-        self._graphs: dict[tuple, tuple] = {}
+        self._graphs: dict[tuple, LabelledKG] = {}
         self._registry_lock = threading.Lock()
         self._next_id = 0
         self._listener: socket.socket | None = None
@@ -209,7 +210,7 @@ class EvalServer:
     # ------------------------------------------------------------------ #
     # Resume
     # ------------------------------------------------------------------ #
-    def _base_for(self, spec: dict) -> tuple:
+    def _base_for(self, spec: dict) -> LabelledKG:
         """Graph-cache lookup: one resident base per distinct spec identity."""
         key = sessions_mod.graph_cache_key(spec)
         cached = self._graphs.get(key)
@@ -394,8 +395,7 @@ class EvalServer:
                 self._next_id += 1
                 name = f"session-{self._next_id}"
             seed = self._session_seed(spec)
-            base, labels = self._base_for(spec)
-            sess = sessions_mod.build_session(name, spec, seed, base, labels)
+            sess = sessions_mod.build_session(name, spec, seed, self._base_for(spec))
             self._sessions[name] = sess
         obs_metrics.gauge("serve_sessions_active").inc()
         _log.info("session_attached", session=name, evaluator=spec["evaluator"], seed=seed)

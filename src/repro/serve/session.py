@@ -3,8 +3,8 @@
 A *session* is a resident :class:`~repro.evolving.base.IncrementalEvaluator`
 plus the :class:`~repro.evolving.monitor.EvolvingAccuracyMonitor` driving
 it, built from a client-supplied **spec** dict.  The construction path is
-deliberately the same as ``repro monitor --backend columnar`` (columnar
-base, position surface, explicit seed), so a served session's estimate
+deliberately the same as ``repro monitor`` (columnar base, explicit
+seed), so a served session's estimate
 trajectory is bit-identical to the offline command — the contract the
 golden replay suite pins.
 
@@ -118,12 +118,12 @@ def graph_cache_key(spec: dict) -> tuple:
     return ("dataset", spec["dataset"], spec["dataset_seed"], spec["movie_scale"])
 
 
-def build_base(spec: dict) -> tuple[LabelledKG, object]:
+def build_base(spec: dict) -> LabelledKG:
     """Build (or reopen) the frozen columnar base a spec names.
 
-    Returns ``(base, position_labels)`` — labels are only explicit on the
-    snapshot path (the evaluator derives them from the oracle otherwise,
-    exactly like ``repro monitor``).
+    A reopened snapshot's stored label array becomes the oracle as is
+    (:meth:`~repro.labels.oracle.LabelOracle.from_positions`), exactly like
+    ``repro monitor --snapshot``.
     """
     if "snapshot" in spec:
         from repro.labels.oracle import LabelOracle
@@ -138,7 +138,8 @@ def build_base(spec: dict) -> tuple[LabelledKG, object]:
                 f"snapshot {spec['snapshot']} carries no label array; re-create "
                 "it with `repro snapshot --with-labels`"
             )
-        return LabelledKG(store.load_graph(), LabelOracle({}, strict=False)), labels
+        graph = store.load_graph()
+        return LabelledKG(graph, LabelOracle.from_positions(graph, labels))
     from repro.generators.datasets import (
         make_movie_like,
         make_movie_syn,
@@ -157,7 +158,7 @@ def build_base(spec: dict) -> tuple[LabelledKG, object]:
         data = builder(seed=spec["dataset_seed"], scale=spec["movie_scale"])
     else:
         data = builder(seed=spec["dataset_seed"])
-    return data.to_columnar(), None
+    return data.to_columnar()
 
 
 def _evaluator_class(kind: str):
@@ -222,17 +223,12 @@ class Session:
             return self.latest, self.pending, len(self.trajectory), self.failed
 
 
-def build_session(session_id: str, spec: dict, seed: int, base: LabelledKG, labels) -> Session:
+def build_session(session_id: str, spec: dict, seed: int, base: LabelledKG) -> Session:
     """Construct a fresh session exactly like ``repro monitor`` would."""
     from repro.evolving.monitor import EvolvingAccuracyMonitor
 
     config = EvaluationConfig(moe_target=spec["moe"], confidence_level=spec["confidence"])
-    kwargs: dict = {
-        "config": config,
-        "seed": seed,
-        "surface": "position",
-        "position_labels": labels,
-    }
+    kwargs: dict = {"config": config, "seed": seed}
     if "second_stage_size" in spec:
         kwargs["second_stage_size"] = spec["second_stage_size"]
     evaluator = _evaluator_class(spec["evaluator"])(base, **kwargs)
@@ -283,7 +279,7 @@ def list_checkpoints(state_dir: str | Path) -> list[Path]:
 def restore_session(path: str | Path, base_for) -> Session:
     """Rebuild a checkpointed session with a bit-identical future trajectory.
 
-    ``base_for(spec)`` supplies the (cached) base graph + labels for the
+    ``base_for(spec)`` supplies the (cached) labelled base for the
     checkpoint's spec — the server passes its graph cache, so resuming N
     sessions over one dataset rebuilds the base once.
     """
@@ -298,8 +294,7 @@ def restore_session(path: str | Path, base_for) -> Session:
             f"serve checkpoint format v{version} is newer than supported v{CHECKPOINT_FORMAT}"
         )
     spec = payload["spec"]
-    base, _labels = base_for(spec)
-    evaluator = restore_evaluator(payload["state"], base)
+    evaluator = restore_evaluator(payload["state"], base_for(spec))
     monitor = EvolvingAccuracyMonitor(evaluator)
     monitor.records = list(payload["records"])
     session = Session(payload["session"], spec, int(payload["seed"]), evaluator, monitor)

@@ -143,6 +143,11 @@ class TestCommands:
         assert cli._cmd_experiment(FakeArgs()) == 2
 
 
+def _monitor_trajectory(text: str) -> str:
+    """The trajectory table of a ``monitor`` run (everything after the base KG line)."""
+    return text[text.index("batch  estimate") :]
+
+
 class TestMonitorCommand:
     def test_monitor_columnar_runs_and_prints_trajectory(self, capsys):
         exit_code = main(
@@ -160,7 +165,7 @@ class TestMonitorCommand:
         )
         out = capsys.readouterr().out
         assert exit_code == 0
-        assert "position surface" in out
+        assert "evaluator: ss (columnar backend)" in out.splitlines()
         assert "total-cost(h)" in out
         # One record line per state: base + 2 batches.
         assert len([line for line in out.splitlines() if line.startswith("    ")]) == 3
@@ -187,10 +192,33 @@ class TestMonitorCommand:
         second = capsys.readouterr().out
         assert "reopened from" in second
         # Identical trajectory on resume: same seed, same persisted labels.
-        def trajectory(text: str) -> str:
-            return text[text.index("batch  estimate") :]
+        assert _monitor_trajectory(first) == _monitor_trajectory(second)
 
-        assert trajectory(first) == trajectory(second)
+    def test_monitor_reopens_a_sqlite_snapshot(self, capsys, tmp_path):
+        target = str(tmp_path / "nell.sqlite")
+        snapshot = ["snapshot", "--dataset", "nell", "--backend", "sqlite", "--with-labels"]
+        assert main(snapshot + ["--seed", "2", "--out", target]) == 0
+        capsys.readouterr()
+        monitor = ["monitor", "--dataset", "nell", "--batches", "2", "--seed", "2"]
+        assert main(monitor) == 0
+        built = capsys.readouterr().out
+        assert main(monitor + ["--snapshot", target]) == 0
+        reopened = capsys.readouterr().out
+        assert f"(reopened from {target})" in reopened
+        assert _monitor_trajectory(reopened) == _monitor_trajectory(built)
+
+    def test_monitor_on_a_corrupt_snapshot_fails_cleanly(self, capsys, tmp_path):
+        target = tmp_path / "nell-snap"
+        assert main(["snapshot", "--dataset", "nell", "--out", str(target), "--with-labels"]) == 0
+        capsys.readouterr()
+        (target / "labels.npy").write_bytes(b"not an array")
+        monitor = ["monitor", "--backend", "columnar", "--batches", "1", "--snapshot", str(target)]
+        message = f"^cannot open snapshot {re.escape(str(target))}: "
+        with pytest.raises(SystemExit, match=message) as raised:
+            main(monitor)
+        # A string exit code: the interpreter prints it as one line, exit status 1.
+        assert isinstance(raised.value.code, str)
+        assert "\n" not in raised.value.code
 
 
 class TestSnapshotEvaluateRoundTrip:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.config import EvaluationConfig
@@ -368,21 +369,26 @@ class TestSharedSessions:
     """A session shared across graph objects charges c1 once per subject."""
 
     def test_object_mode_stratified_evaluator(self):
+        # The evolving account charges c1 once per entity row across the base
+        # stratum and every update stratum.
         base = make_movie_like(seed=3, scale=0.004)
         evaluator = StratifiedIncrementalEvaluator(base, seed=3)
         evaluator.evaluate_base()
-        base_subjects = {triple.subject for triple in evaluator.annotator.labelled_triples}
         generator = UpdateWorkloadGenerator(base, seed=3)
         for _ in range(2):
             batch, batch_oracle = generator.generate_batch(base.graph.num_triples // 2, 0.6)
             evaluator.apply_update(batch, batch_oracle)
-        update_subjects = {
-            triple.subject
-            for triple in evaluator.annotator.labelled_triples
-            if triple not in base.oracle
-        }
-        assert base_subjects & update_subjects
-        _charged_once_per_subject(evaluator.annotator)
+        graph, account = evaluator.evolving.current, evaluator.account
+        annotated = np.flatnonzero(account.annotated_mask(graph.num_triples))
+        in_base = annotated < base.graph.num_triples
+        base_rows = set(graph.rows_of_positions(annotated[in_base]).tolist())
+        update_rows = set(graph.rows_of_positions(annotated[~in_base]).tolist())
+        assert base_rows & update_rows
+        assert account.total_triples_annotated == annotated.shape[0]
+        assert account.entities_identified == len(base_rows | update_rows)
+        assert account.total_cost_seconds == account.cost_model.cost_seconds(
+            account.entities_identified, account.total_triples_annotated
+        )
 
     def test_pilot_labels_are_free_in_the_main_run(self, nell):
         annotator = SimulatedAnnotator(nell.oracle)

@@ -199,7 +199,7 @@ class TestEvolvingAutoCompaction:
             base = LabelledKG(data.graph.to_columnar(), data.oracle)
             workload = UpdateWorkloadGenerator(base, seed=5)
             evaluator = StratifiedIncrementalEvaluator(
-                base, config=config, seed=13, surface="position", compact_threshold=threshold
+                base, config=config, seed=13, compact_threshold=threshold
             )
             evaluator.evolving.compact_min_tail = 16
             evaluator.evaluate_base()
@@ -221,7 +221,7 @@ class TestEvolvingAutoCompaction:
         data = make_nell_like(seed=0)
         base = LabelledKG(data.graph.to_columnar(), data.oracle)
         workload = UpdateWorkloadGenerator(base, seed=5)
-        evaluator = StratifiedIncrementalEvaluator(base, seed=13, surface="position")
+        evaluator = StratifiedIncrementalEvaluator(base, seed=13)
         evaluator.evaluate_base()
         for batch, batch_oracle in workload.generate_sequence(1, 100, 0.8):
             evaluator.apply_update(batch, batch_oracle)

@@ -8,7 +8,6 @@ uninterrupted run — estimates, margins of error and cost accounting alike.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.config import EvaluationConfig
@@ -34,9 +33,7 @@ def _base_and_updates(num_batches: int = 4):
 
 
 def _fresh_evaluator(kind: str, base: LabelledKG):
-    return _CLASSES[kind](
-        base, config=_CONFIG, seed=13, surface="position"
-    )
+    return _CLASSES[kind](base, config=_CONFIG, seed=13)
 
 
 def _trajectory(evaluator) -> list[tuple]:
@@ -98,9 +95,8 @@ def test_snapshot_store_round_trip(tmp_path, kind):
     assert store.has_evaluator_state()
 
     reopened = store.load_graph()
-    base_reload = LabelledKG(
-        reopened, LabelOracle({}, strict=False)
-    )  # position surface never reads the oracle
+    # Restoring reads ground truth from the state's label array, never the oracle.
+    base_reload = LabelledKG(reopened, LabelOracle({}, strict=False))
     resumed = store.load_evaluator_state(base_reload)
     for batch, batch_oracle in updates[1:]:
         evaluator.apply_update(batch, batch_oracle)
@@ -109,15 +105,11 @@ def test_snapshot_store_round_trip(tmp_path, kind):
 
 
 def test_capture_requires_position_surface_and_delta_backend():
+    # A base that is not columnar evolves as a copy, not a delta view.
     nell = make_nell_like(seed=0)
     data = LabelledKG(
         KnowledgeGraph(nell.graph.triples, backend="memory"), LabelOracle(nell.oracle.as_dict())
     )
-    object_mode = StratifiedIncrementalEvaluator(data, config=_CONFIG, seed=0)
-    with pytest.raises(ValueError, match="position"):
-        capture_evaluator_state(object_mode)
-    memory_mode = StratifiedIncrementalEvaluator(
-        data, config=_CONFIG, seed=0, surface="position"
-    )
+    evaluator = StratifiedIncrementalEvaluator(data, config=_CONFIG, seed=0)
     with pytest.raises(ValueError, match="columnar"):
-        capture_evaluator_state(memory_mode)
+        capture_evaluator_state(evaluator)

@@ -54,7 +54,7 @@ class TestCommonBehaviour:
             evolving_base, size=evolving_base.graph.num_triples // 3, accuracy=0.5, seed=1
         )
         evaluation = evaluator.apply_update(batch, batch_oracle)
-        truth = evaluator.oracle.true_accuracy(evaluator.evolving.current)
+        truth = evaluator.current_true_accuracy()
         assert evaluation.report.margin_of_error <= 0.06
         assert abs(evaluation.accuracy - truth) < 0.12
         assert evaluation.cumulative_cost_seconds >= evaluator.history[0].cumulative_cost_seconds
@@ -102,15 +102,18 @@ class TestIncrementalCostAdvantage:
     def test_stratified_reuses_all_base_annotations(self, evolving_base):
         evaluator = StratifiedIncrementalEvaluator(evolving_base, seed=5)
         evaluator.evaluate_base()
-        triples_after_base = evaluator.annotator.total_triples_annotated
+        num_base = evaluator.evolving.current.num_triples
+        annotated_after_base = evaluator.account.annotated_mask(num_base)
         batch, batch_oracle = make_update(evolving_base, 300, 0.9, seed=5)
         evaluator.apply_update(batch, batch_oracle)
-        labelled_before = set(evaluator.annotator.labelled_triples) - set(batch.triples)
-        new_triples = evaluator.annotator.total_triples_annotated - triples_after_base
-        # Only triples of the new stratum are annotated after the update.
-        newly_labelled = set(evaluator.annotator.labelled_triples) - labelled_before
-        assert newly_labelled <= set(batch.triples)
-        assert 0 < new_triples <= batch.size
+        num_now = evaluator.evolving.current.num_triples
+        annotated_now = evaluator.account.annotated_mask(num_now)
+        # Only positions of the new stratum (the appended segment) are
+        # annotated after the update; every base annotation is kept.
+        np.testing.assert_array_equal(annotated_now[:num_base], annotated_after_base)
+        new_triples = int(annotated_now[num_base:].sum())
+        assert new_triples == evaluator.latest.report.num_triples_annotated
+        assert 0 < new_triples <= num_now - num_base <= batch.size
 
 
 class TestReservoirEvaluator:
@@ -124,7 +127,8 @@ class TestReservoirEvaluator:
         evaluator.evaluate_base()
         batch, batch_oracle = make_update(evolving_base, 400, 0.9, seed=1)
         evaluator.apply_update(batch, batch_oracle)
-        num_inserted_clusters = len(batch.entity_insertions())
+        # Each per-entity insertion set is one candidate cluster.
+        num_inserted_clusters = len({triple.subject for triple in batch.triples})
         assert 0 <= evaluator.total_replacements <= num_inserted_clusters
 
     def test_larger_updates_cause_more_replacements(self, evolving_base):
@@ -146,7 +150,7 @@ class TestReservoirEvaluator:
     def test_second_stage_cap_respected_in_reservoir(self, evolving_base):
         evaluator = ReservoirIncrementalEvaluator(evolving_base, second_stage_size=3, seed=2)
         evaluator.evaluate_base()
-        assert all(len(entry.triples) <= 3 for _, _, entry in evaluator._reservoir)
+        assert all(entry.num_triples <= 3 for _, _, entry in evaluator._reservoir)
 
 
 class TestStratifiedEvaluator:

@@ -1,10 +1,10 @@
-"""Position-surface evolving evaluation: delta store, segments, backend parity.
+"""Evolving evaluation on positions: delta store, segments, backend parity.
 
-The core contract under test: a position-mode incremental evaluator consumes
-the random stream identically on every storage backend, so a fixed seed must
-produce bit-identical estimate trajectories on the seed in-memory store and
-on the columnar store evolved through a :class:`DeltaStore` view — for *any*
-update sequence (hypothesis-generated), including duplicate insertions.
+The core contract under test: an incremental evaluator consumes the random
+stream identically on every storage backend, so a fixed seed must produce
+bit-identical estimate trajectories on the seed in-memory store and on the
+columnar store evolved through a :class:`DeltaStore` view — for *any* update
+sequence (hypothesis-generated), including duplicate insertions.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ def build_updates(
     return updates
 
 
-def run_position_evaluator(evaluator_cls, base: LabelledKG, updates, seed: int, **kwargs):
+def run_position_evaluator(evaluator_cls, base: LabelledKG, updates, seed: int):
     config = EvaluationConfig(moe_target=0.15, batch_size=5, min_units=5, max_units=40)
-    evaluator = evaluator_cls(base, config=config, seed=seed, surface="position", **kwargs)
+    evaluator = evaluator_cls(base, config=config, seed=seed)
     states = [evaluator.evaluate_base()]
     for batch, batch_oracle in updates:
         states.append(evaluator.apply_update(batch, batch_oracle))
@@ -167,12 +167,11 @@ class TestBackendParity:
         base_triples, base_labels = build_base(spec)
         graph = KnowledgeGraph(base_triples, name="p").to_columnar()
         label_array = np.asarray([base_labels[t] for t in graph.triples], dtype=bool)
-        # A stub oracle suffices when the label array is supplied directly.
-        base = LabelledKG(graph, LabelOracle({}, strict=False))
+        # A stored label array is the whole oracle: no Triple-keyed mapping.
+        base = LabelledKG(graph, LabelOracle.from_positions(graph, label_array))
         updates = build_updates(spec, [[(0, 2, 1.0, False)]], base_triples)
-        evaluator, trail = run_position_evaluator(
-            StratifiedIncrementalEvaluator, base, updates, seed=3, position_labels=label_array
-        )
+        evaluator, trail = run_position_evaluator(StratifiedIncrementalEvaluator, base, updates, 3)
+        assert "_labels" not in vars(base.oracle)
         assert evaluator.current_true_accuracy() == pytest.approx(
             (label_array.sum() + 2) / (label_array.shape[0] + 2)
         )
@@ -413,17 +412,15 @@ class TestReviewRegressions:
             lambda: KnowledgeGraph(base_triples, name="p"),
             lambda: KnowledgeGraph(base_triples, name="p").to_columnar(),
         ):
-            for surface in ("object", "position"):
-                evaluator = StratifiedIncrementalEvaluator(
-                    LabelledKG(make_graph(), oracle),
-                    config=EvaluationConfig(moe_target=0.2, batch_size=5, min_units=5),
-                    seed=3,
-                    surface=surface,
-                )
-                evaluator.evaluate_base()
-                state = evaluator.apply_update(duplicate_batch, LabelOracle({}, strict=False))
-                assert evaluator.num_strata == 1  # no stratum for an all-duplicate batch
-                assert state.report.num_triples_annotated == 0
+            evaluator = StratifiedIncrementalEvaluator(
+                LabelledKG(make_graph(), oracle),
+                config=EvaluationConfig(moe_target=0.2, batch_size=5, min_units=5),
+                seed=3,
+            )
+            evaluator.evaluate_base()
+            state = evaluator.apply_update(duplicate_batch, LabelOracle({}, strict=False))
+            assert evaluator.num_strata == 1  # no stratum for an all-duplicate batch
+            assert state.report.num_triples_annotated == 0
 
     def test_object_stratum_weight_excludes_duplicates(self):
         spec = [(5, 0.8), (4, 1.0), (6, 0.5)] * 3
@@ -452,7 +449,6 @@ class TestReviewRegressions:
             base,
             config=EvaluationConfig(moe_target=0.2, batch_size=5, min_units=5, max_units=10),
             seed=4,
-            surface="position",
         )
         evaluator.evaluate_base()
         # Evict the current minimum entry by hand and push it back as a

@@ -5,8 +5,8 @@ Every fixed-seed trajectory here is pinned bit-for-bit in
 series — the single-stream loop's own
 :meth:`~repro.core.framework.StaticEvaluator.step`, 4 rounds of 40 units —
 for the five designs plus stratified TWCS under both allocation rules, and
-the full evaluation histories of both incremental evolving evaluators on the
-position surface.  A refactor can no longer silently shift numbers: any
+the full evaluation histories of the three evolving evaluators (the Baseline,
+RS and SS).  A refactor can no longer silently shift numbers: any
 divergence fails here with a pointer to ``--update-golden``, which rewrites
 the files for an *intentional* trajectory change (review that diff!).
 
@@ -25,6 +25,7 @@ import pytest
 from repro.core.config import EvaluationConfig
 from repro.core.framework import StaticEvaluator
 from repro.cost.annotator import SimulatedAnnotator
+from repro.evolving.baseline import BaselineEvolvingEvaluator
 from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
 from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 from repro.generators.datasets import LabelledKG, make_nell_like
@@ -119,9 +120,7 @@ def test_engine_stratified_trajectory_replays_on_sqlite(labelled_sqlite, golden,
 
 
 def _evolving_trajectory(base, cls):
-    evaluator = cls(
-        base, config=EvaluationConfig(moe_target=0.06), seed=_SEED, surface="position"
-    )
+    evaluator = cls(base, config=EvaluationConfig(moe_target=0.06), seed=_SEED)
     evaluator.evaluate_base()
     workload = UpdateWorkloadGenerator(base, seed=_SEED)
     for batch, batch_oracle in workload.generate_sequence(2, 120, 0.8):
@@ -144,7 +143,11 @@ def _evolving_trajectory(base, cls):
 
 @pytest.mark.parametrize(
     "kind, cls",
-    [("rs", ReservoirIncrementalEvaluator), ("ss", StratifiedIncrementalEvaluator)],
+    [
+        ("rs", ReservoirIncrementalEvaluator),
+        ("ss", StratifiedIncrementalEvaluator),
+        ("baseline", BaselineEvolvingEvaluator),
+    ],
 )
 def test_evolving_trajectory_is_pinned(golden, kind, cls):
     data = make_nell_like(seed=0)
@@ -154,7 +157,11 @@ def test_evolving_trajectory_is_pinned(golden, kind, cls):
 
 @pytest.mark.parametrize(
     "kind, cls",
-    [("rs", ReservoirIncrementalEvaluator), ("ss", StratifiedIncrementalEvaluator)],
+    [
+        ("rs", ReservoirIncrementalEvaluator),
+        ("ss", StratifiedIncrementalEvaluator),
+        ("baseline", BaselineEvolvingEvaluator),
+    ],
 )
 def test_evolving_trajectory_replays_via_sqlite_base(golden, kind, cls):
     """A base graph persisted to sqlite and re-derived as columns (the

@@ -23,32 +23,6 @@ class TestUpdateBatch:
         assert len(batch) == 3
         assert list(batch) == list(triples)
 
-    def test_entity_insertions_grouping(self):
-        batch = UpdateBatch(
-            "delta-2",
-            (
-                Triple("e1", "p", "o1"),
-                Triple("e2", "p", "o2"),
-                Triple("e1", "q", "o3"),
-            ),
-        )
-        insertions = batch.entity_insertions()
-        assert set(insertions) == {"delta-2/e1", "delta-2/e2"}
-        assert insertions["delta-2/e1"].size == 2
-        assert insertions["delta-2/e2"].size == 1
-
-    def test_entity_insertions_use_batch_scoped_keys(self):
-        first = UpdateBatch("a", (Triple("e1", "p", "o1"),))
-        second = UpdateBatch("b", (Triple("e1", "p", "o2"),))
-        assert set(first.entity_insertions()) == {"a/e1"}
-        assert set(second.entity_insertions()) == {"b/e1"}
-
-    def test_as_knowledge_graph(self):
-        batch = UpdateBatch("delta-3", (Triple("e1", "p", "o1"), Triple("e2", "p", "o2")))
-        graph = batch.as_knowledge_graph()
-        assert graph.num_triples == 2
-        assert graph.name == "delta-3"
-
 
 class TestEvolvingKnowledgeGraph:
     def test_apply_updates_current_only(self):

@@ -51,22 +51,6 @@ class TestLabelOracle:
         accuracies = oracle.cluster_accuracies(graph)
         assert set(accuracies) == set(graph.entity_ids)
 
-    def test_extend_adds_and_overrides(self):
-        a = Triple("e1", "p", "o1")
-        b = Triple("e2", "p", "o2")
-        oracle = LabelOracle({a: True})
-        oracle.extend(LabelOracle({a: False, b: True}))
-        assert oracle.label(a) is False
-        assert oracle.label(b) is True
-
-    def test_merged_with_does_not_mutate(self):
-        a = Triple("e1", "p", "o1")
-        b = Triple("e2", "p", "o2")
-        original = LabelOracle({a: True})
-        merged = original.merged_with(LabelOracle({b: False}))
-        assert b not in original
-        assert merged.label(b) is False
-
     def test_as_dict_returns_copy(self, toy_oracle):
         copy = toy_oracle.as_dict()
         copy.clear()
@@ -110,18 +94,6 @@ class TestLabelOracleFromPositions:
         assert oracle.true_accuracy(other) == dict_oracle.true_accuracy(other)
         assert oracle.as_dict() == dict_oracle.as_dict()
 
-    def test_extend_drops_the_array(self, stored):
-        graph, labels, dict_oracle = stored
-        oracle = LabelOracle.from_positions(graph, labels)
-        first = graph.triple_at(0)
-        flipped = {first: not labels[0]}
-        oracle.extend(flipped)
-        expected = LabelOracle(dict_oracle.as_dict())
-        expected.extend(flipped)
-        assert oracle.label(first) is (not labels[0])
-        assert oracle.as_position_array(graph)[0] == (not labels[0])
-        assert oracle.true_accuracy(graph) == expected.true_accuracy(graph)
-
 
 class TestPositionLabels:
     """The oracle keeps the array it built for one graph object."""
@@ -140,15 +112,6 @@ class TestPositionLabels:
         copy = oracle.as_position_array(graph)
         assert copy.flags.writeable and not np.shares_memory(copy, first)
         np.testing.assert_array_equal(copy, first)
-
-    def test_rebuilt_after_extend(self, built):
-        graph, oracle = built
-        first = oracle.position_labels(graph)
-        oracle.extend({graph.triple_at(3): not first[3]})
-        second = oracle.position_labels(graph)
-        assert second is not first
-        assert second[3] == (not first[3])
-        assert (np.flatnonzero(second != first) == [3]).all()
 
     def test_rebuilt_after_the_graph_grows(self, toy_kg):
         graph, oracle = toy_kg

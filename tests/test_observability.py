@@ -21,7 +21,9 @@ import pytest
 from test_golden_trajectories import STATIC_DESIGNS, static_design, static_trajectory
 
 from repro.core.config import EvaluationConfig
+from repro.evolving.baseline import BaselineEvolvingEvaluator
 from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
+from repro.evolving.state import capture_evaluator_state, restore_evaluator
 from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 from repro.generators.datasets import LabelledKG, make_nell_like
 from repro.generators.workload import UpdateWorkloadGenerator
@@ -307,9 +309,7 @@ def test_evolving_goldens_replay_bitwise_with_obs_active(golden, tmp_path, kind,
     obs_trace.enable()
     data = make_nell_like(seed=0)
     base = LabelledKG(data.graph.to_columnar(), data.oracle)
-    evaluator = cls(
-        base, config=EvaluationConfig(moe_target=0.06), seed=_SEED, surface="position"
-    )
+    evaluator = cls(base, config=EvaluationConfig(moe_target=0.06), seed=_SEED)
     evaluator.evaluate_base()
     workload = UpdateWorkloadGenerator(base, seed=_SEED)
     for batch, batch_oracle in workload.generate_sequence(2, 120, 0.8):
@@ -332,3 +332,51 @@ def test_evolving_goldens_replay_bitwise_with_obs_active(golden, tmp_path, kind,
     names = {entry["name"] for entry in obs_metrics.snapshot()["series"]}
     assert "annotation_cost_seconds_total" in names
     assert "annotation_triples_total" in names
+
+
+# --------------------------------------------------------------------------- #
+# Evolving annotation counters
+# --------------------------------------------------------------------------- #
+_ANNOTATION_COUNTERS = {
+    "annotation_cost_seconds_total": "annotation_cost_seconds",
+    "annotation_triples_total": "num_triples_annotated",
+    "annotation_entities_total": "num_entities_identified",
+}
+
+
+def _assert_counters_sum_reports(evaluator, evaluations) -> None:
+    """Each annotation counter holds the sum of the reports' incremental field."""
+    kind = type(evaluator).__name__
+    for name, field in _ANNOTATION_COUNTERS.items():
+        expected = sum(getattr(evaluation.report, field) for evaluation in evaluations)
+        assert obs_metrics.counter(name, evaluator=kind).value == expected, name
+
+
+def test_baseline_annotation_counters_count_every_snapshot():
+    # Every snapshot opens a fresh session, so each one's full cost counts.
+    base = make_nell_like(seed=0)
+    evaluator = BaselineEvolvingEvaluator(base, seed=0)
+    evaluator.evaluate_base()
+    workload = UpdateWorkloadGenerator(base, seed=0)
+    for batch, batch_oracle in workload.generate_sequence(3, 300, 0.8):
+        evaluator.apply_update(batch, batch_oracle)
+    _assert_counters_sum_reports(evaluator, evaluator.history)
+    kind = "BaselineEvolvingEvaluator"
+    counted = obs_metrics.counter("annotation_cost_seconds_total", evaluator=kind).value
+    assert counted == pytest.approx(evaluator.total_cost_hours * 3600.0)
+
+
+def test_resumed_evaluator_counters_count_only_new_work():
+    base = make_nell_like(seed=0)
+    updates = list(UpdateWorkloadGenerator(base, seed=3).generate_sequence(2, 200, 0.8))
+    evaluator = StratifiedIncrementalEvaluator(base, seed=3)
+    evaluator.evaluate_base()
+    evaluator.apply_update(*updates[0])
+    state = capture_evaluator_state(evaluator)
+
+    # A fresh process: empty counters, the evaluator rebuilt from its state.
+    obs_metrics.reset()
+    resumed = restore_evaluator(state, make_nell_like(seed=0))
+    evaluation = resumed.apply_update(*updates[1])
+    assert evaluation.report.annotation_cost_seconds > 0
+    _assert_counters_sum_reports(resumed, [evaluation])
