@@ -36,9 +36,10 @@ tag   body
 ``10`` dict: u32 count, then (str key, value) pairs — keys must be ``str``
 ``11`` ndarray: dtype str (u8 length), ndim (u8), shape (u64 each),
        u64 byte length, raw C-order bytes.  Dtypes are restricted to
-       bool/int/uint/float kinds ≤ 8 bytes — never object arrays.
-``12`` :class:`numpy.random.SeedSequence`: entropy, spawn_key, pool_size,
-       n_children_spawned (each a tagged value)
+       bool/int/uint/float kinds ≤ 8 bytes — never object arrays — and the
+       decoder accepts only the dtype strings the encoder emits.
+``12`` :class:`numpy.random.SeedSequence`: entropy, spawn_key, pool_size
+       (at most 64 on decode), n_children_spawned (each a tagged value)
 ``19`` :class:`~repro.kg.triple.Triple` (subject, predicate, object strings +
        is_entity_object bool)
 ``20`` :class:`~repro.sampling.base.Estimate` (value, std_error, num_units,
@@ -61,6 +62,7 @@ the container tags bit-exactly.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 
@@ -111,6 +113,15 @@ _I64 = struct.Struct(">q")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _F64 = struct.Struct(">d")
+#: A str's tag and length; a Triple's tag followed by its subject's.
+_STR_HEAD = struct.Struct(">BI")
+_TRIPLE_HEAD = struct.Struct(">BBI")
+_TRUE_BYTE = bytes([_T_TRUE])
+_FALSE_BYTE = bytes([_T_FALSE])
+_BOOL_TAGS = _TRUE_BYTE + _FALSE_BYTE
+#: Any byte but a bool tag: searched for in place, so a list's items are
+#: never copied before the decoder knows they are all bools.
+_NOT_BOOL_TAG = re.compile(b"[^%c%c]" % (_T_TRUE, _T_FALSE))
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
@@ -121,6 +132,32 @@ _MAX_NDIM = 4
 _MAX_BIGINT_BYTES = 1 << 20
 #: Array dtype kinds allowed on the wire (never object/void/str kinds).
 _ARRAY_KINDS = frozenset("biuf")
+#: numpy mixes a SeedSequence's entropy pool in time quadratic in its size,
+#: holding the GIL; numpy's own default is 4.
+_MAX_POOL_SIZE = 64
+
+
+def _wire_dtypes() -> dict[bytes, np.dtype]:
+    """The dtype strings the encoder emits (``array.dtype.str``): ``|`` for
+    one-byte kinds, ``<`` or ``>`` for the others.
+
+    The decoder looks a wire dtype up here and never hands the string to
+    ``np.dtype``, which parses some malformed strings with ``ast``.
+    """
+    dtypes = {}
+    for kind in _ARRAY_KINDS:
+        for size in "1248":
+            try:
+                native = np.dtype(kind + size)
+            except TypeError:  # no 2-, 4- or 8-byte bool, no 1-byte float
+                continue
+            for order in "<>":
+                dtype = native.newbyteorder(order)
+                dtypes[dtype.str.encode("ascii")] = dtype
+    return dtypes
+
+
+_WIRE_DTYPES = _wire_dtypes()
 
 
 class WireError(RuntimeError):
@@ -147,9 +184,26 @@ def _encode_int(value: int, out: bytearray) -> None:
 
 def _encode_str(value: str, out: bytearray) -> None:
     data = value.encode("utf-8")
-    out.append(_T_STR)
-    out += _U32.pack(len(data))
+    out += _STR_HEAD.pack(_T_STR, len(data))
     out += data
+
+
+def _triple_bytes(triple: Triple) -> bytes:
+    """A Triple's tag, its three str values and its flag, in one buffer."""
+    subject = triple.subject.encode("utf-8")
+    predicate = triple.predicate.encode("utf-8")
+    obj = triple.obj.encode("utf-8")
+    return b"".join(
+        (
+            _TRIPLE_HEAD.pack(_T_TRIPLE, _T_STR, len(subject)),
+            subject,
+            _STR_HEAD.pack(_T_STR, len(predicate)),
+            predicate,
+            _STR_HEAD.pack(_T_STR, len(obj)),
+            obj,
+            _TRUE_BYTE if triple.is_entity_object else _FALSE_BYTE,
+        )
+    )
 
 
 def _encode_array(array: np.ndarray, out: bytearray) -> None:
@@ -170,10 +224,44 @@ def _encode_array(array: np.ndarray, out: bytearray) -> None:
     out += data
 
 
+def _encode_items(tag: int, items, out: bytearray, depth: int) -> None:
+    """A list or tuple whose items sit at ``depth``."""
+    out.append(tag)
+    out += _U32.pack(len(items))
+    for item in items:
+        _encode(item, out, depth)
+
+
+def _encode_dict(value: dict, out: bytearray, depth: int) -> None:
+    """A dict whose values sit at ``depth``."""
+    out.append(_T_DICT)
+    out += _U32.pack(len(value))
+    for key, item in value.items():
+        if not isinstance(key, str):
+            raise WireError(f"dict keys on the wire must be str, got {type(key).__name__}")
+        data = key.encode("utf-8")
+        out += _U32.pack(len(data))
+        out += data
+        _encode(item, out, depth)
+
+
 def _encode(value, out: bytearray, depth: int) -> None:
     if depth > _MAX_DEPTH:
         raise WireError("value nests deeper than the wire limit")
-    if value is None:
+    # Exact types first (a submit is a dict of strs, a list of Triples and a
+    # list of bools); subclasses and numpy scalars take the chain below.
+    cls = type(value)
+    if cls is str:
+        _encode_str(value, out)
+    elif cls is Triple:
+        out += _triple_bytes(value)
+    elif cls is bool:
+        out.append(_T_TRUE if value else _T_FALSE)
+    elif cls is list:
+        _encode_items(_T_LIST, value, out, depth + 1)
+    elif cls is dict:
+        _encode_dict(value, out, depth + 1)
+    elif value is None:
         out.append(_T_NONE)
     elif isinstance(value, (bool, np.bool_)):
         out.append(_T_TRUE if value else _T_FALSE)
@@ -192,20 +280,9 @@ def _encode(value, out: bytearray, depth: int) -> None:
     elif isinstance(value, np.ndarray):
         _encode_array(value, out)
     elif isinstance(value, (list, tuple)):
-        out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
-        out += _U32.pack(len(value))
-        for item in value:
-            _encode(item, out, depth + 1)
+        _encode_items(_T_LIST if isinstance(value, list) else _T_TUPLE, value, out, depth + 1)
     elif isinstance(value, dict):
-        out.append(_T_DICT)
-        out += _U32.pack(len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise WireError(f"dict keys on the wire must be str, got {type(key).__name__}")
-            data = key.encode("utf-8")
-            out += _U32.pack(len(data))
-            out += data
-            _encode(item, out, depth + 1)
+        _encode_dict(value, out, depth + 1)
     elif isinstance(value, np.random.SeedSequence):
         out.append(_T_SEEDSEQ)
         _encode(value.entropy, out, depth + 1)
@@ -213,11 +290,7 @@ def _encode(value, out: bytearray, depth: int) -> None:
         _encode(int(value.pool_size), out, depth + 1)
         _encode(int(value.n_children_spawned), out, depth + 1)
     elif isinstance(value, Triple):
-        out.append(_T_TRIPLE)
-        _encode_str(value.subject, out)
-        _encode_str(value.predicate, out)
-        _encode_str(value.obj, out)
-        out.append(_T_TRUE if value.is_entity_object else _T_FALSE)
+        out += _triple_bytes(value)
     elif isinstance(value, Estimate):
         out.append(_T_ESTIMATE)
         for field in (
@@ -267,6 +340,10 @@ def dumps(value) -> bytes:
 # --------------------------------------------------------------------------- #
 # Decoding
 # --------------------------------------------------------------------------- #
+def _truncated(wanted: int, left: int) -> WireError:
+    return WireError(f"frame truncated: wanted {wanted} bytes, {left} left")
+
+
 class _Reader:
     """Bounds-checked cursor over a payload buffer."""
 
@@ -282,37 +359,62 @@ class _Reader:
 
     def take(self, count: int) -> bytes:
         if count < 0 or count > self.remaining:
-            raise WireError(f"frame truncated: wanted {count} bytes, {self.remaining} left")
+            raise _truncated(count, self.remaining)
         start = self.pos
         self.pos = start + count
         return self.data[start : self.pos]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        pos = self.pos
+        if pos >= len(self.data):
+            raise _truncated(1, 0)
+        self.pos = pos + 1
+        return self.data[pos]
+
+    def unpack(self, scalar: struct.Struct) -> int | float:
+        pos = self.pos
+        end = pos + scalar.size
+        if end > len(self.data):
+            raise _truncated(scalar.size, len(self.data) - pos)
+        self.pos = end
+        return scalar.unpack_from(self.data, pos)[0]
 
     def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
+        return self.unpack(_U32)
 
     def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
+        return self.unpack(_U64)
 
 
 def _decode_str(reader: _Reader) -> str:
-    data = reader.take(reader.u32())
+    data = reader.data
+    start = reader.pos + 4
+    if start > len(data):
+        raise _truncated(4, len(data) - reader.pos)
+    end = start + _U32.unpack_from(data, reader.pos)[0]
+    if end > len(data):
+        raise _truncated(end - start, len(data) - start)
+    reader.pos = end
     try:
-        return data.decode("utf-8")
+        return data[start:end].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise WireError(f"invalid UTF-8 on the wire: {exc}") from None
 
 
+def _decode_str_field(reader: _Reader, depth: int, what: str) -> str:
+    """A str-typed field, read in place when it carries the str tag."""
+    pos = reader.pos
+    if depth <= _MAX_DEPTH and pos < len(reader.data) and reader.data[pos] == _T_STR:
+        reader.pos = pos + 1
+        return _decode_str(reader)
+    return _expect(_decode(reader, depth), str, what)
+
+
 def _decode_array(reader: _Reader) -> np.ndarray:
     dtype_str = reader.take(reader.u8())
-    try:
-        dtype = np.dtype(dtype_str.decode("ascii"))
-    except (TypeError, ValueError, UnicodeDecodeError):
-        raise WireError(f"invalid dtype {dtype_str!r} on the wire") from None
-    if dtype.kind not in _ARRAY_KINDS or dtype.itemsize > 8:
-        raise WireError(f"dtype {dtype} is not allowed on the wire")
+    dtype = _WIRE_DTYPES.get(dtype_str)
+    if dtype is None:
+        raise WireError(f"invalid dtype {dtype_str!r} on the wire")
     ndim = reader.u8()
     if ndim > _MAX_NDIM:
         raise WireError(f"{ndim}-dimensional arrays are not allowed on the wire")
@@ -324,7 +426,12 @@ def _decode_array(reader: _Reader) -> np.ndarray:
     if length != count * dtype.itemsize:
         raise WireError(f"array byte length {length} does not match shape {shape} of {dtype}")
     data = reader.take(length)
-    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    try:
+        array = np.frombuffer(data, dtype=dtype).reshape(shape)
+    except ValueError as exc:
+        # An empty array can still declare a dimension numpy cannot hold.
+        raise WireError(f"array shape {shape} is not allowed on the wire: {exc}") from None
+    return array.copy()
 
 
 def _expect(value, kinds, what: str):
@@ -347,6 +454,10 @@ def _decode_seedseq(reader: _Reader, depth: int) -> np.random.SeedSequence:
         raise WireError("SeedSequence spawn_key must be a tuple of ints")
     _expect(pool_size, int, "SeedSequence pool_size")
     _expect(n_children, int, "SeedSequence n_children_spawned")
+    if pool_size > _MAX_POOL_SIZE:
+        raise WireError(
+            f"SeedSequence pool_size {pool_size} exceeds the wire limit of {_MAX_POOL_SIZE}"
+        )
     try:
         return np.random.SeedSequence(
             entropy=entropy,
@@ -354,7 +465,7 @@ def _decode_seedseq(reader: _Reader, depth: int) -> np.random.SeedSequence:
             pool_size=pool_size,
             n_children_spawned=n_children,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a count above uint32
         raise WireError(f"invalid SeedSequence on the wire: {exc}") from None
 
 
@@ -366,9 +477,14 @@ def _decode_float_field(reader: _Reader, depth: int, what: str) -> float:
 
 
 def _decode_triple(reader: _Reader, depth: int) -> Triple:
-    subject = _expect(_decode(reader, depth), str, "Triple.subject")
-    predicate = _expect(_decode(reader, depth), str, "Triple.predicate")
-    obj = _expect(_decode(reader, depth), str, "Triple.obj")
+    subject = _decode_str_field(reader, depth, "Triple.subject")
+    predicate = _decode_str_field(reader, depth, "Triple.predicate")
+    obj = _decode_str_field(reader, depth, "Triple.obj")
+    pos = reader.pos
+    # The subject got past the nesting check, so the flag may skip it too.
+    if pos < len(reader.data) and reader.data[pos] in _BOOL_TAGS:
+        reader.pos = pos + 1
+        return Triple(subject, predicate, obj, reader.data[pos] == _T_TRUE)
     flag = _decode(reader, depth)
     if not isinstance(flag, bool):
         raise WireError("Triple.is_entity_object must be a bool")
@@ -437,14 +553,19 @@ def _decode(reader: _Reader, depth: int):
     if depth > _MAX_DEPTH:
         raise WireError("frame nests deeper than the wire limit")
     tag = reader.u8()
-    if tag == _T_NONE:
-        return None
+    # The common tags first: a submit is strs, Triples and bools.
+    if tag == _T_STR:
+        return _decode_str(reader)
+    if tag == _T_TRIPLE:
+        return _decode_triple(reader, depth + 1)
     if tag == _T_TRUE:
         return True
     if tag == _T_FALSE:
         return False
+    if tag == _T_NONE:
+        return None
     if tag == _T_INT:
-        return _I64.unpack(reader.take(8))[0]
+        return reader.unpack(_I64)
     if tag == _T_BIGINT:
         sign = reader.u8()
         if sign not in (0, 1):
@@ -455,16 +576,21 @@ def _decode(reader: _Reader, depth: int):
         magnitude = int.from_bytes(reader.take(length), "big")
         return -magnitude if sign else magnitude
     if tag == _T_FLOAT:
-        return _F64.unpack(reader.take(8))[0]
-    if tag == _T_STR:
-        return _decode_str(reader)
+        return reader.unpack(_F64)
     if tag == _T_BYTES:
         return reader.take(reader.u64())
     if tag in (_T_LIST, _T_TUPLE):
         count = reader.u32()
         if count > reader.remaining:
             raise WireError(f"container of {count} items exceeds the frame")
-        items = [_decode(reader, depth + 1) for _ in range(count)]
+        start = reader.pos
+        end = start + count
+        if depth < _MAX_DEPTH and _NOT_BOOL_TAG.search(reader.data, start, end) is None:
+            # Every item is a one-byte bool tag, like a submit's labels.
+            reader.pos = end
+            items = list(map(_T_TRUE.__eq__, reader.data[start:end]))
+        else:
+            items = [_decode(reader, depth + 1) for _ in range(count)]
         return items if tag == _T_LIST else tuple(items)
     if tag == _T_DICT:
         count = reader.u32()
@@ -483,8 +609,6 @@ def _decode(reader: _Reader, depth: int):
         return _decode_array(reader)
     if tag == _T_SEEDSEQ:
         return _decode_seedseq(reader, depth + 1)
-    if tag == _T_TRIPLE:
-        return _decode_triple(reader, depth + 1)
     if tag == _T_ESTIMATE:
         return _decode_estimate(reader, depth + 1)
     if tag == _T_REPORT:

@@ -276,3 +276,28 @@ def test_bad_frame_drops_only_its_connection(server, base, golden, damage):
         client.submit_batch("bystander", *batches[1])
         entries = client.trajectory("bystander")["entries"]
     golden.check("evolving_ss", golden_payload(entries))
+
+
+@pytest.mark.timeout(60)
+def test_hostile_dtype_string_drops_only_its_connection(server):
+    """A CRC-valid frame whose ndarray dtype string numpy would parse with
+    ``ast`` is a counted protocol error, not a dead connection thread."""
+    import socket
+    import zlib
+
+    from repro.sampling import wire
+    from repro.serve import protocol
+
+    payload = bytes([wire._T_NDARRAY, 3]) + b",i4" + bytes([1]) + (1).to_bytes(8, "big")
+    payload += (4).to_bytes(8, "big") + bytes(4)
+    header = wire._HEADER.pack(wire.MAGIC, wire.WIRE_VERSION, 0, len(payload), zlib.crc32(payload))
+    host, port = server.address.rsplit(":", 1)
+    before = obs_metrics.counter("serve_conn_errors_total").value
+    with socket.create_connection((host, int(port)), timeout=30) as raw:
+        protocol.client_handshake(raw, SECRET)
+        raw.sendall(header + payload)
+        raw.shutdown(socket.SHUT_WR)
+        assert raw.recv(1) == b""
+    assert obs_metrics.counter("serve_conn_errors_total").value == before + 1
+    with _client(server) as client:
+        assert client.sessions()["entries"] == []

@@ -9,12 +9,22 @@ Two properties carry the serve wire's safety story:
 * **Totality under hostility** — decoding mutated or arbitrary bytes never
   executes anything and never escapes with anything but
   :class:`WireError`: every single-byte flip of a valid frame is caught by
-  the magic/version/length/CRC checks before one value is decoded.
+  the magic/version/length/CRC checks before one value is decoded, and
+  flipped, overwritten or truncated *payloads* (past the CRC) reach the
+  decoder's own checks, which fail the same way.
 
-No sockets are involved; this runs in the tier-1 leg.
+The fast paths (Triples and bool lists read in place, exact-type encoding)
+fail with the messages the generic readers give, and a full-size submit
+keeps its pinned bytes.  No sockets are involved; this runs in the tier-1
+leg, and the payload fuzz runs again at 2,000 examples per value kind in
+the ``slow`` leg.
 """
 
 from __future__ import annotations
+
+import hashlib
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +34,8 @@ from serve_helpers import replies, submits
 
 from repro.core.result import EvaluationReport
 from repro.evolving.monitor import MonitorRecord
+from repro.generators.datasets import make_movie_like
+from repro.generators.workload import UpdateWorkloadGenerator
 from repro.kg.triple import Triple
 from repro.sampling import wire
 from repro.sampling.base import Estimate
@@ -139,6 +151,64 @@ def test_decoding_arbitrary_frame_bytes_raises_wire_error(data):
         wire.decode_frame(data)
 
 
+def _rng_message(seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 100, size=seed % 7)
+    return {
+        "state": rng.bit_generator.state,
+        "seed": np.random.SeedSequence(seed, spawn_key=(1, seed % 5)),
+        "draws": rng.integers(0, 1 << 30, size=6).reshape(2, 3),
+        "labels": rng.random(4) < 0.5,
+        "empty": np.zeros((2, 0), dtype=np.float32),
+    }
+
+
+#: The value kinds whose payloads the decoder fuzz mutates.
+PAYLOAD_KINDS = {
+    "submit": submits,
+    "reply": replies,
+    "rng": lambda: st.builds(_rng_message, st.integers(min_value=0, max_value=2**32 - 1)),
+}
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(min_value=0), st.integers(1, 255)),
+    st.tuples(st.just("overwrite"), st.integers(min_value=0), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("truncate"), st.integers(min_value=0), st.none()),
+)
+
+
+def _mutated_payload_decodes_or_raises_wire_error(data, kind: str) -> None:
+    """Mutate a payload past the CRC; `loads` gives a value or WireError."""
+    payload = bytearray(wire.dumps(data.draw(PAYLOAD_KINDS[kind](), label="value")))
+    how, position, arg = data.draw(_MUTATIONS, label="mutation")
+    position %= len(payload)
+    if how == "flip":
+        payload[position] ^= arg
+    elif how == "overwrite":
+        payload[position : position + len(arg)] = arg[: len(payload) - position]
+    else:
+        del payload[position:]
+    try:
+        wire.loads(bytes(payload))
+    except WireError:
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(PAYLOAD_KINDS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_mutated_payloads_decode_or_raise_wire_error(kind, data):
+    _mutated_payload_decodes_or_raises_wire_error(data, kind)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", sorted(PAYLOAD_KINDS))
+@settings(max_examples=2000, deadline=None)
+@given(data=st.data())
+def test_mutated_payloads_decode_or_raise_wire_error_deep(kind, data):
+    _mutated_payload_decodes_or_raises_wire_error(data, kind)
+
+
 # --------------------------------------------------------------------------- #
 # Schema enforcement at encode time
 # --------------------------------------------------------------------------- #
@@ -175,6 +245,172 @@ def test_huge_declared_containers_are_bounded():
     forged = bytes([8]) + (2**31 - 1).to_bytes(4, "big") + b"\x00"
     with pytest.raises(WireError):
         wire.loads(forged)
+
+
+def test_nested_frame_size_list_headers_copy_nothing():
+    """33 nested list headers, each declaring as many items as the padding
+    that follows holds: the decoder must reach the nesting limit without
+    copying the frame once per level (the bool-list scan reads in place)."""
+    padding = 1 << 20
+    header = bytes([wire._T_LIST]) + padding.to_bytes(4, "big")
+    payload = header * 33 + bytes(padding)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WireError, match="frame nests deeper than the wire limit"):
+            wire.loads(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(payload) // 4
+
+
+# --------------------------------------------------------------------------- #
+# The fast paths fail with the generic readers' messages
+# --------------------------------------------------------------------------- #
+_PAIR = wire.dumps([Triple("athlete_1", "plays_for", "team_2", is_entity_object=True)] * 2)
+_LIST_OF_ONE = bytes([wire._T_LIST, 0, 0, 0, 1])
+_BOOL_LIST = bytes([wire._T_LIST, 0, 0, 0, 2, wire._T_TRUE, wire._T_FALSE])
+
+#: Hand-made payloads that reach the Triple and bool-list fast paths, with
+#: the exact message each one failed with before those paths existed.
+FAST_PATH_FAILURES = {
+    "subject-int": (
+        bytes([wire._T_TRIPLE]) + wire.dumps(7) + wire.dumps("p") + wire.dumps("o") + b"\x01",
+        "bad field type for Triple.subject: int",
+    ),
+    "flag-int": (
+        wire.dumps(Triple("s", "p", "o"))[:-1] + wire.dumps(1),
+        "Triple.is_entity_object must be a bool",
+    ),
+    "flag-none": (
+        wire.dumps(Triple("s", "p", "o"))[:-1] + wire.dumps(None),
+        "Triple.is_entity_object must be a bool",
+    ),
+    "object-utf8": (
+        bytes([wire._T_TRIPLE])
+        + wire.dumps("s")
+        + wire.dumps("p")
+        + bytes([wire._T_STR, 0, 0, 0, 2, 0xC3, 0x28, wire._T_TRUE]),
+        "invalid UTF-8 on the wire: 'utf-8' codec can't decode byte 0xc3 in position 0: "
+        "invalid continuation byte",
+    ),
+    # Cuts inside the second Triple of a pair.
+    "cut-subject-length": (_PAIR[:50], "frame truncated: wanted 4 bytes, 2 left"),
+    "cut-subject": (_PAIR[:60], "frame truncated: wanted 9 bytes, 8 left"),
+    "cut-predicate": (_PAIR[:74], "frame truncated: wanted 9 bytes, 8 left"),
+    "cut-object": (_PAIR[:83], "frame truncated: wanted 6 bytes, 3 left"),
+    "cut-flag": (_PAIR[:86], "frame truncated: wanted 1 bytes, 0 left"),
+    # A bool list 33 lists deep: its items would sit one level past the limit.
+    "bool-list-past-limit": (
+        _LIST_OF_ONE * 32 + _BOOL_LIST,
+        "frame nests deeper than the wire limit",
+    ),
+    # A Triple 32 lists deep: its fields would sit one level past the limit.
+    "triple-past-limit": (
+        _LIST_OF_ONE * 32 + wire.dumps(Triple("s", "p", "o")),
+        "frame nests deeper than the wire limit",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATH_FAILURES))
+def test_fast_paths_fail_with_the_generic_messages(name):
+    payload, message = FAST_PATH_FAILURES[name]
+    with pytest.raises(WireError) as excinfo:
+        wire.loads(payload)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("leaf", [[True, False], Triple("s", "p", "o")], ids=["bools", "triple"])
+def test_fast_paths_decode_at_the_nesting_limit(leaf):
+    value = leaf
+    for _ in range(31):
+        value = [value]
+    payload = _LIST_OF_ONE * 31 + wire.dumps(leaf)
+    assert wire.dumps(value) == payload
+    assert wire.loads(payload) == value
+
+
+@pytest.mark.parametrize("leaf", ["leaf", True], ids=["str", "bool"])
+def test_inline_list_items_keep_the_encode_nesting_limit(leaf):
+    value = leaf
+    for _ in range(32):
+        value = [value]
+    assert wire.loads(wire.dumps(value)) == value
+    with pytest.raises(WireError, match="value nests deeper than the wire limit"):
+        wire.dumps([value])
+
+
+# --------------------------------------------------------------------------- #
+# Decode bounds on numpy values
+# --------------------------------------------------------------------------- #
+def _array_payload(dtype_str: bytes) -> bytes:
+    """A one-item, four-byte ndarray value with a hand-written dtype string."""
+    return (
+        bytes([wire._T_NDARRAY, len(dtype_str)])
+        + dtype_str
+        + bytes([1])
+        + (1).to_bytes(8, "big")
+        + (4).to_bytes(8, "big")
+        + bytes(4)
+    )
+
+
+#: The dtypes the encoder accepts; ``array.dtype.str`` spells each one
+#: ``|`` + kind + size when it is one byte wide, else ``<`` or ``>`` first.
+ENCODER_DTYPES = "? i1 u1 i2 u2 i4 u4 i8 u8 f2 f4 f8".split()
+_EMITTED_DTYPE_STRINGS = {
+    np.dtype(dtype).newbyteorder(order).str for dtype in ENCODER_DTYPES for order in "<>"
+}
+#: Strings of the same shape that the encoder never emits (``|i4`` would
+#: decode in the host's byte order, ``<b1`` and ``>u1`` are 1-byte kinds).
+_UNEMITTED_DTYPE_STRINGS = sorted(
+    {"".join(parts) for parts in itertools.product("<>|", "biuf", "1248")}
+    - _EMITTED_DTYPE_STRINGS
+)
+
+
+@pytest.mark.parametrize(
+    "dtype_str",
+    [b",i4", b"<,4", b"<04", b"int32", b"=i4", b"i4"]
+    + [text.encode("ascii") for text in _UNEMITTED_DTYPE_STRINGS],
+)
+def test_only_dtype_strings_the_encoder_emits_are_decoded(dtype_str):
+    """numpy hands some dtype strings to ``ast.literal_eval`` (``SyntaxError``);
+    the decoder looks the string up instead of parsing it."""
+    with pytest.raises(WireError, match="invalid dtype"):
+        wire.loads(_array_payload(dtype_str))
+
+
+@pytest.mark.parametrize("dtype", ENCODER_DTYPES)
+@pytest.mark.parametrize("order", ["<", ">"])
+def test_every_dtype_the_encoder_emits_round_trips(dtype, order):
+    array = np.arange(6).astype(np.dtype(dtype).newbyteorder(order)).reshape(2, 3)
+    payload = wire.dumps(array)
+    assert payload[2 : 2 + payload[1]].decode("ascii") in _EMITTED_DTYPE_STRINGS
+    decoded = wire.loads(payload)
+    assert decoded.dtype == array.dtype
+    np.testing.assert_array_equal(decoded, array)
+
+
+def test_empty_array_with_a_dimension_numpy_cannot_hold_is_refused():
+    payload = bytearray(wire.dumps(np.zeros((3, 0), dtype=np.int32)))
+    payload[6] = 0xFF  # the high byte of the first dimension: 3 -> past 2**63
+    with pytest.raises(WireError, match="array shape"):
+        wire.loads(bytes(payload))
+
+
+def test_seedsequence_pool_size_is_bounded():
+    """numpy mixes the pool in time quadratic in its size, holding the GIL."""
+    assert wire.loads(wire.dumps(np.random.SeedSequence(5, pool_size=64))).pool_size == 64
+    with pytest.raises(WireError, match="pool_size 65 exceeds the wire limit of 64"):
+        wire.loads(wire.dumps(np.random.SeedSequence(5, pool_size=65)))
+
+
+def test_seedsequence_child_count_beyond_uint32_is_refused():
+    payload = bytes([wire._T_SEEDSEQ]) + b"".join(wire.dumps(field) for field in (5, (), 4, 2**32))
+    with pytest.raises(WireError, match="invalid SeedSequence"):
+        wire.loads(payload)
 
 
 # --------------------------------------------------------------------------- #
@@ -385,6 +621,80 @@ def test_frames_keep_their_pinned_bytes(name):
         assert wire.encode_frame(decoded) == frame
     else:
         assert decoded == value
+
+
+@pytest.fixture(scope="module")
+def full_size_values() -> dict:
+    """A served write's submit and the poll reply that follows it."""
+    base = make_movie_like(seed=0, scale=0.05)
+    size = round(0.005 * base.graph.num_triples)
+    batch, oracle = UpdateWorkloadGenerator(base, seed=2026).generate_batch(size, 0.8)
+    estimate = Estimate(value=0.8712, std_error=0.0154, num_units=62, num_triples=488)
+    report = EvaluationReport(
+        estimate=estimate,
+        confidence_level=0.95,
+        moe_target=0.05,
+        satisfied=True,
+        iterations=4,
+        num_units=62,
+        num_triples_annotated=488,
+        num_entities_identified=59,
+        annotation_cost_seconds=2771.5,
+    )
+    record = MonitorRecord(
+        batch_index=1,
+        batch_id=batch.batch_id,
+        estimated_accuracy=0.8712,
+        margin_of_error=0.0302,
+        true_accuracy=0.8839,
+        incremental_cost_hours=0.17,
+        cumulative_cost_hours=4.42,
+    )
+    latest = {
+        "batch_index": 1,
+        "batch_id": batch.batch_id,
+        "record": record,
+        "report": report,
+        "cumulative_cost_seconds": 15912.0,
+    }
+    return {
+        "submit": {
+            "op": "submit",
+            "session": "ss-0",
+            "batch_id": batch.batch_id,
+            "triples": list(batch.triples),
+            "labels": [oracle.label(triple) for triple in batch.triples],
+            "wait": False,
+        },
+        "poll": {
+            "op": "poll",
+            "session": "ss-0",
+            "satisfied": True,
+            "latest": latest,
+            "pending": 0,
+            "num_records": 2,
+            "failed": None,
+        },
+    }
+
+
+#: SHA-256 of the frames of the values above: a 661-triple submit (MOVIE
+#: x0.05, a 0.5 % batch) and a poll reply carrying ``latest``.
+FULL_SIZE_FRAME_SHA256 = {
+    "submit": "1274996b9d2d2702bc52b0dd307574ccb882daaa37ee10df0c21e87d28a3fe37",
+    "poll": "9e591aae0f43296013445b9cbbb6b423b2e3a7a1686ff3693ccf0187bad00567",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SIZE_FRAME_SHA256))
+def test_full_size_frames_keep_their_pinned_bytes(full_size_values, name):
+    value = full_size_values[name]
+    frame = wire.encode_frame(value)
+    assert hashlib.sha256(frame).hexdigest() == FULL_SIZE_FRAME_SHA256[name]
+    decoded = wire.decode_frame(frame)
+    assert decoded == value
+    # Triple equality ignores the entity flag; the bytes do not.
+    assert wire.encode_frame(decoded) == frame
 
 
 @given(junk=st.binary(max_size=32))
