@@ -1,37 +1,20 @@
-"""Storage backend benchmark: columnar + snapshot vs the seed in-memory graph.
+"""Storage backend benchmark: out-of-core SQLite vs columnar in RAM.
 
-Demonstrates the two headline wins of the columnar storage subsystem on a
->=1M-triple synthetic KG (MOVIE-FULL-like shape: mean cluster size ~9,
-lognormal skew 1.1):
-
-* **draw/estimate loop speed** — TWCS cluster draws through the position
-  surface (``draw_positions`` / ``update_all_positions`` on a
-  snapshot-loaded columnar graph) vs the object surface on the seed
-  in-memory graph (per-draw Triple tuples + label-dict lookups).  Target:
-  >=5x more draws per second.
-* **resident memory** — a memory-mapped snapshot directory holds the graph
-  in interned ``int32`` columns and only pages in what the sampler touches,
-  vs the object graph's Triples / key-tuples / index lists.  Target: >=3x
-  lower RSS delta.
-
-Each configuration runs in its own subprocess so RSS is measured cleanly;
-the build->snapshot->reload flow is exactly the "build big KGs once,
-memory-map thereafter" workflow the snapshot store exists for.  A separate
-test confirms the statistical contract: the *same* TWCS evaluation (object
-surface, fixed seed) returns the identical estimate on both backends.
-
-A second comparison pits the **sqlite backend** (out-of-core: graph columns
-and vocabulary stay in the WAL database, only the CSR position index is
-materialised) against the columnar backend held fully in RAM.  Peak resident
-memory (``VmHWM`` delta) of both evaluation workers lands in the results
-JSON; at full scale the sqlite peak must come in *below* the columnar one —
-that is the whole point of the backend.  A thaw micro-benchmark guards the
+Pits the **sqlite backend** (out-of-core: graph columns and vocabulary stay
+in the WAL database, only the CSR position index is materialised) against
+the columnar backend held fully in RAM, on a >=1M-triple synthetic KG
+(MOVIE-FULL-like shape: mean cluster size ~9, lognormal skew 1.1).  Both run
+the same TWCS position-surface evaluation with the same seeds, each in its
+own subprocess so RSS is measured cleanly.  Peak resident memory
+(``VmHWM`` delta) of both evaluation workers lands in the results JSON; at
+full scale the sqlite peak must come in *below* the columnar one — that is
+the whole point of the backend.  A thaw micro-benchmark guards the
 ``frombytes`` fast path in ``ColumnarStore._thaw``.
 
 Environment knobs: ``REPRO_BENCH_STORAGE_TRIPLES`` (default 1_000_000)
 scales the KG; ``REPRO_BENCH_STORAGE_DRAWS`` (default 50_000) scales the
 timed draw loop.  Below 1M triples (e.g. the CI benchmark-smoke job at ~50k)
-the speed/memory thresholds are not enforced — estimate parity always is.
+the memory threshold is not enforced — estimate parity always is.
 Set ``REPRO_BENCH_RESULTS_DIR`` to dump the raw numbers as JSON.
 """
 
@@ -96,50 +79,8 @@ def _peak_rss_kb() -> int:
 # --------------------------------------------------------------------------- #
 # Subprocess workers
 # --------------------------------------------------------------------------- #
-def _worker_seed() -> dict:
-    """Seed baseline: in-memory graph, object-surface TWCS draw loop."""
-    import numpy as np
-
-    from repro.generators.synthetic_kg import generate_kg
-    from repro.kg.graph import KnowledgeGraph
-    from repro.sampling.twcs import TwoStageWeightedClusterDesign
-
-    rss_before = _rss_kb()
-    started = time.perf_counter()
-    # The object-per-triple layout: the generated triples re-added one by one.
-    graph = KnowledgeGraph(generate_kg(_kg_config(), seed=_GRAPH_SEED), backend="memory")
-    build_seconds = time.perf_counter() - started
-    graph_rss_kb = _rss_kb() - rss_before
-
-    label_values = np.random.default_rng(_LABEL_SEED).random(graph.num_triples) < _ACCURACY
-    labels = {triple: bool(value) for triple, value in zip(graph, label_values)}
-
-    design = TwoStageWeightedClusterDesign(
-        graph, second_stage_size=_SECOND_STAGE, seed=_DESIGN_SEED
-    )
-    design.update_all(design.draw(_BATCH), labels)  # warm-up
-    design.reset()
-    drawn = 0
-    started = time.perf_counter()
-    while drawn < _TARGET_DRAWS:
-        units = design.draw(min(_BATCH, _TARGET_DRAWS - drawn))
-        design.update_all(units, labels)
-        drawn += len(units)
-    loop_seconds = time.perf_counter() - started
-    return {
-        "backend": "memory (seed)",
-        "num_triples": graph.num_triples,
-        "num_entities": graph.num_entities,
-        "build_seconds": build_seconds,
-        "graph_rss_kb": graph_rss_kb,
-        "draws": drawn,
-        "draws_per_second": drawn / loop_seconds,
-        "estimate": design.estimate().value,
-    }
-
-
 def _worker_build_snapshot(snapshot_path: str) -> dict:
-    """Bulk-build the columnar twin and persist it as a snapshot directory."""
+    """Bulk-build the columnar graph and persist it as a snapshot directory."""
     from repro.generators.synthetic_kg import generate_kg
     from repro.storage.snapshot import SnapshotStore
 
@@ -153,46 +94,6 @@ def _worker_build_snapshot(snapshot_path: str) -> dict:
         "num_triples": graph.num_triples,
         "build_seconds": build_seconds,
         "save_seconds": time.perf_counter() - started,
-    }
-
-
-def _worker_columnar(snapshot_path: str) -> dict:
-    """Columnar path: mmap-load the snapshot, position-surface TWCS loop."""
-    import numpy as np
-
-    from repro.kg.graph import KnowledgeGraph
-    from repro.sampling.twcs import TwoStageWeightedClusterDesign
-
-    rss_before = _rss_kb()
-    started = time.perf_counter()
-    graph = KnowledgeGraph.from_snapshot(snapshot_path, mmap=True)
-    design = TwoStageWeightedClusterDesign(
-        graph, second_stage_size=_SECOND_STAGE, seed=_DESIGN_SEED
-    )
-    load_seconds = time.perf_counter() - started
-    graph_rss_kb = _rss_kb() - rss_before
-
-    label_array = np.random.default_rng(_LABEL_SEED).random(graph.num_triples) < _ACCURACY
-    design.update_all_positions(design.draw_positions(_BATCH), label_array)  # warm-up
-    design.reset()
-    drawn = 0
-    started = time.perf_counter()
-    while drawn < _TARGET_DRAWS:
-        units = design.draw_positions(min(_BATCH, _TARGET_DRAWS - drawn))
-        design.update_all_positions(units, label_array)
-        drawn += len(units)
-    loop_seconds = time.perf_counter() - started
-    rss_after_loop_kb = _rss_kb() - rss_before
-    return {
-        "backend": "columnar (mmap snapshot)",
-        "num_triples": graph.num_triples,
-        "num_entities": graph.num_entities,
-        "load_seconds": load_seconds,
-        "graph_rss_kb": graph_rss_kb,
-        "rss_after_loop_kb": rss_after_loop_kb,
-        "draws": drawn,
-        "draws_per_second": drawn / loop_seconds,
-        "estimate": design.estimate().value,
     }
 
 
@@ -315,61 +216,6 @@ def _run_worker(role: str, *args: str) -> dict:
 # --------------------------------------------------------------------------- #
 # Benchmarks
 # --------------------------------------------------------------------------- #
-def test_storage_backend_draw_loop_and_memory(benchmark, tmp_path):
-    from conftest import emit, run_once
-
-    snapshot_path = str(tmp_path / "bench-kg")
-
-    def run_comparison():
-        build = _run_worker("build-snapshot", snapshot_path)
-        seed = _run_worker("seed")
-        columnar = _run_worker("columnar", snapshot_path)
-        return build, seed, columnar
-
-    build, seed, columnar = run_once(benchmark, run_comparison)
-    results_dir = os.environ.get("REPRO_BENCH_RESULTS_DIR")
-    if results_dir:
-        Path(results_dir).mkdir(parents=True, exist_ok=True)
-        with open(Path(results_dir) / "bench_storage_backend.json", "w", encoding="utf-8") as f:
-            json.dump({"build": build, "seed": seed, "columnar": columnar}, f, indent=2)
-    speedup = columnar["draws_per_second"] / seed["draws_per_second"]
-    memory_ratio = seed["graph_rss_kb"] / max(1, columnar["graph_rss_kb"])
-    loop_memory_ratio = seed["graph_rss_kb"] / max(1, columnar["rss_after_loop_kb"])
-    emit(
-        "Storage backend: columnar + mmap snapshot vs seed in-memory graph "
-        f"({seed['num_triples']:,} triples, {seed['num_entities']:,} entities, "
-        f"TWCS m={_SECOND_STAGE})",
-        "\n".join(
-            [
-                f"{'':28}{'seed (memory)':>16}{'columnar':>16}{'ratio':>9}",
-                f"{'build seconds':28}{seed['build_seconds']:>16.1f}"
-                f"{build['build_seconds']:>16.1f}"
-                f"{seed['build_seconds'] / build['build_seconds']:>8.1f}x",
-                f"{'graph RSS (MB)':28}{seed['graph_rss_kb'] / 1024:>16.1f}"
-                f"{columnar['graph_rss_kb'] / 1024:>16.1f}{memory_ratio:>8.1f}x",
-                f"{'RSS after draw loop (MB)':28}{seed['graph_rss_kb'] / 1024:>16.1f}"
-                f"{columnar['rss_after_loop_kb'] / 1024:>16.1f}{loop_memory_ratio:>8.1f}x",
-                f"{'draws per second':28}{seed['draws_per_second']:>16,.0f}"
-                f"{columnar['draws_per_second']:>16,.0f}{speedup:>8.1f}x",
-                f"{'estimate (true 0.900)':28}{seed['estimate']:>16.4f}"
-                f"{columnar['estimate']:>16.4f}",
-                f"(snapshot load+design init: {columnar['load_seconds'] * 1000:.0f} ms; "
-                f"snapshot save: {build['save_seconds']:.1f} s)",
-            ]
-        ),
-    )
-    assert seed["num_triples"] >= _TARGET_TRIPLES, "realised KG smaller than requested"
-    assert seed["num_triples"] == columnar["num_triples"] == build["num_triples"]
-    if seed["num_triples"] >= _FULL_SCALE:
-        # The headline thresholds hold at the 1M-triple scale they were
-        # claimed at; reduced-scale smoke runs only check correctness.
-        assert speedup >= 5.0, f"draw-loop speedup {speedup:.1f}x below the 5x target"
-        assert memory_ratio >= 3.0, f"resident-memory ratio {memory_ratio:.1f}x below the 3x target"
-    # Both loops estimate the same population quantity from 50k cluster draws.
-    assert abs(seed["estimate"] - _ACCURACY) < 0.01
-    assert abs(columnar["estimate"] - _ACCURACY) < 0.01
-
-
 def test_sqlite_backend_out_of_core_memory(benchmark, tmp_path):
     """Sqlite vs in-RAM columnar: identical estimates, lower peak RSS.
 
@@ -485,59 +331,13 @@ def test_columnar_thaw_budget(benchmark):
     assert thaw_seconds < budget, f"thaw took {thaw_seconds:.2f}s, budget {budget:.2f}s"
 
 
-def test_twcs_estimate_identical_across_backends(benchmark):
-    """Same evaluation, fixed seed, both backends -> bit-identical estimate."""
-    from conftest import emit, movie_scale, run_once
-
-    from repro.core.config import EvaluationConfig
-    from repro.core.framework import StaticEvaluator
-    from repro.cost.annotator import SimulatedAnnotator
-    from repro.generators.datasets import LabelledKG, make_movie_like
-    from repro.kg.graph import KnowledgeGraph
-    from repro.labels.oracle import LabelOracle
-    from repro.sampling.twcs import TwoStageWeightedClusterDesign
-
-    def run_both():
-        columnar = make_movie_like(seed=0, scale=movie_scale())
-        memory = LabelledKG(
-            KnowledgeGraph(columnar.graph.triples, backend="memory"),
-            LabelOracle(columnar.oracle.as_dict()),
-        )
-        reports = {}
-        for backend_name, data in (("memory", memory), ("columnar", columnar)):
-            design = TwoStageWeightedClusterDesign(data.graph, second_stage_size=5, seed=17)
-            annotator = SimulatedAnnotator(data.oracle, seed=17)
-            config = EvaluationConfig(moe_target=0.05, confidence_level=0.95)
-            reports[backend_name] = StaticEvaluator(design, annotator, config).run()
-        return reports
-
-    reports = run_once(benchmark, run_both)
-    memory_report, columnar_report = reports["memory"], reports["columnar"]
-    emit(
-        "TWCS evaluation parity across storage backends (MOVIE-like, seed 17)",
-        f"memory  : accuracy={memory_report.accuracy:.6f} moe={memory_report.margin_of_error:.6f} "
-        f"triples={memory_report.num_triples_annotated}\n"
-        f"columnar: accuracy={columnar_report.accuracy:.6f} "
-        f"moe={columnar_report.margin_of_error:.6f} "
-        f"triples={columnar_report.num_triples_annotated}",
-    )
-    assert memory_report.accuracy == columnar_report.accuracy
-    assert memory_report.margin_of_error == columnar_report.margin_of_error
-    assert memory_report.num_triples_annotated == columnar_report.num_triples_annotated
-    assert memory_report.annotation_cost_seconds == columnar_report.annotation_cost_seconds
-
-
 # --------------------------------------------------------------------------- #
 # Worker entry point
 # --------------------------------------------------------------------------- #
 if __name__ == "__main__":
     role = sys.argv[1]
-    if role == "seed":
-        print(json.dumps(_worker_seed()))
-    elif role == "build-snapshot":
+    if role == "build-snapshot":
         print(json.dumps(_worker_build_snapshot(sys.argv[2])))
-    elif role == "columnar":
-        print(json.dumps(_worker_columnar(sys.argv[2])))
     elif role == "build-sqlite":
         print(json.dumps(_worker_build_sqlite(sys.argv[2], sys.argv[3])))
     elif role == "columnar-ram":

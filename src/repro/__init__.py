@@ -53,7 +53,6 @@ from repro.labels import BinomialMixtureModel, LabelOracle, RandomErrorModel
 from repro.storage import (
     ColumnarStore,
     DeltaStore,
-    InMemoryStore,
     SnapshotStore,
     StorageBackend,
     ingest_nt,
@@ -84,7 +83,6 @@ __all__ = [
     "EvolvingKnowledgeGraph",
     # Storage backends
     "StorageBackend",
-    "InMemoryStore",
     "ColumnarStore",
     "DeltaStore",
     "SnapshotStore",

@@ -6,9 +6,10 @@ The commands cover the common workflows:
   stand-ins (entities, triples, average cluster size, gold accuracy);
 * ``evaluate`` — run one accuracy evaluation of a chosen dataset with a chosen
   sampling design and quality requirement, and print the report
-  (``--backend columnar`` runs the same evaluation on columnar storage and
-  yields the identical estimate under the same seed; ``--from-snapshot``
-  evaluates a reopened format-v2 snapshot carrying its label array);
+  (``--backend sqlite`` stores the built dataset in a disk-resident database
+  instead of columns in RAM and yields the identical estimate under the same
+  seed; ``--from-snapshot`` evaluates a reopened labelled snapshot in the
+  format it was stored in);
 * ``experiment`` — regenerate one of the paper's tables/figures and print the
   rows (the same functions the benchmark suite calls);
 * ``snapshot`` — build a dataset's graph and persist it with
@@ -45,7 +46,6 @@ Examples
 
     python -m repro datasets
     python -m repro evaluate --dataset nell --design twcs --moe 0.05 --seed 7
-    python -m repro evaluate --dataset nell --backend columnar
     python -m repro evaluate --dataset nell --backend sqlite
     python -m repro experiment table5 --trials 10
     python -m repro snapshot --dataset movie --out movie.npz --with-labels
@@ -245,13 +245,14 @@ def _load_cli_secret(args: argparse.Namespace):
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.from_snapshot:
+        # Evaluated in the format it was stored in: a SQLite snapshot stays
+        # on disk, which is what keeps a cold audit from reading every triple.
         data = _load_snapshot_dataset(args.from_snapshot)
     else:
+        # A dataset stand-in is built as columns in RAM.
         data = _load_dataset(args.dataset, args.seed, args.movie_scale)
-    if args.backend == "columnar":
-        data = data.to_columnar()
-    elif args.backend == "sqlite":
-        data = data.to_sqlite()
+        if args.backend == "sqlite":
+            data = data.to_sqlite()
     design = _build_design(
         args.design, data, args.second_stage_size, args.seed, allocation=args.allocation
     )
@@ -561,7 +562,6 @@ _EXPERIMENTS = {
 def _cmd_scenario(args: argparse.Namespace) -> int:
     """``repro scenario run|compare|list``: the declarative stress-pack registry."""
     from repro.scenarios import (
-        BACKENDS,
         BUILTIN_PACKS,
         compare_documents,
         format_results_table,
@@ -602,9 +602,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
     # run
     pack = load_pack(args.pack)
-    if args.backend not in BACKENDS:
-        print(f"unknown backend {args.backend!r}; choose from {BACKENDS}")
-        return 2
     only = tuple(args.only) if args.only else None
     results = run_pack(
         pack,
@@ -759,20 +756,21 @@ def build_parser() -> argparse.ArgumentParser:
         dest="second_stage_size",
         help="TWCS second-stage cap m (default 5)",
     )
-    evaluate.add_argument(
+    graph_source = evaluate.add_mutually_exclusive_group()
+    graph_source.add_argument(
         "--backend",
-        choices=("memory", "columnar", "sqlite"),
-        default="memory",
-        help="storage backend for the evaluated graph; 'memory' keeps the dataset "
-        "as built (a stand-in is built columnar, in RAM), 'sqlite' keeps the "
-        "columns in a disk-resident WAL database (default memory)",
+        choices=("columnar", "sqlite"),
+        default="columnar",
+        help="storage backend for the built --dataset: 'columnar' keeps it as "
+        "columns in RAM, 'sqlite' in a disk-resident WAL database (default "
+        "columnar; not with --from-snapshot)",
     )
-    evaluate.add_argument(
+    graph_source.add_argument(
         "--from-snapshot",
         default=None,
         dest="from_snapshot",
-        help="evaluate a reopened snapshot (requires a format-v2 snapshot "
-        "saved with --with-labels) instead of building --dataset",
+        help="evaluate a reopened snapshot (saved with --with-labels) in the "
+        "format it was stored in, instead of building --dataset",
     )
     _add_obs_options(evaluate)
     evaluate.add_argument(
@@ -1053,9 +1051,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_run.add_argument(
         "--backend",
-        choices=("memory", "columnar", "sqlite"),
-        default="memory",
-        help="storage backend the replications run on (default memory); "
+        choices=("columnar", "sqlite"),
+        default="columnar",
+        help="storage backend the replications run on (default columnar); "
         "trajectory digests are bit-identical across backends",
     )
     scenario_run.add_argument(

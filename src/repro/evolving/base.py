@@ -69,10 +69,11 @@ class IncrementalEvaluator(ABC):
     spans the evaluator's lifetime, so annotations paid for earlier states
     are naturally reused (or deliberately discarded, in the Baseline's case).
     Each update batch is sampled as an appended CSR
-    :class:`~repro.sampling.segment.PositionSegment`; on a columnar base the
-    evolved graph is a zero-copy :class:`~repro.storage.delta.DeltaStore`
-    view.  The random stream is consumed identically on every storage
-    backend, so a fixed seed yields bit-identical estimates across backends.
+    :class:`~repro.sampling.segment.PositionSegment`; the evolved graph is a
+    :class:`~repro.storage.delta.DeltaStore` view over the base's columns
+    (zero-copy on a columnar base).  The random stream is consumed
+    identically on every storage backend, so a fixed seed yields
+    bit-identical estimates across backends.
 
     Parameters
     ----------
@@ -92,8 +93,8 @@ class IncrementalEvaluator(ABC):
     seed:
         Seed for all randomness (sampling and reservoir keys).
     compact_threshold:
-        When set and the evolving graph is delta-backed, re-freeze the tail
-        into the base whenever it outgrows this fraction of the base
+        When set, re-freeze the delta tail into the base whenever it
+        outgrows this fraction of the base
         (:meth:`~repro.storage.delta.DeltaStore.maybe_compact`).  Compaction
         preserves every position, row and per-cluster order, so estimate
         trajectories are bit-identical either way — but a compacted run can
@@ -117,8 +118,7 @@ class IncrementalEvaluator(ABC):
         # Vocabulary size of the untouched base, recorded before any batch
         # interns new strings; state persistence (snapshot format v3) uses it
         # to capture exactly the strings an update stream added.
-        vocab = getattr(base.graph.backend, "vocab", None)
-        self._base_vocab_size = len(vocab) if vocab is not None else None
+        self._base_vocab_size = len(self.evolving.current.backend.base.vocab)
         self._labels = base.oracle.as_position_array(base.graph)
         self._account = PositionAnnotationAccount(cost_model)
         self.history: list[UpdateEvaluation] = []

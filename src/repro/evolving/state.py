@@ -10,8 +10,8 @@ trajectory, as if it had never been interrupted.
 
 Supported evaluators: :class:`~repro.evolving.reservoir_eval.
 ReservoirIncrementalEvaluator` and :class:`~repro.evolving.stratified_eval.
-StratifiedIncrementalEvaluator` over a columnar/delta-backed evolving graph
-(the configuration every ``repro monitor`` run builds).  Capture at a batch
+StratifiedIncrementalEvaluator`, whose evolving graph is always a
+:class:`~repro.storage.delta.DeltaStore` view.  Capture at a batch
 boundary — after ``evaluate_base()`` or any ``apply_update()`` returns.
 
 The state dictionary contains NumPy arrays, plain scalars and the package's
@@ -35,7 +35,6 @@ from repro.generators.datasets import LabelledKG
 from repro.labels.oracle import LabelOracle
 from repro.sampling.segment import SegmentTWCSDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
-from repro.storage.delta import DeltaStore
 
 __all__ = ["STATE_FORMAT_VERSION", "capture_evaluator_state", "restore_evaluator"]
 
@@ -52,23 +51,13 @@ def _kind_of(evaluator) -> str:
     raise ValueError(f"state persistence does not support {name}")
 
 
-def _require_delta(evaluator) -> DeltaStore:
-    backend = evaluator.evolving.current.backend
-    if not isinstance(backend, DeltaStore):
-        raise ValueError(
-            "state persistence requires a columnar (delta-backed) evolving "
-            "graph; build the base with backend='columnar'"
-        )
-    return backend
-
-
 # --------------------------------------------------------------------------- #
 # Capture
 # --------------------------------------------------------------------------- #
 def capture_evaluator_state(evaluator) -> dict:
     """Snapshot everything needed to resume ``evaluator`` mid-sequence."""
     kind = _kind_of(evaluator)
-    delta = _require_delta(evaluator)
+    delta = evaluator.evolving.current.backend
     if delta.base.num_triples != evaluator.evolving.base.num_triples:
         # A compaction folded update triples into the delta's base; the
         # captured tail would silently lose them on restore.
@@ -78,7 +67,6 @@ def capture_evaluator_state(evaluator) -> dict:
             "compact_threshold unset on monitored evaluators"
         )
     account = evaluator.account
-    assert evaluator._base_vocab_size is not None
     vocab = delta.base.vocab
     tail_s, tail_p, tail_o, tail_f = delta.tail_arrays()
     state: dict = {
@@ -172,7 +160,7 @@ def restore_evaluator(state: dict, base: LabelledKG):
         )
 
     # Replay the delta tail (vocabulary extension first, so ids line up).
-    delta = _require_delta(evaluator)
+    delta = evaluator.evolving.current.backend
     vocab = delta.base.vocab
     if len(vocab) != int(state["base_vocab_size"]):
         raise ValueError(

@@ -9,10 +9,10 @@ triples sharing a subject id), an append-only evolution model
 cluster-level statistics.
 
 Physical storage is pluggable (see :mod:`repro.storage`): the default
-in-memory backend keeps Python objects for cheap incremental mutation, while
-the columnar backend packs triples into interned ``int32`` NumPy columns
-with a CSR cluster index for million-triple graphs, zero-copy cluster
-position slices, persistent/memory-mapped snapshots and streaming ingest.
+columnar backend packs triples into interned ``int32`` NumPy columns with a
+CSR cluster index for million-triple graphs, zero-copy cluster position
+slices, persistent/memory-mapped snapshots and streaming ingest; the SQLite
+backend keeps graphs larger than RAM on disk.
 """
 
 from repro.kg.graph import EntityCluster, KnowledgeGraph

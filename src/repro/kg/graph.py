@@ -6,15 +6,14 @@ The sampling designs in the paper operate on two views of the same graph:
 * a population of *entity clusters* ``G[e] = {t : t.subject == e}`` (used by
   all cluster-sampling designs and by the annotation cost model).
 
-:class:`KnowledgeGraph` maintains both views but no longer owns the physical
+:class:`KnowledgeGraph` maintains both views but does not own the physical
 representation: storage is delegated to a
 :class:`~repro.storage.backend.StorageBackend`.  The default
-:class:`~repro.storage.memory.InMemoryStore` keeps the original
-object-per-triple layout (cheap incremental ``add``); the columnar backend
-(:class:`~repro.storage.columnar.ColumnarStore`) packs the graph into
-interned ``int32`` NumPy columns with a CSR cluster index, which scales to
-millions of triples and can be persisted/memory-mapped through
-:class:`~repro.storage.snapshot.SnapshotStore`.
+:class:`~repro.storage.columnar.ColumnarStore` packs the graph into interned
+``int32`` NumPy columns with a CSR cluster index, which scales to millions of
+triples and can be persisted/memory-mapped through
+:class:`~repro.storage.snapshot.SnapshotStore`;
+:class:`~repro.storage.sqlite.SqliteStore` keeps it on disk instead.
 
 Two access styles coexist:
 
@@ -152,8 +151,8 @@ class KnowledgeGraph:
     backend:
         Physical storage: a :class:`~repro.storage.backend.StorageBackend`
         instance (possibly pre-populated, e.g. from a snapshot), a backend
-        name (``"memory"`` or ``"columnar"``), or ``None`` for the default
-        in-memory store.
+        name (``"columnar"`` or ``"sqlite"``), or ``None`` for a fresh
+        :class:`~repro.storage.columnar.ColumnarStore`.
 
     Examples
     --------
@@ -174,7 +173,7 @@ class KnowledgeGraph:
     ) -> None:
         self.name = name
         if backend is None:
-            backend = make_backend("memory")
+            backend = make_backend("columnar")
         elif isinstance(backend, str):
             backend = make_backend(backend)
         self._backend: StorageBackend = backend
@@ -409,33 +408,26 @@ class KnowledgeGraph:
     ) -> list[np.ndarray]:
         """Second-stage sample of up to ``cap`` positions from each cluster row.
 
-        The vectorised fast path behind the designs' position draws: clusters
-        no larger than ``cap`` contribute their full (zero-copy) position
-        slice; larger clusters are subsampled without replacement with a
-        batched Floyd pass (``cap`` vectorised RNG calls for the whole batch
-        instead of one ``rng.choice`` per cluster).  The random stream
-        therefore differs from :meth:`sample_cluster_positions`; within one
-        backend it is still fully deterministic under a fixed seed.
+        The vectorised core behind the designs' position draws, run on the
+        backend's CSR index: clusters no larger than ``cap`` contribute their
+        full (zero-copy) position slice; larger clusters are subsampled
+        without replacement with a batched Floyd pass (``cap`` vectorised RNG
+        calls for the whole batch instead of one ``rng.choice`` per cluster).
+        The random stream therefore differs from
+        :meth:`sample_cluster_positions`; under a fixed seed it is the same
+        on every backend.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        csr = self._backend.csr_arrays()
-        if csr is None:
-            out: list[np.ndarray | None] = [None] * rows.shape[0]
-            for i, row in enumerate(rows):
-                positions = np.asarray(self._backend.cluster_positions_by_row(int(row)))
-                if positions.shape[0] <= cap:
-                    out[i] = positions
-                else:
-                    out[i] = positions[rng.choice(positions.shape[0], size=cap, replace=False)]
-            return out  # type: ignore[return-value]
-        offsets, positions = csr
+        offsets, positions = self._backend.csr_arrays()
         return sample_csr_positions_batch(offsets, positions, rows, cap, rng)
 
     # ------------------------------------------------------------------ #
     # Storage conversion / persistence
     # ------------------------------------------------------------------ #
     def to_columnar(self, name: str | None = None) -> "KnowledgeGraph":
-        """Return this graph re-packed onto a columnar backend."""
+        """Return this graph re-packed onto a columnar backend.
+
+        A graph that is already columnar is returned unchanged.
+        """
         from repro.storage.columnar import ColumnarStore
 
         if isinstance(self._backend, ColumnarStore):
@@ -515,17 +507,6 @@ class KnowledgeGraph:
         count = max(1, int(round(fraction * self.num_triples)))
         subset_name = name if name is not None else f"{self.name}-{fraction:.0%}"
         return KnowledgeGraph(self.sample_triples(count, rng), name=subset_name)
-
-    def copy(self, name: str | None = None) -> "KnowledgeGraph":
-        """Return a shallow copy of this graph (triples are immutable).
-
-        The copy uses a fresh backend of the same kind as this graph's.
-        """
-        return KnowledgeGraph(
-            self._backend.iter_triples(),
-            name=name if name is not None else self.name,
-            backend=type(self._backend)(),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

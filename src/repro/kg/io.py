@@ -14,21 +14,20 @@ These loaders let the harness run against the real annotated NELL/YAGO files
 when they are available; the default experiments use synthetic equivalents
 from :mod:`repro.generators`.
 
-For large files, :func:`read_triples_tsv` accepts ``backend="columnar"``,
-which routes through the streaming ingest path
-(:mod:`repro.storage.ingest`): fields are interned on the fly into the
-columnar store's ``int32`` buffers and no intermediate
-:class:`~repro.kg.triple.Triple` objects are built.  N-Triples files can be
-loaded the same way via :func:`repro.storage.ingest.ingest_nt`.
+:func:`read_triples_tsv` is :func:`repro.storage.ingest.ingest_tsv`: fields
+are interned on the fly into the columnar store's ``int32`` buffers and no
+intermediate :class:`~repro.kg.triple.Triple` objects are built.  N-Triples
+files load the same way via :func:`repro.storage.ingest.ingest_nt`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
+from repro.storage.ingest import ingest_tsv, iter_data_lines
 
 __all__ = [
     "read_triples_tsv",
@@ -50,51 +49,8 @@ def _parse_label(token: str, line_number: int) -> bool:
     raise ValueError(f"line {line_number}: unrecognised label token {token!r}")
 
 
-def _iter_data_lines(path: Path) -> Iterator[tuple[int, str]]:
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, raw_line in enumerate(handle, start=1):
-            line = raw_line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            yield line_number, line
-
-
-def read_triples_tsv(
-    path: str | Path, name: str | None = None, backend: str = "memory"
-) -> KnowledgeGraph:
-    """Load a knowledge graph from a triple TSV file.
-
-    Lines that are empty or start with ``#`` are skipped.
-
-    Parameters
-    ----------
-    path, name:
-        File to read and optional graph name (defaults to the file stem).
-    backend:
-        ``"memory"`` (default) builds the object-backed graph;
-        ``"columnar"`` streams the file straight into a columnar store
-        without materialising intermediate Triple objects.  Both produce the
-        same triple set in the same order.
-
-    Raises
-    ------
-    ValueError
-        If a line does not have at least three tab-separated fields.
-    """
-    path = Path(path)
-    if backend == "columnar":
-        from repro.storage.ingest import ingest_tsv
-
-        return ingest_tsv(path, name=name)
-    if backend != "memory":
-        raise ValueError(f"unknown backend {backend!r}; choose 'memory' or 'columnar'")
-    graph = KnowledgeGraph(name=name if name is not None else path.stem)
-    for line_number, line in _iter_data_lines(path):
-        fields = line.split("\t")
-        if len(fields) < 3:
-            raise ValueError(f"line {line_number}: expected >= 3 columns, got {len(fields)}")
-        graph.add(Triple(fields[0], fields[1], fields[2]))
-    return graph
+#: Load a knowledge graph from a triple TSV file: the streaming loader itself.
+read_triples_tsv = ingest_tsv
 
 
 def write_triples_tsv(graph: KnowledgeGraph | Iterable[Triple], path: str | Path) -> int:
@@ -122,7 +78,7 @@ def read_labelled_tsv(
     path = Path(path)
     graph = KnowledgeGraph(name=name if name is not None else path.stem)
     labels: dict[Triple, bool] = {}
-    for line_number, line in _iter_data_lines(path):
+    for line_number, line in iter_data_lines(path):
         fields = line.split("\t")
         if len(fields) < 4:
             raise ValueError(f"line {line_number}: expected 4 columns, got {len(fields)}")

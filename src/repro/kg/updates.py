@@ -52,9 +52,13 @@ class UpdateBatch:
 class EvolvingKnowledgeGraph:
     """A knowledge graph plus the ordered sequence of update batches applied to it.
 
-    The class keeps the *current* materialised graph (base plus all applied
-    batches) and remembers each applied batch so incremental evaluators can
-    reason about strata and reservoir updates per batch.
+    The class keeps the *current* graph (base plus all applied batches) and
+    remembers each applied batch so incremental evaluators can reason about
+    strata and reservoir updates per batch.  The current graph is a
+    :class:`~repro.storage.delta.DeltaStore` view over the base's columns: a
+    columnar base is shared zero-copy (and must not be mutated independently
+    afterwards); any other base (SQLite, or an already evolved graph) is
+    first copied into columns by :meth:`KnowledgeGraph.to_columnar`.
 
     Examples
     --------
@@ -73,7 +77,6 @@ class EvolvingKnowledgeGraph:
         compact_threshold: float | None = None,
         compact_min_tail: int = 1024,
     ) -> None:
-        from repro.storage.columnar import ColumnarStore
         from repro.storage.delta import DeltaStore
 
         if compact_threshold is not None and compact_threshold <= 0:
@@ -82,15 +85,8 @@ class EvolvingKnowledgeGraph:
         self.compact_threshold = compact_threshold
         self.compact_min_tail = compact_min_tail
         self.compactions = 0
-        if isinstance(base.backend, ColumnarStore):
-            # Zero-copy evolution: layer an append-only delta view over the
-            # frozen columnar base instead of re-adding all M base triples.
-            # The base graph must not be mutated independently afterwards.
-            self._current = KnowledgeGraph(
-                name=f"{base.name}+updates", backend=DeltaStore(base.backend)
-            )
-        else:
-            self._current = base.copy(name=f"{base.name}+updates")
+        self._delta = DeltaStore(base.to_columnar().backend)
+        self._current = KnowledgeGraph(name=f"{base.name}+updates", backend=self._delta)
         self._batches: list[UpdateBatch] = []
 
     @property
@@ -120,23 +116,19 @@ class EvolvingKnowledgeGraph:
         that were already present), which is what the evaluators need to
         map the batch onto its appended graph positions.
 
-        With ``compact_threshold`` set and a delta-backed current graph, the
-        tail is re-frozen into the base whenever it outgrows that fraction
-        of the base (:meth:`~repro.storage.delta.DeltaStore.maybe_compact`),
-        so arbitrarily long update streams keep O(1) cluster reads.
+        With ``compact_threshold`` set, the delta tail is re-frozen into the
+        base whenever it outgrows that fraction of the base
+        (:meth:`~repro.storage.delta.DeltaStore.maybe_compact`), so
+        arbitrarily long update streams keep O(1) cluster reads.
         Compaction changes no position, row or per-cluster order, so
         samplers and evaluators observe bit-identical draws either way.
         """
-        from repro.storage.delta import DeltaStore
-
         flags = self._current.add_batch(batch.triples)
         self._batches.append(batch)
-        backend = self._current.backend
-        if self.compact_threshold is not None and isinstance(backend, DeltaStore):
-            if backend.maybe_compact(
-                threshold=self.compact_threshold, min_tail=self.compact_min_tail
-            ):
-                self.compactions += 1
+        if self.compact_threshold is not None and self._delta.maybe_compact(
+            threshold=self.compact_threshold, min_tail=self.compact_min_tail
+        ):
+            self.compactions += 1
         return flags
 
     def apply_all(self, batches: Iterable[UpdateBatch]) -> None:

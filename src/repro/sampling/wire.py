@@ -135,6 +135,9 @@ _ARRAY_KINDS = frozenset("biuf")
 #: numpy mixes a SeedSequence's entropy pool in time quadratic in its size,
 #: holding the GIL; numpy's own default is 4.
 _MAX_POOL_SIZE = 64
+#: numpy splits a SeedSequence's entropy and spawn_key ints into 32-bit words
+#: in time quadratic in their size (one whole-int shift per word).
+_MAX_SEED_INT_BITS = 2048
 
 
 def _wire_dtypes() -> dict[bytes, np.dtype]:
@@ -458,6 +461,12 @@ def _decode_seedseq(reader: _Reader, depth: int) -> np.random.SeedSequence:
         raise WireError(
             f"SeedSequence pool_size {pool_size} exceeds the wire limit of {_MAX_POOL_SIZE}"
         )
+    entropy_ints = (entropy,) if isinstance(entropy, int) else entropy or ()
+    for field, ints in (("entropy", entropy_ints), ("spawn_key", spawn_key)):
+        if any(item.bit_length() > _MAX_SEED_INT_BITS for item in ints):
+            raise WireError(
+                f"SeedSequence {field} int exceeds the wire limit of {_MAX_SEED_INT_BITS} bits"
+            )
     try:
         return np.random.SeedSequence(
             entropy=entropy,

@@ -12,7 +12,7 @@ Determinism contract: the per-replication seed is a stable hash of
 ``(scenario name, root seed, replication index)`` — independent of the
 process, platform and of which other scenarios run — and every replication
 folds its trajectory into a SHA-256 digest.  The digest must be bit-identical
-across the memory, columnar and sqlite backends for a given (scenario, seed);
+across the columnar and sqlite backends for a given (scenario, seed);
 `repro scenario compare` holds result files to that standard.
 """
 
@@ -54,7 +54,7 @@ from repro.stats.ci import wilson_interval
 
 __all__ = ["DriftingAnnotator", "ScenarioResult", "run_scenario", "run_pack", "BACKENDS"]
 
-BACKENDS = ("memory", "columnar", "sqlite")
+BACKENDS = ("columnar", "sqlite")
 
 _FLEET_SECRET = b"scenario-fleet"
 
@@ -178,8 +178,6 @@ def _build_labels(label_spec: LabelSpec, graph: KnowledgeGraph, seed: int) -> La
 
 
 def _to_backend(data: LabelledKG, backend: str) -> LabelledKG:
-    if backend == "memory":
-        return data
     if backend == "columnar":
         return data.to_columnar()
     if backend == "sqlite":
@@ -331,12 +329,11 @@ def _run_evolving_rep(
     from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
     from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 
-    # The evolving layer's disk-oriented path is the columnar delta store, so
-    # a sqlite scenario run uses a columnar base (the draws are bit-identical
-    # by construction — sqlite positions mirror columnar positions).
-    base_backend = "columnar" if backend == "sqlite" else backend
+    # The evolving layer grows a columnar delta store, so every run uses a
+    # columnar base (the draws are bit-identical by construction — sqlite
+    # positions mirror columnar positions).
     seeds = _child_seeds(rep_seed, 4)
-    base = _build_dataset(spec.graph, spec.labels, seeds[0], seeds[1], base_backend, spec.name)
+    base = _build_dataset(spec.graph, spec.labels, seeds[0], seeds[1], "columnar", spec.name)
     evaluator_cls = {
         "rs": ReservoirIncrementalEvaluator,
         "ss": StratifiedIncrementalEvaluator,
@@ -392,8 +389,8 @@ def _run_deletion_rep(
     num_states = workload.num_batches + 1  # the base state plus one per batch
     seeds = _child_seeds(rep_seed, 3 + num_states)
     # State bookkeeping happens on a Triple -> label dict; each evaluated state
-    # is built as a memory graph, then converted to the backend (order-preserving).
-    base = _build_dataset(spec.graph, spec.labels, seeds[0], seeds[1], "memory", spec.name)
+    # is built as a columnar graph, then converted to the backend (order-preserving).
+    base = _build_dataset(spec.graph, spec.labels, seeds[0], seeds[1], "columnar", spec.name)
     live: dict = base.oracle.as_dict()
     generator = UpdateWorkloadGenerator(
         base,
@@ -603,7 +600,7 @@ class ScenarioResult:
 
 def run_scenario(
     spec: ScenarioSpec,
-    backend: str = "memory",
+    backend: str = "columnar",
     replications: int | None = None,
     root_seed: int = 0,
 ) -> ScenarioResult:
@@ -672,7 +669,7 @@ def run_scenario(
 
 def run_pack(
     pack: ScenarioPack,
-    backend: str = "memory",
+    backend: str = "columnar",
     replications: int | None = None,
     root_seed: int = 0,
     only: str | Sequence[str] | None = None,

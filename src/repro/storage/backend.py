@@ -14,18 +14,19 @@ Backends must preserve three invariants the sampling designs rely on:
 2. entity rows are assigned in first-seen order of the subject id;
 3. ``cluster_positions*`` return positions in insertion order.
 
-Two implementations ship with the package:
+Three implementations ship with the package:
 
-* :class:`~repro.storage.memory.InMemoryStore` — Python objects, cheap
-  incremental mutation, the behaviour-compatible default;
 * :class:`~repro.storage.columnar.ColumnarStore` — interned ``int32`` NumPy
-  columns with a CSR cluster index, built for bulk loads, million-triple
-  graphs, zero-copy cluster slices and persistent snapshots
-  (:class:`~repro.storage.snapshot.SnapshotStore`).
+  columns with a CSR cluster index, the in-RAM default: bulk loads,
+  million-triple graphs, zero-copy cluster slices and persistent snapshots
+  (:class:`~repro.storage.snapshot.SnapshotStore`);
+* :class:`~repro.storage.delta.DeltaStore` — append-only tail segments over a
+  frozen columnar base, the store every evolving graph grows in;
+* :class:`~repro.storage.sqlite.SqliteStore` — a disk-resident WAL database
+  for graphs larger than RAM.
 
-Choose the in-memory store when the workload interleaves many small ``add``
-calls with reads; choose the columnar store when the graph is built once (or
-loaded from a snapshot) and then sampled heavily.
+Every backend exposes its cluster index as CSR arrays (:meth:`csr_arrays`),
+which is what the vectorised position draws sample.
 """
 
 from __future__ import annotations
@@ -134,24 +135,17 @@ class StorageBackend(ABC):
     def cluster_size_array(self) -> np.ndarray:
         """``int64`` cluster sizes aligned with row order."""
 
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Return the raw ``(offsets, positions)`` CSR arrays, if the backend
-        has them.
+    @abstractmethod
+    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return the raw ``(offsets, positions)`` CSR arrays of the cluster index.
 
         ``offsets`` has length ``N + 1``; cluster ``row`` owns
-        ``positions[offsets[row]:offsets[row + 1]]``.  Backends without a
-        physical CSR index return ``None`` and callers fall back to
-        :meth:`cluster_positions_by_row`.
+        ``positions[offsets[row]:offsets[row + 1]]``.
         """
-        return None
 
 
 def make_backend(kind: str) -> StorageBackend:
-    """Instantiate a storage backend by name (``"memory"``, ``"columnar"``, or ``"sqlite"``)."""
-    if kind == "memory":
-        from repro.storage.memory import InMemoryStore
-
-        return InMemoryStore()
+    """Instantiate a storage backend by name (``"columnar"`` or ``"sqlite"``)."""
     if kind == "columnar":
         from repro.storage.columnar import ColumnarStore
 
@@ -160,6 +154,4 @@ def make_backend(kind: str) -> StorageBackend:
         from repro.storage.sqlite import SqliteStore
 
         return SqliteStore()
-    raise ValueError(
-        f"unknown storage backend {kind!r}; choose 'memory', 'columnar', or 'sqlite'"
-    )
+    raise ValueError(f"unknown storage backend {kind!r}; choose 'columnar' or 'sqlite'")

@@ -12,8 +12,8 @@ would thaw it (one O(M) pass) and rebuild the CSR index on the next read
   tail (``array`` buffers, as in the columnar building mode);
 * entity rows follow the standard backend contract: an insertion for an
   existing subject extends that subject's base row, a new subject gets the
-  next row, so positions/rows match what an
-  :class:`~repro.storage.memory.InMemoryStore` fed the same triples would
+  next row, so positions/rows match what a
+  :class:`~repro.storage.columnar.ColumnarStore` fed the same triples would
   report — the evolving evaluators rely on this for cross-backend estimate
   parity;
 * bulk dedup (:meth:`add_batch`) is vectorised: batch keys are checked
@@ -220,9 +220,6 @@ class DeltaStore(StorageBackend):
         starts = np.concatenate(([0], boundaries))
         ends = np.concatenate((boundaries, [kept.size]))
         tail_positions = self._tail_positions
-        base_rows = self.base.subject_row_map()
-        new_row_of = self._new_row_of
-        new_subjects = self._new_subjects
         sorted_position_list = sorted_positions.tolist()
         for subject_id, lo, hi in zip(
             sorted_subjects[starts].tolist(), starts.tolist(), ends.tolist()
@@ -231,11 +228,18 @@ class DeltaStore(StorageBackend):
             existing = tail_positions.get(subject_id)
             if existing is None:
                 tail_positions[subject_id] = chunk
-                if subject_id not in base_rows and subject_id not in new_row_of:
-                    new_row_of[subject_id] = self._base_entities + len(new_subjects)
-                    new_subjects.append(subject_id)
             else:
                 existing.extend(chunk)
+        # New subjects take rows in first-seen order, as `add` and a fresh
+        # build give them; vocab-id order differs for a subject string that
+        # was interned earlier (e.g. as an object).
+        base_rows = self.base.subject_row_map()
+        new_row_of = self._new_row_of
+        new_subjects = self._new_subjects
+        for subject_id in dict.fromkeys(kept_s):
+            if subject_id not in base_rows and subject_id not in new_row_of:
+                new_row_of[subject_id] = self._base_entities + len(new_subjects)
+                new_subjects.append(subject_id)
         self._csr = None
         self._sizes = None
         return keep.tolist()
@@ -479,7 +483,7 @@ class DeltaStore(StorageBackend):
         self.compact()
         return True
 
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Merged base + tail CSR index, materialised lazily and cached.
 
         Costs one O(M) pass after the latest append; the evolving evaluators

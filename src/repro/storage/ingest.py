@@ -1,10 +1,9 @@
 """Streaming ingest of triple files straight into columnar storage.
 
-The plain-text loaders in :mod:`repro.kg.io` build one
-:class:`~repro.kg.triple.Triple` object per line and route it through
-``KnowledgeGraph.add``.  That is fine at thousands of triples but wasteful at
-millions: every line allocates a Triple, a key tuple and set/dict entries
-that the columnar backend immediately re-encodes.
+Building a graph through ``KnowledgeGraph.add`` allocates one
+:class:`~repro.kg.triple.Triple` per line, plus a key tuple and set entries
+that the columnar backend immediately re-encodes.  That is fine at thousands
+of triples but wasteful at millions.
 
 The functions here instead intern each field *as the line is read* and append
 the ids directly to the store's growable buffers — no intermediate Triple
@@ -35,21 +34,37 @@ from pathlib import Path
 
 from repro.storage.columnar import ColumnarStore
 
-__all__ = ["ingest_tsv", "ingest_nt", "ingest_rows", "iter_tsv_rows", "iter_nt_rows"]
+__all__ = [
+    "ingest_tsv",
+    "ingest_nt",
+    "ingest_rows",
+    "iter_data_lines",
+    "iter_tsv_rows",
+    "iter_nt_rows",
+]
 
 #: One parsed statement: (subject, predicate, object, object-is-entity).
 Row = tuple[str, str, str, bool]
 
 
+def iter_data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each line that is not blank or a ``#`` comment."""
+    with path.open("r", encoding="utf-8") as handle:
+        for line_number, raw_line in enumerate(handle, start=1):
+            line = raw_line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            yield line_number, line
+
+
 def iter_tsv_rows(path: str | Path) -> Iterator[Row]:
     """Stream ``(s, p, o, is_entity_object)`` rows from a triple TSV file.
 
-    Shares the line filter of :mod:`repro.kg.io` so the streaming and
-    object-based TSV loaders accept byte-identical inputs.
+    Shares the line filter :func:`iter_data_lines` with
+    :func:`repro.kg.io.read_labelled_tsv`, so triple and labelled TSV files
+    skip the same lines.
     """
-    from repro.kg.io import _iter_data_lines
-
-    for line_number, line in _iter_data_lines(Path(path)):
+    for line_number, line in iter_data_lines(Path(path)):
         fields = line.split("\t")
         if len(fields) < 3:
             raise ValueError(f"line {line_number}: expected >= 3 columns, got {len(fields)}")
@@ -170,7 +185,17 @@ def ingest_rows(rows: Iterable[Row], name: str = "kg"):
 
 
 def ingest_tsv(path: str | Path, name: str | None = None):
-    """Stream a triple TSV file into a columnar-backed knowledge graph."""
+    """Stream a triple TSV file into a columnar-backed knowledge graph.
+
+    Lines that are empty or start with ``#`` are skipped, extra columns are
+    ignored and repeated triples keep their first occurrence.  ``name``
+    defaults to the file stem.
+
+    Raises
+    ------
+    ValueError
+        If a line does not have at least three tab-separated fields.
+    """
     path = Path(path)
     return ingest_rows(iter_tsv_rows(path), name=name if name is not None else path.stem)
 

@@ -1,6 +1,6 @@
 """Out-of-core SQLite storage backend.
 
-The in-memory and columnar backends assume the graph fits in RAM; the paper's
+The columnar and delta backends assume the graph fits in RAM; the paper's
 own motivation is web-scale KGs.  :class:`SqliteStore` keeps the triple set
 and the vocabulary in a WAL-mode SQLite file and answers the
 :class:`~repro.storage.backend.StorageBackend` contract with indexed queries,
@@ -642,7 +642,7 @@ class SqliteStore(StorageBackend):
             self._sizes = sizes
         return self._sizes
 
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Materialise (lazily, cached) the position index the designs need.
 
         ``offsets`` comes from the SQL size aggregate; ``positions`` streams

@@ -148,13 +148,13 @@ def nell() -> LabelledKG:
 
 
 @pytest.fixture(scope="session")
-def nell_memory(nell) -> LabelledKG:
-    """The same NELL-like triples in an ``InMemoryStore`` with a dict oracle.
+def nell_rebuilt(nell) -> LabelledKG:
+    """The same NELL-like triples added one by one to a new graph, with a dict oracle.
 
-    The dataset stand-ins come back columnar, so this is the memory side
-    of every memory-vs-columnar parity check.
+    A second graph object over the same data, and a Triple-keyed oracle in
+    place of the stand-in's position array.
     """
-    graph = KnowledgeGraph(nell.graph.triples, name=nell.name, backend="memory")
+    graph = KnowledgeGraph(nell.graph.triples, name=nell.name)
     return LabelledKG(graph, LabelOracle(nell.oracle.as_dict()))
 
 

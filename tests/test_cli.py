@@ -77,6 +77,26 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--backend", "memory"],
+            ["scenario", "run", "--backend", "memory"],
+            ["evaluate", "--from-snapshot", "kg.sqlite", "--backend", "sqlite"],
+        ],
+        ids=" ".join,
+    )
+    def test_backend_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "argument --backend" in capsys.readouterr().err
+
+    def test_backend_flags_default_to_columnar(self):
+        parser = build_parser()
+        assert parser.parse_args(["evaluate"]).backend == "columnar"
+        assert parser.parse_args(["scenario", "run"]).backend == "columnar"
+
 
 class TestCommands:
     def test_datasets_command(self, capsys):
@@ -330,7 +350,7 @@ class TestLabelArrayThroughConversions:
         monkeypatch.setattr(ColumnarStore, "iter_triples", refuse)
         monkeypatch.setattr(SqliteStore, "iter_triples", refuse)
 
-    @pytest.mark.parametrize("backend", ["memory", "columnar", "sqlite"])
+    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
     def test_evaluate(self, capsys, no_triple_scans, backend):
         args = ["evaluate", "--dataset", "movie", "--moe", "0.01", "--backend", backend]
         assert main(args) == 0

@@ -16,7 +16,6 @@ from repro.evolving.state import capture_evaluator_state, restore_evaluator
 from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 from repro.generators.datasets import LabelledKG, make_nell_like
 from repro.generators.workload import UpdateWorkloadGenerator
-from repro.kg.graph import KnowledgeGraph
 from repro.labels.oracle import LabelOracle
 from repro.storage.snapshot import SnapshotStore
 
@@ -102,14 +101,3 @@ def test_snapshot_store_round_trip(tmp_path, kind):
         evaluator.apply_update(batch, batch_oracle)
         resumed.apply_update(batch, batch_oracle)
     assert _trajectory(resumed) == _trajectory(evaluator)
-
-
-def test_capture_requires_position_surface_and_delta_backend():
-    # A base that is not columnar evolves as a copy, not a delta view.
-    nell = make_nell_like(seed=0)
-    data = LabelledKG(
-        KnowledgeGraph(nell.graph.triples, backend="memory"), LabelOracle(nell.oracle.as_dict())
-    )
-    evaluator = StratifiedIncrementalEvaluator(data, config=_CONFIG, seed=0)
-    with pytest.raises(ValueError, match="columnar"):
-        capture_evaluator_state(evaluator)

@@ -2,9 +2,12 @@
 
 The core contract under test: an incremental evaluator consumes the random
 stream identically on every storage backend, so a fixed seed must produce
-bit-identical estimate trajectories on the seed in-memory store and on the
-columnar store evolved through a :class:`DeltaStore` view — for *any* update
-sequence (hypothesis-generated), including duplicate insertions.
+bit-identical estimate trajectories on a columnar base, evolved zero-copy
+through a :class:`DeltaStore` view, and on a SQLite base, which evolves
+through a columnar copy — for *any* update sequence (hypothesis-generated),
+including duplicate insertions.  Both legs append through the same delta
+code, so the evolved graph and its ground truth are also checked against
+:class:`store_model.StoreModel`, which shares no code with any store.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from store_model import StoreModel, assert_matches_model
 
 from repro.core.config import EvaluationConfig
 from repro.cost.annotator import PositionAnnotationAccount
@@ -22,6 +26,7 @@ from repro.cost.model import CostModel
 from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
 from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 from repro.generators.datasets import LabelledKG
+from repro.generators.workload import UpdateWorkloadGenerator
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.kg.updates import EvolvingKnowledgeGraph, UpdateBatch
@@ -95,6 +100,18 @@ def build_updates(
     return updates
 
 
+def assert_evolved_like_model(evaluator, base_triples, base_labels, updates) -> None:
+    """The evolved graph and its true accuracy, against the pure-Python model."""
+    model = StoreModel(base_triples)
+    labels = dict(base_labels)
+    for batch, batch_oracle in updates:
+        model.add_all(batch.triples)
+        labels.update(batch_oracle.as_dict())
+    assert_matches_model(evaluator.evolving.current, model)
+    expected = np.asarray([labels[t] for t in model.triples], dtype=bool).mean()
+    assert evaluator.current_true_accuracy() == float(expected)
+
+
 def run_position_evaluator(evaluator_cls, base: LabelledKG, updates, seed: int):
     config = EvaluationConfig(moe_target=0.15, batch_size=5, min_units=5, max_units=40)
     evaluator = evaluator_cls(base, config=config, seed=seed)
@@ -130,19 +147,20 @@ class TestBackendParity:
         updates = build_updates(spec, batch_specs, base_triples)
         oracle = LabelOracle(base_labels)
 
-        memory_base = LabelledKG(KnowledgeGraph(base_triples, name="p"), oracle)
-        columnar_graph = KnowledgeGraph(base_triples, name="p").to_columnar()
-        columnar_base = LabelledKG(columnar_graph, oracle)
+        columnar_base = LabelledKG(KnowledgeGraph(base_triples, name="p"), oracle)
+        sqlite_base = LabelledKG(columnar_base.graph.to_sqlite(), oracle)
 
-        mem_eval, memory_trail = run_position_evaluator(
-            StratifiedIncrementalEvaluator, memory_base, updates, seed
-        )
         col_eval, columnar_trail = run_position_evaluator(
             StratifiedIncrementalEvaluator, columnar_base, updates, seed
         )
+        sq_eval, sqlite_trail = run_position_evaluator(
+            StratifiedIncrementalEvaluator, sqlite_base, updates, seed
+        )
+        sqlite_base.graph.backend.close()
         assert isinstance(col_eval.evolving.current.backend, DeltaStore)
-        assert memory_trail == columnar_trail
-        assert mem_eval.current_true_accuracy() == col_eval.current_true_accuracy()
+        assert sqlite_trail == columnar_trail
+        for evaluator in (col_eval, sq_eval):
+            assert_evolved_like_model(evaluator, base_triples, base_labels, updates)
 
     @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_reservoir_estimates_bit_identical(self, seed):
@@ -152,15 +170,18 @@ class TestBackendParity:
         updates = build_updates(spec, batch_specs, base_triples)
         oracle = LabelOracle(base_labels)
 
-        memory_base = LabelledKG(KnowledgeGraph(base_triples, name="p"), oracle)
-        columnar_base = LabelledKG(KnowledgeGraph(base_triples, name="p").to_columnar(), oracle)
-        _, memory_trail = run_position_evaluator(
-            ReservoirIncrementalEvaluator, memory_base, updates, seed
-        )
-        _, columnar_trail = run_position_evaluator(
+        columnar_base = LabelledKG(KnowledgeGraph(base_triples, name="p"), oracle)
+        sqlite_base = LabelledKG(columnar_base.graph.to_sqlite(), oracle)
+        col_eval, columnar_trail = run_position_evaluator(
             ReservoirIncrementalEvaluator, columnar_base, updates, seed
         )
-        assert memory_trail == columnar_trail
+        sq_eval, sqlite_trail = run_position_evaluator(
+            ReservoirIncrementalEvaluator, sqlite_base, updates, seed
+        )
+        sqlite_base.graph.backend.close()
+        assert sqlite_trail == columnar_trail
+        for evaluator in (col_eval, sq_eval):
+            assert_evolved_like_model(evaluator, base_triples, base_labels, updates)
 
     def test_position_labels_short_circuits_oracle(self):
         spec = [(5, 0.8), (4, 1.0), (6, 0.5)]
@@ -181,10 +202,6 @@ class TestBackendParity:
 # ---------------------------------------------------------------------------
 # DeltaStore contract
 # ---------------------------------------------------------------------------
-
-
-def reference_store(triples: list[Triple]) -> KnowledgeGraph:
-    return KnowledgeGraph(triples, name="ref")
 
 
 class TestDeltaStore:
@@ -224,23 +241,7 @@ class TestDeltaStore:
         ]
         delta.add_batch(inserts[:2])
         delta.add_batch(inserts[2:])
-        reference = reference_store(base_triples + inserts)
-
-        assert delta.num_triples == reference.num_triples
-        assert delta.num_entities == reference.num_entities
-        assert tuple(delta.entity_ids()) == tuple(reference.entity_ids)
-        for entity_id in reference.entity_ids:
-            assert delta.entity_row(entity_id) == reference.entity_row(entity_id)
-            np.testing.assert_array_equal(
-                np.asarray(delta.cluster_positions(entity_id)),
-                np.asarray(reference.cluster_positions(entity_id)),
-            )
-            assert delta.cluster_size(entity_id) == reference.cluster_size(entity_id)
-        np.testing.assert_array_equal(delta.cluster_size_array(), reference.cluster_size_array())
-        assert list(delta.iter_triples()) == list(reference)
-        for triple in reference:
-            assert delta.contains(triple)
-        assert not delta.contains(Triple("nope", "nope", "nope"))
+        assert_matches_model(KnowledgeGraph(backend=delta), StoreModel(base_triples + inserts))
 
     def test_merged_csr_matches_fresh_columnar_build(self):
         base_triples, _ = build_base([(4, 1.0), (2, 0.0)])
@@ -272,6 +273,32 @@ class TestDeltaStore:
         assert evolving.current.num_triples == columnar.num_triples + 1
         # The frozen base graph is untouched.
         assert columnar.num_triples == len(base_triples)
+
+    @pytest.mark.parametrize("kind", ["delta", "sqlite"])
+    def test_any_base_evolves_like_its_columnar_twin(self, nell, kind):
+        """An evolved graph or a SQLite graph evolves, as a delta view over a
+        columnar copy, exactly like the same triples evolved from columns —
+        and both match the pure-Python model of the same inserts."""
+        workload = UpdateWorkloadGenerator(nell, seed=4)
+        first, _ = workload.generate_batch(40, 0.8)
+        second, _ = workload.generate_batch(40, 0.8)
+        model = StoreModel(nell.graph.triples)
+        if kind == "delta":
+            columnar = KnowledgeGraph(nell.graph.triples, name="nell", backend="columnar")
+            grown = EvolvingKnowledgeGraph(columnar)
+            grown.apply(first)
+            model.add_all(first)
+            base = grown.current
+        else:
+            base = nell.graph.to_sqlite()
+        twin = EvolvingKnowledgeGraph(KnowledgeGraph(base.triples, name="nell"))
+        evolved = EvolvingKnowledgeGraph(base)
+        flags = evolved.apply(second)
+        assert flags == twin.apply(second) == model.add_all(second)
+        assert isinstance(evolved.current.backend, DeltaStore)
+        assert evolved.current.num_triples == base.num_triples + sum(flags)
+        for graph in (evolved.current, twin.current):
+            assert_matches_model(graph, model)
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,3 @@ class TestDerivation:
             toy_graph.random_triple_subset(0.0, rng)
         with pytest.raises(ValueError):
             toy_graph.random_triple_subset(1.5, rng)
-
-    def test_copy_is_independent(self, toy_graph):
-        clone = toy_graph.copy()
-        clone.add(Triple("new_entity", "p", "o"))
-        assert clone.num_triples == toy_graph.num_triples + 1
-        assert not toy_graph.has_entity("new_entity")

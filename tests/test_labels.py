@@ -61,9 +61,8 @@ class TestLabelOracleFromPositions:
     @pytest.fixture()
     def stored(self, nell):
         """A columnar graph, its position-aligned labels and the dict oracle behind them."""
-        memory = KnowledgeGraph(nell.graph.triples, name=nell.name, backend="memory")
+        graph = KnowledgeGraph(nell.graph.triples, name=nell.name)
         dict_oracle = LabelOracle(nell.oracle.as_dict())
-        graph = memory.to_columnar()
         return graph, dict_oracle.as_position_array(graph), dict_oracle
 
     def test_hands_its_array_back_read_only(self, stored):
@@ -123,11 +122,11 @@ class TestPositionLabels:
         np.testing.assert_array_equal(second[:-1], first)
         assert second[-1]
 
-    def test_a_stored_array_survives_another_graph(self, nell, nell_memory):
+    def test_a_stored_array_survives_another_graph(self, nell, nell_rebuilt):
         graph = nell.graph.to_columnar()
         stored = nell.oracle.as_position_array(graph)
         oracle = LabelOracle.from_positions(graph, stored)
-        other = oracle.as_position_array(nell_memory.graph)
+        other = oracle.as_position_array(nell_rebuilt.graph)
         np.testing.assert_array_equal(other, stored)
         assert np.shares_memory(oracle.as_position_array(graph), stored)
         assert np.shares_memory(oracle.position_labels(graph), stored)

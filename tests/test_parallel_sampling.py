@@ -81,14 +81,6 @@ class TestSerialEngine:
         assert base[0] != other_seed[0]
         assert base[0] != other_plan[0]
 
-    def test_memory_and_columnar_backends_draw_identically(self, nell_memory):
-        memory = nell_memory
-        columnar = nell_memory.to_columnar()
-        for name, cls in DESIGNS.items():
-            mem = _run_result(memory, cls(memory.graph, seed=4))
-            col = _run_result(columnar, cls(columnar.graph, seed=4))
-            assert mem == col, name
-
     def test_empty_graph_plan_yields_empty_run(self):
         graph = KnowledgeGraph([]).to_columnar()
         oracle = LabelOracle({}, strict=False)

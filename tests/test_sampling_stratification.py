@@ -79,10 +79,10 @@ class TestStratification:
         assert stratum.num_entities == 2
 
 
-@pytest.mark.parametrize("backend", ["memory", "columnar"])
+@pytest.mark.parametrize("backend", ["columnar", "sqlite"])
 @pytest.mark.parametrize("num_strata", [1, 2, 3, 4])
-def test_size_strata_equal_the_key_rule(nell, nell_memory, backend, num_strata):
-    graph = nell_memory.graph if backend == "memory" else nell.graph
+def test_size_strata_equal_the_key_rule(nell, backend, num_strata):
+    graph = nell.graph if backend == "columnar" else nell.graph.to_sqlite()
     boundaries = cumulative_sqrt_frequency_boundaries(graph.cluster_size_array(), num_strata)
     expected = stratify_by_key(graph, graph.cluster_size, boundaries, "size")
     strata = stratify_by_size(graph, num_strata=num_strata)

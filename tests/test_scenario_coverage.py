@@ -28,7 +28,7 @@ def _exact_spec():
 def test_srs_exact_coverage_200_replications():
     spec = _exact_spec()
     assert spec.replications == 200
-    result = run_scenario(spec, backend="memory", root_seed=0)
+    result = run_scenario(spec, backend="columnar", root_seed=0)
     assert result.passed, result.failures()
     # The gate's own inputs must be self-consistent with stats/ci.py.
     wilson = wilson_interval(result.coverage_hits, result.coverage_trials, 0.99)
@@ -45,7 +45,7 @@ def test_srs_exact_coverage_200_replications():
 
 def test_srs_exact_coverage_smoke_50_replications():
     spec = _exact_spec()
-    result = run_scenario(spec, backend="memory", replications=50, root_seed=0)
+    result = run_scenario(spec, backend="columnar", replications=50, root_seed=0)
     assert result.passed, result.failures()
     assert result.coverage_trials == 50
     assert wilson_interval(result.coverage_hits, 50, 0.99).contains(0.95)
@@ -58,9 +58,9 @@ def test_sequential_stopping_undercovers():
     # inside its declared weakness band yet *below* the exact scenario's.
     pack = builtin_pack(smoke=False)
     sequential = run_scenario(
-        pack.scenario("srs-sequential-stopping"), backend="memory", root_seed=0
+        pack.scenario("srs-sequential-stopping"), backend="columnar", root_seed=0
     )
-    exact = run_scenario(pack.scenario("srs-bernoulli-exact"), backend="memory", root_seed=0)
+    exact = run_scenario(pack.scenario("srs-bernoulli-exact"), backend="columnar", root_seed=0)
     assert sequential.passed, sequential.failures()
     assert sequential.empirical_coverage < exact.empirical_coverage
     assert sequential.empirical_coverage < 0.95

@@ -30,8 +30,8 @@ from repro.scenarios import (
     write_results,
 )
 
-# A deliberately tiny static scenario: fast enough to replicate across all
-# three backends inside the default test leg.
+# A deliberately tiny static scenario: fast enough to replicate across both
+# backends inside the default test leg.
 TINY_STATIC = {
     "name": "tiny-static",
     "kind": "static",
@@ -195,7 +195,7 @@ class TestRunner:
     )
     def test_each_kind_runs_end_to_end(self, raw):
         spec = scenario_from_dict(raw)
-        result = run_scenario(spec, backend="memory", root_seed=0)
+        result = run_scenario(spec, backend="columnar", root_seed=0)
         assert result.name == spec.name
         assert result.coverage_trials >= spec.replications
         assert 0.0 <= result.empirical_coverage <= 1.0
@@ -208,40 +208,45 @@ class TestRunner:
         spec = scenario_from_dict(raw)
         digests = {
             backend: run_scenario(spec, backend=backend, root_seed=0).digest
-            for backend in ("memory", "columnar", "sqlite")
+            for backend in ("columnar", "sqlite")
         }
         assert len(set(digests.values())) == 1, digests
 
+    def test_unknown_backend_is_refused(self):
+        spec = scenario_from_dict(TINY_STATIC)
+        with pytest.raises(ValueError, match=r"backend must be one of \('columnar', 'sqlite'\)"):
+            run_scenario(spec, backend="memory", root_seed=0)
+
     def test_digest_changes_with_root_seed(self):
         spec = scenario_from_dict(TINY_STATIC)
-        first = run_scenario(spec, backend="memory", root_seed=0)
-        second = run_scenario(spec, backend="memory", root_seed=1)
+        first = run_scenario(spec, backend="columnar", root_seed=0)
+        second = run_scenario(spec, backend="columnar", root_seed=1)
         assert first.digest != second.digest
 
     def test_rerun_is_bit_identical(self):
         spec = scenario_from_dict(TINY_STATIC)
-        first = run_scenario(spec, backend="memory", root_seed=3)
-        second = run_scenario(spec, backend="memory", root_seed=3)
+        first = run_scenario(spec, backend="columnar", root_seed=3)
+        second = run_scenario(spec, backend="columnar", root_seed=3)
         assert first == second
 
     def test_replication_override(self):
         spec = scenario_from_dict(TINY_STATIC)
-        result = run_scenario(spec, backend="memory", replications=5, root_seed=0)
+        result = run_scenario(spec, backend="columnar", replications=5, root_seed=0)
         assert result.replications == 5
 
     def test_run_pack_only_filters(self):
         pack = pack_from_dict(
             {"name": "p", "scenarios": [TINY_STATIC, TINY_EVOLVING]}
         )
-        results = run_pack(pack, backend="memory", only="tiny-static")
+        results = run_pack(pack, backend="columnar", only="tiny-static")
         assert [r.name for r in results] == ["tiny-static"]
-        results = run_pack(pack, backend="memory", only=("tiny-evolving", "tiny-static"))
+        results = run_pack(pack, backend="columnar", only=("tiny-evolving", "tiny-static"))
         assert [r.name for r in results] == ["tiny-evolving", "tiny-static"]
 
     def test_failed_gate_reports_failure(self):
         # An impossible MoE ceiling forces the moe gate to fail.
         raw = dict(TINY_STATIC, name="doomed", gates={"max_moe": 1e-6})
-        result = run_scenario(scenario_from_dict(raw), backend="memory", root_seed=0)
+        result = run_scenario(scenario_from_dict(raw), backend="columnar", root_seed=0)
         assert not result.moe_passed
         assert not result.passed
         assert any("moe" in failure.lower() for failure in result.failures())
@@ -280,7 +285,7 @@ class TestRunner:
             )
         )
         with pytest.raises(ValueError, match=f"^{bad_parameter} must be finite"):
-            run_pack(load_pack_file(path), backend="memory", root_seed=0)
+            run_pack(load_pack_file(path), backend="columnar", root_seed=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -289,8 +294,8 @@ class TestRunner:
 class TestReport:
     def _document(self):
         pack = pack_from_dict({"name": "p", "scenarios": [TINY_STATIC]})
-        results = run_pack(pack, backend="memory", root_seed=0)
-        return results_to_document("p", "memory", 0, results), results
+        results = run_pack(pack, backend="columnar", root_seed=0)
+        return results_to_document("p", "columnar", 0, results), results
 
     def test_write_load_roundtrip(self, tmp_path):
         document, results = self._document()

@@ -2,9 +2,12 @@
 streaming ingest, and the position-based sampling surface.
 
 The property-based tests assert the load-bearing invariant of the storage
-refactor: *any* sequence of triples produces the same graph — same triples in
+layer: *any* sequence of triples produces the same graph — same triples in
 the same order, same clusters, same sampler draws under a fixed seed — no
 matter which backend holds it or whether it went through a save/load cycle.
+Each backend, the :class:`DeltaStore` tail included, is held to
+:class:`store_model.StoreModel`, a pure-Python model of the backend contract
+that shares no code with any store.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from store_model import StoreModel, assert_matches_model
 
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.io import read_triples_tsv, write_triples_tsv
@@ -23,7 +27,7 @@ from repro.sampling.srs import SimpleRandomDesign
 from repro.sampling.tsrcs import TwoStageRandomClusterDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.sampling.wcs import WeightedClusterDesign
-from repro.storage import ColumnarStore, InMemoryStore, SnapshotStore, SqliteStore
+from repro.storage import ColumnarStore, DeltaStore, SnapshotStore, SqliteStore, make_backend
 from repro.storage.ingest import ingest_nt, ingest_rows, ingest_tsv
 
 # --------------------------------------------------------------------------- #
@@ -37,20 +41,22 @@ _triples = st.builds(
     st.booleans(),
 )
 _triple_lists = st.lists(_triples, max_size=60)
+_object_subject_triples = st.builds(
+    Triple,
+    st.integers(0, 12).map(lambda o: f"o{o}"),
+    st.sampled_from(["p0", "p1", "p2"]),
+    st.integers(0, 12).map(lambda o: f"o{o}"),
+    st.booleans(),
+)
 
 
-def _assert_same_graph(left: KnowledgeGraph, right: KnowledgeGraph) -> None:
-    assert tuple(left) == tuple(right)
-    assert left.triples == right.triples
-    assert tuple(left.entity_ids) == tuple(right.entity_ids)
-    assert np.array_equal(left.cluster_size_array(), right.cluster_size_array())
-    for entity_id in left.entity_ids:
-        assert left.cluster(entity_id).triples == right.cluster(entity_id).triples
-        assert left.cluster_size(entity_id) == right.cluster_size(entity_id)
-        assert np.array_equal(
-            np.asarray(left.cluster_positions(entity_id)),
-            np.asarray(right.cluster_positions(entity_id)),
-        )
+def _with_repeats(batch: list[Triple]):
+    """The batch plus repeats of some of its own triples, shuffled."""
+    if not batch:
+        return st.just(batch)
+    return st.lists(st.sampled_from(batch), max_size=5).flatmap(
+        lambda repeats: st.permutations(batch + repeats)
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -60,50 +66,57 @@ class TestBackendEquivalence:
     @given(_triple_lists)
     @settings(max_examples=60, deadline=None)
     def test_columnar_add_path_matches_memory(self, triples):
-        memory = KnowledgeGraph(triples, backend="memory")
-        columnar = KnowledgeGraph(triples, backend="columnar")
-        assert memory.num_triples == columnar.num_triples
-        assert memory.num_entities == columnar.num_entities
-        _assert_same_graph(memory, columnar)
-        for triple in triples:
-            assert (triple in memory) == (triple in columnar)
-        assert not columnar.backend.contains(Triple("never", "seen", "this"))
+        assert_matches_model(KnowledgeGraph(triples, backend="columnar"), StoreModel(triples))
 
     @given(_triple_lists)
     @settings(max_examples=40, deadline=None)
     def test_bulk_ingest_dedupe_matches_add_path(self, triples):
         rows = [(t.subject, t.predicate, t.obj, t.is_entity_object) for t in triples]
-        bulk = ingest_rows(rows, name="bulk")
-        memory = KnowledgeGraph(triples, backend="memory")
-        _assert_same_graph(memory, bulk)
+        model = StoreModel(triples)
+        assert_matches_model(ingest_rows(rows, name="bulk"), model)
+        assert_matches_model(KnowledgeGraph(triples), model)
 
     @given(_triple_lists, _triple_lists)
     @settings(max_examples=30, deadline=None)
     def test_interleaved_add_and_read_on_columnar(self, first, second):
-        memory = KnowledgeGraph(backend="memory")
-        columnar = KnowledgeGraph(backend="columnar")
-        memory.add_all(first)
-        columnar.add_all(first)
+        model = StoreModel(first)
+        columnar = KnowledgeGraph(first, backend="columnar")
         # Force a freeze (consolidation) between the two add batches.
         _ = columnar.triples
-        memory.add_all(second)
+        model.add_all(second)
         columnar.add_all(second)
-        _assert_same_graph(memory, columnar)
+        assert_matches_model(columnar, model)
 
     @given(_triple_lists)
     @settings(max_examples=25, deadline=None)
     def test_sqlite_add_path_matches_memory(self, triples):
-        memory = KnowledgeGraph(triples, backend="memory")
-        sqlite = KnowledgeGraph(triples, backend="sqlite")
-        assert memory.num_triples == sqlite.num_triples
-        assert memory.num_entities == sqlite.num_entities
-        _assert_same_graph(memory, sqlite)
-        for triple in triples:
-            assert (triple in memory) == (triple in sqlite)
-        assert not sqlite.backend.contains(Triple("never", "seen", "this"))
-        np.testing.assert_array_equal(
-            memory.backend.cluster_size_array(), sqlite.backend.cluster_size_array()
-        )
+        assert_matches_model(KnowledgeGraph(triples, backend="sqlite"), StoreModel(triples))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_delta_tail_matches_model(self, data):
+        """Appends to a delta view over a frozen base: duplicates of base
+        triples, of earlier batches and within a batch are skipped, new
+        subjects get rows after the base's, and a compaction in between
+        changes nothing the graph answers."""
+        first = data.draw(_triple_lists, label="base")
+        # Mix in re-insertions of base triples, and triples whose subject is
+        # an object string (an entity gaining its own facts), which is
+        # interned before it becomes a subject.
+        inserts = st.one_of(_triples, _object_subject_triples)
+        if first:
+            inserts |= st.sampled_from(first)
+        batch = st.lists(inserts, max_size=30).flatmap(_with_repeats)
+        batches = data.draw(st.lists(batch, min_size=1, max_size=3), label="batches")
+        delta = DeltaStore(KnowledgeGraph(first).backend)
+        model = StoreModel(first)
+        for batch in batches:
+            assert delta.add_batch(batch) == model.add_all(batch)
+            assert_matches_model(KnowledgeGraph(backend=delta), model)
+            if data.draw(st.booleans(), label="compact"):
+                delta.compact()
+                assert delta.num_tail_triples == 0
+                assert_matches_model(KnowledgeGraph(backend=delta), model)
 
     @given(_triple_lists)
     @settings(max_examples=20, deadline=None)
@@ -112,7 +125,6 @@ class TestBackendEquivalence:
         sqlite = KnowledgeGraph(triples, backend="sqlite")
         col_csr = columnar.backend.csr_arrays()
         sq_csr = sqlite.backend.csr_arrays()
-        assert col_csr is not None and sq_csr is not None
         assert np.array_equal(np.asarray(col_csr[0]), np.asarray(sq_csr[0]))
         assert np.array_equal(np.asarray(col_csr[1]), np.asarray(sq_csr[1]))
         for columns_left, columns_right in zip(
@@ -124,11 +136,14 @@ class TestBackendEquivalence:
         with pytest.raises(ValueError):
             KnowledgeGraph(backend="papyrus")
 
-    def test_copy_preserves_backend_kind(self, toy_graph):
-        graph = toy_graph
-        assert isinstance(graph.copy().backend, InMemoryStore)
-        assert isinstance(graph.to_columnar().copy().backend, ColumnarStore)
-        assert isinstance(graph.to_sqlite().copy().backend, SqliteStore)
+    def test_memory_is_not_a_backend_name(self):
+        with pytest.raises(ValueError, match="choose 'columnar' or 'sqlite'"):
+            make_backend("memory")
+
+    def test_a_graph_built_without_a_backend_is_columnar(self, toy_graph):
+        assert isinstance(KnowledgeGraph().backend, ColumnarStore)
+        assert isinstance(toy_graph.backend, ColumnarStore)
+        assert toy_graph.to_columnar() is toy_graph
 
 
 # --------------------------------------------------------------------------- #
@@ -141,14 +156,13 @@ class TestSnapshotRoundTrip:
         import tempfile
         from pathlib import Path
 
-        memory = KnowledgeGraph(triples, name="prop", backend="memory")
-        columnar = memory.to_columnar()
+        graph = KnowledgeGraph(triples, name="prop")
         with tempfile.TemporaryDirectory() as tmp:
             for target, mmap in ((Path(tmp) / "kg.npz", False), (Path(tmp) / "kgdir", True)):
-                columnar.save_snapshot(target)
+                graph.save_snapshot(target)
                 reloaded = KnowledgeGraph.from_snapshot(target, mmap=mmap)
                 assert reloaded.name == "prop"
-                _assert_same_graph(memory, reloaded)
+                assert_matches_model(reloaded, StoreModel(triples))
 
     def test_flags_survive_roundtrip(self, tmp_path):
         graph = KnowledgeGraph(
@@ -168,10 +182,10 @@ class TestSnapshotRoundTrip:
         with pytest.raises(FileNotFoundError):
             SnapshotStore(tmp_path / "nope.npz").load()
 
-    def test_sampler_draws_bit_for_bit_after_roundtrip(self, nell_memory, tmp_path):
+    def test_sampler_draws_bit_for_bit_after_roundtrip(self, nell, tmp_path):
         """Save -> load -> the same seed yields identical draws and estimates."""
-        memory = nell_memory.graph
-        memory.to_columnar().save_snapshot(tmp_path / "nell")
+        graph = nell.graph
+        graph.save_snapshot(tmp_path / "nell")
         reloaded = KnowledgeGraph.from_snapshot(tmp_path / "nell", mmap=True)
         designs = {
             "srs": lambda g: SimpleRandomDesign(g, seed=5),
@@ -181,11 +195,11 @@ class TestSnapshotRoundTrip:
             "tsrcs": lambda g: TwoStageRandomClusterDesign(g, second_stage_size=3, seed=5),
         }
         for name, factory in designs.items():
-            baseline, roundtrip = factory(memory), factory(reloaded)
+            baseline, roundtrip = factory(graph), factory(reloaded)
             units_a, units_b = baseline.draw(40), roundtrip.draw(40)
             assert [u.triples for u in units_a] == [u.triples for u in units_b], name
             assert [u.entity_id for u in units_a] == [u.entity_id for u in units_b], name
-            labels = {t: nell_memory.oracle.label(t) for u in units_a for t in u.triples}
+            labels = {t: nell.oracle.label(t) for u in units_a for t in u.triples}
             baseline.update_all(units_a, labels)
             roundtrip.update_all(units_b, labels)
             assert baseline.estimate() == roundtrip.estimate(), name
@@ -195,9 +209,9 @@ class TestSnapshotRoundTrip:
 # Position surface
 # --------------------------------------------------------------------------- #
 class TestPositionSurface:
-    @pytest.mark.parametrize("backend", ["memory", "columnar"])
-    def test_object_units_carry_consistent_positions(self, nell, nell_memory, backend):
-        graph = nell_memory.graph if backend == "memory" else nell.graph
+    @pytest.mark.parametrize("source", ["rebuilt", "columnar"])
+    def test_object_units_carry_consistent_positions(self, nell, nell_rebuilt, source):
+        graph = nell_rebuilt.graph if source == "rebuilt" else nell.graph
         design = TwoStageWeightedClusterDesign(graph, second_stage_size=3, seed=2)
         for unit in design.draw(30):
             assert unit.positions is not None
@@ -239,9 +253,9 @@ class TestPositionSurface:
         assert a.std_error == pytest.approx(b.std_error, abs=1e-9)
         assert (a.num_units, a.num_triples) == (b.num_units, b.num_triples)
 
-    @pytest.mark.parametrize("backend", ["memory", "columnar"])
-    def test_draw_positions_estimates_are_sane(self, nell, nell_memory, backend):
-        data = nell_memory if backend == "memory" else nell
+    @pytest.mark.parametrize("source", ["rebuilt", "columnar"])
+    def test_draw_positions_estimates_are_sane(self, nell, nell_rebuilt, source):
+        data = nell_rebuilt if source == "rebuilt" else nell
         graph = data.graph
         label_array = data.oracle.as_position_array(graph)
         estimates = []
@@ -282,13 +296,14 @@ class TestPositionSurface:
 # --------------------------------------------------------------------------- #
 class TestStreamingIngest:
     def test_tsv_ingest_matches_object_loader(self, tmp_path, toy_graph):
-        graph = toy_graph
         path = tmp_path / "toy.tsv"
-        write_triples_tsv(graph, path)
-        via_objects = read_triples_tsv(path)
-        via_stream = read_triples_tsv(path, backend="columnar")
+        write_triples_tsv(toy_graph, path)
+        via_stream = read_triples_tsv(path)
         assert isinstance(via_stream.backend, ColumnarStore)
-        _assert_same_graph(via_objects, via_stream)
+        assert via_stream.name == "toy"
+        # TSV carries no entity-object flag, so the model reads it back as False.
+        flat = [Triple(*t.as_tuple()) for t in toy_graph]
+        assert_matches_model(via_stream, StoreModel(flat))
 
     def test_tsv_ingest_deduplicates(self, tmp_path):
         path = tmp_path / "dups.tsv"
@@ -325,22 +340,23 @@ class TestStreamingIngest:
 
     def test_extra_tsv_columns_ignored_on_both_paths(self, tmp_path):
         """The docstring promises extra columns are ignored; a 4-column line
-        must load (not raise) on both the object and streaming TSV paths."""
+        must load (not raise) into both the columnar and the SQLite store."""
         path = tmp_path / "wide.tsv"
         path.write_text("a\tp\tx\textra-column\nb\tq\ty\n", encoding="utf-8")
-        via_objects = read_triples_tsv(path)
-        via_stream = read_triples_tsv(path, backend="columnar")
+        via_stream = read_triples_tsv(path)
+        via_sqlite = SqliteStore()
+        via_sqlite.ingest_file(path, "tsv")
         expected = (Triple("a", "p", "x"), Triple("b", "q", "y"))
-        assert tuple(via_objects) == expected
         assert tuple(via_stream) == expected
-        _assert_same_graph(via_objects, via_stream)
+        assert tuple(via_sqlite.iter_triples()) == expected
 
     def test_short_tsv_line_message_says_at_least_three(self, tmp_path):
         path = tmp_path / "short.tsv"
         path.write_text("a\tp\n", encoding="utf-8")
-        for backend in ("memory", "columnar"):
-            with pytest.raises(ValueError, match=r"expected >= 3 columns"):
-                read_triples_tsv(path, backend=backend)
+        with pytest.raises(ValueError, match=r"line 1: expected >= 3 columns"):
+            read_triples_tsv(path)
+        with pytest.raises(ValueError, match=r"line 1: expected >= 3 columns"):
+            SqliteStore().ingest_file(path, "tsv")
 
     def test_nt_escapes_decode_to_bare_lexical_form(self, tmp_path):
         """NT-vs-object load parity for escaped, language-tagged, and
@@ -363,8 +379,7 @@ class TestStreamingIngest:
             Triple("http://x/e3", "http://x/greek", "α\U0001f600"),
         ]
         assert list(via_stream) == expected
-        via_objects = KnowledgeGraph(expected, backend="memory")
-        _assert_same_graph(via_objects, via_stream)
+        assert_matches_model(via_stream, StoreModel(expected))
 
     @pytest.mark.parametrize(
         "literal",

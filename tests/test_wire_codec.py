@@ -407,6 +407,27 @@ def test_seedsequence_pool_size_is_bounded():
         wire.loads(wire.dumps(np.random.SeedSequence(5, pool_size=65)))
 
 
+_SEED_INT_FIELDS = {
+    "entropy": lambda value: {"entropy": value},
+    "entropy-list-item": lambda value: {"entropy": [7, value]},
+    "spawn_key-item": lambda value: {"entropy": 5, "spawn_key": (1, value)},
+}
+
+
+@pytest.mark.parametrize("where", sorted(_SEED_INT_FIELDS))
+def test_seedsequence_ints_are_bounded_at_2048_bits(where):
+    """numpy splits these ints into 32-bit words in time quadratic in their size."""
+    widest = (1 << 2048) - 1
+    seed = np.random.SeedSequence(**_SEED_INT_FIELDS[where](widest))
+    decoded = wire.loads(wire.dumps(seed))
+    assert (decoded.entropy, decoded.spawn_key) == (seed.entropy, seed.spawn_key)
+    assert np.array_equal(decoded.generate_state(4), seed.generate_state(4))
+    field = where.split("-")[0]
+    too_wide = np.random.SeedSequence(**_SEED_INT_FIELDS[where](1 << 2048))
+    with pytest.raises(WireError, match=f"{field} int exceeds the wire limit of 2048 bits"):
+        wire.loads(wire.dumps(too_wide))
+
+
 def test_seedsequence_child_count_beyond_uint32_is_refused():
     payload = bytes([wire._T_SEEDSEQ]) + b"".join(wire.dumps(field) for field in (5, (), 4, 2**32))
     with pytest.raises(WireError, match="invalid SeedSequence"):
