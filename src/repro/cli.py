@@ -94,58 +94,16 @@ from repro.experiments import (
     table6_kgeval_comparison,
     table7_stratification,
 )
-from repro.generators.datasets import (
-    LabelledKG,
-    make_movie_like,
-    make_movie_syn,
-    make_nell_like,
-    make_yago_like,
-)
+from repro.generators.datasets import DATASETS, LabelledKG, make_dataset
 from repro.kg.statistics import cluster_size_summary
-from repro.sampling.rcs import RandomClusterDesign
-from repro.sampling.srs import SimpleRandomDesign
-from repro.sampling.stratification import stratify_by_size
-from repro.sampling.stratified import StratifiedTWCSDesign
-from repro.sampling.twcs import TwoStageWeightedClusterDesign
-from repro.sampling.wcs import WeightedClusterDesign
+from repro.sampling import DESIGNS, make_design
 
 __all__ = ["main", "build_parser"]
 
-_DATASETS = ("nell", "yago", "movie", "movie-syn")
-_DESIGNS = ("srs", "rcs", "wcs", "twcs", "twcs-strat")
 # What reopening a missing, foreign or damaged snapshot raises.  EOFError: an
 # empty file; KeyError: an archive without the snapshot's arrays; ValueError:
 # a file numpy would only read as a pickle.
 _SNAPSHOT_OPEN_ERRORS = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, sqlite3.Error)
-
-
-def _load_dataset(name: str, seed: int, movie_scale: float) -> LabelledKG:
-    if name == "nell":
-        return make_nell_like(seed=seed)
-    if name == "yago":
-        return make_yago_like(seed=seed)
-    if name == "movie":
-        return make_movie_like(seed=seed, scale=movie_scale)
-    if name == "movie-syn":
-        return make_movie_syn(seed=seed, scale=movie_scale)
-    raise ValueError(f"unknown dataset {name!r}")
-
-
-def _build_design(name: str, data: LabelledKG, m: int, seed: int, allocation: str = "proportional"):
-    if name == "srs":
-        return SimpleRandomDesign(data.graph, seed=seed)
-    if name == "rcs":
-        return RandomClusterDesign(data.graph, seed=seed)
-    if name == "wcs":
-        return WeightedClusterDesign(data.graph, seed=seed)
-    if name == "twcs":
-        return TwoStageWeightedClusterDesign(data.graph, second_stage_size=m, seed=seed)
-    if name == "twcs-strat":
-        strata = stratify_by_size(data.graph, num_strata=4)
-        return StratifiedTWCSDesign(
-            data.graph, strata, second_stage_size=m, seed=seed, allocation=allocation
-        )
-    raise ValueError(f"unknown design {name!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -153,8 +111,8 @@ def _build_design(name: str, data: LabelledKG, m: int, seed: int, allocation: st
 # --------------------------------------------------------------------------- #
 def _cmd_datasets(args: argparse.Namespace) -> int:
     rows = []
-    for name in _DATASETS:
-        data = _load_dataset(name, args.seed, args.movie_scale)
+    for name in DATASETS:
+        data = make_dataset(name, args.seed, args.movie_scale)
         summary = cluster_size_summary(data.graph)
         rows.append(
             {
@@ -250,11 +208,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         data = _load_snapshot_dataset(args.from_snapshot)
     else:
         # A dataset stand-in is built as columns in RAM.
-        data = _load_dataset(args.dataset, args.seed, args.movie_scale)
+        data = make_dataset(args.dataset, args.seed, args.movie_scale)
         if args.backend == "sqlite":
             data = data.to_sqlite()
-    design = _build_design(
-        args.design, data, args.second_stage_size, args.seed, allocation=args.allocation
+    design = make_design(
+        args.design, data.graph, args.second_stage_size, args.seed, allocation=args.allocation
     )
     annotator = SimulatedAnnotator(data.oracle, seed=args.seed)
     config = EvaluationConfig(moe_target=args.moe, confidence_level=args.confidence)
@@ -278,7 +236,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.storage.snapshot import SnapshotStore
 
-    data = _load_dataset(args.dataset, args.seed, args.movie_scale)
+    data = make_dataset(args.dataset, args.seed, args.movie_scale)
     graph = data.graph.to_columnar()
     labels = data.oracle.as_position_array(graph) if args.with_labels else None
     if args.backend == "sqlite":
@@ -314,7 +272,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         data = _load_snapshot_dataset(args.snapshot).to_columnar()
         print(f"base KG  : {data.graph!r} (reopened from {args.snapshot})")
     else:
-        data = _load_dataset(args.dataset, args.seed, args.movie_scale)
+        data = make_dataset(args.dataset, args.seed, args.movie_scale)
         if args.backend == "sqlite":
             # The sqlite round-trip keeps the persistent copy out-of-core
             # while the derived columns (bit-identical to a direct columnar
@@ -486,7 +444,7 @@ def _client_run(args: argparse.Namespace, client, record_row) -> int:
 
     # The workload stream is generated client-side from the same dataset the
     # daemon attaches, exactly like an external update producer would.
-    data = _load_dataset(args.dataset, args.seed, args.movie_scale).to_columnar()
+    data = make_dataset(args.dataset, args.seed, args.movie_scale).to_columnar()
     spec: dict = {
         "dataset": args.dataset,
         "dataset_seed": args.seed,
@@ -742,8 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = subparsers.add_parser(
         "evaluate", parents=[common], help="run one accuracy evaluation"
     )
-    evaluate.add_argument("--dataset", choices=_DATASETS, default="nell")
-    evaluate.add_argument("--design", choices=_DESIGNS, default="twcs")
+    evaluate.add_argument("--dataset", choices=DATASETS, default="nell")
+    evaluate.add_argument("--design", choices=DESIGNS, default="twcs")
     evaluate.add_argument("--moe", type=float, default=0.05, help="margin-of-error target")
     evaluate.add_argument(
         "--confidence", type=float, default=0.95, help="confidence level (default 0.95)"
@@ -786,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="build a dataset and persist it as a columnar snapshot",
     )
-    snapshot.add_argument("--dataset", choices=_DATASETS, default="nell")
+    snapshot.add_argument("--dataset", choices=DATASETS, default="nell")
     snapshot.add_argument(
         "--out",
         required=True,
@@ -816,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="monitor an evolving KG over a stream of update batches",
     )
-    monitor.add_argument("--dataset", choices=_DATASETS, default="movie")
+    monitor.add_argument("--dataset", choices=DATASETS, default="movie")
     monitor.add_argument(
         "--backend",
         choices=("columnar", "sqlite"),
@@ -929,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive one monitoring session through the daemon (the served "
         "twin of `repro monitor`; trajectories are bit-identical)",
     )
-    client_run.add_argument("--dataset", choices=_DATASETS, default="movie")
+    client_run.add_argument("--dataset", choices=DATASETS, default="movie")
     client_run.add_argument(
         "--session",
         default=None,

@@ -16,7 +16,8 @@ The loop runs on the position surface: units are integer triple positions,
 and a :class:`~repro.cost.annotator.SimulatedAnnotator` labels them from its
 oracle's position array while charging Eq. (4), so a run builds no Triple.
 Annotators whose labels are not the oracle's (label flips, majority votes,
-or any object with only ``annotate_triples``) get each unit's Triples.
+or any object with only ``annotate_triples``) get each unit's Triples, and
+their labels reach the design through the same ``update_all_positions``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.core.config import EvaluationConfig
 from repro.core.result import EvaluationReport
 from repro.cost.annotator import SimulatedAnnotator
 from repro.obs import metrics as obs_metrics
-from repro.sampling.base import SamplingDesign
+from repro.sampling.base import PositionUnit, SamplingDesign
 
 __all__ = ["StaticEvaluator", "evaluate_accuracy"]
 
@@ -93,12 +94,19 @@ class StaticEvaluator:
         if _labels_from_oracle(annotator):
             design.update_all_positions(units, annotator.annotate_positions(graph, units))
             return
+        # Label each unit's Triples, then fold the round with every unit
+        # re-addressed onto its slice of the round's flat label vector.
+        flat: list[bool] = []
+        relabelled = []
         for unit in units:
             triples = graph.triples_at(unit.positions)
             labels = annotator.annotate_triples(triples).labels
-            design.update_positions(
-                unit, np.fromiter((labels[t] for t in triples), dtype=bool, count=len(triples))
+            start = len(flat)
+            flat.extend(labels[t] for t in triples)
+            relabelled.append(
+                PositionUnit(np.arange(start, len(flat)), unit.entity_row, unit.cluster_size)
             )
+        design.update_all_positions(relabelled, np.array(flat, dtype=bool))
 
     def run(self, reset: bool = True) -> EvaluationReport:
         """Execute the loop until the MoE target is met or samples run out.

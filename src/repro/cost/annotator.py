@@ -20,7 +20,7 @@ resulting estimates.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,10 +162,26 @@ class SimulatedAnnotator:
     def labelled_triples(self) -> dict[Triple, bool]:
         """All labels produced in the current session."""
         labelled = dict(self._session.labelled)
+        labelled.update(self._position_triple_labels())
+        return labelled
+
+    def _position_triple_labels(self) -> Iterator[tuple[Triple, bool]]:
+        """``(triple, label)`` of every position labelled by :meth:`annotate_positions`."""
         for graph, labels, annotated in self._session.positions.values():
             positions = sorted(annotated)
-            labelled.update(zip(graph.triples_at(positions), labels[positions].tolist()))
-        return labelled
+            yield from zip(graph.triples_at(positions), labels[positions].tolist())
+
+    def _record_position_labels(self) -> None:
+        """Move the session's position labels into its Triple-keyed record.
+
+        Run before labelling Triples, so a triple already labelled through
+        :meth:`annotate_positions` is found there and not charged again;
+        :meth:`annotate_positions` still finds it, through that record.
+        """
+        session = self._session
+        if session.positions:
+            session.labelled.update(self._position_triple_labels())
+            session.positions.clear()
 
     # ------------------------------------------------------------------ #
     # Annotation
@@ -188,6 +204,7 @@ class SimulatedAnnotator:
         charged for subjects not yet identified in this session, and a triple
         already labelled in this session is neither re-labelled nor re-charged.
         """
+        self._record_position_labels()
         labels: dict[Triple, bool] = {}
         cost = 0.0
         new_entities = 0

@@ -79,6 +79,8 @@ class NoisyAnnotator(SimulatedAnnotator):
     def annotate_triples(self, triples: Iterable[Triple]) -> AnnotationResult:
         """Annotate triples, flipping each fresh label with the error rate."""
         triples = list(triples)
+        # Position labels count as labelled before the flips are chosen.
+        self._record_position_labels()
         labelled = self._session.labelled
         fresh = [t for t in triples if t not in labelled]
         result = super().annotate_triples(triples)

@@ -241,7 +241,7 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
         # minimum replaces that cluster (its annotations stay paid for but
         # leave the estimator), as in Algorithm 1.
         segment = self._append_update(batch, batch_oracle)
-        sizes = segment.sizes().astype(float)
+        sizes = segment.cluster_size_array().astype(float)
         if sizes.shape[0]:
             keys = self._draw_keys(sizes)
             reservoir = self._reservoir

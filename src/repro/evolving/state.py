@@ -33,7 +33,6 @@ from repro.core.config import EvaluationConfig
 from repro.cost.annotator import PositionAnnotationAccount
 from repro.generators.datasets import LabelledKG
 from repro.labels.oracle import LabelOracle
-from repro.sampling.segment import SegmentTWCSDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
 __all__ = ["STATE_FORMAT_VERSION", "capture_evaluator_state", "restore_evaluator"]
@@ -198,18 +197,11 @@ def restore_evaluator(state: dict, base: LabelledKG):
         strata = []
         for entry in state["strata"]:
             segment = entry["segment"]
-            if segment is None:
-                design = TwoStageWeightedClusterDesign(
-                    evaluator.evolving.base,
-                    second_stage_size=evaluator.second_stage_size,
-                    seed=evaluator._rng,
-                )
-            else:
-                design = SegmentTWCSDesign(
-                    segment,
-                    second_stage_size=evaluator.second_stage_size,
-                    seed=evaluator._rng,
-                )
+            design = TwoStageWeightedClusterDesign(
+                evaluator.evolving.base if segment is None else segment,
+                second_stage_size=evaluator.second_stage_size,
+                seed=evaluator._rng,
+            )
             design._cluster_means = entry["mean"].copy()
             design._num_triples = int(entry["design_triples"])
             strata.append(

@@ -13,11 +13,13 @@ discarded, SS is cheaper than the reservoir approach — but a bad initial
 estimate of a large stratum persists, which is the fault-tolerance trade-off
 shown in Figure 9.
 
-The base stratum runs the static TWCS loop over the (frozen) base graph's CSR
-index and each update batch becomes an appended CSR segment sampled with
-:class:`~repro.sampling.segment.SegmentTWCSDesign`; labels resolve by integer
-position and cost is charged through the position account, so no Triple
-objects are materialised anywhere in the update loop.
+Every stratum is sampled by
+:class:`~repro.sampling.twcs.TwoStageWeightedClusterDesign`: the base stratum
+runs the static TWCS loop over the (frozen) base graph's CSR index, and each
+update batch becomes an appended
+:class:`~repro.sampling.segment.PositionSegment` that the same design samples.
+Labels resolve by integer position and cost is charged through the position
+account, so no Triple objects are materialised anywhere in the update loop.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.evolving.base import IncrementalEvaluator, UpdateEvaluation
 from repro.kg.updates import UpdateBatch
 from repro.labels.oracle import LabelOracle
 from repro.sampling.base import Estimate
-from repro.sampling.segment import PositionSegment, SegmentTWCSDesign
+from repro.sampling.segment import PositionSegment
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
 __all__ = ["StratifiedIncrementalEvaluator"]
@@ -44,7 +46,7 @@ class _StratumState:
 
     stratum_id: str
     num_triples: int
-    design: TwoStageWeightedClusterDesign | SegmentTWCSDesign
+    design: TwoStageWeightedClusterDesign
     segment: PositionSegment | None = None
 
     @property
@@ -141,7 +143,7 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
             # Every batch triple was a duplicate: nothing new to sample.
             report = self._build_report(0, totals_before)
             return self._record(batch.batch_id, report)
-        design = SegmentTWCSDesign(
+        design = TwoStageWeightedClusterDesign(
             segment, second_stage_size=self.second_stage_size, seed=self._rng
         )
         stratum = _StratumState(

@@ -23,11 +23,11 @@ from repro.cost.model import CostModel
 from repro.experiments.harness import TrialStatistics, run_trials
 from repro.generators.datasets import (
     LabelledKG,
+    make_dataset,
     make_movie_full_like,
     make_movie_like,
     make_movie_syn,
     make_nell_like,
-    make_yago_like,
 )
 from repro.kg.statistics import entity_accuracy_by_size, size_accuracy_correlation
 from repro.kg.triple import Triple
@@ -67,17 +67,8 @@ DEFAULT_SECOND_STAGE_SIZE = 5
 # Shared helpers
 # --------------------------------------------------------------------------- #
 def _dataset(name: str, seed: int, movie_scale: float = 0.02) -> LabelledKG:
-    """Build one of the paper's datasets (synthetic stand-in) by name."""
-    normalised = name.upper()
-    if normalised == "NELL":
-        return make_nell_like(seed=seed)
-    if normalised == "YAGO":
-        return make_yago_like(seed=seed)
-    if normalised == "MOVIE":
-        return make_movie_like(seed=seed, scale=movie_scale)
-    if normalised == "MOVIE-SYN":
-        return make_movie_syn(seed=seed, scale=movie_scale)
-    raise ValueError(f"unknown dataset {name!r}")
+    """Build one of the paper's datasets (synthetic stand-in) by its paper name."""
+    return make_dataset(name.lower(), seed, movie_scale)
 
 
 def _run_static(

@@ -10,7 +10,9 @@ existing entities, at a controlled accuracy).
 """
 
 from repro.generators.datasets import (
+    DATASETS,
     LabelledKG,
+    make_dataset,
     make_movie_full_like,
     make_movie_like,
     make_movie_syn,
@@ -24,7 +26,9 @@ __all__ = [
     "SyntheticKGConfig",
     "generate_kg",
     "sample_cluster_sizes",
+    "DATASETS",
     "LabelledKG",
+    "make_dataset",
     "make_nell_like",
     "make_yago_like",
     "make_movie_like",

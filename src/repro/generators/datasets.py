@@ -34,8 +34,10 @@ from repro.labels.oracle import LabelOracle
 from repro.labels.random_error import RandomErrorModel
 
 __all__ = [
+    "DATASETS",
     "LabelledKG",
     "generate_calibrated_labels",
+    "make_dataset",
     "make_nell_like",
     "make_yago_like",
     "make_movie_like",
@@ -229,6 +231,26 @@ def make_movie_syn(
     graph = generate_kg(config, rng)
     model = BinomialMixtureModel(c=c, sigma=sigma, k=k, seed=rng)
     return LabelledKG(graph, model.generate(graph))
+
+
+#: The stand-ins :func:`make_dataset` builds by name.
+DATASETS = ("nell", "yago", "movie", "movie-syn")
+
+
+def make_dataset(name: str, seed: int | None, scale: float) -> LabelledKG:
+    """Build the stand-in called ``name`` (one of :data:`DATASETS`).
+
+    ``scale`` sizes the MOVIE stand-ins and is ignored by NELL and YAGO.
+    """
+    if name == "nell":
+        return make_nell_like(seed=seed)
+    if name == "yago":
+        return make_yago_like(seed=seed)
+    if name == "movie":
+        return make_movie_like(seed=seed, scale=scale)
+    if name == "movie-syn":
+        return make_movie_syn(seed=seed, scale=scale)
+    raise ValueError(f"unknown dataset {name!r}")
 
 
 def make_movie_full_like(

@@ -21,9 +21,10 @@ Two access styles coexist:
   which materialises :class:`~repro.kg.triple.Triple` objects and is what
   annotation flows need;
 * a *position* API (``cluster_positions``, ``sample_cluster_positions``,
-  ``sample_cluster_positions_batch``, ``labels_for_positions``), which works
-  on integer triple positions only and lets the samplers' draw/estimate
-  loops avoid allocating per-draw Triple tuples entirely.
+  ``sample_cluster_positions_batch``, ``cluster_size_array``), which works
+  on integer triple positions only; it is the one surface the sampling
+  designs draw on, so their draw/estimate loops allocate no Triple, and
+  ``triples_at`` turns positions into Triples for the flows that need them.
 """
 
 from __future__ import annotations
@@ -337,32 +338,13 @@ class KnowledgeGraph:
             rows = self._position_rows_view = csr_position_rows(*self._backend.csr_arrays())
         return rows[np.asarray(positions, dtype=np.int64)]
 
-    def labels_for_positions(
-        self,
-        positions: Sequence[int] | np.ndarray,
-        labels: Mapping[Triple, bool] | np.ndarray,
-    ) -> np.ndarray:
-        """Resolve correctness labels for triple positions as a boolean array.
-
-        ``labels`` may be a position-aligned boolean array (fancy-indexed,
-        no Triple objects are created) or a Triple-keyed mapping (each
-        position is materialised and looked up — the compatibility path).
-        """
-        if isinstance(labels, np.ndarray):
-            return labels[np.asarray(positions, dtype=np.int64)]
-        return np.fromiter(
-            (labels[t] for t in self._backend.triples_at(positions)),
-            dtype=bool,
-            count=len(positions),
-        )
-
     def position_label_array(
         self, labels: Mapping[Triple, bool], default: bool = False
     ) -> np.ndarray:
         """Convert a Triple-keyed label mapping into a position-aligned array.
 
-        One O(M) pass; afterwards :meth:`labels_for_positions` resolves labels
-        without touching Triple objects at all.
+        One O(M) pass; afterwards labels resolve by indexing the array with
+        positions, without touching Triple objects at all.
         """
         return np.fromiter(
             (labels.get(t, default) for t in self._backend.iter_triples()),

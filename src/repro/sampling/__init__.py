@@ -12,9 +12,8 @@ framework (Section 4):
 4. read the current :meth:`~repro.sampling.base.SamplingDesign.estimate` and
    its margin of error.
 
-:meth:`~repro.sampling.base.SamplingDesign.draw` /
-:meth:`~repro.sampling.base.SamplingDesign.update` adapt the same steps to
-Triple objects for annotators that need them.
+These are the only draw and fold steps: an annotator that needs Triple
+objects reads a unit's triples with ``graph.triples_at(unit.positions)``.
 
 Available designs:
 
@@ -32,11 +31,12 @@ Available designs:
 Supporting modules: theoretical variance Eq. (10)
 (:mod:`repro.sampling.variance`), optimal second-stage size Eq. (12)
 (:mod:`repro.sampling.optimal`), stratum construction
-(:mod:`repro.sampling.stratification`) and weighted reservoir sampling
-(:mod:`repro.sampling.reservoir`).
+(:mod:`repro.sampling.stratification`) and the update-batch population that
+TWCS samples in the evolving setting (:mod:`repro.sampling.segment`).
 """
 
-from repro.sampling.base import Estimate, PositionUnit, SampleUnit, SamplingDesign
+from repro.kg.graph import KnowledgeGraph
+from repro.sampling.base import Estimate, PositionUnit, SamplingDesign
 from repro.sampling.optimal import (
     expected_srs_cost_seconds,
     expected_twcs_cost_seconds,
@@ -44,8 +44,7 @@ from repro.sampling.optimal import (
 )
 from repro.sampling.pilot import PilotResult, recommend_design, run_pilot
 from repro.sampling.rcs import RandomClusterDesign
-from repro.sampling.reservoir import ReservoirItem, WeightedReservoir
-from repro.sampling.segment import PositionSegment, SegmentTWCSDesign
+from repro.sampling.segment import PositionSegment
 from repro.sampling.srs import SimpleRandomDesign
 from repro.sampling.stratification import (
     Stratum,
@@ -60,7 +59,6 @@ from repro.sampling.wcs import WeightedClusterDesign
 
 __all__ = [
     "Estimate",
-    "SampleUnit",
     "PositionUnit",
     "SamplingDesign",
     "SimpleRandomDesign",
@@ -70,18 +68,48 @@ __all__ = [
     "TwoStageRandomClusterDesign",
     "StratifiedTWCSDesign",
     "PositionSegment",
-    "SegmentTWCSDesign",
     "PilotResult",
     "run_pilot",
     "recommend_design",
     "Stratum",
     "stratify_by_size",
     "stratify_by_oracle_accuracy",
-    "WeightedReservoir",
-    "ReservoirItem",
+    "DESIGNS",
+    "make_design",
     "srs_variance",
     "twcs_theoretical_variance",
     "optimal_second_stage_size",
     "expected_srs_cost_seconds",
     "expected_twcs_cost_seconds",
 ]
+
+#: The designs :func:`make_design` builds by name.
+DESIGNS = ("srs", "rcs", "wcs", "twcs", "twcs-strat")
+
+
+def make_design(
+    name: str,
+    graph: KnowledgeGraph,
+    second_stage_size: int,
+    seed: int | None,
+    allocation: str = "proportional",
+) -> SamplingDesign:
+    """Build the design called ``name`` (one of :data:`DESIGNS`) over ``graph``.
+
+    ``twcs-strat`` is TWCS inside four cluster-size strata;
+    ``second_stage_size`` and ``allocation`` apply only where the design has them.
+    """
+    if name == "srs":
+        return SimpleRandomDesign(graph, seed=seed)
+    if name == "rcs":
+        return RandomClusterDesign(graph, seed=seed)
+    if name == "wcs":
+        return WeightedClusterDesign(graph, seed=seed)
+    if name == "twcs":
+        return TwoStageWeightedClusterDesign(graph, second_stage_size=second_stage_size, seed=seed)
+    if name == "twcs-strat":
+        strata = stratify_by_size(graph, num_strata=4)
+        return StratifiedTWCSDesign(
+            graph, strata, second_stage_size=second_stage_size, seed=seed, allocation=allocation
+        )
+    raise ValueError(f"unknown design {name!r}")

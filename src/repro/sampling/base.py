@@ -5,63 +5,24 @@ Every design draws and estimates on the *position surface*
 :meth:`SamplingDesign.update_all_positions`): units carry integer triple
 positions only and labels arrive as boolean arrays, so the evaluation loop
 never allocates a :class:`~repro.kg.triple.Triple`.  Draws are fully
-deterministic under a fixed seed on any storage backend.
-
-The *object surface* (:meth:`SamplingDesign.draw` /
-:meth:`SamplingDesign.update`) is one adapter over it, shared by every
-design, for flows that hand Triples to an annotator: it materialises each
-drawn unit's triples and folds a Triple-keyed label mapping back in.  Both
-surfaces consume the random stream identically.
+deterministic under a fixed seed on any storage backend.  This is the only
+surface: a flow that labels Triples (a human-style annotator) reads them with
+``graph.triples_at(unit.positions)`` and folds its labels back through the
+same :meth:`SamplingDesign.update_all_positions`.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
 from repro.stats.ci import ConfidenceInterval, normal_interval
 
-__all__ = ["SampleUnit", "PositionUnit", "Estimate", "SamplingDesign", "segment_label_sums"]
-
-
-@dataclass(frozen=True)
-class SampleUnit:
-    """One draw made by a sampling design.
-
-    For triple-level designs a unit is a single triple; for cluster designs it
-    is the set of triples selected from one sampled entity cluster (all of them
-    for RCS/WCS, at most ``m`` of them for TWCS).
-
-    Attributes
-    ----------
-    triples:
-        The triples that must be annotated for this unit.
-    entity_id:
-        Subject id of the sampled cluster, or ``None`` for triple-level units.
-    cluster_size:
-        Size ``M_i`` of the sampled cluster (1 for triple-level units).
-    positions:
-        Graph positions of :attr:`triples`, set by every design's
-        :meth:`~SamplingDesign.draw`; excluded from equality.  Lets estimate
-        code resolve labels through ``KnowledgeGraph.labels_for_positions``
-        without hashing Triples.
-    """
-
-    triples: tuple[Triple, ...]
-    entity_id: str | None = None
-    cluster_size: int = 1
-    positions: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def num_triples(self) -> int:
-        """Number of triples that need annotation for this unit."""
-        return len(self.triples)
+__all__ = ["PositionUnit", "Estimate", "SamplingDesign", "segment_label_sums"]
 
 
 @dataclass(slots=True)
@@ -180,11 +141,13 @@ class SamplingDesign(ABC):
         """
 
     @abstractmethod
-    def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Fold one position unit into the estimator.
+    def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
+        """Fold a batch of drawn units into the estimator.
 
-        ``labels`` is a boolean array aligned with ``unit.positions``
-        (typically ``label_array[unit.positions]``).
+        ``label_array`` is a position-aligned boolean array that every
+        ``unit.positions`` indexes (the oracle's array over the whole graph,
+        see ``LabelOracle.position_labels``, or any vector the units were
+        re-addressed onto).
         """
 
     @abstractmethod
@@ -194,52 +157,6 @@ class SamplingDesign(ABC):
     @abstractmethod
     def reset(self) -> None:
         """Clear all sampling and estimation state (start a fresh run)."""
-
-    def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
-        """Update the estimator with several position units at once.
-
-        ``label_array`` is a position-aligned boolean array over the whole
-        graph (see ``LabelOracle.position_labels``).
-        """
-        for unit in units:
-            self.update_positions(unit, label_array[unit.positions])
-
-    # ------------------------------------------------------------------ #
-    # Object surface: an adapter for flows that annotate Triples
-    # ------------------------------------------------------------------ #
-    def draw(self, count: int) -> list[SampleUnit]:
-        """Draw up to ``count`` units carrying their materialised triples."""
-        graph = self.graph
-        return [
-            SampleUnit(
-                triples=tuple(graph.triples_at(unit.positions)),
-                entity_id=None if unit.entity_row < 0 else graph.entity_id_of_row(unit.entity_row),
-                cluster_size=unit.cluster_size,
-                positions=unit.positions,
-            )
-            for unit in self.draw_positions(count)
-        ]
-
-    def update(self, unit: SampleUnit, labels: Mapping[Triple, bool]) -> None:
-        """Fold the annotation results for one object unit into the estimator.
-
-        A cluster unit is routed by the row of its ``entity_id``, so a unit
-        rebuilt without positions is still accepted.
-        """
-        position_unit = PositionUnit(
-            positions=np.asarray(() if unit.positions is None else unit.positions, dtype=np.int64),
-            entity_row=-1 if unit.entity_id is None else self.graph.entity_row(unit.entity_id),
-            cluster_size=unit.cluster_size,
-        )
-        values = np.fromiter(
-            (labels[triple] for triple in unit.triples), dtype=bool, count=unit.num_triples
-        )
-        self.update_positions(position_unit, values)
-
-    def update_all(self, units: list[SampleUnit], labels: Mapping[Triple, bool]) -> None:
-        """Update the estimator with several object units at once."""
-        for unit in units:
-            self.update(unit, labels)
 
     @property
     def exhausted(self) -> bool:

@@ -100,16 +100,18 @@ def run_pilot(
     triples_before = annotator.total_triples_annotated
     sizes: list[int] = []
     accuracies: list[float] = []
-    for unit in design.draw(num_clusters):
-        result = annotator.annotate_triples(unit.triples)
-        design.update(unit, result.labels)
+    for unit in design.draw_positions(num_clusters):
+        # Labelled as Triples: they stay in the session's Triple-keyed
+        # record, which any later run in the session reuses for free.
+        triples = graph.triples_at(unit.positions)
+        labels = annotator.annotate_triples(triples).labels
         sizes.append(unit.cluster_size)
-        accuracies.append(sum(1 for t in unit.triples if result.labels[t]) / unit.num_triples)
-    estimate = design.estimate()
+        accuracies.append(sum(labels[t] for t in triples) / len(triples))
     return PilotResult(
         cluster_sizes=tuple(sizes),
         cluster_accuracies=tuple(accuracies),
-        accuracy_estimate=estimate.value,
+        # Eq. (9): the mean of the within-cluster sample accuracies.
+        accuracy_estimate=float(np.mean(accuracies)),
         num_triples_annotated=annotator.total_triples_annotated - triples_before,
         cost_hours=(annotator.total_cost_seconds - cost_before) / 3600.0,
     )

@@ -91,12 +91,6 @@ class RandomClusterDesign(SamplingDesign):
             )
         return units
 
-    def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Add the expansion value ``(N / M) * τ`` of one sampled cluster."""
-        scale = self.graph.num_entities / self.graph.num_triples
-        self._values.add(scale * int(labels.sum()))
-        self._num_triples += int(labels.shape[0])
-
     def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
         """Vectorised batch update: one gather + ``reduceat`` for the whole batch."""
         if not units:

@@ -85,11 +85,6 @@ class SimpleRandomDesign(SamplingDesign):
             for index in range(positions.shape[0])
         ]
 
-    def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Add the labels of one drawn triple to the running proportion."""
-        self._num_annotated += int(labels.shape[0])
-        self._num_correct += int(labels.sum())
-
     def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
         """Vectorised batch update: one flat gather for the whole batch."""
         if not units:

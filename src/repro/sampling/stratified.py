@@ -210,12 +210,6 @@ class StratifiedTWCSDesign(SamplingDesign):
             raise KeyError(f"cluster row {unit.entity_row} does not belong to any stratum")
         return stratum_index
 
-    def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Fold one unit's labels into the estimator of its stratum."""
-        stratum_index = self._stratum_of(unit)
-        self._means[stratum_index].add(float(labels.mean()))
-        self._triples[stratum_index] += int(labels.shape[0])
-
     def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
         """Vectorised batch update: one gather + segment reduction per stratum."""
         if not units:

@@ -81,12 +81,6 @@ class TwoStageRandomClusterDesign(SamplingDesign):
             for row, positions in zip(rows, batches)
         ]
 
-    def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Add the size-reweighted value ``(N / M) * M_i * µ̂_i`` of one cluster."""
-        scale = self.graph.num_entities / self.graph.num_triples
-        self._values.add(scale * unit.cluster_size * float(labels.mean()))
-        self._num_triples += int(labels.shape[0])
-
     def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
         """Vectorised batch update: one gather + ``reduceat`` for the whole batch."""
         if not units:

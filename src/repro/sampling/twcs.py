@@ -16,6 +16,13 @@ which is unbiased for any ``m`` (Proposition 1) and reduces to SRS when
 ``m = 1`` (Proposition 2).  The second stage caps the annotation cost per
 sampled cluster at ``c1 + m·c2``, which is where the overall cost saving over
 SRS comes from.
+
+The design reads its population through ``num_triples``,
+``cluster_size_array()`` and ``sample_cluster_positions_batch()`` only, so it
+samples a :class:`~repro.kg.graph.KnowledgeGraph` or, for the stratified
+incremental evaluator, one update batch's
+:class:`~repro.sampling.segment.PositionSegment`, whose ``entity_row`` values
+are then segment-local cluster indices.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
 from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
+from repro.sampling.segment import PositionSegment
 from repro.stats.running import RunningMean
 
 __all__ = ["TwoStageWeightedClusterDesign"]
@@ -35,7 +43,8 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
     Parameters
     ----------
     graph:
-        The knowledge graph to evaluate.
+        The knowledge graph to evaluate, or a
+        :class:`~repro.sampling.segment.PositionSegment`.
     second_stage_size:
         The cap ``m`` on triples annotated per sampled cluster.  Values around
         3–5 are near-optimal on all KGs studied in the paper (Section 7.2.2);
@@ -49,7 +58,7 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
 
     def __init__(
         self,
-        graph: KnowledgeGraph,
+        graph: KnowledgeGraph | PositionSegment,
         second_stage_size: int = 5,
         seed: int | np.random.Generator | None = None,
     ) -> None:
@@ -82,11 +91,6 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
             PositionUnit(positions=positions, entity_row=int(row), cluster_size=int(sizes[row]))
             for row, positions in zip(rows, batches)
         ]
-
-    def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Add one cluster's within-sample accuracy ``µ̂_{I_k}`` to the mean."""
-        self._cluster_means.add(float(labels.mean()))
-        self._num_triples += int(labels.shape[0])
 
     def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
         """Vectorised batch update: one gather + ``reduceat`` for the whole batch."""

@@ -69,11 +69,6 @@ class WeightedClusterDesign(SamplingDesign):
             for row in rows
         ]
 
-    def update_positions(self, unit: PositionUnit, labels: np.ndarray) -> None:
-        """Add one sampled cluster's accuracy to the Hansen–Hurwitz mean."""
-        self._values.add(float(labels.mean()))
-        self._num_triples += int(labels.shape[0])
-
     def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
         """Vectorised batch update: one gather + ``reduceat`` for the whole batch."""
         if not units:

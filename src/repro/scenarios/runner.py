@@ -28,14 +28,7 @@ from repro.core.config import EvaluationConfig
 from repro.core.framework import StaticEvaluator
 from repro.cost.annotator import SimulatedAnnotator
 from repro.cost.model import CostModel
-from repro.generators.datasets import (
-    LabelledKG,
-    generate_calibrated_labels,
-    make_movie_like,
-    make_movie_syn,
-    make_nell_like,
-    make_yago_like,
-)
+from repro.generators.datasets import LabelledKG, generate_calibrated_labels, make_dataset
 from repro.generators.synthetic_kg import SyntheticKGConfig, generate_kg
 from repro.generators.workload import UpdateWorkloadGenerator, batch_schedule
 from repro.kg.graph import KnowledgeGraph
@@ -43,12 +36,7 @@ from repro.labels.adversarial import AdversarialClusterModel
 from repro.labels.binomial_mixture import BinomialMixtureModel
 from repro.labels.oracle import LabelOracle
 from repro.labels.random_error import RandomErrorModel
-from repro.sampling.rcs import RandomClusterDesign
-from repro.sampling.srs import SimpleRandomDesign
-from repro.sampling.stratification import stratify_by_size
-from repro.sampling.stratified import StratifiedTWCSDesign
-from repro.sampling.twcs import TwoStageWeightedClusterDesign
-from repro.sampling.wcs import WeightedClusterDesign
+from repro.sampling import make_design
 from repro.scenarios.spec import CostSpec, GraphSpec, LabelSpec, ScenarioPack, ScenarioSpec
 from repro.stats.ci import wilson_interval
 
@@ -108,18 +96,6 @@ def _fold(hasher, *values) -> None:
 # --------------------------------------------------------------------------- #
 # Builders
 # --------------------------------------------------------------------------- #
-def _make_dataset(name: str, seed: int, scale: float) -> LabelledKG:
-    if name == "nell":
-        return make_nell_like(seed=seed)
-    if name == "yago":
-        return make_yago_like(seed=seed)
-    if name == "movie":
-        return make_movie_like(seed=seed, scale=scale)
-    if name == "movie-syn":
-        return make_movie_syn(seed=seed, scale=scale)
-    raise ValueError(f"unknown dataset {name!r}")
-
-
 def _pop_params(params: dict, context: str):
     """Return a popper that raises on leftover (unknown) parameters at the end."""
 
@@ -210,7 +186,7 @@ def _build_dataset(
         )
         graph = generate_kg(config, graph_seed)
     else:
-        data = _make_dataset(graph_spec.dataset, graph_seed, graph_spec.scale)
+        data = make_dataset(graph_spec.dataset, graph_seed, graph_spec.scale)
         if label_spec.model == "dataset":
             return _to_backend(data, backend)
         graph = data.graph
@@ -218,21 +194,6 @@ def _build_dataset(
     # conversion preserves triple positions and cluster order, so the label
     # array and every seeded draw transfer bit-identically.
     return _to_backend(LabelledKG(graph, _build_labels(label_spec, graph, label_seed)), backend)
-
-
-def _build_design(name: str, graph: KnowledgeGraph, second_stage_size: int, seed: int):
-    if name == "srs":
-        return SimpleRandomDesign(graph, seed=seed)
-    if name == "rcs":
-        return RandomClusterDesign(graph, seed=seed)
-    if name == "wcs":
-        return WeightedClusterDesign(graph, seed=seed)
-    if name == "twcs":
-        return TwoStageWeightedClusterDesign(graph, second_stage_size=second_stage_size, seed=seed)
-    if name == "twcs-strat":
-        strata = stratify_by_size(graph, num_strata=4)
-        return StratifiedTWCSDesign(graph, strata, second_stage_size=second_stage_size, seed=seed)
-    raise ValueError(f"unknown design {name!r}")
 
 
 def _build_annotator(cost_spec: CostSpec, oracle: LabelOracle) -> SimulatedAnnotator:
@@ -285,7 +246,7 @@ def _static_state_eval(
 ) -> None:
     """One full static evaluation of a graph state: coverage, cost, digest."""
     truth = oracle.true_accuracy(graph)
-    design = _build_design(spec.design, graph, spec.second_stage_size, design_seed)
+    design = make_design(spec.design, graph, spec.second_stage_size, design_seed)
     annotator = _build_annotator(spec.cost, oracle)
     report = StaticEvaluator(design, annotator, _config(spec)).run()
     interval = report.confidence_interval
@@ -469,7 +430,7 @@ def _run_fleet_rep(
                         },
                         session=session_name,
                     )
-                    data = _make_dataset(session_spec.dataset, dataset_seed, spec.graph.scale)
+                    data = make_dataset(session_spec.dataset, dataset_seed, spec.graph.scale)
                     base = data.to_columnar()
                     generator = UpdateWorkloadGenerator(
                         base,

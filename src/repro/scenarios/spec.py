@@ -22,6 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.generators.datasets import DATASETS
+from repro.sampling import DESIGNS
+
 __all__ = [
     "GraphSpec",
     "LabelSpec",
@@ -39,9 +42,7 @@ __all__ = [
 SCENARIO_KINDS = ("static", "evolving", "deletion", "fleet")
 LABEL_MODELS = ("random_error", "binomial_mixture", "calibrated", "adversarial", "dataset")
 GRAPH_SOURCES = ("synthetic", "dataset")
-STATIC_DESIGNS = ("srs", "rcs", "wcs", "twcs", "twcs-strat")
 EVOLVING_EVALUATORS = ("rs", "ss", "baseline")
-PACK_DATASETS = ("nell", "yago", "movie", "movie-syn")
 
 
 def _take(mapping: Mapping[str, Any], allowed: tuple[str, ...], context: str) -> dict[str, Any]:
@@ -74,10 +75,8 @@ class GraphSpec:
         if self.source not in GRAPH_SOURCES:
             raise ValueError(f"graph source must be one of {GRAPH_SOURCES}, got {self.source!r}")
         if self.source == "dataset":
-            if self.dataset not in PACK_DATASETS:
-                raise ValueError(
-                    f"graph dataset must be one of {PACK_DATASETS}, got {self.dataset!r}"
-                )
+            if self.dataset not in DATASETS:
+                raise ValueError(f"graph dataset must be one of {DATASETS}, got {self.dataset!r}")
         elif self.num_entities < 1:
             raise ValueError(f"num_entities must be positive, got {self.num_entities}")
 
@@ -203,8 +202,8 @@ class FleetSessionSpec:
     evaluator: str = "ss"
 
     def __post_init__(self) -> None:
-        if self.dataset not in PACK_DATASETS:
-            raise ValueError(f"fleet dataset must be one of {PACK_DATASETS}, got {self.dataset!r}")
+        if self.dataset not in DATASETS:
+            raise ValueError(f"fleet dataset must be one of {DATASETS}, got {self.dataset!r}")
         if self.evaluator not in EVOLVING_EVALUATORS:
             raise ValueError(
                 f"fleet evaluator must be one of {EVOLVING_EVALUATORS}, got {self.evaluator!r}"
@@ -295,8 +294,8 @@ class ScenarioSpec:
             raise ValueError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.replications < 1:
             raise ValueError(f"replications must be positive, got {self.replications}")
-        if self.design not in STATIC_DESIGNS:
-            raise ValueError(f"design must be one of {STATIC_DESIGNS}, got {self.design!r}")
+        if self.design not in DESIGNS:
+            raise ValueError(f"design must be one of {DESIGNS}, got {self.design!r}")
         if self.evaluator not in EVOLVING_EVALUATORS:
             raise ValueError(
                 f"evaluator must be one of {EVOLVING_EVALUATORS}, got {self.evaluator!r}"

@@ -44,7 +44,7 @@ import threading
 from pathlib import Path
 
 from repro.core.config import EvaluationConfig
-from repro.generators.datasets import LabelledKG
+from repro.generators.datasets import DATASETS, LabelledKG, make_dataset
 from repro.serve.protocol import as_number
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
 
 CHECKPOINT_FORMAT = 1
 
-_DATASETS = ("nell", "yago", "movie", "movie-syn")
 _EVALUATORS = ("rs", "ss")
 _SPEC_KEYS = frozenset(
     (
@@ -91,8 +90,8 @@ def normalise_spec(spec) -> dict:
         out["snapshot"] = snapshot
     else:
         dataset = spec.get("dataset", "nell")
-        if dataset not in _DATASETS:
-            raise ValueError(f"spec.dataset must be one of {_DATASETS}, got {dataset!r}")
+        if dataset not in DATASETS:
+            raise ValueError(f"spec.dataset must be one of {DATASETS}, got {dataset!r}")
         out["dataset"] = dataset
         out["dataset_seed"] = as_number(spec.get("dataset_seed", 0), int, "spec.dataset_seed")
         out["movie_scale"] = as_number(spec.get("movie_scale", 0.01), float, "spec.movie_scale")
@@ -140,25 +139,7 @@ def build_base(spec: dict) -> LabelledKG:
             )
         graph = store.load_graph()
         return LabelledKG(graph, LabelOracle.from_positions(graph, labels))
-    from repro.generators.datasets import (
-        make_movie_like,
-        make_movie_syn,
-        make_nell_like,
-        make_yago_like,
-    )
-
-    builders = {
-        "nell": make_nell_like,
-        "yago": make_yago_like,
-        "movie": make_movie_like,
-        "movie-syn": make_movie_syn,
-    }
-    builder = builders[spec["dataset"]]
-    if spec["dataset"] in ("movie", "movie-syn"):
-        data = builder(seed=spec["dataset_seed"], scale=spec["movie_scale"])
-    else:
-        data = builder(seed=spec["dataset_seed"])
-    return data.to_columnar()
+    return make_dataset(spec["dataset"], spec["dataset_seed"], spec["movie_scale"]).to_columnar()
 
 
 def _evaluator_class(kind: str):

@@ -374,12 +374,13 @@ class TestLabelArrayThroughConversions:
 class TestAllocationFlag:
     def test_serial_twcs_strat_honours_allocation(self):
         """--allocation must reach the in-process StratifiedTWCSDesign too."""
-        from repro.cli import _build_design, _load_dataset
+        from repro.generators import make_dataset
+        from repro.sampling import make_design
 
-        data = _load_dataset("nell", 0, 0.01)
-        design = _build_design("twcs-strat", data, 5, 0, allocation="neyman")
+        graph = make_dataset("nell", 0, 0.01).graph
+        design = make_design("twcs-strat", graph, 5, 0, allocation="neyman")
         assert design.allocation == "neyman"
-        assert _build_design("twcs-strat", data, 5, 0).allocation == "proportional"
+        assert make_design("twcs-strat", graph, 5, 0).allocation == "proportional"
 
     def test_serial_twcs_strat_neyman_runs(self, capsys):
         code = main(

@@ -326,6 +326,20 @@ class TestEdgeAnnotators:
         assert pooled.accuracy == pytest.approx(direct.accuracy)
         assert pooled.annotation_cost_seconds == direct.annotation_cost_seconds
 
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_triple_branch_folds_like_the_position_branch(self, nell, design):
+        """A pool of one oracle annotator labels Triples; the round folds as positions do."""
+        pool = AnnotationTaskPool([SimulatedAnnotator(nell.oracle)])
+        pooled = StaticEvaluator(DESIGNS[design](nell.graph, 6), pool, self.CONFIG).run()
+        direct = StaticEvaluator(
+            DESIGNS[design](nell.graph, 6), SimulatedAnnotator(nell.oracle), self.CONFIG
+        ).run()
+        assert pooled.num_units == direct.num_units
+        assert pooled.estimate.num_triples == direct.estimate.num_triples
+        assert pooled.accuracy == pytest.approx(direct.accuracy, rel=1e-12)
+        assert pooled.estimate.std_error == pytest.approx(direct.estimate.std_error, rel=1e-9)
+        assert pooled.annotation_cost_seconds == direct.annotation_cost_seconds
+
     @pytest.mark.parametrize(
         "seed, expected",
         [(3, (370, 370, 297, 42470.8)), (4, (330, 330, 279, 37210.50000000001))],
@@ -398,6 +412,30 @@ class TestSharedSessions:
         StaticEvaluator(design, annotator, EvaluationConfig(moe_target=0.02)).run(reset=False)
         assert pilot < set(annotator.labelled_triples)
         _charged_once_per_subject(annotator)
+
+    def test_position_labels_are_free_to_annotate_triples(self, nell):
+        annotator = SimulatedAnnotator(nell.oracle)
+        design = TwoStageWeightedClusterDesign(nell.graph, second_stage_size=5, seed=0)
+        StaticEvaluator(design, annotator).run()
+        cost, triples = annotator.total_cost_seconds, annotator.total_triples_annotated
+        result = annotator.annotate_triples(list(annotator.labelled_triples))
+        assert (result.cost_seconds, result.num_triples) == (0.0, 0)
+        assert (annotator.total_cost_seconds, annotator.total_triples_annotated) == (cost, triples)
+        _charged_once_per_subject(annotator)
+        # The moved labels still make a second position run over them free.
+        again = TwoStageWeightedClusterDesign(nell.graph, second_stage_size=5, seed=0)
+        StaticEvaluator(again, annotator).run(reset=False)
+        assert (annotator.total_cost_seconds, annotator.total_triples_annotated) == (cost, triples)
+
+    def test_noisy_annotator_keeps_position_labels_unflipped(self, nell):
+        annotator = NoisyAnnotator(nell.oracle, label_error_rate=1.0, seed=1)
+        units = TwoStageWeightedClusterDesign(nell.graph, 5, seed=1).draw_positions(20)
+        labels = annotator.annotate_positions(nell.graph, units)
+        positions = np.concatenate([unit.positions for unit in units])
+        triples = nell.graph.triples_at(positions)
+        result = annotator.annotate_triples(triples)
+        assert (result.cost_seconds, result.num_triples) == (0.0, 0)
+        assert [result.labels[t] for t in triples] == labels[positions].tolist()
 
     def test_granular_evaluator(self, nell):
         annotator = SimulatedAnnotator(nell.oracle)

@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import EvaluationConfig
 from repro.evolving.baseline import BaselineEvolvingEvaluator
 from repro.evolving.monitor import EvolvingAccuracyMonitor
 from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
 from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 from repro.generators.datasets import LabelledKG, make_movie_like
 from repro.generators.workload import UpdateWorkloadGenerator
+from repro.kg.graph import KnowledgeGraph
+from repro.kg.triple import Triple
+from repro.labels.oracle import LabelOracle
 from repro.labels.random_error import RandomErrorModel
 
 ALL_EVALUATORS = [
@@ -151,6 +155,67 @@ class TestReservoirEvaluator:
         evaluator = ReservoirIncrementalEvaluator(evolving_base, second_stage_size=3, seed=2)
         evaluator.evaluate_base()
         assert all(entry.num_triples <= 3 for _, _, entry in evaluator._reservoir)
+
+
+def weighted_kg(sizes: list[int]) -> LabelledKG:
+    """Clusters ``c0, c1, …`` of the given sizes, in that row order, every label correct."""
+    graph = KnowledgeGraph(
+        Triple(f"c{index}", "p", f"o{index}_{offset}")
+        for index, size in enumerate(sizes)
+        for offset in range(size)
+    )
+    return LabelledKG(graph, LabelOracle.from_positions(graph, np.ones(sum(sizes), dtype=bool)))
+
+
+def reservoir_clusters(data: LabelledKG, capacity: int, seed: int) -> set[str]:
+    """The clusters Algorithm 1 keeps after keying the base and growing to ``capacity``."""
+    config = EvaluationConfig(batch_size=capacity, min_units=capacity, max_units=capacity)
+    evaluator = ReservoirIncrementalEvaluator(data, config=config, seed=seed)
+    evaluator.evaluate_base()
+    assert evaluator.reservoir_size == capacity
+    return {data.graph.entity_id_of_row(entry.source[1]) for *_, entry in evaluator._reservoir}
+
+
+class TestReservoirKeyDistribution:
+    """A-Res keys ``u^{1/w}`` and the largest-key reservoir select with PPS behaviour."""
+
+    def test_keys_lie_in_unit_interval(self, evolving_base):
+        evaluator = ReservoirIncrementalEvaluator(evolving_base, seed=3)
+        # Weights are cluster sizes, so at least 1.
+        keys = evaluator._draw_keys(np.concatenate([np.arange(1.0, 1001.0), [1e6]]))
+        assert np.all((keys > 0.0) & (keys <= 1.0))
+
+    def test_inclusion_probability_increases_with_weight(self):
+        """Clusters with larger weights must be retained more often."""
+        data = weighted_kg([20] + [1] * 30)
+        counts = {"c0": 0, "c1": 0}
+        for seed in range(600):
+            retained = reservoir_clusters(data, capacity=5, seed=seed)
+            for name in counts:
+                counts[name] += name in retained
+        assert counts["c0"] > 3 * counts["c1"]
+
+    def test_uniform_weights_give_uniform_inclusion(self):
+        data = weighted_kg([1] * 20)
+        inclusion = np.zeros(20)
+        trials = 800
+        for seed in range(trials):
+            for name in reservoir_clusters(data, capacity=5, seed=seed):
+                inclusion[int(name.removeprefix("c"))] += 1
+        probabilities = inclusion / trials
+        # Every cluster should be retained with probability ≈ 5/20 = 0.25.
+        assert probabilities.mean() == pytest.approx(0.25, abs=0.01)
+        assert probabilities.max() - probabilities.min() < 0.12
+
+    def test_order_of_clusters_does_not_matter_on_average(self):
+        """A-Res inclusion probabilities are invariant to the order keys are drawn in."""
+        forward = weighted_kg(list(range(1, 11)))
+        reverse = weighted_kg(list(range(10, 0, -1)))
+        heaviest = {"forward": 0, "reverse": 0}
+        for seed in range(500):
+            heaviest["forward"] += "c9" in reservoir_clusters(forward, capacity=3, seed=seed)
+            heaviest["reverse"] += "c0" in reservoir_clusters(reverse, capacity=3, seed=seed)
+        assert heaviest["forward"] / 500 == pytest.approx(heaviest["reverse"] / 500, abs=0.08)
 
 
 class TestStratifiedEvaluator:

@@ -31,7 +31,8 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.kg.updates import EvolvingKnowledgeGraph, UpdateBatch
 from repro.labels.oracle import LabelOracle
-from repro.sampling.segment import PositionSegment, SegmentTWCSDesign
+from repro.sampling.segment import PositionSegment
+from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.stats.running import RunningMean
 from repro.storage.columnar import ColumnarStore
 from repro.storage.delta import DeltaStore
@@ -320,23 +321,40 @@ class TestPositionSegment:
         np.testing.assert_array_equal(segment.cluster_positions(0), [100, 102])
         np.testing.assert_array_equal(segment.cluster_positions(1), [101])
         assert segment.num_triples == 3
-        np.testing.assert_array_equal(segment.sizes(), [2, 1])
+        np.testing.assert_array_equal(segment.cluster_size_array(), [2, 1])
 
     def test_segment_design_estimates_population(self):
         triples = tuple(Triple(f"s{i // 4}", "p", f"o{i}") for i in range(40))
         segment = PositionSegment.from_batch(triples, [True] * 40, 0)
         label_array = np.zeros(40, dtype=bool)
         label_array[:30] = True  # 75 % accurate
-        design = SegmentTWCSDesign(segment, second_stage_size=3, seed=0)
+        design = TwoStageWeightedClusterDesign(segment, second_stage_size=3, seed=0)
         design.update_all_positions(design.draw_positions(300), label_array)
         estimate = design.estimate()
         assert estimate.value == pytest.approx(0.75, abs=0.1)
         assert estimate.num_units == 300
 
+    def test_twcs_draws_capped_clusters_of_the_segment(self):
+        sizes = [1, 7, 3, 12, 2]
+        triples = tuple(
+            Triple(f"s{cluster}", "p", f"o{cluster}_{index}")
+            for cluster, size in enumerate(sizes)
+            for index in range(size)
+        )
+        segment = PositionSegment.from_batch(triples, [True] * len(triples), 500)
+        np.testing.assert_array_equal(segment.cluster_size_array(), sizes)
+        design = TwoStageWeightedClusterDesign(segment, second_stage_size=3, seed=4)
+        for unit in design.draw_positions(200):
+            population = segment.cluster_positions(unit.entity_row)
+            assert unit.cluster_size == sizes[unit.entity_row]
+            assert unit.num_triples == min(3, unit.cluster_size)
+            assert len(set(unit.positions.tolist())) == unit.num_triples
+            assert set(unit.positions.tolist()) <= set(population.tolist())
+
     def test_empty_segment_rejected(self):
         segment = PositionSegment.from_batch((), [], 0)
         with pytest.raises(ValueError):
-            SegmentTWCSDesign(segment)
+            TwoStageWeightedClusterDesign(segment)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.cost.annotator import SimulatedAnnotator
 from repro.kg.graph import KnowledgeGraph
 from repro.labels.oracle import LabelOracle
 from repro.sampling.rcs import RandomClusterDesign
-from repro.sampling.segment import PositionSegment, SegmentTWCSDesign
+from repro.sampling.segment import PositionSegment
 from repro.sampling.srs import SimpleRandomDesign
 from repro.sampling.stratification import Stratum, stratify_by_size
 from repro.sampling.stratified import StratifiedTWCSDesign
@@ -126,7 +126,7 @@ class TestSerialEngine:
         triples = list(data.graph)[:40]
         segment = PositionSegment.from_batch(triples, [True] * len(triples), first_position)
         seg_labels = np.concatenate([labels, np.ones(len(triples), dtype=bool)])
-        design = SegmentTWCSDesign(segment, seed=2)
+        design = TwoStageWeightedClusterDesign(segment, seed=2)
         units = design.draw_positions(30)
         design.update_all_positions(units, seg_labels)
         drawn = np.concatenate([unit.positions for unit in units])

@@ -10,7 +10,7 @@ elsewhere in the suite:
   between-cluster variance for large m;
 * the cost model is additive and monotone;
 * allocation routines conserve the total sample size;
-* reservoir sampling never exceeds its capacity and keeps keys in (0, 1].
+* the RS evaluator's reservoir never exceeds its capacity and keeps keys in (0, 1].
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import EvaluationConfig
 from repro.cost.model import CostModel
+from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
+from repro.generators.datasets import LabelledKG
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.labels.oracle import LabelOracle
 from repro.sampling.rcs import RandomClusterDesign
-from repro.sampling.reservoir import WeightedReservoir
 from repro.sampling.srs import SimpleRandomDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.sampling.variance import twcs_v_of_m
@@ -64,8 +66,7 @@ def build_kg(spec: list[tuple[int, float]]) -> tuple[KnowledgeGraph, LabelOracle
 
 
 def census(design, graph, oracle, draws):
-    for unit in design.draw(draws):
-        design.update(unit, {t: oracle.label(t) for t in unit.triples})
+    design.update_all_positions(design.draw_positions(draws), oracle.as_position_array(graph))
     return design.estimate()
 
 
@@ -136,14 +137,9 @@ class TestEstimatorInvariants:
         graph, oracle = build_kg(spec)
         wcs = WeightedClusterDesign(graph, seed=seed)
         twcs = TwoStageWeightedClusterDesign(graph, second_stage_size=1000, seed=seed)
-        wcs_units = wcs.draw(10)
-        twcs_units = twcs.draw(10)
-        wcs_values = sorted(
-            sum(oracle.label(t) for t in u.triples) / u.num_triples for u in wcs_units
-        )
-        twcs_values = sorted(
-            sum(oracle.label(t) for t in u.triples) / u.num_triples for u in twcs_units
-        )
+        labels = oracle.as_position_array(graph)
+        wcs_values = sorted(float(labels[u.positions].mean()) for u in wcs.draw_positions(10))
+        twcs_values = sorted(float(labels[u.positions].mean()) for u in twcs.draw_positions(10))
         # Same sampling probabilities and full-cluster annotation: the multiset
         # of cluster accuracies drawn must be identically distributed; for the
         # same seed the first-stage draws are identical, so values match.
@@ -277,19 +273,30 @@ class TestStatsProperties:
 
 class TestReservoirProperties:
     @given(
-        st.integers(min_value=1, max_value=20),
-        st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=0, max_size=100),
+        # EvaluationConfig needs at least two units.
+        st.integers(min_value=2, max_value=20),
+        cluster_spec,
         st.integers(min_value=0, max_value=2**31 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_reservoir_size_and_keys(self, capacity, weights, seed):
-        reservoir = WeightedReservoir(capacity=capacity, seed=seed)
-        for index, weight in enumerate(weights):
-            reservoir.offer(f"item{index}", weight)
-        assert reservoir.size == min(capacity, len(weights))
-        assert reservoir.num_offers == len(weights)
-        assert all(0.0 < item.key <= 1.0 for item in reservoir.items)
-        item_ids = [item.item_id for item in reservoir.items]
-        assert len(set(item_ids)) == len(item_ids)
-        if reservoir.size:
-            assert math.isfinite(reservoir.min_key)
+    def test_reservoir_size_and_keys(self, capacity, spec, seed):
+        graph, oracle = build_kg(spec)
+        config = EvaluationConfig(batch_size=capacity, min_units=capacity, max_units=capacity)
+        evaluator = ReservoirIncrementalEvaluator(
+            LabelledKG(graph, oracle), config=config, seed=seed
+        )
+        evaluator.evaluate_base()
+        assert evaluator.reservoir_size == min(capacity, len(spec))
+        kept = [entry for *_, entry in evaluator._reservoir]
+        waiting = [-candidate[0] for candidate in evaluator._candidates]
+        # Every cluster is keyed once: it is either kept or waits as a candidate.
+        assert len(kept) + len(waiting) == len(spec)
+        rows = [entry.source[1] for entry in kept]
+        assert len(set(rows)) == len(rows)
+        kept_keys = [entry.key for entry in kept]
+        assert all(0.0 < key <= 1.0 for key in kept_keys + waiting)
+        if kept:
+            assert math.isfinite(min(kept_keys))
+        if kept and waiting:
+            # A-Res keeps the largest keys.
+            assert min(kept_keys) >= max(waiting)

@@ -1,4 +1,4 @@
-"""Unit tests for SampleUnit/Estimate and the SRS, RCS and WCS designs."""
+"""Unit tests for Estimate and the SRS, RCS and WCS designs."""
 
 from __future__ import annotations
 
@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 
 from repro.cost.annotator import SimulatedAnnotator
-from repro.sampling.base import Estimate, SampleUnit
+from repro.sampling.base import Estimate
 from repro.sampling.rcs import RandomClusterDesign
 from repro.sampling.srs import SimpleRandomDesign
 from repro.sampling.wcs import WeightedClusterDesign
 
 
 def annotate_and_update(design, units, oracle):
-    """Label the units directly from the oracle and feed them to the design."""
-    for unit in units:
-        labels = {triple: oracle.label(triple) for triple in unit.triples}
-        design.update(unit, labels)
+    """Label the units from the oracle's position array and fold them into the design."""
+    design.update_all_positions(units, oracle.as_position_array(design.graph))
+
+
+def entity_of(graph, unit) -> str:
+    return graph.entity_id_of_row(unit.entity_row)
 
 
 class TestEstimate:
@@ -37,36 +39,32 @@ class TestEstimate:
         interval = estimate.confidence_interval(0.95)
         assert (interval.lower, interval.upper) == (0.0, 1.0)
 
-    def test_sample_unit_counts(self, toy_graph):
-        cluster = toy_graph.cluster("athlete_1")
-        unit = SampleUnit(triples=cluster.triples, entity_id="athlete_1", cluster_size=4)
-        assert unit.num_triples == 4
-
 
 class TestSimpleRandomDesign:
     def test_draw_without_replacement(self, toy_kg):
         graph, _ = toy_kg
         design = SimpleRandomDesign(graph, seed=0)
-        units = design.draw(13)
-        triples = [unit.triples[0] for unit in units]
-        assert len(set(triples)) == 13
+        units = design.draw_positions(13)
+        positions = [int(unit.positions[0]) for unit in units]
+        assert len(set(positions)) == 13
+        assert all(unit.num_triples == 1 and unit.entity_row == -1 for unit in units)
         assert design.exhausted
-        assert design.draw(5) == []
+        assert design.draw_positions(5) == []
 
     def test_draw_across_batches_never_repeats(self, toy_kg):
         graph, _ = toy_kg
         design = SimpleRandomDesign(graph, seed=1)
         seen = set()
         for _ in range(7):
-            for unit in design.draw(2):
-                assert unit.triples[0] not in seen
-                seen.add(unit.triples[0])
+            for unit in design.draw_positions(2):
+                assert int(unit.positions[0]) not in seen
+                seen.add(int(unit.positions[0]))
         assert len(seen) == 13
 
     def test_census_estimate_is_exact(self, toy_kg):
         graph, oracle = toy_kg
         design = SimpleRandomDesign(graph, seed=0)
-        annotate_and_update(design, design.draw(graph.num_triples), oracle)
+        annotate_and_update(design, design.draw_positions(graph.num_triples), oracle)
         estimate = design.estimate()
         assert estimate.value == pytest.approx(oracle.true_accuracy(graph))
         assert estimate.num_units == graph.num_triples
@@ -80,7 +78,7 @@ class TestSimpleRandomDesign:
     def test_std_error_formula(self, toy_kg):
         graph, oracle = toy_kg
         design = SimpleRandomDesign(graph, seed=3)
-        annotate_and_update(design, design.draw(10), oracle)
+        annotate_and_update(design, design.draw_positions(10), oracle)
         estimate = design.estimate()
         p_hat = estimate.value
         assert estimate.std_error == pytest.approx(math.sqrt(p_hat * (1 - p_hat) / 10))
@@ -88,44 +86,46 @@ class TestSimpleRandomDesign:
     def test_reset_clears_state(self, toy_kg):
         graph, oracle = toy_kg
         design = SimpleRandomDesign(graph, seed=0)
-        annotate_and_update(design, design.draw(5), oracle)
+        annotate_and_update(design, design.draw_positions(5), oracle)
         design.reset()
         assert design.estimate().num_units == 0
         assert not design.exhausted
 
     def test_negative_count_rejected(self, toy_graph):
         with pytest.raises(ValueError):
-            SimpleRandomDesign(toy_graph, seed=0).draw(-1)
+            SimpleRandomDesign(toy_graph, seed=0).draw_positions(-1)
 
 
 class TestRandomClusterDesign:
     def test_units_are_whole_clusters(self, toy_kg):
         graph, _ = toy_kg
         design = RandomClusterDesign(graph, seed=0)
-        units = design.draw(4)
-        assert {unit.entity_id for unit in units} == set(graph.entity_ids)
+        units = design.draw_positions(4)
+        assert {entity_of(graph, unit) for unit in units} == set(graph.entity_ids)
         for unit in units:
-            assert unit.num_triples == graph.cluster_size(unit.entity_id)
+            assert unit.num_triples == graph.cluster_size(entity_of(graph, unit))
+            assert set(graph.triples_at(unit.positions)) == set(
+                graph.cluster(entity_of(graph, unit)).triples
+            )
 
     def test_draw_without_replacement_and_exhaustion(self, toy_kg):
         graph, _ = toy_kg
         design = RandomClusterDesign(graph, seed=0)
-        assert len(design.draw(3)) == 3
-        assert len(design.draw(3)) == 1
+        assert len(design.draw_positions(3)) == 3
+        assert len(design.draw_positions(3)) == 1
         assert design.exhausted
 
     def test_census_estimate_is_exact(self, toy_kg):
         graph, oracle = toy_kg
         design = RandomClusterDesign(graph, seed=5)
-        annotate_and_update(design, design.draw(4), oracle)
+        annotate_and_update(design, design.draw_positions(4), oracle)
         assert design.estimate().value == pytest.approx(oracle.true_accuracy(graph))
 
     def test_expansion_value_scaling(self, toy_kg):
         graph, oracle = toy_kg
         design = RandomClusterDesign(graph, seed=5)
-        unit = next(u for u in design.draw(4) if u.entity_id == "athlete_2")
-        labels = {t: oracle.label(t) for t in unit.triples}
-        design.update(unit, labels)
+        unit = next(u for u in design.draw_positions(4) if entity_of(graph, u) == "athlete_2")
+        annotate_and_update(design, [unit], oracle)
         # athlete_2 has 2 correct triples; expansion value = (N/M)*tau = (4/13)*2.
         assert design.estimate().value == pytest.approx(4 / 13 * 2)
 
@@ -133,7 +133,7 @@ class TestRandomClusterDesign:
         estimates = []
         for seed in range(200):
             design = RandomClusterDesign(nell.graph, seed=seed)
-            units = design.draw(40)
+            units = design.draw_positions(40)
             annotate_and_update(design, units, nell.oracle)
             estimates.append(design.estimate().value)
         assert np.mean(estimates) == pytest.approx(nell.true_accuracy, abs=0.03)
@@ -141,7 +141,7 @@ class TestRandomClusterDesign:
     def test_reset(self, toy_kg):
         graph, oracle = toy_kg
         design = RandomClusterDesign(graph, seed=0)
-        annotate_and_update(design, design.draw(2), oracle)
+        annotate_and_update(design, design.draw_positions(2), oracle)
         design.reset()
         assert design.estimate().num_units == 0
         assert not design.exhausted
@@ -157,15 +157,15 @@ class TestWeightedClusterDesign:
     def test_units_are_whole_clusters_with_replacement(self, toy_kg):
         graph, _ = toy_kg
         design = WeightedClusterDesign(graph, seed=0)
-        units = design.draw(50)
+        units = design.draw_positions(50)
         assert len(units) == 50
         for unit in units:
-            assert unit.num_triples == graph.cluster_size(unit.entity_id)
+            assert unit.num_triples == graph.cluster_size(entity_of(graph, unit))
 
     def test_sampling_probabilities_proportional_to_size(self, toy_kg):
         graph, _ = toy_kg
         design = WeightedClusterDesign(graph, seed=1)
-        draws = [unit.entity_id for unit in design.draw(4000)]
+        draws = [entity_of(graph, unit) for unit in design.draw_positions(4000)]
         frequency = {e: draws.count(e) / len(draws) for e in graph.entity_ids}
         for entity_id in graph.entity_ids:
             expected = graph.cluster_size(entity_id) / graph.num_triples
@@ -174,23 +174,25 @@ class TestWeightedClusterDesign:
     def test_estimator_is_mean_of_cluster_accuracies(self, toy_kg):
         graph, oracle = toy_kg
         design = WeightedClusterDesign(graph, seed=2)
-        units = design.draw(10)
+        units = design.draw_positions(10)
         annotate_and_update(design, units, oracle)
-        expected = np.mean([oracle.cluster_accuracy(graph, unit.entity_id) for unit in units])
+        expected = np.mean(
+            [oracle.cluster_accuracy(graph, entity_of(graph, unit)) for unit in units]
+        )
         assert design.estimate().value == pytest.approx(float(expected))
 
     def test_unbiased_over_many_trials(self, nell):
         estimates = []
         for seed in range(200):
             design = WeightedClusterDesign(nell.graph, seed=seed)
-            annotate_and_update(design, design.draw(30), nell.oracle)
+            annotate_and_update(design, design.draw_positions(30), nell.oracle)
             estimates.append(design.estimate().value)
         assert np.mean(estimates) == pytest.approx(nell.true_accuracy, abs=0.02)
 
     def test_update_counts_triples(self, toy_kg):
         graph, oracle = toy_kg
         design = WeightedClusterDesign(graph, seed=0)
-        units = design.draw(5)
+        units = design.draw_positions(5)
         annotate_and_update(design, units, oracle)
         assert design.estimate().num_triples == sum(u.num_triples for u in units)
 
@@ -200,9 +202,7 @@ class TestDesignsWithAnnotator:
         graph, oracle = toy_kg
         design = SimpleRandomDesign(graph, seed=0)
         annotator = SimulatedAnnotator(oracle)
-        units = design.draw(6)
-        for unit in units:
-            result = annotator.annotate_triples(unit.triples)
-            design.update(unit, result.labels)
+        units = design.draw_positions(6)
+        design.update_all_positions(units, annotator.annotate_positions(graph, units))
         assert design.estimate().num_units == 6
         assert annotator.total_triples_annotated == 6

@@ -15,9 +15,7 @@ from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
 
 def annotate_and_update(design, units, oracle):
-    for unit in units:
-        labels = {triple: oracle.label(triple) for triple in unit.triples}
-        design.update(unit, labels)
+    design.update_all_positions(units, oracle.as_position_array(design.graph))
 
 
 class TestTwoStageRandomClusterDesign:
@@ -29,19 +27,20 @@ class TestTwoStageRandomClusterDesign:
         with pytest.raises(ValueError):
             TwoStageRandomClusterDesign(KnowledgeGraph())
         with pytest.raises(ValueError):
-            TwoStageRandomClusterDesign(toy_graph).draw(-1)
+            TwoStageRandomClusterDesign(toy_graph).draw_positions(-1)
 
     def test_second_stage_cap(self, toy_kg):
         graph, _ = toy_kg
         design = TwoStageRandomClusterDesign(graph, second_stage_size=2, seed=0)
-        for unit in design.draw(30):
+        for unit in design.draw_positions(30):
+            entity_id = graph.entity_id_of_row(unit.entity_row)
             assert unit.num_triples <= 2
-            assert all(t.subject == unit.entity_id for t in unit.triples)
+            assert all(t.subject == entity_id for t in graph.triples_at(unit.positions))
 
     def test_first_stage_is_uniform(self, toy_kg):
         graph, _ = toy_kg
         design = TwoStageRandomClusterDesign(graph, second_stage_size=1, seed=1)
-        draws = [unit.entity_id for unit in design.draw(4000)]
+        draws = [graph.entity_id_of_row(unit.entity_row) for unit in design.draw_positions(4000)]
         for entity_id in graph.entity_ids:
             frequency = draws.count(entity_id) / len(draws)
             assert frequency == pytest.approx(1 / graph.num_entities, abs=0.03)
@@ -50,7 +49,7 @@ class TestTwoStageRandomClusterDesign:
         estimates = []
         for seed in range(300):
             design = TwoStageRandomClusterDesign(nell.graph, second_stage_size=3, seed=seed)
-            annotate_and_update(design, design.draw(40), nell.oracle)
+            annotate_and_update(design, design.draw_positions(40), nell.oracle)
             estimates.append(design.estimate().value)
         assert np.mean(estimates) == pytest.approx(nell.true_accuracy, abs=0.03)
 
@@ -60,17 +59,17 @@ class TestTwoStageRandomClusterDesign:
         tsrcs_estimates, twcs_estimates = [], []
         for seed in range(150):
             tsrcs = TwoStageRandomClusterDesign(nell.graph, second_stage_size=3, seed=seed)
-            annotate_and_update(tsrcs, tsrcs.draw(30), nell.oracle)
+            annotate_and_update(tsrcs, tsrcs.draw_positions(30), nell.oracle)
             tsrcs_estimates.append(tsrcs.estimate().value)
             twcs = TwoStageWeightedClusterDesign(nell.graph, second_stage_size=3, seed=seed)
-            annotate_and_update(twcs, twcs.draw(30), nell.oracle)
+            annotate_and_update(twcs, twcs.draw_positions(30), nell.oracle)
             twcs_estimates.append(twcs.estimate().value)
         assert np.std(tsrcs_estimates) > np.std(twcs_estimates)
 
     def test_reset(self, toy_kg):
         graph, oracle = toy_kg
         design = TwoStageRandomClusterDesign(graph, second_stage_size=2, seed=0)
-        annotate_and_update(design, design.draw(5), oracle)
+        annotate_and_update(design, design.draw_positions(5), oracle)
         design.reset()
         assert design.estimate().num_units == 0
 
@@ -86,6 +85,8 @@ class TestPilot:
         assert pilot.num_triples_annotated <= 25 * 3
         assert pilot.cost_hours > 0
         assert abs(pilot.accuracy_estimate - nell.true_accuracy) < 0.2
+        # Eq. (9): the pilot's estimate is the mean of its cluster accuracies.
+        assert pilot.accuracy_estimate == pytest.approx(np.mean(pilot.cluster_accuracies))
 
     def test_pilot_budget_validation(self, nell):
         with pytest.raises(ValueError):
@@ -128,7 +129,7 @@ class TestNeymanAllocation:
     def test_neyman_falls_back_before_variances_known(self, nell):
         strata = stratify_by_size(nell.graph, 2)
         design = StratifiedTWCSDesign(nell.graph, strata, 3, seed=0, allocation="neyman")
-        units = design.draw(10)
+        units = design.draw_positions(10)
         assert len(units) == 10
 
     def test_neyman_shifts_draws_toward_noisy_stratum(self, movie_small):
@@ -140,7 +141,7 @@ class TestNeymanAllocation:
         strata = stratify_by_size(graph, 2)
         design = StratifiedTWCSDesign(graph, strata, 5, seed=0, allocation="neyman")
         # Warm-up: get at least 2 units per stratum so variances are estimable.
-        warmup = design.draw(10)
+        warmup = design.draw_positions(10)
         annotate_and_update(design, warmup, oracle)
         per_stratum_std = [
             estimate.std_error * np.sqrt(estimate.num_units)
@@ -157,7 +158,7 @@ class TestNeymanAllocation:
         estimates = []
         for seed in range(100):
             design = StratifiedTWCSDesign(nell.graph, strata, 4, seed=seed, allocation="neyman")
-            annotate_and_update(design, design.draw(10), nell.oracle)
-            annotate_and_update(design, design.draw(20), nell.oracle)
+            annotate_and_update(design, design.draw_positions(10), nell.oracle)
+            annotate_and_update(design, design.draw_positions(20), nell.oracle)
             estimates.append(design.estimate().value)
         assert np.mean(estimates) == pytest.approx(nell.true_accuracy, abs=0.03)

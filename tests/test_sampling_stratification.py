@@ -19,9 +19,7 @@ from repro.stats.allocation import cumulative_sqrt_frequency_boundaries
 
 
 def annotate_and_update(design, units, oracle):
-    for unit in units:
-        labels = {triple: oracle.label(triple) for triple in unit.triples}
-        design.update(unit, labels)
+    design.update_all_positions(units, oracle.as_position_array(design.graph))
 
 
 class TestStratification:
@@ -103,19 +101,21 @@ class TestStratifiedTWCSDesign:
         strata = stratify_by_size(nell.graph, num_strata=2)
         design = StratifiedTWCSDesign(nell.graph, strata, second_stage_size=3, seed=0)
         stratum_entities = [set(s.entity_ids) for s in design.strata]
-        units = design.draw(20)
+        units = design.draw_positions(20)
         assert len(units) == 20
         for unit in units:
-            assert any(unit.entity_id in entities for entities in stratum_entities)
+            entity_id = nell.graph.entity_id_of_row(unit.entity_row)
+            assert any(entity_id in entities for entities in stratum_entities)
 
     def test_draw_allocates_to_every_stratum(self, nell):
         strata = stratify_by_size(nell.graph, num_strata=2)
         design = StratifiedTWCSDesign(nell.graph, strata, second_stage_size=3, seed=0)
-        units = design.draw(30)
+        units = design.draw_positions(30)
         hit = set()
         for unit in units:
+            entity_id = nell.graph.entity_id_of_row(unit.entity_row)
             for index, stratum in enumerate(design.strata):
-                if unit.entity_id in set(stratum.entity_ids):
+                if entity_id in set(stratum.entity_ids):
                     hit.add(index)
         assert hit == {0, 1}
 
@@ -123,7 +123,7 @@ class TestStratifiedTWCSDesign:
         graph, oracle = toy_kg
         strata = stratify_by_size(graph, num_strata=2)
         design = StratifiedTWCSDesign(graph, strata, second_stage_size=10, seed=1)
-        units = design.draw(40)
+        units = design.draw_positions(40)
         annotate_and_update(design, units, oracle)
         combined = design.estimate()
         expected = sum(
@@ -135,7 +135,7 @@ class TestStratifiedTWCSDesign:
     def test_estimate_undetermined_until_every_stratum_has_two_units(self, nell):
         strata = stratify_by_size(nell.graph, num_strata=2)
         design = StratifiedTWCSDesign(nell.graph, strata, second_stage_size=3, seed=0)
-        units = design.draw(2)
+        units = design.draw_positions(2)
         annotate_and_update(design, units, nell.oracle)
         assert math.isinf(design.estimate().std_error)
 
@@ -144,7 +144,7 @@ class TestStratifiedTWCSDesign:
         strata = stratify_by_size(nell.graph, num_strata=2)
         for seed in range(200):
             design = StratifiedTWCSDesign(nell.graph, strata, second_stage_size=4, seed=seed)
-            annotate_and_update(design, design.draw(30), nell.oracle)
+            annotate_and_update(design, design.draw_positions(30), nell.oracle)
             estimates.append(design.estimate().value)
         assert np.mean(estimates) == pytest.approx(nell.true_accuracy, abs=0.02)
 
@@ -158,41 +158,31 @@ class TestStratifiedTWCSDesign:
         plain_estimates, stratified_estimates = [], []
         for seed in range(120):
             plain = TwoStageWeightedClusterDesign(graph, second_stage_size=5, seed=seed)
-            annotate_and_update(plain, plain.draw(24), oracle)
+            annotate_and_update(plain, plain.draw_positions(24), oracle)
             plain_estimates.append(plain.estimate().value)
             stratified = StratifiedTWCSDesign(graph, strata, second_stage_size=5, seed=seed)
-            annotate_and_update(stratified, stratified.draw(24), oracle)
+            annotate_and_update(stratified, stratified.draw_positions(24), oracle)
             stratified_estimates.append(stratified.estimate().value)
         assert np.std(stratified_estimates) < np.std(plain_estimates)
 
-    def test_update_falls_back_to_entity_lookup(self, toy_kg):
-        graph, oracle = toy_kg
-        strata = stratify_by_size(graph, num_strata=2)
-        design = StratifiedTWCSDesign(graph, strata, second_stage_size=2, seed=0)
-        units = design.draw(4)
-        # Simulate a unit whose identity mapping was lost (e.g. reconstructed
-        # unit): update must still route it via its entity id.
-        from repro.sampling.base import SampleUnit
-
-        clone = SampleUnit(
-            triples=units[0].triples,
-            entity_id=units[0].entity_id,
-            cluster_size=units[0].cluster_size,
-        )
-        labels = {t: oracle.label(t) for t in clone.triples}
-        design.update(clone, labels)
-        assert design.estimate().num_units == 1
-
     def test_update_unknown_entity_raises(self, toy_kg):
         graph, oracle = toy_kg
+        labels = oracle.as_position_array(graph)
         strata = stratify_by_size(graph, num_strata=2)
-        design = StratifiedTWCSDesign(graph, strata, second_stage_size=2, seed=0)
-        from repro.kg.triple import Triple
-        from repro.sampling.base import SampleUnit
-
-        foreign = SampleUnit(triples=(Triple("ghost", "p", "o"),), entity_id="ghost")
+        # The design holds the first stratum only, so the second's rows are foreign.
+        design = StratifiedTWCSDesign(graph, strata[:1], second_stage_size=2, seed=0)
+        foreign_entity = strata[1].entity_ids[0]
+        foreign = PositionUnit(
+            positions=graph.cluster_positions(foreign_entity),
+            entity_row=graph.entity_row(foreign_entity),
+            cluster_size=graph.cluster_size(foreign_entity),
+        )
         with pytest.raises(KeyError):
-            design.update(foreign, {Triple("ghost", "p", "o"): True})
+            design.update_all_positions([foreign], labels)
+        triple_level = PositionUnit(positions=np.array([0], dtype=np.int64))
+        with pytest.raises(ValueError):
+            design.update_all_positions([triple_level], labels)
+        assert design.estimate().num_units == 0
 
     def test_routes_a_unit_by_its_entity_row(self, nell):
         strata = stratify_by_size(nell.graph, num_strata=3)
@@ -204,13 +194,13 @@ class TestStratifiedTWCSDesign:
             entity_row=nell.graph.entity_row(entity_id),
             cluster_size=nell.graph.cluster_size(entity_id),
         )
-        design.update_positions(unit, np.ones(positions.shape[0], dtype=bool))
+        design.update_all_positions([unit], np.ones(nell.graph.num_triples, dtype=bool))
         units = [estimate.num_units for _, estimate in design.stratum_estimates()]
         assert units == [0, 0, 1]
 
     def test_reset(self, nell):
         strata = stratify_by_size(nell.graph, num_strata=2)
         design = StratifiedTWCSDesign(nell.graph, strata, second_stage_size=3, seed=0)
-        annotate_and_update(design, design.draw(10), nell.oracle)
+        annotate_and_update(design, design.draw_positions(10), nell.oracle)
         design.reset()
         assert design.estimate().num_units == 0

@@ -19,25 +19,25 @@ from repro.sampling.variance import srs_variance, twcs_theoretical_variance, twc
 
 
 def annotate_and_update(design, units, oracle):
-    for unit in units:
-        labels = {triple: oracle.label(triple) for triple in unit.triples}
-        design.update(unit, labels)
+    design.update_all_positions(units, oracle.as_position_array(design.graph))
 
 
 class TestTwoStageWeightedClusterDesign:
     def test_second_stage_cap_respected(self, toy_kg):
         graph, _ = toy_kg
         design = TwoStageWeightedClusterDesign(graph, second_stage_size=2, seed=0)
-        for unit in design.draw(40):
+        for unit in design.draw_positions(40):
+            entity_id = graph.entity_id_of_row(unit.entity_row)
             assert unit.num_triples <= 2
-            assert unit.num_triples == min(2, graph.cluster_size(unit.entity_id))
-            assert all(t.subject == unit.entity_id for t in unit.triples)
+            assert unit.num_triples == min(2, graph.cluster_size(entity_id))
+            assert unit.cluster_size == graph.cluster_size(entity_id)
+            assert all(t.subject == entity_id for t in graph.triples_at(unit.positions))
 
     def test_second_stage_without_replacement(self, toy_kg):
         graph, _ = toy_kg
         design = TwoStageWeightedClusterDesign(graph, second_stage_size=6, seed=0)
-        for unit in design.draw(30):
-            assert len(set(unit.triples)) == unit.num_triples
+        for unit in design.draw_positions(30):
+            assert len(set(unit.positions.tolist())) == unit.num_triples
 
     def test_invalid_parameters(self, toy_graph):
         from repro.kg.graph import KnowledgeGraph
@@ -50,10 +50,13 @@ class TestTwoStageWeightedClusterDesign:
     def test_estimator_is_mean_of_within_cluster_accuracies(self, toy_kg):
         graph, oracle = toy_kg
         design = TwoStageWeightedClusterDesign(graph, second_stage_size=3, seed=4)
-        units = design.draw(12)
+        units = design.draw_positions(12)
         annotate_and_update(design, units, oracle)
         expected = np.mean(
-            [sum(oracle.label(t) for t in unit.triples) / unit.num_triples for unit in units]
+            [
+                sum(oracle.label(t) for t in graph.triples_at(unit.positions)) / unit.num_triples
+                for unit in units
+            ]
         )
         assert design.estimate().value == pytest.approx(float(expected))
 
@@ -62,7 +65,7 @@ class TestTwoStageWeightedClusterDesign:
         estimates = []
         for seed in range(300):
             design = TwoStageWeightedClusterDesign(nell.graph, second_stage_size=4, seed=seed)
-            annotate_and_update(design, design.draw(25), nell.oracle)
+            annotate_and_update(design, design.draw_positions(25), nell.oracle)
             estimates.append(design.estimate().value)
         assert np.mean(estimates) == pytest.approx(nell.true_accuracy, abs=0.015)
 
@@ -70,15 +73,16 @@ class TestTwoStageWeightedClusterDesign:
         """Proposition 2: with m=1 each cluster draw contributes a single
         Bernoulli triple whose success probability is the KG accuracy."""
         design = TwoStageWeightedClusterDesign(nell.graph, second_stage_size=1, seed=0)
-        units = design.draw(4000)
-        values = [nell.oracle.label(unit.triples[0]) for unit in units]
+        units = design.draw_positions(4000)
+        labels = nell.oracle.as_position_array(nell.graph)
+        values = [bool(labels[unit.positions[0]]) for unit in units]
         assert all(unit.num_triples == 1 for unit in units)
         assert np.mean(values) == pytest.approx(nell.true_accuracy, abs=0.02)
 
     def test_reset(self, toy_kg):
         graph, oracle = toy_kg
         design = TwoStageWeightedClusterDesign(graph, second_stage_size=2, seed=0)
-        annotate_and_update(design, design.draw(4), oracle)
+        annotate_and_update(design, design.draw_positions(4), oracle)
         design.reset()
         assert design.estimate().num_units == 0
 
@@ -143,7 +147,7 @@ class TestTheoreticalVariance:
         estimates = []
         for seed in range(400):
             design = TwoStageWeightedClusterDesign(nell.graph, second_stage_size=m, seed=seed)
-            units = design.draw(draws)
+            units = design.draw_positions(draws)
             annotate_and_update(design, units, nell.oracle)
             estimates.append(design.estimate().value)
         empirical = float(np.var(estimates, ddof=1))

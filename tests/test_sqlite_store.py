@@ -317,6 +317,10 @@ def test_knowledge_graph_over_sqlite_supports_object_surface(nell):
     sqlite = columnar.to_sqlite()
     design_col = TwoStageWeightedClusterDesign(columnar, second_stage_size=3, seed=5)
     design_sq = TwoStageWeightedClusterDesign(sqlite, second_stage_size=3, seed=5)
-    units_col, units_sq = design_col.draw(25), design_sq.draw(25)
-    assert [u.triples for u in units_col] == [u.triples for u in units_sq]
-    assert [u.entity_id for u in units_col] == [u.entity_id for u in units_sq]
+    units_col, units_sq = design_col.draw_positions(25), design_sq.draw_positions(25)
+    assert [columnar.triples_at(u.positions) for u in units_col] == [
+        sqlite.triples_at(u.positions) for u in units_sq
+    ]
+    assert [columnar.entity_id_of_row(u.entity_row) for u in units_col] == [
+        sqlite.entity_id_of_row(u.entity_row) for u in units_sq
+    ]

@@ -12,6 +12,9 @@ that shares no code with any store.
 
 from __future__ import annotations
 
+import math
+
+import estimator_model
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +24,10 @@ from store_model import StoreModel, assert_matches_model
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.io import read_triples_tsv, write_triples_tsv
 from repro.kg.triple import Triple
-from repro.sampling.base import PositionUnit
 from repro.sampling.rcs import RandomClusterDesign
 from repro.sampling.srs import SimpleRandomDesign
+from repro.sampling.stratification import stratify_by_size
+from repro.sampling.stratified import StratifiedTWCSDesign
 from repro.sampling.tsrcs import TwoStageRandomClusterDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.sampling.wcs import WeightedClusterDesign
@@ -196,12 +200,13 @@ class TestSnapshotRoundTrip:
         }
         for name, factory in designs.items():
             baseline, roundtrip = factory(graph), factory(reloaded)
-            units_a, units_b = baseline.draw(40), roundtrip.draw(40)
-            assert [u.triples for u in units_a] == [u.triples for u in units_b], name
-            assert [u.entity_id for u in units_a] == [u.entity_id for u in units_b], name
-            labels = {t: nell.oracle.label(t) for u in units_a for t in u.triples}
-            baseline.update_all(units_a, labels)
-            roundtrip.update_all(units_b, labels)
+            units_a, units_b = baseline.draw_positions(40), roundtrip.draw_positions(40)
+            triples_a = [graph.triples_at(u.positions) for u in units_a]
+            assert triples_a == [reloaded.triples_at(u.positions) for u in units_b], name
+            assert [u.entity_row for u in units_a] == [u.entity_row for u in units_b], name
+            labels = nell.oracle.as_position_array(graph)
+            baseline.update_all_positions(units_a, labels)
+            roundtrip.update_all_positions(units_b, labels)
             assert baseline.estimate() == roundtrip.estimate(), name
 
 
@@ -209,49 +214,46 @@ class TestSnapshotRoundTrip:
 # Position surface
 # --------------------------------------------------------------------------- #
 class TestPositionSurface:
-    @pytest.mark.parametrize("source", ["rebuilt", "columnar"])
-    def test_object_units_carry_consistent_positions(self, nell, nell_rebuilt, source):
-        graph = nell_rebuilt.graph if source == "rebuilt" else nell.graph
-        design = TwoStageWeightedClusterDesign(graph, second_stage_size=3, seed=2)
-        for unit in design.draw(30):
-            assert unit.positions is not None
-            assert graph.triples_at(unit.positions) == list(unit.triples)
-
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda g: SimpleRandomDesign(g, seed=9),
-            lambda g: RandomClusterDesign(g, seed=9),
-            lambda g: WeightedClusterDesign(g, seed=9),
-            lambda g: TwoStageWeightedClusterDesign(g, second_stage_size=4, seed=9),
-            lambda g: TwoStageRandomClusterDesign(g, second_stage_size=4, seed=9),
-        ],
-        ids=["srs", "rcs", "wcs", "twcs", "tsrcs"],
-    )
-    def test_position_updates_match_object_updates(self, nell, factory):
-        """Feeding the same drawn units through either update surface must
-        produce the same estimate (up to float associativity)."""
-        graph = nell.graph.to_columnar()
+    @pytest.mark.parametrize("name", ["srs", "rcs", "wcs", "twcs", "tsrcs", "twcs-strat"])
+    def test_position_updates_match_estimator_model(self, nell, name):
+        """One drawn round folds into what the paper's equations give for it."""
+        graph = nell.graph
         label_array = nell.oracle.as_position_array(graph)
-        object_design, position_design = factory(graph), factory(graph)
-        units = object_design.draw(60)
-        labels = {t: nell.oracle.label(t) for u in units for t in u.triples}
-        object_design.update_all(units, labels)
-        # Rebuild position units from the object draws so both designs see
-        # the exact same sample.
-        position_units = [
-            PositionUnit(
-                positions=np.asarray(u.positions),
-                entity_row=-1 if u.entity_id is None else graph.entity_row(u.entity_id),
-                cluster_size=u.cluster_size,
-            )
-            for u in units
-        ]
-        position_design.update_all_positions(position_units, label_array)
-        a, b = object_design.estimate(), position_design.estimate()
-        assert a.value == pytest.approx(b.value, abs=1e-12)
-        assert a.std_error == pytest.approx(b.std_error, abs=1e-9)
-        assert (a.num_units, a.num_triples) == (b.num_units, b.num_triples)
+        num_entities, num_triples = graph.num_entities, graph.num_triples
+        strata = stratify_by_size(graph, num_strata=3)
+        stratum_of_row = {
+            graph.entity_row(entity_id): index
+            for index, stratum in enumerate(strata)
+            for entity_id in stratum.entity_ids
+        }
+        designs = {
+            "srs": lambda: SimpleRandomDesign(graph, seed=9),
+            "rcs": lambda: RandomClusterDesign(graph, seed=9),
+            "wcs": lambda: WeightedClusterDesign(graph, seed=9),
+            "twcs": lambda: TwoStageWeightedClusterDesign(graph, second_stage_size=4, seed=9),
+            "tsrcs": lambda: TwoStageRandomClusterDesign(graph, second_stage_size=4, seed=9),
+            "twcs-strat": lambda: StratifiedTWCSDesign(graph, strata, second_stage_size=4, seed=9),
+        }
+        models = {
+            "srs": estimator_model.srs,
+            "rcs": lambda u: estimator_model.rcs(u, num_entities, num_triples),
+            "wcs": estimator_model.cluster_accuracy_mean,
+            "twcs": estimator_model.cluster_accuracy_mean,
+            "tsrcs": lambda u: estimator_model.tsrcs(u, num_entities, num_triples),
+            "twcs-strat": lambda u: estimator_model.stratified_twcs(
+                u, stratum_of_row, [stratum.weight for stratum in strata]
+            ),
+        }
+        design = designs[name]()
+        units = design.draw_positions(60)
+        design.update_all_positions(units, label_array)
+        estimate = design.estimate()
+        drawn = [(u.entity_row, u.cluster_size, label_array[u.positions].tolist()) for u in units]
+        value, std_error, num_units, num_triples_read = models[name](drawn)
+        assert estimate.value == pytest.approx(value, rel=1e-12)
+        assert math.isfinite(std_error)
+        assert estimate.std_error == pytest.approx(std_error, rel=1e-9)
+        assert (estimate.num_units, estimate.num_triples) == (num_units, num_triples_read)
 
     @pytest.mark.parametrize("source", ["rebuilt", "columnar"])
     def test_draw_positions_estimates_are_sane(self, nell, nell_rebuilt, source):
@@ -281,14 +283,6 @@ class TestPositionSurface:
         frequencies = pair_counts[np.triu_indices(6, k=1)] / picks.shape[0]
         assert frequencies.min() > (1 / 15) * 0.8
         assert frequencies.max() < (1 / 15) * 1.2
-
-    def test_labels_for_positions_array_and_mapping_agree(self, nell):
-        graph = nell.graph.to_columnar()
-        label_array = nell.oracle.as_position_array(graph)
-        positions = np.asarray([0, 5, 17, 3])
-        from_array = graph.labels_for_positions(positions, label_array)
-        from_mapping = graph.labels_for_positions(positions, nell.oracle.mapping)
-        assert np.array_equal(from_array, from_mapping)
 
 
 # --------------------------------------------------------------------------- #
