@@ -79,8 +79,6 @@ class NoisyAnnotator(SimulatedAnnotator):
     def annotate_triples(self, triples: Iterable[Triple]) -> AnnotationResult:
         """Annotate triples, flipping each fresh label with the error rate."""
         triples = list(triples)
-        # Position labels count as labelled before the flips are chosen.
-        self._record_position_labels()
         labelled = self._session.labelled
         fresh = [t for t in triples if t not in labelled]
         result = super().annotate_triples(triples)
@@ -97,6 +95,13 @@ class NoisyAnnotator(SimulatedAnnotator):
             cost_seconds=result.cost_seconds,
             newly_identified_entities=result.newly_identified_entities,
             num_triples=result.num_triples,
+        )
+
+    def annotate_positions(self, graph, units: Sequence) -> np.ndarray:
+        """Refused: position labels come from the oracle and would skip the flips."""
+        raise TypeError(
+            f"{type(self).__name__} flips labels per Triple; label the units' "
+            "graph.triples_at(unit.positions) with annotate_triples instead"
         )
 
 

@@ -22,7 +22,13 @@ import numpy as np
 from repro.kg.graph import KnowledgeGraph
 from repro.stats.ci import ConfidenceInterval, normal_interval
 
-__all__ = ["PositionUnit", "Estimate", "SamplingDesign", "segment_label_sums"]
+__all__ = [
+    "PositionUnit",
+    "Estimate",
+    "SamplingDesign",
+    "SizeWeightedSampler",
+    "segment_label_sums",
+]
 
 
 @dataclass(slots=True)
@@ -74,6 +80,31 @@ def segment_label_sums(
     prefix = np.concatenate(([0.0], np.cumsum(correct)))
     ends = np.cumsum(counts)
     return counts, prefix[ends] - prefix[ends - counts]
+
+
+class SizeWeightedSampler:
+    """With-replacement draws of indices with probability proportional to size.
+
+    The first stage of WCS, TWCS and stratified TWCS.  ``draw(rng, count)``
+    returns the same ``int64`` indices as
+    ``rng.choice(len(sizes), size=count, replace=True, p=sizes / sizes.sum())``
+    and leaves ``rng`` in the same state: it runs the operations
+    ``Generator.choice`` runs once ``p`` is validated, but builds the CDF once
+    instead of re-checking and re-summing every weight on each call.  Sizes
+    must be positive, as cluster sizes are.
+    """
+
+    __slots__ = ("cdf",)
+
+    def __init__(self, sizes: np.ndarray) -> None:
+        sizes = np.asarray(sizes, dtype=np.float64)
+        cdf = (sizes / sizes.sum()).cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Draw ``count`` indices, consuming ``count`` uniforms from ``rng``."""
+        return self.cdf.searchsorted(rng.random(count), side="right")
 
 
 @dataclass(frozen=True)

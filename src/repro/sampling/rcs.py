@@ -9,7 +9,9 @@ i.e. the mean of the per-cluster values ``(N / M) * τ_{I_k}`` where ``τ`` is
 the number of correct triples in the cluster.  Because those values scale with
 cluster size, the estimator's variance is large whenever cluster sizes are
 widely spread — which is exactly what Table 5 shows (RCS is by far the worst
-design on MOVIE and YAGO).
+design on MOVIE and YAGO).  Once every cluster has been drawn and folded the
+sample is a census: the estimate is the true accuracy and its standard error
+is 0 (no finite-population correction is applied before that).
 """
 
 from __future__ import annotations
@@ -66,6 +68,17 @@ class RandomClusterDesign(SamplingDesign):
         assert self._permutation is not None
         return self._cursor >= self._permutation.size
 
+    def _is_census(self) -> bool:
+        # Read the cursor directly: ``exhausted`` would draw the permutation.
+        # An empty graph has no census to report: its estimate stays undefined.
+        permutation = self._permutation
+        return (
+            permutation is not None
+            and permutation.size > 0
+            and self._cursor >= permutation.size
+            and self._values.count == permutation.size
+        )
+
     def _next_rows(self, count: int) -> np.ndarray:
         self._ensure_permutation()
         assert self._permutation is not None
@@ -104,7 +117,7 @@ class RandomClusterDesign(SamplingDesign):
         """Mean of the per-cluster expansion values with its standard error."""
         return Estimate(
             value=self._values.mean,
-            std_error=self._values.std_error,
+            std_error=0.0 if self._is_census() else self._values.std_error,
             num_units=self._values.count,
             num_triples=self._num_triples,
         )

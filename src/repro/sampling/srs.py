@@ -2,7 +2,9 @@
 
 Triples are drawn uniformly without replacement; the estimator is the sample
 mean ``µ̂_s`` (Eq. 5) with the Normal-approximation interval
-``µ̂_s ± z * sqrt(µ̂_s (1 - µ̂_s) / n_s)``.
+``µ̂_s ± z * sqrt(µ̂_s (1 - µ̂_s) / n_s)``.  Once every triple has been drawn
+and folded the sample is a census: the mean is the true accuracy and its
+standard error is 0 (no finite-population correction is applied before that).
 
 Although each triple is drawn independently, annotators still group sampled
 triples by subject id when carrying out the task, so the *cost* of an SRS
@@ -67,6 +69,15 @@ class SimpleRandomDesign(SamplingDesign):
         assert self._remaining is not None
         return self._cursor >= self._remaining.size
 
+    def _is_census(self) -> bool:
+        # Read the cursor directly: ``exhausted`` would draw the permutation.
+        remaining = self._remaining
+        return (
+            remaining is not None
+            and self._cursor >= remaining.size
+            and self._num_annotated == remaining.size
+        )
+
     def _next_positions(self, count: int) -> np.ndarray:
         self._ensure_permutation()
         assert self._remaining is not None
@@ -99,7 +110,9 @@ class SimpleRandomDesign(SamplingDesign):
         if n == 0:
             return Estimate(value=0.0, std_error=math.inf, num_units=0, num_triples=0)
         p_hat = self._num_correct / n
-        if n < 2:
+        if self._is_census():
+            std_error = 0.0
+        elif n < 2:
             std_error = math.inf
         else:
             std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)

@@ -15,9 +15,12 @@ The design never materialises sub-graphs: each stratum keeps an array of
 parent-graph cluster rows, first-stage draws are allocated over the strata
 (proportionally to the stratum position/triple counts, or by Neyman
 allocation over the observed stratum spreads) and sampled straight from the
-parent graph's CSR index, so a snapshot-loaded columnar graph is stratified
-and sampled without a single Triple allocation.  Every unit is routed to its
-stratum by its cluster row, since the strata partition the rows.
+parent graph's CSR index — each stratum's first stage is a
+:class:`~repro.sampling.base.SizeWeightedSampler` over its rows' sizes, equal
+in rows and generator state to ``rng.choice`` with size-proportional ``p`` —
+so a snapshot-loaded columnar graph is stratified and sampled without a
+single Triple allocation.  Every unit is routed to its stratum by its cluster
+row, since the strata partition the rows.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
+from repro.sampling.base import (
+    Estimate,
+    PositionUnit,
+    SamplingDesign,
+    SizeWeightedSampler,
+    segment_label_sums,
+)
 from repro.sampling.stratification import Stratum
 from repro.stats.allocation import neyman_allocation, proportional_allocation
 from repro.stats.running import RunningMean
@@ -97,7 +106,7 @@ class StratifiedTWCSDesign(SamplingDesign):
         self._triples = [0] * len(populated)
         # Parent-graph rows/sizes per stratum, built lazily.
         self._rows_cache: list[np.ndarray] | None = None
-        self._row_weights_cache: list[np.ndarray] | None = None
+        self._first_stages: list[SizeWeightedSampler] | None = None
         self._row_stratum_cache: np.ndarray | None = None
         self._sizes_cache: np.ndarray | None = None
 
@@ -112,7 +121,7 @@ class StratifiedTWCSDesign(SamplingDesign):
         self._row_stratum_cache = np.full(graph.num_entities, -1, dtype=np.int64)
         row_of = {entity_id: row for row, entity_id in enumerate(graph.entity_ids)}
         rows_per_stratum: list[np.ndarray] = []
-        weights_per_stratum: list[np.ndarray] = []
+        first_stages: list[SizeWeightedSampler] = []
         for index, stratum in enumerate(self._strata):
             rows = np.fromiter(
                 (row_of[entity_id] for entity_id in stratum.entity_ids),
@@ -120,11 +129,10 @@ class StratifiedTWCSDesign(SamplingDesign):
                 count=stratum.num_entities,
             )
             self._row_stratum_cache[rows] = index
-            sizes = self._sizes_cache[rows].astype(float)
             rows_per_stratum.append(rows)
-            weights_per_stratum.append(sizes / sizes.sum())
+            first_stages.append(SizeWeightedSampler(self._sizes_cache[rows]))
         self._rows_cache = rows_per_stratum
-        self._row_weights_cache = weights_per_stratum
+        self._first_stages = first_stages
 
     # ------------------------------------------------------------------ #
     # SamplingDesign interface
@@ -172,21 +180,15 @@ class StratifiedTWCSDesign(SamplingDesign):
         if count < 0:
             raise ValueError("count must be non-negative")
         self._ensure_position_state()
-        assert self._rows_cache is not None and self._row_weights_cache is not None
+        assert self._rows_cache is not None and self._first_stages is not None
         assert self._sizes_cache is not None
         allocation = self._allocate(count)
         units: list[PositionUnit] = []
         for stratum_index, stratum_count in enumerate(allocation):
             if stratum_count == 0:
                 continue
-            stratum_rows = self._rows_cache[stratum_index]
-            chosen = self._rng.choice(
-                stratum_rows.shape[0],
-                size=stratum_count,
-                replace=True,
-                p=self._row_weights_cache[stratum_index],
-            )
-            rows = stratum_rows[chosen]
+            chosen = self._first_stages[stratum_index].draw(self._rng, stratum_count)
+            rows = self._rows_cache[stratum_index][chosen]
             batches = self.graph.sample_cluster_positions_batch(
                 rows, self.second_stage_size, self._rng
             )

@@ -3,7 +3,9 @@
 The paper's best design:
 
 1. **First stage** — draw entity clusters with replacement, with probability
-   proportional to cluster size (as in WCS).
+   proportional to cluster size (as in WCS).  The draw is
+   :class:`~repro.sampling.base.SizeWeightedSampler`, whose rows and
+   generator state equal ``rng.choice(N, count, replace=True, p=M_i / M)``.
 2. **Second stage** — within each sampled cluster, draw ``min(M_i, m)``
    triples by simple random sampling *without* replacement and annotate only
    those.
@@ -30,7 +32,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
+from repro.sampling.base import (
+    Estimate,
+    PositionUnit,
+    SamplingDesign,
+    SizeWeightedSampler,
+    segment_label_sums,
+)
 from repro.sampling.segment import PositionSegment
 from repro.stats.running import RunningMean
 
@@ -70,8 +78,7 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
         self.second_stage_size = second_stage_size
         self._rng = np.random.default_rng(seed)
         self._sizes = graph.cluster_size_array()
-        sizes = self._sizes.astype(float)
-        self._weights = sizes / sizes.sum()
+        self._first_stage = SizeWeightedSampler(self._sizes)
         self._cluster_means = RunningMean()
         self._num_triples = 0
 
@@ -84,7 +91,7 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
         """Draw ``count`` cluster units, each carrying at most ``m`` positions."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        rows = self._rng.choice(self._sizes.shape[0], size=count, replace=True, p=self._weights)
+        rows = self._first_stage.draw(self._rng, count)
         batches = self.graph.sample_cluster_positions_batch(rows, self.second_stage_size, self._rng)
         sizes = self._sizes
         return [

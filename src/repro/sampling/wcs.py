@@ -2,6 +2,8 @@
 
 Clusters are drawn *with replacement* with probability proportional to their
 size, ``π_i = M_i / M``; all triples of a sampled cluster are annotated.  The
+draw is :class:`~repro.sampling.base.SizeWeightedSampler`, whose rows and
+generator state equal ``rng.choice(N, count, replace=True, p=π)``.  The
 Hansen–Hurwitz estimator is the plain mean of the sampled cluster accuracies:
 
     µ̂_w = (1/n) Σ_k µ_{I_k}                                  (Eq. 8)
@@ -16,7 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
+from repro.sampling.base import (
+    Estimate,
+    PositionUnit,
+    SamplingDesign,
+    SizeWeightedSampler,
+    segment_label_sums,
+)
 from repro.stats.running import RunningMean
 
 __all__ = ["WeightedClusterDesign"]
@@ -43,8 +51,7 @@ class WeightedClusterDesign(SamplingDesign):
         self.graph = graph
         self._rng = np.random.default_rng(seed)
         self._sizes = graph.cluster_size_array()
-        sizes = self._sizes.astype(float)
-        self._weights = sizes / sizes.sum()
+        self._first_stage = SizeWeightedSampler(self._sizes)
         self._values = RunningMean()
         self._num_triples = 0
 
@@ -59,7 +66,7 @@ class WeightedClusterDesign(SamplingDesign):
             raise ValueError("count must be non-negative")
         graph = self.graph
         sizes = self._sizes
-        rows = self._rng.choice(sizes.shape[0], size=count, replace=True, p=self._weights)
+        rows = self._first_stage.draw(self._rng, count)
         return [
             PositionUnit(
                 positions=graph.cluster_positions_by_row(int(row)),

@@ -6,17 +6,22 @@ and the vocabulary in a WAL-mode SQLite file and answers the
 :class:`~repro.storage.backend.StorageBackend` contract with indexed queries,
 so graphs much larger than memory evaluate on one node:
 
-* the CSR cluster index becomes *indexed range scans* — the ``triples`` table
-  is indexed on ``(entity_row, position)``, so
+* the ``triples`` table is indexed on ``(entity_row, position)``, so
   :meth:`~SqliteStore.cluster_positions_by_row` is one range query;
-* :meth:`~SqliteStore.cluster_size_array` pushes down into one SQL aggregate
-  over the same index;
 * the batch draw surface stays bit-identical to the other backends: the
   sampling designs need raw ``(offsets, positions)`` arrays, so
-  :meth:`~SqliteStore.csr_arrays` materialises *only the position index*
-  (about 12 bytes per triple) lazily from one index-ordered scan.  The heavy
-  string columns and the vocabulary never leave the database file, which is
-  what keeps resident memory flat (see ``benchmarks/bench_storage_backend.py``).
+  :meth:`~SqliteStore.csr_arrays` holds *only the position index* (8 bytes
+  per triple and per entity).  :meth:`~SqliteStore.from_columnar` stores
+  that index in the file, and a reopened store reads it back as views of
+  the stored bytes instead of scanning; only a file without it (built by
+  :meth:`~SqliteStore.ingest_file`, written before the index was stored,
+  or with an index too large for SQLite's blob limit) or one that has grown
+  since pays one index-ordered scan, read in chunks so its peak is the
+  index itself.
+  :meth:`~SqliteStore.cluster_size_array` is the differences of its offsets.
+  The heavy string columns and the vocabulary never leave the database
+  file, which is what keeps resident memory flat (see
+  ``benchmarks/bench_storage_backend.py``).
 
 Durability pragmas follow the usual WAL recipe: ``journal_mode=WAL`` +
 ``synchronous=NORMAL`` makes per-batch commits cheap while keeping the
@@ -42,7 +47,7 @@ import tempfile
 import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +96,16 @@ CREATE TABLE IF NOT EXISTS ingest_state (
 #: clearing them bounds ingest memory on arbitrarily large inputs.
 _CACHE_LIMIT = 1 << 20
 
+#: Byte layout of the stored CSR cluster index (``meta`` rows ``csr_offsets``
+#: and ``csr_positions``): little-endian ``int64``, whatever the host order.
+_CSR_DTYPE = np.dtype("<i8")
+
+#: Rows per chunk of the ordered scan that rebuilds a missing index.
+_SCAN_CHUNK = 1 << 14
+
+#: Bytes a ``meta`` row needs besides its value: the key and record header.
+_META_ROW_OVERHEAD = 64
+
 _TRIPLE_QUERY = (
     "SELECT vs.token, vp.token, vo.token, t.is_entity_object "
     "FROM triples t "
@@ -98,6 +113,13 @@ _TRIPLE_QUERY = (
     "JOIN vocab vp ON vp.id = t.p "
     "JOIN vocab vo ON vo.id = t.o "
 )
+
+
+def _blob_fits(conn: sqlite3.Connection, nbytes: int) -> bool:
+    """Whether a ``meta`` row holding ``nbytes`` of blob is within ``conn``'s
+    SQLite length limit (1e9 bytes by default), which bounds a whole row on
+    write and a blob on read."""
+    return nbytes + _META_ROW_OVERHEAD <= conn.getlimit(sqlite3.SQLITE_LIMIT_LENGTH)
 
 
 def is_sqlite_file(path: str | Path) -> bool:
@@ -146,7 +168,6 @@ class SqliteStore(StorageBackend):
         self._row_cache: dict[int, int] = {}
         self._load_counters()
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
-        self._sizes: np.ndarray | None = None
         self._finalizer = weakref.finalize(
             self, _cleanup, self._conn, self.path if self._owns_file else None
         )
@@ -181,7 +202,6 @@ class SqliteStore(StorageBackend):
 
     def _invalidate(self) -> None:
         self._csr = None
-        self._sizes = None
 
     def _reset_after_rollback(self) -> None:
         """Drop every cache that may now disagree with the database."""
@@ -319,7 +339,12 @@ class SqliteStore(StorageBackend):
 
         Vocabulary ids, triple positions and entity rows are copied verbatim,
         so every draw taken from the resulting store is bit-identical to one
-        taken from ``store``.  An existing file at ``path`` is replaced.
+        taken from ``store``.  The columnar CSR cluster index is stored too
+        (``meta`` rows ``csr_offsets`` / ``csr_positions``, little-endian
+        ``int64``), in the same transaction as the rows, so a reopened store
+        reads it back instead of scanning (:meth:`csr_arrays`) — unless a
+        blob would exceed the connection's SQLite length limit, in which case
+        the index is left out.  An existing file at ``path`` is replaced.
         """
         if path is not None:
             _remove_database(Path(path))
@@ -330,6 +355,7 @@ class SqliteStore(StorageBackend):
         lut = np.zeros(int(row_subjects.max()) + 1 if row_subjects.size else 1, dtype=np.int64)
         lut[np.asarray(row_subjects, dtype=np.int64)] = np.arange(row_subjects.size)
         rows = lut[np.asarray(subjects, dtype=np.int64)]
+        offsets, positions = store.csr_arrays()
         conn = out._conn
         conn.execute("BEGIN")
         try:
@@ -353,6 +379,18 @@ class SqliteStore(StorageBackend):
                     np.asarray(flags, dtype=np.int64).tolist(),
                 ),
             )
+            # A blob over SQLite's length limit would roll the whole copy
+            # back: a graph above about 125 M triples is stored without the
+            # index and reopens through the scan.
+            index = {"csr_offsets": offsets, "csr_positions": positions}
+            if all(_blob_fits(conn, array.size * _CSR_DTYPE.itemsize) for array in index.values()):
+                conn.executemany(
+                    "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                    [
+                        (key, np.asarray(array, dtype=_CSR_DTYPE).tobytes())
+                        for key, array in index.items()
+                    ],
+                )
             if name is not None:
                 conn.execute(
                     "INSERT OR REPLACE INTO meta (key, value) VALUES ('name', ?)", (name,)
@@ -633,38 +671,89 @@ class SqliteStore(StorageBackend):
         return np.asarray([record[0] for record in cursor], dtype=np.int64)
 
     def cluster_size_array(self) -> np.ndarray:
-        if self._sizes is None:
-            sizes = np.zeros(self._num_entities, dtype=np.int64)
-            for row, count in self._conn.execute(
-                "SELECT entity_row, COUNT(*) FROM triples GROUP BY entity_row"
-            ):
-                sizes[row] = count
-            self._sizes = sizes
-        return self._sizes
+        """Cluster sizes, the differences of the CSR offsets."""
+        return np.diff(self.csr_arrays()[0])
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialise (lazily, cached) the position index the designs need.
+        """The position index the designs need (lazily, cached).
 
-        ``offsets`` comes from the SQL size aggregate; ``positions`` streams
-        out of one index-ordered scan (``ORDER BY entity_row, position``).
-        This is the only part of the graph the sampling designs ever hold in
-        memory (~12 bytes per triple) — the string columns and vocabulary
-        stay on disk.  Sharing the array layout with the columnar backend is
-        what makes batch draws bit-identical across backends.
+        A file written by :meth:`from_columnar` carries the index in two
+        ``meta`` rows; they are read back as read-only ``np.frombuffer``
+        views of the stored bytes, with no scan, whenever they still
+        describe the table (see :meth:`_stored_csr`).  Otherwise — a file
+        built by :meth:`ingest_file`, one written without the index, or one
+        that has grown since — the index comes from one index-ordered scan
+        (``ORDER BY entity_row, position``, see :meth:`_scan_csr`).  This is
+        the only part of the graph the sampling designs ever hold in memory
+        (8 bytes per triple and per entity) — the string columns and
+        vocabulary stay on disk.  Sharing the array layout with the columnar
+        backend is what makes batch draws bit-identical across backends.
         """
         if self._csr is None:
-            sizes = self.cluster_size_array()
-            offsets = np.concatenate(
-                ([0], np.cumsum(sizes, dtype=np.int64))
-            ).astype(np.int64)
-            cursor = self._conn.execute(
-                "SELECT position FROM triples ORDER BY entity_row, position"
-            )
-            positions = np.fromiter(
-                (record[0] for record in cursor), dtype=np.int64, count=self._num_triples
-            )
-            self._csr = (offsets, positions)
+            self._csr = self._stored_csr() or self._scan_csr()
         return self._csr
+
+    def _stored_csr(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The stored index, or ``None`` when absent or not this table's.
+
+        The store is append-only and every write adds triples, so an index
+        written before the last growth fails the length checks — made in SQL,
+        before any blob is read — and is never used; a damaged one fails the
+        shape, order or permutation checks.
+        """
+        width = _CSR_DTYPE.itemsize
+        expected = {
+            "csr_offsets": (self._num_entities + 1) * width,
+            "csr_positions": self._num_triples * width,
+        }
+        lengths = dict(
+            self._conn.execute(
+                "SELECT key, length(value) FROM meta "
+                "WHERE key IN ('csr_offsets', 'csr_positions') AND typeof(value) = 'blob'"
+            )
+        )
+        if lengths != expected or not all(_blob_fits(self._conn, n) for n in lengths.values()):
+            return None
+        offsets, positions = (
+            np.frombuffer(
+                self._conn.execute("SELECT value FROM meta WHERE key = ?", (key,)).fetchone()[0],
+                dtype=_CSR_DTYPE,
+            )
+            for key in expected
+        )
+        if offsets[0] != 0 or offsets[-1] != self._num_triples or np.any(np.diff(offsets) < 0):
+            return None
+        if positions.size and (positions.min() < 0 or positions.max() >= self._num_triples):
+            return None
+        seen = np.zeros(self._num_triples, dtype=bool)
+        seen[positions] = True
+        if not seen.all():
+            return None
+        return offsets, positions
+
+    def _scan_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Build the index from one ordered scan of ``(entity_row, position)``.
+
+        Rows are read in chunks of :data:`_SCAN_CHUNK` straight into the
+        final arrays, so the peak is the index itself plus one chunk.
+        """
+        offsets = np.zeros(self._num_entities + 1, dtype=np.int64)
+        positions = np.empty(self._num_triples, dtype=np.int64)
+        cursor = self._conn.execute(
+            "SELECT entity_row, position FROM triples ORDER BY entity_row, position"
+        )
+        for start in range(0, self._num_triples, _SCAN_CHUNK):
+            count = min(_SCAN_CHUNK, self._num_triples - start)
+            pairs = np.fromiter(
+                chain.from_iterable(islice(cursor, count)), dtype=np.int64, count=2 * count
+            ).reshape(-1, 2)
+            positions[start : start + count] = pairs[:, 1]
+            # Rows arrive sorted, so the chunk's counts cover one row range.
+            first = pairs[0, 0]
+            counts = np.bincount(pairs[:, 0] - first)
+            offsets[first + 1 : first + 1 + counts.size] += counts
+        np.cumsum(offsets, out=offsets)
+        return offsets, positions
 
     # ------------------------------------------------------------------ #
     # Column export (loader-parity digests, conversion back to columnar)

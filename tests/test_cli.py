@@ -133,13 +133,22 @@ class TestCommands:
         assert "margin of error" in capsys.readouterr().out
 
     def test_evaluate_exit_code_reflects_unmet_target(self, capsys):
-        # A 0.1% MoE on NELL with a WCS design cannot be met cheaply; cap the
-        # evaluation through the tiny dataset itself: use rcs which exhausts
-        # clusters and still fails the target.
+        # A 1.1% MoE on NELL with rcs may end in a census of all clusters,
+        # whose margin of error is 0.
         exit_code = main(
             ["evaluate", "--dataset", "nell", "--design", "rcs", "--moe", "0.011", "--seed", "0"]
         )
         assert exit_code in (0, 1)  # depends on whether the census satisfies the MoE
+
+    def test_evaluate_census_reports_zero_margin(self, capsys):
+        # rcs at seed 3 draws all 817 NELL clusters: the estimate is the true
+        # accuracy, so its interval is a point and the 5% target is met.
+        exit_code = main(["evaluate", "--dataset", "nell", "--design", "rcs", "--seed", "3"])
+        out = capsys.readouterr().out
+        assert "sample units       : 817 " in out
+        assert "[90.1%, 90.1%]" in out
+        assert "margin of error    : 0.000 (target 0.05)" in out
+        assert exit_code == 0
 
     def test_experiment_table4(self, capsys):
         exit_code = main(

@@ -427,8 +427,8 @@ class TestSharedSessions:
         StaticEvaluator(again, annotator).run(reset=False)
         assert (annotator.total_cost_seconds, annotator.total_triples_annotated) == (cost, triples)
 
-    def test_noisy_annotator_keeps_position_labels_unflipped(self, nell):
-        annotator = NoisyAnnotator(nell.oracle, label_error_rate=1.0, seed=1)
+    def test_position_labels_carry_into_annotate_triples(self, nell):
+        annotator = SimulatedAnnotator(nell.oracle)
         units = TwoStageWeightedClusterDesign(nell.graph, 5, seed=1).draw_positions(20)
         labels = annotator.annotate_positions(nell.graph, units)
         positions = np.concatenate([unit.positions for unit in units])
@@ -436,6 +436,15 @@ class TestSharedSessions:
         result = annotator.annotate_triples(triples)
         assert (result.cost_seconds, result.num_triples) == (0.0, 0)
         assert [result.labels[t] for t in triples] == labels[positions].tolist()
+
+    def test_noisy_annotator_refuses_position_labels(self, nell):
+        # Oracle-array labels would skip the flips, so the annotator refuses
+        # them; StaticEvaluator sends it down annotate_triples instead.
+        annotator = NoisyAnnotator(nell.oracle, label_error_rate=1.0, seed=1)
+        units = TwoStageWeightedClusterDesign(nell.graph, 5, seed=1).draw_positions(20)
+        with pytest.raises(TypeError, match="annotate_triples"):
+            annotator.annotate_positions(nell.graph, units)
+        assert annotator.total_triples_annotated == 0
 
     def test_granular_evaluator(self, nell):
         annotator = SimulatedAnnotator(nell.oracle)

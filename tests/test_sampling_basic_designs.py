@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.config import EvaluationConfig
+from repro.core.framework import StaticEvaluator
 from repro.cost.annotator import SimulatedAnnotator
 from repro.sampling.base import Estimate
 from repro.sampling.rcs import RandomClusterDesign
@@ -64,10 +66,26 @@ class TestSimpleRandomDesign:
     def test_census_estimate_is_exact(self, toy_kg):
         graph, oracle = toy_kg
         design = SimpleRandomDesign(graph, seed=0)
-        annotate_and_update(design, design.draw_positions(graph.num_triples), oracle)
+        units = design.draw_positions(graph.num_triples)
+        # Every triple is drawn, but until all are folded it is no census.
+        annotate_and_update(design, units[:-1], oracle)
+        assert design.estimate().std_error > 0.0
+        annotate_and_update(design, units[-1:], oracle)
         estimate = design.estimate()
         assert estimate.value == pytest.approx(oracle.true_accuracy(graph))
         assert estimate.num_units == graph.num_triples
+        assert estimate.std_error == 0.0
+        assert estimate.margin_of_error(0.95) == 0.0
+
+    def test_census_meets_any_target(self, toy_kg):
+        graph, oracle = toy_kg
+        config = EvaluationConfig(moe_target=0.001, batch_size=5, min_units=2)
+        report = StaticEvaluator(
+            SimpleRandomDesign(graph, seed=0), SimulatedAnnotator(oracle), config
+        ).run()
+        assert report.num_units == graph.num_triples
+        assert report.satisfied
+        assert report.margin_of_error == 0.0
 
     def test_estimate_before_sampling(self, toy_graph):
         design = SimpleRandomDesign(toy_graph, seed=0)
@@ -120,6 +138,7 @@ class TestRandomClusterDesign:
         design = RandomClusterDesign(graph, seed=5)
         annotate_and_update(design, design.draw_positions(4), oracle)
         assert design.estimate().value == pytest.approx(oracle.true_accuracy(graph))
+        assert design.estimate().std_error == 0.0
 
     def test_expansion_value_scaling(self, toy_kg):
         graph, oracle = toy_kg

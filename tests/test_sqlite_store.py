@@ -1,10 +1,12 @@
 """SqliteStore: the out-of-core storage backend.
 
-Covers the durability setup (WAL pragmas), reopen persistence, draw-stream
-parity against the columnar backend, resumable checkpointed ingest —
-including a subprocess SIGKILLed mid-load and resumed to a byte-identical
-database — and the CLI surface (``snapshot --backend sqlite`` /
-``evaluate --from-snapshot db.sqlite``, which reads no triple rows).
+Covers the durability setup (WAL pragmas), reopen persistence, the stored
+CSR cluster index (read back when it describes the table, a scan when it is
+absent, stale or damaged), draw-stream parity against the columnar backend,
+resumable checkpointed ingest — including a subprocess SIGKILLed mid-load
+and resumed to a byte-identical database — and the CLI surface
+(``snapshot --backend sqlite`` / ``evaluate --from-snapshot db.sqlite``,
+which reads no triple rows).
 """
 
 from __future__ import annotations
@@ -14,15 +16,22 @@ import io
 import os
 import pickle
 import signal
+import sqlite3
 import subprocess
 import sys
+import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.statistics import cluster_size_summary
 from repro.kg.triple import Triple
 from repro.storage import SqliteStore, make_backend
@@ -117,6 +126,212 @@ class TestSqliteBasics:
     def test_graph_name_recorded(self, toy_graph, tmp_path):
         graph = toy_graph.to_sqlite(path=tmp_path / "named.sqlite", name="my-kg")
         assert graph.backend.graph_name() == "my-kg"
+
+
+_STORED_INDEX_KEYS = ("csr_offsets", "csr_positions")
+
+_triple_lists = st.lists(
+    st.builds(
+        Triple,
+        st.integers(0, 8).map(lambda i: f"s{i}"),
+        st.sampled_from(["p0", "p1", "p2"]),
+        st.integers(0, 12).map(lambda o: f"o{o}"),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+def _rewrite_meta(path: Path, **values) -> None:
+    """Set (``bytes``) or delete (``None``) ``meta`` rows of a closed database."""
+    with contextlib.closing(sqlite3.connect(path)) as conn, conn:
+        for key, value in values.items():
+            conn.execute("DELETE FROM meta WHERE key = ?", (key,))
+            if value is not None:
+                conn.execute("INSERT INTO meta (key, value) VALUES (?, ?)", (key, value))
+
+
+def _stored_index(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        blobs = dict(conn.execute("SELECT key, value FROM meta"))
+    return tuple(np.frombuffer(blobs[key], dtype="<i8").copy() for key in _STORED_INDEX_KEYS)
+
+
+def _reference_csr(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The cluster index as plain Python groups the committed rows."""
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        clusters = [[] for _ in range(conn.execute("SELECT COUNT(*) FROM entities").fetchone()[0])]
+        for row, position in conn.execute("SELECT entity_row, position FROM triples"):
+            clusters[row].append(position)
+    offsets = np.cumsum([0] + [len(cluster) for cluster in clusters])
+    positions = [position for cluster in clusters for position in sorted(cluster)]
+    return offsets, np.asarray(positions, dtype=np.int64)
+
+
+def _read_csr(store: SqliteStore) -> tuple[tuple[np.ndarray, np.ndarray], set[str]]:
+    """``store.csr_arrays()`` and the reads it made: ``"scan"`` for the ordered
+    row scan, ``"blob"`` for a fetch of a stored index blob."""
+    statements: list[str] = []
+    store._conn.set_trace_callback(statements.append)
+    try:
+        csr = store.csr_arrays()
+    finally:
+        store._conn.set_trace_callback(None)
+    reads = set()
+    if any("FROM triples ORDER BY entity_row" in sql for sql in statements):
+        reads.add("scan")
+    if any("SELECT value FROM meta" in sql for sql in statements):
+        reads.add("blob")
+    return csr, reads
+
+
+def _assert_csr_equal(actual, expected) -> None:
+    for got, want in zip(actual, expected):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+#: Ways a stored ``(offsets, positions)`` index can fail to describe its table.
+_DAMAGE = {
+    "truncated positions": lambda o, p: (o, p[: p.size // 2]),
+    "extra position": lambda o, p: (o, np.append(p, p[0])),
+    "extra offset": lambda o, p: (np.append(o, o[-1]), p),
+    "offsets start above 0": lambda o, p: (np.r_[1, o[1:]], p),
+    "offsets end short": lambda o, p: (np.r_[o[:-1], o[-1] - 1], p),
+    "decreasing offsets": lambda o, p: (np.r_[o[0], o[2], o[1], o[3:]], p),
+    "repeated position": lambda o, p: (o, np.r_[p[0], p[0], p[2:]]),
+    "negative position": lambda o, p: (o, np.where(p == p.size - 1, -1, p)),
+}
+
+
+class TestStoredClusterIndex:
+    @given(_triple_lists, st.integers(1, 64))
+    @settings(max_examples=25, deadline=None)
+    def test_reopened_index_equals_columnar_and_scan(self, triples, chunk):
+        columnar = KnowledgeGraph(triples).backend
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "kg.sqlite"
+            SqliteStore.from_columnar(columnar, path=db).close()
+            stored = SqliteStore(db)
+            csr, reads = _read_csr(stored)
+            assert reads == {"blob"}
+            _assert_csr_equal(csr, columnar.csr_arrays())
+            np.testing.assert_array_equal(
+                stored.cluster_size_array(), columnar.cluster_size_array()
+            )
+            stored.close()
+            _rewrite_meta(db, **dict.fromkeys(_STORED_INDEX_KEYS))
+            rescanned = SqliteStore(db)
+            # Small chunks put chunk boundaries inside clusters.
+            with mock.patch("repro.storage.sqlite._SCAN_CHUNK", chunk):
+                scan, reads = _read_csr(rescanned)
+            assert reads == {"scan"}
+            _assert_csr_equal(scan, csr)
+            np.testing.assert_array_equal(
+                rescanned.cluster_size_array(), columnar.cluster_size_array()
+            )
+            rescanned.close()
+
+    @pytest.mark.parametrize(
+        "write_headroom, read_headroom, stored",
+        [(64, 64, True), (0, 0, False), (None, 0, False)],
+        ids=["fits", "too-big-to-write", "too-big-to-read"],
+    )
+    def test_index_over_the_length_limit_is_not_used(
+        self, tmp_path, nell, monkeypatch, write_headroom, read_headroom, stored
+    ):
+        """SQLite refuses a row over its length limit on write (which would
+        roll the whole copy back) and a blob over it on read."""
+        columnar = nell.graph.to_columnar().backend
+        blob_bytes = columnar.csr_arrays()[1].size * 8
+        connect = sqlite3.connect
+
+        def connect_with(headroom):
+            def limited_connect(*args, **kwargs):
+                conn = connect(*args, **kwargs)
+                if headroom is not None:
+                    conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, blob_bytes + headroom)
+                return conn
+
+            return limited_connect
+
+        db = tmp_path / "kg.sqlite"
+        monkeypatch.setattr(sqlite3, "connect", connect_with(write_headroom))
+        SqliteStore.from_columnar(columnar, path=db).close()
+        reference = SqliteStore.from_columnar(columnar)
+        monkeypatch.setattr(sqlite3, "connect", connect_with(read_headroom))
+        reopened = SqliteStore(db)
+        csr, reads = _read_csr(reopened)
+        assert reads == ({"blob"} if stored else {"scan"})
+        _assert_csr_equal(csr, columnar.csr_arrays())
+        assert reopened.content_digest() == reference.content_digest()
+        reopened.close()
+        reference.close()
+
+    def test_scan_holds_the_index_and_one_chunk(self, tmp_path):
+        triples = [Triple(f"s{i % 2000}", "p", f"o{i}") for i in range(20_000)]
+        db = tmp_path / "kg.sqlite"
+        KnowledgeGraph(triples).to_sqlite(path=db).backend.close()
+        _rewrite_meta(db, **dict.fromkeys(_STORED_INDEX_KEYS))
+        store = SqliteStore(db)
+        chunk = 1000
+        tracemalloc.start()
+        try:
+            with mock.patch("repro.storage.sqlite._SCAN_CHUNK", chunk):
+                csr, reads = _read_csr(store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reads == {"scan"}
+        _assert_csr_equal(csr, _reference_csr(db))
+        index_bytes = 8 * (store.num_triples + store.num_entities + 1)
+        # The index, a few chunk-sized buffers and interpreter slack; one
+        # whole-table buffer of (row, position) pairs alone is 2x the index.
+        assert peak < index_bytes + 4 * 16 * chunk + 64 * 1024
+        store.close()
+
+    def test_growth_makes_the_stored_index_stale(self, tmp_path, toy_graph):
+        db = tmp_path / "kg.sqlite"
+        toy_graph.to_sqlite(path=db).backend.close()
+        store = SqliteStore(db)
+        assert _read_csr(store)[1] == {"blob"}
+        tsv = _write_tsv(tmp_path / "more.tsv", rows=600)
+        for grow in (
+            lambda: store.add(Triple("athlete_1", "late", "fact")),
+            lambda: store.add_batch([Triple("newcomer", "p", "o"), Triple("city_1", "p", "o")]),
+            lambda: store.ingest_file(tsv, "tsv", batch_size=100, max_batches=1),
+        ):
+            grow()
+            csr, reads = _read_csr(store)
+            # The stale blobs fail the length check in SQL and are never read.
+            assert reads == {"scan"}
+            _assert_csr_equal(csr, _reference_csr(db))
+        store.close()
+        reopened = SqliteStore(db)
+        csr, reads = _read_csr(reopened)
+        assert reads == {"scan"}
+        _assert_csr_equal(csr, _reference_csr(db))
+        np.testing.assert_array_equal(reopened.cluster_size_array(), np.diff(csr[0]))
+
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_damaged_index_is_never_used(self, tmp_path, nell, damage):
+        db = tmp_path / "kg.sqlite"
+        nell.graph.to_sqlite(path=db).backend.close()
+        offsets, positions = _stored_index(db)
+        # Non-empty first and last clusters: each damage but the truncation
+        # then trips exactly one of the checks.
+        assert (np.diff(offsets)[[0, 1, -1]] > 0).all()
+        offsets, positions = _DAMAGE[damage](offsets, positions)
+        _rewrite_meta(
+            db,
+            csr_offsets=offsets.astype("<i8").tobytes(),
+            csr_positions=positions.astype("<i8").tobytes(),
+        )
+        store = SqliteStore(db)
+        csr, reads = _read_csr(store)
+        assert "scan" in reads
+        _assert_csr_equal(csr, _reference_csr(db))
+        store.close()
 
 
 class TestSqliteDrawParity:
