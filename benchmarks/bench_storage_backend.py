@@ -99,10 +99,10 @@ def _worker_build_snapshot(snapshot_path: str) -> dict:
 
 def _worker_build_sqlite(snapshot_path: str, db_path: str) -> dict:
     """Bulk-copy the snapshot's columns into a WAL sqlite database."""
-    from repro.kg.graph import KnowledgeGraph
+    from repro.storage.snapshot import SnapshotStore
     from repro.storage.sqlite import SqliteStore
 
-    graph = KnowledgeGraph.from_snapshot(snapshot_path, mmap=True)
+    graph = SnapshotStore(snapshot_path).load_graph(mmap=True)
     started = time.perf_counter()
     store = SqliteStore.from_columnar(graph.backend, path=db_path, name=graph.name)
     build_seconds = time.perf_counter() - started
@@ -122,12 +122,12 @@ def _worker_columnar_ram(snapshot_path: str) -> dict:
     """Columnar fully in RAM (mmap off): the in-core cost sqlite competes with."""
     import numpy as np
 
-    from repro.kg.graph import KnowledgeGraph
     from repro.sampling.twcs import TwoStageWeightedClusterDesign
+    from repro.storage.snapshot import SnapshotStore
 
     rss_before = _rss_kb()
     started = time.perf_counter()
-    graph = KnowledgeGraph.from_snapshot(snapshot_path, mmap=False)
+    graph = SnapshotStore(snapshot_path).load_graph(mmap=False)
     design = TwoStageWeightedClusterDesign(
         graph, second_stage_size=_SECOND_STAGE, seed=_DESIGN_SEED
     )

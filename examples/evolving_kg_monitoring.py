@@ -14,12 +14,12 @@ of error:
 Every evaluator samples integer triple positions and reads ground truth from
 a position-aligned label array.  The second part shows the production-scale
 variant of the same workflow: the base KG moves to the columnar backend and
-is persisted as a format-v2 snapshot (columns + label array), update batches
-become appended CSR segments over a zero-copy DeltaStore view, no Triple
-objects are materialised, and re-running the script reopens the snapshot
-(its stored label array becomes the oracle via
-``LabelOracle.from_positions``) instead of rebuilding the base.  Estimates
-are bit-identical across storage backends under a fixed seed.
+is persisted with ``LabelledKG.save`` (a snapshot directory of columns plus
+the label array), update batches become appended CSR segments over a
+zero-copy DeltaStore view, no Triple objects are materialised, and
+re-running the script reopens the snapshot with ``LabelledKG.open`` (its
+stored label array becomes the oracle as is) instead of rebuilding the base.
+Estimates are bit-identical across storage backends under a fixed seed.
 
 Run with:  python examples/evolving_kg_monitoring.py
 """
@@ -33,14 +33,12 @@ from repro import (
     BaselineEvolvingEvaluator,
     EvolvingAccuracyMonitor,
     LabelledKG,
-    LabelOracle,
     RandomErrorModel,
     ReservoirIncrementalEvaluator,
     StratifiedIncrementalEvaluator,
     UpdateWorkloadGenerator,
     make_movie_like,
 )
-from repro.storage import SnapshotStore
 
 NUM_BATCHES = 6
 BATCH_FRACTION = 0.15
@@ -95,21 +93,18 @@ def columnar_with_snapshot_resume(snapshot_dir: Path) -> None:
     """The same monitoring loop on the columnar backend, resumable via snapshot.
 
     First call: builds the base KG, converts it to columnar storage and
-    persists graph + labels (snapshot format v2).  Subsequent calls reopen
-    the snapshot in milliseconds and replay the identical trajectory —
-    nothing is re-generated or re-annotated.
+    persists graph + labels.  Subsequent calls reopen the snapshot in
+    milliseconds and replay the identical trajectory — nothing is
+    re-generated or re-annotated.
     """
-    store = SnapshotStore(snapshot_dir)
-    if store.exists():
-        graph = store.load_graph(mmap=True)
+    if snapshot_dir.exists():
         # The stored label array is the whole oracle: no Triple-keyed mapping.
-        base = LabelledKG(graph, LabelOracle.from_positions(graph, store.load_labels(mmap=True)))
-        print(f"reopened {graph!r} from {snapshot_dir} (labels persisted alongside)")
+        base = LabelledKG.open(snapshot_dir)
+        print(f"reopened {base.graph!r} from {snapshot_dir} (labels persisted alongside)")
     else:
         base = build_base(seed=5).to_columnar()
-        graph = base.graph
-        store.save(graph.backend, name=graph.name, labels=base.oracle.as_position_array(graph))
-        print(f"built {graph!r} and saved graph + labels to {snapshot_dir}")
+        base.save(snapshot_dir)
+        print(f"built {base.graph!r} and saved graph + labels to {snapshot_dir}")
 
     evaluator = StratifiedIncrementalEvaluator(base, seed=1)
     monitor = EvolvingAccuracyMonitor(evaluator)

@@ -12,10 +12,10 @@ The commands cover the common workflows:
   format it was stored in);
 * ``experiment`` — regenerate one of the paper's tables/figures and print the
   rows (the same functions the benchmark suite calls);
-* ``snapshot`` — build a dataset's graph and persist it with
-  :class:`~repro.storage.snapshot.SnapshotStore` (``.npz`` archive, or a
-  memory-mappable snapshot directory when the path has no ``.npz`` suffix);
-  ``--with-labels`` stores the ground-truth label array next to the columns;
+* ``snapshot`` — build a dataset and persist it with
+  :meth:`~repro.generators.datasets.LabelledKG.save`: a memory-mappable
+  snapshot directory, or a SQLite database with ``--backend sqlite``;
+  ``--with-labels`` stores the ground-truth label array next to the graph;
 * ``monitor`` — run an evolving-KG monitoring session (Section 7.3.2): a base
   dataset receives a stream of update batches and an incremental evaluator
   tracks its accuracy on a columnar base with zero-copy delta updates;
@@ -40,6 +40,11 @@ The commands cover the common workflows:
 every graph size: the random stream of a seeded run depends on the seed, the
 data and the quality target only.
 
+``evaluate --from-snapshot``, ``monitor --snapshot`` and a served
+``snapshot`` session reopen a labelled snapshot with
+:meth:`~repro.generators.datasets.LabelledKG.open`; a path it cannot read
+fails with one ``cannot open snapshot <path>: <reason>`` line.
+
 Examples
 --------
 ::
@@ -48,9 +53,9 @@ Examples
     python -m repro evaluate --dataset nell --design twcs --moe 0.05 --seed 7
     python -m repro evaluate --dataset nell --backend sqlite
     python -m repro experiment table5 --trials 10
-    python -m repro snapshot --dataset movie --out movie.npz --with-labels
+    python -m repro snapshot --dataset movie --out movie.snap --with-labels
     python -m repro snapshot --dataset movie --out movie.sqlite --backend sqlite --with-labels
-    python -m repro evaluate --from-snapshot movie.npz
+    python -m repro evaluate --from-snapshot movie.snap
     python -m repro monitor --dataset movie --batches 5
     python -m repro monitor --dataset nell \\
         --log-json run.jsonl --metrics-out monitor.json
@@ -74,9 +79,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import sqlite3
 import sys
-import zipfile
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -99,11 +102,6 @@ from repro.kg.statistics import cluster_size_summary
 from repro.sampling import DESIGNS, make_design
 
 __all__ = ["main", "build_parser"]
-
-# What reopening a missing, foreign or damaged snapshot raises.  EOFError: an
-# empty file; KeyError: an archive without the snapshot's arrays; ValueError:
-# a file numpy would only read as a pickle.
-_SNAPSHOT_OPEN_ERRORS = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, sqlite3.Error)
 
 
 # --------------------------------------------------------------------------- #
@@ -128,64 +126,11 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _labelled_snapshot(path: str, graph, labels) -> LabelledKG:
-    """Label a reopened graph with its stored position-aligned label array."""
-    from repro.labels.oracle import LabelOracle
-
+def _open_snapshot(path: str) -> LabelledKG:
     try:
-        oracle = LabelOracle.from_positions(graph, labels)
+        return LabelledKG.open(path)
     except ValueError as exc:
-        raise SystemExit(f"cannot open snapshot {path}: {exc}") from exc
-    return LabelledKG(graph, oracle)
-
-
-def _load_snapshot_dataset(path: str) -> LabelledKG:
-    """Reopen a persisted graph + label array as a labelled KG.
-
-    Accepts either a format-v2 snapshot (``.npz`` / snapshot directory) or a
-    SQLite database written by ``repro snapshot --backend sqlite`` — the
-    database is detected by its file header and reopened in place, columns
-    staying on disk.  The stored label array becomes the oracle as is
-    (:meth:`~repro.labels.oracle.LabelOracle.from_positions`), so the
-    evaluation loop reads it without materialising a Triple.  A path that is
-    no snapshot exits with ``cannot open snapshot <path>: <reason>``.
-    """
-    from repro.storage.snapshot import SnapshotStore
-    from repro.storage.sqlite import is_sqlite_file
-
-    if is_sqlite_file(path):
-        return _load_sqlite_dataset(path)
-    store = SnapshotStore(path)
-    try:
-        graph = store.load_graph()
-        labels = store.load_labels()
-    except _SNAPSHOT_OPEN_ERRORS as exc:
-        raise SystemExit(f"cannot open snapshot {path}: {exc}") from exc
-    if labels is None:
-        raise SystemExit(
-            f"snapshot {path} carries no label array; re-create it with "
-            "`repro snapshot --with-labels`"
-        )
-    return _labelled_snapshot(path, graph, labels)
-
-
-def _load_sqlite_dataset(path: str) -> LabelledKG:
-    """Reopen a SQLite graph database (with stored labels) as a labelled KG."""
-    from repro.kg.graph import KnowledgeGraph
-    from repro.storage.sqlite import SqliteStore
-
-    try:
-        store = SqliteStore(path)
-        name = store.graph_name() or Path(path).stem
-        labels = store.load_labels()
-    except _SNAPSHOT_OPEN_ERRORS as exc:
-        raise SystemExit(f"cannot open snapshot {path}: {exc}") from exc
-    if labels is None:
-        raise SystemExit(
-            f"sqlite database {path} carries no label array; re-create it with "
-            "`repro snapshot --backend sqlite --with-labels`"
-        )
-    return _labelled_snapshot(path, KnowledgeGraph(name=name, backend=store), labels)
+        raise SystemExit(str(exc)) from exc
 
 
 def _load_cli_secret(args: argparse.Namespace):
@@ -205,7 +150,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.from_snapshot:
         # Evaluated in the format it was stored in: a SQLite snapshot stays
         # on disk, which is what keeps a cold audit from reading every triple.
-        data = _load_snapshot_dataset(args.from_snapshot)
+        data = _open_snapshot(args.from_snapshot)
     else:
         # A dataset stand-in is built as columns in RAM.
         data = make_dataset(args.dataset, args.seed, args.movie_scale)
@@ -234,27 +179,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from repro.storage.snapshot import SnapshotStore
-
     data = make_dataset(args.dataset, args.seed, args.movie_scale)
-    graph = data.graph.to_columnar()
-    labels = data.oracle.as_position_array(graph) if args.with_labels else None
+    path = data.save(args.out, backend=args.backend, labels=args.with_labels)
     if args.backend == "sqlite":
-        sqlite_graph = graph.to_sqlite(path=args.out)
-        if labels is not None:
-            sqlite_graph.backend.save_labels(labels)
-        path, layout = Path(args.out), "sqlite database (WAL)"
-        label_note = "stored (meta table)"
+        layout, label_note = "sqlite database (WAL)", "stored (meta table)"
     else:
-        path = SnapshotStore(args.out).save(
-            graph, name=graph.name, compress=args.compress, labels=labels
-        )
-        layout = "npz archive" if SnapshotStore(path).is_archive else "mmap-able directory"
-        label_note = "stored (format v2)"
-    print(f"dataset  : {graph.name}")
-    print(f"entities : {graph.num_entities}")
-    print(f"triples  : {graph.num_triples}")
-    print(f"labels   : {label_note if labels is not None else 'not stored'}")
+        layout, label_note = "mmap-able directory", "stored (format v2)"
+    print(f"dataset  : {data.name}")
+    print(f"entities : {data.graph.num_entities}")
+    print(f"triples  : {data.graph.num_triples}")
+    print(f"labels   : {label_note if args.with_labels else 'not stored'}")
     print(f"snapshot : {path} ({layout})")
     return 0
 
@@ -269,19 +203,12 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     # The delta machinery evolves a frozen columnar base, so every base ends
     # up as columns; to_columnar() hands a columnar graph back unchanged.
     if args.snapshot and Path(args.snapshot).exists():
-        data = _load_snapshot_dataset(args.snapshot).to_columnar()
+        data = _open_snapshot(args.snapshot).to_columnar()
         print(f"base KG  : {data.graph!r} (reopened from {args.snapshot})")
     else:
-        data = make_dataset(args.dataset, args.seed, args.movie_scale)
-        if args.backend == "sqlite":
-            # The sqlite round-trip keeps the persistent copy out-of-core
-            # while the derived columns (bit-identical to a direct columnar
-            # build) carry the update stream.
-            data = data.to_sqlite()
-        data = data.to_columnar()
+        data = make_dataset(args.dataset, args.seed, args.movie_scale).to_columnar()
         if args.snapshot:
-            labels = data.oracle.as_position_array(data.graph)
-            data.graph.save_snapshot(args.snapshot, labels=labels)
+            data.save(args.snapshot)
             print(f"base KG  : {data.graph!r} (snapshot saved to {args.snapshot})")
         else:
             print(f"base KG  : {data.graph!r}")
@@ -302,7 +229,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     ):
         monitor.apply_update(batch, batch_oracle)
 
-    print(f"evaluator: {args.evaluator} ({args.backend} backend)")
+    print(f"evaluator: {args.evaluator} (columnar backend)")
     print("batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)")
     for record in monitor.records:
         print(
@@ -742,31 +669,29 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot = subparsers.add_parser(
         "snapshot",
         parents=[common],
-        help="build a dataset and persist it as a columnar snapshot",
+        help="build a dataset and persist it as a snapshot directory or SQLite database",
     )
     snapshot.add_argument("--dataset", choices=DATASETS, default="nell")
     snapshot.add_argument(
         "--out",
         required=True,
-        help="target path: *.npz for a single archive, anything else for a "
-        "memory-mappable snapshot directory (or a WAL database with "
-        "--backend sqlite)",
+        help="target path: a memory-mappable snapshot directory, or a WAL "
+        "database with --backend sqlite",
     )
     snapshot.add_argument(
         "--backend",
         choices=("columnar", "sqlite"),
         default="columnar",
-        help="persistence format: 'columnar' writes a SnapshotStore snapshot, "
+        help="persistence format: 'columnar' writes a snapshot directory, "
         "'sqlite' writes a disk-resident WAL database that `evaluate "
         "--from-snapshot` reopens out-of-core (default columnar)",
     )
-    snapshot.add_argument("--compress", action="store_true", help="compress the .npz archive")
     snapshot.add_argument(
         "--with-labels",
         action="store_true",
         dest="with_labels",
-        help="store the ground-truth label array next to the graph (format v2), "
-        "enabling `evaluate --from-snapshot` and monitor resume",
+        help="store the ground-truth label array next to the graph, enabling "
+        "`evaluate --from-snapshot`, `monitor --snapshot` and serve snapshot sessions",
     )
 
     monitor = subparsers.add_parser(
@@ -775,14 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="monitor an evolving KG over a stream of update batches",
     )
     monitor.add_argument("--dataset", choices=DATASETS, default="movie")
-    monitor.add_argument(
-        "--backend",
-        choices=("columnar", "sqlite"),
-        default="columnar",
-        help="storage backend of the base: 'columnar' evolves it through zero-copy "
-        "delta updates, 'sqlite' keeps the persistent base out-of-core and derives "
-        "the same columns (default columnar)",
-    )
     monitor.add_argument(
         "--evaluator",
         choices=("rs", "ss", "baseline"),

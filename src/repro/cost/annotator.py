@@ -316,10 +316,6 @@ class PositionAnnotationAccount:
     once per distinct triple position, and re-annotating already-labelled
     positions is free — which keeps the evolving evaluators' cost reports
     comparable to (and as deterministic as) the static loop's.
-
-    :meth:`mark_annotated` seeds the account without charging, so a
-    monitoring run resumed from a snapshot (format v2 ``annotated`` array)
-    does not pay again for annotations persisted by the previous run.
     """
 
     def __init__(self, cost_model: CostModel | None = None) -> None:
@@ -349,11 +345,6 @@ class PositionAnnotationAccount:
         annotated.update(new_positions)
         self._total_seconds += cost
         return len(new_positions)
-
-    def mark_annotated(self, entity_key: int, positions: np.ndarray | Sequence[int]) -> None:
-        """Record positions as already annotated without charging any cost."""
-        self._identified.add(entity_key)
-        self._annotated.update(int(p) for p in positions)
 
     # ------------------------------------------------------------------ #
     # Read-outs

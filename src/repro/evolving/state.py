@@ -1,7 +1,7 @@
-"""Persist and restore incremental-evaluator state (snapshot format v3).
+"""Capture and restore incremental-evaluator state.
 
 A monitoring run over an evolving KG accumulates three kinds of state that a
-plain graph snapshot (format v2) cannot capture: the sampling state
+labelled graph snapshot cannot capture: the sampling state
 (reservoir keys and candidate heaps, or per-stratum accumulators), the
 annotation account (which positions are paid for) and the random streams.
 This module captures all of it as an explicit state dictionary so a run can
@@ -16,11 +16,12 @@ boundary — after ``evaluate_base()`` or any ``apply_update()`` returns.
 
 The state dictionary contains NumPy arrays, plain scalars and the package's
 own small dataclasses (``RunningMean``, ``PositionSegment``, reservoir
-entries, reports); :class:`~repro.storage.snapshot.SnapshotStore` serialises
-it with :mod:`pickle` next to the graph columns.  The delta tail is stored
-as interned id columns plus the vocabulary strings the update stream added,
-and replayed through :meth:`~repro.storage.delta.DeltaStore.restore_tail`
-on load.
+entries, reports); a ``repro serve`` checkpoint
+(:func:`repro.serve.session.checkpoint_session`) stores it in the daemon's
+``--state-dir`` and restores it over the reopened base.  The delta tail is
+stored as interned id columns plus the vocabulary strings the update stream
+added, and replayed through
+:meth:`~repro.storage.delta.DeltaStore.restore_tail` on load.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ is calibrated to the published gold accuracy.
 from __future__ import annotations
 
 import math
+import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,8 @@ from repro.kg.graph import KnowledgeGraph
 from repro.labels.binomial_mixture import BinomialMixtureModel
 from repro.labels.oracle import LabelOracle
 from repro.labels.random_error import RandomErrorModel
+from repro.storage.snapshot import SnapshotStore
+from repro.storage.sqlite import SqliteStore, is_sqlite_file
 
 __all__ = [
     "DATASETS",
@@ -70,6 +73,63 @@ class LabelledKG:
     def to_sqlite(self, path: str | Path | None = None) -> "LabelledKG":
         """This dataset on a SQLite backend (see :meth:`KnowledgeGraph.to_sqlite`)."""
         return self._rebind(self.graph.to_sqlite(path))
+
+    @classmethod
+    def open(cls, path: str | Path) -> "LabelledKG":
+        """Reopen a labelled snapshot written by :meth:`save`.
+
+        A SQLite database (recognised by its file header) is opened in place,
+        its columns staying on disk; any other path is read as a snapshot
+        directory into RAM.  The stored label array becomes the oracle as is
+        (:meth:`~repro.labels.oracle.LabelOracle.from_positions`), so
+        reopening builds no Triple.
+
+        Raises
+        ------
+        ValueError
+            ``cannot open snapshot <path>: <reason>`` for a missing path, a
+            foreign or damaged file or directory, or a missing or misaligned
+            label array.
+        """
+        try:
+            if is_sqlite_file(path):
+                store = SqliteStore(path)
+                graph = KnowledgeGraph(name=store.graph_name() or Path(path).stem, backend=store)
+                labels = store.load_labels()
+                relabel = "`repro snapshot --backend sqlite --with-labels`"
+            else:
+                snapshot = SnapshotStore(path)
+                graph = snapshot.load_graph()
+                labels = snapshot.load_labels()
+                relabel = "`repro snapshot --with-labels`"
+            if labels is None:
+                raise ValueError(f"it carries no label array; re-create it with {relabel}")
+            return cls(graph, LabelOracle.from_positions(graph, labels))
+        # OSError: a missing or unreadable path; EOFError: an empty array
+        # file; LookupError: a damaged meta array; ValueError: a file numpy
+        # would only read as a pickle, or a misaligned label array.
+        except (OSError, EOFError, LookupError, ValueError, sqlite3.Error) as exc:
+            raise ValueError(f"cannot open snapshot {path}: {exc}") from exc
+
+    def save(self, path: str | Path, *, backend: str = "columnar", labels: bool = True) -> Path:
+        """Persist this dataset where :meth:`open` reopens it; return ``path``.
+
+        ``backend="columnar"`` writes a memory-mappable snapshot directory
+        (:class:`~repro.storage.snapshot.SnapshotStore`); ``"sqlite"`` writes
+        a disk-resident WAL database, replacing any file at ``path``.
+        ``labels`` stores the position-aligned label array next to the graph;
+        :meth:`open` refuses a snapshot without one.
+        """
+        graph = self.graph.to_columnar()
+        label_array = self.oracle.as_position_array(graph) if labels else None
+        if backend == "sqlite":
+            store = graph.to_sqlite(path).backend
+            if label_array is not None:
+                store.save_labels(label_array)
+            return Path(path)
+        if backend != "columnar":
+            raise ValueError(f"unknown snapshot backend {backend!r}")
+        return SnapshotStore(path).save(graph, labels=label_array)
 
     def _rebind(self, graph: KnowledgeGraph) -> "LabelledKG":
         # Conversion preserves triple positions, so the label array of the

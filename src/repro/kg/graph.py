@@ -403,7 +403,7 @@ class KnowledgeGraph:
         return sample_csr_positions_batch(offsets, positions, rows, cap, rng)
 
     # ------------------------------------------------------------------ #
-    # Storage conversion / persistence
+    # Storage conversion
     # ------------------------------------------------------------------ #
     def to_columnar(self, name: str | None = None) -> "KnowledgeGraph":
         """Return this graph re-packed onto a columnar backend.
@@ -436,35 +436,6 @@ class KnowledgeGraph:
         columnar = self.to_columnar()
         store = SqliteStore.from_columnar(columnar.backend, path=path, name=graph_name)
         return KnowledgeGraph(name=graph_name, backend=store)
-
-    def save_snapshot(
-        self,
-        path: str | Path,
-        compress: bool = False,
-        labels: np.ndarray | None = None,
-        annotated: np.ndarray | None = None,
-    ) -> Path:
-        """Persist the graph via :class:`~repro.storage.snapshot.SnapshotStore`.
-
-        ``labels`` / ``annotated`` are optional position-aligned boolean
-        arrays saved next to the columns (snapshot format v2), so an
-        evaluation or monitoring run can stop and resume without
-        re-annotating.
-        """
-        from repro.storage.snapshot import SnapshotStore
-
-        return SnapshotStore(path).save(
-            self, name=self.name, compress=compress, labels=labels, annotated=annotated
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls, path: str | Path, mmap: bool = False, name: str | None = None
-    ) -> "KnowledgeGraph":
-        """Reopen a snapshot as a columnar-backed graph (optionally memory-mapped)."""
-        from repro.storage.snapshot import SnapshotStore
-
-        return SnapshotStore(path).load_graph(mmap=mmap, name=name)
 
     # ------------------------------------------------------------------ #
     # Derivation

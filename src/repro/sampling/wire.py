@@ -1,7 +1,7 @@
 """Schema'd binary wire codec for the ``repro serve`` protocol.
 
 Every value on the wire is one of a fixed set of tagged types, decoded by
-explicit readers that validate lengths, dtypes and field types as they go.
+explicit readers that validate lengths and field types as they go.
 Decoding never constructs anything outside this set — there is no pickle
 anywhere on the wire path — so a malformed or malicious frame can produce
 exactly one outcome: :class:`WireError`.
@@ -34,12 +34,6 @@ tag   body
 ``7`` bytes: u64 length, raw bytes
 ``8`` list / ``9`` tuple: u32 count, then each element
 ``10`` dict: u32 count, then (str key, value) pairs — keys must be ``str``
-``11`` ndarray: dtype str (u8 length), ndim (u8), shape (u64 each),
-       u64 byte length, raw C-order bytes.  Dtypes are restricted to
-       bool/int/uint/float kinds ≤ 8 bytes — never object arrays — and the
-       decoder accepts only the dtype strings the encoder emits.
-``12`` :class:`numpy.random.SeedSequence`: entropy, spawn_key, pool_size
-       (at most 64 on decode), n_children_spawned (each a tagged value)
 ``19`` :class:`~repro.kg.triple.Triple` (subject, predicate, object strings +
        is_entity_object bool)
 ``20`` :class:`~repro.sampling.base.Estimate` (value, std_error, num_units,
@@ -49,10 +43,13 @@ tag   body
 ``22`` :class:`~repro.evolving.monitor.MonitorRecord` (7 scalar fields)
 ====  =======================================================================
 
-Tags ``13``–``18`` are retired: they carried the shard tasks, results and
-trace contexts of a removed worker protocol.  Decoding one fails with the
-typed ``unknown wire tag`` :class:`WireError`, like any tag beyond ``22``;
-every other tag keeps its number and its bytes.
+Tags ``11``–``18`` are retired: ``11`` and ``12`` carried NumPy arrays and
+``SeedSequence`` objects, which no serve message holds, and ``13``–``18``
+the shard tasks, results and trace contexts of a removed worker protocol.
+Decoding one fails with the typed ``unknown wire tag`` :class:`WireError`,
+like any tag beyond ``22``, and encoding an array or a ``SeedSequence``
+fails as any other type outside the schema does; every other tag keeps its
+number and its bytes.
 
 Generator states (``Generator.bit_generator.state``) need no tag of their
 own: they are plain dicts of strs, ints (including the 128-bit PCG64 state
@@ -102,8 +99,6 @@ _T_BYTES = 7
 _T_LIST = 8
 _T_TUPLE = 9
 _T_DICT = 10
-_T_NDARRAY = 11
-_T_SEEDSEQ = 12
 _T_TRIPLE = 19
 _T_ESTIMATE = 20
 _T_REPORT = 21
@@ -128,39 +123,7 @@ _I64_MAX = 2**63 - 1
 #: Nesting bound: real messages are ~4 levels deep; crafted frames don't get
 #: to wind the decoder's stack arbitrarily far.
 _MAX_DEPTH = 32
-_MAX_NDIM = 4
 _MAX_BIGINT_BYTES = 1 << 20
-#: Array dtype kinds allowed on the wire (never object/void/str kinds).
-_ARRAY_KINDS = frozenset("biuf")
-#: numpy mixes a SeedSequence's entropy pool in time quadratic in its size,
-#: holding the GIL; numpy's own default is 4.
-_MAX_POOL_SIZE = 64
-#: numpy splits a SeedSequence's entropy and spawn_key ints into 32-bit words
-#: in time quadratic in their size (one whole-int shift per word).
-_MAX_SEED_INT_BITS = 2048
-
-
-def _wire_dtypes() -> dict[bytes, np.dtype]:
-    """The dtype strings the encoder emits (``array.dtype.str``): ``|`` for
-    one-byte kinds, ``<`` or ``>`` for the others.
-
-    The decoder looks a wire dtype up here and never hands the string to
-    ``np.dtype``, which parses some malformed strings with ``ast``.
-    """
-    dtypes = {}
-    for kind in _ARRAY_KINDS:
-        for size in "1248":
-            try:
-                native = np.dtype(kind + size)
-            except TypeError:  # no 2-, 4- or 8-byte bool, no 1-byte float
-                continue
-            for order in "<>":
-                dtype = native.newbyteorder(order)
-                dtypes[dtype.str.encode("ascii")] = dtype
-    return dtypes
-
-
-_WIRE_DTYPES = _wire_dtypes()
 
 
 class WireError(RuntimeError):
@@ -207,24 +170,6 @@ def _triple_bytes(triple: Triple) -> bytes:
             _TRUE_BYTE if triple.is_entity_object else _FALSE_BYTE,
         )
     )
-
-
-def _encode_array(array: np.ndarray, out: bytearray) -> None:
-    if array.dtype.kind not in _ARRAY_KINDS or array.dtype.itemsize > 8:
-        raise WireError(f"dtype {array.dtype} is not allowed on the wire")
-    if array.ndim > _MAX_NDIM:
-        raise WireError(f"{array.ndim}-dimensional arrays are not allowed on the wire")
-    array = np.ascontiguousarray(array)
-    dtype_str = array.dtype.str.encode("ascii")
-    data = array.tobytes()
-    out.append(_T_NDARRAY)
-    out.append(len(dtype_str))
-    out += dtype_str
-    out.append(array.ndim)
-    for dim in array.shape:
-        out += _U64.pack(dim)
-    out += _U64.pack(len(data))
-    out += data
 
 
 def _encode_items(tag: int, items, out: bytearray, depth: int) -> None:
@@ -280,18 +225,10 @@ def _encode(value, out: bytearray, depth: int) -> None:
         out.append(_T_BYTES)
         out += _U64.pack(len(data))
         out += data
-    elif isinstance(value, np.ndarray):
-        _encode_array(value, out)
     elif isinstance(value, (list, tuple)):
         _encode_items(_T_LIST if isinstance(value, list) else _T_TUPLE, value, out, depth + 1)
     elif isinstance(value, dict):
         _encode_dict(value, out, depth + 1)
-    elif isinstance(value, np.random.SeedSequence):
-        out.append(_T_SEEDSEQ)
-        _encode(value.entropy, out, depth + 1)
-        _encode(tuple(value.spawn_key), out, depth + 1)
-        _encode(int(value.pool_size), out, depth + 1)
-        _encode(int(value.n_children_spawned), out, depth + 1)
     elif isinstance(value, Triple):
         out += _triple_bytes(value)
     elif isinstance(value, Estimate):
@@ -413,69 +350,10 @@ def _decode_str_field(reader: _Reader, depth: int, what: str) -> str:
     return _expect(_decode(reader, depth), str, what)
 
 
-def _decode_array(reader: _Reader) -> np.ndarray:
-    dtype_str = reader.take(reader.u8())
-    dtype = _WIRE_DTYPES.get(dtype_str)
-    if dtype is None:
-        raise WireError(f"invalid dtype {dtype_str!r} on the wire")
-    ndim = reader.u8()
-    if ndim > _MAX_NDIM:
-        raise WireError(f"{ndim}-dimensional arrays are not allowed on the wire")
-    shape = tuple(reader.u64() for _ in range(ndim))
-    count = 1
-    for dim in shape:
-        count *= dim
-    length = reader.u64()
-    if length != count * dtype.itemsize:
-        raise WireError(f"array byte length {length} does not match shape {shape} of {dtype}")
-    data = reader.take(length)
-    try:
-        array = np.frombuffer(data, dtype=dtype).reshape(shape)
-    except ValueError as exc:
-        # An empty array can still declare a dimension numpy cannot hold.
-        raise WireError(f"array shape {shape} is not allowed on the wire: {exc}") from None
-    return array.copy()
-
-
 def _expect(value, kinds, what: str):
     if not isinstance(value, kinds) or isinstance(value, bool) and kinds is int:
         raise WireError(f"bad field type for {what}: {type(value).__name__}")
     return value
-
-
-def _decode_seedseq(reader: _Reader, depth: int) -> np.random.SeedSequence:
-    entropy = _decode(reader, depth)
-    spawn_key = _decode(reader, depth)
-    pool_size = _decode(reader, depth)
-    n_children = _decode(reader, depth)
-    if entropy is not None and not isinstance(entropy, int):
-        if not isinstance(entropy, (list, tuple)) or not all(
-            isinstance(item, int) for item in entropy
-        ):
-            raise WireError("SeedSequence entropy must be None, int or a sequence of ints")
-    if not isinstance(spawn_key, tuple) or not all(isinstance(item, int) for item in spawn_key):
-        raise WireError("SeedSequence spawn_key must be a tuple of ints")
-    _expect(pool_size, int, "SeedSequence pool_size")
-    _expect(n_children, int, "SeedSequence n_children_spawned")
-    if pool_size > _MAX_POOL_SIZE:
-        raise WireError(
-            f"SeedSequence pool_size {pool_size} exceeds the wire limit of {_MAX_POOL_SIZE}"
-        )
-    entropy_ints = (entropy,) if isinstance(entropy, int) else entropy or ()
-    for field, ints in (("entropy", entropy_ints), ("spawn_key", spawn_key)):
-        if any(item.bit_length() > _MAX_SEED_INT_BITS for item in ints):
-            raise WireError(
-                f"SeedSequence {field} int exceeds the wire limit of {_MAX_SEED_INT_BITS} bits"
-            )
-    try:
-        return np.random.SeedSequence(
-            entropy=entropy,
-            spawn_key=spawn_key,
-            pool_size=pool_size,
-            n_children_spawned=n_children,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a count above uint32
-        raise WireError(f"invalid SeedSequence on the wire: {exc}") from None
 
 
 def _decode_float_field(reader: _Reader, depth: int, what: str) -> float:
@@ -614,10 +492,6 @@ def _decode(reader: _Reader, depth: int):
                 raise WireError(f"invalid UTF-8 dict key: {exc}") from None
             out[key] = _decode(reader, depth + 1)
         return out
-    if tag == _T_NDARRAY:
-        return _decode_array(reader)
-    if tag == _T_SEEDSEQ:
-        return _decode_seedseq(reader, depth + 1)
     if tag == _T_ESTIMATE:
         return _decode_estimate(reader, depth + 1)
     if tag == _T_REPORT:

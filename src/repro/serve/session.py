@@ -11,10 +11,11 @@ golden replay suite pins.
 Specs
 -----
 ``dataset``/``dataset_seed``/``movie_scale``
-    Which synthetic base graph to build (or ``snapshot``: a format-v2
-    snapshot path saved with labels).  The built graph is shared across
-    sessions via the server's graph cache — the base columns are frozen;
-    each session's updates live in its own ``DeltaStore`` tail.
+    Which synthetic base graph to build (or ``snapshot``: a labelled
+    snapshot directory or SQLite database, reopened with
+    :meth:`~repro.generators.datasets.LabelledKG.open`).  The built graph is
+    shared across sessions via the server's graph cache — the base columns
+    are frozen; each session's updates live in its own ``DeltaStore`` tail.
 ``evaluator``
     ``rs`` (reservoir, Alg. 1) or ``ss`` (stratified, Alg. 2).
 ``seed``
@@ -120,25 +121,12 @@ def graph_cache_key(spec: dict) -> tuple:
 def build_base(spec: dict) -> LabelledKG:
     """Build (or reopen) the frozen columnar base a spec names.
 
-    A reopened snapshot's stored label array becomes the oracle as is
-    (:meth:`~repro.labels.oracle.LabelOracle.from_positions`), exactly like
-    ``repro monitor --snapshot``.
+    A snapshot is reopened exactly like ``repro monitor --snapshot`` reopens
+    it; one it cannot read raises the opener's ``ValueError``, which the
+    daemon answers as a ``bad_request``.
     """
     if "snapshot" in spec:
-        from repro.labels.oracle import LabelOracle
-        from repro.storage.snapshot import SnapshotStore
-
-        store = SnapshotStore(spec["snapshot"])
-        if not store.exists():
-            raise ValueError(f"snapshot {spec['snapshot']} does not exist")
-        labels = store.load_labels()
-        if labels is None:
-            raise ValueError(
-                f"snapshot {spec['snapshot']} carries no label array; re-create "
-                "it with `repro snapshot --with-labels`"
-            )
-        graph = store.load_graph()
-        return LabelledKG(graph, LabelOracle.from_positions(graph, labels))
+        return LabelledKG.open(spec["snapshot"]).to_columnar()
     return make_dataset(spec["dataset"], spec["dataset_seed"], spec["movie_scale"]).to_columnar()
 
 

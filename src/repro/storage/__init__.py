@@ -10,9 +10,11 @@ to a :class:`~repro.storage.backend.StorageBackend`:
 * :class:`DeltaStore` — an append-only view layering growable tail segments
   over a frozen columnar base, so applying evolving-KG update batches never
   thaws or rebuilds the frozen index.
-* :class:`SnapshotStore` — persists columnar graphs to ``.npz`` archives or
-  memory-mappable snapshot directories (format v2 optionally carries
-  label/annotation arrays), so big KGs are built once and reopened instantly.
+* :class:`SnapshotStore` — persists a columnar graph as a memory-mappable
+  snapshot directory, optionally with its position-aligned label array, so
+  big KGs are built once and reopened instantly;
+  :meth:`~repro.generators.datasets.LabelledKG.save` and ``open`` write and
+  reopen a labelled one (or a SQLite database).
 * :class:`SqliteStore` — disk-resident WAL-mode SQLite backend for graphs
   larger than memory: the cluster index is an indexed table, and streaming
   ingest is resumable from a per-batch checkpoint.

@@ -18,7 +18,7 @@ Three implementations ship with the package:
 
 * :class:`~repro.storage.columnar.ColumnarStore` — interned ``int32`` NumPy
   columns with a CSR cluster index, the in-RAM default: bulk loads,
-  million-triple graphs, zero-copy cluster slices and persistent snapshots
+  million-triple graphs, zero-copy cluster slices and snapshot directories
   (:class:`~repro.storage.snapshot.SnapshotStore`);
 * :class:`~repro.storage.delta.DeltaStore` — append-only tail segments over a
   frozen columnar base, the store every evolving graph grows in;

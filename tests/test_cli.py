@@ -9,6 +9,7 @@ import sqlite3
 import subprocess
 import sys
 from contextlib import closing
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,8 @@ class TestParser:
             ["client", "run", "--connect", "127.0.0.1:1", "--shards", "2"],
             ["client", "run", "--connect", "127.0.0.1:1", "--nodes", "127.0.0.1:1"],
             ["client", "run", "--connect", "127.0.0.1:1", "--rpc-window", "8"],
+            ["snapshot", "--out", "kg.snap", "--compress"],
+            ["monitor", "--backend", "sqlite"],
         ],
         ids=" ".join,
     )
@@ -132,13 +135,20 @@ class TestCommands:
         assert exit_code == 0
         assert "margin of error" in capsys.readouterr().out
 
-    def test_evaluate_exit_code_reflects_unmet_target(self, capsys):
-        # A 1.1% MoE on NELL with rcs may end in a census of all clusters,
-        # whose margin of error is 0.
-        exit_code = main(
-            ["evaluate", "--dataset", "nell", "--design", "rcs", "--moe", "0.011", "--seed", "0"]
-        )
-        assert exit_code in (0, 1)  # depends on whether the census satisfies the MoE
+    def test_evaluate_exit_code_reflects_unmet_target(self, capsys, monkeypatch):
+        # No CLI flag caps the sample, so cap it in the config: 30 units
+        # cannot reach a 1% MoE on NELL, and the run must say so by exit 1.
+        from repro import cli
+        from repro.core.config import EvaluationConfig
+
+        monkeypatch.setattr(cli, "EvaluationConfig", partial(EvaluationConfig, max_units=30))
+        args = ["evaluate", "--dataset", "nell", "--design", "twcs", "--moe", "0.01"]
+        exit_code = main([*args, "--seed", "0"])
+        out = capsys.readouterr().out
+        assert exit_code == 1
+        assert "sample units       : 30 " in out
+        margin = re.search(r"margin of error    : (\d\.\d+) \(target 0\.01\)", out)
+        assert margin is not None and float(margin.group(1)) > 0.01
 
     def test_evaluate_census_reports_zero_margin(self, capsys):
         # rcs at seed 3 draws all 817 NELL clusters: the estimate is the true
@@ -184,8 +194,6 @@ class TestMonitorCommand:
                 "monitor",
                 "--dataset",
                 "nell",
-                "--backend",
-                "columnar",
                 "--batches",
                 "2",
                 "--seed",
@@ -205,8 +213,6 @@ class TestMonitorCommand:
             "monitor",
             "--dataset",
             "nell",
-            "--backend",
-            "columnar",
             "--batches",
             "1",
             "--seed",
@@ -241,7 +247,7 @@ class TestMonitorCommand:
         assert main(["snapshot", "--dataset", "nell", "--out", str(target), "--with-labels"]) == 0
         capsys.readouterr()
         (target / "labels.npy").write_bytes(b"not an array")
-        monitor = ["monitor", "--backend", "columnar", "--batches", "1", "--snapshot", str(target)]
+        monitor = ["monitor", "--batches", "1", "--snapshot", str(target)]
         message = f"^cannot open snapshot {re.escape(str(target))}: "
         with pytest.raises(SystemExit, match=message) as raised:
             main(monitor)
@@ -252,7 +258,7 @@ class TestMonitorCommand:
 
 class TestSnapshotEvaluateRoundTrip:
     def test_evaluate_from_labelled_snapshot(self, capsys, tmp_path):
-        target = str(tmp_path / "nell.npz")
+        target = str(tmp_path / "nell.snap")
         assert main(["snapshot", "--dataset", "nell", "--out", target, "--with-labels"]) == 0
         capsys.readouterr()
         exit_code = main(["evaluate", "--from-snapshot", target, "--seed", "4"])
@@ -262,7 +268,7 @@ class TestSnapshotEvaluateRoundTrip:
 
     def test_classic_loop_from_snapshot_matches_the_built_dataset(self, capsys, tmp_path):
         # The loop labels positions straight from the stored array.
-        target = str(tmp_path / "nell.npz")
+        target = str(tmp_path / "nell.snap")
         assert main(["snapshot", "--dataset", "nell", "--out", target, "--with-labels"]) == 0
         capsys.readouterr()
         assert main(["evaluate", "--dataset", "nell", "--seed", "0"]) == 0
@@ -273,10 +279,11 @@ class TestSnapshotEvaluateRoundTrip:
         assert out == expected
 
     def test_evaluate_from_snapshot_without_labels_fails(self, capsys, tmp_path):
-        target = str(tmp_path / "bare.npz")
+        target = str(tmp_path / "bare.snap")
         assert main(["snapshot", "--dataset", "nell", "--out", target]) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit):
+        message = f"^cannot open snapshot {re.escape(target)}: it carries no label array"
+        with pytest.raises(SystemExit, match=message):
             main(["evaluate", "--from-snapshot", target])
 
     @pytest.mark.parametrize(
@@ -285,8 +292,8 @@ class TestSnapshotEvaluateRoundTrip:
     def test_evaluate_from_unreadable_snapshot_fails_cleanly(self, tmp_path, kind):
         # Anything that is not a snapshot exits with one typed message, not a
         # FileNotFoundError / numpy "pickled data" / sqlite traceback.
-        names = {"bare-directory": "bad", "not-a-database": "bad.sqlite"}
-        target = tmp_path / names.get(kind, "bad.npz")
+        names = {"foreign-archive": "bad.npz", "not-a-database": "bad.sqlite"}
+        target = tmp_path / names.get(kind, "bad.snap")
         if kind == "empty":
             target.write_bytes(b"")
         elif kind == "text":
@@ -300,7 +307,7 @@ class TestSnapshotEvaluateRoundTrip:
         with pytest.raises(SystemExit, match=f"^cannot open snapshot {re.escape(str(target))}: "):
             main(["evaluate", "--from-snapshot", str(target)])
 
-    @pytest.mark.parametrize("layout", ["npz", "sqlite"])
+    @pytest.mark.parametrize("layout", ["snap", "sqlite"])
     def test_evaluate_from_snapshot_with_misaligned_labels_fails(self, capsys, tmp_path, layout):
         # One label short: pairing labels with triples must refuse, not
         # silently drop the last triple's label.
@@ -309,11 +316,8 @@ class TestSnapshotEvaluateRoundTrip:
         args = ["snapshot", "--dataset", "nell", "--out", str(target), "--with-labels"]
         assert main(args + backend) == 0
         capsys.readouterr()
-        if layout == "npz":
-            with np.load(target) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-            arrays["labels"] = arrays["labels"][:-1]
-            np.savez(target, **arrays)
+        if layout == "snap":
+            np.save(target / "labels.npy", np.load(target / "labels.npy")[:-1])
         else:
             with closing(sqlite3.connect(target)) as conn:
                 conn.execute("UPDATE meta SET value = value - 1 WHERE key = 'labels_len'")
@@ -344,7 +348,7 @@ class TestLabelArrayThroughConversions:
         "annotation cost    : 38.01 hours\n"
     )
     SNAPSHOT_LAYOUTS = {
-        "columnar": ("kg.npz", "stored (format v2)", "npz archive"),
+        "columnar": ("kg.snap", "stored (format v2)", "mmap-able directory"),
         "sqlite": ("kg.sqlite", "stored (meta table)", "sqlite database (WAL)"),
     }
 
@@ -423,8 +427,6 @@ class TestHermeticity:
                 "monitor",
                 "--dataset",
                 "nell",
-                "--backend",
-                "columnar",
                 "--evaluator",
                 "ss",
                 "--batches",

@@ -407,13 +407,12 @@ class TestPositionAnnotationAccount:
         assert account.entities_identified == 1
         assert account.total_triples_annotated == 4
 
-    def test_mark_annotated_is_free_and_mask_roundtrips(self):
+    def test_annotated_mask_marks_the_charged_positions(self):
         account = PositionAnnotationAccount()
-        account.mark_annotated(2, [4, 5])
-        assert account.total_cost_seconds == 0.0
-        assert account.charge(2, [4, 5]) == 0
+        assert account.charge(2, [4, 5]) == 2
+        assert account.charge(3, [5, 1]) == 1
         mask = account.annotated_mask(8)
-        np.testing.assert_array_equal(mask, [0, 0, 0, 0, 1, 1, 0, 0])
+        np.testing.assert_array_equal(mask, [0, 1, 0, 0, 1, 1, 0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -164,9 +164,10 @@ def test_evolving_trajectory_is_pinned(golden, kind, cls):
     ],
 )
 def test_evolving_trajectory_replays_via_sqlite_base(golden, kind, cls):
-    """A base graph persisted to sqlite and re-derived as columns (the
-    ``monitor --backend sqlite`` path) carries the identical pinned
-    trajectory: the delta machinery sees bit-identical base columns."""
+    """A base graph persisted to sqlite and re-derived as columns (the path
+    ``monitor --snapshot`` and a served ``snapshot`` session take on a SQLite
+    file) carries the identical pinned trajectory: the delta machinery sees
+    bit-identical base columns."""
     data = make_nell_like(seed=0)
     base = LabelledKG(data.graph.to_columnar().to_sqlite().to_columnar(), data.oracle)
     golden.check(f"evolving_{kind}", _evolving_trajectory(base, cls))

@@ -13,10 +13,16 @@ subprocesses), so the module is part of the tier-1 leg.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import shutil
+
 import pytest
 from serve_helpers import SECRET, golden_payload, spec, workload
 
+from repro.cli import main
 from repro.generators.datasets import LabelledKG, make_nell_like
+from repro.generators.workload import UpdateWorkloadGenerator
 from repro.obs import metrics as obs_metrics
 from repro.sampling.rpc import RPCAuthError
 from repro.serve.client import ServeClient, ServeRequestError
@@ -92,6 +98,139 @@ def test_reattach_with_different_spec_is_refused(server):
         with pytest.raises(ServeRequestError) as excinfo:
             client.attach(spec("rs"), session="pinned")
         assert excinfo.value.code == "spec_mismatch"
+
+
+# --------------------------------------------------------------------------- #
+# Snapshot sessions: the daemon attaches what `evaluate` and `monitor` open
+# --------------------------------------------------------------------------- #
+_MONITOR_HEADER = "batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)"
+
+
+@pytest.fixture(scope="module")
+def nell_snapshots(tmp_path_factory):
+    """NELL (seed 0) as labelled snapshots, written by ``repro snapshot``."""
+    root = tmp_path_factory.mktemp("snapshots")
+    paths = {"directory": root / "nell.snap", "sqlite": root / "nell.sqlite"}
+    for layout, path in paths.items():
+        args = ["snapshot", "--dataset", "nell", "--seed", "0", "--with-labels"]
+        args += ["--out", str(path), "--backend", "sqlite" if layout == "sqlite" else "columnar"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+    return paths
+
+
+def _snapshot_spec(path) -> dict:
+    return {"snapshot": str(path), "evaluator": "ss", "seed": 0}
+
+
+def _monitor_batches(path) -> list:
+    """The update batches ``repro monitor --snapshot PATH --seed 0 --batches 2``
+    applies."""
+    base = LabelledKG.open(path).to_columnar()
+    size = max(1, round(0.1 * base.graph.num_triples))
+    return list(UpdateWorkloadGenerator(base, seed=0).generate_sequence(2, size, 0.8))
+
+
+def _monitor_rows(entries) -> list[str]:
+    """Served rounds as the trajectory rows ``repro monitor`` prints."""
+    return [
+        f"{record.batch_index:>5}  {record.estimated_accuracy:7.1%}  "
+        f"{record.true_accuracy:6.1%}  {record.margin_of_error:5.3f}  "
+        f"{record.incremental_cost_hours:12.2f}  {record.cumulative_cost_hours:12.2f}"
+        for record in (entry["record"] for entry in entries)
+    ]
+
+
+@pytest.mark.parametrize("layout", ["directory", "sqlite"])
+@pytest.mark.timeout(300)
+def test_snapshot_session_replays_monitor(server, nell_snapshots, capsys, layout):
+    path = nell_snapshots[layout]
+    monitor = ["monitor", "--snapshot", str(path), "--evaluator", "ss", "--seed", "0"]
+    assert main(monitor + ["--batches", "2"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    expected = printed[printed.index(_MONITOR_HEADER) + 1 :]
+    dataset_spec = {"dataset": "nell", "dataset_seed": 0, "evaluator": "ss", "seed": 0}
+    with _client(server) as client:
+        client.attach(_snapshot_spec(path), session="snapshot")
+        client.attach(dataset_spec, session="dataset")
+        for batch, oracle in _monitor_batches(path):
+            client.submit_batch("snapshot", batch, oracle)
+            client.submit_batch("dataset", batch, oracle)
+        from_snapshot = client.trajectory("snapshot")["entries"]
+        from_dataset = client.trajectory("dataset")["entries"]
+    assert _monitor_rows(from_snapshot) == expected
+    assert golden_payload(from_snapshot) == golden_payload(from_dataset)
+
+
+@pytest.mark.parametrize("layout", ["directory", "sqlite"])
+@pytest.mark.timeout(300)
+def test_snapshot_session_resumes_after_drain(server, nell_snapshots, tmp_path, layout):
+    """Drain after the first batch, restart on the same state dir, finish:
+    the same trajectory as a session that was never interrupted."""
+    path = nell_snapshots[layout]
+    batches = _monitor_batches(path)
+    with _client(server) as client:
+        client.attach(_snapshot_spec(path), session="whole")
+        for batch, oracle in batches:
+            client.submit_batch("whole", batch, oracle)
+        expected = golden_payload(client.trajectory("whole")["entries"])
+
+    state_dir = tmp_path / "state"
+    first = EvalServer(port=0, secret=SECRET, state_dir=state_dir, queue_limit=8)
+    first.start()
+    with _client(first) as client:
+        client.attach(_snapshot_spec(path), session="resumed")
+        client.submit_batch("resumed", *batches[0])
+    first.shutdown(drain=True)
+    assert (state_dir / "resumed.ckpt").is_file()
+
+    second = EvalServer(port=0, secret=SECRET, state_dir=state_dir, queue_limit=8)
+    second.start()
+    try:
+        with _client(second) as client:
+            reply = client.attach(_snapshot_spec(path), session="resumed")
+            assert reply["resumed"] is True
+            assert reply["num_records"] == 2
+            client.submit_batch("resumed", *batches[1])
+            entries = client.trajectory("resumed")["entries"]
+    finally:
+        second.shutdown(drain=True)
+    assert golden_payload(entries) == expected
+
+
+def _unreadable_snapshot(kind: str, tmp_path, snapshots):
+    if kind == "missing":
+        return tmp_path / "missing.snap"
+    if kind == "junk-file":
+        path = tmp_path / "junk.snap"
+        path.write_bytes(b"subject\tpredicate\tobject\n")
+        return path
+    if kind == "unlabelled":
+        path = tmp_path / "bare.snap"
+        make_nell_like(seed=0).save(path, labels=False)
+        return path
+    path = tmp_path / f"{kind}.snap"
+    shutil.copytree(snapshots["directory"], path)
+    if kind == "empty-subjects":
+        (path / "subjects.npy").write_bytes(b"")
+    else:
+        (path / "meta.npy").unlink()
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind", ["missing", "junk-file", "empty-subjects", "no-meta", "unlabelled"]
+)
+@pytest.mark.timeout(120)
+def test_unreadable_snapshot_is_a_bad_request(server, nell_snapshots, tmp_path, kind):
+    path = _unreadable_snapshot(kind, tmp_path, nell_snapshots)
+    with _client(server) as client:
+        with pytest.raises(ServeRequestError) as excinfo:
+            client.attach(_snapshot_spec(path), session="unreadable")
+        assert excinfo.value.code == "bad_request"
+        assert str(excinfo.value).startswith(f"cannot open snapshot {path}: ")
+        # The same connection keeps serving.
+        assert client.sessions()["entries"] == []
 
 
 # --------------------------------------------------------------------------- #
@@ -280,15 +419,16 @@ def test_bad_frame_drops_only_its_connection(server, base, golden, damage):
 
 @pytest.mark.timeout(60)
 def test_hostile_dtype_string_drops_only_its_connection(server):
-    """A CRC-valid frame whose ndarray dtype string numpy would parse with
-    ``ast`` is a counted protocol error, not a dead connection thread."""
+    """A CRC-valid frame under the retired ndarray tag (11), carrying a dtype
+    string numpy would parse with ``ast``, is a counted protocol error, not a
+    dead connection thread."""
     import socket
     import zlib
 
     from repro.sampling import wire
     from repro.serve import protocol
 
-    payload = bytes([wire._T_NDARRAY, 3]) + b",i4" + bytes([1]) + (1).to_bytes(8, "big")
+    payload = bytes([11, 3]) + b",i4" + bytes([1]) + (1).to_bytes(8, "big")
     payload += (4).to_bytes(8, "big") + bytes(4)
     header = wire._HEADER.pack(wire.MAGIC, wire.WIRE_VERSION, 0, len(payload), zlib.crc32(payload))
     host, port = server.address.rsplit(":", 1)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from store_model import StoreModel, assert_matches_model
 
+from repro.generators.datasets import LabelledKG
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.io import read_triples_tsv, write_triples_tsv
 from repro.kg.triple import Triple
@@ -156,15 +157,15 @@ class TestBackendEquivalence:
 class TestSnapshotRoundTrip:
     @given(_triple_lists)
     @settings(max_examples=25, deadline=None)
-    def test_npz_and_directory_roundtrip(self, triples):
+    def test_directory_roundtrip(self, triples):
         import tempfile
-        from pathlib import Path
 
         graph = KnowledgeGraph(triples, name="prop")
         with tempfile.TemporaryDirectory() as tmp:
-            for target, mmap in ((Path(tmp) / "kg.npz", False), (Path(tmp) / "kgdir", True)):
-                graph.save_snapshot(target)
-                reloaded = KnowledgeGraph.from_snapshot(target, mmap=mmap)
+            store = SnapshotStore(tmp)
+            store.save(graph)
+            for mmap in (False, True):
+                reloaded = store.load_graph(mmap=mmap)
                 assert reloaded.name == "prop"
                 assert_matches_model(reloaded, StoreModel(triples))
 
@@ -172,25 +173,19 @@ class TestSnapshotRoundTrip:
         graph = KnowledgeGraph(
             [Triple("a", "p", "b", is_entity_object=True), Triple("a", "q", "lit")]
         )
-        graph.save_snapshot(tmp_path / "kg.npz")
-        reloaded = KnowledgeGraph.from_snapshot(tmp_path / "kg.npz")
+        SnapshotStore(tmp_path / "kg").save(graph)
+        reloaded = SnapshotStore(tmp_path / "kg").load_graph()
         assert [t.is_entity_object for t in reloaded] == [True, False]
-
-    def test_mmap_requires_directory_layout(self, tmp_path, toy_graph):
-        graph = toy_graph
-        graph.save_snapshot(tmp_path / "kg.npz")
-        with pytest.raises(ValueError):
-            SnapshotStore(tmp_path / "kg.npz").load(mmap=True)
 
     def test_missing_snapshot_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            SnapshotStore(tmp_path / "nope.npz").load()
+            SnapshotStore(tmp_path / "nope").load()
 
     def test_sampler_draws_bit_for_bit_after_roundtrip(self, nell, tmp_path):
         """Save -> load -> the same seed yields identical draws and estimates."""
         graph = nell.graph
-        graph.save_snapshot(tmp_path / "nell")
-        reloaded = KnowledgeGraph.from_snapshot(tmp_path / "nell", mmap=True)
+        SnapshotStore(tmp_path / "nell").save(graph)
+        reloaded = SnapshotStore(tmp_path / "nell").load_graph(mmap=True)
         designs = {
             "srs": lambda g: SimpleRandomDesign(g, seed=5),
             "rcs": lambda g: RandomClusterDesign(g, seed=5),
@@ -476,56 +471,72 @@ class TestCachedTriplesView:
 
 
 # --------------------------------------------------------------------------- #
-# Snapshot format v2: label / annotation arrays, v1 compatibility
+# Snapshot format v2: the label array, v1 compatibility
 # --------------------------------------------------------------------------- #
 class TestSnapshotFormatV2:
-    @pytest.mark.parametrize("layout", ["kg.npz", "kgdir"])
-    def test_label_and_annotated_arrays_roundtrip(self, nell, tmp_path, layout):
+    def test_label_array_roundtrips(self, nell, tmp_path):
         graph = nell.graph.to_columnar()
         labels = nell.oracle.as_position_array(graph)
-        annotated = np.zeros(graph.num_triples, dtype=bool)
-        annotated[:10] = True
-        target = tmp_path / layout
-        graph.save_snapshot(target, labels=labels, annotated=annotated)
-        store = SnapshotStore(target)
+        store = SnapshotStore(tmp_path / "kg")
+        store.save(graph, labels=labels)
         np.testing.assert_array_equal(np.asarray(store.load_labels()), labels)
-        np.testing.assert_array_equal(np.asarray(store.load_annotated()), annotated)
-        # The graph itself is untouched by the extra arrays.
-        reloaded = store.load_graph()
-        assert reloaded.num_triples == graph.num_triples
+        np.testing.assert_array_equal(np.asarray(store.load_labels(mmap=True)), labels)
+        # The graph itself is untouched by the extra array.
+        assert store.load_graph().num_triples == graph.num_triples
 
     def test_labels_are_optional(self, toy_graph, tmp_path):
-        toy_graph.to_columnar().save_snapshot(tmp_path / "kg.npz")
-        store = SnapshotStore(tmp_path / "kg.npz")
+        store = SnapshotStore(tmp_path / "kg")
+        store.save(toy_graph)
         assert store.load_labels() is None
-        assert store.load_annotated() is None
 
     def test_misaligned_labels_rejected(self, toy_graph, tmp_path):
         with pytest.raises(ValueError):
-            toy_graph.to_columnar().save_snapshot(
-                tmp_path / "kg.npz", labels=np.zeros(3, dtype=bool)
-            )
+            SnapshotStore(tmp_path / "kg").save(toy_graph, labels=np.zeros(3, dtype=bool))
 
-    @pytest.mark.parametrize("layout", ["kg.npz", "kgdir"])
-    def test_v1_archives_still_load(self, toy_graph, tmp_path, monkeypatch, layout):
-        """A v1 snapshot (same columns, no label arrays, meta version 1)
-        must load under the v2 reader."""
+    def test_v1_snapshots_still_load(self, toy_graph, tmp_path, monkeypatch):
+        """A v1 snapshot (same columns, no label array, meta version 1)
+        must load under the current reader."""
         from repro.storage import snapshot as snapshot_module
 
         monkeypatch.setattr(snapshot_module, "_FORMAT_VERSION", 1)
-        target = tmp_path / layout
-        toy_graph.to_columnar().save_snapshot(target)
+        store = SnapshotStore(tmp_path / "kg")
+        store.save(toy_graph)
         monkeypatch.undo()
-        store = SnapshotStore(target)
-        reloaded = store.load_graph(mmap=not store.is_archive)
-        assert reloaded.num_triples == toy_graph.num_triples
+        for mmap in (False, True):
+            assert store.load_graph(mmap=mmap).num_triples == toy_graph.num_triples
         assert store.load_labels() is None
 
     def test_newer_format_rejected(self, toy_graph, tmp_path, monkeypatch):
         from repro.storage import snapshot as snapshot_module
 
         monkeypatch.setattr(snapshot_module, "_FORMAT_VERSION", 99)
-        toy_graph.to_columnar().save_snapshot(tmp_path / "kg.npz")
+        SnapshotStore(tmp_path / "kg").save(toy_graph)
         monkeypatch.undo()
         with pytest.raises(ValueError):
-            SnapshotStore(tmp_path / "kg.npz").load()
+            SnapshotStore(tmp_path / "kg").load()
+
+
+# --------------------------------------------------------------------------- #
+# Labelled snapshots: LabelledKG.save / LabelledKG.open
+# --------------------------------------------------------------------------- #
+class TestLabelledSnapshot:
+    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
+    def test_save_then_open_round_trips(self, nell, tmp_path, backend):
+        path = nell.save(tmp_path / "kg", backend=backend)
+        reopened = LabelledKG.open(path)
+        expected_store = ColumnarStore if backend == "columnar" else SqliteStore
+        assert isinstance(reopened.graph.backend, expected_store)
+        assert reopened.name == nell.name
+        assert tuple(reopened.graph) == tuple(nell.graph)
+        np.testing.assert_array_equal(
+            reopened.oracle.as_position_array(reopened.graph),
+            nell.oracle.as_position_array(nell.graph),
+        )
+
+    def test_files_an_earlier_release_wrote_are_never_read(self, nell, tmp_path):
+        path = nell.save(tmp_path / "kg")
+        np.save(path / "annotated.npy", np.ones(nell.graph.num_triples, dtype=bool))
+        # Truncated pickle bytes: any attempt to unpickle them raises.
+        (path / "evaluator_state.pkl").write_bytes(b"\x80\x04junk")
+        reopened = LabelledKG.open(path)
+        assert reopened.true_accuracy == nell.true_accuracy

@@ -5,7 +5,7 @@ Two properties carry the serve wire's safety story:
 * **Fidelity** — ``decode(encode(x)) == x`` over randomized serve messages:
   update submits carrying Triples and labels, and result replies carrying
   an :class:`EvaluationReport` and a :class:`MonitorRecord`; live RNG
-  streams and seed sequences included.
+  streams included.
 * **Totality under hostility** — decoding mutated or arbitrary bytes never
   executes anything and never escapes with anything but
   :class:`WireError`: every single-byte flip of a valid frame is caught by
@@ -97,15 +97,6 @@ def test_live_rng_stream_survives_the_frame():
     )
 
 
-def test_seedsequence_spawn_tree_roundtrip():
-    root = np.random.SeedSequence(1234)
-    child = root.spawn(3)[2].spawn(2)[1]
-    decoded = wire.decode_frame(wire.encode_frame(child))
-    assert decoded.entropy == child.entropy
-    assert decoded.spawn_key == child.spawn_key
-    np.testing.assert_array_equal(decoded.generate_state(8), child.generate_state(8))
-
-
 # --------------------------------------------------------------------------- #
 # Totality under hostility
 # --------------------------------------------------------------------------- #
@@ -156,10 +147,8 @@ def _rng_message(seed: int) -> dict:
     rng.integers(0, 100, size=seed % 7)
     return {
         "state": rng.bit_generator.state,
-        "seed": np.random.SeedSequence(seed, spawn_key=(1, seed % 5)),
-        "draws": rng.integers(0, 1 << 30, size=6).reshape(2, 3),
-        "labels": rng.random(4) < 0.5,
-        "empty": np.zeros((2, 0), dtype=np.float32),
+        "draws": rng.integers(0, 1 << 30, size=6).tolist(),
+        "labels": (rng.random(4) < 0.5).tolist(),
     }
 
 
@@ -342,12 +331,19 @@ def test_inline_list_items_keep_the_encode_nesting_limit(leaf):
 
 
 # --------------------------------------------------------------------------- #
-# Decode bounds on numpy values
+# Retired numpy values (tags 11 and 12)
 # --------------------------------------------------------------------------- #
+def test_arrays_and_seed_sequences_are_refused_at_encode():
+    for value in (np.arange(3, dtype=np.int32), np.random.SeedSequence(1234)):
+        with pytest.raises(WireError, match=f"type {type(value).__name__} is not allowed"):
+            wire.dumps({"value": value})
+
+
 def _array_payload(dtype_str: bytes) -> bytes:
-    """A one-item, four-byte ndarray value with a hand-written dtype string."""
+    """A one-item, four-byte value under the retired ndarray tag (11) with a
+    hand-written dtype string."""
     return (
-        bytes([wire._T_NDARRAY, len(dtype_str)])
+        bytes([11, len(dtype_str)])
         + dtype_str
         + bytes([1])
         + (1).to_bytes(8, "big")
@@ -356,82 +352,18 @@ def _array_payload(dtype_str: bytes) -> bytes:
     )
 
 
-#: The dtypes the encoder accepts; ``array.dtype.str`` spells each one
-#: ``|`` + kind + size when it is one byte wide, else ``<`` or ``>`` first.
-ENCODER_DTYPES = "? i1 u1 i2 u2 i4 u4 i8 u8 f2 f4 f8".split()
-_EMITTED_DTYPE_STRINGS = {
-    np.dtype(dtype).newbyteorder(order).str for dtype in ENCODER_DTYPES for order in "<>"
-}
-#: Strings of the same shape that the encoder never emits (``|i4`` would
-#: decode in the host's byte order, ``<b1`` and ``>u1`` are 1-byte kinds).
-_UNEMITTED_DTYPE_STRINGS = sorted(
-    {"".join(parts) for parts in itertools.product("<>|", "biuf", "1248")}
-    - _EMITTED_DTYPE_STRINGS
-)
-
-
 @pytest.mark.parametrize(
     "dtype_str",
     [b",i4", b"<,4", b"<04", b"int32", b"=i4", b"i4"]
-    + [text.encode("ascii") for text in _UNEMITTED_DTYPE_STRINGS],
+    + sorted("".join(parts).encode("ascii") for parts in itertools.product("<>|", "biuf", "1248")),
 )
 def test_only_dtype_strings_the_encoder_emits_are_decoded(dtype_str):
-    """numpy hands some dtype strings to ``ast.literal_eval`` (``SyntaxError``);
-    the decoder looks the string up instead of parsing it."""
-    with pytest.raises(WireError, match="invalid dtype"):
+    """The encoder emits no dtype string since tag 11 was retired, so none
+    decodes, not even one it once emitted: the decoder stops at the tag and
+    never hands the string to numpy, which parses some dtype strings with
+    ``ast.literal_eval``."""
+    with pytest.raises(WireError, match="unknown wire tag 11"):
         wire.loads(_array_payload(dtype_str))
-
-
-@pytest.mark.parametrize("dtype", ENCODER_DTYPES)
-@pytest.mark.parametrize("order", ["<", ">"])
-def test_every_dtype_the_encoder_emits_round_trips(dtype, order):
-    array = np.arange(6).astype(np.dtype(dtype).newbyteorder(order)).reshape(2, 3)
-    payload = wire.dumps(array)
-    assert payload[2 : 2 + payload[1]].decode("ascii") in _EMITTED_DTYPE_STRINGS
-    decoded = wire.loads(payload)
-    assert decoded.dtype == array.dtype
-    np.testing.assert_array_equal(decoded, array)
-
-
-def test_empty_array_with_a_dimension_numpy_cannot_hold_is_refused():
-    payload = bytearray(wire.dumps(np.zeros((3, 0), dtype=np.int32)))
-    payload[6] = 0xFF  # the high byte of the first dimension: 3 -> past 2**63
-    with pytest.raises(WireError, match="array shape"):
-        wire.loads(bytes(payload))
-
-
-def test_seedsequence_pool_size_is_bounded():
-    """numpy mixes the pool in time quadratic in its size, holding the GIL."""
-    assert wire.loads(wire.dumps(np.random.SeedSequence(5, pool_size=64))).pool_size == 64
-    with pytest.raises(WireError, match="pool_size 65 exceeds the wire limit of 64"):
-        wire.loads(wire.dumps(np.random.SeedSequence(5, pool_size=65)))
-
-
-_SEED_INT_FIELDS = {
-    "entropy": lambda value: {"entropy": value},
-    "entropy-list-item": lambda value: {"entropy": [7, value]},
-    "spawn_key-item": lambda value: {"entropy": 5, "spawn_key": (1, value)},
-}
-
-
-@pytest.mark.parametrize("where", sorted(_SEED_INT_FIELDS))
-def test_seedsequence_ints_are_bounded_at_2048_bits(where):
-    """numpy splits these ints into 32-bit words in time quadratic in their size."""
-    widest = (1 << 2048) - 1
-    seed = np.random.SeedSequence(**_SEED_INT_FIELDS[where](widest))
-    decoded = wire.loads(wire.dumps(seed))
-    assert (decoded.entropy, decoded.spawn_key) == (seed.entropy, seed.spawn_key)
-    assert np.array_equal(decoded.generate_state(4), seed.generate_state(4))
-    field = where.split("-")[0]
-    too_wide = np.random.SeedSequence(**_SEED_INT_FIELDS[where](1 << 2048))
-    with pytest.raises(WireError, match=f"{field} int exceeds the wire limit of 2048 bits"):
-        wire.loads(wire.dumps(too_wide))
-
-
-def test_seedsequence_child_count_beyond_uint32_is_refused():
-    payload = bytes([wire._T_SEEDSEQ]) + b"".join(wire.dumps(field) for field in (5, (), 4, 2**32))
-    with pytest.raises(WireError, match="invalid SeedSequence"):
-        wire.loads(payload)
 
 
 # --------------------------------------------------------------------------- #
@@ -449,10 +381,11 @@ def test_unknown_future_tags_raise_typed_error(tag, junk):
         wire.loads(bytes([tag]) + junk)
 
 
-@given(tag=st.integers(min_value=13, max_value=18), junk=st.binary(max_size=64))
+@given(tag=st.integers(min_value=11, max_value=18), junk=st.binary(max_size=64))
 def test_retired_shard_tags_raise_typed_error(tag, junk):
-    """Tags 13-18 carried the removed worker protocol's shard tasks, results
-    and trace contexts; a frame using one fails as a typed WireError."""
+    """Tags 11 and 12 carried NumPy arrays and seed sequences, and 13-18 the
+    removed worker protocol's shard tasks, results and trace contexts; a
+    frame using one fails as a typed WireError."""
     with pytest.raises(WireError, match="unknown wire tag"):
         wire.loads(bytes([tag]) + junk)
 
@@ -540,7 +473,7 @@ def test_serve_payloads_nest_inside_messages():
 
 
 def test_serve_tags_are_a_pure_suffix():
-    """Tags 19-22 keep their numbers although 13-18 are retired: frames stay
+    """Tags 19-22 keep their numbers although 11-18 are retired: frames stay
     byte-identical to what earlier serve peers emit, and a peer meeting a
     tag it does not know dies on its `unknown wire tag` guard rather than
     misparsing."""
@@ -550,7 +483,6 @@ def test_serve_tags_are_a_pure_suffix():
         wire._T_REPORT,
         wire._T_MONITOR_RECORD,
     ) == (19, 20, 21, 22)
-    assert wire._T_SEEDSEQ == 12
     assert wire.dumps(Triple("s", "p", "o"))[0] == wire._T_TRIPLE
 
 
@@ -568,8 +500,6 @@ def _pinned_values() -> dict:
             "bytes": b"\x00\xff",
             "list": [1, "a"],
             "tuple": (2, 3),
-            "array": np.arange(3, dtype=np.int32),
-            "seed": np.random.SeedSequence(1234, spawn_key=(1, 2)),
         },
         "triple": Triple("athlete_1", "plays_for", "team_2", is_entity_object=True),
         "estimate": estimate,
@@ -596,19 +526,18 @@ def _pinned_values() -> dict:
     }
 
 
-#: Frames of the values above as encoded before tags 13-18 were retired: one
-#: covering tags 0-12 and one per serve tag (19-22).
+#: Frames of the values above: one per serve tag (19-22), as encoded before
+#: tags 13-18 were retired, and one covering tags 0-10.  The ``base`` frame
+#: was re-pinned without its ndarray and SeedSequence entries when tags 11
+#: and 12 were retired; every entry it kept has the bytes it had before.
 PINNED_FRAMES = {
     "base": (
-        "52570100000000000000011c941f6a110a0000000c000000046e6f6e6500000000037965"
+        "5257010000000000000000b6c00555840a0000000a000000046e6f6e6500000000037965"
         "7301000000026e6f0200000003696e7403fffffffffffffff90000000362696704000000"
         "000b010000000000000000000000000005666c6f6174053fd00000000000000000000373"
         "7472060000000373c3a900000005627974657307000000000000000200ff000000046c69"
         "73740800000002030000000000000001060000000161000000057475706c650900000002"
-        "0300000000000000020300000000000000030000000561727261790b033c693401000000"
-        "0000000003000000000000000c00000000010000000200000000000004736565640c0300"
-        "000000000004d20900000002030000000000000001030000000000000002030000000000"
-        "000004030000000000000000"
+        "030000000000000002030000000000000003"
     ),
     "triple": (
         "525701000000000000000029b3e7bff61306000000096174686c6574655f310600000009"
@@ -632,16 +561,32 @@ PINNED_FRAMES = {
 }
 
 
+#: The ``base`` frame as pinned while tags 11 and 12 carried an ndarray and a
+#: SeedSequence.
+_PRE_RETIREMENT_BASE_FRAME = (
+    "52570100000000000000011c941f6a110a0000000c000000046e6f6e6500000000037965"
+    "7301000000026e6f0200000003696e7403fffffffffffffff90000000362696704000000"
+    "000b010000000000000000000000000005666c6f6174053fd00000000000000000000373"
+    "7472060000000373c3a900000005627974657307000000000000000200ff000000046c69"
+    "73740800000002030000000000000001060000000161000000057475706c650900000002"
+    "0300000000000000020300000000000000030000000561727261790b033c693401000000"
+    "0000000003000000000000000c00000000010000000200000000000004736565640c0300"
+    "000000000004d20900000002030000000000000001030000000000000002030000000000"
+    "000004030000000000000000"
+)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_FRAMES))
 def test_frames_keep_their_pinned_bytes(name):
     value = _pinned_values()[name]
     frame = bytes.fromhex(PINNED_FRAMES[name])
     assert wire.encode_frame(value) == frame
-    decoded = wire.decode_frame(frame)
-    if name == "base":
-        assert wire.encode_frame(decoded) == frame
-    else:
-        assert decoded == value
+    assert wire.decode_frame(frame) == value
+
+
+def test_the_pre_retirement_base_frame_fails_on_its_array_tag():
+    with pytest.raises(WireError, match="unknown wire tag 11"):
+        wire.decode_frame(bytes.fromhex(_PRE_RETIREMENT_BASE_FRAME))
 
 
 @pytest.fixture(scope="module")
