@@ -101,7 +101,7 @@ from repro.generators.datasets import DATASETS, LabelledKG, make_dataset
 from repro.kg.statistics import cluster_size_summary
 from repro.sampling import DESIGNS, make_design
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "MONITOR_HEADER", "monitor_row"]
 
 
 # --------------------------------------------------------------------------- #
@@ -193,6 +193,20 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Header of the trajectory table ``monitor`` and ``client`` print.
+MONITOR_HEADER = "batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)"
+
+
+def monitor_row(record) -> str:
+    """One :class:`~repro.evolving.monitor.MonitorRecord` as a row under
+    :data:`MONITOR_HEADER`; ``client run`` prints the rows ``monitor`` prints."""
+    return (
+        f"{record.batch_index:>5}  {record.estimated_accuracy:7.1%}  "
+        f"{record.true_accuracy:6.1%}  {record.margin_of_error:5.3f}  "
+        f"{record.incremental_cost_hours:12.2f}  {record.cumulative_cost_hours:12.2f}"
+    )
+
+
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.evolving.baseline import BaselineEvolvingEvaluator
     from repro.evolving.monitor import EvolvingAccuracyMonitor
@@ -230,13 +244,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         monitor.apply_update(batch, batch_oracle)
 
     print(f"evaluator: {args.evaluator} (columnar backend)")
-    print("batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)")
+    print(MONITOR_HEADER)
     for record in monitor.records:
-        print(
-            f"{record.batch_index:>5}  {record.estimated_accuracy:7.1%}  "
-            f"{record.true_accuracy:6.1%}  {record.margin_of_error:5.3f}  "
-            f"{record.incremental_cost_hours:12.2f}  {record.cumulative_cost_hours:12.2f}"
-        )
+        print(monitor_row(record))
     final = monitor.records[-1]
     return 0 if final.estimation_error <= max(2 * args.moe, 0.15) else 1
 
@@ -295,19 +305,10 @@ def _cmd_client(args: argparse.Namespace) -> int:
     from repro.serve.client import ServeClient, ServeRequestError
 
     secret = _load_cli_secret(args)
-
-    def record_row(entry: dict) -> str:
-        record = entry["record"]
-        return (
-            f"{record.batch_index:>5}  {record.estimated_accuracy:7.1%}  "
-            f"{record.true_accuracy:6.1%}  {record.margin_of_error:5.3f}  "
-            f"{record.incremental_cost_hours:12.2f}  {record.cumulative_cost_hours:12.2f}"
-        )
-
     try:
         with ServeClient(args.connect, secret=secret) as client:
             if args.client_command == "run":
-                return _client_run(args, client, record_row)
+                return _client_run(args, client)
             if args.client_command == "estimate":
                 reply = client.estimate(args.session)
                 print(f"session  : {reply['session']}")
@@ -318,8 +319,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 if reply["latest"] is None:
                     print("estimate : (no completed rounds yet)")
                     return 0
-                print("batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)")
-                print(record_row(reply["latest"]))
+                print(MONITOR_HEADER)
+                print(monitor_row(reply["latest"]["record"]))
                 return 0
             if args.client_command == "poll":
                 reply = client.poll(
@@ -333,8 +334,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 if reply["failed"]:
                     print(f"failed   : {reply['failed']}")
                 if reply["latest"] is not None:
-                    print("batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)")
-                    print(record_row(reply["latest"]))
+                    print(MONITOR_HEADER)
+                    print(monitor_row(reply["latest"]["record"]))
                 return 0 if reply["satisfied"] else 1
             if args.client_command == "sessions":
                 entries = client.sessions()["entries"]
@@ -365,7 +366,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown client command {args.client_command!r}")
 
 
-def _client_run(args: argparse.Namespace, client, record_row) -> int:
+def _client_run(args: argparse.Namespace, client) -> int:
     """Drive one monitoring session through the daemon (mirrors ``monitor``)."""
     from repro.generators.workload import UpdateWorkloadGenerator
 
@@ -393,9 +394,9 @@ def _client_run(args: argparse.Namespace, client, record_row) -> int:
         client.submit_batch(session, batch, batch_oracle)
     entries = client.trajectory(session)["entries"]
     print(f"evaluator: {args.evaluator} (served by {args.connect})")
-    print("batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)")
+    print(MONITOR_HEADER)
     for entry in entries:
-        print(record_row(entry))
+        print(monitor_row(entry["record"]))
     if args.detach:
         client.detach(session)
     final = entries[-1]["record"]

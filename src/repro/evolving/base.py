@@ -92,14 +92,6 @@ class IncrementalEvaluator(ABC):
         TWCS second-stage cap ``m`` used by all evaluators.
     seed:
         Seed for all randomness (sampling and reservoir keys).
-    compact_threshold:
-        When set, re-freeze the delta tail into the base whenever it
-        outgrows this fraction of the base
-        (:meth:`~repro.storage.delta.DeltaStore.maybe_compact`).  Compaction
-        preserves every position, row and per-cluster order, so estimate
-        trajectories are bit-identical either way — but a compacted run can
-        no longer be captured as snapshot-v3 evaluator state (the tail has
-        been folded into the base).
     """
 
     def __init__(
@@ -109,12 +101,11 @@ class IncrementalEvaluator(ABC):
         cost_model: CostModel | None = None,
         second_stage_size: int = 5,
         seed: int | None = None,
-        compact_threshold: float | None = None,
     ) -> None:
         self.config = config if config is not None else EvaluationConfig()
         self.second_stage_size = second_stage_size
         self.seed = seed
-        self.evolving = EvolvingKnowledgeGraph(base.graph, compact_threshold=compact_threshold)
+        self.evolving = EvolvingKnowledgeGraph(base.graph)
         # Vocabulary size of the untouched base, recorded before any batch
         # interns new strings; state persistence (snapshot format v3) uses it
         # to capture exactly the strings an update stream added.

@@ -58,14 +58,6 @@ def capture_evaluator_state(evaluator) -> dict:
     """Snapshot everything needed to resume ``evaluator`` mid-sequence."""
     kind = _kind_of(evaluator)
     delta = evaluator.evolving.current.backend
-    if delta.base.num_triples != evaluator.evolving.base.num_triples:
-        # A compaction folded update triples into the delta's base; the
-        # captured tail would silently lose them on restore.
-        raise ValueError(
-            "cannot capture evaluator state after the delta view was "
-            "compacted; capture before compact() runs, or leave "
-            "compact_threshold unset on monitored evaluators"
-        )
     account = evaluator.account
     vocab = delta.base.vocab
     tail_s, tail_p, tail_o, tail_f = delta.tail_arrays()

@@ -13,7 +13,8 @@ representation: storage is delegated to a
 ``int32`` NumPy columns with a CSR cluster index, which scales to millions of
 triples and can be persisted/memory-mapped through
 :class:`~repro.storage.snapshot.SnapshotStore`;
-:class:`~repro.storage.sqlite.SqliteStore` keeps it on disk instead.
+:class:`~repro.storage.sqlite.SqliteStore` keeps it on disk instead, written
+once by :meth:`KnowledgeGraph.to_sqlite` and read-only afterwards.
 
 Two access styles coexist:
 
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.kg.triple import Triple
-from repro.storage.backend import StorageBackend, make_backend
+from repro.storage.backend import StorageBackend
 
 __all__ = ["EntityCluster", "KnowledgeGraph", "csr_position_rows", "sample_csr_positions_batch"]
 
@@ -151,9 +152,9 @@ class KnowledgeGraph:
         Optional human-readable name used in reports.
     backend:
         Physical storage: a :class:`~repro.storage.backend.StorageBackend`
-        instance (possibly pre-populated, e.g. from a snapshot), a backend
-        name (``"columnar"`` or ``"sqlite"``), or ``None`` for a fresh
-        :class:`~repro.storage.columnar.ColumnarStore`.
+        instance (possibly pre-populated, e.g. from a snapshot), or ``None``
+        for a fresh :class:`~repro.storage.columnar.ColumnarStore`.  A graph
+        on SQLite comes from :meth:`to_sqlite` and takes no ``add``.
 
     Examples
     --------
@@ -170,13 +171,13 @@ class KnowledgeGraph:
         self,
         triples: Iterable[Triple] = (),
         name: str = "kg",
-        backend: StorageBackend | str | None = None,
+        backend: StorageBackend | None = None,
     ) -> None:
         self.name = name
         if backend is None:
-            backend = make_backend("columnar")
-        elif isinstance(backend, str):
-            backend = make_backend(backend)
+            from repro.storage.columnar import ColumnarStore
+
+            backend = ColumnarStore()
         self._backend: StorageBackend = backend
         self._triples_view: tuple[Triple, ...] | None = None
         self._entity_ids_view: tuple[str, ...] | None = None
@@ -425,8 +426,11 @@ class KnowledgeGraph:
 
         Routes through the columnar representation so vocabulary ids, triple
         positions and entity rows — and therefore every seeded draw — are
-        bit-identical to the columnar backend's.  ``path=None`` uses a
-        private temporary database file.
+        bit-identical to the columnar backend's.  This is the one way to
+        write a SQLite graph
+        (:meth:`~repro.storage.sqlite.SqliteStore.from_columnar`); the
+        result is read-only.  ``path=None`` uses a private temporary
+        database file.
         """
         from repro.storage.sqlite import SqliteStore
 

@@ -71,22 +71,13 @@ class EvolvingKnowledgeGraph:
     ['delta-1']
     """
 
-    def __init__(
-        self,
-        base: KnowledgeGraph,
-        compact_threshold: float | None = None,
-        compact_min_tail: int = 1024,
-    ) -> None:
+    def __init__(self, base: KnowledgeGraph) -> None:
         from repro.storage.delta import DeltaStore
 
-        if compact_threshold is not None and compact_threshold <= 0:
-            raise ValueError("compact_threshold must be positive (or None to disable)")
         self._base = base
-        self.compact_threshold = compact_threshold
-        self.compact_min_tail = compact_min_tail
-        self.compactions = 0
-        self._delta = DeltaStore(base.to_columnar().backend)
-        self._current = KnowledgeGraph(name=f"{base.name}+updates", backend=self._delta)
+        self._current = KnowledgeGraph(
+            name=f"{base.name}+updates", backend=DeltaStore(base.to_columnar().backend)
+        )
         self._batches: list[UpdateBatch] = []
 
     @property
@@ -114,21 +105,11 @@ class EvolvingKnowledgeGraph:
 
         Returns one added-flag per batch triple (``False`` for duplicates
         that were already present), which is what the evaluators need to
-        map the batch onto its appended graph positions.
-
-        With ``compact_threshold`` set, the delta tail is re-frozen into the
-        base whenever it outgrows that fraction of the base
-        (:meth:`~repro.storage.delta.DeltaStore.maybe_compact`), so
-        arbitrarily long update streams keep O(1) cluster reads.
-        Compaction changes no position, row or per-cluster order, so
-        samplers and evaluators observe bit-identical draws either way.
+        map the batch onto its appended graph positions.  The batch lands in
+        the delta tail; the frozen base is never rebuilt.
         """
         flags = self._current.add_batch(batch.triples)
         self._batches.append(batch)
-        if self.compact_threshold is not None and self._delta.maybe_compact(
-            threshold=self.compact_threshold, min_tail=self.compact_min_tail
-        ):
-            self.compactions += 1
         return flags
 
     def apply_all(self, batches: Iterable[UpdateBatch]) -> None:

@@ -16,25 +16,27 @@ to a :class:`~repro.storage.backend.StorageBackend`:
   :meth:`~repro.generators.datasets.LabelledKG.save` and ``open`` write and
   reopen a labelled one (or a SQLite database).
 * :class:`SqliteStore` — disk-resident WAL-mode SQLite backend for graphs
-  larger than memory: the cluster index is an indexed table, and streaming
-  ingest is resumable from a per-batch checkpoint.
+  larger than memory: the cluster index is an indexed table.  A file is
+  written once from columns (:meth:`SqliteStore.from_columnar`, behind
+  ``KnowledgeGraph.to_sqlite``); ``SqliteStore(path)`` opens it read-only.
 * :mod:`repro.storage.ingest` — streaming TSV / N-Triples ingest that
   interns ids on the fly without materialising intermediate Triple lists.
 """
 
-from repro.storage.backend import StorageBackend, make_backend
+from repro.storage.backend import StorageBackend
 from repro.storage.columnar import ColumnarStore, Vocabulary
 from repro.storage.delta import DeltaStore
 from repro.storage.ingest import ingest_nt, ingest_rows, ingest_tsv
 from repro.storage.snapshot import SnapshotStore
-from repro.storage.sqlite import SqliteStore
+from repro.storage.sqlite import ReadOnlyStoreError, SqliteGraphError, SqliteStore
 
 __all__ = [
     "StorageBackend",
-    "make_backend",
     "ColumnarStore",
     "DeltaStore",
     "SqliteStore",
+    "SqliteGraphError",
+    "ReadOnlyStoreError",
     "Vocabulary",
     "SnapshotStore",
     "ingest_tsv",

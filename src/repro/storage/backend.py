@@ -23,7 +23,8 @@ Three implementations ship with the package:
 * :class:`~repro.storage.delta.DeltaStore` — append-only tail segments over a
   frozen columnar base, the store every evolving graph grows in;
 * :class:`~repro.storage.sqlite.SqliteStore` — a disk-resident WAL database
-  for graphs larger than RAM.
+  for graphs larger than RAM, written once from columns
+  (:meth:`~repro.kg.graph.KnowledgeGraph.to_sqlite`) and read-only after.
 
 Every backend exposes its cluster index as CSR arrays (:meth:`csr_arrays`),
 which is what the vectorised position draws sample.
@@ -38,7 +39,7 @@ import numpy as np
 
 from repro.kg.triple import Triple
 
-__all__ = ["StorageBackend", "make_backend"]
+__all__ = ["StorageBackend"]
 
 
 class StorageBackend(ABC):
@@ -143,15 +144,3 @@ class StorageBackend(ABC):
         ``positions[offsets[row]:offsets[row + 1]]``.
         """
 
-
-def make_backend(kind: str) -> StorageBackend:
-    """Instantiate a storage backend by name (``"columnar"`` or ``"sqlite"``)."""
-    if kind == "columnar":
-        from repro.storage.columnar import ColumnarStore
-
-        return ColumnarStore()
-    if kind == "sqlite":
-        from repro.storage.sqlite import SqliteStore
-
-        return SqliteStore()
-    raise ValueError(f"unknown storage backend {kind!r}; choose 'columnar' or 'sqlite'")

@@ -22,7 +22,9 @@ would thaw it (one O(M) pass) and rebuild the CSR index on the next read
 
 The merged graph-wide CSR index is only materialised if somebody asks for it
 (:meth:`csr_arrays`); the evolving evaluators never do — they sample the
-frozen base index and the per-batch segments directly.
+frozen base index and the per-batch segments directly.  The tail is never
+folded back into the base, so a serve checkpoint captures an update stream
+as the tail alone (:meth:`tail_arrays`, replayed by :meth:`restore_tail`).
 """
 
 from __future__ import annotations
@@ -33,14 +35,10 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.kg.triple import Triple
-from repro.obs import metrics as obs_metrics
-from repro.obs.logging import get_logger
 from repro.storage.backend import StorageBackend
 from repro.storage.columnar import ColumnarStore
 
 __all__ = ["DeltaStore"]
-
-_log = get_logger("storage.delta")
 
 
 def _key_view(subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray) -> np.ndarray:
@@ -381,7 +379,7 @@ class DeltaStore(StorageBackend):
         return self._sizes
 
     # ------------------------------------------------------------------ #
-    # Compaction (periodic re-freeze)
+    # Tail capture and replay (serve checkpoints)
     # ------------------------------------------------------------------ #
     def tail_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The tail's ``(subjects, predicates, objects, flags)`` id columns."""
@@ -411,7 +409,7 @@ class DeltaStore(StorageBackend):
 
         Rebuilds the per-subject tail index and dedup keys exactly as the
         original appends did; used when an evaluator is restored from a
-        persisted state (snapshot format v3).
+        serve checkpoint (:func:`repro.evolving.state.restore_evaluator`).
         """
         if self.num_tail_triples:
             raise ValueError("restore_tail requires an empty tail")
@@ -419,69 +417,6 @@ class DeltaStore(StorageBackend):
             subjects.tolist(), predicates.tolist(), objects.tolist(), flags.tolist()
         ):
             self._append_interned(int(subject_id), int(predicate_id), int(object_id), bool(flag))
-
-    def compact(self) -> ColumnarStore:
-        """Re-freeze base + tail into a fresh frozen base; return it.
-
-        One vectorised O(M + T) pass: the id columns are concatenated in
-        position order and the CSR index is rebuilt, which preserves every
-        invariant the samplers rely on — triple positions, entity rows
-        (first-seen order) and per-cluster position order are all unchanged,
-        so estimates drawn from the compacted store are bit-identical to
-        draws from the layered view.  ``self`` re-bases onto the new store
-        in place (the tail becomes empty), keeping existing references to
-        this backend valid; very long update streams therefore retain O(1)
-        cluster reads instead of ever-growing tail consolidation.
-        """
-        base_s, base_p, base_o, base_f = self.base.id_columns()
-        tail_s, tail_p, tail_o, tail_f = self.tail_arrays()
-        obs_metrics.counter("delta_compactions_total").inc()
-        _log.debug(
-            "compaction",
-            base_triples=self._base_triples,
-            tail_triples=int(tail_s.shape[0]),
-        )
-        merged = ColumnarStore.from_arrays(
-            self.base.vocab,
-            np.concatenate([np.asarray(base_s), tail_s]),
-            np.concatenate([np.asarray(base_p), tail_p]),
-            np.concatenate([np.asarray(base_o), tail_o]),
-            flags=np.concatenate([np.asarray(base_f, dtype=bool), tail_f]),
-        )
-        self.base = merged
-        self._base_triples = merged.num_triples
-        self._base_entities = merged.num_entities
-        if self._base_triples:
-            subjects, predicates, objects, _ = merged.id_columns()
-            self._base_id_limit = 1 + max(
-                int(np.max(subjects)), int(np.max(predicates)), int(np.max(objects))
-            )
-        self._tail_s = array("i")
-        self._tail_p = array("i")
-        self._tail_o = array("i")
-        self._tail_f = array("B")
-        self._tail_positions = {}
-        self._new_subjects = []
-        self._new_row_of = {}
-        self._base_sorted_keys = None
-        self._tail_keys = set()
-        self._csr = None
-        self._sizes = None
-        return merged
-
-    def maybe_compact(self, threshold: float = 0.5, min_tail: int = 1024) -> bool:
-        """Compact when the tail outgrows ``threshold`` of the base.
-
-        Returns whether a compaction ran.  ``min_tail`` keeps tiny graphs
-        from re-freezing on every batch.
-        """
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        tail = self.num_tail_triples
-        if tail < min_tail or tail < threshold * max(self._base_triples, 1):
-            return False
-        self.compact()
-        return True
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Merged base + tail CSR index, materialised lazily and cached.

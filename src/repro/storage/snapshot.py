@@ -97,15 +97,32 @@ class SnapshotStore:
 
         ``mmap=True`` memory-maps the columns; the vocabulary stays a
         fixed-width unicode array on disk, so no per-string Python objects
-        are created until strings are actually requested.
+        are created until strings are actually requested.  A file that does
+        not hold a 1-D array, or columns whose lengths disagree, raise
+        ``ValueError`` naming the array.
         """
         if not self.exists():
             raise FileNotFoundError(f"no snapshot directory at {self.path}")
         mode = "r" if mmap else None
-        arrays = {
-            array_name: np.load(self.path / f"{array_name}.npy", mmap_mode=mode)
-            for array_name in _ARRAY_NAMES
-        }
+        arrays = {}
+        for array_name in _ARRAY_NAMES:
+            array = np.load(self.path / f"{array_name}.npy", mmap_mode=mode)
+            if not isinstance(array, np.ndarray) or array.ndim != 1:
+                if hasattr(array, "close"):  # an np.savez archive under a .npy name
+                    array.close()
+                raise ValueError(f"{array_name}.npy does not hold a 1-D array")
+            arrays[array_name] = array
+        num_triples = arrays["subjects"].shape[0]
+        expected = dict.fromkeys(
+            ("predicates", "objects", "entity_flags", "cluster_positions"), num_triples
+        )
+        expected["cluster_offsets"] = arrays["row_subjects"].shape[0] + 1
+        for array_name, length in expected.items():
+            got = arrays[array_name].shape[0]
+            if got != length:
+                raise ValueError(f"{array_name}.npy has {got} entries, expected {length}")
+        if arrays["cluster_offsets"][-1] != num_triples:
+            raise ValueError(f"cluster_offsets.npy does not end at {num_triples}")
         meta = np.load(self.path / "meta.npy")
         version = int(str(meta[1]))
         if version > _FORMAT_VERSION:

@@ -287,14 +287,34 @@ class TestSnapshotEvaluateRoundTrip:
             main(["evaluate", "--from-snapshot", target])
 
     @pytest.mark.parametrize(
-        "kind", ["missing", "empty", "text", "foreign-archive", "bare-directory", "not-a-database"]
+        "kind",
+        [
+            "missing",
+            "empty",
+            "text",
+            "foreign-archive",
+            "bare-directory",
+            "not-a-database",
+            "short-column",
+            "zip-column",
+        ],
     )
     def test_evaluate_from_unreadable_snapshot_fails_cleanly(self, tmp_path, kind):
         # Anything that is not a snapshot exits with one typed message, not a
-        # FileNotFoundError / numpy "pickled data" / sqlite traceback.
+        # FileNotFoundError / numpy "pickled data" / sqlite traceback, and a
+        # damaged column is refused on open, not when the graph is read.
         names = {"foreign-archive": "bad.npz", "not-a-database": "bad.sqlite"}
         target = tmp_path / names.get(kind, "bad.snap")
-        if kind == "empty":
+        if kind in ("short-column", "zip-column"):
+            snapshot = ["snapshot", "--dataset", "nell", "--with-labels"]
+            assert main(snapshot + ["--out", str(target)]) == 0
+        if kind == "short-column":
+            np.save(target / "predicates.npy", np.load(target / "predicates.npy")[:-5])
+        elif kind == "zip-column":
+            subjects = np.load(target / "subjects.npy")
+            with open(target / "subjects.npy", "wb") as handle:
+                np.savez(handle, subjects=subjects)
+        elif kind == "empty":
             target.write_bytes(b"")
         elif kind == "text":
             target.write_text("subject\tpredicate\tobject\n")

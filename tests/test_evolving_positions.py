@@ -285,7 +285,7 @@ class TestDeltaStore:
         second, _ = workload.generate_batch(40, 0.8)
         model = StoreModel(nell.graph.triples)
         if kind == "delta":
-            columnar = KnowledgeGraph(nell.graph.triples, name="nell", backend="columnar")
+            columnar = KnowledgeGraph(nell.graph.triples, name="nell")
             grown = EvolvingKnowledgeGraph(columnar)
             grown.apply(first)
             model.add_all(first)

@@ -275,8 +275,9 @@ class TestDatasetStandIns:
     @pytest.mark.parametrize("convert", ["to_columnar", "to_sqlite"])
     def test_conversions_carry_the_label_array(self, nell, convert):
         # Each conversion starts from a graph on the other backend.
-        source_backend = "sqlite" if convert == "to_columnar" else "columnar"
-        source = KnowledgeGraph(nell.graph.triples, name=nell.name, backend=source_backend)
+        source = KnowledgeGraph(nell.graph.triples, name=nell.name)
+        if convert == "to_columnar":
+            source = source.to_sqlite()
         converted = getattr(LabelledKG(source, nell.oracle), convert)()
         assert converted.graph is not source
         labels = converted.oracle.as_position_array(converted.graph)

@@ -14,13 +14,17 @@ subprocesses), so the module is part of the tier-1 leg.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import re
 import shutil
+import sqlite3
 
+import numpy as np
 import pytest
 from serve_helpers import SECRET, golden_payload, spec, workload
 
-from repro.cli import main
+from repro.cli import main, monitor_row
 from repro.generators.datasets import LabelledKG, make_nell_like
 from repro.generators.workload import UpdateWorkloadGenerator
 from repro.obs import metrics as obs_metrics
@@ -133,12 +137,7 @@ def _monitor_batches(path) -> list:
 
 def _monitor_rows(entries) -> list[str]:
     """Served rounds as the trajectory rows ``repro monitor`` prints."""
-    return [
-        f"{record.batch_index:>5}  {record.estimated_accuracy:7.1%}  "
-        f"{record.true_accuracy:6.1%}  {record.margin_of_error:5.3f}  "
-        f"{record.incremental_cost_hours:12.2f}  {record.cumulative_cost_hours:12.2f}"
-        for record in (entry["record"] for entry in entries)
-    ]
+    return [monitor_row(entry["record"]) for entry in entries]
 
 
 @pytest.mark.parametrize("layout", ["directory", "sqlite"])
@@ -213,13 +212,28 @@ def _unreadable_snapshot(kind: str, tmp_path, snapshots):
     shutil.copytree(snapshots["directory"], path)
     if kind == "empty-subjects":
         (path / "subjects.npy").write_bytes(b"")
+    elif kind == "short-column":
+        np.save(path / "predicates.npy", np.load(path / "predicates.npy")[:-5])
+    elif kind == "zip-column":
+        subjects = np.load(path / "subjects.npy")
+        with open(path / "subjects.npy", "wb") as handle:
+            np.savez(handle, subjects=subjects)
     else:
         (path / "meta.npy").unlink()
     return path
 
 
 @pytest.mark.parametrize(
-    "kind", ["missing", "junk-file", "empty-subjects", "no-meta", "unlabelled"]
+    "kind",
+    [
+        "missing",
+        "junk-file",
+        "empty-subjects",
+        "no-meta",
+        "unlabelled",
+        "short-column",
+        "zip-column",
+    ],
 )
 @pytest.mark.timeout(120)
 def test_unreadable_snapshot_is_a_bad_request(server, nell_snapshots, tmp_path, kind):
@@ -231,6 +245,35 @@ def test_unreadable_snapshot_is_a_bad_request(server, nell_snapshots, tmp_path, 
         assert str(excinfo.value).startswith(f"cannot open snapshot {path}: ")
         # The same connection keeps serving.
         assert client.sessions()["entries"] == []
+
+
+def _file_state(path) -> tuple[str, list]:
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        schema = conn.execute("SELECT * FROM sqlite_master ORDER BY name").fetchall()
+    return hashlib.sha256(path.read_bytes()).hexdigest(), schema
+
+
+@pytest.mark.timeout(120)
+def test_a_foreign_database_is_refused_and_left_unchanged(server, tmp_path):
+    """Every snapshot opener refuses a SQLite file that is not a graph, and
+    none of them writes to it: no table, no journal mode, no byte."""
+    path = tmp_path / "foreign.db"
+    with contextlib.closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute("CREATE TABLE notes (body TEXT)")
+        conn.execute("INSERT INTO notes VALUES ('keep me')")
+    before = _file_state(path)
+    prefix = f"cannot open snapshot {path}: "
+    with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
+        LabelledKG.open(path)
+    with pytest.raises(SystemExit, match=f"^{re.escape(prefix)}"):
+        main(["evaluate", "--from-snapshot", str(path)])
+    with _client(server) as client:
+        with pytest.raises(ServeRequestError) as excinfo:
+            client.attach(_snapshot_spec(path), session="foreign")
+    assert excinfo.value.code == "bad_request"
+    assert str(excinfo.value).startswith(prefix)
+    assert _file_state(path) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.db"]
 
 
 # --------------------------------------------------------------------------- #

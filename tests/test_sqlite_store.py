@@ -1,26 +1,22 @@
 """SqliteStore: the out-of-core storage backend.
 
-Covers the durability setup (WAL pragmas), reopen persistence, the stored
-CSR cluster index (read back when it describes the table, a scan when it is
-absent, stale or damaged), draw-stream parity against the columnar backend,
-resumable checkpointed ingest — including a subprocess SIGKILLed mid-load
-and resumed to a byte-identical database — and the CLI surface
-(``snapshot --backend sqlite`` / ``evaluate --from-snapshot db.sqlite``,
-which reads no triple rows).
+Covers the write-once contract (``from_columnar`` writes a WAL file in
+chunks; ``SqliteStore(path)`` opens it, refuses anything else and never
+writes; ``add`` is refused), reopen persistence, the stored CSR cluster
+index (read back when it describes the table, a scan when it is absent,
+too large or damaged), draw-stream parity against the columnar backend and
+the CLI surface (``snapshot --backend sqlite`` / ``evaluate --from-snapshot
+db.sqlite``, which reads no triple rows).
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import os
 import pickle
-import signal
+import re
 import sqlite3
-import subprocess
-import sys
 import tempfile
-import textwrap
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -34,35 +30,24 @@ from repro.cli import main
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.statistics import cluster_size_summary
 from repro.kg.triple import Triple
-from repro.storage import SqliteStore, make_backend
+from repro.storage import ColumnarStore, ReadOnlyStoreError, SqliteGraphError, SqliteStore
+from repro.storage.columnar import Vocabulary
 from repro.storage.sqlite import is_sqlite_file
 
 
-def _write_tsv(path: Path, rows: int = 3000, seed: int = 3) -> Path:
-    rng = np.random.default_rng(seed)
-    lines = [
-        f"e{rng.integers(0, rows // 10)}\tp{rng.integers(0, 5)}\to{i % (rows // 4)}"
-        for i in range(rows)
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
 class TestSqliteBasics:
-    def test_wal_pragmas_applied(self, tmp_path):
+    def test_wal_pragmas_applied(self, tmp_path, toy_graph):
+        toy_graph.to_sqlite(path=tmp_path / "kg.sqlite").backend.close()
         store = SqliteStore(tmp_path / "kg.sqlite")
         conn = store._conn
+        # WAL is a property of the file, set once by the writer.
         assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
-        assert conn.execute("PRAGMA synchronous").fetchone()[0] == 1  # NORMAL
         assert conn.execute("PRAGMA busy_timeout").fetchone()[0] == 30000
         assert conn.execute("PRAGMA mmap_size").fetchone()[0] == store.mmap_size
 
-    def test_make_backend_knows_sqlite(self):
-        assert isinstance(make_backend("sqlite"), SqliteStore)
-
     def test_is_sqlite_file_detection(self, tmp_path):
         db = tmp_path / "kg.sqlite"
-        SqliteStore(db).add(Triple("a", "p", "b"))
+        KnowledgeGraph([Triple("a", "p", "b")]).to_sqlite(path=db).backend.close()
         assert is_sqlite_file(db)
         other = tmp_path / "kg.npz"
         other.write_bytes(b"PK\x03\x04 not a database")
@@ -74,10 +59,9 @@ class TestSqliteBasics:
         with pytest.raises(TypeError, match="not picklable"):
             pickle.dumps(store)
 
-    def test_temporary_database_removed_on_close(self):
-        store = SqliteStore()
+    def test_temporary_database_removed_on_close(self, toy_graph):
+        store = toy_graph.to_sqlite().backend
         path = store.path
-        store.add(Triple("a", "p", "b"))
         assert path.exists()
         store.close()
         assert not path.exists()
@@ -94,16 +78,79 @@ class TestSqliteBasics:
         assert tuple(reopened.iter_triples()) == triples
         np.testing.assert_array_equal(reopened.cluster_size_array(), sizes)
         assert reopened.num_triples == toy_graph.num_triples
-        # And it keeps accepting adds with continuing positions/rows.
-        assert reopened.add(Triple("brand", "new", "triple"))
-        assert reopened.num_triples == toy_graph.num_triples + 1
 
-    def test_add_rejects_duplicates_like_other_backends(self):
-        store = SqliteStore()
-        assert store.add(Triple("a", "p", "b"))
-        assert not store.add(Triple("a", "p", "b"))
-        assert store.add(Triple("a", "p", "c"))
-        assert store.num_triples == 2 and store.num_entities == 1
+    def test_add_is_refused_with_a_typed_error(self, tmp_path, toy_graph):
+        db = tmp_path / "kg.sqlite"
+        graph = toy_graph.to_sqlite(path=db)
+        digest = graph.backend.content_digest()
+        for write in (
+            lambda: graph.add(Triple("brand", "new", "triple")),
+            lambda: graph.add_batch([Triple("brand", "new", "triple")]),
+        ):
+            with pytest.raises(ReadOnlyStoreError, match="to_sqlite"):
+                write()
+        assert graph.num_triples == toy_graph.num_triples
+        assert graph.backend.content_digest() == digest
+
+    def test_opening_a_missing_path_creates_no_file(self, tmp_path):
+        missing = tmp_path / "missing.sqlite"
+        message = f"^{re.escape(str(missing))} is not a SQLite graph file: no such file$"
+        with pytest.raises(SqliteGraphError, match=message):
+            SqliteStore(missing)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_without_the_graph_tables_is_refused_unchanged(self, tmp_path):
+        foreign = tmp_path / "notes.db"
+        with contextlib.closing(sqlite3.connect(foreign)) as conn, conn:
+            conn.execute("CREATE TABLE notes (body TEXT)")
+            conn.execute("CREATE TABLE triples (position INTEGER)")
+        before = foreign.read_bytes()
+        with pytest.raises(SqliteGraphError, match="tables missing: entities, meta, vocab$"):
+            SqliteStore(foreign)
+        assert foreign.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.db"]
+
+    def test_a_file_with_an_extra_table_reopens(self, tmp_path, toy_graph):
+        """Files an earlier release wrote carry one more table (the
+        checkpoint of its resumable load); the opener ignores what it does
+        not read."""
+        db = tmp_path / "kg.sqlite"
+        digest = toy_graph.to_sqlite(path=db).backend.content_digest()
+        with contextlib.closing(sqlite3.connect(db)) as conn, conn:
+            conn.execute("CREATE TABLE load_checkpoints (source TEXT PRIMARY KEY, rows INTEGER)")
+            conn.execute("INSERT INTO load_checkpoints VALUES ('kg.tsv', 3)")
+        reopened = SqliteStore(db)
+        assert reopened.content_digest() == digest
+        assert _read_csr(reopened)[1] == {"blob"}
+        assert tuple(reopened.iter_triples()) == tuple(toy_graph)
+
+    def test_writer_copies_rows_in_chunks(self, tmp_path):
+        """The one writer never turns a whole column into Python ints: its
+        traced peak stays a few int64 arrays per triple (one column as a list
+        of ints alone is over 32 bytes per triple)."""
+        num_triples, num_subjects, num_predicates = 200_000, 20_000, 50
+        vocab = Vocabulary(
+            [f"s{i}" for i in range(num_subjects)]
+            + [f"p{i}" for i in range(num_predicates)]
+            + [f"o{i}" for i in range(num_triples)]
+        )
+        index = np.arange(num_triples, dtype=np.int32)
+        store = ColumnarStore.from_arrays(
+            vocab,
+            index % num_subjects,
+            num_subjects + index % num_predicates,
+            num_subjects + num_predicates + index,
+        )
+        tracemalloc.start()
+        try:
+            written = SqliteStore.from_columnar(store, path=tmp_path / "kg.sqlite")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * num_triples
+        assert written.num_triples == num_triples
+        _assert_csr_equal(written.csr_arrays(), store.csr_arrays())
+        written.close()
 
     def test_out_of_range_accesses_raise(self, toy_graph):
         store = toy_graph.to_sqlite().backend
@@ -290,29 +337,6 @@ class TestStoredClusterIndex:
         assert peak < index_bytes + 4 * 16 * chunk + 64 * 1024
         store.close()
 
-    def test_growth_makes_the_stored_index_stale(self, tmp_path, toy_graph):
-        db = tmp_path / "kg.sqlite"
-        toy_graph.to_sqlite(path=db).backend.close()
-        store = SqliteStore(db)
-        assert _read_csr(store)[1] == {"blob"}
-        tsv = _write_tsv(tmp_path / "more.tsv", rows=600)
-        for grow in (
-            lambda: store.add(Triple("athlete_1", "late", "fact")),
-            lambda: store.add_batch([Triple("newcomer", "p", "o"), Triple("city_1", "p", "o")]),
-            lambda: store.ingest_file(tsv, "tsv", batch_size=100, max_batches=1),
-        ):
-            grow()
-            csr, reads = _read_csr(store)
-            # The stale blobs fail the length check in SQL and are never read.
-            assert reads == {"scan"}
-            _assert_csr_equal(csr, _reference_csr(db))
-        store.close()
-        reopened = SqliteStore(db)
-        csr, reads = _read_csr(reopened)
-        assert reads == {"scan"}
-        _assert_csr_equal(csr, _reference_csr(db))
-        np.testing.assert_array_equal(reopened.cluster_size_array(), np.diff(csr[0]))
-
     @pytest.mark.parametrize("damage", sorted(_DAMAGE))
     def test_damaged_index_is_never_used(self, tmp_path, nell, damage):
         db = tmp_path / "kg.sqlite"
@@ -352,113 +376,6 @@ class TestSqliteDrawParity:
         sqlite = columnar.to_sqlite()
         np.testing.assert_array_equal(columnar.cluster_size_array(), sqlite.cluster_size_array())
         assert cluster_size_summary(columnar) == cluster_size_summary(sqlite)
-
-
-class TestSqliteIngestResume:
-    def test_interrupted_ingest_resumes_to_identical_database(self, tmp_path):
-        tsv = _write_tsv(tmp_path / "kg.tsv")
-        reference = SqliteStore(tmp_path / "ref.sqlite")
-        report = reference.ingest_file(tsv, "tsv", batch_size=256)
-        assert report["status"] == "done"
-        expected = reference.content_digest()
-
-        partial = SqliteStore(tmp_path / "part.sqlite")
-        first = partial.ingest_file(tsv, "tsv", batch_size=256, max_batches=4)
-        assert first["status"] == "in_progress"
-        assert first["rows_this_call"] == 4 * 256
-        partial.close()
-        resumed = SqliteStore(tmp_path / "part.sqlite")
-        second = resumed.ingest_file(tsv, "tsv", batch_size=256)
-        assert second["status"] == "done"
-        assert second["resumed_from_rows"] == 4 * 256
-        assert resumed.content_digest() == expected
-
-    def test_completed_ingest_short_circuits(self, tmp_path):
-        tsv = _write_tsv(tmp_path / "kg.tsv", rows=600)
-        store = SqliteStore(tmp_path / "kg.sqlite")
-        store.ingest_file(tsv, "tsv", batch_size=100)
-        before = store.content_digest()
-        again = store.ingest_file(tsv, "tsv", batch_size=100)
-        assert again["status"] == "done"
-        assert again["rows_this_call"] == 0
-        assert store.content_digest() == before
-
-    def test_ingest_state_reports_checkpoint(self, tmp_path):
-        tsv = _write_tsv(tmp_path / "kg.tsv", rows=600)
-        store = SqliteStore(tmp_path / "kg.sqlite")
-        store.ingest_file(tsv, "tsv", batch_size=100, max_batches=2)
-        state = store.ingest_state(f"tsv:{tsv.resolve()}")
-        assert state is not None
-        assert (state["batches"], state["rows"], state["status"]) == (2, 200, "in_progress")
-        assert store.ingest_state("never-ingested") is None
-
-    def test_ingest_rejects_bad_arguments(self, tmp_path):
-        store = SqliteStore()
-        with pytest.raises(ValueError, match="format"):
-            store.ingest_file(tmp_path / "kg.xml", "xml")
-        with pytest.raises(ValueError, match="batch_size"):
-            store.ingest_file(tmp_path / "kg.tsv", "tsv", batch_size=0)
-
-    def test_nt_ingest_matches_columnar_loader(self, tmp_path):
-        from repro.storage.ingest import ingest_nt
-
-        nt = tmp_path / "kg.nt"
-        nt.write_text(
-            "<e1> <bornIn> <e2> .\n"
-            '<e1> <name> "Ada Lovelace" .\n'
-            '<e2> <name> "Analytical\\nEngine"@en .\n'
-            "<e2> <knows> <e1> .\n",
-            encoding="utf-8",
-        )
-        columnar = ingest_nt(nt)
-        store = SqliteStore(tmp_path / "kg.sqlite")
-        store.ingest_file(nt, "nt", batch_size=2)
-        assert tuple(store.iter_triples()) == tuple(columnar.backend.iter_triples())
-        for left, right in zip(store.id_columns(), columnar.backend.id_columns()):
-            assert np.array_equal(np.asarray(left), np.asarray(right))
-
-    @pytest.mark.timeout(120)
-    def test_sigkill_mid_load_resumes_byte_identical(self, tmp_path):
-        """Kill the loader with SIGKILL right after a batch commit; the
-        reopened database must resume from the checkpoint and finish with
-        the same content digest as an uninterrupted load."""
-        tsv = _write_tsv(tmp_path / "kg.tsv")
-        reference = SqliteStore(tmp_path / "ref.sqlite")
-        reference.ingest_file(tsv, "tsv", batch_size=256)
-        expected = reference.content_digest()
-
-        victim_db = tmp_path / "victim.sqlite"
-        script = textwrap.dedent(
-            f"""
-            import os, signal
-            from repro.storage.sqlite import SqliteStore
-
-            class KilledAtBatch(SqliteStore):
-                def _checkpoint(self, source, batches, rows, status, commit=True):
-                    super()._checkpoint(source, batches, rows, status, commit=commit)
-                    if status == "in_progress" and batches == 3 and not commit:
-                        # Commit the batch like the normal loop would, then
-                        # die without any cleanup.
-                        self._conn.execute("COMMIT")
-                        os.kill(os.getpid(), signal.SIGKILL)
-
-            store = KilledAtBatch({str(victim_db)!r})
-            store.ingest_file({str(tsv)!r}, "tsv", batch_size=256)
-            """
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
-        assert proc.returncode == -signal.SIGKILL
-
-        survivor = SqliteStore(victim_db)
-        state = survivor.ingest_state(f"tsv:{tsv.resolve()}")
-        assert state is not None and state["status"] == "in_progress"
-        assert state["batches"] == 3
-        report = survivor.ingest_file(tsv, "tsv", batch_size=256)
-        assert report["status"] == "done"
-        assert report["resumed_from_rows"] == 3 * 256
-        assert survivor.content_digest() == expected
 
 
 @pytest.fixture(scope="module")

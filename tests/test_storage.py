@@ -4,7 +4,8 @@ streaming ingest, and the position-based sampling surface.
 The property-based tests assert the load-bearing invariant of the storage
 layer: *any* sequence of triples produces the same graph — same triples in
 the same order, same clusters, same sampler draws under a fixed seed — no
-matter which backend holds it or whether it went through a save/load cycle.
+matter which backend holds it or whether it went through a save/load cycle
+(a snapshot directory, or a SQLite file written from columns and reopened).
 Each backend, the :class:`DeltaStore` tail included, is held to
 :class:`store_model.StoreModel`, a pure-Python model of the backend contract
 that shares no code with any store.
@@ -13,6 +14,8 @@ that shares no code with any store.
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import estimator_model
 import numpy as np
@@ -32,7 +35,7 @@ from repro.sampling.stratified import StratifiedTWCSDesign
 from repro.sampling.tsrcs import TwoStageRandomClusterDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.sampling.wcs import WeightedClusterDesign
-from repro.storage import ColumnarStore, DeltaStore, SnapshotStore, SqliteStore, make_backend
+from repro.storage import ColumnarStore, DeltaStore, SnapshotStore, SqliteStore
 from repro.storage.ingest import ingest_nt, ingest_rows, ingest_tsv
 
 # --------------------------------------------------------------------------- #
@@ -71,7 +74,7 @@ class TestBackendEquivalence:
     @given(_triple_lists)
     @settings(max_examples=60, deadline=None)
     def test_columnar_add_path_matches_memory(self, triples):
-        assert_matches_model(KnowledgeGraph(triples, backend="columnar"), StoreModel(triples))
+        assert_matches_model(KnowledgeGraph(triples), StoreModel(triples))
 
     @given(_triple_lists)
     @settings(max_examples=40, deadline=None)
@@ -85,7 +88,7 @@ class TestBackendEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_interleaved_add_and_read_on_columnar(self, first, second):
         model = StoreModel(first)
-        columnar = KnowledgeGraph(first, backend="columnar")
+        columnar = KnowledgeGraph(first)
         # Force a freeze (consolidation) between the two add batches.
         _ = columnar.triples
         model.add_all(second)
@@ -94,16 +97,23 @@ class TestBackendEquivalence:
 
     @given(_triple_lists)
     @settings(max_examples=25, deadline=None)
-    def test_sqlite_add_path_matches_memory(self, triples):
-        assert_matches_model(KnowledgeGraph(triples, backend="sqlite"), StoreModel(triples))
+    def test_sqlite_file_matches_model(self, triples):
+        """The file ``to_sqlite`` writes, and the same file reopened by path."""
+        model = StoreModel(triples)
+        with tempfile.TemporaryDirectory() as tmp:
+            written = KnowledgeGraph(triples).to_sqlite(Path(tmp) / "kg.sqlite")
+            assert_matches_model(written, model)
+            reopened = KnowledgeGraph(backend=SqliteStore(written.backend.path))
+            assert_matches_model(reopened, model)
+            written.backend.close()
+            reopened.backend.close()
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_delta_tail_matches_model(self, data):
         """Appends to a delta view over a frozen base: duplicates of base
-        triples, of earlier batches and within a batch are skipped, new
-        subjects get rows after the base's, and a compaction in between
-        changes nothing the graph answers."""
+        triples, of earlier batches and within a batch are skipped, and new
+        subjects get rows after the base's."""
         first = data.draw(_triple_lists, label="base")
         # Mix in re-insertions of base triples, and triples whose subject is
         # an object string (an entity gaining its own facts), which is
@@ -118,32 +128,23 @@ class TestBackendEquivalence:
         for batch in batches:
             assert delta.add_batch(batch) == model.add_all(batch)
             assert_matches_model(KnowledgeGraph(backend=delta), model)
-            if data.draw(st.booleans(), label="compact"):
-                delta.compact()
-                assert delta.num_tail_triples == 0
-                assert_matches_model(KnowledgeGraph(backend=delta), model)
 
     @given(_triple_lists)
     @settings(max_examples=20, deadline=None)
     def test_sqlite_csr_matches_columnar(self, triples):
-        columnar = KnowledgeGraph(triples, backend="columnar")
-        sqlite = KnowledgeGraph(triples, backend="sqlite")
-        col_csr = columnar.backend.csr_arrays()
-        sq_csr = sqlite.backend.csr_arrays()
-        assert np.array_equal(np.asarray(col_csr[0]), np.asarray(sq_csr[0]))
-        assert np.array_equal(np.asarray(col_csr[1]), np.asarray(sq_csr[1]))
-        for columns_left, columns_right in zip(
-            columnar.backend.id_columns(), sqlite.backend.id_columns()
-        ):
-            assert np.array_equal(np.asarray(columns_left), np.asarray(columns_right))
-
-    def test_make_backend_rejects_unknown_name(self):
-        with pytest.raises(ValueError):
-            KnowledgeGraph(backend="papyrus")
-
-    def test_memory_is_not_a_backend_name(self):
-        with pytest.raises(ValueError, match="choose 'columnar' or 'sqlite'"):
-            make_backend("memory")
+        columnar = KnowledgeGraph(triples)
+        with tempfile.TemporaryDirectory() as tmp:
+            written = columnar.to_sqlite(Path(tmp) / "kg.sqlite").backend
+            for sqlite in (written, SqliteStore(written.path)):
+                col_csr = columnar.backend.csr_arrays()
+                sq_csr = sqlite.csr_arrays()
+                assert np.array_equal(np.asarray(col_csr[0]), np.asarray(sq_csr[0]))
+                assert np.array_equal(np.asarray(col_csr[1]), np.asarray(sq_csr[1]))
+                for columns_left, columns_right in zip(
+                    columnar.backend.id_columns(), sqlite.id_columns()
+                ):
+                    assert np.array_equal(np.asarray(columns_left), np.asarray(columns_right))
+                sqlite.close()
 
     def test_a_graph_built_without_a_backend_is_columnar(self, toy_graph):
         assert isinstance(KnowledgeGraph().backend, ColumnarStore)
@@ -158,8 +159,6 @@ class TestSnapshotRoundTrip:
     @given(_triple_lists)
     @settings(max_examples=25, deadline=None)
     def test_directory_roundtrip(self, triples):
-        import tempfile
-
         graph = KnowledgeGraph(triples, name="prop")
         with tempfile.TemporaryDirectory() as tmp:
             store = SnapshotStore(tmp)
@@ -329,23 +328,21 @@ class TestStreamingIngest:
 
     def test_extra_tsv_columns_ignored_on_both_paths(self, tmp_path):
         """The docstring promises extra columns are ignored; a 4-column line
-        must load (not raise) into both the columnar and the SQLite store."""
+        must load (not raise) into the columnar store and carry over to the
+        SQLite file written from it."""
         path = tmp_path / "wide.tsv"
         path.write_text("a\tp\tx\textra-column\nb\tq\ty\n", encoding="utf-8")
         via_stream = read_triples_tsv(path)
-        via_sqlite = SqliteStore()
-        via_sqlite.ingest_file(path, "tsv")
+        via_sqlite = via_stream.to_sqlite(tmp_path / "wide.sqlite")
         expected = (Triple("a", "p", "x"), Triple("b", "q", "y"))
         assert tuple(via_stream) == expected
-        assert tuple(via_sqlite.iter_triples()) == expected
+        assert tuple(via_sqlite) == expected
 
     def test_short_tsv_line_message_says_at_least_three(self, tmp_path):
         path = tmp_path / "short.tsv"
         path.write_text("a\tp\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"line 1: expected >= 3 columns"):
             read_triples_tsv(path)
-        with pytest.raises(ValueError, match=r"line 1: expected >= 3 columns"):
-            SqliteStore().ingest_file(path, "tsv")
 
     def test_nt_escapes_decode_to_bare_lexical_form(self, tmp_path):
         """NT-vs-object load parity for escaped, language-tagged, and
@@ -389,7 +386,7 @@ class TestStreamingIngest:
 
 
 # --------------------------------------------------------------------------- #
-# Loader parity: object / TSV / NT / SQLite ingest
+# Loader parity: object / TSV / NT, and the SQLite file written from a load
 # --------------------------------------------------------------------------- #
 def _column_digest(store) -> str:
     import hashlib
@@ -408,8 +405,9 @@ def _column_digest(store) -> str:
 
 
 class TestLoaderParity:
-    """Any loader, same bytes: Triple objects, TSV, NT, and SQLite ingest
-    must produce identical id columns and identical cluster sizes."""
+    """Any loader, same bytes: Triple objects, TSV and NT, and the SQLite
+    file written from the TSV load, must produce identical id columns and
+    identical cluster sizes."""
 
     # Flags stay False: TSV cannot carry the entity-object flag, so the
     # four-way comparison uses literal objects everywhere.
@@ -426,9 +424,6 @@ class TestLoaderParity:
     @given(_flat_triples)
     @settings(max_examples=20, deadline=None)
     def test_four_loaders_agree(self, triples):
-        import tempfile
-        from pathlib import Path
-
         with tempfile.TemporaryDirectory() as tmp:
             tsv_path = Path(tmp) / "kg.tsv"
             nt_path = Path(tmp) / "kg.nt"
@@ -440,12 +435,11 @@ class TestLoaderParity:
                 "".join(f"<{t.subject}> <{t.predicate}> \"{t.obj}\" .\n" for t in triples),
                 encoding="utf-8",
             )
-            via_objects = KnowledgeGraph(triples, backend="columnar")
+            via_objects = KnowledgeGraph(triples)
             via_objects.backend.finalize()
             via_tsv = ingest_tsv(tsv_path)
             via_nt = ingest_nt(nt_path)
-            sqlite_store = SqliteStore()
-            sqlite_store.ingest_file(tsv_path, "tsv", batch_size=7)
+            sqlite_store = via_tsv.to_sqlite(Path(tmp) / "kg.sqlite").backend
             reference = _column_digest(via_objects.backend)
             assert _column_digest(via_tsv.backend) == reference
             assert _column_digest(via_nt.backend) == reference
