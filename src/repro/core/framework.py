@@ -12,12 +12,14 @@ The evaluator never over-samples: it stops at the end of the first batch whose
 estimate satisfies the requirement, which is the "avoid oversampling and
 unnecessary manual evaluations" property claimed in Section 4.
 
-The loop runs on the position surface: units are integer triple positions,
-and a :class:`~repro.cost.annotator.SimulatedAnnotator` labels them from its
-oracle's position array while charging Eq. (4), so a run builds no Triple.
-Annotators whose labels are not the oracle's (label flips, majority votes,
-or any object with only ``annotate_triples``) get each unit's Triples, and
-their labels reach the design through the same ``update_all_positions``.
+The loop runs on the position surface: each round is one
+:class:`~repro.sampling.base.PositionBatch` of integer triple positions, and a
+:class:`~repro.cost.annotator.SimulatedAnnotator` labels the whole round from
+its oracle's position array while charging Eq. (4), so a run builds no Triple
+and a round costs a few array operations.  Annotators whose labels are not the
+oracle's (label flips, majority votes, or any object with only
+``annotate_triples``) get each unit's Triples, and their labels reach the
+design through the same ``update_all_positions``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.core.config import EvaluationConfig
 from repro.core.result import EvaluationReport
 from repro.cost.annotator import SimulatedAnnotator
 from repro.obs import metrics as obs_metrics
-from repro.sampling.base import PositionUnit, SamplingDesign
+from repro.sampling.base import PositionBatch, SamplingDesign
 
 __all__ = ["StaticEvaluator", "evaluate_accuracy"]
 
@@ -80,32 +82,31 @@ class StaticEvaluator:
         Returns the number of units drawn; ``0`` means the population is
         exhausted and nothing was annotated.
         """
-        units = self.design.draw_positions(batch_size)
+        batch = self.design.draw_positions(batch_size)
+        units = len(batch)
         if units:
             self._rounds_total.inc()
-            self._units_total.inc(len(units))
-            self._annotate(units)
-        return len(units)
+            self._units_total.inc(units)
+            self._annotate(batch)
+        return units
 
-    def _annotate(self, units) -> None:
-        """Label one batch of position units and fold it into the design."""
+    def _annotate(self, batch: PositionBatch) -> None:
+        """Label one round of position units and fold it into the design."""
         design, annotator = self.design, self.annotator
         graph = design.graph
         if _labels_from_oracle(annotator):
-            design.update_all_positions(units, annotator.annotate_positions(graph, units))
+            design.update_all_positions(batch, annotator.annotate_positions(graph, batch))
             return
-        # Label each unit's Triples, then fold the round with every unit
-        # re-addressed onto its slice of the round's flat label vector.
+        # Label each unit's Triples, then fold the round re-addressed onto
+        # the round's flat label vector (unit after unit, as drawn).
         flat: list[bool] = []
-        relabelled = []
-        for unit in units:
-            triples = graph.triples_at(unit.positions)
+        for positions, _, _ in batch:
+            triples = graph.triples_at(positions)
             labels = annotator.annotate_triples(triples).labels
-            start = len(flat)
             flat.extend(labels[t] for t in triples)
-            relabelled.append(
-                PositionUnit(np.arange(start, len(flat)), unit.entity_row, unit.cluster_size)
-            )
+        relabelled = PositionBatch(
+            np.arange(len(flat)), batch.counts, batch.entity_rows, batch.cluster_sizes
+        )
         design.update_all_positions(relabelled, np.array(flat, dtype=bool))
 
     def run(self, reset: bool = True) -> EvaluationReport:

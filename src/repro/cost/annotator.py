@@ -16,12 +16,23 @@ in the paper:
 The substitution preserves the quantities every experiment in the paper
 reports: which triples get labelled, what they cost under Eq. (4), and the
 resulting estimates.
+
+The evaluation loop labels a whole sampling round at once
+(:meth:`SimulatedAnnotator.annotate_positions` on a
+:class:`~repro.sampling.base.PositionBatch`): the session keeps, per graph
+object, one boolean mask of annotated positions and one of identified cluster
+rows, so a round is charged with a few array operations and no subject string
+is looked up.  The charge still adds unit after unit, in the order and with
+the floating-point operations that labelling each unit's Triples through
+:meth:`SimulatedAnnotator.annotate_triples` would run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,6 +40,9 @@ from repro.cost.model import CostModel
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.labels.oracle import LabelOracle
+
+if TYPE_CHECKING:
+    from repro.sampling.base import PositionBatch
 
 __all__ = [
     "EvaluationTask",
@@ -79,6 +93,21 @@ class AnnotationResult:
         return self.cost_seconds / 3600.0
 
 
+@dataclass(eq=False)
+class _PositionLedger:
+    """What a session annotated through one graph object, as boolean masks."""
+
+    graph: KnowledgeGraph
+    #: The oracle's label array of ``graph`` (read-only).
+    labels: np.ndarray
+    #: Positions of ``graph`` labelled in this session.
+    annotated: np.ndarray
+    #: Cluster rows of ``graph`` whose subject this session has identified.
+    identified: np.ndarray
+    #: Rows identified here that the session's subject set does not hold yet.
+    pending: int = 0
+
+
 @dataclass
 class _SessionState:
     """Mutable per-session bookkeeping for a simulated annotator."""
@@ -87,9 +116,11 @@ class _SessionState:
     total_seconds: float = 0.0
     total_triples: int = 0
     labelled: dict[Triple, bool] = field(default_factory=dict)
-    #: Positions labelled through :meth:`SimulatedAnnotator.annotate_positions`,
-    #: per graph object: ``id(graph) -> (graph, label array, positions)``.
-    positions: dict[int, tuple[KnowledgeGraph, np.ndarray, set[int]]] = field(default_factory=dict)
+    #: Position labelling per graph object: ``id(graph) -> ledger``.
+    positions: dict[int, _PositionLedger] = field(default_factory=dict)
+    #: The ledger last annotated through; ``identified_entities`` may not
+    #: hold its identifications yet.
+    active: _PositionLedger | None = None
 
 
 class SimulatedAnnotator:
@@ -130,6 +161,9 @@ class SimulatedAnnotator:
         self.time_noise_sigma = time_noise_sigma
         self._rng = np.random.default_rng(seed)
         self._session = _SessionState()
+        # (cost model, with c1, without c1): the Eq. (4) charge of a unit by
+        # its fresh triple count, summed as the per-component loop sums it.
+        self._unit_costs: tuple[CostModel, list[float], list[float]] | None = None
 
     # ------------------------------------------------------------------ #
     # Session accounting
@@ -156,7 +190,9 @@ class SimulatedAnnotator:
     @property
     def entities_identified(self) -> int:
         """Number of distinct entities identified in the current session."""
-        return len(self._session.identified_entities)
+        session = self._session
+        pending = session.active.pending if session.active is not None else 0
+        return len(session.identified_entities) + pending
 
     @property
     def labelled_triples(self) -> dict[Triple, bool]:
@@ -167,9 +203,9 @@ class SimulatedAnnotator:
 
     def _position_triple_labels(self) -> Iterator[tuple[Triple, bool]]:
         """``(triple, label)`` of every position labelled by :meth:`annotate_positions`."""
-        for graph, labels, annotated in self._session.positions.values():
-            positions = sorted(annotated)
-            yield from zip(graph.triples_at(positions), labels[positions].tolist())
+        for ledger in self._session.positions.values():
+            positions = np.flatnonzero(ledger.annotated)
+            yield from zip(ledger.graph.triples_at(positions), ledger.labels[positions].tolist())
 
     def _record_position_labels(self) -> None:
         """Move the session's position labels into its Triple-keyed record.
@@ -180,8 +216,57 @@ class SimulatedAnnotator:
         """
         session = self._session
         if session.positions:
+            self._absorb_identified()
             session.labelled.update(self._position_triple_labels())
             session.positions.clear()
+
+    def _absorb_identified(self) -> None:
+        """Name the active ledger's identified subjects in the session's subject set."""
+        session = self._session
+        ledger = session.active
+        if ledger is not None and ledger.pending:
+            entity_ids = ledger.graph.entity_ids
+            session.identified_entities.update(
+                entity_ids[row] for row in np.flatnonzero(ledger.identified).tolist()
+            )
+            ledger.pending = 0
+        session.active = None
+
+    def _ledger(self, graph: KnowledgeGraph, labels: np.ndarray) -> _PositionLedger:
+        """The session's ledger for ``graph``, made the active one.
+
+        Its identified rows agree with every subject the session identified
+        through Triples or through other graph objects: a subject is charged
+        ``c1`` once per session, whichever graph object names it.
+        """
+        session = self._session
+        ledger = session.positions.get(id(graph))
+        if ledger is None:
+            ledger = session.positions[id(graph)] = _PositionLedger(
+                graph,
+                labels,
+                np.zeros(labels.shape[0], dtype=bool),
+                np.zeros(graph.num_entities, dtype=bool),
+            )
+        elif ledger.annotated.shape[0] != labels.shape[0]:
+            # The graph grew: extend the masks, then look its new rows up below.
+            self._absorb_identified()
+            ledger.labels = labels
+            ledger.annotated = np.pad(ledger.annotated, (0, labels.shape[0] - len(ledger.annotated)))
+            grown = graph.num_entities - len(ledger.identified)
+            ledger.identified = np.pad(ledger.identified, (0, grown))
+        if session.active is not ledger:
+            self._absorb_identified()
+            subjects = session.identified_entities
+            if subjects:
+                entity_ids = graph.entity_ids
+                ledger.identified |= np.fromiter(
+                    (entity_id in subjects for entity_id in entity_ids),
+                    dtype=bool,
+                    count=len(entity_ids),
+                )
+            session.active = ledger
+        return ledger
 
     # ------------------------------------------------------------------ #
     # Annotation
@@ -231,53 +316,120 @@ class SimulatedAnnotator:
             num_triples=new_triples,
         )
 
-    def annotate_positions(self, graph: KnowledgeGraph, units: Sequence) -> np.ndarray:
-        """Annotate position units of ``graph`` and return its label array.
+    def annotate_positions(self, graph: KnowledgeGraph, batch: PositionBatch) -> np.ndarray:
+        """Annotate one sampling round of ``graph`` and return its label array.
 
         The position-surface twin of calling :meth:`annotate_triples` once
-        per unit (a :class:`~repro.sampling.base.PositionUnit`), without
-        building a Triple: labels come from the oracle's read-only array for
-        ``graph``, which the caller indexes by position, and Eq. (4) is
-        charged per unit exactly as :meth:`annotate_triples` would charge it:
-        ``c1`` once per subject id per session, so sessions shared across
-        graph objects stay exact, and ``c2`` once per position of this graph
-        object.  A triple already labelled through :meth:`annotate_triples`
-        is free here too.
+        per unit of ``batch``, in order, without building a Triple: labels
+        come from the oracle's read-only array for ``graph``, which the
+        caller indexes by position, and Eq. (4) is charged per unit exactly
+        as :meth:`annotate_triples` would charge it: ``c1`` once per subject
+        id per session, so sessions shared across graph objects stay exact,
+        and ``c2`` once per position of this graph object.  A triple already
+        labelled through :meth:`annotate_triples` is free here too.
         """
         labels = self.oracle.position_labels(graph)
+        ledger = self._ledger(graph, labels)
+        if not len(batch):
+            return labels
+        positions = batch.positions
+        rows = batch.entity_rows
+        row_list = rows.tolist()
+        if -1 in row_list:
+            # A triple-level unit's subject is the row owning its one position.
+            rows = np.where(rows < 0, graph.rows_of_positions(positions[batch.starts]), rows)
+            row_list = rows.tolist()
+        if self._session.labelled or len(set(row_list)) != len(row_list):
+            fresh_counts, new_flags = self._claim_in_order(ledger, batch, row_list)
+        else:
+            # No subject twice in the round, so no position twice either: the
+            # round claims its fresh positions and subjects in one pass, and
+            # a unit whose positions were all labelled before names a subject
+            # identified before.
+            annotated, identified = ledger.annotated, ledger.identified
+            seen = annotated[positions]
+            annotated[positions] = True
+            if np.count_nonzero(seen):
+                fresh_counts = (batch.counts - np.add.reduceat(seen, batch.starts)).tolist()
+            else:
+                fresh_counts = batch.counts.tolist()
+            new_flags = (~identified[rows]).tolist()
+            identified[rows] = True
+        self._charge(ledger, fresh_counts, new_flags)
+        return labels
+
+    def _claim_in_order(
+        self, ledger: _PositionLedger, batch: PositionBatch, rows: list[int]
+    ) -> tuple[list[int], list[bool]]:
+        """Fresh triple count and new-subject flag of each unit, unit after unit.
+
+        For the rounds that name a subject twice (a cluster drawn twice with
+        replacement) or meet Triple labels of this session.
+        """
+        annotated, identified = ledger.annotated, ledger.identified
+        labelled = self._session.labelled
+        fresh_counts: list[int] = []
+        new_flags: list[bool] = []
+        for (positions, _, _), row in zip(batch, rows):
+            fresh = positions[~annotated[positions]]
+            if labelled and fresh.shape[0]:
+                unseen = [t not in labelled for t in ledger.graph.triples_at(fresh)]
+                fresh = fresh[np.array(unseen, dtype=bool)]
+            annotated[fresh] = True
+            count = int(fresh.shape[0])
+            is_new = count > 0 and not identified[row]
+            if is_new:
+                identified[row] = True
+            fresh_counts.append(count)
+            new_flags.append(is_new)
+        return fresh_counts, new_flags
+
+    def _charge(
+        self, ledger: _PositionLedger, fresh_counts: list[int], new_flags: list[bool]
+    ) -> None:
+        """Charge Eq. (4) unit by unit: ``c1`` for a new subject, ``c2`` per fresh triple."""
         session = self._session
-        entry = session.positions.get(id(graph))
-        annotated = entry[2] if entry is not None else set()
-        session.positions[id(graph)] = (graph, labels, annotated)
-        identified = session.identified_entities
+        if self.time_noise_sigma == 0.0 and type(self)._noise_factor is _DEFAULT_NOISE_FACTOR:
+            # Every factor is 1.0: a unit costs what the per-component loop
+            # below sums for it, read from a table.
+            with_c1, without_c1 = self._unit_cost_tables(max(fresh_counts))
+            total = session.total_seconds
+            for count, is_new in zip(fresh_counts, new_flags):
+                total += with_c1[count] if is_new else without_c1[count]
+            session.total_seconds = total
+            session.total_triples += sum(fresh_counts)
+            ledger.pending += sum(new_flags)
+            return
         identification_cost = self.cost_model.identification_cost
         validation_cost = self.cost_model.validation_cost
         noise = self._noise_factor
-        for unit in units:
-            fresh = [p for p in unit.positions.tolist() if p not in annotated]
-            if session.labelled and fresh:
-                triples = graph.triples_at(fresh)
-                fresh = [p for p, t in zip(fresh, triples) if t not in session.labelled]
-            if not fresh:
+        for count, is_new in zip(fresh_counts, new_flags):
+            if not count:
                 continue
-            annotated.update(fresh)
-            # (subject row, fresh triples): a cluster unit has one subject,
-            # each triple of a triple-level unit finds its own.
-            if unit.entity_row >= 0:
-                runs = [(unit.entity_row, len(fresh))]
-            else:
-                runs = [(row, 1) for row in graph.rows_of_positions(fresh).tolist()]
             cost = 0.0
-            for row, count in runs:
-                subject = graph.entity_id_of_row(row)
-                if subject not in identified:
-                    identified.add(subject)
-                    cost += identification_cost * noise()
-                for _ in range(count):
-                    cost += validation_cost * noise()
+            if is_new:
+                ledger.pending += 1
+                cost += identification_cost * noise()
+            for _ in range(count):
+                cost += validation_cost * noise()
             session.total_seconds += cost
-            session.total_triples += len(fresh)
-        return labels
+            session.total_triples += count
+
+    def _unit_cost_tables(self, longest: int) -> tuple[list[float], list[float]]:
+        """Unit costs by fresh triple count, with and without ``c1``, up to ``longest``.
+
+        Entry ``k`` adds ``k`` validation costs one at a time to ``0.0`` (plus
+        ``c1``), each times a noise factor of ``1.0``, as :meth:`_charge` does.
+        """
+        model = self.cost_model
+        cached = self._unit_costs
+        if cached is not None and cached[0] is model and len(cached[1]) > longest:
+            return cached[1], cached[2]
+        validation = [model.validation_cost * 1.0] * max(2 * longest, 64)
+        with_c1 = list(accumulate(validation, initial=0.0 + model.identification_cost * 1.0))
+        without_c1 = list(accumulate(validation, initial=0.0))
+        self._unit_costs = (model, with_c1, without_c1)
+        return with_c1, without_c1
 
     def annotate_with_timeline(
         self, triples: Sequence[Triple]
@@ -303,6 +455,10 @@ class SimulatedAnnotator:
             num_triples=self.total_triples_annotated - triples_before,
         )
         return aggregate, timeline
+
+
+#: The lognormal noise factor: a subclass that overrides it is charged per component.
+_DEFAULT_NOISE_FACTOR = SimulatedAnnotator._noise_factor
 
 
 class PositionAnnotationAccount:

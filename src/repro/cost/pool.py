@@ -97,11 +97,11 @@ class NoisyAnnotator(SimulatedAnnotator):
             num_triples=result.num_triples,
         )
 
-    def annotate_positions(self, graph, units: Sequence) -> np.ndarray:
+    def annotate_positions(self, graph, batch) -> np.ndarray:
         """Refused: position labels come from the oracle and would skip the flips."""
         raise TypeError(
-            f"{type(self).__name__} flips labels per Triple; label the units' "
-            "graph.triples_at(unit.positions) with annotate_triples instead"
+            f"{type(self).__name__} flips labels per Triple; label each unit's "
+            "graph.triples_at(positions) with annotate_triples instead"
         )
 
 

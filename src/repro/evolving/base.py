@@ -15,7 +15,7 @@ from repro.generators.datasets import LabelledKG
 from repro.kg.updates import EvolvingKnowledgeGraph, UpdateBatch
 from repro.labels.oracle import LabelOracle
 from repro.obs import metrics as obs_metrics
-from repro.sampling.base import Estimate, PositionUnit
+from repro.sampling.base import Estimate, PositionBatch
 from repro.sampling.segment import PositionSegment
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
@@ -175,10 +175,10 @@ class IncrementalEvaluator(ABC):
             return cluster
         return self.evolving.current.entity_row(segment.subjects[cluster])
 
-    def _charge_units(self, units: list[PositionUnit], segment: PositionSegment | None) -> None:
-        """Charge the account for a batch of drawn cluster units."""
-        for unit in units:
-            self._account.charge(self._entity_row(segment, unit.entity_row), unit.positions)
+    def _charge_units(self, batch: PositionBatch, segment: PositionSegment | None) -> None:
+        """Charge the account for one round of drawn cluster units, unit after unit."""
+        for positions, cluster, _ in batch:
+            self._account.charge(self._entity_row(segment, cluster), positions)
 
     def _meets_target(self, estimate: Estimate) -> bool:
         config = self.config
@@ -189,8 +189,8 @@ class IncrementalEvaluator(ABC):
     def _run_static(self, design: TwoStageWeightedClusterDesign) -> int:
         """The static TWCS loop over a whole graph; returns the rounds run.
 
-        Draw, charge and fold one round of position units at a time until
-        the estimate meets the quality requirement, exactly as
+        Draw, charge and fold one round (one position batch) at a time
+        until the estimate meets the quality requirement, exactly as
         :meth:`~repro.core.framework.StaticEvaluator.run` stops.
         """
         config = self.config
@@ -201,11 +201,11 @@ class IncrementalEvaluator(ABC):
                 break
             if config.max_units is not None and estimate.num_units >= config.max_units:
                 break
-            units = design.draw_positions(config.batch_size)
-            if not units:
+            batch = design.draw_positions(config.batch_size)
+            if not len(batch):
                 break
-            self._charge_units(units, None)
-            design.update_all_positions(units, self._labels)
+            self._charge_units(batch, None)
+            design.update_all_positions(batch, self._labels)
             iterations += 1
         return iterations
 

@@ -168,12 +168,12 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
                 break
             if config.max_units is not None and combined.num_units >= config.max_units:
                 break
-            units = design.draw_positions(config.batch_size)
-            if not units:
+            drawn = design.draw_positions(config.batch_size)
+            if not len(drawn):
                 break
             iterations += 1
-            self._charge_units(units, segment)
-            design.update_all_positions(units, self._labels)
+            self._charge_units(drawn, segment)
+            design.update_all_positions(drawn, self._labels)
 
         report = self._build_report(iterations, totals_before)
         return self._record(batch.batch_id, report)

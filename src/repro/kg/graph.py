@@ -111,33 +111,38 @@ def sample_csr_positions_batch(
     offsets: np.ndarray,
     positions: np.ndarray,
     rows: np.ndarray,
-    cap: int,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Second-stage sample of up to ``cap`` positions from each CSR cluster.
+    cap: int | None,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second-stage sample of up to ``cap`` positions from each CSR cluster, laid out flat.
 
     The vectorised core behind every position draw: cluster ``rows[i]`` owns
     ``positions[offsets[rows[i]]:offsets[rows[i] + 1]]``; clusters no larger
-    than ``cap`` contribute their full (zero-copy) slice, larger clusters are
-    subsampled without replacement with one batched Floyd pass.  Works on any
-    CSR pair — a graph backend's index or an appended update segment — so the
-    evolving evaluators consume the same random stream on every backend.
+    than ``cap`` contribute their full slice, larger clusters are subsampled
+    without replacement with one batched Floyd pass, and ``cap=None`` takes
+    every cluster whole without touching ``rng``.  Returns ``(flat, counts,
+    starts)``: the sample of ``rows[i]`` is ``flat[starts[i] : starts[i] +
+    counts[i]]``, in row order.  Works on any CSR pair — a graph backend's
+    index or an appended update segment — so the evolving evaluators consume
+    the same random stream on every backend.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    out: list[np.ndarray | None] = [None] * rows.shape[0]
-    starts = offsets[rows]
-    sizes = offsets[rows + 1] - starts
-    large = sizes > cap
-    for i in np.flatnonzero(~large):
-        start = int(starts[i])
-        out[i] = positions[start : start + int(sizes[i])]
-    large_indices = np.flatnonzero(large)
-    if large_indices.size:
-        picks = _floyd_sample_batch(sizes[large_indices], cap, rng)
-        chosen = positions[starts[large_indices][:, None] + picks]
-        for j, i in enumerate(large_indices):
-            out[i] = chosen[j]
-    return out  # type: ignore[return-value]
+    first = offsets[rows]
+    sizes = offsets[rows + 1] - first
+    counts = sizes if cap is None else np.minimum(sizes, cap)
+    ends = counts.cumsum()
+    starts = ends - counts
+    total = int(ends[-1]) if ends.shape[0] else 0
+    # Unit i reads positions[first[i] + j] for j < counts[i] ...
+    index = np.arange(total) + np.repeat(first - starts, counts)
+    if cap is not None:
+        large = np.flatnonzero(sizes > cap)
+        if large.size:
+            # ... except that a cluster larger than ``cap`` reads its Floyd picks.
+            picks = _floyd_sample_batch(sizes[large], cap, rng)
+            slots = (starts[large][:, None] + np.arange(cap)).ravel()
+            index[slots] = (first[large][:, None] + picks).ravel()
+    return positions[index], counts, starts
 
 
 class KnowledgeGraph:
@@ -154,7 +159,8 @@ class KnowledgeGraph:
         Physical storage: a :class:`~repro.storage.backend.StorageBackend`
         instance (possibly pre-populated, e.g. from a snapshot), or ``None``
         for a fresh :class:`~repro.storage.columnar.ColumnarStore`.  A graph
-        on SQLite comes from :meth:`to_sqlite` and takes no ``add``.
+        on SQLite comes from :meth:`to_sqlite` and takes no ``add``.  Any
+        other value (a backend name such as ``"sqlite"``) raises ``TypeError``.
 
     Examples
     --------
@@ -178,6 +184,12 @@ class KnowledgeGraph:
             from repro.storage.columnar import ColumnarStore
 
             backend = ColumnarStore()
+        elif not isinstance(backend, StorageBackend):
+            raise TypeError(
+                f"backend must be a StorageBackend instance, got {backend!r}: build the "
+                "graph in columns (backend=None or a ColumnarStore) and call "
+                "KnowledgeGraph.to_sqlite(path) for a SQLite graph"
+            )
         self._backend: StorageBackend = backend
         self._triples_view: tuple[Triple, ...] | None = None
         self._entity_ids_view: tuple[str, ...] | None = None
@@ -386,19 +398,20 @@ class KnowledgeGraph:
     def sample_cluster_positions_batch(
         self,
         rows: np.ndarray,
-        cap: int,
-        rng: np.random.Generator,
-    ) -> list[np.ndarray]:
-        """Second-stage sample of up to ``cap`` positions from each cluster row.
+        cap: int | None,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Second-stage sample of up to ``cap`` positions from each cluster row, laid out flat.
 
         The vectorised core behind the designs' position draws, run on the
-        backend's CSR index: clusters no larger than ``cap`` contribute their
-        full (zero-copy) position slice; larger clusters are subsampled
+        backend's CSR index (see :func:`sample_csr_positions_batch`, which
+        returns ``(flat, counts, starts)``): clusters no larger than ``cap``
+        contribute their full position slice; larger clusters are subsampled
         without replacement with a batched Floyd pass (``cap`` vectorised RNG
-        calls for the whole batch instead of one ``rng.choice`` per cluster).
-        The random stream therefore differs from
-        :meth:`sample_cluster_positions`; under a fixed seed it is the same
-        on every backend.
+        calls for the whole batch instead of one ``rng.choice`` per cluster);
+        ``cap=None`` takes every cluster whole.  The random stream therefore
+        differs from :meth:`sample_cluster_positions`; under a fixed seed it
+        is the same on every backend.
         """
         offsets, positions = self._backend.csr_arrays()
         return sample_csr_positions_batch(offsets, positions, rows, cap, rng)

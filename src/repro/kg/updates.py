@@ -65,6 +65,7 @@ class EvolvingKnowledgeGraph:
     >>> base = KnowledgeGraph([Triple("e1", "p", "o")], name="base")
     >>> ekg = EvolvingKnowledgeGraph(base)
     >>> ekg.apply(UpdateBatch("delta-1", (Triple("e2", "p", "o"),)))
+    [True]
     >>> ekg.current.num_triples
     2
     >>> [b.batch_id for b in ekg.applied_batches]

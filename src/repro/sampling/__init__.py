@@ -3,17 +3,18 @@
 Every design follows the same life cycle used by the iterative evaluation
 framework (Section 4):
 
-1. :meth:`~repro.sampling.base.SamplingDesign.draw_positions` a batch of
+1. :meth:`~repro.sampling.base.SamplingDesign.draw_positions` one round of
    *sample units* (individual triples for SRS, cluster draws for the cluster
-   designs);
-2. hand the units to an annotator for labels;
+   designs) as a :class:`~repro.sampling.base.PositionBatch`;
+2. hand the batch to an annotator for labels;
 3. :meth:`~repro.sampling.base.SamplingDesign.update_all_positions` the
    design's internal estimator with those labels;
 4. read the current :meth:`~repro.sampling.base.SamplingDesign.estimate` and
    its margin of error.
 
 These are the only draw and fold steps: an annotator that needs Triple
-objects reads a unit's triples with ``graph.triples_at(unit.positions)``.
+objects iterates the batch and reads each unit's triples with
+``graph.triples_at(positions)``.
 
 Available designs:
 
@@ -36,7 +37,7 @@ TWCS samples in the evolving setting (:mod:`repro.sampling.segment`).
 """
 
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import Estimate, PositionUnit, SamplingDesign
+from repro.sampling.base import Estimate, PositionBatch, SamplingDesign
 from repro.sampling.optimal import (
     expected_srs_cost_seconds,
     expected_twcs_cost_seconds,
@@ -59,7 +60,7 @@ from repro.sampling.wcs import WeightedClusterDesign
 
 __all__ = [
     "Estimate",
-    "PositionUnit",
+    "PositionBatch",
     "SamplingDesign",
     "SimpleRandomDesign",
     "RandomClusterDesign",

@@ -2,19 +2,22 @@
 
 Every design draws and estimates on the *position surface*
 (:meth:`SamplingDesign.draw_positions` /
-:meth:`SamplingDesign.update_all_positions`): units carry integer triple
-positions only and labels arrive as boolean arrays, so the evaluation loop
-never allocates a :class:`~repro.kg.triple.Triple`.  Draws are fully
-deterministic under a fixed seed on any storage backend.  This is the only
-surface: a flow that labels Triples (a human-style annotator) reads them with
-``graph.triples_at(unit.positions)`` and folds its labels back through the
-same :meth:`SamplingDesign.update_all_positions`.
+:meth:`SamplingDesign.update_all_positions`): one sampling round is one
+:class:`PositionBatch`, flat triple positions with per-unit counts, cluster
+rows and cluster sizes, and labels arrive as one boolean array, so a round
+costs a few array operations and the evaluation loop never allocates a
+:class:`~repro.kg.triple.Triple`.  Draws are fully deterministic under a
+fixed seed on any storage backend.  This is the only surface: a flow that
+labels Triples (a human-style annotator) iterates the batch, reads each
+unit's triples with ``graph.triples_at(positions)`` and folds its labels back
+through the same :meth:`SamplingDesign.update_all_positions`.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,63 +26,65 @@ from repro.kg.graph import KnowledgeGraph
 from repro.stats.ci import ConfidenceInterval, normal_interval
 
 __all__ = [
-    "PositionUnit",
+    "PositionBatch",
     "Estimate",
     "SamplingDesign",
     "SizeWeightedSampler",
-    "segment_label_sums",
 ]
 
 
-@dataclass(slots=True)
-class PositionUnit:
-    """One draw expressed purely as triple positions (no Triple objects).
+@dataclass(slots=True, eq=False)
+class PositionBatch:
+    """One sampling round as flat arrays: every drawn unit's triple positions.
+
+    Unit ``i`` owns ``positions[starts[i] : starts[i] + counts[i]]``, so the
+    whole round is one gather away from its labels and one segment sum away
+    from its per-unit correct counts, with no per-unit Python object.
+    Iterating a batch yields one ``(positions, entity_row, cluster_size)``
+    view per unit, in draw order, for the flows that work unit by unit.
 
     Attributes
     ----------
     positions:
-        Graph positions of the triples selected for this unit — often a
-        zero-copy view into the backend's CSR index.
-    entity_row:
-        Row of the sampled cluster in ``graph.entity_ids`` order, or ``-1``
-        for triple-level units.
-    cluster_size:
-        Size ``M_i`` of the sampled cluster (1 for triple-level units).
+        Graph positions of every unit's triples, unit after unit.  A unit's
+        positions are distinct; the same position may recur in another unit
+        (a cluster drawn twice with replacement).
+    counts:
+        ``int64`` number of positions of each unit; every unit has at least one.
+    entity_rows:
+        ``int64`` row of each unit's cluster in ``graph.entity_ids`` order, or
+        ``-1`` for a triple-level unit, which carries exactly one position.
+    cluster_sizes:
+        ``int64`` size ``M_i`` of each unit's cluster (1 for triple-level units).
+    starts:
+        ``int64`` offset of each unit's first position in :attr:`positions`;
+        derived from :attr:`counts` when not given.
     """
 
     positions: np.ndarray
-    entity_row: int = -1
-    cluster_size: int = 1
+    counts: np.ndarray
+    entity_rows: np.ndarray
+    cluster_sizes: np.ndarray
+    starts: np.ndarray | None = None
 
-    @property
-    def num_triples(self) -> int:
-        """Number of triples selected for this unit."""
-        return int(self.positions.shape[0])
+    def __post_init__(self) -> None:
+        if self.starts is None:
+            self.starts = self.counts.cumsum() - self.counts
 
+    def __len__(self) -> int:
+        """Number of units in the round."""
+        return self.counts.shape[0]
 
-def segment_label_sums(
-    units: list[PositionUnit], label_array: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit sizes and correct-label sums for a batch of position units.
-
-    One flat gather over ``label_array`` plus a cumulative-sum segment
-    reduction instead of one fancy-index + reduction per unit; the backbone
-    of the designs' vectorised ``update_all_positions`` overrides.  Returns
-    ``(counts, sums)`` as ``int64`` / ``float64`` arrays aligned with
-    ``units``; a zero-length unit contributes a sum of 0.
-    """
-    if not units:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    counts = np.fromiter(
-        (unit.positions.shape[0] for unit in units), dtype=np.int64, count=len(units)
-    )
-    flat = np.concatenate([unit.positions for unit in units])
-    correct = label_array[flat].astype(np.float64)
-    # Segment sums via prefix-sum differences (unlike np.add.reduceat, this
-    # stays correct when a segment is empty or ends the batch).
-    prefix = np.concatenate(([0.0], np.cumsum(correct)))
-    ends = np.cumsum(counts)
-    return counts, prefix[ends] - prefix[ends - counts]
+    def __iter__(self) -> Iterator[tuple[np.ndarray, int, int]]:
+        """Yield ``(positions, entity_row, cluster_size)`` per unit, in draw order."""
+        positions = self.positions
+        for start, count, row, size in zip(
+            self.starts.tolist(),
+            self.counts.tolist(),
+            self.entity_rows.tolist(),
+            self.cluster_sizes.tolist(),
+        ):
+            yield positions[start : start + count], row, size
 
 
 class SizeWeightedSampler:
@@ -163,21 +168,21 @@ class SamplingDesign(ABC):
     graph: KnowledgeGraph
 
     @abstractmethod
-    def draw_positions(self, count: int) -> list[PositionUnit]:
-        """Draw up to ``count`` new units as position-only views.
+    def draw_positions(self, count: int) -> PositionBatch:
+        """Draw up to ``count`` new units as one :class:`PositionBatch`.
 
         May return fewer units than requested when the population is exhausted
-        (e.g. SRS without replacement on a small KG); returns an empty list
+        (e.g. SRS without replacement on a small KG); returns an empty batch
         when nothing is left to draw.
         """
 
     @abstractmethod
-    def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
-        """Fold a batch of drawn units into the estimator.
+    def update_all_positions(self, batch: PositionBatch, label_array: np.ndarray) -> None:
+        """Fold a round of drawn units into the estimator.
 
-        ``label_array`` is a position-aligned boolean array that every
-        ``unit.positions`` indexes (the oracle's array over the whole graph,
-        see ``LabelOracle.position_labels``, or any vector the units were
+        ``label_array`` is a position-aligned boolean array that
+        ``batch.positions`` indexes (the oracle's array over the whole graph,
+        see ``LabelOracle.position_labels``, or any vector the round was
         re-addressed onto).
         """
 

@@ -100,12 +100,12 @@ def run_pilot(
     triples_before = annotator.total_triples_annotated
     sizes: list[int] = []
     accuracies: list[float] = []
-    for unit in design.draw_positions(num_clusters):
+    for positions, _, cluster_size in design.draw_positions(num_clusters):
         # Labelled as Triples: they stay in the session's Triple-keyed
         # record, which any later run in the session reuses for free.
-        triples = graph.triples_at(unit.positions)
+        triples = graph.triples_at(positions)
         labels = annotator.annotate_triples(triples).labels
-        sizes.append(unit.cluster_size)
+        sizes.append(cluster_size)
         accuracies.append(sum(labels[t] for t in triples) / len(triples))
     return PilotResult(
         cluster_sizes=tuple(sizes),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
+from repro.sampling.base import Estimate, PositionBatch, SamplingDesign
 from repro.stats.running import RunningMean
 
 __all__ = ["RandomClusterDesign"]
@@ -87,31 +87,22 @@ class RandomClusterDesign(SamplingDesign):
         self._cursor = end
         return rows
 
-    def draw_positions(self, count: int) -> list[PositionUnit]:
-        """Draw up to ``count`` previously undrawn clusters uniformly (zero-copy views)."""
+    def draw_positions(self, count: int) -> PositionBatch:
+        """Draw up to ``count`` previously undrawn clusters uniformly, each taken whole."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        graph = self.graph
-        units = []
-        for row in self._next_rows(count):
-            positions = graph.cluster_positions_by_row(int(row))
-            units.append(
-                PositionUnit(
-                    positions=positions,
-                    entity_row=int(row),
-                    cluster_size=int(positions.shape[0]),
-                )
-            )
-        return units
+        rows = self._next_rows(count)
+        positions, counts, starts = self.graph.sample_cluster_positions_batch(rows, None)
+        return PositionBatch(positions, counts, rows, counts, starts)
 
-    def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
-        """Vectorised batch update: one gather + ``reduceat`` for the whole batch."""
-        if not units:
+    def update_all_positions(self, batch: PositionBatch, label_array: np.ndarray) -> None:
+        """Fold a round: one gather and one segment sum for the whole batch."""
+        if not len(batch):
             return
-        counts, sums = segment_label_sums(units, label_array)
+        sums = np.add.reduceat(label_array[batch.positions], batch.starts)
         scale = self.graph.num_entities / self.graph.num_triples
         self._values.add_many(scale * sums)
-        self._num_triples += int(counts.sum())
+        self._num_triples += batch.positions.shape[0]
 
     def estimate(self) -> Estimate:
         """Mean of the per-cluster expansion values with its standard error."""

@@ -101,12 +101,12 @@ class PositionSegment:
         return self.positions[int(self.offsets[cluster]) : int(self.offsets[cluster + 1])]
 
     def sample_cluster_positions_batch(
-        self, rows: np.ndarray, cap: int, rng: np.random.Generator
-    ) -> list[np.ndarray]:
+        self, rows: np.ndarray, cap: int | None, rng: np.random.Generator | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Second-stage sample of up to ``cap`` positions from each cluster in ``rows``.
 
         The same batched draw as
         :meth:`~repro.kg.graph.KnowledgeGraph.sample_cluster_positions_batch`,
-        run on the segment's own CSR arrays.
+        run on the segment's own CSR arrays; returns ``(flat, counts, starts)``.
         """
         return sample_csr_positions_batch(self.offsets, self.positions, rows, cap, rng)

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import Estimate, PositionUnit, SamplingDesign
+from repro.sampling.base import Estimate, PositionBatch, SamplingDesign
 
 __all__ = ["SimpleRandomDesign"]
 
@@ -86,23 +86,23 @@ class SimpleRandomDesign(SamplingDesign):
         self._cursor = end
         return positions
 
-    def draw_positions(self, count: int) -> list[PositionUnit]:
+    def draw_positions(self, count: int) -> PositionBatch:
         """Draw up to ``count`` previously undrawn triples uniformly at random."""
         if count < 0:
             raise ValueError("count must be non-negative")
         positions = self._next_positions(count)
-        return [
-            PositionUnit(positions=positions[index : index + 1], entity_row=-1, cluster_size=1)
-            for index in range(positions.shape[0])
-        ]
+        units = positions.shape[0]
+        ones = np.ones(units, dtype=np.int64)
+        # Triple-level units: one position each, no cluster row.
+        return PositionBatch(
+            positions, ones, np.full(units, -1, dtype=np.int64), ones, np.arange(units)
+        )
 
-    def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
-        """Vectorised batch update: one flat gather for the whole batch."""
-        if not units:
-            return
-        flat = np.concatenate([unit.positions for unit in units])
-        self._num_annotated += int(flat.shape[0])
-        self._num_correct += int(label_array[flat].sum())
+    def update_all_positions(self, batch: PositionBatch, label_array: np.ndarray) -> None:
+        """Fold a round: one gather and one count for the whole batch."""
+        positions = batch.positions
+        self._num_annotated += positions.shape[0]
+        self._num_correct += int(np.count_nonzero(label_array[positions]))
 
     def estimate(self) -> Estimate:
         """Sample mean with the binomial-proportion standard error (Eq. 5)."""

@@ -9,8 +9,8 @@ Two strategies from the paper:
   impossible in practice but gives a lower bound on the achievable cost, used
   as such in Table 7.
 
-Both return a list of :class:`Stratum` objects carrying the entity ids and the
-stratum weight ``W_h = M_[h] / M``, ready to be consumed by
+Both return a list of :class:`Stratum` objects carrying their cluster rows and
+the stratum weight ``W_h = M_[h] / M``, ready to be consumed by
 :class:`~repro.sampling.stratified.StratifiedTWCSDesign`.
 """
 
@@ -27,7 +27,7 @@ from repro.stats.allocation import cumulative_sqrt_frequency_boundaries
 __all__ = ["Stratum", "stratify_by_size", "stratify_by_oracle_accuracy", "stratify_by_key"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stratum:
     """One stratum of entity clusters.
 
@@ -35,8 +35,9 @@ class Stratum:
     ----------
     label:
         Human-readable description of the stratum (e.g. ``"size<=3"``).
-    entity_ids:
-        The entity ids assigned to this stratum.
+    rows:
+        ``int64`` cluster rows (``graph.entity_ids`` order) assigned to this
+        stratum, ascending; ``graph.entity_id_of_row`` names them.
     num_triples:
         Total triples across the stratum's clusters (``M_[h]``).
     weight:
@@ -44,34 +45,43 @@ class Stratum:
     """
 
     label: str
-    entity_ids: tuple[str, ...]
+    rows: np.ndarray
     num_triples: int
     weight: float
 
     @property
     def num_entities(self) -> int:
         """Number of entity clusters in this stratum."""
-        return len(self.entity_ids)
+        return int(self.rows.shape[0])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Stratum):
+            return NotImplemented
+        return (
+            self.label == other.label
+            and self.num_triples == other.num_triples
+            and self.weight == other.weight
+            and np.array_equal(self.rows, other.rows)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def _build_strata(
-    graph: KnowledgeGraph, assignment: Mapping[str, int], labels: Mapping[int, str]
+    graph: KnowledgeGraph, assignment: np.ndarray, labels: Mapping[int, str]
 ) -> list[Stratum]:
-    """Assemble :class:`Stratum` objects from an entity→stratum-index mapping."""
-    totals: dict[int, int] = {}
-    members: dict[int, list[str]] = {}
-    for entity_id, stratum_index in assignment.items():
-        members.setdefault(stratum_index, []).append(entity_id)
-        totals[stratum_index] = totals.get(stratum_index, 0) + graph.cluster_size(entity_id)
-    total_triples = graph.num_triples
+    """Assemble :class:`Stratum` objects from a row -> stratum-index array."""
+    sizes = graph.cluster_size_array()
     strata = []
-    for stratum_index in sorted(members):
+    for index in np.unique(assignment).tolist():
+        rows = np.flatnonzero(assignment == index)
+        num_triples = int(sizes[rows].sum())
         strata.append(
             Stratum(
-                label=labels.get(stratum_index, f"stratum-{stratum_index}"),
-                entity_ids=tuple(members[stratum_index]),
-                num_triples=totals[stratum_index],
-                weight=totals[stratum_index] / total_triples,
+                label=labels[index],
+                rows=rows,
+                num_triples=num_triples,
+                weight=num_triples / graph.num_triples,
             )
         )
     return strata
@@ -107,11 +117,12 @@ def stratify_by_key(
     bounds, inclusive).
     """
     sorted_boundaries = list(boundaries)
-    assignment: dict[str, int] = {}
-    for entity_id in graph.entity_ids:
-        value = key(entity_id)
-        index = int(np.searchsorted(sorted_boundaries, value, side="left"))
-        assignment[entity_id] = index
+    values = np.fromiter(
+        (key(entity_id) for entity_id in graph.entity_ids),
+        dtype=np.float64,
+        count=graph.num_entities,
+    )
+    assignment = np.searchsorted(sorted_boundaries, values, side="left")
     return _build_strata(graph, assignment, _stratum_labels(sorted_boundaries, label_prefix))
 
 
@@ -128,21 +139,7 @@ def stratify_by_size(graph: KnowledgeGraph, num_strata: int = 4) -> list[Stratum
     sizes = graph.cluster_size_array()
     boundaries = cumulative_sqrt_frequency_boundaries(sizes, num_strata)
     assignment = np.searchsorted(boundaries, sizes, side="left")
-    labels = _stratum_labels(boundaries, "size")
-    entity_ids = graph.entity_ids
-    strata = []
-    for index in np.unique(assignment).tolist():
-        members = np.flatnonzero(assignment == index)
-        num_triples = int(sizes[members].sum())
-        strata.append(
-            Stratum(
-                label=labels[index],
-                entity_ids=tuple(entity_ids[row] for row in members.tolist()),
-                num_triples=num_triples,
-                weight=num_triples / graph.num_triples,
-            )
-        )
-    return strata
+    return _build_strata(graph, assignment, _stratum_labels(boundaries, "size"))
 
 
 def stratify_by_oracle_accuracy(

@@ -31,18 +31,15 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import (
-    Estimate,
-    PositionUnit,
-    SamplingDesign,
-    SizeWeightedSampler,
-    segment_label_sums,
-)
+from repro.sampling.base import Estimate, PositionBatch, SamplingDesign, SizeWeightedSampler
 from repro.sampling.stratification import Stratum
 from repro.stats.allocation import neyman_allocation, proportional_allocation
 from repro.stats.running import RunningMean
 
 __all__ = ["StratifiedTWCSDesign"]
+
+#: Row -> stratum entry read by a unit without a cluster row (row ``-1``).
+_NO_ROW = -2
 
 
 class StratifiedTWCSDesign(SamplingDesign):
@@ -104,34 +101,28 @@ class StratifiedTWCSDesign(SamplingDesign):
         # Per-stratum estimator state.
         self._means = [RunningMean() for _ in populated]
         self._triples = [0] * len(populated)
-        # Parent-graph rows/sizes per stratum, built lazily.
-        self._rows_cache: list[np.ndarray] | None = None
+        # Per-stratum first stages and the row -> stratum map, built lazily.
         self._first_stages: list[SizeWeightedSampler] | None = None
         self._row_stratum_cache: np.ndarray | None = None
         self._sizes_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
-    # Lazy per-stratum rows
+    # Lazy per-stratum state
     # ------------------------------------------------------------------ #
     def _ensure_position_state(self) -> None:
-        if self._rows_cache is not None:
+        if self._first_stages is not None:
             return
         graph = self.graph
         self._sizes_cache = graph.cluster_size_array()
-        self._row_stratum_cache = np.full(graph.num_entities, -1, dtype=np.int64)
-        row_of = {entity_id: row for row, entity_id in enumerate(graph.entity_ids)}
-        rows_per_stratum: list[np.ndarray] = []
+        # One slot past the last row: a unit without a cluster row (``-1``)
+        # reads it and is refused with its own error.
+        row_stratum = np.full(graph.num_entities + 1, -1, dtype=np.int64)
+        row_stratum[-1] = _NO_ROW
         first_stages: list[SizeWeightedSampler] = []
         for index, stratum in enumerate(self._strata):
-            rows = np.fromiter(
-                (row_of[entity_id] for entity_id in stratum.entity_ids),
-                dtype=np.int64,
-                count=stratum.num_entities,
-            )
-            self._row_stratum_cache[rows] = index
-            rows_per_stratum.append(rows)
-            first_stages.append(SizeWeightedSampler(self._sizes_cache[rows]))
-        self._rows_cache = rows_per_stratum
+            row_stratum[stratum.rows] = index
+            first_stages.append(SizeWeightedSampler(self._sizes_cache[stratum.rows]))
+        self._row_stratum_cache = row_stratum
         self._first_stages = first_stages
 
     # ------------------------------------------------------------------ #
@@ -175,54 +166,61 @@ class StratifiedTWCSDesign(SamplingDesign):
     # ------------------------------------------------------------------ #
     # Draw and update
     # ------------------------------------------------------------------ #
-    def draw_positions(self, count: int) -> list[PositionUnit]:
-        """Draw ``count`` cluster units, allocated across strata per the allocation rule."""
+    def draw_positions(self, count: int) -> PositionBatch:
+        """Draw ``count`` cluster units, allocated across strata per the allocation rule.
+
+        Strata are drawn in order, each first stage followed by its second
+        stage, and the round lists their units stratum after stratum.
+        """
         if count < 0:
             raise ValueError("count must be non-negative")
         self._ensure_position_state()
-        assert self._rows_cache is not None and self._first_stages is not None
-        assert self._sizes_cache is not None
+        assert self._first_stages is not None and self._sizes_cache is not None
         allocation = self._allocate(count)
-        units: list[PositionUnit] = []
+        empty = np.empty(0, dtype=np.int64)
+        rows_parts, position_parts, count_parts = [empty], [empty], [empty]
         for stratum_index, stratum_count in enumerate(allocation):
             if stratum_count == 0:
                 continue
             chosen = self._first_stages[stratum_index].draw(self._rng, stratum_count)
-            rows = self._rows_cache[stratum_index][chosen]
-            batches = self.graph.sample_cluster_positions_batch(
+            rows = self._strata[stratum_index].rows[chosen]
+            positions, counts, _ = self.graph.sample_cluster_positions_batch(
                 rows, self.second_stage_size, self._rng
             )
-            units.extend(
-                PositionUnit(
-                    positions=positions,
-                    entity_row=int(row),
-                    cluster_size=int(self._sizes_cache[row]),
-                )
-                for row, positions in zip(rows, batches)
-            )
-        return units
+            rows_parts.append(rows)
+            position_parts.append(positions)
+            count_parts.append(counts)
+        rows = np.concatenate(rows_parts)
+        return PositionBatch(
+            np.concatenate(position_parts),
+            np.concatenate(count_parts),
+            rows,
+            self._sizes_cache[rows],
+        )
 
-    def _stratum_of(self, unit: PositionUnit) -> int:
-        if unit.entity_row < 0:
-            raise ValueError("stratified design received a unit without a cluster row")
+    def update_all_positions(self, batch: PositionBatch, label_array: np.ndarray) -> None:
+        """Fold a round: one gather and one segment sum, then one fold per stratum."""
+        if not len(batch):
+            return
         self._ensure_position_state()
         assert self._row_stratum_cache is not None
-        stratum_index = int(self._row_stratum_cache[unit.entity_row])
-        if stratum_index < 0:
-            raise KeyError(f"cluster row {unit.entity_row} does not belong to any stratum")
-        return stratum_index
-
-    def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
-        """Vectorised batch update: one gather + segment reduction per stratum."""
-        if not units:
-            return
-        grouped: dict[int, list[PositionUnit]] = {}
-        for unit in units:
-            grouped.setdefault(self._stratum_of(unit), []).append(unit)
-        for stratum_index, stratum_units in grouped.items():
-            counts, sums = segment_label_sums(stratum_units, label_array)
-            self._means[stratum_index].add_many(sums / counts)
-            self._triples[stratum_index] += int(counts.sum())
+        strata = self._row_stratum_cache[batch.entity_rows]
+        refused = np.flatnonzero(strata < 0)
+        if refused.size:
+            unit = int(refused[0])
+            if strata[unit] == _NO_ROW:
+                raise ValueError("stratified design received a unit without a cluster row")
+            row = int(batch.entity_rows[unit])
+            raise KeyError(f"cluster row {row} does not belong to any stratum")
+        sums = np.add.reduceat(label_array[batch.positions], batch.starts)
+        accuracies = sums / batch.counts
+        for stratum_index, mean in enumerate(self._means):
+            members = strata == stratum_index
+            if not np.count_nonzero(members):
+                continue
+            # Each stratum folds its units in draw order.
+            mean.add_many(accuracies[members])
+            self._triples[stratum_index] += int(batch.counts[members].sum())
 
     # ------------------------------------------------------------------ #
     # Estimation

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import Estimate, PositionUnit, SamplingDesign, segment_label_sums
+from repro.sampling.base import Estimate, PositionBatch, SamplingDesign
 from repro.stats.running import RunningMean
 
 __all__ = ["TwoStageRandomClusterDesign"]
@@ -69,29 +69,25 @@ class TwoStageRandomClusterDesign(SamplingDesign):
         self._values = RunningMean()
         self._num_triples = 0
 
-    def draw_positions(self, count: int) -> list[PositionUnit]:
+    def draw_positions(self, count: int) -> PositionBatch:
         """Draw ``count`` clusters uniformly (with replacement), ``m``-capped."""
         if count < 0:
             raise ValueError("count must be non-negative")
         rows = self._rng.integers(0, self._sizes.shape[0], size=count)
-        batches = self.graph.sample_cluster_positions_batch(rows, self.second_stage_size, self._rng)
-        sizes = self._sizes
-        return [
-            PositionUnit(positions=positions, entity_row=int(row), cluster_size=int(sizes[row]))
-            for row, positions in zip(rows, batches)
-        ]
-
-    def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
-        """Vectorised batch update: one gather + ``reduceat`` for the whole batch."""
-        if not units:
-            return
-        counts, sums = segment_label_sums(units, label_array)
-        sizes = np.fromiter(
-            (unit.cluster_size for unit in units), dtype=np.float64, count=len(units)
+        positions, counts, starts = self.graph.sample_cluster_positions_batch(
+            rows, self.second_stage_size, self._rng
         )
+        return PositionBatch(positions, counts, rows, self._sizes[rows], starts)
+
+    def update_all_positions(self, batch: PositionBatch, label_array: np.ndarray) -> None:
+        """Fold a round: one gather and one segment sum for the whole batch."""
+        if not len(batch):
+            return
+        sums = np.add.reduceat(label_array[batch.positions], batch.starts)
         scale = self.graph.num_entities / self.graph.num_triples
-        self._values.add_many(scale * sizes * (sums / counts))
-        self._num_triples += int(counts.sum())
+        sizes = batch.cluster_sizes.astype(np.float64)
+        self._values.add_many(scale * sizes * (sums / batch.counts))
+        self._num_triples += batch.positions.shape[0]
 
     def estimate(self) -> Estimate:
         """Mean of the re-weighted per-cluster values with its standard error."""

@@ -23,8 +23,8 @@ The design reads its population through ``num_triples``,
 ``cluster_size_array()`` and ``sample_cluster_positions_batch()`` only, so it
 samples a :class:`~repro.kg.graph.KnowledgeGraph` or, for the stratified
 incremental evaluator, one update batch's
-:class:`~repro.sampling.segment.PositionSegment`, whose ``entity_row`` values
-are then segment-local cluster indices.
+:class:`~repro.sampling.segment.PositionSegment`, whose drawn
+``entity_rows`` are then segment-local cluster indices.
 """
 
 from __future__ import annotations
@@ -32,13 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import (
-    Estimate,
-    PositionUnit,
-    SamplingDesign,
-    SizeWeightedSampler,
-    segment_label_sums,
-)
+from repro.sampling.base import Estimate, PositionBatch, SamplingDesign, SizeWeightedSampler
 from repro.sampling.segment import PositionSegment
 from repro.stats.running import RunningMean
 
@@ -87,25 +81,23 @@ class TwoStageWeightedClusterDesign(SamplingDesign):
         self._cluster_means = RunningMean()
         self._num_triples = 0
 
-    def draw_positions(self, count: int) -> list[PositionUnit]:
+    def draw_positions(self, count: int) -> PositionBatch:
         """Draw ``count`` cluster units, each carrying at most ``m`` positions."""
         if count < 0:
             raise ValueError("count must be non-negative")
         rows = self._first_stage.draw(self._rng, count)
-        batches = self.graph.sample_cluster_positions_batch(rows, self.second_stage_size, self._rng)
-        sizes = self._sizes
-        return [
-            PositionUnit(positions=positions, entity_row=int(row), cluster_size=int(sizes[row]))
-            for row, positions in zip(rows, batches)
-        ]
+        positions, counts, starts = self.graph.sample_cluster_positions_batch(
+            rows, self.second_stage_size, self._rng
+        )
+        return PositionBatch(positions, counts, rows, self._sizes[rows], starts)
 
-    def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
-        """Vectorised batch update: one gather + ``reduceat`` for the whole batch."""
-        if not units:
+    def update_all_positions(self, batch: PositionBatch, label_array: np.ndarray) -> None:
+        """Fold a round: one gather and one segment sum for the whole batch."""
+        if not len(batch):
             return
-        counts, sums = segment_label_sums(units, label_array)
-        self._cluster_means.add_many(sums / counts)
-        self._num_triples += int(counts.sum())
+        sums = np.add.reduceat(label_array[batch.positions], batch.starts)
+        self._cluster_means.add_many(sums / batch.counts)
+        self._num_triples += batch.positions.shape[0]
 
     def estimate(self) -> Estimate:
         """Eq. (9): mean of within-cluster accuracies with its standard error."""

@@ -18,13 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import (
-    Estimate,
-    PositionUnit,
-    SamplingDesign,
-    SizeWeightedSampler,
-    segment_label_sums,
-)
+from repro.sampling.base import Estimate, PositionBatch, SamplingDesign, SizeWeightedSampler
 from repro.stats.running import RunningMean
 
 __all__ = ["WeightedClusterDesign"]
@@ -60,29 +54,21 @@ class WeightedClusterDesign(SamplingDesign):
         self._values = RunningMean()
         self._num_triples = 0
 
-    def draw_positions(self, count: int) -> list[PositionUnit]:
+    def draw_positions(self, count: int) -> PositionBatch:
         """Draw ``count`` whole clusters with probability proportional to size."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        graph = self.graph
-        sizes = self._sizes
         rows = self._first_stage.draw(self._rng, count)
-        return [
-            PositionUnit(
-                positions=graph.cluster_positions_by_row(int(row)),
-                entity_row=int(row),
-                cluster_size=int(sizes[row]),
-            )
-            for row in rows
-        ]
+        positions, counts, starts = self.graph.sample_cluster_positions_batch(rows, None)
+        return PositionBatch(positions, counts, rows, self._sizes[rows], starts)
 
-    def update_all_positions(self, units: list[PositionUnit], label_array: np.ndarray) -> None:
-        """Vectorised batch update: one gather + ``reduceat`` for the whole batch."""
-        if not units:
+    def update_all_positions(self, batch: PositionBatch, label_array: np.ndarray) -> None:
+        """Fold a round: one gather and one segment sum for the whole batch."""
+        if not len(batch):
             return
-        counts, sums = segment_label_sums(units, label_array)
-        self._values.add_many(sums / counts)
-        self._num_triples += int(counts.sum())
+        sums = np.add.reduceat(label_array[batch.positions], batch.starts)
+        self._values.add_many(sums / batch.counts)
+        self._num_triples += batch.positions.shape[0]
 
     def estimate(self) -> Estimate:
         """Mean of sampled cluster accuracies with its standard error."""

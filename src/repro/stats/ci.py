@@ -15,6 +15,7 @@ compiled routine, and importing the package loads no statistics library.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -168,10 +169,13 @@ def _ndtri(y0: float) -> float:
     return -x if negate else x
 
 
+@functools.lru_cache(maxsize=64)
 def normal_critical_value(confidence_level: float) -> float:
     """Return ``z_{alpha/2}`` for a two-sided interval at ``confidence_level``.
 
-    For example ``normal_critical_value(0.95)`` is approximately 1.96.
+    For example ``normal_critical_value(0.95)`` is approximately 1.96.  The
+    value is memoised per confidence level: the evaluation loop asks for the
+    same one after every round.
     """
     if not 0.0 < confidence_level < 1.0:
         raise ValueError(f"confidence_level must be in (0, 1), got {confidence_level}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
+import numpy as np
+
 __all__ = ["RunningMean"]
 
 
@@ -40,21 +42,30 @@ class RunningMean:
     def add_many(self, values) -> None:
         """Add a batch of observations in one vectorised step.
 
-        Computes the batch moments with NumPy and folds them in through
-        :meth:`merge`, so cost is one pass over the array instead of one
+        Computes the batch moments with NumPy and folds them in as
+        :meth:`merge` would, so cost is one pass over the array instead of one
         Python-level :meth:`add` per value.  (Floating-point rounding may
-        differ from sequential adds at the last few ulps.)
+        differ from sequential adds at the last few ulps.)  The batch mean is
+        ``np.add.reduce(x) / n``, bit for bit what ``x.mean()`` returns,
+        without its per-call dispatch.
         """
-        import numpy as np
-
         array = np.asarray(values, dtype=np.float64)
-        if array.size == 0:
+        count = array.shape[0]
+        if count == 0:
             return
-        batch = RunningMean()
-        batch._count = int(array.size)
-        batch._mean = float(array.mean())
-        batch._m2 = float(((array - batch._mean) ** 2).sum())
-        self.merge(batch)
+        mean = float(np.add.reduce(array)) / count
+        deviations = array - mean
+        m2 = float(np.add.reduce(deviations * deviations))
+        if self._count == 0:
+            self._count = count
+            self._mean = mean
+            self._m2 = m2
+            return
+        total = self._count + count
+        delta = mean - self._mean
+        self._m2 += m2 + delta * delta * self._count * count / total
+        self._mean = (self._count * self._mean + count * mean) / total
+        self._count = total
 
     def remove(self, value: float) -> None:
         """Remove one previously added observation (inverse Welford update).

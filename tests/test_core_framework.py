@@ -431,7 +431,7 @@ class TestSharedSessions:
         annotator = SimulatedAnnotator(nell.oracle)
         units = TwoStageWeightedClusterDesign(nell.graph, 5, seed=1).draw_positions(20)
         labels = annotator.annotate_positions(nell.graph, units)
-        positions = np.concatenate([unit.positions for unit in units])
+        positions = units.positions
         triples = nell.graph.triples_at(positions)
         result = annotator.annotate_triples(triples)
         assert (result.cost_seconds, result.num_triples) == (0.0, 0)

@@ -344,12 +344,12 @@ class TestPositionSegment:
         segment = PositionSegment.from_batch(triples, [True] * len(triples), 500)
         np.testing.assert_array_equal(segment.cluster_size_array(), sizes)
         design = TwoStageWeightedClusterDesign(segment, second_stage_size=3, seed=4)
-        for unit in design.draw_positions(200):
-            population = segment.cluster_positions(unit.entity_row)
-            assert unit.cluster_size == sizes[unit.entity_row]
-            assert unit.num_triples == min(3, unit.cluster_size)
-            assert len(set(unit.positions.tolist())) == unit.num_triples
-            assert set(unit.positions.tolist()) <= set(population.tolist())
+        for positions, cluster, cluster_size in design.draw_positions(200):
+            population = segment.cluster_positions(cluster)
+            assert cluster_size == sizes[cluster]
+            assert len(positions) == min(3, cluster_size)
+            assert len(set(positions.tolist())) == len(positions)
+            assert set(positions.tolist()) <= set(population.tolist())
 
     def test_empty_segment_rejected(self):
         segment = PositionSegment.from_batch((), [], 0)

@@ -41,10 +41,7 @@ def graph(request):
 
 def _stratum_sizes(graph) -> list[np.ndarray]:
     sizes = graph.cluster_size_array()
-    return [
-        sizes[[graph.entity_row(entity_id) for entity_id in stratum.entity_ids]]
-        for stratum in stratify_by_size(graph, num_strata=4)
-    ]
+    return [sizes[stratum.rows] for stratum in stratify_by_size(graph, num_strata=4)]
 
 
 def test_sampler_equals_choice(graph):
@@ -78,7 +75,7 @@ def _design(name: str, graph, rng: np.random.Generator, *, choice: bool):
 
 
 def _drawn(design, count: int) -> list[tuple[int, list[int]]]:
-    return [(unit.entity_row, unit.positions.tolist()) for unit in design.draw_positions(count)]
+    return [(row, positions.tolist()) for positions, row, _ in design.draw_positions(count)]
 
 
 @pytest.mark.parametrize("name", ["wcs", "twcs", "twcs-strat"])

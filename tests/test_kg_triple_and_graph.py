@@ -80,6 +80,14 @@ class TestKnowledgeGraphBasics:
         graph = KnowledgeGraph(triples)
         assert graph.triple_at(1) == triples[1]
 
+    @pytest.mark.parametrize("backend", ["sqlite", "columnar", object()])
+    def test_backend_must_be_a_store(self, backend):
+        # A backend name used to build a graph that failed on first use.
+        with pytest.raises(TypeError) as error:
+            KnowledgeGraph([Triple("e1", "p", "o")], backend=backend)
+        assert "ColumnarStore" in str(error.value)
+        assert "KnowledgeGraph.to_sqlite" in str(error.value)
+
 
 class TestEntityClusters:
     def test_cluster_contents(self, toy_graph):

@@ -129,7 +129,7 @@ class TestSerialEngine:
         design = TwoStageWeightedClusterDesign(segment, seed=2)
         units = design.draw_positions(30)
         design.update_all_positions(units, seg_labels)
-        drawn = np.concatenate([unit.positions for unit in units])
+        drawn = units.positions
         assert drawn.min() >= first_position
         assert design.estimate().value == 1.0  # segment labels are all True
 
@@ -147,7 +147,7 @@ class TestSerialEngine:
         strata = [
             Stratum(
                 label=f"tail-{index}",
-                entity_ids=tuple(graph.entity_id_of_row(int(row)) for row in rows),
+                rows=rows,
                 num_triples=int(sizes[rows].sum()),
                 weight=float(sizes[rows].sum()) / total,
             )
@@ -159,7 +159,7 @@ class TestSerialEngine:
         for _ in range(8):
             units = design.draw_positions(40)
             design.update_all_positions(units, annotator.annotate_positions(graph, units))
-            drawn_rows.update(unit.entity_row for unit in units)
+            drawn_rows.update(units.entity_rows.tolist())
         assert min(drawn_rows) >= num_entities - 60
         assert annotator.entities_identified == len(drawn_rows)
 

@@ -138,8 +138,8 @@ class TestEstimatorInvariants:
         wcs = WeightedClusterDesign(graph, seed=seed)
         twcs = TwoStageWeightedClusterDesign(graph, second_stage_size=1000, seed=seed)
         labels = oracle.as_position_array(graph)
-        wcs_values = sorted(float(labels[u.positions].mean()) for u in wcs.draw_positions(10))
-        twcs_values = sorted(float(labels[u.positions].mean()) for u in twcs.draw_positions(10))
+        wcs_values = sorted(float(labels[p].mean()) for p, _, _ in wcs.draw_positions(10))
+        twcs_values = sorted(float(labels[p].mean()) for p, _, _ in twcs.draw_positions(10))
         # Same sampling probabilities and full-cluster annotation: the multiset
         # of cluster accuracies drawn must be identically distributed; for the
         # same seed the first-stage draws are identical, so values match.

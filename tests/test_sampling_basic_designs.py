@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from annotation_model import batch_of
 
 from repro.core.config import EvaluationConfig
 from repro.core.framework import StaticEvaluator
@@ -22,7 +23,8 @@ def annotate_and_update(design, units, oracle):
 
 
 def entity_of(graph, unit) -> str:
-    return graph.entity_id_of_row(unit.entity_row)
+    _, row, _ = unit
+    return graph.entity_id_of_row(row)
 
 
 class TestEstimate:
@@ -47,30 +49,30 @@ class TestSimpleRandomDesign:
         graph, _ = toy_kg
         design = SimpleRandomDesign(graph, seed=0)
         units = design.draw_positions(13)
-        positions = [int(unit.positions[0]) for unit in units]
+        positions = [int(unit_positions[0]) for unit_positions, _, _ in units]
         assert len(set(positions)) == 13
-        assert all(unit.num_triples == 1 and unit.entity_row == -1 for unit in units)
+        assert all(len(p) == 1 and row == -1 and size == 1 for p, row, size in units)
         assert design.exhausted
-        assert design.draw_positions(5) == []
+        assert len(design.draw_positions(5)) == 0
 
     def test_draw_across_batches_never_repeats(self, toy_kg):
         graph, _ = toy_kg
         design = SimpleRandomDesign(graph, seed=1)
         seen = set()
         for _ in range(7):
-            for unit in design.draw_positions(2):
-                assert int(unit.positions[0]) not in seen
-                seen.add(int(unit.positions[0]))
+            for positions, _, _ in design.draw_positions(2):
+                assert int(positions[0]) not in seen
+                seen.add(int(positions[0]))
         assert len(seen) == 13
 
     def test_census_estimate_is_exact(self, toy_kg):
         graph, oracle = toy_kg
         design = SimpleRandomDesign(graph, seed=0)
-        units = design.draw_positions(graph.num_triples)
+        units = list(design.draw_positions(graph.num_triples))
         # Every triple is drawn, but until all are folded it is no census.
-        annotate_and_update(design, units[:-1], oracle)
+        annotate_and_update(design, batch_of(units[:-1]), oracle)
         assert design.estimate().std_error > 0.0
-        annotate_and_update(design, units[-1:], oracle)
+        annotate_and_update(design, batch_of(units[-1:]), oracle)
         estimate = design.estimate()
         assert estimate.value == pytest.approx(oracle.true_accuracy(graph))
         assert estimate.num_units == graph.num_triples
@@ -121,8 +123,9 @@ class TestRandomClusterDesign:
         units = design.draw_positions(4)
         assert {entity_of(graph, unit) for unit in units} == set(graph.entity_ids)
         for unit in units:
-            assert unit.num_triples == graph.cluster_size(entity_of(graph, unit))
-            assert set(graph.triples_at(unit.positions)) == set(
+            positions, _, cluster_size = unit
+            assert len(positions) == cluster_size == graph.cluster_size(entity_of(graph, unit))
+            assert set(graph.triples_at(positions)) == set(
                 graph.cluster(entity_of(graph, unit)).triples
             )
 
@@ -144,7 +147,7 @@ class TestRandomClusterDesign:
         graph, oracle = toy_kg
         design = RandomClusterDesign(graph, seed=5)
         unit = next(u for u in design.draw_positions(4) if entity_of(graph, u) == "athlete_2")
-        annotate_and_update(design, [unit], oracle)
+        annotate_and_update(design, batch_of([unit]), oracle)
         # athlete_2 has 2 correct triples; expansion value = (N/M)*tau = (4/13)*2.
         assert design.estimate().value == pytest.approx(4 / 13 * 2)
 
@@ -179,7 +182,7 @@ class TestWeightedClusterDesign:
         units = design.draw_positions(50)
         assert len(units) == 50
         for unit in units:
-            assert unit.num_triples == graph.cluster_size(entity_of(graph, unit))
+            assert len(unit[0]) == graph.cluster_size(entity_of(graph, unit))
 
     def test_sampling_probabilities_proportional_to_size(self, toy_kg):
         graph, _ = toy_kg
@@ -213,7 +216,7 @@ class TestWeightedClusterDesign:
         design = WeightedClusterDesign(graph, seed=0)
         units = design.draw_positions(5)
         annotate_and_update(design, units, oracle)
-        assert design.estimate().num_triples == sum(u.num_triples for u in units)
+        assert design.estimate().num_triples == sum(len(p) for p, _, _ in units)
 
 
 class TestDesignsWithAnnotator:

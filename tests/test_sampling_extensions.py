@@ -32,15 +32,15 @@ class TestTwoStageRandomClusterDesign:
     def test_second_stage_cap(self, toy_kg):
         graph, _ = toy_kg
         design = TwoStageRandomClusterDesign(graph, second_stage_size=2, seed=0)
-        for unit in design.draw_positions(30):
-            entity_id = graph.entity_id_of_row(unit.entity_row)
-            assert unit.num_triples <= 2
-            assert all(t.subject == entity_id for t in graph.triples_at(unit.positions))
+        for positions, row, _ in design.draw_positions(30):
+            entity_id = graph.entity_id_of_row(row)
+            assert len(positions) <= 2
+            assert all(t.subject == entity_id for t in graph.triples_at(positions))
 
     def test_first_stage_is_uniform(self, toy_kg):
         graph, _ = toy_kg
         design = TwoStageRandomClusterDesign(graph, second_stage_size=1, seed=1)
-        draws = [graph.entity_id_of_row(unit.entity_row) for unit in design.draw_positions(4000)]
+        draws = [graph.entity_id_of_row(row) for _, row, _ in design.draw_positions(4000)]
         for entity_id in graph.entity_ids:
             frequency = draws.count(entity_id) / len(draws)
             assert frequency == pytest.approx(1 / graph.num_entities, abs=0.03)

@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from annotation_model import batch_of
 
-from repro.sampling.base import PositionUnit
 from repro.sampling.stratification import (
     Stratum,
     stratify_by_key,
@@ -22,10 +22,15 @@ def annotate_and_update(design, units, oracle):
     design.update_all_positions(units, oracle.as_position_array(design.graph))
 
 
+def members(graph, stratum) -> list[str]:
+    """The entity ids of a stratum's cluster rows."""
+    return [graph.entity_id_of_row(row) for row in stratum.rows.tolist()]
+
+
 class TestStratification:
     def test_strata_partition_all_entities(self, nell):
         strata = stratify_by_size(nell.graph, num_strata=3)
-        all_entities = [e for stratum in strata for e in stratum.entity_ids]
+        all_entities = [e for stratum in strata for e in members(nell.graph, stratum)]
         assert sorted(all_entities) == sorted(nell.graph.entity_ids)
         assert len(all_entities) == len(set(all_entities))
 
@@ -34,14 +39,14 @@ class TestStratification:
         assert sum(s.weight for s in strata) == pytest.approx(1.0)
         for stratum in strata:
             assert stratum.num_triples == sum(
-                nell.graph.cluster_size(e) for e in stratum.entity_ids
+                nell.graph.cluster_size(e) for e in members(nell.graph, stratum)
             )
 
     def test_size_strata_order_clusters_by_size(self, nell):
         strata = stratify_by_size(nell.graph, num_strata=2)
         assert len(strata) == 2
-        max_small = max(nell.graph.cluster_size(e) for e in strata[0].entity_ids)
-        min_large = min(nell.graph.cluster_size(e) for e in strata[1].entity_ids)
+        max_small = max(nell.graph.cluster_size(e) for e in members(nell.graph, strata[0]))
+        min_large = min(nell.graph.cluster_size(e) for e in members(nell.graph, strata[1]))
         assert max_small <= min_large
 
     def test_single_stratum(self, toy_graph):
@@ -59,7 +64,7 @@ class TestStratification:
         # city_1 (accuracy 0) and athlete_2 (accuracy 1) must be in different strata.
         stratum_of = {}
         for index, stratum in enumerate(strata):
-            for entity in stratum.entity_ids:
+            for entity in members(graph, stratum):
                 stratum_of[entity] = index
         assert stratum_of["city_1"] != stratum_of["athlete_2"]
 
@@ -67,13 +72,13 @@ class TestStratification:
         strata = stratify_by_key(
             toy_graph, toy_graph.cluster_size, boundaries=[1.5, 4.5], label_prefix="size"
         )
-        by_label = {s.label: set(s.entity_ids) for s in strata}
+        by_label = {s.label: set(members(toy_graph, s)) for s in strata}
         assert by_label["size<= 1.5"] == {"city_1"}
         assert by_label["size(1.5, 4.5]"] == {"athlete_1", "athlete_2"}
         assert by_label["size> 4.5"] == {"movie_1"}
 
     def test_stratum_dataclass_properties(self):
-        stratum = Stratum(label="s", entity_ids=("a", "b"), num_triples=7, weight=0.5)
+        stratum = Stratum(label="s", rows=np.array([0, 1]), num_triples=7, weight=0.5)
         assert stratum.num_entities == 2
 
 
@@ -93,18 +98,18 @@ def test_size_strata_equal_the_key_rule(nell, backend, num_strata):
 
 class TestStratifiedTWCSDesign:
     def test_requires_non_empty_strata(self, toy_graph):
-        empty = Stratum(label="empty", entity_ids=(), num_triples=0, weight=0.0)
+        empty = Stratum(label="empty", rows=np.empty(0, np.int64), num_triples=0, weight=0.0)
         with pytest.raises(ValueError):
             StratifiedTWCSDesign(toy_graph, [empty], second_stage_size=2, seed=0)
 
     def test_draw_respects_strata_membership(self, nell):
         strata = stratify_by_size(nell.graph, num_strata=2)
         design = StratifiedTWCSDesign(nell.graph, strata, second_stage_size=3, seed=0)
-        stratum_entities = [set(s.entity_ids) for s in design.strata]
+        stratum_entities = [set(members(nell.graph, s)) for s in design.strata]
         units = design.draw_positions(20)
         assert len(units) == 20
-        for unit in units:
-            entity_id = nell.graph.entity_id_of_row(unit.entity_row)
+        for _, row, _ in units:
+            entity_id = nell.graph.entity_id_of_row(row)
             assert any(entity_id in entities for entities in stratum_entities)
 
     def test_draw_allocates_to_every_stratum(self, nell):
@@ -112,10 +117,10 @@ class TestStratifiedTWCSDesign:
         design = StratifiedTWCSDesign(nell.graph, strata, second_stage_size=3, seed=0)
         units = design.draw_positions(30)
         hit = set()
-        for unit in units:
-            entity_id = nell.graph.entity_id_of_row(unit.entity_row)
+        for _, row, _ in units:
+            entity_id = nell.graph.entity_id_of_row(row)
             for index, stratum in enumerate(design.strata):
-                if entity_id in set(stratum.entity_ids):
+                if entity_id in set(members(nell.graph, stratum)):
                     hit.add(index)
         assert hit == {0, 1}
 
@@ -171,30 +176,27 @@ class TestStratifiedTWCSDesign:
         strata = stratify_by_size(graph, num_strata=2)
         # The design holds the first stratum only, so the second's rows are foreign.
         design = StratifiedTWCSDesign(graph, strata[:1], second_stage_size=2, seed=0)
-        foreign_entity = strata[1].entity_ids[0]
-        foreign = PositionUnit(
-            positions=graph.cluster_positions(foreign_entity),
-            entity_row=graph.entity_row(foreign_entity),
-            cluster_size=graph.cluster_size(foreign_entity),
+        foreign_entity = members(graph, strata[1])[0]
+        foreign = (
+            graph.cluster_positions(foreign_entity),
+            graph.entity_row(foreign_entity),
+            graph.cluster_size(foreign_entity),
         )
         with pytest.raises(KeyError):
-            design.update_all_positions([foreign], labels)
-        triple_level = PositionUnit(positions=np.array([0], dtype=np.int64))
+            design.update_all_positions(batch_of([foreign]), labels)
+        triple_level = ([0], -1, 1)
         with pytest.raises(ValueError):
-            design.update_all_positions([triple_level], labels)
+            design.update_all_positions(batch_of([triple_level]), labels)
         assert design.estimate().num_units == 0
 
     def test_routes_a_unit_by_its_entity_row(self, nell):
         strata = stratify_by_size(nell.graph, num_strata=3)
         design = StratifiedTWCSDesign(nell.graph, strata, second_stage_size=3, seed=0)
-        entity_id = strata[2].entity_ids[0]
+        entity_id = members(nell.graph, strata[2])[0]
         positions = nell.graph.cluster_positions(entity_id)[:3]
-        unit = PositionUnit(
-            positions=positions,
-            entity_row=nell.graph.entity_row(entity_id),
-            cluster_size=nell.graph.cluster_size(entity_id),
-        )
-        design.update_all_positions([unit], np.ones(nell.graph.num_triples, dtype=bool))
+        unit = (positions, nell.graph.entity_row(entity_id), nell.graph.cluster_size(entity_id))
+        labels = np.ones(nell.graph.num_triples, dtype=bool)
+        design.update_all_positions(batch_of([unit]), labels)
         units = [estimate.num_units for _, estimate in design.stratum_estimates()]
         assert units == [0, 0, 1]
 

@@ -26,18 +26,18 @@ class TestTwoStageWeightedClusterDesign:
     def test_second_stage_cap_respected(self, toy_kg):
         graph, _ = toy_kg
         design = TwoStageWeightedClusterDesign(graph, second_stage_size=2, seed=0)
-        for unit in design.draw_positions(40):
-            entity_id = graph.entity_id_of_row(unit.entity_row)
-            assert unit.num_triples <= 2
-            assert unit.num_triples == min(2, graph.cluster_size(entity_id))
-            assert unit.cluster_size == graph.cluster_size(entity_id)
-            assert all(t.subject == entity_id for t in graph.triples_at(unit.positions))
+        for positions, row, cluster_size in design.draw_positions(40):
+            entity_id = graph.entity_id_of_row(row)
+            assert len(positions) <= 2
+            assert len(positions) == min(2, graph.cluster_size(entity_id))
+            assert cluster_size == graph.cluster_size(entity_id)
+            assert all(t.subject == entity_id for t in graph.triples_at(positions))
 
     def test_second_stage_without_replacement(self, toy_kg):
         graph, _ = toy_kg
         design = TwoStageWeightedClusterDesign(graph, second_stage_size=6, seed=0)
-        for unit in design.draw_positions(30):
-            assert len(set(unit.positions.tolist())) == unit.num_triples
+        for positions, _, _ in design.draw_positions(30):
+            assert len(set(positions.tolist())) == len(positions)
 
     def test_invalid_parameters(self, toy_graph):
         from repro.kg.graph import KnowledgeGraph
@@ -54,8 +54,8 @@ class TestTwoStageWeightedClusterDesign:
         annotate_and_update(design, units, oracle)
         expected = np.mean(
             [
-                sum(oracle.label(t) for t in graph.triples_at(unit.positions)) / unit.num_triples
-                for unit in units
+                sum(oracle.label(t) for t in graph.triples_at(positions)) / len(positions)
+                for positions, _, _ in units
             ]
         )
         assert design.estimate().value == pytest.approx(float(expected))
@@ -75,8 +75,8 @@ class TestTwoStageWeightedClusterDesign:
         design = TwoStageWeightedClusterDesign(nell.graph, second_stage_size=1, seed=0)
         units = design.draw_positions(4000)
         labels = nell.oracle.as_position_array(nell.graph)
-        values = [bool(labels[unit.positions[0]]) for unit in units]
-        assert all(unit.num_triples == 1 for unit in units)
+        values = [bool(labels[positions[0]]) for positions, _, _ in units]
+        assert all(len(positions) == 1 for positions, _, _ in units)
         assert np.mean(values) == pytest.approx(nell.true_accuracy, abs=0.02)
 
     def test_reset(self, toy_kg):

@@ -450,9 +450,9 @@ def test_knowledge_graph_over_sqlite_supports_object_surface(nell):
     design_col = TwoStageWeightedClusterDesign(columnar, second_stage_size=3, seed=5)
     design_sq = TwoStageWeightedClusterDesign(sqlite, second_stage_size=3, seed=5)
     units_col, units_sq = design_col.draw_positions(25), design_sq.draw_positions(25)
-    assert [columnar.triples_at(u.positions) for u in units_col] == [
-        sqlite.triples_at(u.positions) for u in units_sq
+    assert [columnar.triples_at(positions) for positions, _, _ in units_col] == [
+        sqlite.triples_at(positions) for positions, _, _ in units_sq
     ]
-    assert [columnar.entity_id_of_row(u.entity_row) for u in units_col] == [
-        sqlite.entity_id_of_row(u.entity_row) for u in units_sq
+    assert [columnar.entity_id_of_row(row) for _, row, _ in units_col] == [
+        sqlite.entity_id_of_row(row) for _, row, _ in units_sq
     ]

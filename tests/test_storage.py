@@ -20,6 +20,7 @@ from pathlib import Path
 import estimator_model
 import numpy as np
 import pytest
+from annotation_model import batch_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from store_model import StoreModel, assert_matches_model
@@ -195,9 +196,9 @@ class TestSnapshotRoundTrip:
         for name, factory in designs.items():
             baseline, roundtrip = factory(graph), factory(reloaded)
             units_a, units_b = baseline.draw_positions(40), roundtrip.draw_positions(40)
-            triples_a = [graph.triples_at(u.positions) for u in units_a]
-            assert triples_a == [reloaded.triples_at(u.positions) for u in units_b], name
-            assert [u.entity_row for u in units_a] == [u.entity_row for u in units_b], name
+            triples_a = [graph.triples_at(positions) for positions, _, _ in units_a]
+            assert triples_a == [reloaded.triples_at(p) for p, _, _ in units_b], name
+            assert units_a.entity_rows.tolist() == units_b.entity_rows.tolist(), name
             labels = nell.oracle.as_position_array(graph)
             baseline.update_all_positions(units_a, labels)
             roundtrip.update_all_positions(units_b, labels)
@@ -208,17 +209,14 @@ class TestSnapshotRoundTrip:
 # Position surface
 # --------------------------------------------------------------------------- #
 class TestPositionSurface:
-    @pytest.mark.parametrize("name", ["srs", "rcs", "wcs", "twcs", "tsrcs", "twcs-strat"])
-    def test_position_updates_match_estimator_model(self, nell, name):
-        """One drawn round folds into what the paper's equations give for it."""
+    @staticmethod
+    def _design_and_model(nell, name):
+        """Design ``name`` over NELL and the estimator-model reading it should fold to."""
         graph = nell.graph
-        label_array = nell.oracle.as_position_array(graph)
         num_entities, num_triples = graph.num_entities, graph.num_triples
         strata = stratify_by_size(graph, num_strata=3)
         stratum_of_row = {
-            graph.entity_row(entity_id): index
-            for index, stratum in enumerate(strata)
-            for entity_id in stratum.entity_ids
+            row: index for index, stratum in enumerate(strata) for row in stratum.rows.tolist()
         }
         designs = {
             "srs": lambda: SimpleRandomDesign(graph, seed=9),
@@ -238,16 +236,37 @@ class TestPositionSurface:
                 u, stratum_of_row, [stratum.weight for stratum in strata]
             ),
         }
-        design = designs[name]()
-        units = design.draw_positions(60)
-        design.update_all_positions(units, label_array)
-        estimate = design.estimate()
-        drawn = [(u.entity_row, u.cluster_size, label_array[u.positions].tolist()) for u in units]
-        value, std_error, num_units, num_triples_read = models[name](drawn)
+        return designs[name](), models[name]
+
+    @staticmethod
+    def _assert_reads(estimate, reading):
+        value, std_error, num_units, num_triples_read = reading
         assert estimate.value == pytest.approx(value, rel=1e-12)
         assert math.isfinite(std_error)
         assert estimate.std_error == pytest.approx(std_error, rel=1e-9)
         assert (estimate.num_units, estimate.num_triples) == (num_units, num_triples_read)
+
+    @pytest.mark.parametrize("name", ["srs", "rcs", "wcs", "twcs", "tsrcs", "twcs-strat"])
+    def test_position_updates_match_estimator_model(self, nell, name):
+        """One drawn round folds into what the paper's equations give for it."""
+        label_array = nell.oracle.as_position_array(nell.graph)
+        design, model = self._design_and_model(nell, name)
+        units = design.draw_positions(60)
+        design.update_all_positions(units, label_array)
+        drawn = [(row, size, label_array[p].tolist()) for p, row, size in units]
+        self._assert_reads(design.estimate(), model(drawn))
+
+    @pytest.mark.parametrize("name", ["srs", "rcs", "wcs", "twcs", "tsrcs", "twcs-strat"])
+    def test_rounds_with_repeated_units_match_estimator_model(self, nell, name):
+        """A round that repeats units (in a row and apart) folds every repeat as a unit."""
+        label_array = nell.oracle.as_position_array(nell.graph)
+        design, model = self._design_and_model(nell, name)
+        drawn = list(design.draw_positions(30))
+        rounds = [drawn[:10] + drawn[:4], drawn[10:] + drawn[12:13] * 3 + drawn[:2]]
+        for units in rounds:
+            design.update_all_positions(batch_of(units), label_array)
+        folded = [(row, size, label_array[p].tolist()) for p, row, size in rounds[0] + rounds[1]]
+        self._assert_reads(design.estimate(), model(folded))
 
     @pytest.mark.parametrize("source", ["rebuilt", "columnar"])
     def test_draw_positions_estimates_are_sane(self, nell, nell_rebuilt, source):
