@@ -8,8 +8,7 @@ the same TWCS position-surface evaluation with the same seeds, each in its
 own subprocess so RSS is measured cleanly.  Peak resident memory
 (``VmHWM`` delta) of both evaluation workers lands in the results JSON; at
 full scale the sqlite peak must come in *below* the columnar one — that is
-the whole point of the backend.  A thaw micro-benchmark guards the
-``frombytes`` fast path in ``ColumnarStore._thaw``.
+the whole point of the backend.
 
 Environment knobs: ``REPRO_BENCH_STORAGE_TRIPLES`` (default 1_000_000)
 scales the KG; ``REPRO_BENCH_STORAGE_DRAWS`` (default 50_000) scales the
@@ -281,54 +280,6 @@ def test_sqlite_backend_out_of_core_memory(benchmark, tmp_path):
             f"sqlite peak RSS {sqlite['peak_rss_kb']} kB not below "
             f"columnar's {columnar_ram['peak_rss_kb']} kB"
         )
-
-
-def test_columnar_thaw_budget(benchmark):
-    """``ColumnarStore._thaw`` must stay a memcpy, not an object storm.
-
-    Builds a frozen store at the benchmark scale and times one
-    frozen->building transition.  The budget scales with the triple count
-    (2 s per 1M triples, 0.5 s floor) — generous for ``frombytes``, far
-    below what per-element ``.tolist()`` round-trips cost.
-    """
-    import numpy as np
-
-    from conftest import emit, run_once
-    from repro.storage.columnar import ColumnarStore, Vocabulary
-
-    num_triples = _TARGET_TRIPLES
-    sizes_rng = np.random.default_rng(_GRAPH_SEED)
-    num_entities = max(1, int(num_triples / _MEAN_CLUSTER_SIZE))
-    vocab = Vocabulary()
-    vocab.intern_many(f"t{i}" for i in range(num_entities))
-    counts = np.full(num_entities, num_triples // num_entities, dtype=np.int64)
-    counts[: num_triples - int(counts.sum())] += 1
-    subjects = np.repeat(np.arange(num_entities, dtype=np.int32), counts)
-    predicates = sizes_rng.integers(0, num_entities, num_triples, dtype=np.int32)
-    objects = sizes_rng.integers(0, num_entities, num_triples, dtype=np.int32)
-
-    def thaw_once():
-        store = ColumnarStore.from_arrays(vocab, subjects, predicates, objects)
-        store.cluster_size_array()  # force the row table like a real reader
-        started = time.perf_counter()
-        store._thaw()
-        return time.perf_counter() - started
-
-    thaw_seconds = run_once(benchmark, thaw_once)
-    budget = max(0.5, 2.0 * num_triples / 1_000_000)
-    results_dir = os.environ.get("REPRO_BENCH_RESULTS_DIR")
-    if results_dir:
-        Path(results_dir).mkdir(parents=True, exist_ok=True)
-        out = Path(results_dir) / "bench_columnar_thaw.json"
-        with open(out, "w", encoding="utf-8") as f:
-            json.dump(
-                {"num_triples": num_triples, "thaw_seconds": thaw_seconds, "budget": budget}, f
-            )
-    emit(
-        f"Columnar thaw (frozen -> building) at {num_triples:,} triples",
-        f"thaw: {thaw_seconds * 1000:.1f} ms (budget {budget:.1f} s)",
-    )
-    assert thaw_seconds < budget, f"thaw took {thaw_seconds:.2f}s, budget {budget:.2f}s"
 
 
 # --------------------------------------------------------------------------- #

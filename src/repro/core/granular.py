@@ -87,11 +87,13 @@ class GranularEvaluator:
     # Grouping
     # ------------------------------------------------------------------ #
     def _partition(self, group_key: Callable[[Triple], str]) -> dict[str, KnowledgeGraph]:
-        groups: dict[str, KnowledgeGraph] = {}
+        groups: dict[str, list[Triple]] = {}
         for triple in self.graph:
-            key = group_key(triple)
-            groups.setdefault(key, KnowledgeGraph(name=f"{self.graph.name}:{key}")).add(triple)
-        return groups
+            groups.setdefault(group_key(triple), []).append(triple)
+        return {
+            key: KnowledgeGraph(triples, name=f"{self.graph.name}:{key}")
+            for key, triples in groups.items()
+        }
 
     def _census_cheaper(self, group_graph: KnowledgeGraph) -> bool:
         """Whether exhaustively annotating the group is cheaper than sampling.

@@ -10,11 +10,15 @@ The sampling designs in the paper operate on two views of the same graph:
 representation: storage is delegated to a
 :class:`~repro.storage.backend.StorageBackend`.  The default
 :class:`~repro.storage.columnar.ColumnarStore` packs the graph into interned
-``int32`` NumPy columns with a CSR cluster index, which scales to millions of
-triples and can be persisted/memory-mapped through
+``int32`` NumPy columns with a CSR cluster index, written once, which scales
+to millions of triples and can be persisted/memory-mapped through
 :class:`~repro.storage.snapshot.SnapshotStore`;
 :class:`~repro.storage.sqlite.SqliteStore` keeps it on disk instead, written
-once by :meth:`KnowledgeGraph.to_sqlite` and read-only afterwards.
+once by :meth:`KnowledgeGraph.to_sqlite` and read-only afterwards.  A graph
+grows in a :class:`~repro.storage.delta.DeltaStore`: its first
+:meth:`KnowledgeGraph.add` / :meth:`~KnowledgeGraph.add_batch` lays one over
+its columns, zero-copy, and :meth:`KnowledgeGraph.to_columnar` re-packs a
+grown graph into new columns.
 
 Two access styles coexist:
 
@@ -33,11 +37,15 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.kg.triple import Triple
 from repro.storage.backend import StorageBackend
+
+if TYPE_CHECKING:
+    from repro.storage.delta import DeltaStore
 
 __all__ = ["EntityCluster", "KnowledgeGraph", "csr_position_rows", "sample_csr_positions_batch"]
 
@@ -151,16 +159,18 @@ class KnowledgeGraph:
     Parameters
     ----------
     triples:
-        Initial triples.  Duplicates (exact ``(s, p, o)`` repeats) are ignored
-        so the graph behaves as a set, matching the paper's model ``G = {t}``.
+        Initial triples, written once into a
+        :class:`~repro.storage.columnar.ColumnarStore`.  Duplicates (exact
+        ``(s, p, o)`` repeats) keep their first occurrence so the graph
+        behaves as a set, matching the paper's model ``G = {t}``.
     name:
         Optional human-readable name used in reports.
     backend:
         Physical storage: a :class:`~repro.storage.backend.StorageBackend`
         instance (possibly pre-populated, e.g. from a snapshot), or ``None``
-        for a fresh :class:`~repro.storage.columnar.ColumnarStore`.  A graph
-        on SQLite comes from :meth:`to_sqlite` and takes no ``add``.  Any
-        other value (a backend name such as ``"sqlite"``) raises ``TypeError``.
+        for columns built from ``triples``.  A graph on SQLite comes from
+        :meth:`to_sqlite` and takes no ``add``.  Any other value (a backend
+        name such as ``"sqlite"``) raises ``TypeError``.
 
     Examples
     --------
@@ -183,7 +193,8 @@ class KnowledgeGraph:
         if backend is None:
             from repro.storage.columnar import ColumnarStore
 
-            backend = ColumnarStore()
+            backend = ColumnarStore.from_graph(triples)
+            triples = ()
         elif not isinstance(backend, StorageBackend):
             raise TypeError(
                 f"backend must be a StorageBackend instance, got {backend!r}: build the "
@@ -194,8 +205,7 @@ class KnowledgeGraph:
         self._triples_view: tuple[Triple, ...] | None = None
         self._entity_ids_view: tuple[str, ...] | None = None
         self._position_rows_view: np.ndarray | None = None
-        for triple in triples:
-            self.add(triple)
+        self.add_batch(triples)
 
     @property
     def backend(self) -> StorageBackend:
@@ -207,11 +217,7 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------ #
     def add(self, triple: Triple) -> bool:
         """Insert ``triple``; return ``True`` if it was not already present."""
-        added = self._backend.add(triple)
-        if added:
-            self._triples_view = None
-            self._entity_ids_view = None
-        return added
+        return self.add_batch((triple,))[0]
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Insert many triples; return the number of new triples added."""
@@ -220,14 +226,41 @@ class KnowledgeGraph:
     def add_batch(self, triples: Iterable[Triple]) -> list[bool]:
         """Insert many triples; return one added-flag per input triple.
 
-        Delegates to the backend's bulk path (vectorised dedup on the delta
-        store) and invalidates the cached views once instead of per triple.
+        The graph grows in a :class:`~repro.storage.delta.DeltaStore`: the
+        first insert into a columnar graph lays one over its columns,
+        zero-copy, and the columns themselves never change, so a view that
+        shares them (an :class:`~repro.kg.updates.EvolvingKnowledgeGraph`)
+        is unaffected.  Dedup is vectorised over the batch, and the cached
+        views are invalidated once instead of per triple.
+
+        Raises
+        ------
+        ReadOnlyStoreError
+            If the graph is on SQLite, which is written once.
         """
-        flags = self._backend.add_batch(triples)
+        batch = list(triples)
+        if not batch:
+            return []
+        flags = self._delta().add_batch(batch)
         if any(flags):
             self._triples_view = None
             self._entity_ids_view = None
         return flags
+
+    def _delta(self) -> DeltaStore:
+        """The :class:`~repro.storage.delta.DeltaStore` this graph grows in."""
+        from repro.storage.columnar import ColumnarStore
+        from repro.storage.delta import DeltaStore
+        from repro.storage.sqlite import ReadOnlyStoreError
+
+        if isinstance(self._backend, ColumnarStore):
+            self._backend = DeltaStore(self._backend)
+        elif not isinstance(self._backend, DeltaStore):
+            raise ReadOnlyStoreError(
+                f"{self._backend.path} is read-only: a SQLite graph is written once, by "
+                "KnowledgeGraph.to_sqlite; add to a columnar graph and convert it"
+            )
+        return self._backend
 
     # ------------------------------------------------------------------ #
     # Size / membership
@@ -422,14 +455,14 @@ class KnowledgeGraph:
     def to_columnar(self, name: str | None = None) -> "KnowledgeGraph":
         """Return this graph re-packed onto a columnar backend.
 
-        A graph that is already columnar is returned unchanged.
+        A graph that is already columnar is returned unchanged; a grown
+        (delta-backed) or SQLite graph is written into new columns.
         """
         from repro.storage.columnar import ColumnarStore
 
         if isinstance(self._backend, ColumnarStore):
             return self
         store = ColumnarStore.from_graph(self._backend.iter_triples())
-        store.finalize()
         return KnowledgeGraph(name=name if name is not None else self.name, backend=store)
 
     def to_sqlite(
@@ -460,13 +493,14 @@ class KnowledgeGraph:
     def subset(self, entity_ids: Iterable[str], name: str | None = None) -> "KnowledgeGraph":
         """Return a new graph containing only the clusters in ``entity_ids``."""
         subset_name = name if name is not None else f"{self.name}-subset"
-        result = KnowledgeGraph(name=subset_name)
-        for entity_id in entity_ids:
-            if not self._backend.has_entity(entity_id):
-                continue
-            for triple in self._backend.triples_at(self._backend.cluster_positions(entity_id)):
-                result.add(triple)
-        return result
+        backend = self._backend
+        triples = [
+            triple
+            for entity_id in entity_ids
+            if backend.has_entity(entity_id)
+            for triple in backend.triples_at(backend.cluster_positions(entity_id))
+        ]
+        return KnowledgeGraph(triples, name=subset_name)
 
     def random_triple_subset(
         self, fraction: float, rng: np.random.Generator, name: str | None = None

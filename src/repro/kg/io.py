@@ -69,22 +69,32 @@ def read_labelled_tsv(
 ) -> tuple[KnowledgeGraph, dict[Triple, bool]]:
     """Load a labelled TSV file; return the graph and a triple-to-label mapping.
 
+    A triple repeated with the same label loads once, at its first line.
+
     Raises
     ------
     ValueError
-        If a line does not have at least four columns or has an unparseable
-        label token.
+        If a line does not have at least four columns, has an unparseable
+        label token, or repeats an earlier line's triple with the other label.
     """
     path = Path(path)
-    graph = KnowledgeGraph(name=name if name is not None else path.stem)
     labels: dict[Triple, bool] = {}
+    first_line: dict[Triple, int] = {}
     for line_number, line in iter_data_lines(path):
         fields = line.split("\t")
         if len(fields) < 4:
             raise ValueError(f"line {line_number}: expected 4 columns, got {len(fields)}")
         triple = Triple(fields[0], fields[1], fields[2])
-        graph.add(triple)
-        labels[triple] = _parse_label(fields[3], line_number)
+        label = _parse_label(fields[3], line_number)
+        if triple not in labels:
+            labels[triple] = label
+            first_line[triple] = line_number
+        elif labels[triple] != label:
+            raise ValueError(
+                f"line {line_number}: triple {triple.as_tuple()} is labelled {label}, but "
+                f"line {first_line[triple]} labels it {labels[triple]}"
+            )
+    graph = KnowledgeGraph(labels, name=name if name is not None else path.stem)
     return graph, labels
 
 

@@ -13,7 +13,7 @@ applied batch as an appended segment of such clusters
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.kg.graph import KnowledgeGraph
@@ -50,15 +50,16 @@ class UpdateBatch:
 
 
 class EvolvingKnowledgeGraph:
-    """A knowledge graph plus the ordered sequence of update batches applied to it.
+    """A knowledge graph plus the update batches applied to it.
 
     The class keeps the *current* graph (base plus all applied batches) and
-    remembers each applied batch so incremental evaluators can reason about
-    strata and reservoir updates per batch.  The current graph is a
+    counts the applied batches; the incremental evaluators keep whatever
+    per-batch state they need themselves.  The current graph is a
     :class:`~repro.storage.delta.DeltaStore` view over the base's columns: a
-    columnar base is shared zero-copy (and must not be mutated independently
-    afterwards); any other base (SQLite, or an already evolved graph) is
-    first copied into columns by :meth:`KnowledgeGraph.to_columnar`.
+    columnar base is shared zero-copy (its columns never change, and a later
+    ``add`` to the base graph grows a view of its own); any other base
+    (SQLite, or an already evolved graph) is first copied into columns by
+    :meth:`KnowledgeGraph.to_columnar`.
 
     Examples
     --------
@@ -68,8 +69,8 @@ class EvolvingKnowledgeGraph:
     [True]
     >>> ekg.current.num_triples
     2
-    >>> [b.batch_id for b in ekg.applied_batches]
-    ['delta-1']
+    >>> ekg.num_batches
+    1
     """
 
     def __init__(self, base: KnowledgeGraph) -> None:
@@ -79,7 +80,7 @@ class EvolvingKnowledgeGraph:
         self._current = KnowledgeGraph(
             name=f"{base.name}+updates", backend=DeltaStore(base.to_columnar().backend)
         )
-        self._batches: list[UpdateBatch] = []
+        self._num_batches = 0
 
     @property
     def base(self) -> KnowledgeGraph:
@@ -92,14 +93,9 @@ class EvolvingKnowledgeGraph:
         return self._current
 
     @property
-    def applied_batches(self) -> Sequence[UpdateBatch]:
-        """The batches applied so far, in application order."""
-        return tuple(self._batches)
-
-    @property
     def num_batches(self) -> int:
         """Number of update batches applied so far."""
-        return len(self._batches)
+        return self._num_batches
 
     def apply(self, batch: UpdateBatch) -> list[bool]:
         """Apply one insertion batch to the current graph.
@@ -110,7 +106,7 @@ class EvolvingKnowledgeGraph:
         the delta tail; the frozen base is never rebuilt.
         """
         flags = self._current.add_batch(batch.triples)
-        self._batches.append(batch)
+        self._num_batches += 1
         return flags
 
     def apply_all(self, batches: Iterable[UpdateBatch]) -> None:

@@ -6,10 +6,12 @@ to a :class:`~repro.storage.backend.StorageBackend`:
 * :class:`ColumnarStore` (default) — interned ``int32`` NumPy columns with a
   CSR cluster index: O(1) cluster sizes, zero-copy per-cluster position
   slices, vectorised deduplication, and million-triple scale.  The only
-  in-RAM store: a ``KnowledgeGraph`` built without a backend uses it.
+  in-RAM store: a ``KnowledgeGraph`` built without a backend uses it.  It is
+  written once (``from_rows`` / ``from_arrays``) and never changes.
 * :class:`DeltaStore` — an append-only view layering growable tail segments
-  over a frozen columnar base, so applying evolving-KG update batches never
-  thaws or rebuilds the frozen index.
+  over a columnar base, zero-copy: the one store a graph grows in (its first
+  ``add``, and every evolving-KG update batch), so the base index is never
+  rebuilt.
 * :class:`SnapshotStore` — persists a columnar graph as a memory-mappable
   snapshot directory, optionally with its position-aligned label array, so
   big KGs are built once and reopened instantly;

@@ -1,7 +1,10 @@
 """The storage contract :class:`~repro.kg.graph.KnowledgeGraph` delegates to.
 
 A *storage backend* owns the physical representation of a set of triples plus
-the entity-cluster index over it.  Two views are exposed:
+the entity-cluster index over it.  The contract is read-only: a store is
+written once, when it is built, and a graph that grows does so in a
+:class:`~repro.storage.delta.DeltaStore` laid over its columns by
+:meth:`~repro.kg.graph.KnowledgeGraph.add_batch`.  Two views are exposed:
 
 * a flat, positional view — every triple has a stable integer *position*
   (its insertion rank), and
@@ -17,11 +20,13 @@ Backends must preserve three invariants the sampling designs rely on:
 Three implementations ship with the package:
 
 * :class:`~repro.storage.columnar.ColumnarStore` — interned ``int32`` NumPy
-  columns with a CSR cluster index, the in-RAM default: bulk loads,
-  million-triple graphs, zero-copy cluster slices and snapshot directories
+  columns with a CSR cluster index, the in-RAM default, written once from
+  rows or adopted arrays: bulk loads, million-triple graphs, zero-copy
+  cluster slices and snapshot directories
   (:class:`~repro.storage.snapshot.SnapshotStore`);
 * :class:`~repro.storage.delta.DeltaStore` — append-only tail segments over a
-  frozen columnar base, the store every evolving graph grows in;
+  columnar base, the store every graph grows in (the only one with
+  ``add_batch``);
 * :class:`~repro.storage.sqlite.SqliteStore` — a disk-resident WAL database
   for graphs larger than RAM, written once from columns
   (:meth:`~repro.kg.graph.KnowledgeGraph.to_sqlite`) and read-only after.
@@ -33,7 +38,7 @@ which is what the vectorised position draws sample.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -44,21 +49,6 @@ __all__ = ["StorageBackend"]
 
 class StorageBackend(ABC):
     """Abstract physical storage for a deduplicated, cluster-indexed triple set."""
-
-    # ------------------------------------------------------------------ #
-    # Mutation
-    # ------------------------------------------------------------------ #
-    @abstractmethod
-    def add(self, triple: Triple) -> bool:
-        """Insert ``triple``; return ``True`` if it was not already present."""
-
-    def add_batch(self, triples: Iterable[Triple]) -> list[bool]:
-        """Insert many triples; return one added-flag per input triple.
-
-        The default loops over :meth:`add`; backends with a cheaper bulk path
-        (vectorised dedup, segment append) override it.
-        """
-        return [self.add(triple) for triple in triples]
 
     # ------------------------------------------------------------------ #
     # Size / membership

@@ -1,30 +1,32 @@
-"""Append-only delta view over a frozen columnar store.
+"""Append-only delta view over a columnar store: the one way a graph grows.
 
-Applying an update batch to a :class:`~repro.storage.columnar.ColumnarStore`
-would thaw it (one O(M) pass) and rebuild the CSR index on the next read
-(another O(M) pass) — per batch.  :class:`DeltaStore` instead layers growable
-*tail segments* on top of a frozen base store:
+A :class:`~repro.storage.columnar.ColumnarStore` is written once and never
+changes.  A graph that grows — the paper's ``G + Δ_1 + … + Δ_k`` (Sections
+2.1 and 6) — does so in a :class:`DeltaStore` laid over those columns: the
+first ``KnowledgeGraph.add``/``add_batch`` on a columnar graph lays one, and
+every evolving graph is one.
 
-* the base columns, CSR index and vocabulary are shared zero-copy (the base
-  must not be mutated independently afterwards; new strings are interned into
-  the shared vocabulary, which is append-only and keeps existing ids valid);
+* the base columns, CSR index and vocabulary are shared zero-copy, so any
+  number of views may share one base; new strings are interned into the
+  shared vocabulary, which is append-only and keeps existing ids valid;
 * inserted triples receive positions ``M_base, M_base + 1, …`` in a compact
-  tail (``array`` buffers, as in the columnar building mode);
+  tail (``array`` buffers);
 * entity rows follow the standard backend contract: an insertion for an
   existing subject extends that subject's base row, a new subject gets the
   next row, so positions/rows match what a
-  :class:`~repro.storage.columnar.ColumnarStore` fed the same triples would
-  report — the evolving evaluators rely on this for cross-backend estimate
-  parity;
-* bulk dedup (:meth:`add_batch`) is vectorised: batch keys are checked
-  against a sorted structured view of the base columns with one
+  :class:`~repro.storage.columnar.ColumnarStore` built from the same triples
+  would report — the evolving evaluators rely on this for cross-backend
+  estimate parity;
+* :meth:`DeltaStore.add_batch` is the one append path, and its dedup is
+  vectorised: batch keys are checked against the base's sorted key view
+  (:meth:`~repro.storage.columnar.ColumnarStore.contains_keys`) with one
   ``searchsorted`` instead of a Python key-set over all M base triples.
 
 The merged graph-wide CSR index is only materialised if somebody asks for it
 (:meth:`csr_arrays`); the evolving evaluators never do — they sample the
-frozen base index and the per-batch segments directly.  The tail is never
-folded back into the base, so a serve checkpoint captures an update stream
-as the tail alone (:meth:`tail_arrays`, replayed by :meth:`restore_tail`).
+base index and the per-batch segments directly.  The tail is never folded
+back into the base, so a serve checkpoint captures an update stream as the
+tail alone (:meth:`tail_arrays`, replayed by :meth:`restore_tail`).
 """
 
 from __future__ import annotations
@@ -36,30 +38,15 @@ import numpy as np
 
 from repro.kg.triple import Triple
 from repro.storage.backend import StorageBackend
-from repro.storage.columnar import ColumnarStore
+from repro.storage.columnar import ColumnarStore, first_occurrences, key_view
 
 __all__ = ["DeltaStore"]
 
 
-def _key_view(subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray) -> np.ndarray:
-    """Pack (s, p, o) id columns into a single comparable structured array."""
-    stacked = np.ascontiguousarray(
-        np.column_stack(
-            (
-                subjects.astype(np.int32, copy=False),
-                predicates.astype(np.int32, copy=False),
-                objects.astype(np.int32, copy=False),
-            )
-        )
-    )
-    return stacked.view([("", np.int32)] * 3).ravel()
-
-
 class DeltaStore(StorageBackend):
-    """A frozen :class:`ColumnarStore` plus append-only tail segments."""
+    """A :class:`ColumnarStore` plus append-only tail segments."""
 
     def __init__(self, base: ColumnarStore) -> None:
-        base.finalize()
         self.base = base
         self._base_triples = base.num_triples
         self._base_entities = base.num_entities
@@ -84,78 +71,26 @@ class DeltaStore(StorageBackend):
         self._tail_positions: dict[int, list[int]] = {}
         self._new_subjects: list[int] = []
         self._new_row_of: dict[int, int] = {}
-        # Dedup state: sorted base keys (built lazily, shared per base) plus a
-        # plain set for the (small) tail.
-        self._base_sorted_keys: np.ndarray | None = None
+        # Dedup keys of the (small) tail; the base answers for its own.
         self._tail_keys: set[tuple[int, int, int]] = set()
         # Caches invalidated by appends.
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
         self._sizes: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
-    # Dedup helpers
-    # ------------------------------------------------------------------ #
-    def _ensure_base_keys(self) -> np.ndarray:
-        if self._base_sorted_keys is None:
-            subjects, predicates, objects, _ = self.base.id_columns()
-            self._base_sorted_keys = np.sort(_key_view(subjects, predicates, objects))
-        return self._base_sorted_keys
-
-    def _in_base(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised membership of packed keys against the base columns."""
-        base_keys = self._ensure_base_keys()
-        if base_keys.size == 0:
-            return np.zeros(keys.shape[0], dtype=bool)
-        index = np.searchsorted(base_keys, keys)
-        index = np.minimum(index, base_keys.size - 1)
-        return base_keys[index] == keys
-
-    # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def _append_interned(
-        self, subject_id: int, predicate_id: int, object_id: int, flag: bool
-    ) -> None:
-        position = self._base_triples + len(self._tail_s)
-        self._tail_s.append(subject_id)
-        self._tail_p.append(predicate_id)
-        self._tail_o.append(object_id)
-        self._tail_f.append(1 if flag else 0)
-        tail = self._tail_positions.get(subject_id)
-        if tail is None:
-            self._tail_positions[subject_id] = [position]
-            if subject_id not in self.base.subject_row_map() and subject_id not in self._new_row_of:
-                self._new_row_of[subject_id] = self._base_entities + len(self._new_subjects)
-                self._new_subjects.append(subject_id)
-        else:
-            tail.append(position)
-        self._tail_keys.add((subject_id, predicate_id, object_id))
-        self._csr = None
-        self._sizes = None
-
-    def _maybe_in_base(self, subject_id: int, predicate_id: int, object_id: int) -> bool:
-        limit = self._base_id_limit
-        return subject_id < limit and predicate_id < limit and object_id < limit
-
     def add(self, triple: Triple) -> bool:
-        vocab = self.base.vocab
-        subject_id = vocab.intern(triple.subject)
-        predicate_id = vocab.intern(triple.predicate)
-        object_id = vocab.intern(triple.obj)
-        key = (subject_id, predicate_id, object_id)
-        if key in self._tail_keys:
-            return False
-        if self._maybe_in_base(subject_id, predicate_id, object_id):
-            key_array = _key_view(
-                np.asarray([subject_id]), np.asarray([predicate_id]), np.asarray([object_id])
-            )
-            if bool(self._in_base(key_array)[0]):
-                return False
-        self._append_interned(subject_id, predicate_id, object_id, triple.is_entity_object)
-        return True
+        """Insert one triple: :meth:`add_batch` of one."""
+        return self.add_batch((triple,))[0]
 
     def add_batch(self, triples: Iterable[Triple]) -> list[bool]:
-        """Vectorised bulk insert: one membership pass for the whole batch."""
+        """Insert many triples; return one added-flag per input triple.
+
+        One vectorised membership pass for the whole batch: repeats of a
+        stored triple, and of an earlier triple of the same batch, are
+        skipped.
+        """
         batch = list(triples)
         if not batch:
             return []
@@ -167,7 +102,7 @@ class DeltaStore(StorageBackend):
         subject_arr = np.asarray(subject_ids, dtype=np.int64)
         predicate_arr = np.asarray(predicate_ids, dtype=np.int64)
         object_arr = np.asarray(object_ids, dtype=np.int64)
-        keys = _key_view(subject_arr, predicate_arr, object_arr)
+        keys = key_view(subject_arr, predicate_arr, object_arr)
         # Base membership needs all three ids below the base columns' id
         # ceiling; tail membership needs them interned before this batch.
         # Typical insertion workloads carry fresh object strings and skip
@@ -177,7 +112,7 @@ class DeltaStore(StorageBackend):
         maybe_base = (subject_arr < limit) & (predicate_arr < limit) & (object_arr < limit)
         base_indices = np.flatnonzero(maybe_base)
         if base_indices.size:
-            keep[base_indices] = ~self._in_base(keys[base_indices])
+            keep[base_indices] = ~self.base.contains_keys(keys[base_indices])
         if self._tail_keys:
             maybe_tail = (
                 keep
@@ -189,36 +124,52 @@ class DeltaStore(StorageBackend):
             for i in np.flatnonzero(maybe_tail).tolist():
                 if (subject_ids[i], predicate_ids[i], object_ids[i]) in tail_keys:
                     keep[i] = False
-        # Keep only the first occurrence of each key within the batch.
-        _, first = np.unique(keys, return_index=True)
-        first_mask = np.zeros(keys.shape[0], dtype=bool)
-        first_mask[first] = True
-        keep &= first_mask
-        kept = np.flatnonzero(keep)
-        if kept.size == 0:
-            return keep.tolist()
-        kept_list = kept.tolist()
-        kept_s = [subject_ids[i] for i in kept_list]
-        kept_p = [predicate_ids[i] for i in kept_list]
-        kept_o = [object_ids[i] for i in kept_list]
-        self._tail_keys.update(zip(kept_s, kept_p, kept_o))
-        self._tail_s.extend(kept_s)
-        self._tail_p.extend(kept_p)
-        self._tail_o.extend(kept_o)
-        self._tail_f.extend(1 if batch[i].is_entity_object else 0 for i in kept_list)
+        keep &= first_occurrences(keys)
+        kept = np.flatnonzero(keep).tolist()
+        # Ids from the interned lists, not the arrays: the tail keys then
+        # share the vocabulary's int objects instead of holding three new
+        # ones per triple.
+        self._append_ids(
+            [subject_ids[i] for i in kept],
+            [predicate_ids[i] for i in kept],
+            [object_ids[i] for i in kept],
+            [batch[i].is_entity_object for i in kept],
+        )
+        return keep.tolist()
+
+    def _append_ids(
+        self,
+        subjects: list[int],
+        predicates: list[int],
+        objects: list[int],
+        flags: list[bool],
+    ) -> None:
+        """Append interned, deduplicated triples at the next tail positions.
+
+        The step after dedup, shared by :meth:`add_batch` and
+        :meth:`restore_tail`: it records the dedup keys, groups the new
+        positions by subject and gives new subjects their rows.
+        """
+        count = len(subjects)
+        if not count:
+            return
+        start = self.num_triples
+        self._tail_keys.update(zip(subjects, predicates, objects))
+        self._tail_s.extend(subjects)
+        self._tail_p.extend(predicates)
+        self._tail_o.extend(objects)
+        self._tail_f.extend(flags)
         # Group the appended positions by subject: one pass over the unique
         # subjects of the batch instead of one dict round-trip per triple.
-        start = self._base_triples + len(self._tail_s) - kept.size
-        positions = start + np.arange(kept.size, dtype=np.int64)
-        kept_subjects = subject_arr[kept]
-        order = np.argsort(kept_subjects, kind="stable")
-        sorted_subjects = kept_subjects[order]
-        sorted_positions = positions[order]
+        positions = start + np.arange(count, dtype=np.int64)
+        subject_arr = np.asarray(subjects, dtype=np.int64)
+        order = np.argsort(subject_arr, kind="stable")
+        sorted_subjects = subject_arr[order]
+        sorted_position_list = positions[order].tolist()
         boundaries = np.flatnonzero(np.diff(sorted_subjects)) + 1
         starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [kept.size]))
+        ends = np.concatenate((boundaries, [count]))
         tail_positions = self._tail_positions
-        sorted_position_list = sorted_positions.tolist()
         for subject_id, lo, hi in zip(
             sorted_subjects[starts].tolist(), starts.tolist(), ends.tolist()
         ):
@@ -228,19 +179,18 @@ class DeltaStore(StorageBackend):
                 tail_positions[subject_id] = chunk
             else:
                 existing.extend(chunk)
-        # New subjects take rows in first-seen order, as `add` and a fresh
-        # build give them; vocab-id order differs for a subject string that
-        # was interned earlier (e.g. as an object).
+        # New subjects take rows in first-seen order, as a fresh build gives
+        # them; vocab-id order differs for a subject string that was
+        # interned earlier (e.g. as an object).
         base_rows = self.base.subject_row_map()
         new_row_of = self._new_row_of
         new_subjects = self._new_subjects
-        for subject_id in dict.fromkeys(kept_s):
+        for subject_id in dict.fromkeys(subjects):
             if subject_id not in base_rows and subject_id not in new_row_of:
                 new_row_of[subject_id] = self._base_entities + len(new_subjects)
                 new_subjects.append(subject_id)
         self._csr = None
         self._sizes = None
-        return keep.tolist()
 
     # ------------------------------------------------------------------ #
     # Size / membership
@@ -259,18 +209,9 @@ class DeltaStore(StorageBackend):
         return len(self._tail_s)
 
     def contains(self, triple: Triple) -> bool:
-        vocab = self.base.vocab
-        subject_id = vocab.get(triple.subject)
-        predicate_id = vocab.get(triple.predicate)
-        object_id = vocab.get(triple.obj)
-        if subject_id is None or predicate_id is None or object_id is None:
-            return False
-        if (subject_id, predicate_id, object_id) in self._tail_keys:
-            return True
-        key_array = _key_view(
-            np.asarray([subject_id]), np.asarray([predicate_id]), np.asarray([object_id])
-        )
-        return bool(self._in_base(key_array)[0])
+        get = self.base.vocab.get
+        ids = (get(triple.subject), get(triple.predicate), get(triple.obj))
+        return ids in self._tail_keys or self.base.contains(triple)
 
     # ------------------------------------------------------------------ #
     # Positional triple access
@@ -408,15 +349,13 @@ class DeltaStore(StorageBackend):
         """Re-append a previously captured tail (already interned and deduped).
 
         Rebuilds the per-subject tail index and dedup keys exactly as the
-        original appends did; used when an evaluator is restored from a
-        serve checkpoint (:func:`repro.evolving.state.restore_evaluator`).
+        original appends did, through the same post-dedup step; used when an
+        evaluator is restored from a serve checkpoint
+        (:func:`repro.evolving.state.restore_evaluator`).
         """
         if self.num_tail_triples:
             raise ValueError("restore_tail requires an empty tail")
-        for subject_id, predicate_id, object_id, flag in zip(
-            subjects.tolist(), predicates.tolist(), objects.tolist(), flags.tolist()
-        ):
-            self._append_interned(int(subject_id), int(predicate_id), int(object_id), bool(flag))
+        self._append_ids(subjects.tolist(), predicates.tolist(), objects.tolist(), flags.tolist())
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Merged base + tail CSR index, materialised lazily and cached.

@@ -1,15 +1,14 @@
 """Streaming ingest of triple files straight into columnar storage.
 
-Building a graph through ``KnowledgeGraph.add`` allocates one
-:class:`~repro.kg.triple.Triple` per line, plus a key tuple and set entries
-that the columnar backend immediately re-encodes.  That is fine at thousands
-of triples but wasteful at millions.
+Building a graph from :class:`~repro.kg.triple.Triple` objects allocates one
+object per line that the columnar backend immediately re-encodes.  That is
+fine at thousands of triples but wasteful at millions.
 
-The functions here instead intern each field *as the line is read* and append
-the ids directly to the store's growable buffers — no intermediate Triple
-list ever exists.  Duplicate lines are removed vectorised at
-:meth:`~repro.storage.columnar.ColumnarStore.finalize` time (first occurrence
-wins), matching the graph-as-set semantics of the ``add`` path exactly.
+The functions here instead parse each line into a plain row and hand the rows
+to :meth:`~repro.storage.columnar.ColumnarStore.from_rows`, which interns each
+field *as the line is read* — no intermediate Triple list ever exists.
+Duplicate lines are removed vectorised once the columns are built (first
+occurrence wins), matching the graph-as-set semantics of ``KnowledgeGraph``.
 
 Supported formats:
 
@@ -32,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from repro.storage.columnar import ColumnarStore
+from repro.storage.columnar import ColumnarStore, Row
 
 __all__ = [
     "ingest_tsv",
@@ -42,10 +41,6 @@ __all__ = [
     "iter_tsv_rows",
     "iter_nt_rows",
 ]
-
-#: One parsed statement: (subject, predicate, object, object-is-entity).
-Row = tuple[str, str, str, bool]
-
 
 def iter_data_lines(path: Path) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` for each line that is not blank or a ``#`` comment."""
@@ -175,13 +170,7 @@ def ingest_rows(rows: Iterable[Row], name: str = "kg"):
     """Build a columnar-backed graph from parsed rows, deduplicating at the end."""
     from repro.kg.graph import KnowledgeGraph
 
-    store = ColumnarStore()
-    intern = store.vocab.intern
-    append = store.append_interned
-    for subject, predicate, obj, is_entity_object in rows:
-        append(intern(subject), intern(predicate), intern(obj), is_entity_object)
-    store.finalize(dedupe=True)
-    return KnowledgeGraph(name=name, backend=store)
+    return KnowledgeGraph(name=name, backend=ColumnarStore.from_rows(rows))
 
 
 def ingest_tsv(path: str | Path, name: str | None = None):

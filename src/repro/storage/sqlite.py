@@ -108,7 +108,8 @@ class SqliteGraphError(ValueError):
 
 
 class ReadOnlyStoreError(TypeError):
-    """A write to a :class:`SqliteStore`, which is written once, on creation."""
+    """An ``add`` to a graph on a :class:`SqliteStore`, which is written once,
+    on creation."""
 
 
 def _blob_fits(conn: sqlite3.Connection, nbytes: int) -> bool:
@@ -145,7 +146,7 @@ class SqliteStore(StorageBackend):
     ----------
     path:
         A graph file written by :meth:`from_columnar`.  Opening it runs no
-        statement that writes, and :meth:`add` raises
+        statement that writes, and adding to a graph on it raises
         :class:`ReadOnlyStoreError`.
     mmap_size:
         Value for ``PRAGMA mmap_size`` (bytes; ``0`` disables memory-mapped
@@ -197,20 +198,11 @@ class SqliteStore(StorageBackend):
         )
 
     # ------------------------------------------------------------------ #
-    # Mutation
-    # ------------------------------------------------------------------ #
-    def add(self, triple: Triple) -> bool:
-        raise ReadOnlyStoreError(
-            f"{self.path} is read-only: a SQLite graph is written once, by "
-            "KnowledgeGraph.to_sqlite; add to a columnar graph and convert it"
-        )
-
-    # ------------------------------------------------------------------ #
     # Bulk construction
     # ------------------------------------------------------------------ #
     @classmethod
     def from_columnar(cls, store, path: str | Path | None = None, name: str | None = None):
-        """Write a frozen :class:`~repro.storage.columnar.ColumnarStore` to a
+        """Write a :class:`~repro.storage.columnar.ColumnarStore` to a
         new graph file and open it.
 
         Vocabulary ids, triple positions and entity rows are copied verbatim,

@@ -109,14 +109,12 @@ def build_toy_kg() -> tuple[KnowledgeGraph, LabelOracle]:
         "movie_1": [True, False, True, False, True, False],
         "city_1": [False],
     }
-    graph = KnowledgeGraph(name="toy")
-    labels: dict[Triple, bool] = {}
-    for entity, flags in spec.items():
-        for index, flag in enumerate(flags):
-            triple = Triple(entity, f"predicate_{index}", f"object_{entity}_{index}")
-            graph.add(triple)
-            labels[triple] = flag
-    return graph, LabelOracle(labels)
+    labels = {
+        Triple(entity, f"predicate_{index}", f"object_{entity}_{index}"): flag
+        for entity, flags in spec.items()
+        for index, flag in enumerate(flags)
+    }
+    return KnowledgeGraph(labels, name="toy"), LabelOracle(labels)
 
 
 @pytest.fixture()

@@ -1,10 +1,10 @@
 """The storage backend contract as a pure-Python model (not a test module).
 
 :class:`StoreModel` is the reference every store is checked against —
-``ColumnarStore`` (add path, bulk ingest, thaw after a read), ``SqliteStore``,
-snapshot reloads and the ``DeltaStore`` tail.  It shares no code with any
-backend in :mod:`repro.storage`, so a bug in a store's dedup, positions or
-row bookkeeping cannot also be in the reference.
+``ColumnarStore`` (built from Triples or from ingested rows), ``SqliteStore``,
+snapshot reloads and the ``DeltaStore`` a graph grows in.  It shares no code
+with any backend in :mod:`repro.storage`, so a bug in a store's dedup,
+positions or row bookkeeping cannot also be in the reference.
 :func:`assert_matches_model` checks every read a graph answers against it.
 """
 
@@ -46,9 +46,6 @@ class StoreModel:
 
 
 def assert_matches_model(graph: KnowledgeGraph, model: StoreModel) -> None:
-    # Sizes first: on a columnar store that has just been thawed by an add,
-    # these are answered from the building-mode row counts, before any read
-    # below re-freezes the store and rebuilds them from the columns.
     assert graph.num_triples == len(model.triples)
     assert graph.num_entities == len(model.rows)
     assert tuple(graph.entity_ids) == tuple(model.rows)

@@ -207,7 +207,7 @@ class TestBackendParity:
 
 class TestDeltaStore:
     def make_pair(self, base_triples: list[Triple]):
-        base = ColumnarStore.from_graph(base_triples).finalize()
+        base = ColumnarStore.from_graph(base_triples)
         return DeltaStore(base), base
 
     def test_zero_copy_view_of_base(self):
@@ -249,7 +249,7 @@ class TestDeltaStore:
         delta, _ = self.make_pair(base_triples)
         inserts = [Triple("e0", "ins", "a"), Triple("q", "ins", "b"), Triple("e1", "ins", "c")]
         delta.add_batch(inserts)
-        rebuilt = ColumnarStore.from_graph(base_triples + inserts).finalize()
+        rebuilt = ColumnarStore.from_graph(base_triples + inserts)
         offsets, positions = delta.csr_arrays()
         expected_offsets, expected_positions = rebuilt.csr_arrays()
         np.testing.assert_array_equal(np.asarray(offsets), np.asarray(expected_offsets))
@@ -264,6 +264,35 @@ class TestDeltaStore:
         with pytest.raises(IndexError):
             delta.triple_at(3)
 
+    def test_restore_tail_reproduces_the_original(self):
+        """A captured tail replayed on a fresh view over the same base reads
+        back like the view that wrote it, and both skip the same triples of
+        a following batch."""
+        base_triples, _ = build_base([(3, 1.0), (2, 0.5), (1, 0.0)])
+        original, base = self.make_pair(base_triples)
+        inserts = [
+            Triple("e1", "ins", "n0"),  # enrich existing entity
+            Triple("zz", "ins", "n1", is_entity_object=True),  # brand-new entity
+            Triple("o0_1", "ins", "n2"),  # new subject first seen as an object
+            base_triples[0],  # base duplicate
+            Triple("zz", "ins", "n3"),
+            Triple("e1", "ins", "n0"),  # tail duplicate
+        ]
+        original.add_batch(inserts[:3])
+        original.add_batch(inserts[3:])
+        restored = DeltaStore(base)
+        restored.restore_tail(*original.tail_arrays())
+        for left, right in zip(original.csr_arrays(), restored.csr_arrays()):
+            np.testing.assert_array_equal(np.asarray(left), np.asarray(right))
+        np.testing.assert_array_equal(original.cluster_size_array(), restored.cluster_size_array())
+        assert restored.entity_ids() == original.entity_ids()
+        assert list(restored.iter_triples()) == list(original.iter_triples())
+        for triple in [*base_triples, *inserts, Triple("zz", "ins", "absent")]:
+            assert restored.contains(triple) == original.contains(triple)
+        follow = [inserts[2], base_triples[1], Triple("o0_1", "ins", "n4"), Triple("yy", "p", "q")]
+        expected = [False, False, True, True]
+        assert restored.add_batch(follow) == original.add_batch(follow) == expected
+
     def test_evolving_graph_uses_delta_store_on_columnar_base(self):
         base_triples, _ = build_base([(3, 1.0)])
         columnar = KnowledgeGraph(base_triples, name="b").to_columnar()
@@ -274,6 +303,27 @@ class TestDeltaStore:
         assert evolving.current.num_triples == columnar.num_triples + 1
         # The frozen base graph is untouched.
         assert columnar.num_triples == len(base_triples)
+
+    def test_adding_to_a_shared_base_leaves_the_evolved_graph_unchanged(self):
+        """A base graph that grows after an evolving graph was laid over its
+        columns grows a view of its own; the evolved graph reads as before."""
+        base_triples = [Triple("e0", "p", "a"), Triple("e1", "p", "b"), Triple("e0", "q", "c")]
+        batch = (Triple("e2", "p", "d"), Triple("e0", "r", "e"))
+        grown = [Triple("e1", "q", "f"), Triple("e3", "p", "g"), Triple("e0", "s", "h")]
+        base = KnowledgeGraph(base_triples, name="b")
+        evolving = EvolvingKnowledgeGraph(base)
+        evolving.apply(UpdateBatch("d", batch))
+        base.add(grown[0])
+        base.add_batch(grown[1:])
+        evolved, twin = evolving.current, KnowledgeGraph(base_triples + list(batch))
+        for left, right in zip(evolved.backend.csr_arrays(), twin.backend.csr_arrays()):
+            np.testing.assert_array_equal(np.asarray(left), np.asarray(right))
+        assert (evolved.num_triples, evolved.num_entities) == (5, 3)
+        assert evolved.cluster_size_array().tolist() == twin.cluster_size_array().tolist()
+        assert tuple(evolved.entity_ids) == tuple(twin.entity_ids)
+        assert [evolved.entity_row(e) for e in twin.entity_ids] == [0, 1, 2]
+        assert evolved.triples_at(range(5)) == twin.triples_at(range(5))
+        assert_matches_model(base, StoreModel(base_triples + grown))
 
     @pytest.mark.parametrize("kind", ["delta", "sqlite"])
     def test_any_base_evolves_like_its_columnar_twin(self, nell, kind):

@@ -33,13 +33,13 @@ class TestEvolvingKnowledgeGraph:
         assert evolving.current.num_triples == 2
         assert evolving.base.num_triples == 1
 
-    def test_applied_batches_in_order(self):
+    def test_batches_are_counted(self):
         base = KnowledgeGraph([Triple("e1", "p", "o")])
         evolving = EvolvingKnowledgeGraph(base)
         batches = [UpdateBatch(f"d{i}", (Triple(f"x{i}", "p", "o"),)) for i in range(3)]
         evolving.apply_all(batches)
-        assert [b.batch_id for b in evolving.applied_batches] == ["d0", "d1", "d2"]
         assert evolving.num_batches == 3
+        assert evolving.current.num_triples == 4
 
     def test_enrichment_of_existing_entity_grows_cluster(self):
         base = KnowledgeGraph([Triple("e1", "p", "o1")])
@@ -84,12 +84,23 @@ class TestIO:
         with pytest.raises(ValueError, match="unrecognised label"):
             read_labelled_tsv(path)
 
+    def test_read_labelled_refuses_a_triple_labelled_both_ways(self, tmp_path):
+        path = tmp_path / "contradiction.tsv"
+        path.write_text("e1\tp\to\t1\ne2\tp\to\t0\n# note\ne1\tp\to\tno\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^line 4: .*\('e1', 'p', 'o'\).* line 1 "):
+            read_labelled_tsv(path)
+
     def test_label_token_variants(self, tmp_path):
+        # The last line repeats the first with another token for the same
+        # label: it loads once, at its first position.
         path = tmp_path / "labels.tsv"
-        path.write_text("e1\tp\to1\ttrue\ne2\tp\to2\t0\ne3\tp\to3\tYES\n", encoding="utf-8")
-        _, labels = read_labelled_tsv(path)
+        path.write_text(
+            "e1\tp\to1\ttrue\ne2\tp\to2\t0\ne3\tp\to3\tYES\ne1\tp\to1\t1\n", encoding="utf-8"
+        )
+        graph, labels = read_labelled_tsv(path)
         values = {t.subject: v for t, v in labels.items()}
         assert values == {"e1": True, "e2": False, "e3": True}
+        assert [t.subject for t in graph] == ["e1", "e2", "e3"]
 
 
 class TestStatistics:

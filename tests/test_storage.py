@@ -85,17 +85,6 @@ class TestBackendEquivalence:
         assert_matches_model(ingest_rows(rows, name="bulk"), model)
         assert_matches_model(KnowledgeGraph(triples), model)
 
-    @given(_triple_lists, _triple_lists)
-    @settings(max_examples=30, deadline=None)
-    def test_interleaved_add_and_read_on_columnar(self, first, second):
-        model = StoreModel(first)
-        columnar = KnowledgeGraph(first)
-        # Force a freeze (consolidation) between the two add batches.
-        _ = columnar.triples
-        model.add_all(second)
-        columnar.add_all(second)
-        assert_matches_model(columnar, model)
-
     @given(_triple_lists)
     @settings(max_examples=25, deadline=None)
     def test_sqlite_file_matches_model(self, triples):
@@ -129,6 +118,36 @@ class TestBackendEquivalence:
         for batch in batches:
             assert delta.add_batch(batch) == model.add_all(batch)
             assert_matches_model(KnowledgeGraph(backend=delta), model)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_add_and_read_on_columnar(self, data):
+        """``KnowledgeGraph(triples)``, reads, then ``add`` / ``add_batch``:
+        the graph grows in a delta view over its columns, which stay the
+        same arrays with the same bytes."""
+        first = data.draw(_triple_lists, label="base")
+        graph, model = KnowledgeGraph(first), StoreModel(first)
+        columnar = graph.backend
+        arrays = (*columnar.id_columns(), *columnar.csr_arrays())
+        snapshot = [np.asarray(array).tobytes() for array in arrays]
+        assert_matches_model(graph, model)
+        # Re-insertions of base triples, of earlier steps and within a step,
+        # and subjects that are object strings (interned before they become
+        # subjects).
+        fresh = st.one_of(_triples, _object_subject_triples)
+        for step in range(data.draw(st.integers(1, 4), label="steps")):
+            seen = model.triples
+            inserts = fresh | st.sampled_from(seen) if seen else fresh
+            batch = data.draw(st.lists(inserts, max_size=8).flatmap(_with_repeats))
+            if data.draw(st.booleans(), label=f"one by one {step}"):
+                flags = [graph.add(triple) for triple in batch]
+            else:
+                flags = graph.add_batch(batch)
+            assert flags == model.add_all(batch)
+            assert_matches_model(graph, model)
+        assert graph.backend is columnar or graph.backend.base is columnar
+        assert all(a is b for a, b in zip((*columnar.id_columns(), *columnar.csr_arrays()), arrays))
+        assert [np.asarray(array).tobytes() for array in arrays] == snapshot
 
     @given(_triple_lists)
     @settings(max_examples=20, deadline=None)
@@ -455,7 +474,6 @@ class TestLoaderParity:
                 encoding="utf-8",
             )
             via_objects = KnowledgeGraph(triples)
-            via_objects.backend.finalize()
             via_tsv = ingest_tsv(tsv_path)
             via_nt = ingest_nt(nt_path)
             sqlite_store = via_tsv.to_sqlite(Path(tmp) / "kg.sqlite").backend
