@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.sampling.base import Estimate
 
 __all__ = ["EvaluationConfig"]
 
@@ -50,3 +54,14 @@ class EvaluationConfig:
             raise ValueError("min_units must be at least 2")
         if self.max_units is not None and self.max_units < self.min_units:
             raise ValueError("max_units must be at least min_units")
+
+    def target_met(self, estimate: Estimate) -> bool:
+        """The loop's stop rule: ``min_units`` units and a MoE within the target.
+
+        Every evaluation loop stops on this one rule after a round: the
+        static loop (:class:`~repro.core.framework.StaticEvaluator`, round by
+        round inside a folded stretch too) and the evolving evaluators.
+        """
+        return estimate.num_units >= self.min_units and estimate.satisfies(
+            self.moe_target, self.confidence_level
+        )

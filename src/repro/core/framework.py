@@ -20,9 +20,27 @@ and a round costs a few array operations.  Annotators whose labels are not the
 oracle's (label flips, majority votes, or any object with only
 ``annotate_triples``) get each unit's Triples, and their labels reach the
 design through the same ``update_all_positions``.
+
+SRS and RCS read a cursor over an order fixed at their first draw, and a
+``SimulatedAnnotator``'s labels are its oracle's array, so with such an
+annotator the loop draws a *stretch* of rounds in one call (as many as the
+current estimate says the target needs, under a fixed ceiling) and the design
+folds it round by round (``fold_rounds``), checking the stop rule
+(:meth:`~repro.core.config.EvaluationConfig.target_met`) after each round.  At
+the first round that meets it the rest of the stretch goes back to the
+cursor, and the annotator is charged for the folded rounds only, in one call.
+The loop therefore still stops at the end of the first round that meets the
+target and never annotates a unit past it: reports, costs, random streams
+and design state are bit for bit those of one round per draw.  Every other
+design draws with replacement or a fresh random call per round, and every
+other annotator labels Triples, so they keep one round per draw in the same
+loop; :meth:`StaticEvaluator.step` is that one-round case.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -30,9 +48,13 @@ from repro.core.config import EvaluationConfig
 from repro.core.result import EvaluationReport
 from repro.cost.annotator import SimulatedAnnotator
 from repro.obs import metrics as obs_metrics
-from repro.sampling.base import PositionBatch, SamplingDesign
+from repro.sampling.base import Estimate, PositionBatch, SamplingDesign
+from repro.stats.ci import required_sample_size
 
 __all__ = ["StaticEvaluator", "evaluate_accuracy"]
+
+#: Most units drawn ahead in one stretch: keeps its arrays small.
+_STRETCH_UNITS = 1024
 
 
 def _labels_from_oracle(annotator) -> bool:
@@ -82,13 +104,38 @@ class StaticEvaluator:
         Returns the number of units drawn; ``0`` means the population is
         exhausted and nothing was annotated.
         """
-        batch = self.design.draw_positions(batch_size)
+        return self._advance(batch_size, 1)[0]
+
+    def _advance(
+        self, round_size: int, rounds: int, stop: Callable[[Estimate], bool] | None = None
+    ) -> tuple[int, int]:
+        """Draw up to ``rounds`` rounds in one call, fold and charge them.
+
+        A design that draws from an order fixed at its first draw (SRS, RCS)
+        folds the stretch round by round through ``fold_rounds`` when the
+        annotator labels from its oracle: it stops after the first round
+        where ``stop`` holds, gives the rest back to its cursor, and the
+        annotator is charged for the folded units only.  Every other design,
+        or annotator, gets one round per call.  Returns the units and rounds
+        folded; ``(0, 0)`` means the population is exhausted.
+        """
+        design, annotator = self.design, self.annotator
+        stretches = hasattr(design, "fold_rounds") and _labels_from_oracle(annotator)
+        batch = design.draw_positions(round_size * (rounds if stretches else 1))
         units = len(batch)
-        if units:
-            self._rounds_total.inc()
-            self._units_total.inc(units)
+        if not units:
+            return 0, 0
+        if stretches:
+            graph = design.graph
+            labels = annotator.oracle.position_labels(graph)
+            units = design.fold_rounds(batch, labels, round_size, stop)
+            annotator.annotate_positions(graph, batch.head(units))
+        else:
             self._annotate(batch)
-        return units
+        rounds = -(-units // round_size)
+        self._rounds_total.inc(rounds)
+        self._units_total.inc(units)
+        return units, rounds
 
     def _annotate(self, batch: PositionBatch) -> None:
         """Label one round of position units and fold it into the design."""
@@ -108,6 +155,26 @@ class StaticEvaluator:
             np.arange(len(flat)), batch.counts, batch.entity_rows, batch.cluster_sizes
         )
         design.update_all_positions(relabelled, np.array(flat, dtype=bool))
+
+    def _stretch_rounds(self, estimate: Estimate) -> int:
+        """Rounds to draw at once: enough to reach the sample size ``estimate`` asks for.
+
+        That is ``min_units`` until the estimate has a standard error, then
+        the size at which its variance would meet the MoE target, at most
+        :data:`_STRETCH_UNITS` units.  It changes only how much is drawn
+        ahead, never where the loop stops.
+        """
+        config = self.config
+        units = estimate.num_units
+        target = config.min_units
+        if units and math.isfinite(estimate.std_error):
+            variance = estimate.std_error * estimate.std_error * units
+            target = max(
+                target,
+                required_sample_size(variance, config.moe_target, config.confidence_level),
+            )
+        rounds = -(-(target - units) // config.batch_size)
+        return max(1, min(rounds, _STRETCH_UNITS // config.batch_size))
 
     def run(self, reset: bool = True) -> EvaluationReport:
         """Execute the loop until the MoE target is met or samples run out.
@@ -129,35 +196,34 @@ class StaticEvaluator:
         entities_before = self.annotator.entities_identified
 
         iterations = 0
-        satisfied = False
         while True:
             estimate = self.design.estimate()
-            enough_units = estimate.num_units >= config.min_units
-            if enough_units and estimate.satisfies(config.moe_target, config.confidence_level):
+            if config.target_met(estimate):
                 satisfied = True
                 break
             if config.max_units is not None and estimate.num_units >= config.max_units:
+                satisfied = False
                 break
-
-            if not self.step(config.batch_size):
+            rounds = self._stretch_rounds(estimate)
+            if config.max_units is not None:
+                # No round of the stretch may start at or past the budget.
+                budget = config.max_units - estimate.num_units
+                rounds = min(rounds, -(-budget // config.batch_size))
+            units, rounds = self._advance(config.batch_size, rounds, config.target_met)
+            if not units:
                 # Population exhausted (e.g. SRS drew every triple): the
                 # estimate is now a census and cannot be improved further.
                 satisfied = estimate.satisfies(config.moe_target, config.confidence_level)
                 break
-            iterations += 1
+            iterations += rounds
 
-        final_estimate = self.design.estimate()
-        if not satisfied:
-            satisfied = final_estimate.num_units >= config.min_units and final_estimate.satisfies(
-                config.moe_target, config.confidence_level
-            )
         return EvaluationReport(
-            estimate=final_estimate,
+            estimate=estimate,
             confidence_level=config.confidence_level,
             moe_target=config.moe_target,
             satisfied=satisfied,
             iterations=iterations,
-            num_units=final_estimate.num_units,
+            num_units=estimate.num_units,
             num_triples_annotated=self.annotator.total_triples_annotated - triples_before,
             num_entities_identified=self.annotator.entities_identified - entities_before,
             annotation_cost_seconds=self.annotator.total_cost_seconds - cost_before,

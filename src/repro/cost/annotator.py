@@ -40,6 +40,7 @@ from repro.cost.model import CostModel
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.labels.oracle import LabelOracle
+from repro.storage.columnar import first_occurrences
 
 if TYPE_CHECKING:
     from repro.sampling.base import PositionBatch
@@ -339,13 +340,14 @@ class SimulatedAnnotator:
             # A triple-level unit's subject is the row owning its one position.
             rows = np.where(rows < 0, graph.rows_of_positions(positions[batch.starts]), rows)
             row_list = rows.tolist()
-        if self._session.labelled or len(set(row_list)) != len(row_list):
+        repeated = len(set(row_list)) != len(row_list)
+        if self._session.labelled or (repeated and not first_occurrences(positions).all()):
             fresh_counts, new_flags = self._claim_in_order(ledger, batch, row_list)
         else:
-            # No subject twice in the round, so no position twice either: the
-            # round claims its fresh positions and subjects in one pass, and
-            # a unit whose positions were all labelled before names a subject
-            # identified before.
+            # No position twice in the round: it claims its fresh positions
+            # and subjects in one pass.  A unit whose positions were all
+            # labelled before names a subject identified before, and of the
+            # units naming one subject only the first can identify it.
             annotated, identified = ledger.annotated, ledger.identified
             seen = annotated[positions]
             annotated[positions] = True
@@ -353,7 +355,10 @@ class SimulatedAnnotator:
                 fresh_counts = (batch.counts - np.add.reduceat(seen, batch.starts)).tolist()
             else:
                 fresh_counts = batch.counts.tolist()
-            new_flags = (~identified[rows]).tolist()
+            new = ~identified[rows]
+            if repeated:
+                new &= first_occurrences(rows)
+            new_flags = new.tolist()
             identified[rows] = True
         self._charge(ledger, fresh_counts, new_flags)
         return labels
@@ -363,8 +368,8 @@ class SimulatedAnnotator:
     ) -> tuple[list[int], list[bool]]:
         """Fresh triple count and new-subject flag of each unit, unit after unit.
 
-        For the rounds that name a subject twice (a cluster drawn twice with
-        replacement) or meet Triple labels of this session.
+        For the rounds that name a position twice (a cluster drawn twice
+        with replacement) or meet Triple labels of this session.
         """
         annotated, identified = ledger.annotated, ledger.identified
         labelled = self._session.labelled

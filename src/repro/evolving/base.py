@@ -106,10 +106,6 @@ class IncrementalEvaluator(ABC):
         self.second_stage_size = second_stage_size
         self.seed = seed
         self.evolving = EvolvingKnowledgeGraph(base.graph)
-        # Vocabulary size of the untouched base, recorded before any batch
-        # interns new strings; state persistence (snapshot format v3) uses it
-        # to capture exactly the strings an update stream added.
-        self._base_vocab_size = len(self.evolving.current.backend.base.vocab)
         self._labels = base.oracle.as_position_array(base.graph)
         self._account = PositionAnnotationAccount(cost_model)
         self.history: list[UpdateEvaluation] = []
@@ -180,12 +176,6 @@ class IncrementalEvaluator(ABC):
         for positions, cluster, _ in batch:
             self._account.charge(self._entity_row(segment, cluster), positions)
 
-    def _meets_target(self, estimate: Estimate) -> bool:
-        config = self.config
-        return estimate.num_units >= config.min_units and estimate.satisfies(
-            config.moe_target, config.confidence_level
-        )
-
     def _run_static(self, design: TwoStageWeightedClusterDesign) -> int:
         """The static TWCS loop over a whole graph; returns the rounds run.
 
@@ -197,7 +187,7 @@ class IncrementalEvaluator(ABC):
         iterations = 0
         while True:
             estimate = design.estimate()
-            if self._meets_target(estimate):
+            if config.target_met(estimate):
                 break
             if config.max_units is not None and estimate.num_units >= config.max_units:
                 break

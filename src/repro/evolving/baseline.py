@@ -35,7 +35,7 @@ class BaselineEvolvingEvaluator(IncrementalEvaluator):
         )
         iterations = self._run_static(design)
         estimate = design.estimate()
-        report = self._report(estimate, iterations, self._meets_target(estimate), totals_before)
+        report = self._report(estimate, iterations, self.config.target_met(estimate), totals_before)
         return self._record(batch_id, report)
 
     def evaluate_base(self) -> UpdateEvaluation:

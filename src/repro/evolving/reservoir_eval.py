@@ -197,7 +197,7 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
         iterations = 0
         while True:
             estimate = self._current_estimate()
-            if self._meets_target(estimate):
+            if config.target_met(estimate):
                 break
             if config.max_units is not None and estimate.num_units >= config.max_units:
                 break
@@ -212,7 +212,7 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
     # ------------------------------------------------------------------ #
     def _finish(self, batch_id: str, totals_before: tuple[float, int, int]) -> UpdateEvaluation:
         estimate, iterations = self._satisfy_quality()
-        report = self._report(estimate, iterations, self._meets_target(estimate), totals_before)
+        report = self._report(estimate, iterations, self.config.target_met(estimate), totals_before)
         return self._record(batch_id, report)
 
     def evaluate_base(self) -> UpdateEvaluation:

@@ -19,9 +19,13 @@ own small dataclasses (``RunningMean``, ``PositionSegment``, reservoir
 entries, reports); a ``repro serve`` checkpoint
 (:func:`repro.serve.session.checkpoint_session`) stores it in the daemon's
 ``--state-dir`` and restores it over the reopened base.  The delta tail is
-stored as interned id columns plus the vocabulary strings the update stream
-added, and replayed through
-:meth:`~repro.storage.delta.DeltaStore.restore_tail` on load.
+stored as interned id columns plus the string each of their ids names, and
+replayed through :meth:`~repro.storage.delta.DeltaStore.restore_tail` on
+load with its strings interned by value: the sessions of one served dataset
+share a base and its vocabulary, so the same string may carry another id in
+the restoring process.  Positions, cluster rows and segments follow append
+order or subject strings, never ids, so the remap leaves the sampling stream
+as it was.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
 __all__ = ["STATE_FORMAT_VERSION", "capture_evaluator_state", "restore_evaluator"]
 
-STATE_FORMAT_VERSION = 3
+STATE_FORMAT_VERSION = 4
 
 _KINDS = {"rs": "ReservoirIncrementalEvaluator", "ss": "StratifiedIncrementalEvaluator"}
 
@@ -61,6 +65,7 @@ def capture_evaluator_state(evaluator) -> dict:
     account = evaluator.account
     vocab = delta.base.vocab
     tail_s, tail_p, tail_o, tail_f = delta.tail_arrays()
+    tail_ids = np.unique(np.concatenate([tail_s, tail_p, tail_o]))
     state: dict = {
         "format": STATE_FORMAT_VERSION,
         "kind": kind,
@@ -77,14 +82,15 @@ def capture_evaluator_state(evaluator) -> dict:
         },
         "discarded_cost_seconds": evaluator._discarded_cost_seconds,
         "history": list(evaluator.history),
-        "base_vocab_size": evaluator._base_vocab_size,
         "base_triples": evaluator.evolving.base.num_triples,
-        "vocab_ext": [vocab[i] for i in range(evaluator._base_vocab_size, len(vocab))],
         "tail": {
             "subjects": tail_s,
             "predicates": tail_p,
             "objects": tail_o,
             "flags": tail_f,
+            # The tail's ids, sorted, and the string each names.
+            "ids": tail_ids,
+            "strings": [vocab[i] for i in tail_ids.tolist()],
         },
     }
     if kind == "rs":
@@ -151,20 +157,26 @@ def restore_evaluator(state: dict, base: LabelledKG):
             base, min_units_per_stratum=state["min_units_per_stratum"], **kwargs
         )
 
-    # Replay the delta tail (vocabulary extension first, so ids line up).
+    # Replay the delta tail over ids of this process's vocabulary.
     delta = evaluator.evolving.current.backend
     vocab = delta.base.vocab
-    if len(vocab) != int(state["base_vocab_size"]):
-        raise ValueError(
-            f"base vocabulary has {len(vocab)} entries but the state was "
-            f"captured against {state['base_vocab_size']}"
-        )
-    for token in state["vocab_ext"]:
-        vocab.intern(token)
     tail = state["tail"]
-    delta.restore_tail(
-        tail["subjects"], tail["predicates"], tail["objects"], tail["flags"]
-    )
+    columns = [tail["subjects"], tail["predicates"], tail["objects"]]
+    if "strings" in tail:
+        ids = np.asarray(vocab.intern_many(tail["strings"]), dtype=np.int64)
+        captured = np.asarray(tail["ids"], dtype=np.int64)
+        columns = [ids[np.searchsorted(captured, column)] for column in columns]
+    else:
+        # A v3 state lists the strings its stream added after the base's
+        # vocabulary, so it restores only over a vocabulary of that size.
+        if len(vocab) != int(state["base_vocab_size"]):
+            raise ValueError(
+                f"base vocabulary has {len(vocab)} entries but the state was "
+                f"captured against {state['base_vocab_size']}"
+            )
+        for token in state["vocab_ext"]:
+            vocab.intern(token)
+    delta.restore_tail(*columns, tail["flags"])
 
     # Shared evaluator state: labels, random stream, cost account, history.
     evaluator._labels = labels

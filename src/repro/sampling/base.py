@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.stats.ci import ConfidenceInterval, normal_interval
+from repro.stats.ci import ConfidenceInterval, margin_of_error, normal_interval
 
 __all__ = [
     "PositionBatch",
@@ -74,6 +74,18 @@ class PositionBatch:
     def __len__(self) -> int:
         """Number of units in the round."""
         return self.counts.shape[0]
+
+    def head(self, units: int) -> "PositionBatch":
+        """The round's first ``units`` units, sharing this batch's arrays."""
+        if units >= self.counts.shape[0]:
+            return self
+        return PositionBatch(
+            self.positions[: self.starts[units]],
+            self.counts[:units],
+            self.entity_rows[:units],
+            self.cluster_sizes[:units],
+            self.starts[:units],
+        )
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, int, int]]:
         """Yield ``(positions, entity_row, cluster_size)`` per unit, in draw order."""
@@ -139,7 +151,10 @@ class Estimate:
         """Margin of error at the given confidence level (Eq. 1)."""
         if math.isinf(self.std_error):
             return math.inf
-        return normal_interval(self.value, self.std_error, confidence_level).margin_of_error
+        # The half-width of normal_interval's [value - moe, value + moe],
+        # rounded as that interval rounds it, without building the interval.
+        moe = margin_of_error(self.std_error, confidence_level)
+        return ((self.value + moe) - (self.value - moe)) / 2.0
 
     def confidence_interval(self, confidence_level: float) -> ConfidenceInterval:
         """Normal-approximation confidence interval, clipped to [0, 1]."""

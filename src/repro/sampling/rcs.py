@@ -16,11 +16,13 @@ is 0 (no finite-population correction is applied before that).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
 from repro.sampling.base import Estimate, PositionBatch, SamplingDesign
-from repro.stats.running import RunningMean
+from repro.stats.running import RunningMean, row_moments
 
 __all__ = ["RandomClusterDesign"]
 
@@ -97,12 +99,49 @@ class RandomClusterDesign(SamplingDesign):
 
     def update_all_positions(self, batch: PositionBatch, label_array: np.ndarray) -> None:
         """Fold a round: one gather and one segment sum for the whole batch."""
-        if not len(batch):
-            return
+        self.fold_rounds(batch, label_array, len(batch) or 1)
+
+    def fold_rounds(
+        self,
+        batch: PositionBatch,
+        label_array: np.ndarray,
+        round_size: int,
+        stop: Callable[[Estimate], bool] | None = None,
+    ) -> int:
+        """Fold ``batch`` in rounds of ``round_size`` clusters, one round at a time.
+
+        Each round's moments come from one row-wise reduce over the whole
+        batch and are merged as ``RunningMean.add_many`` merges that round
+        alone, so after each round the design holds the state that drawing
+        and folding that round alone leaves, and ``stop`` sees its estimate.
+        At the first round where it holds, the rest of ``batch``, which must
+        then be this design's latest draw, goes back to the cursor, to be
+        drawn again.  Returns the number of clusters folded.
+        """
+        units = len(batch)
+        if not units:
+            return 0
         sums = np.add.reduceat(label_array[batch.positions], batch.starts)
-        scale = self.graph.num_entities / self.graph.num_triples
-        self._values.add_many(scale * sums)
-        self._num_triples += batch.positions.shape[0]
+        values = (self.graph.num_entities / self.graph.num_triples) * sums
+        full = units - units % round_size
+        means, m2s = row_moments(values[:full].reshape(-1, round_size))
+        sizes = [round_size] * (full // round_size)
+        if full < units:
+            # The draw ran out of clusters: its last round is shorter.
+            last_mean, last_m2 = row_moments(values[None, full:])
+            means, m2s = np.append(means, last_mean), np.append(m2s, last_m2)
+            sizes.append(units - full)
+        triples = np.add.reduceat(batch.counts, np.arange(0, units, round_size)).tolist()
+        values_acc = self._values
+        start, folded = self._cursor - units, 0
+        for size, mean, m2, count in zip(sizes, means.tolist(), m2s.tolist(), triples):
+            values_acc.add_moments(size, mean, m2)
+            self._num_triples += count
+            folded += size
+            self._cursor = start + folded
+            if stop is not None and stop(self.estimate()):
+                break
+        return folded
 
     def estimate(self) -> Estimate:
         """Mean of the per-cluster expansion values with its standard error."""

@@ -15,6 +15,7 @@ loses to cluster sampling on large KGs despite needing slightly fewer triples.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -100,9 +101,38 @@ class SimpleRandomDesign(SamplingDesign):
 
     def update_all_positions(self, batch: PositionBatch, label_array: np.ndarray) -> None:
         """Fold a round: one gather and one count for the whole batch."""
-        positions = batch.positions
-        self._num_annotated += positions.shape[0]
-        self._num_correct += int(np.count_nonzero(label_array[positions]))
+        self.fold_rounds(batch, label_array, len(batch) or 1)
+
+    def fold_rounds(
+        self,
+        batch: PositionBatch,
+        label_array: np.ndarray,
+        round_size: int,
+        stop: Callable[[Estimate], bool] | None = None,
+    ) -> int:
+        """Fold ``batch`` in rounds of ``round_size`` triples, one round at a time.
+
+        After each round the design holds the state that drawing and folding
+        that round alone leaves, read from cumulative correct counts, and
+        ``stop`` sees its estimate.  At the first round where it holds, the
+        rest of ``batch``, which must then be this design's latest draw,
+        goes back to the cursor, to be drawn again.  Returns the number of
+        triples folded.
+        """
+        units = len(batch)
+        if not units:
+            return 0
+        ends = [*range(round_size, units, round_size), units]
+        correct = np.cumsum(label_array[batch.positions])[np.array(ends) - 1].tolist()
+        start = self._cursor - units
+        annotated, correct_before = self._num_annotated, self._num_correct
+        for end, count in zip(ends, correct):
+            self._cursor = start + end
+            self._num_annotated = annotated + end
+            self._num_correct = correct_before + count
+            if stop is not None and stop(self.estimate()):
+                return end
+        return units
 
     def estimate(self) -> Estimate:
         """Sample mean with the binomial-proportion standard error (Eq. 5)."""

@@ -13,7 +13,20 @@ from collections.abc import Iterable
 
 import numpy as np
 
-__all__ = ["RunningMean"]
+__all__ = ["RunningMean", "row_moments"]
+
+
+def row_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sum of squared deviations of each row of a 2-D array.
+
+    Row ``i`` gets what :meth:`RunningMean.add_many` computes for ``rows[i]``
+    alone: NumPy reduces each row of a C-contiguous array with the pairwise
+    sum it runs on a 1-D array, so the moments agree bit for bit (pinned by
+    the test suite for row lengths 1 to 300).
+    """
+    means = np.add.reduce(rows, axis=1) / rows.shape[1]
+    deviations = rows - means[:, None]
+    return means, np.add.reduce(deviations * deviations, axis=1)
 
 
 class RunningMean:
@@ -42,9 +55,9 @@ class RunningMean:
     def add_many(self, values) -> None:
         """Add a batch of observations in one vectorised step.
 
-        Computes the batch moments with NumPy and folds them in as
-        :meth:`merge` would, so cost is one pass over the array instead of one
-        Python-level :meth:`add` per value.  (Floating-point rounding may
+        Computes the batch moments with NumPy and folds them in with
+        :meth:`add_moments`, so cost is one pass over the array instead of
+        one Python-level :meth:`add` per value.  (Floating-point rounding may
         differ from sequential adds at the last few ulps.)  The batch mean is
         ``np.add.reduce(x) / n``, bit for bit what ``x.mean()`` returns,
         without its per-call dispatch.
@@ -55,7 +68,17 @@ class RunningMean:
             return
         mean = float(np.add.reduce(array)) / count
         deviations = array - mean
-        m2 = float(np.add.reduce(deviations * deviations))
+        self.add_moments(count, mean, float(np.add.reduce(deviations * deviations)))
+
+    def add_moments(self, count: int, mean: float, m2: float) -> None:
+        """Fold in a batch given by its size, mean and sum of squared deviations.
+
+        The parallel Welford merge behind :meth:`add_many` and :meth:`merge`;
+        with the moments of :func:`row_moments` it folds a stretch of
+        batches one row at a time, bit for bit as :meth:`add_many` per batch.
+        """
+        if count == 0:
+            return
         if self._count == 0:
             self._count = count
             self._mean = mean
@@ -92,18 +115,7 @@ class RunningMean:
 
     def merge(self, other: "RunningMean") -> None:
         """Merge another accumulator into this one (parallel Welford merge)."""
-        if other._count == 0:
-            return
-        if self._count == 0:
-            self._count = other._count
-            self._mean = other._mean
-            self._m2 = other._m2
-            return
-        total = self._count + other._count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self._count * other._count / total
-        self._mean = (self._count * self._mean + other._count * other._mean) / total
-        self._count = total
+        self.add_moments(other._count, other._mean, other._m2)
 
     # ------------------------------------------------------------------ #
     # Read-outs

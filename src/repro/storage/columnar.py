@@ -51,7 +51,7 @@ def key_view(subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray) 
 
 
 def first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Boolean mask keeping the first occurrence of each packed key."""
+    """Boolean mask keeping the first occurrence of each packed key, position or row."""
     _, first = np.unique(keys, return_index=True)
     keep = np.zeros(keys.shape[0], dtype=bool)
     keep[first] = True

@@ -75,3 +75,58 @@ def test_resume_at_every_batch_boundary(kind):
         assert _trajectory(resumed) == expected, f"{kind} diverged after boundary {boundary}"
         assert resumed.current_true_accuracy() == reference.current_true_accuracy()
         assert resumed.total_cost_hours == reference.total_cost_hours
+
+
+def _updates(base: LabelledKG, seed: int, num_batches: int = 2):
+    return list(UpdateWorkloadGenerator(base, seed=seed).generate_sequence(num_batches, 50, 0.75))
+
+
+def test_sessions_sharing_a_base_restore_in_either_order():
+    """Two sessions over one served base and its one vocabulary both resume.
+
+    Each session's tail names strings the other session interned into the
+    shared vocabulary; restoring interns them by value, so each checkpoint
+    restores over a fresh base whichever is restored first.
+    """
+    shared = make_nell_like(seed=0).to_columnar()
+    streams = {"a": _updates(shared, seed=5), "b": _updates(shared, seed=9)}
+    evaluators = {name: _fresh_evaluator("ss", shared) for name in streams}
+    for evaluator in evaluators.values():
+        evaluator.evaluate_base()
+    for name, evaluator in evaluators.items():
+        evaluator.apply_update(*streams[name][0])
+    states = {name: capture_evaluator_state(evaluator) for name, evaluator in evaluators.items()}
+    for name, evaluator in evaluators.items():
+        evaluator.apply_update(*streams[name][1])
+
+    for order in (("a", "b"), ("b", "a")):
+        fresh = make_nell_like(seed=0).to_columnar()
+        resumed = {name: restore_evaluator(states[name], fresh) for name in order}
+        for name in order:
+            resumed[name].apply_update(*streams[name][1])
+            assert _trajectory(resumed[name]) == _trajectory(evaluators[name]), (order, name)
+            assert resumed[name].total_cost_hours == evaluators[name].total_cost_hours
+
+
+def _as_v3(state: dict, base_vocab_size: int, vocab) -> dict:
+    """``state`` laid out as format v3 wrote it: the strings added after the base's."""
+    v3 = dict(state, format=3, base_vocab_size=base_vocab_size)
+    v3["vocab_ext"] = [vocab[i] for i in range(base_vocab_size, len(vocab))]
+    v3["tail"] = {key: state["tail"][key] for key in ("subjects", "predicates", "objects", "flags")}
+    return v3
+
+
+def test_a_v3_state_of_one_session_still_restores():
+    base, updates = _base_and_updates(num_batches=2)
+    vocab_size = len(base.graph.backend.vocab)
+    evaluator = _fresh_evaluator("ss", base)
+    evaluator.evaluate_base()
+    evaluator.apply_update(*updates[0])
+    vocab = evaluator.evolving.current.backend.base.vocab
+    state = _as_v3(capture_evaluator_state(evaluator), vocab_size, vocab)
+    evaluator.apply_update(*updates[1])
+
+    reloaded = make_nell_like(seed=0).to_columnar()
+    resumed = restore_evaluator(state, reloaded)
+    resumed.apply_update(*updates[1])
+    assert _trajectory(resumed) == _trajectory(evaluator)

@@ -96,6 +96,44 @@ def test_resume_after_drain_replays_golden(base, golden, tmp_path):
 
 
 @pytest.mark.timeout(300)
+def test_every_session_of_a_dataset_resumes_after_drain(server, base, golden, tmp_path):
+    """Two sessions over one cached base, each with strings the other interned."""
+    state_dir = tmp_path / "state"
+    batches = workload(base)
+    streams = {"a": batches, "b": batches[::-1]}
+
+    first = EvalServer(port=0, secret=SECRET, state_dir=state_dir, queue_limit=8)
+    first.start()
+    with _client(first) as client:
+        for name in streams:
+            client.attach(spec("ss"), session=name)
+        for name, stream in streams.items():
+            client.submit_batch(name, *stream[0])
+    first.shutdown(drain=True)
+
+    second = EvalServer(port=0, secret=SECRET, state_dir=state_dir, queue_limit=8)
+    second.start()
+    try:
+        with _client(second) as client:
+            resumed = {}
+            for name, stream in streams.items():
+                assert client.attach(spec("ss"), session=name)["resumed"] is True, name
+                client.submit_batch(name, *stream[1])
+                resumed[name] = golden_payload(client.trajectory(name)["entries"])
+    finally:
+        second.shutdown(drain=True)
+
+    # The same two streams on a daemon that never stopped.
+    with _client(server) as client:
+        for name, stream in streams.items():
+            client.attach(spec("ss"), session=name)
+            for batch in stream:
+                client.submit_batch(name, *batch)
+            assert resumed[name] == golden_payload(client.trajectory(name)["entries"]), name
+    golden.check("evolving_ss", resumed["a"])
+
+
+@pytest.mark.timeout(300)
 def test_reattach_with_different_spec_is_refused(server):
     with _client(server) as client:
         client.attach(spec("ss"), session="pinned")
