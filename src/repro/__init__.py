@@ -20,115 +20,67 @@ True
 The public API re-exports the most commonly used classes; the full machinery
 lives in the subpackages (``repro.kg``, ``repro.labels``, ``repro.cost``,
 ``repro.sampling``, ``repro.core``, ``repro.evolving``, ``repro.baselines``,
-``repro.generators``, ``repro.experiments``).
+``repro.generators``, ``repro.experiments``).  The re-exports here and in
+every subpackage are lazy (PEP 562, :mod:`repro._lazy`): ``import repro``
+loads no subsystem, and a name imports its defining module on first access,
+so a command loads only the modules it runs.
 """
 
-from repro.baselines import KGEvalBaseline
-from repro.core import (
-    EvaluationConfig,
-    EvaluationReport,
-    GranularEvaluator,
-    StaticEvaluator,
-    evaluate_accuracy,
-    evaluate_by_predicate,
-)
-from repro.cost import AnnotationTaskPool, CostModel, NoisyAnnotator, SimulatedAnnotator
-from repro.evolving import (
-    BaselineEvolvingEvaluator,
-    EvolvingAccuracyMonitor,
-    ReservoirIncrementalEvaluator,
-    StratifiedIncrementalEvaluator,
-)
-from repro.generators import (
-    LabelledKG,
-    UpdateWorkloadGenerator,
-    make_movie_full_like,
-    make_movie_like,
-    make_movie_syn,
-    make_nell_like,
-    make_yago_like,
-)
-from repro.kg import EvolvingKnowledgeGraph, KnowledgeGraph, Triple, UpdateBatch
-from repro.labels import BinomialMixtureModel, LabelOracle, RandomErrorModel
-from repro.storage import (
-    ColumnarStore,
-    DeltaStore,
-    SnapshotStore,
-    StorageBackend,
-    ingest_nt,
-    ingest_tsv,
-)
-from repro.sampling import (
-    RandomClusterDesign,
-    SimpleRandomDesign,
-    StratifiedTWCSDesign,
-    TwoStageRandomClusterDesign,
-    TwoStageWeightedClusterDesign,
-    WeightedClusterDesign,
-    optimal_second_stage_size,
-    recommend_design,
-    run_pilot,
-    stratify_by_oracle_accuracy,
-    stratify_by_size,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "__version__",
-    # KG data model
-    "Triple",
-    "KnowledgeGraph",
-    "UpdateBatch",
-    "EvolvingKnowledgeGraph",
-    # Storage backends
-    "StorageBackend",
-    "ColumnarStore",
-    "DeltaStore",
-    "SnapshotStore",
-    "ingest_tsv",
-    "ingest_nt",
-    # Labels
-    "LabelOracle",
-    "RandomErrorModel",
-    "BinomialMixtureModel",
-    # Cost / annotation
-    "CostModel",
-    "SimulatedAnnotator",
-    "NoisyAnnotator",
-    "AnnotationTaskPool",
-    # Sampling designs
-    "SimpleRandomDesign",
-    "RandomClusterDesign",
-    "WeightedClusterDesign",
-    "TwoStageWeightedClusterDesign",
-    "TwoStageRandomClusterDesign",
-    "StratifiedTWCSDesign",
-    "stratify_by_size",
-    "stratify_by_oracle_accuracy",
-    "optimal_second_stage_size",
-    "run_pilot",
-    "recommend_design",
-    # Evaluation framework
-    "EvaluationConfig",
-    "EvaluationReport",
-    "StaticEvaluator",
-    "evaluate_accuracy",
-    "GranularEvaluator",
-    "evaluate_by_predicate",
-    # Evolving KG evaluation
-    "BaselineEvolvingEvaluator",
-    "ReservoirIncrementalEvaluator",
-    "StratifiedIncrementalEvaluator",
-    "EvolvingAccuracyMonitor",
-    # Baseline
-    "KGEvalBaseline",
-    # Datasets
-    "LabelledKG",
-    "make_nell_like",
-    "make_yago_like",
-    "make_movie_like",
-    "make_movie_syn",
-    "make_movie_full_like",
-    "UpdateWorkloadGenerator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".kg": ("Triple", "KnowledgeGraph", "UpdateBatch", "EvolvingKnowledgeGraph"),
+        ".storage": (
+            "StorageBackend",
+            "ColumnarStore",
+            "DeltaStore",
+            "SnapshotStore",
+            "ingest_tsv",
+            "ingest_nt",
+        ),
+        ".labels": ("LabelOracle", "RandomErrorModel", "BinomialMixtureModel"),
+        ".cost": ("CostModel", "SimulatedAnnotator", "NoisyAnnotator", "AnnotationTaskPool"),
+        ".sampling": (
+            "SimpleRandomDesign",
+            "RandomClusterDesign",
+            "WeightedClusterDesign",
+            "TwoStageWeightedClusterDesign",
+            "TwoStageRandomClusterDesign",
+            "StratifiedTWCSDesign",
+            "stratify_by_size",
+            "stratify_by_oracle_accuracy",
+            "optimal_second_stage_size",
+            "run_pilot",
+            "recommend_design",
+        ),
+        ".core": (
+            "EvaluationConfig",
+            "EvaluationReport",
+            "StaticEvaluator",
+            "evaluate_accuracy",
+            "GranularEvaluator",
+            "evaluate_by_predicate",
+        ),
+        ".evolving": (
+            "BaselineEvolvingEvaluator",
+            "ReservoirIncrementalEvaluator",
+            "StratifiedIncrementalEvaluator",
+            "EvolvingAccuracyMonitor",
+        ),
+        ".baselines": ("KGEvalBaseline",),
+        ".generators": (
+            "LabelledKG",
+            "make_nell_like",
+            "make_yago_like",
+            "make_movie_like",
+            "make_movie_syn",
+            "make_movie_full_like",
+            "UpdateWorkloadGenerator",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -11,7 +11,12 @@ number of triples annotated, annotation cost, and the resulting (biased)
 accuracy estimate.
 """
 
-from repro.baselines.coupling import CouplingGraphBuilder
-from repro.baselines.kgeval import KGEvalBaseline, KGEvalResult
+from repro._lazy import lazy_exports
 
-__all__ = ["CouplingGraphBuilder", "KGEvalBaseline", "KGEvalResult"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".coupling": ("CouplingGraphBuilder",),
+        ".kgeval": ("KGEvalBaseline", "KGEvalResult"),
+    },
+)

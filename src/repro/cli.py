@@ -83,22 +83,12 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+# Only what `evaluate` runs is imported here; every other command imports
+# its own subsystem, so a cold `evaluate` loads none of them.
 from repro.core.config import EvaluationConfig
 from repro.core.framework import StaticEvaluator
 from repro.cost.annotator import SimulatedAnnotator
-from repro.experiments import (
-    figure5_confidence_sweep,
-    figure6_optimal_m,
-    figure7_scalability,
-    figure8_single_update,
-    format_table,
-    table4_movie_cost,
-    table5_static_comparison,
-    table6_kgeval_comparison,
-    table7_stratification,
-)
 from repro.generators.datasets import DATASETS, LabelledKG, make_dataset
-from repro.kg.statistics import cluster_size_summary
 from repro.sampling import DESIGNS, make_design
 
 __all__ = ["main", "build_parser", "MONITOR_HEADER", "monitor_row"]
@@ -108,6 +98,9 @@ __all__ = ["main", "build_parser", "MONITOR_HEADER", "monitor_row"]
 # Sub-commands
 # --------------------------------------------------------------------------- #
 def _cmd_datasets(args: argparse.Namespace) -> int:
+    from repro.experiments.report import format_table
+    from repro.kg.statistics import cluster_size_summary
+
     rows = []
     for name in DATASETS:
         data = make_dataset(name, args.seed, args.movie_scale)
@@ -403,42 +396,44 @@ def _client_run(args: argparse.Namespace, client) -> int:
     return 0 if final.estimation_error <= max(2 * args.moe, 0.15) else 1
 
 
+#: Each experiment's runner, called with the :mod:`repro.experiments` module
+#: (imported only when an experiment runs) and the parsed arguments.
 _EXPERIMENTS = {
-    "table4": lambda args: format_table(
-        table4_movie_cost(args.trials, args.seed, args.movie_scale),
+    "table4": lambda ex, args: ex.format_table(
+        ex.table4_movie_cost(args.trials, args.seed, args.movie_scale),
         title="Table 4: MOVIE evaluation cost",
     ),
-    "table5": lambda args: format_table(
-        table5_static_comparison(args.trials, args.seed, args.movie_scale),
+    "table5": lambda ex, args: ex.format_table(
+        ex.table5_static_comparison(args.trials, args.seed, args.movie_scale),
         title="Table 5: static-KG evaluation",
     ),
-    "table6": lambda args: format_table(
-        table6_kgeval_comparison(max(1, args.trials // 2), args.seed),
+    "table6": lambda ex, args: ex.format_table(
+        ex.table6_kgeval_comparison(max(1, args.trials // 2), args.seed),
         title="Table 6: TWCS vs KGEval",
     ),
-    "table7": lambda args: format_table(
-        table7_stratification(args.trials, args.seed, args.movie_scale),
+    "table7": lambda ex, args: ex.format_table(
+        ex.table7_stratification(args.trials, args.seed, args.movie_scale),
         title="Table 7: stratified TWCS",
     ),
-    "fig5": lambda args: format_table(
-        figure5_confidence_sweep(args.trials, args.seed, args.movie_scale),
+    "fig5": lambda ex, args: ex.format_table(
+        ex.figure5_confidence_sweep(args.trials, args.seed, args.movie_scale),
         title="Figure 5: confidence-level sweep",
     ),
-    "fig6": lambda args: format_table(
+    "fig6": lambda ex, args: ex.format_table(
         [
             row
-            for row in figure6_optimal_m(max(1, args.trials // 2), args.seed)
+            for row in ex.figure6_optimal_m(max(1, args.trials // 2), args.seed)
             if "annotation_hours" in row
         ],
         title="Figure 6: optimal second-stage size",
     ),
-    "fig7": lambda args: "\n".join(
-        format_table(rows, title=f"Figure 7 ({label})")
-        for label, rows in figure7_scalability(max(1, args.trials // 2), args.seed).items()
+    "fig7": lambda ex, args: "\n".join(
+        ex.format_table(rows, title=f"Figure 7 ({label})")
+        for label, rows in ex.figure7_scalability(max(1, args.trials // 2), args.seed).items()
     ),
-    "fig8": lambda args: "\n".join(
-        format_table(rows, title=f"Figure 8 ({label})")
-        for label, rows in figure8_single_update(
+    "fig8": lambda ex, args: "\n".join(
+        ex.format_table(rows, title=f"Figure 8 ({label})")
+        for label, rows in ex.figure8_single_update(
             max(1, args.trials // 2), args.seed, args.movie_scale
         ).items()
     ),
@@ -512,7 +507,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if runner is None:
         print(f"unknown experiment {args.name!r}; choose from {sorted(_EXPERIMENTS)}")
         return 2
-    print(runner(args))
+    from repro import experiments
+
+    print(runner(experiments, args))
     return 0
 
 
@@ -561,11 +558,11 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
 
 def _obs_setup(args: argparse.Namespace) -> str:
     """Configure logging/tracing from the obs flags; returns the run id."""
-    from repro.obs import logging as obs_logging
-    from repro.obs import trace as obs_trace
-
     run_id = os.urandom(6).hex()
     if getattr(args, "log_json", None):
+        from repro.obs import logging as obs_logging
+        from repro.obs import trace as obs_trace
+
         obs_logging.configure(
             args.log_json,
             level=args.log_level,
@@ -579,17 +576,18 @@ def _obs_setup(args: argparse.Namespace) -> str:
 
 def _obs_teardown(args: argparse.Namespace, run_id: str) -> None:
     """Export the metrics snapshot (if asked) and release the log sink."""
-    from repro.obs import logging as obs_logging
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import trace as obs_trace
-
     if getattr(args, "metrics_out", None):
+        from repro.obs import metrics as obs_metrics
+
         meta = {"run_id": run_id, "command": args.command, "pid": os.getpid()}
         node_id = getattr(args, "obs_node_id", None)
         if node_id:
             meta["node_id"] = node_id
         obs_metrics.export(args.metrics_out, meta=meta)
     if getattr(args, "log_json", None):
+        from repro.obs import logging as obs_logging
+        from repro.obs import trace as obs_trace
+
         obs_trace.disable()
         obs_logging.reset()
 

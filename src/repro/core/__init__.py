@@ -8,17 +8,14 @@ re-estimating until the estimate's margin of error drops below the requested
 threshold, then reports the estimate together with the annotation cost spent.
 """
 
-from repro.core.config import EvaluationConfig
-from repro.core.framework import StaticEvaluator, evaluate_accuracy
-from repro.core.granular import GranularEvaluator, GroupReport, evaluate_by_predicate
-from repro.core.result import EvaluationReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EvaluationConfig",
-    "EvaluationReport",
-    "StaticEvaluator",
-    "evaluate_accuracy",
-    "GranularEvaluator",
-    "GroupReport",
-    "evaluate_by_predicate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("EvaluationConfig",),
+        ".result": ("EvaluationReport",),
+        ".framework": ("StaticEvaluator", "evaluate_accuracy"),
+        ".granular": ("GranularEvaluator", "GroupReport", "evaluate_by_predicate"),
+    },
+)

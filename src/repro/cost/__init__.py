@@ -14,26 +14,19 @@ triple).  This subpackage implements:
   (:mod:`repro.cost.fitting`, Figure 4).
 """
 
-from repro.cost.annotator import (
-    AnnotationResult,
-    EvaluationTask,
-    PositionAnnotationAccount,
-    SimulatedAnnotator,
-)
-from repro.cost.fitting import CostFit, CostObservation, fit_cost_model
-from repro.cost.model import CostModel
-from repro.cost.pool import AnnotationTaskPool, NoisyAnnotator, TaskRecord
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "EvaluationTask",
-    "AnnotationResult",
-    "SimulatedAnnotator",
-    "PositionAnnotationAccount",
-    "NoisyAnnotator",
-    "AnnotationTaskPool",
-    "TaskRecord",
-    "CostObservation",
-    "CostFit",
-    "fit_cost_model",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".model": ("CostModel",),
+        ".annotator": (
+            "EvaluationTask",
+            "AnnotationResult",
+            "SimulatedAnnotator",
+            "PositionAnnotationAccount",
+        ),
+        ".pool": ("NoisyAnnotator", "AnnotationTaskPool", "TaskRecord"),
+        ".fitting": ("CostObservation", "CostFit", "fit_cost_model"),
+    },
+)

@@ -164,7 +164,7 @@ class SimulatedAnnotator:
         self._session = _SessionState()
         # (cost model, with c1, without c1): the Eq. (4) charge of a unit by
         # its fresh triple count, summed as the per-component loop sums it.
-        self._unit_costs: tuple[CostModel, list[float], list[float]] | None = None
+        self._unit_costs: tuple[CostModel, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # Session accounting
@@ -351,21 +351,19 @@ class SimulatedAnnotator:
             annotated, identified = ledger.annotated, ledger.identified
             seen = annotated[positions]
             annotated[positions] = True
+            fresh_counts = batch.counts
             if np.count_nonzero(seen):
-                fresh_counts = (batch.counts - np.add.reduceat(seen, batch.starts)).tolist()
-            else:
-                fresh_counts = batch.counts.tolist()
-            new = ~identified[rows]
+                fresh_counts = fresh_counts - np.add.reduceat(seen, batch.starts)
+            new_flags = ~identified[rows]
             if repeated:
-                new &= first_occurrences(rows)
-            new_flags = new.tolist()
+                new_flags &= first_occurrences(rows)
             identified[rows] = True
         self._charge(ledger, fresh_counts, new_flags)
         return labels
 
     def _claim_in_order(
         self, ledger: _PositionLedger, batch: PositionBatch, rows: list[int]
-    ) -> tuple[list[int], list[bool]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Fresh triple count and new-subject flag of each unit, unit after unit.
 
         For the rounds that name a position twice (a cluster drawn twice
@@ -387,28 +385,28 @@ class SimulatedAnnotator:
                 identified[row] = True
             fresh_counts.append(count)
             new_flags.append(is_new)
-        return fresh_counts, new_flags
+        return np.array(fresh_counts, dtype=np.intp), np.array(new_flags, dtype=bool)
 
     def _charge(
-        self, ledger: _PositionLedger, fresh_counts: list[int], new_flags: list[bool]
+        self, ledger: _PositionLedger, fresh_counts: np.ndarray, new_flags: np.ndarray
     ) -> None:
         """Charge Eq. (4) unit by unit: ``c1`` for a new subject, ``c2`` per fresh triple."""
         session = self._session
         if self.time_noise_sigma == 0.0 and type(self)._noise_factor is _DEFAULT_NOISE_FACTOR:
             # Every factor is 1.0: a unit costs what the per-component loop
-            # below sums for it, read from a table.
-            with_c1, without_c1 = self._unit_cost_tables(max(fresh_counts))
-            total = session.total_seconds
-            for count, is_new in zip(fresh_counts, new_flags):
-                total += with_c1[count] if is_new else without_c1[count]
-            session.total_seconds = total
-            session.total_triples += sum(fresh_counts)
-            ledger.pending += sum(new_flags)
+            # below sums for it, read from a table, and np.add.accumulate adds
+            # the units to the running total left to right, as that loop does.
+            with_c1, without_c1 = self._unit_cost_tables(int(fresh_counts.max()))
+            costs = np.where(new_flags, with_c1[fresh_counts], without_c1[fresh_counts])
+            running = np.add.accumulate(np.concatenate(([session.total_seconds], costs)))
+            session.total_seconds = float(running[-1])
+            session.total_triples += int(fresh_counts.sum())
+            ledger.pending += int(np.count_nonzero(new_flags))
             return
         identification_cost = self.cost_model.identification_cost
         validation_cost = self.cost_model.validation_cost
         noise = self._noise_factor
-        for count, is_new in zip(fresh_counts, new_flags):
+        for count, is_new in zip(fresh_counts.tolist(), new_flags.tolist()):
             if not count:
                 continue
             cost = 0.0
@@ -420,7 +418,7 @@ class SimulatedAnnotator:
             session.total_seconds += cost
             session.total_triples += count
 
-    def _unit_cost_tables(self, longest: int) -> tuple[list[float], list[float]]:
+    def _unit_cost_tables(self, longest: int) -> tuple[np.ndarray, np.ndarray]:
         """Unit costs by fresh triple count, with and without ``c1``, up to ``longest``.
 
         Entry ``k`` adds ``k`` validation costs one at a time to ``0.0`` (plus
@@ -431,8 +429,10 @@ class SimulatedAnnotator:
         if cached is not None and cached[0] is model and len(cached[1]) > longest:
             return cached[1], cached[2]
         validation = [model.validation_cost * 1.0] * max(2 * longest, 64)
-        with_c1 = list(accumulate(validation, initial=0.0 + model.identification_cost * 1.0))
-        without_c1 = list(accumulate(validation, initial=0.0))
+        with_c1 = np.fromiter(
+            accumulate(validation, initial=0.0 + model.identification_cost * 1.0), dtype=float
+        )
+        without_c1 = np.fromiter(accumulate(validation, initial=0.0), dtype=float)
         self._unit_costs = (model, with_c1, without_c1)
         return with_c1, without_c1
 

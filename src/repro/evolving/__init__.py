@@ -19,18 +19,15 @@ over a sequence of update batches and records the estimate trajectory
 (Section 7.3.2 / Figure 9).
 """
 
-from repro.evolving.base import IncrementalEvaluator, UpdateEvaluation
-from repro.evolving.baseline import BaselineEvolvingEvaluator
-from repro.evolving.monitor import EvolvingAccuracyMonitor, MonitorRecord
-from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
-from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IncrementalEvaluator",
-    "UpdateEvaluation",
-    "BaselineEvolvingEvaluator",
-    "ReservoirIncrementalEvaluator",
-    "StratifiedIncrementalEvaluator",
-    "EvolvingAccuracyMonitor",
-    "MonitorRecord",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("IncrementalEvaluator", "UpdateEvaluation"),
+        ".baseline": ("BaselineEvolvingEvaluator",),
+        ".reservoir_eval": ("ReservoirIncrementalEvaluator",),
+        ".stratified_eval": ("StratifiedIncrementalEvaluator",),
+        ".monitor": ("EvolvingAccuracyMonitor", "MonitorRecord"),
+    },
+)

@@ -65,7 +65,8 @@ def capture_evaluator_state(evaluator) -> dict:
     account = evaluator.account
     vocab = delta.base.vocab
     tail_s, tail_p, tail_o, tail_f = delta.tail_arrays()
-    tail_ids = np.unique(np.concatenate([tail_s, tail_p, tail_o]))
+    # return_counts keeps np.unique off the path that imports numpy.ma.
+    tail_ids = np.unique(np.concatenate([tail_s, tail_p, tail_o]), return_counts=True)[0]
     state: dict = {
         "format": STATE_FORMAT_VERSION,
         "kind": kind,

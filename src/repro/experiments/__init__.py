@@ -24,38 +24,26 @@ Evolving-KG experiments (Section 7.3):
 * :func:`~repro.experiments.evolving_experiments.figure9_update_sequence`
 """
 
-from repro.experiments.evolving_experiments import figure8_single_update, figure9_update_sequence
-from repro.experiments.harness import TrialStatistics, run_trials
-from repro.experiments.report import format_table
-from repro.experiments.static_experiments import (
-    figure1_cost_curves,
-    figure3_accuracy_vs_size,
-    figure4_cost_fit,
-    figure5_confidence_sweep,
-    figure6_optimal_m,
-    figure7_scalability,
-    table3_dataset_characteristics,
-    table4_movie_cost,
-    table5_static_comparison,
-    table6_kgeval_comparison,
-    table7_stratification,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "run_trials",
-    "TrialStatistics",
-    "format_table",
-    "table3_dataset_characteristics",
-    "figure1_cost_curves",
-    "figure3_accuracy_vs_size",
-    "figure4_cost_fit",
-    "table4_movie_cost",
-    "table5_static_comparison",
-    "table6_kgeval_comparison",
-    "figure5_confidence_sweep",
-    "figure6_optimal_m",
-    "table7_stratification",
-    "figure7_scalability",
-    "figure8_single_update",
-    "figure9_update_sequence",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".harness": ("run_trials", "TrialStatistics"),
+        ".report": ("format_table",),
+        ".static_experiments": (
+            "table3_dataset_characteristics",
+            "figure1_cost_curves",
+            "figure3_accuracy_vs_size",
+            "figure4_cost_fit",
+            "table4_movie_cost",
+            "table5_static_comparison",
+            "table6_kgeval_comparison",
+            "figure5_confidence_sweep",
+            "figure6_optimal_m",
+            "table7_stratification",
+            "figure7_scalability",
+        ),
+        ".evolving_experiments": ("figure8_single_update", "figure9_update_sequence"),
+    },
+)

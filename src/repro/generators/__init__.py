@@ -9,30 +9,22 @@ workloads of Section 7.3 (batches mixing brand-new entities with enrichment of
 existing entities, at a controlled accuracy).
 """
 
-from repro.generators.datasets import (
-    DATASETS,
-    LabelledKG,
-    make_dataset,
-    make_movie_full_like,
-    make_movie_like,
-    make_movie_syn,
-    make_nell_like,
-    make_yago_like,
-)
-from repro.generators.synthetic_kg import SyntheticKGConfig, generate_kg, sample_cluster_sizes
-from repro.generators.workload import UpdateWorkloadGenerator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SyntheticKGConfig",
-    "generate_kg",
-    "sample_cluster_sizes",
-    "DATASETS",
-    "LabelledKG",
-    "make_dataset",
-    "make_nell_like",
-    "make_yago_like",
-    "make_movie_like",
-    "make_movie_syn",
-    "make_movie_full_like",
-    "UpdateWorkloadGenerator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".synthetic_kg": ("SyntheticKGConfig", "generate_kg", "sample_cluster_sizes"),
+        ".datasets": (
+            "DATASETS",
+            "LabelledKG",
+            "make_dataset",
+            "make_nell_like",
+            "make_yago_like",
+            "make_movie_like",
+            "make_movie_syn",
+            "make_movie_full_like",
+        ),
+        ".workload": ("UpdateWorkloadGenerator",),
+    },
+)

@@ -28,12 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.generators.synthetic_kg import SyntheticKGConfig, generate_kg
 from repro.kg.graph import KnowledgeGraph
-from repro.labels.binomial_mixture import BinomialMixtureModel
 from repro.labels.oracle import LabelOracle
-from repro.labels.random_error import RandomErrorModel
-from repro.storage.snapshot import SnapshotStore
 from repro.storage.sqlite import SqliteStore, is_sqlite_file
 
 __all__ = [
@@ -98,6 +94,8 @@ class LabelledKG:
                 labels = store.load_labels()
                 relabel = "`repro snapshot --backend sqlite --with-labels`"
             else:
+                from repro.storage.snapshot import SnapshotStore
+
                 snapshot = SnapshotStore(path)
                 graph = snapshot.load_graph()
                 labels = snapshot.load_labels()
@@ -129,6 +127,8 @@ class LabelledKG:
             return Path(path)
         if backend != "columnar":
             raise ValueError(f"unknown snapshot backend {backend!r}")
+        from repro.storage.snapshot import SnapshotStore
+
         return SnapshotStore(path).save(graph, labels=label_array)
 
     def _rebind(self, graph: KnowledgeGraph) -> "LabelledKG":
@@ -202,17 +202,24 @@ def generate_calibrated_labels(
     return LabelOracle.from_positions(graph, labels)
 
 
+def _generate(rng: np.random.Generator, **config) -> KnowledgeGraph:
+    """The synthetic graph of ``SyntheticKGConfig(**config)``, drawn from ``rng``."""
+    from repro.generators.synthetic_kg import SyntheticKGConfig, generate_kg
+
+    return generate_kg(SyntheticKGConfig(**config), rng)
+
+
 def make_nell_like(seed: int | None = 0) -> LabelledKG:
     """NELL-like KG: 817 entities, ≈1 860 triples, long-tailed sizes, 91 % accuracy."""
     rng = np.random.default_rng(seed)
-    config = SyntheticKGConfig(
+    graph = _generate(
+        rng,
         num_entities=817,
         mean_cluster_size=2.3,
         size_skew=1.0,
         max_cluster_size=25,
         name="NELL-like",
     )
-    graph = generate_kg(config, rng)
     oracle = generate_calibrated_labels(
         graph, target_accuracy=0.91, size_correlation=0.15, noise_sigma=0.08, seed=rng
     )
@@ -222,14 +229,14 @@ def make_nell_like(seed: int | None = 0) -> LabelledKG:
 def make_yago_like(seed: int | None = 0) -> LabelledKG:
     """YAGO-like KG: 822 entities, ≈1 386 triples, 99 % accuracy."""
     rng = np.random.default_rng(seed)
-    config = SyntheticKGConfig(
+    graph = _generate(
+        rng,
         num_entities=822,
         mean_cluster_size=1.7,
         size_skew=0.9,
         max_cluster_size=35,
         name="YAGO-like",
     )
-    graph = generate_kg(config, rng)
     oracle = generate_calibrated_labels(
         graph, target_accuracy=0.99, size_correlation=0.02, noise_sigma=0.01, seed=rng
     )
@@ -248,14 +255,14 @@ def make_movie_like(seed: int | None = 0, scale: float = 0.05) -> LabelledKG:
         raise ValueError("scale must be positive")
     rng = np.random.default_rng(seed)
     num_entities = max(100, int(round(288_770 * scale)))
-    config = SyntheticKGConfig(
+    graph = _generate(
+        rng,
         num_entities=num_entities,
         mean_cluster_size=9.2,
         size_skew=1.1,
         max_cluster_size=500,
         name="MOVIE-like",
     )
-    graph = generate_kg(config, rng)
     oracle = generate_calibrated_labels(
         graph, target_accuracy=0.90, size_correlation=0.12, noise_sigma=0.06, seed=rng
     )
@@ -281,14 +288,16 @@ def make_movie_syn(
         raise ValueError("scale must be positive")
     rng = np.random.default_rng(seed)
     num_entities = max(100, int(round(288_770 * scale)))
-    config = SyntheticKGConfig(
+    graph = _generate(
+        rng,
         num_entities=num_entities,
         mean_cluster_size=9.2,
         size_skew=1.1,
         max_cluster_size=500,
         name=f"MOVIE-SYN(c={c},sigma={sigma})",
     )
-    graph = generate_kg(config, rng)
+    from repro.labels.binomial_mixture import BinomialMixtureModel
+
     model = BinomialMixtureModel(c=c, sigma=sigma, k=k, seed=rng)
     return LabelledKG(graph, model.generate(graph))
 
@@ -330,13 +339,15 @@ def make_movie_full_like(
     rng = np.random.default_rng(seed)
     mean_cluster_size = 9.0
     num_entities = max(10, int(round(num_triples / mean_cluster_size)))
-    config = SyntheticKGConfig(
+    graph = _generate(
+        rng,
         num_entities=num_entities,
         mean_cluster_size=mean_cluster_size,
         size_skew=1.1,
         max_cluster_size=500,
         name=f"MOVIE-FULL-like({num_triples} triples)",
     )
-    graph = generate_kg(config, rng)
+    from repro.labels.random_error import RandomErrorModel
+
     oracle = RandomErrorModel.with_accuracy(accuracy, seed=rng).generate(graph)
     return LabelledKG(graph, oracle)

@@ -15,18 +15,14 @@ slices, persistent/memory-mapped snapshots and streaming ingest; the SQLite
 backend keeps graphs larger than RAM on disk.
 """
 
-from repro.kg.graph import EntityCluster, KnowledgeGraph
-from repro.kg.statistics import ClusterSizeSummary, cluster_size_summary, entity_accuracy_by_size
-from repro.kg.triple import Triple
-from repro.kg.updates import EvolvingKnowledgeGraph, UpdateBatch
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Triple",
-    "EntityCluster",
-    "KnowledgeGraph",
-    "UpdateBatch",
-    "EvolvingKnowledgeGraph",
-    "ClusterSizeSummary",
-    "cluster_size_summary",
-    "entity_accuracy_by_size",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".triple": ("Triple",),
+        ".graph": ("EntityCluster", "KnowledgeGraph"),
+        ".updates": ("UpdateBatch", "EvolvingKnowledgeGraph"),
+        ".statistics": ("ClusterSizeSummary", "cluster_size_summary", "entity_accuracy_by_size"),
+    },
+)

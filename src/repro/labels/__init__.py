@@ -19,14 +19,14 @@ as every model above returns it, a label array aligned with the graph's triple
 positions; it is what the simulated annotator consults.
 """
 
-from repro.labels.adversarial import AdversarialClusterModel
-from repro.labels.binomial_mixture import BinomialMixtureModel
-from repro.labels.oracle import LabelOracle
-from repro.labels.random_error import RandomErrorModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LabelOracle",
-    "RandomErrorModel",
-    "BinomialMixtureModel",
-    "AdversarialClusterModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".oracle": ("LabelOracle",),
+        ".random_error": ("RandomErrorModel",),
+        ".binomial_mixture": ("BinomialMixtureModel",),
+        ".adversarial": ("AdversarialClusterModel",),
+    },
+)

@@ -15,17 +15,13 @@ sampling trajectory stays bit-identical:
 ``repro metrics summarize`` CLI.
 """
 
-from repro.obs.logging import configure as configure_logging
-from repro.obs.logging import get_logger
-from repro.obs.metrics import MetricsRegistry, merge_snapshots, registry
-from repro.obs.trace import TraceContext, span
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "TraceContext",
-    "configure_logging",
-    "get_logger",
-    "merge_snapshots",
-    "registry",
-    "span",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": ("MetricsRegistry", "merge_snapshots", "registry"),
+        ".trace": ("TraceContext", "span"),
+        ".logging": ("configure_logging", "get_logger"),
+    },
+)

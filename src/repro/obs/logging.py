@@ -70,6 +70,10 @@ def configure(path=None, *, stream=None, level: str = "info", **context) -> None
         _state.context = {key: value for key, value in context.items() if value is not None}
 
 
+#: :func:`configure` under the name :mod:`repro.obs` exports it as.
+configure_logging = configure
+
+
 def reset() -> None:
     """Close the sink and disable logging (tests, end of CLI runs)."""
     with _state.lock:

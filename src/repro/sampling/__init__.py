@@ -36,53 +36,38 @@ Supporting modules: theoretical variance Eq. (10)
 TWCS samples in the evolving setting (:mod:`repro.sampling.segment`).
 """
 
-from repro.kg.graph import KnowledgeGraph
-from repro.sampling.base import Estimate, PositionBatch, SamplingDesign
-from repro.sampling.optimal import (
-    expected_srs_cost_seconds,
-    expected_twcs_cost_seconds,
-    optimal_second_stage_size,
-)
-from repro.sampling.pilot import PilotResult, recommend_design, run_pilot
-from repro.sampling.rcs import RandomClusterDesign
-from repro.sampling.segment import PositionSegment
-from repro.sampling.srs import SimpleRandomDesign
-from repro.sampling.stratification import (
-    Stratum,
-    stratify_by_oracle_accuracy,
-    stratify_by_size,
-)
-from repro.sampling.stratified import StratifiedTWCSDesign
-from repro.sampling.tsrcs import TwoStageRandomClusterDesign
-from repro.sampling.twcs import TwoStageWeightedClusterDesign
-from repro.sampling.variance import srs_variance, twcs_theoretical_variance
-from repro.sampling.wcs import WeightedClusterDesign
+from __future__ import annotations
 
-__all__ = [
-    "Estimate",
-    "PositionBatch",
-    "SamplingDesign",
-    "SimpleRandomDesign",
-    "RandomClusterDesign",
-    "WeightedClusterDesign",
-    "TwoStageWeightedClusterDesign",
-    "TwoStageRandomClusterDesign",
-    "StratifiedTWCSDesign",
-    "PositionSegment",
-    "PilotResult",
-    "run_pilot",
-    "recommend_design",
-    "Stratum",
-    "stratify_by_size",
-    "stratify_by_oracle_accuracy",
-    "DESIGNS",
-    "make_design",
-    "srs_variance",
-    "twcs_theoretical_variance",
-    "optimal_second_stage_size",
-    "expected_srs_cost_seconds",
-    "expected_twcs_cost_seconds",
-]
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.kg.graph import KnowledgeGraph
+    from repro.sampling.base import SamplingDesign
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("Estimate", "PositionBatch", "SamplingDesign"),
+        ".srs": ("SimpleRandomDesign",),
+        ".rcs": ("RandomClusterDesign",),
+        ".wcs": ("WeightedClusterDesign",),
+        ".twcs": ("TwoStageWeightedClusterDesign",),
+        ".tsrcs": ("TwoStageRandomClusterDesign",),
+        ".stratified": ("StratifiedTWCSDesign",),
+        ".segment": ("PositionSegment",),
+        ".pilot": ("PilotResult", "run_pilot", "recommend_design"),
+        ".stratification": ("Stratum", "stratify_by_size", "stratify_by_oracle_accuracy"),
+        ".variance": ("srs_variance", "twcs_theoretical_variance"),
+        ".optimal": (
+            "optimal_second_stage_size",
+            "expected_srs_cost_seconds",
+            "expected_twcs_cost_seconds",
+        ),
+    },
+)
+__all__ += ["DESIGNS", "make_design"]
 
 #: The designs :func:`make_design` builds by name.
 DESIGNS = ("srs", "rcs", "wcs", "twcs", "twcs-strat")
@@ -99,16 +84,28 @@ def make_design(
 
     ``twcs-strat`` is TWCS inside four cluster-size strata;
     ``second_stage_size`` and ``allocation`` apply only where the design has them.
+    Only the chosen design's module is imported.
     """
     if name == "srs":
+        from repro.sampling.srs import SimpleRandomDesign
+
         return SimpleRandomDesign(graph, seed=seed)
     if name == "rcs":
+        from repro.sampling.rcs import RandomClusterDesign
+
         return RandomClusterDesign(graph, seed=seed)
     if name == "wcs":
+        from repro.sampling.wcs import WeightedClusterDesign
+
         return WeightedClusterDesign(graph, seed=seed)
     if name == "twcs":
+        from repro.sampling.twcs import TwoStageWeightedClusterDesign
+
         return TwoStageWeightedClusterDesign(graph, second_stage_size=second_stage_size, seed=seed)
     if name == "twcs-strat":
+        from repro.sampling.stratification import stratify_by_size
+        from repro.sampling.stratified import StratifiedTWCSDesign
+
         strata = stratify_by_size(graph, num_strata=4)
         return StratifiedTWCSDesign(
             graph, strata, second_stage_size=second_stage_size, seed=seed, allocation=allocation

@@ -73,7 +73,9 @@ def _build_strata(
     """Assemble :class:`Stratum` objects from a row -> stratum-index array."""
     sizes = graph.cluster_size_array()
     strata = []
-    for index in np.unique(assignment).tolist():
+    # The return_counts form sorts instead of taking the hashing path, which
+    # imports numpy.ma (~10 ms and 1.6 MB in a fresh process): same values.
+    for index in np.unique(assignment, return_counts=True)[0].tolist():
         rows = np.flatnonzero(assignment == index)
         num_triples = int(sizes[rows].sum())
         strata.append(

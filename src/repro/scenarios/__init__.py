@@ -11,58 +11,32 @@ run|compare|list`` exposes the registry on the CLI; see ``docs/scenarios.md``
 for the pack format.
 """
 
-from repro.scenarios.packs import BUILTIN_PACKS, builtin_pack, load_pack
-from repro.scenarios.report import (
-    compare_documents,
-    format_results_table,
-    load_results,
-    results_to_document,
-    write_results,
-)
-from repro.scenarios.runner import (
-    BACKENDS,
-    DriftingAnnotator,
-    ScenarioResult,
-    run_pack,
-    run_scenario,
-)
-from repro.scenarios.spec import (
-    CostSpec,
-    FleetSessionSpec,
-    GateSpec,
-    GraphSpec,
-    LabelSpec,
-    ScenarioPack,
-    ScenarioSpec,
-    WorkloadSpec,
-    load_pack_file,
-    pack_from_dict,
-    scenario_from_dict,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "BUILTIN_PACKS",
-    "CostSpec",
-    "DriftingAnnotator",
-    "FleetSessionSpec",
-    "GateSpec",
-    "GraphSpec",
-    "LabelSpec",
-    "ScenarioPack",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "WorkloadSpec",
-    "builtin_pack",
-    "compare_documents",
-    "format_results_table",
-    "load_pack",
-    "load_pack_file",
-    "load_results",
-    "pack_from_dict",
-    "results_to_document",
-    "run_pack",
-    "run_scenario",
-    "scenario_from_dict",
-    "write_results",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".runner": ("BACKENDS", "DriftingAnnotator", "ScenarioResult", "run_pack", "run_scenario"),
+        ".packs": ("BUILTIN_PACKS", "builtin_pack", "load_pack"),
+        ".spec": (
+            "CostSpec",
+            "FleetSessionSpec",
+            "GateSpec",
+            "GraphSpec",
+            "LabelSpec",
+            "ScenarioPack",
+            "ScenarioSpec",
+            "WorkloadSpec",
+            "load_pack_file",
+            "pack_from_dict",
+            "scenario_from_dict",
+        ),
+        ".report": (
+            "compare_documents",
+            "format_results_table",
+            "load_results",
+            "results_to_document",
+            "write_results",
+        ),
+    },
+)

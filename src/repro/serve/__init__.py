@@ -17,7 +17,12 @@ cached read — never a sampling run.
   ``repro client`` CLI wraps.
 """
 
-from repro.serve.client import ServeClient, ServeRequestError
-from repro.serve.server import EvalServer
+from repro._lazy import lazy_exports
 
-__all__ = ["EvalServer", "ServeClient", "ServeRequestError"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".server": ("EvalServer",),
+        ".client": ("ServeClient", "ServeRequestError"),
+    },
+)

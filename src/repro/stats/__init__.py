@@ -8,30 +8,24 @@
   frequency rule of Dalenius & Hodges used by the paper's size stratification.
 """
 
-from repro.stats.allocation import (
-    cumulative_sqrt_frequency_boundaries,
-    neyman_allocation,
-    proportional_allocation,
-)
-from repro.stats.ci import (
-    ConfidenceInterval,
-    margin_of_error,
-    normal_critical_value,
-    normal_interval,
-    required_sample_size,
-    wilson_interval,
-)
-from repro.stats.running import RunningMean
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfidenceInterval",
-    "normal_critical_value",
-    "normal_interval",
-    "wilson_interval",
-    "margin_of_error",
-    "required_sample_size",
-    "RunningMean",
-    "proportional_allocation",
-    "neyman_allocation",
-    "cumulative_sqrt_frequency_boundaries",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".ci": (
+            "ConfidenceInterval",
+            "normal_critical_value",
+            "normal_interval",
+            "wilson_interval",
+            "margin_of_error",
+            "required_sample_size",
+        ),
+        ".running": ("RunningMean",),
+        ".allocation": (
+            "proportional_allocation",
+            "neyman_allocation",
+            "cumulative_sqrt_frequency_boundaries",
+        ),
+    },
+)

@@ -25,23 +25,16 @@ to a :class:`~repro.storage.backend.StorageBackend`:
   interns ids on the fly without materialising intermediate Triple lists.
 """
 
-from repro.storage.backend import StorageBackend
-from repro.storage.columnar import ColumnarStore, Vocabulary
-from repro.storage.delta import DeltaStore
-from repro.storage.ingest import ingest_nt, ingest_rows, ingest_tsv
-from repro.storage.snapshot import SnapshotStore
-from repro.storage.sqlite import ReadOnlyStoreError, SqliteGraphError, SqliteStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StorageBackend",
-    "ColumnarStore",
-    "DeltaStore",
-    "SqliteStore",
-    "SqliteGraphError",
-    "ReadOnlyStoreError",
-    "Vocabulary",
-    "SnapshotStore",
-    "ingest_tsv",
-    "ingest_nt",
-    "ingest_rows",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".backend": ("StorageBackend",),
+        ".columnar": ("ColumnarStore", "Vocabulary"),
+        ".delta": ("DeltaStore",),
+        ".sqlite": ("SqliteStore", "SqliteGraphError", "ReadOnlyStoreError"),
+        ".snapshot": ("SnapshotStore",),
+        ".ingest": ("ingest_tsv", "ingest_nt", "ingest_rows"),
+    },
+)

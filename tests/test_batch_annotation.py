@@ -23,6 +23,7 @@ from repro.cost.model import CostModel
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.labels.oracle import LabelOracle
+from repro.sampling import make_design
 from repro.scenarios.runner import DriftingAnnotator
 
 
@@ -104,6 +105,25 @@ def test_batch_charges_what_the_unit_loop_charges(kind, data):
             labels = annotator.annotate_positions(graph, batch_of(units))
             np.testing.assert_array_equal(labels, oracle.position_labels(graph))
             model.annotate_positions(graph, labels, units)
+        assert annotator.total_cost_seconds == model.total_seconds
+        assert annotator.total_triples_annotated == model.total_triples
+        assert annotator.entities_identified == model.entities_identified
+
+
+@pytest.mark.parametrize("design", ["rcs", "wcs"])
+def test_long_rounds_charge_what_the_unit_loop_charges(movie_small, design):
+    # A folded RCS stretch charges up to ~1,500 units in one call; their
+    # table costs must still reach the total one unit after another.  WCS draws
+    # with replacement, so its rounds repeat clusters and take the in-order path.
+    graph = movie_small.graph
+    labels = movie_small.oracle.position_labels(graph)
+    annotator = SimulatedAnnotator(movie_small.oracle, cost_model=CostModel(45.1, 24.7))
+    model = SessionModel(45.1, 24.7)
+    sampler = make_design(design, graph, second_stage_size=5, seed=3)
+    for count in (800, 200, 400):
+        batch = sampler.draw_positions(count)
+        annotator.annotate_positions(graph, batch)
+        model.annotate_positions(graph, labels, batch)
         assert annotator.total_cost_seconds == model.total_seconds
         assert annotator.total_triples_annotated == model.total_triples
         assert annotator.entities_identified == model.entities_identified

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 import repro
 from repro import (
@@ -25,10 +32,54 @@ from repro import (
 )
 
 
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: ``repro`` and every subpackage: each re-exports its names lazily.
+_PACKAGES = sorted(
+    ["repro"] + [f"repro.{p.parent.name}" for p in (_SRC / "repro").glob("*/__init__.py")]
+)
+
+
 class TestPublicAPI:
-    def test_all_exports_resolvable(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), f"repro.{name} missing"
+    @pytest.mark.parametrize("package", _PACKAGES)
+    def test_all_exports_resolvable(self, package):
+        module = importlib.import_module(package)
+        listed = dir(module)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.{name} missing"
+            assert name in listed, f"dir({package}) misses {name}"
+        assert not hasattr(module, "no_such_export")
+        with pytest.raises(AttributeError, match="no_such_export"):
+            module.no_such_export
+
+    def test_every_module_imports_alone(self):
+        # Lazy package exports change the order modules load in; an import
+        # cycle that order exposes shows only in a fresh interpreter, so each
+        # module is imported there with every repro module forgotten first.
+        names = sorted(
+            ".".join(path.relative_to(_SRC).with_suffix("").parts).removesuffix(".__init__")
+            for path in (_SRC / "repro").rglob("*.py")
+        )
+        code = (
+            "import importlib, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    for loaded in [m for m in sys.modules if m.split('.')[0] == 'repro']:\n"
+            "        del sys.modules[loaded]\n"
+            "    importlib.import_module(name)\n"
+            "    print(name)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *names],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == names
+        assert len(names) > 80
 
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
