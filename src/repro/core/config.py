@@ -59,9 +59,11 @@ class EvaluationConfig:
         """The loop's stop rule: ``min_units`` units and a MoE within the target.
 
         Every evaluation loop stops on this one rule after a round: the
-        static loop (:class:`~repro.core.framework.StaticEvaluator`, round by
-        round inside a folded stretch too) and the evolving evaluators.
+        static loop (:class:`~repro.core.framework.StaticEvaluator`) and the
+        evolving evaluators.  On an estimate of plain numbers it returns a
+        ``bool``; a folded stretch hands it one estimate of per-round arrays
+        and gets one flag per round, from the same operations elementwise.
         """
-        return estimate.num_units >= self.min_units and estimate.satisfies(
+        return (estimate.num_units >= self.min_units) & estimate.satisfies(
             self.moe_target, self.confidence_level
         )

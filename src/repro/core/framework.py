@@ -25,10 +25,13 @@ SRS and RCS read a cursor over an order fixed at their first draw, and a
 ``SimulatedAnnotator``'s labels are its oracle's array, so with such an
 annotator the loop draws a *stretch* of rounds in one call (as many as the
 current estimate says the target needs, under a fixed ceiling) and the design
-folds it round by round (``fold_rounds``), checking the stop rule
-(:meth:`~repro.core.config.EvaluationConfig.target_met`) after each round.  At
-the first round that meets it the rest of the stretch goes back to the
-cursor, and the annotator is charged for the folded rounds only, in one call.
+folds it (``fold_rounds``): it computes the state after every round of the
+stretch and runs the stop rule
+(:meth:`~repro.core.config.EvaluationConfig.target_met`) once, over per-round
+arrays, with the same operations a single round's check runs.  It keeps the
+state of the first round that meets the rule, the rest of the stretch goes
+back to the cursor, and the annotator is charged for the folded rounds only,
+in one call.
 The loop therefore still stops at the end of the first round that meets the
 target and never annotates a unit past it: reports, costs, random streams
 and design state are bit for bit those of one round per draw.  Every other
@@ -112,10 +115,11 @@ class StaticEvaluator:
         """Draw up to ``rounds`` rounds in one call, fold and charge them.
 
         A design that draws from an order fixed at its first draw (SRS, RCS)
-        folds the stretch round by round through ``fold_rounds`` when the
-        annotator labels from its oracle: it stops after the first round
-        where ``stop`` holds, gives the rest back to its cursor, and the
-        annotator is charged for the folded units only.  Every other design,
+        folds the stretch through ``fold_rounds`` when the annotator labels
+        from its oracle: ``stop`` runs once, over every round's estimate as
+        arrays, the design keeps the state of the first round where it holds
+        and gives the rest back to its cursor, and the annotator is charged
+        for the folded units only.  Every other design,
         or annotator, gets one round per call.  Returns the units and rounds
         folded; ``(0, 0)`` means the population is exhausted.
         """

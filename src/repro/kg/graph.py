@@ -80,19 +80,25 @@ class EntityCluster:
 def _floyd_sample_batch(sizes: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Sample ``cap`` distinct within-cluster offsets for each of many clusters.
 
-    Vectorised Floyd's algorithm: iteration ``j`` draws, for every cluster at
-    once, a uniform offset in ``[0, size - cap + j]``; a draw that collides
-    with an earlier pick for the same cluster is replaced by ``size - cap +
-    j`` itself, which cannot have been picked before.  Each row is a uniform
+    Vectorised Floyd's algorithm: slot ``j`` draws, for every cluster, a
+    uniform offset in ``[0, size - cap + j]``; a draw that collides with an
+    earlier pick for the same cluster is replaced by ``size - cap + j``
+    itself, which cannot have been picked before.  Each row is a uniform
     without-replacement ``cap``-subset of ``range(size)`` (as a set; the
     within-row order is not uniform, which the estimators never observe).
+
+    A slot's bounds do not depend on earlier picks, so every slot is drawn
+    in one ``rng.integers`` call with the bounds laid out slot-major (slot 0
+    of every cluster, then slot 1, ...): the same draws, in the same order,
+    that one call per slot makes, leaving ``rng`` in the same state.
+    Collisions are then resolved slot by slot.
 
     ``sizes`` must all be strictly greater than ``cap``.
     """
     base = np.asarray(sizes, dtype=np.int64) - cap
+    draws = rng.integers(0, base + np.arange(1, cap + 1)[:, None])
     picks = np.empty((base.shape[0], cap), dtype=np.int64)
-    for j in range(cap):
-        t = rng.integers(0, base + j + 1)
+    for j, t in enumerate(draws):
         if j:
             collision = (picks[:, :j] == t[:, None]).any(axis=1)
             t = np.where(collision, base + j, t)
@@ -440,8 +446,8 @@ class KnowledgeGraph:
         backend's CSR index (see :func:`sample_csr_positions_batch`, which
         returns ``(flat, counts, starts)``): clusters no larger than ``cap``
         contribute their full position slice; larger clusters are subsampled
-        without replacement with a batched Floyd pass (``cap`` vectorised RNG
-        calls for the whole batch instead of one ``rng.choice`` per cluster);
+        without replacement with a batched Floyd pass (one RNG call for the
+        whole batch instead of one ``rng.choice`` per cluster);
         ``cap=None`` takes every cluster whole.  The random stream therefore
         differs from :meth:`sample_cluster_positions`; under a fixed seed it
         is the same on every backend.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.stats.ci import ConfidenceInterval, margin_of_error, normal_interval
+from repro.stats.ci import ConfidenceInterval, normal_critical_value, normal_interval
 
 __all__ = [
     "PositionBatch",
@@ -148,12 +148,15 @@ class Estimate:
     num_triples: int
 
     def margin_of_error(self, confidence_level: float) -> float:
-        """Margin of error at the given confidence level (Eq. 1)."""
-        if math.isinf(self.std_error):
-            return math.inf
-        # The half-width of normal_interval's [value - moe, value + moe],
-        # rounded as that interval rounds it, without building the interval.
-        moe = margin_of_error(self.std_error, confidence_level)
+        """Margin of error at the given confidence level (Eq. 1).
+
+        The half-width of :func:`~repro.stats.ci.normal_interval`'s ``[value
+        - moe, value + moe]``, rounded as that interval rounds it, without
+        building the interval; ``inf`` while the standard error is.  The same
+        IEEE operations, in the same order, run on plain floats and
+        elementwise on an estimate of per-round arrays (a folded stretch).
+        """
+        moe = normal_critical_value(confidence_level) * self.std_error
         return ((self.value + moe) - (self.value - moe)) / 2.0
 
     def confidence_interval(self, confidence_level: float) -> ConfidenceInterval:
@@ -163,7 +166,7 @@ class Estimate:
         return normal_interval(self.value, self.std_error, confidence_level).clipped()
 
     def satisfies(self, moe_target: float, confidence_level: float) -> bool:
-        """Whether the estimate meets the user-required MoE threshold."""
+        """Whether the estimate meets the user-required MoE threshold (per round on arrays)."""
         return self.margin_of_error(confidence_level) <= moe_target
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
 from repro.sampling.base import Estimate, PositionBatch, SamplingDesign
-from repro.stats.running import RunningMean, row_moments
+from repro.stats.running import RunningMean, merge_each, row_moments, std_errors
 
 __all__ = ["RandomClusterDesign"]
 
@@ -70,16 +70,15 @@ class RandomClusterDesign(SamplingDesign):
         assert self._permutation is not None
         return self._cursor >= self._permutation.size
 
-    def _is_census(self) -> bool:
-        # Read the cursor directly: ``exhausted`` would draw the permutation.
-        # An empty graph has no census to report: its estimate stays undefined.
-        permutation = self._permutation
-        return (
-            permutation is not None
-            and permutation.size > 0
-            and self._cursor >= permutation.size
-            and self._values.count == permutation.size
-        )
+    def _is_census(self, cursor, count):
+        """Whether ``count`` clusters folded with the cursor at ``cursor`` are a census.
+
+        Works on one state's ints or on per-round arrays.  Reads the cursor
+        given, not ``exhausted``, which would draw the permutation.  An empty
+        graph has no census to report: its estimate stays undefined.
+        """
+        size = 0 if self._permutation is None else self._permutation.size
+        return (size > 0) & (cursor >= size) & (count == size)
 
     def _next_rows(self, count: int) -> np.ndarray:
         self._ensure_permutation()
@@ -106,17 +105,20 @@ class RandomClusterDesign(SamplingDesign):
         batch: PositionBatch,
         label_array: np.ndarray,
         round_size: int,
-        stop: Callable[[Estimate], bool] | None = None,
+        stop: Callable[[Estimate], np.ndarray] | None = None,
     ) -> int:
-        """Fold ``batch`` in rounds of ``round_size`` clusters, one round at a time.
+        """Fold ``batch`` in rounds of ``round_size`` clusters, up to the first that meets ``stop``.
 
         Each round's moments come from one row-wise reduce over the whole
-        batch and are merged as ``RunningMean.add_many`` merges that round
-        alone, so after each round the design holds the state that drawing
-        and folding that round alone leaves, and ``stop`` sees its estimate.
-        At the first round where it holds, the rest of ``batch``, which must
-        then be this design's latest draw, goes back to the cursor, to be
-        drawn again.  Returns the number of clusters folded.
+        batch and are merged as ``RunningMean.add_moments`` merges that round
+        alone (:func:`~repro.stats.running.merge_each`), so the state after
+        each round is the one drawing and folding that round alone leaves.
+        ``stop`` is called once, on an :class:`Estimate` whose fields are
+        per-round arrays, and returns one flag per round.  The design keeps
+        the state of the first flagged round (of the last round if none is)
+        and the rest of ``batch``, which must then be this design's latest
+        draw, goes back to the cursor, to be drawn again.  Returns the number
+        of clusters folded.
         """
         units = len(batch)
         if not units:
@@ -132,22 +134,31 @@ class RandomClusterDesign(SamplingDesign):
             means, m2s = np.append(means, last_mean), np.append(m2s, last_m2)
             sizes.append(units - full)
         triples = np.add.reduceat(batch.counts, np.arange(0, units, round_size)).tolist()
-        values_acc = self._values
-        start, folded = self._cursor - units, 0
-        for size, mean, m2, count in zip(sizes, means.tolist(), m2s.tolist(), triples):
-            values_acc.add_moments(size, mean, m2)
-            self._num_triples += count
-            folded += size
-            self._cursor = start + folded
-            if stop is not None and stop(self.estimate()):
-                break
+        before = self._values.count
+        counts, means, m2s = merge_each(self._values.moments, sizes, means.tolist(), m2s.tolist())
+        last = len(sizes) - 1
+        if stop is not None:
+            count = np.array(counts)
+            std_error = std_errors(count, np.array(m2s))
+            cursor = count + (self._cursor - units - before)
+            std_error[self._is_census(cursor, count)] = 0.0
+            num_triples = np.cumsum(triples) + self._num_triples
+            met = np.flatnonzero(stop(Estimate(np.array(means), std_error, count, num_triples)))
+            if met.size:
+                last = int(met[0])
+        folded = counts[last] - before
+        self._values = RunningMean.from_moments(counts[last], means[last], m2s[last])
+        self._num_triples += sum(triples[: last + 1])
+        self._cursor += folded - units
         return folded
 
     def estimate(self) -> Estimate:
         """Mean of the per-cluster expansion values with its standard error."""
+        values = self._values
+        census = self._is_census(self._cursor, values.count)
         return Estimate(
-            value=self._values.mean,
-            std_error=0.0 if self._is_census() else self._values.std_error,
-            num_units=self._values.count,
+            value=values.mean,
+            std_error=0.0 if census else values.std_error,
+            num_units=values.count,
             num_triples=self._num_triples,
         )

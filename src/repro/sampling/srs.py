@@ -70,14 +70,16 @@ class SimpleRandomDesign(SamplingDesign):
         assert self._remaining is not None
         return self._cursor >= self._remaining.size
 
-    def _is_census(self) -> bool:
-        # Read the cursor directly: ``exhausted`` would draw the permutation.
-        remaining = self._remaining
-        return (
-            remaining is not None
-            and self._cursor >= remaining.size
-            and self._num_annotated == remaining.size
-        )
+    def _is_census(self, cursor, annotated):
+        """Whether ``annotated`` triples folded with the cursor at ``cursor`` are a census.
+
+        Works on one state's ints or on per-round arrays.  Reads the cursor
+        given, not ``exhausted``, which would draw the permutation.
+        """
+        if self._remaining is None:
+            return False
+        size = self._remaining.size
+        return (cursor >= size) & (annotated == size)
 
     def _next_positions(self, count: int) -> np.ndarray:
         self._ensure_permutation()
@@ -108,13 +110,15 @@ class SimpleRandomDesign(SamplingDesign):
         batch: PositionBatch,
         label_array: np.ndarray,
         round_size: int,
-        stop: Callable[[Estimate], bool] | None = None,
+        stop: Callable[[Estimate], np.ndarray] | None = None,
     ) -> int:
-        """Fold ``batch`` in rounds of ``round_size`` triples, one round at a time.
+        """Fold ``batch`` in rounds of ``round_size`` triples, up to the first that meets ``stop``.
 
-        After each round the design holds the state that drawing and folding
-        that round alone leaves, read from cumulative correct counts, and
-        ``stop`` sees its estimate.  At the first round where it holds, the
+        The state after each round, the one drawing and folding that round
+        alone leaves, is read from cumulative correct counts.  ``stop`` is
+        called once, on an :class:`Estimate` whose fields are per-round
+        arrays, and returns one flag per round.  The design keeps the state
+        of the first flagged round (of the last round if none is) and the
         rest of ``batch``, which must then be this design's latest draw,
         goes back to the cursor, to be drawn again.  Returns the number of
         triples folded.
@@ -124,15 +128,22 @@ class SimpleRandomDesign(SamplingDesign):
             return 0
         ends = [*range(round_size, units, round_size), units]
         correct = np.cumsum(label_array[batch.positions])[np.array(ends) - 1].tolist()
-        start = self._cursor - units
-        annotated, correct_before = self._num_annotated, self._num_correct
-        for end, count in zip(ends, correct):
-            self._cursor = start + end
-            self._num_annotated = annotated + end
-            self._num_correct = correct_before + count
-            if stop is not None and stop(self.estimate()):
-                return end
-        return units
+        last = len(ends) - 1
+        if stop is not None:
+            annotated = np.array(ends) + self._num_annotated
+            p_hat = (np.array(correct) + self._num_correct) / annotated
+            # Eq. (5)'s standard error, round by round, as estimate() reads it.
+            std_error = np.sqrt(p_hat * (1.0 - p_hat) / annotated)
+            std_error[annotated < 2] = math.inf
+            cursor = annotated + (self._cursor - units - self._num_annotated)
+            std_error[self._is_census(cursor, annotated)] = 0.0
+            met = np.flatnonzero(stop(Estimate(p_hat, std_error, annotated, annotated)))
+            if met.size:
+                last = int(met[0])
+        self._cursor += ends[last] - units
+        self._num_annotated += ends[last]
+        self._num_correct += correct[last]
+        return ends[last]
 
     def estimate(self) -> Estimate:
         """Sample mean with the binomial-proportion standard error (Eq. 5)."""
@@ -140,7 +151,7 @@ class SimpleRandomDesign(SamplingDesign):
         if n == 0:
             return Estimate(value=0.0, std_error=math.inf, num_units=0, num_triples=0)
         p_hat = self._num_correct / n
-        if self._is_census():
+        if self._is_census(self._cursor, n):
             std_error = 0.0
         elif n < 2:
             std_error = math.inf

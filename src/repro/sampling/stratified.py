@@ -33,7 +33,7 @@ import numpy as np
 from repro.kg.graph import KnowledgeGraph
 from repro.sampling.base import Estimate, PositionBatch, SamplingDesign, SizeWeightedSampler
 from repro.sampling.stratification import Stratum
-from repro.stats.allocation import neyman_allocation, proportional_allocation
+from repro.stats.allocation import deficit_allocation, proportional_allocation
 from repro.stats.running import RunningMean
 
 __all__ = ["StratifiedTWCSDesign"]
@@ -69,7 +69,9 @@ class StratifiedTWCSDesign(SamplingDesign):
     Notes
     -----
     Whatever the allocation rule, every stratum is guaranteed at least one
-    draw over time so its variance eventually becomes estimable.
+    draw over time so its variance eventually becomes estimable: a round
+    with a draw per stratum gives each stratum at least one, and a smaller
+    round gives its draws to the strata furthest below their share.
     """
 
     unit_name = "cluster"
@@ -101,6 +103,8 @@ class StratifiedTWCSDesign(SamplingDesign):
         # Per-stratum estimator state.
         self._means = [RunningMean() for _ in populated]
         self._triples = [0] * len(populated)
+        # Proportional split of each round size seen: it depends on nothing else.
+        self._splits: dict[int, list[int]] = {}
         # Per-stratum first stages and the row -> stratum map, built lazily.
         self._first_stages: list[SizeWeightedSampler] | None = None
         self._row_stratum_cache: np.ndarray | None = None
@@ -147,21 +151,43 @@ class StratifiedTWCSDesign(SamplingDesign):
             num_triples=self._triples[index],
         )
 
-    def _allocate(self, count: int) -> list[int]:
-        """Split a batch of ``count`` draws across strata per the allocation rule."""
+    def _shares(self) -> list[float]:
+        """Each stratum's share of the draws under the allocation rule.
+
+        The weights ``W_h``; under Neyman allocation ``W_h · S_h`` instead,
+        where ``S_h`` is the stratum's observed standard deviation of cluster
+        accuracies, once every stratum has one and one of them is non-zero.
+        """
         if self.allocation == "neyman":
-            stds = []
-            for index in range(len(self._strata)):
-                estimate = self._stratum_estimate(index)
-                if estimate.num_units >= 2 and not math.isinf(estimate.std_error):
-                    # Recover the stratum's cluster-accuracy standard deviation
-                    # from its standard error of the mean.
-                    stds.append(estimate.std_error * math.sqrt(estimate.num_units))
-                else:
-                    stds.append(-1.0)
-            if all(std >= 0 for std in stds):
-                return neyman_allocation(self._weights, stds, count)
-        return proportional_allocation(self._weights, count)
+            products = []
+            for weight, mean in zip(self._weights, self._means):
+                std_error = mean.std_error
+                if math.isinf(std_error):
+                    return self._weights
+                # Recover the spread from the standard error of the mean.
+                products.append(weight * (std_error * math.sqrt(mean.count)))
+            if any(products):
+                return products
+        return self._weights
+
+    def _allocate(self, count: int) -> list[int]:
+        """Split a batch of ``count`` draws across strata per the allocation rule.
+
+        A round with at least one draw per stratum is split in proportion to
+        the shares, at least one draw each (a proportional split depends on
+        the round size alone, so it is computed once per size).  A smaller
+        round gives its draws to the strata whose folded units so far fall
+        furthest below their share, so no stratum is starved.
+        """
+        shares = self._shares()
+        if count < len(shares):
+            return deficit_allocation(shares, [mean.count for mean in self._means], count)
+        if shares is not self._weights:
+            return proportional_allocation(shares, count)
+        split = self._splits.get(count)
+        if split is None:
+            split = self._splits[count] = proportional_allocation(shares, count)
+        return split
 
     # ------------------------------------------------------------------ #
     # Draw and update

@@ -25,6 +25,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".allocation": (
             "proportional_allocation",
             "neyman_allocation",
+            "deficit_allocation",
             "cumulative_sqrt_frequency_boundaries",
         ),
     },

@@ -6,7 +6,8 @@ Two pieces back the paper's stratified designs (Section 5.3):
   cumulative-square-root-of-frequency rule used by "size stratification" to
   cut cluster sizes into strata;
 * :func:`proportional_allocation` / :func:`neyman_allocation` — how many
-  cluster draws to spend in each stratum.
+  cluster draws to spend in each stratum, and :func:`deficit_allocation` for
+  a round with fewer draws than strata.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "cumulative_sqrt_frequency_boundaries",
+    "deficit_allocation",
     "largest_remainder",
     "proportional_allocation",
     "neyman_allocation",
@@ -96,8 +98,11 @@ def cumulative_sqrt_frequency_boundaries(
 def proportional_allocation(stratum_weights: Sequence[float], total_samples: int) -> list[int]:
     """Allocate ``total_samples`` draws proportionally to stratum weights.
 
-    Every non-empty stratum receives at least one draw; remainders are assigned
-    to the strata with the largest fractional parts (largest-remainder method).
+    Remainders are assigned to the strata with the largest fractional parts
+    (largest-remainder method).  Every positive-weight stratum receives at
+    least one draw when there are at least as many draws as such strata;
+    below that, the split is the same on every call, so a loop of small
+    rounds should use :func:`deficit_allocation` instead.
     """
     if total_samples < 0:
         raise ValueError("total_samples must be non-negative")
@@ -118,6 +123,29 @@ def proportional_allocation(stratum_weights: Sequence[float], total_samples: int
                 allocation[donor] -= 1
                 allocation[index] += 1
     return [int(a) for a in allocation]
+
+
+def deficit_allocation(
+    shares: Sequence[float], drawn: Sequence[int], total_samples: int
+) -> list[int]:
+    """Give ``total_samples`` draws, one each, to the entries furthest below their share.
+
+    Entry ``h`` falls ``shares[h] / sum(shares) * (sum(drawn) +
+    total_samples) - drawn[h]`` draws below its share of all draws made once
+    these are; the ``total_samples`` entries that fall furthest get one draw
+    each, ties going to the lower index.  For rounds with fewer draws than
+    strata: every positive-share entry falls further behind each round it is
+    passed over, so each is drawn again and again, where a fixed split would
+    hand every round's draws to the same entries.  ``total_samples`` must not
+    exceed the number of entries, and ``shares`` must have a positive sum.
+    """
+    total = sum(shares)
+    after = sum(drawn) + total_samples
+    behind = [share / total * after - count for share, count in zip(shares, drawn)]
+    allocation = [0] * len(behind)
+    for index in sorted(range(len(behind)), key=lambda h: -behind[h])[:total_samples]:
+        allocation[index] = 1
+    return allocation
 
 
 def neyman_allocation(

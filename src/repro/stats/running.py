@@ -13,7 +13,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-__all__ = ["RunningMean", "row_moments"]
+__all__ = ["RunningMean", "merge_each", "merge_moments", "row_moments", "std_errors"]
 
 
 def row_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -27,6 +27,59 @@ def row_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     means = np.add.reduce(rows, axis=1) / rows.shape[1]
     deviations = rows - means[:, None]
     return means, np.add.reduce(deviations * deviations, axis=1)
+
+
+def merge_moments(
+    count: int, mean: float, m2: float, other_count: int, other_mean: float, other_m2: float
+) -> tuple[int, float, float]:
+    """Parallel Welford merge: ``(count, mean, m2)`` of two batches taken together.
+
+    ``m2`` is a batch's sum of squared deviations from its mean.  The one
+    merge formula: :meth:`RunningMean.add_moments` and :func:`merge_each`
+    both run it.
+    """
+    if other_count == 0:
+        return count, mean, m2
+    if count == 0:
+        return other_count, other_mean, other_m2
+    total = count + other_count
+    delta = other_mean - mean
+    m2 += other_m2 + delta * delta * count * other_count / total
+    return total, (count * mean + other_count * other_mean) / total, m2
+
+
+def merge_each(
+    moments: tuple[int, float, float],
+    counts: list[int],
+    means: list[float],
+    m2s: list[float],
+) -> tuple[list[int], list[float], list[float]]:
+    """The moments after merging each batch of a stretch in turn into ``moments``.
+
+    Entry ``i`` of each returned list is what :meth:`RunningMean.add_moments`
+    leaves after batches ``0..i``, bit for bit: the same merge, run as a
+    plain float loop.
+    """
+    count, mean, m2 = moments
+    out_counts, out_means, out_m2s = [], [], []
+    for batch in zip(counts, means, m2s):
+        count, mean, m2 = merge_moments(count, mean, m2, *batch)
+        out_counts.append(count)
+        out_means.append(mean)
+        out_m2s.append(m2)
+    return out_counts, out_means, out_m2s
+
+
+def std_errors(counts: np.ndarray, m2s: np.ndarray) -> np.ndarray:
+    """:attr:`RunningMean.std_error` of each ``(count, m2)`` pair, elementwise.
+
+    The same operations in the same order, so each entry equals what an
+    accumulator holding that state reads: ``inf`` below two observations.
+    """
+    errors = np.full(counts.shape[0], math.inf)
+    two = counts >= 2
+    errors[two] = np.sqrt(m2s[two] / (counts[two] - 1) / counts[two])
+    return errors
 
 
 class RunningMean:
@@ -73,22 +126,14 @@ class RunningMean:
     def add_moments(self, count: int, mean: float, m2: float) -> None:
         """Fold in a batch given by its size, mean and sum of squared deviations.
 
-        The parallel Welford merge behind :meth:`add_many` and :meth:`merge`;
-        with the moments of :func:`row_moments` it folds a stretch of
-        batches one row at a time, bit for bit as :meth:`add_many` per batch.
+        The parallel Welford merge (:func:`merge_moments`) behind
+        :meth:`add_many` and :meth:`merge`; with the moments of
+        :func:`row_moments` it folds a stretch of batches one row at a time,
+        bit for bit as :meth:`add_many` per batch.
         """
-        if count == 0:
-            return
-        if self._count == 0:
-            self._count = count
-            self._mean = mean
-            self._m2 = m2
-            return
-        total = self._count + count
-        delta = mean - self._mean
-        self._m2 += m2 + delta * delta * self._count * count / total
-        self._mean = (self._count * self._mean + count * mean) / total
-        self._count = total
+        self._count, self._mean, self._m2 = merge_moments(
+            self._count, self._mean, self._m2, count, mean, m2
+        )
 
     def remove(self, value: float) -> None:
         """Remove one previously added observation (inverse Welford update).
@@ -120,6 +165,20 @@ class RunningMean:
     # ------------------------------------------------------------------ #
     # Read-outs
     # ------------------------------------------------------------------ #
+    @classmethod
+    def from_moments(cls, count: int, mean: float, m2: float) -> "RunningMean":
+        """An accumulator holding ``count`` observations with this mean and ``m2``."""
+        accumulator = cls()
+        accumulator._count = count
+        accumulator._mean = mean
+        accumulator._m2 = m2
+        return accumulator
+
+    @property
+    def moments(self) -> tuple[int, float, float]:
+        """``(count, mean, m2)``, the state :meth:`from_moments` rebuilds."""
+        return self._count, self._mean, self._m2
+
     @property
     def count(self) -> int:
         """Number of observations seen so far."""
@@ -157,11 +216,7 @@ class RunningMean:
 
     def copy(self) -> "RunningMean":
         """Return an independent copy of this accumulator."""
-        clone = RunningMean()
-        clone._count = self._count
-        clone._mean = self._mean
-        clone._m2 = self._m2
-        return clone
+        return RunningMean.from_moments(*self.moments)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RunningMean(count={self._count}, mean={self.mean:.4f})"

@@ -5,6 +5,8 @@ allocation (``proportional_allocation``), so its invariants are
 load-bearing for the determinism contract: totals must be preserved
 exactly, ties must break stably (first index wins), and degenerate weight
 vectors must collapse to all-zeros instead of leaking draws.
+``deficit_allocation`` splits a round with fewer draws than strata, and
+must reach every positive-share stratum over repeated rounds.
 """
 
 from __future__ import annotations
@@ -13,7 +15,11 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.stats.allocation import largest_remainder, proportional_allocation
+from repro.stats.allocation import (
+    deficit_allocation,
+    largest_remainder,
+    proportional_allocation,
+)
 
 _weights = st.lists(
     st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
@@ -90,3 +96,44 @@ def test_proportional_allocation_agrees_on_sum_and_minimums(weights, total):
         # Donor-based minimum: every positive-weight stratum eventually draws,
         # unless no donor stratum can spare a draw.
         assert all(share >= 0 for share in allocation)
+
+
+@given(
+    shares=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=6),
+    data=st.data(),
+)
+def test_deficit_allocation_reaches_every_stratum(shares, data):
+    """Rounds of fewer draws than strata, fed back, draw every stratum again and again."""
+    per_round = data.draw(st.integers(min_value=1, max_value=len(shares) - 1))
+    drawn = [0] * len(shares)
+    # Generous: a stratum is passed over for at most about
+    # sum(shares) / (min(shares) * per_round) rounds in a row.
+    rounds = 20 * (sum(shares) // (min(shares) * per_round) + len(shares))
+    for _ in range(rounds):
+        allocation = deficit_allocation(shares, drawn, per_round)
+        assert sum(allocation) == per_round and set(allocation) <= {0, 1}
+        drawn = [count + extra for count, extra in zip(drawn, allocation)]
+    assert min(drawn) >= 2
+
+
+@given(
+    shares=st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=2, max_size=8),
+    drawn=st.lists(st.integers(min_value=0, max_value=50), min_size=8, max_size=8),
+    data=st.data(),
+)
+def test_deficit_allocation_draws_the_strata_furthest_behind(shares, drawn, data):
+    """One draw each to the entries furthest below their share, lower index first."""
+    drawn = drawn[: len(shares)]
+    per_round = data.draw(st.integers(min_value=0, max_value=len(shares)))
+    allocation = deficit_allocation(shares, drawn, per_round)
+    total, after = sum(shares), sum(drawn) + per_round
+    behind = [share / total * after - count for share, count in zip(shares, drawn)]
+    chosen = [index for index, extra in enumerate(allocation) if extra]
+    assert len(chosen) == per_round and set(allocation) <= {0, 1}
+    for index, extra in enumerate(allocation):
+        if not extra:
+            # Nothing left out falls further behind, or as far at a lower index.
+            assert all(
+                behind[pick] > behind[index] or (behind[pick] == behind[index] and pick < index)
+                for pick in chosen
+            )

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import EvaluationConfig
 from repro.core.framework import StaticEvaluator, evaluate_accuracy
@@ -16,6 +19,7 @@ from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 from repro.generators.datasets import make_movie_like
 from repro.generators.workload import UpdateWorkloadGenerator
 from repro.kg.graph import KnowledgeGraph
+from repro.sampling.base import Estimate
 from repro.sampling.pilot import run_pilot
 from repro.sampling.rcs import RandomClusterDesign
 from repro.sampling.srs import SimpleRandomDesign
@@ -25,6 +29,7 @@ from repro.sampling.tsrcs import TwoStageRandomClusterDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.sampling.wcs import WeightedClusterDesign
 from repro.scenarios import DriftingAnnotator
+from repro.stats.ci import normal_critical_value
 from repro.storage.columnar import ColumnarStore
 
 DESIGNS = {
@@ -72,6 +77,70 @@ class TestEvaluationConfig:
             EvaluationConfig(**kwargs)
 
 
+def _numpy_calls(call) -> list[str]:
+    """The NumPy functions a profiler sees ``call()`` run.
+
+    That is every Python-level NumPy function and compiled ones such as
+    ``np.array``; a ufunc call shows no event, so callers also check that
+    results are plain ``float`` and ``bool``.
+    """
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and "numpy" in frame.f_code.co_filename:
+            seen.append(frame.f_code.co_name)
+        elif event == "c_call" and (getattr(arg, "__module__", None) or "").startswith("numpy"):
+            seen.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+#: A round's standard error: undetermined, a census, at the MoE target or any spread.
+_STD_ERRORS = st.one_of(
+    st.just(math.inf),
+    st.just(0.0),
+    st.just("at-target"),
+    st.floats(0.0, 0.2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rounds=st.lists(
+        st.tuples(st.floats(0.0, 1.0), _STD_ERRORS, st.integers(0, 90)), min_size=1, max_size=30
+    ),
+    min_units=st.integers(2, 60),
+    moe_target=st.floats(0.001, 0.2),
+    confidence_level=st.sampled_from([0.8, 0.9, 0.95, 0.99]),
+)
+def test_stop_rule_reads_arrays_round_for_round_as_scalars(
+    rounds, min_units, moe_target, confidence_level
+):
+    """A folded stretch's one array pass flags exactly the rounds a scalar check accepts."""
+    config = EvaluationConfig(
+        moe_target=moe_target, confidence_level=confidence_level, min_units=min_units
+    )
+    at_target = moe_target / normal_critical_value(confidence_level)
+    estimates = [
+        Estimate(value, at_target if error == "at-target" else error, units, units * 3)
+        for value, error, units in rounds
+    ]
+    scalar = [config.target_met(estimate) for estimate in estimates]
+    assert all(type(flag) is bool for flag in scalar)
+    assert all(type(e.margin_of_error(confidence_level)) is float for e in estimates)
+    stacked = Estimate(
+        *(np.array([getattr(e, field) for e in estimates]) for field in Estimate.__annotations__)
+    )
+    flags = config.target_met(stacked)
+    assert flags.dtype == bool and flags.tolist() == scalar
+    assert _numpy_calls(lambda: [config.target_met(estimate) for estimate in estimates]) == []
+
+
 class TestStaticEvaluator:
     def test_stops_once_moe_satisfied(self, nell):
         design = TwoStageWeightedClusterDesign(nell.graph, second_stage_size=5, seed=0)
@@ -84,6 +153,34 @@ class TestStaticEvaluator:
         # No over-sampling: removing the last batch must violate the MoE
         # requirement or the minimum-units requirement.
         assert report.num_units <= config.min_units or report.iterations >= 1
+
+    @pytest.mark.parametrize("name", ["srs", "rcs"])
+    @pytest.mark.parametrize("moe_target", [0.03, 0.001])
+    def test_a_folded_stretch_leaves_python_numbers(self, nell, name, moe_target):
+        """Reports reach ``json.dumps`` (the Table-5 sweep): no NumPy scalar may leak.
+
+        At 0.1 % MoE both designs run to a census.
+        """
+        design = DESIGNS[name](nell.graph, 3)
+        annotator = SimulatedAnnotator(nell.oracle, seed=3)
+        report = StaticEvaluator(design, annotator, EvaluationConfig(moe_target=moe_target)).run()
+        estimate = design.estimate()
+        numbers = [
+            estimate.value,
+            estimate.std_error,
+            estimate.num_units,
+            estimate.num_triples,
+            report.iterations,
+            report.num_units,
+            report.num_triples_annotated,
+            design._cursor,
+        ]
+        if name == "rcs":
+            numbers += [*design._values.moments, design._num_triples]
+        else:
+            numbers += [design._num_annotated, design._num_correct]
+        assert all(type(number) in (int, float) for number in numbers)
+        assert report.satisfied is True
 
     def test_min_units_enforced_even_if_moe_tiny(self, yago):
         """On a highly accurate KG the MoE is tiny immediately, but the CLT

@@ -6,7 +6,10 @@ series — the single-stream loop's own
 :meth:`~repro.core.framework.StaticEvaluator.step`, 4 rounds of 40 units —
 for the five designs plus stratified TWCS under both allocation rules, and
 the full evaluation histories of the three evolving evaluators (the Baseline,
-RS and SS).  A refactor can no longer silently shift numbers: any
+RS and SS).  Whole :meth:`~repro.core.framework.StaticEvaluator.run` reports
+pin where each Table-5 design stops: NELL at 2 % MoE, where RCS ends in a
+census, and MOVIE-like x0.01 at 5 %, where RCS stops part way, so a stop
+point that moved by one round fails here.  A refactor can no longer silently shift numbers: any
 divergence fails here with a pointer to ``--update-golden``, which rewrites
 the files for an *intentional* trajectory change (review that diff!).
 
@@ -28,7 +31,7 @@ from repro.cost.annotator import SimulatedAnnotator
 from repro.evolving.baseline import BaselineEvolvingEvaluator
 from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
 from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
-from repro.generators.datasets import LabelledKG, make_nell_like
+from repro.generators.datasets import LabelledKG, make_movie_like, make_nell_like
 from repro.generators.workload import UpdateWorkloadGenerator
 from repro.sampling.rcs import RandomClusterDesign
 from repro.sampling.srs import SimpleRandomDesign
@@ -41,6 +44,11 @@ from repro.sampling.wcs import WeightedClusterDesign
 _SEED = 2026
 _ROUNDS = 4
 _ROUND_SIZE = 40
+
+#: The designs of a Table-5 row, as the warm sweep builds them.
+RUN_DESIGNS = ("srs", "rcs", "wcs", "twcs", "twcs-strat")
+#: Each whole-run graph's MoE target.
+RUN_TARGETS = {"nell": 0.02, "movie": 0.05}
 
 STATIC_DESIGNS = {
     "srs": SimpleRandomDesign,
@@ -117,6 +125,56 @@ def test_engine_design_trajectory_replays_on_sqlite(labelled_sqlite, golden, des
 def test_engine_stratified_trajectory_replays_on_sqlite(labelled_sqlite, golden, allocation):
     design = static_design(labelled_sqlite.graph, "twcs", allocation)
     golden.check(f"static_twcs_strat_{allocation}", static_trajectory(labelled_sqlite, design))
+
+
+@pytest.fixture(scope="module")
+def run_graphs(labelled, labelled_sqlite) -> dict[str, LabelledKG]:
+    """The whole-run graphs, each columnar and in SQLite."""
+    movie = make_movie_like(seed=0, scale=0.01)
+    return {
+        "nell/columnar": labelled,
+        "nell/sqlite": labelled_sqlite,
+        "movie/columnar": movie.to_columnar(),
+        "movie/sqlite": movie.to_sqlite(),
+    }
+
+
+def run_design(graph, design: str):
+    """A Table-5 design: TWCS with m = 5, stratified over four size strata."""
+    if design == "twcs-strat":
+        strata = stratify_by_size(graph, num_strata=4)
+        return StratifiedTWCSDesign(graph, strata, second_stage_size=5, seed=_SEED)
+    if design == "twcs":
+        return TwoStageWeightedClusterDesign(graph, second_stage_size=5, seed=_SEED)
+    return STATIC_DESIGNS[design](graph, seed=_SEED)
+
+
+def whole_runs(data: LabelledKG, moe_target: float) -> dict[str, dict]:
+    """Each design's ``run()`` report, to the round where it stops."""
+    config = EvaluationConfig(moe_target=moe_target)
+    reports = {}
+    for design in RUN_DESIGNS:
+        annotator = SimulatedAnnotator(data.oracle, seed=_SEED)
+        report = StaticEvaluator(run_design(data.graph, design), annotator, config).run()
+        reports[design] = {
+            "accuracy": report.accuracy,
+            "margin_of_error": report.margin_of_error,
+            "satisfied": report.satisfied,
+            "rounds": report.iterations,
+            "num_units": report.num_units,
+            "triples_annotated": report.num_triples_annotated,
+            "entities_identified": report.num_entities_identified,
+            "cost_seconds": report.annotation_cost_seconds,
+        }
+    return reports
+
+
+@pytest.mark.parametrize("backend", ["columnar", "sqlite"])
+@pytest.mark.parametrize("graph", sorted(RUN_TARGETS))
+def test_whole_run_reports_are_pinned(run_graphs, golden, graph, backend):
+    """Every design stops at the pinned round, on columns and on SQLite."""
+    data = run_graphs[f"{graph}/{backend}"]
+    golden.check(f"run_{graph}", whole_runs(data, RUN_TARGETS[graph]))
 
 
 def _evolving_trajectory(base, cls):

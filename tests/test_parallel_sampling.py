@@ -26,7 +26,11 @@ from repro.sampling.stratified import StratifiedTWCSDesign
 from repro.sampling.tsrcs import TwoStageRandomClusterDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.sampling.wcs import WeightedClusterDesign
-from repro.stats.allocation import neyman_allocation, proportional_allocation
+from repro.stats.allocation import (
+    deficit_allocation,
+    neyman_allocation,
+    proportional_allocation,
+)
 
 DESIGNS = {
     "srs": SimpleRandomDesign,
@@ -202,9 +206,15 @@ class TestNeymanAllocation:
                 if index or stratum != 0:  # 0.2 already added above
                     design._means[stratum].add(value)
         stds = [float(np.std(observations[h], ddof=1)) for h in range(3)]
-        for count in (1, 7, 30, 100):
+        for count in (7, 30, 100):
             assert design._allocate(count) == neyman_allocation(weights, stds, count)
         assert design._allocate(100) != proportional_allocation(weights, 100)
+        # A round with fewer draws than strata goes to the strata furthest
+        # below their Neyman share: stratum 1 has 3 of the 12 draws against
+        # a share of about 5.6 of 13, where a Neyman split of one draw would
+        # give it to stratum 0 every round.
+        shares = [weight * std for weight, std in zip(weights, stds)]
+        assert design._allocate(1) == deficit_allocation(shares, [4, 3, 5], 1) == [0, 1, 0]
 
     def test_neyman_run_is_deterministic_and_tracks_truth(self, labelled):
         data, labels = labelled

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 from annotation_model import batch_of
 
+from repro.core.config import EvaluationConfig
+from repro.core.framework import StaticEvaluator
+from repro.cost.annotator import SimulatedAnnotator
+from repro.generators.datasets import make_movie_like
 from repro.sampling.stratification import (
     Stratum,
     stratify_by_key,
@@ -206,3 +210,20 @@ class TestStratifiedTWCSDesign:
         annotate_and_update(design, design.draw_positions(10), nell.oracle)
         design.reset()
         assert design.estimate().num_units == 0
+
+    @pytest.mark.parametrize("allocation", ["proportional", "neyman"])
+    def test_rounds_smaller_than_the_strata_starve_no_stratum(self, allocation):
+        """Two draws a round over four size strata still reach every stratum.
+
+        A fixed split of two draws handed both to the same two strata every
+        round: the other two were never drawn and the MoE stayed ``inf``.
+        """
+        data = make_movie_like(seed=0, scale=0.01)
+        strata = stratify_by_size(data.graph, num_strata=4)
+        design = StratifiedTWCSDesign(
+            data.graph, strata, second_stage_size=5, seed=0, allocation=allocation
+        )
+        config = EvaluationConfig(batch_size=2, max_units=1000)
+        report = StaticEvaluator(design, SimulatedAnnotator(data.oracle, seed=0), config).run()
+        assert report.satisfied
+        assert all(estimate.num_units >= 2 for _, estimate in design.stratum_estimates())
