@@ -70,8 +70,8 @@ def main() -> None:
         # Every evaluator sees an identically generated update stream.
         workload = UpdateWorkloadGenerator(base, seed=99)
         for accuracy in BATCH_ACCURACIES[:NUM_BATCHES]:
-            batch, batch_oracle = workload.generate_batch(batch_size, accuracy)
-            monitor.apply_update(batch, batch_oracle)
+            batch, _ = workload.generate_batch(batch_size, accuracy)
+            monitor.apply_update(batch)
 
         print(f"=== {name} ===")
         print("batch  estimate  truth   MoE    batch-cost(h)  total-cost(h)")
@@ -112,8 +112,8 @@ def columnar_with_snapshot_resume(snapshot_dir: Path) -> None:
     workload = UpdateWorkloadGenerator(base, seed=99)
     batch_size = int(BATCH_FRACTION * base.graph.num_triples)
     for accuracy in BATCH_ACCURACIES[:3]:
-        batch, batch_oracle = workload.generate_batch(batch_size, accuracy)
-        monitor.apply_update(batch, batch_oracle)
+        batch, _ = workload.generate_batch(batch_size, accuracy)
+        monitor.apply_update(batch)
 
     print("=== SS on columnar + DeltaStore ===")
     print("batch  estimate  truth   MoE    total-cost(h)")

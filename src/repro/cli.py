@@ -231,10 +231,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     monitor.evaluate_base()
     workload = UpdateWorkloadGenerator(data, seed=args.seed)
     batch_size = max(1, int(round(args.batch_fraction * data.graph.num_triples)))
-    for batch, batch_oracle in workload.generate_sequence(
-        args.batches, batch_size, args.update_accuracy
-    ):
-        monitor.apply_update(batch, batch_oracle)
+    for batch in workload.generate_sequence(args.batches, batch_size, args.update_accuracy):
+        monitor.apply_update(batch)
 
     print(f"evaluator: {args.evaluator} (columnar backend)")
     print(MONITOR_HEADER)
@@ -381,10 +379,8 @@ def _client_run(args: argparse.Namespace, client) -> int:
     print(f"session  : {session}{resumed} seed={reply['seed']}")
     workload = UpdateWorkloadGenerator(data, seed=args.seed)
     batch_size = max(1, int(round(args.batch_fraction * data.graph.num_triples)))
-    for batch, batch_oracle in workload.generate_sequence(
-        args.batches, batch_size, args.update_accuracy
-    ):
-        client.submit_batch(session, batch, batch_oracle)
+    for batch in workload.generate_sequence(args.batches, batch_size, args.update_accuracy):
+        client.submit_batch(session, batch)
     entries = client.trajectory(session)["entries"]
     print(f"evaluator: {args.evaluator} (served by {args.connect})")
     print(MONITOR_HEADER)

@@ -13,7 +13,6 @@ from repro.cost.annotator import PositionAnnotationAccount
 from repro.cost.model import CostModel
 from repro.generators.datasets import LabelledKG
 from repro.kg.updates import EvolvingKnowledgeGraph, UpdateBatch
-from repro.labels.oracle import LabelOracle
 from repro.obs import metrics as obs_metrics
 from repro.sampling.base import Estimate, PositionBatch
 from repro.sampling.segment import PositionSegment
@@ -64,7 +63,8 @@ class IncrementalEvaluator(ABC):
     Subclasses are constructed around a labelled base KG and then fed update
     batches one at a time.  Sampling, labels and cost accounting all run on
     integer triple positions: ground truth is a position-aligned boolean
-    array, extended per batch, and Eq. (4) cost is charged to one
+    array, extended per batch by the batch's own label column, and Eq. (4)
+    cost is charged to one
     :class:`~repro.cost.annotator.PositionAnnotationAccount` whose session
     spans the evaluator's lifetime, so annotations paid for earlier states
     are naturally reused (or deliberately discarded, in the Baseline's case).
@@ -107,6 +107,9 @@ class IncrementalEvaluator(ABC):
         self.seed = seed
         self.evolving = EvolvingKnowledgeGraph(base.graph)
         self._labels = base.oracle.as_position_array(base.graph)
+        # Running count of correct labels: current_true_accuracy reads it
+        # instead of summing the whole label array on every write.
+        self._num_correct = int(np.count_nonzero(self._labels))
         self._account = PositionAnnotationAccount(cost_model)
         self.history: list[UpdateEvaluation] = []
         # Cost charged to accounts that have since been replaced (only the
@@ -122,7 +125,7 @@ class IncrementalEvaluator(ABC):
         """Evaluate the base graph ``G`` and remember the result."""
 
     @abstractmethod
-    def apply_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> UpdateEvaluation:
+    def apply_update(self, batch: UpdateBatch) -> UpdateEvaluation:
         """Apply one insertion batch and re-evaluate ``G + Δ`` incrementally."""
 
     # ------------------------------------------------------------------ #
@@ -138,25 +141,21 @@ class IncrementalEvaluator(ABC):
         """The cost account charged by the current annotation session."""
         return self._account
 
-    def _append_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> PositionSegment:
+    def _append_update(self, batch: UpdateBatch) -> PositionSegment:
         """Apply one batch and return the appended CSR segment to sample.
 
-        The label array grows by the batch's ground truth for every triple
-        the graph actually added (duplicates keep their original label).
+        The label array grows by the batch's labels of the triples the graph
+        actually added (a duplicate keeps its original label).
         """
-        first_position = self.evolving.current.num_triples
-        flags = self.evolving.apply(batch)
-        segment = PositionSegment.from_batch(batch.triples, flags, first_position)
-        batch_labels = np.fromiter(
-            (
-                batch_oracle.label(triple)
-                for triple, added in zip(batch.triples, flags)
-                if added
-            ),
-            dtype=bool,
-            count=segment.num_triples,
+        current = self.evolving.current
+        first_position = current.num_triples
+        added = self.evolving.apply(batch)
+        segment = PositionSegment.from_rows(
+            current.backend.appended_rows(first_position), first_position
         )
-        self._labels = np.concatenate([self._labels, batch_labels])
+        labels = batch.label_array[added]
+        self._labels = np.concatenate([self._labels, labels])
+        self._num_correct += int(np.count_nonzero(labels))
         return segment
 
     def _entity_row(self, segment: PositionSegment | None, cluster: int) -> int:
@@ -169,7 +168,7 @@ class IncrementalEvaluator(ABC):
         """
         if segment is None:
             return cluster
-        return self.evolving.current.entity_row(segment.subjects[cluster])
+        return int(segment.rows[cluster])
 
     def _charge_units(self, batch: PositionBatch, segment: PositionSegment | None) -> None:
         """Charge the account for one round of drawn cluster units, unit after unit."""
@@ -200,10 +199,15 @@ class IncrementalEvaluator(ABC):
         return iterations
 
     def current_true_accuracy(self) -> float:
-        """Exact accuracy of the evolved graph under the ground truth (one array mean)."""
+        """Exact accuracy of the evolved graph under the ground truth.
+
+        The running count of correct labels over the label count: the sum
+        is an exact integer and the division is correctly rounded, so this
+        equals the label array's mean bit for bit.
+        """
         if self._labels.shape[0] == 0:
             return 0.0
-        return float(self._labels.mean())
+        return self._num_correct / self._labels.shape[0]
 
     # ------------------------------------------------------------------ #
     # Cost accounting and reports

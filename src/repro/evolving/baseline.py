@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.cost.annotator import PositionAnnotationAccount
 from repro.evolving.base import IncrementalEvaluator, UpdateEvaluation
 from repro.kg.updates import UpdateBatch
-from repro.labels.oracle import LabelOracle
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
 __all__ = ["BaselineEvolvingEvaluator"]
@@ -42,7 +41,7 @@ class BaselineEvolvingEvaluator(IncrementalEvaluator):
         """Run a static evaluation of the base graph."""
         return self._evaluate_snapshot("base")
 
-    def apply_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> UpdateEvaluation:
+    def apply_update(self, batch: UpdateBatch) -> UpdateEvaluation:
         """Apply the batch, then re-evaluate the whole graph from scratch."""
-        self._append_update(batch, batch_oracle)
+        self._append_update(batch)
         return self._evaluate_snapshot(batch.batch_id)

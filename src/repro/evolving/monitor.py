@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.evolving.base import IncrementalEvaluator
 from repro.kg.updates import UpdateBatch
-from repro.labels.oracle import LabelOracle
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
@@ -74,13 +73,13 @@ class EvolvingAccuracyMonitor:
         self.records.append(record)
         return record
 
-    def apply_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> MonitorRecord:
+    def apply_update(self, batch: UpdateBatch) -> MonitorRecord:
         """Apply one update batch, re-evaluate and record the new point."""
         if not self.records:
             self.evaluate_base()
         started = time.perf_counter()
         with obs_trace.span("evolving.apply_update", batch=batch.batch_id):
-            evaluation = self.evaluator.apply_update(batch, batch_oracle)
+            evaluation = self.evaluator.apply_update(batch)
         elapsed = time.perf_counter() - started
         obs_metrics.histogram("evolving_batch_update_seconds").observe(elapsed)
         _log.debug(
@@ -102,12 +101,12 @@ class EvolvingAccuracyMonitor:
         self.records.append(record)
         return record
 
-    def run(self, updates: Iterable[tuple[UpdateBatch, LabelOracle]]) -> list[MonitorRecord]:
-        """Process a whole stream of ``(batch, labels)`` pairs and return the trajectory."""
+    def run(self, batches: Iterable[UpdateBatch]) -> list[MonitorRecord]:
+        """Process a whole stream of labelled batches and return the trajectory."""
         if not self.records:
             self.evaluate_base()
-        for batch, batch_oracle in updates:
-            self.apply_update(batch, batch_oracle)
+        for batch in batches:
+            self.apply_update(batch)
         return list(self.records)
 
     @property

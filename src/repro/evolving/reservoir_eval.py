@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.evolving.base import IncrementalEvaluator, UpdateEvaluation
 from repro.kg.updates import UpdateBatch
-from repro.labels.oracle import LabelOracle
 from repro.obs import metrics as obs_metrics
 from repro.sampling.base import Estimate
 from repro.sampling.segment import PositionSegment
@@ -230,7 +229,7 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
         self._tiebreak = sizes.shape[0]
         return self._finish("base", totals_before)
 
-    def apply_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> UpdateEvaluation:
+    def apply_update(self, batch: UpdateBatch) -> UpdateEvaluation:
         """Algorithm 1: stochastically refresh the reservoir, then re-check quality."""
         if not self._reservoir:
             raise RuntimeError("evaluate_base() must be called before apply_update()")
@@ -240,7 +239,7 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
         # appended segment, keyed u^{1/|Δ_e|}; a key above the reservoir's
         # minimum replaces that cluster (its annotations stay paid for but
         # leave the estimator), as in Algorithm 1.
-        segment = self._append_update(batch, batch_oracle)
+        segment = self._append_update(batch)
         sizes = segment.cluster_size_array().astype(float)
         if sizes.shape[0]:
             keys = self._draw_keys(sizes)

@@ -21,11 +21,15 @@ entries, reports); a ``repro serve`` checkpoint
 ``--state-dir`` and restores it over the reopened base.  The delta tail is
 stored as interned id columns plus the string each of their ids names, and
 replayed through :meth:`~repro.storage.delta.DeltaStore.restore_tail` on
-load with its strings interned by value: the sessions of one served dataset
-share a base and its vocabulary, so the same string may carry another id in
-the restoring process.  Positions, cluster rows and segments follow append
-order or subject strings, never ids, so the remap leaves the sampling stream
-as it was.
+load with its strings interned by value into the new view's vocabulary, so
+ids need not match the capturing process.  Positions, cluster rows and
+segments follow append order, never ids, so the remap leaves the sampling
+stream as it was.
+
+Format history: v5 segments carry their clusters' rows in the evolved
+graph; v4 and older segments name their subjects instead and get the rows
+on restore.  v3 lists the strings its stream added after the base's
+vocabulary instead of the tail's ids and strings.
 """
 
 from __future__ import annotations
@@ -38,11 +42,12 @@ from repro.core.config import EvaluationConfig
 from repro.cost.annotator import PositionAnnotationAccount
 from repro.generators.datasets import LabelledKG
 from repro.labels.oracle import LabelOracle
+from repro.sampling.segment import PositionSegment
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
 __all__ = ["STATE_FORMAT_VERSION", "capture_evaluator_state", "restore_evaluator"]
 
-STATE_FORMAT_VERSION = 4
+STATE_FORMAT_VERSION = 5
 
 _KINDS = {"rs": "ReservoirIncrementalEvaluator", "ss": "StratifiedIncrementalEvaluator"}
 
@@ -63,7 +68,7 @@ def capture_evaluator_state(evaluator) -> dict:
     kind = _kind_of(evaluator)
     delta = evaluator.evolving.current.backend
     account = evaluator.account
-    vocab = delta.base.vocab
+    vocab = delta.vocab
     tail_s, tail_p, tail_o, tail_f = delta.tail_arrays()
     # return_counts keeps np.unique off the path that imports numpy.ma.
     tail_ids = np.unique(np.concatenate([tail_s, tail_p, tail_o]), return_counts=True)[0]
@@ -158,13 +163,13 @@ def restore_evaluator(state: dict, base: LabelledKG):
             base, min_units_per_stratum=state["min_units_per_stratum"], **kwargs
         )
 
-    # Replay the delta tail over ids of this process's vocabulary.
+    # Replay the delta tail over ids of the new view's vocabulary.
     delta = evaluator.evolving.current.backend
-    vocab = delta.base.vocab
+    vocab = delta.vocab
     tail = state["tail"]
     columns = [tail["subjects"], tail["predicates"], tail["objects"]]
     if "strings" in tail:
-        ids = np.asarray(vocab.intern_many(tail["strings"]), dtype=np.int64)
+        ids = vocab.intern_many(tail["strings"])
         captured = np.asarray(tail["ids"], dtype=np.int64)
         columns = [ids[np.searchsorted(captured, column)] for column in columns]
     else:
@@ -175,12 +180,14 @@ def restore_evaluator(state: dict, base: LabelledKG):
                 f"base vocabulary has {len(vocab)} entries but the state was "
                 f"captured against {state['base_vocab_size']}"
             )
-        for token in state["vocab_ext"]:
-            vocab.intern(token)
+        vocab.intern_many(state["vocab_ext"])
     delta.restore_tail(*columns, tail["flags"])
+    for segment in _segments(state):
+        _give_rows(segment, evaluator.evolving.current)
 
     # Shared evaluator state: labels, random stream, cost account, history.
     evaluator._labels = labels
+    evaluator._num_correct = int(np.count_nonzero(labels))
     evaluator._rng.bit_generator.state = state["rng_state"]
     account = PositionAnnotationAccount(state["cost_model"])
     account._identified = {int(key) for key in state["account"]["identified"]}
@@ -220,3 +227,26 @@ def restore_evaluator(state: dict, base: LabelledKG):
             )
         evaluator._strata = strata
     return evaluator
+
+
+def _segments(state: dict) -> list[PositionSegment]:
+    """Every update segment a captured state refers to (shared ones repeat)."""
+    if state["kind"] == "rs":
+        sources = [entry.source for _, _, entry in state["reservoir"]]
+        sources += [candidate[3] for candidate in state["candidates"]]
+        found = [segment for segment, _ in sources]
+    else:
+        found = [entry["segment"] for entry in state["strata"]]
+    return [segment for segment in found if segment is not None]
+
+
+def _give_rows(segment: PositionSegment, graph) -> None:
+    """Give a segment of state format v4 or older its clusters' rows.
+
+    Such a segment names each cluster's subject instead; ``graph`` is the
+    evolved graph with the tail restored, which holds every one of them.
+    """
+    fields = vars(segment)
+    if "rows" not in fields:
+        rows = [graph.entity_row(subject) for subject in fields.pop("subjects")]
+        object.__setattr__(segment, "rows", np.asarray(rows, dtype=np.int64))

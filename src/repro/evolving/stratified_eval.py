@@ -32,7 +32,6 @@ import numpy as np
 from repro.core.result import EvaluationReport
 from repro.evolving.base import IncrementalEvaluator, UpdateEvaluation
 from repro.kg.updates import UpdateBatch
-from repro.labels.oracle import LabelOracle
 from repro.sampling.base import Estimate
 from repro.sampling.segment import PositionSegment
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
@@ -54,6 +53,22 @@ class _StratumState:
         return self.design.estimate()
 
 
+def _add_stratum(sums: tuple, stratum: _StratumState, total_triples: int) -> tuple:
+    """``(value, variance, units, triples, undetermined)`` of Eq. (13) after
+    adding one stratum's terms, weighted by its share of ``total_triples``."""
+    value, variance, num_units, num_triples, undetermined = sums
+    weight = stratum.num_triples / total_triples
+    estimate = stratum.estimate
+    num_units += estimate.num_units
+    num_triples += estimate.num_triples
+    value += weight * estimate.value
+    if math.isinf(estimate.std_error):
+        undetermined = True
+    else:
+        variance += weight * weight * estimate.std_error**2
+    return value, variance, num_units, num_triples, undetermined
+
+
 class StratifiedIncrementalEvaluator(IncrementalEvaluator):
     """Incremental evaluation with one stratum per update batch (Algorithm 2).
 
@@ -71,34 +86,46 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
             raise ValueError("min_units_per_stratum must be at least 2")
         self.min_units_per_stratum = min_units_per_stratum
         self._strata: list[_StratumState] = []
+        # Eq. (13) sums over every stratum but the newest, keyed by the
+        # number of strata they were summed for (see _frozen_sums).
+        self._frozen_terms: tuple[int, tuple] | None = None
         self._rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------ #
     # Combined estimator (Eq. 13 over base + update strata)
     # ------------------------------------------------------------------ #
     def _combined_estimate(self) -> Estimate:
-        total_triples = sum(stratum.num_triples for stratum in self._strata)
-        if total_triples == 0 or not self._strata:
+        """Eq. (13) over every stratum, summed in stratum order.
+
+        Only the newest stratum is sampled while a batch is evaluated, so the
+        other strata's terms are summed once per set of strata
+        (:meth:`_frozen_sums`) and each call adds the newest stratum's terms
+        to them: the same operations, in the same order, as one loop.
+        """
+        if not self._strata:
             return Estimate(value=0.0, std_error=math.inf, num_units=0, num_triples=0)
-        value = 0.0
-        variance = 0.0
-        num_units = 0
-        num_triples = 0
-        undetermined = False
-        for stratum in self._strata:
-            weight = stratum.num_triples / total_triples
-            estimate = stratum.estimate
-            num_units += estimate.num_units
-            num_triples += estimate.num_triples
-            value += weight * estimate.value
-            if math.isinf(estimate.std_error):
-                undetermined = True
-            else:
-                variance += weight * weight * estimate.std_error**2
+        total_triples, frozen = self._frozen_sums()
+        if total_triples == 0:
+            return Estimate(value=0.0, std_error=math.inf, num_units=0, num_triples=0)
+        value, variance, num_units, num_triples, undetermined = _add_stratum(
+            frozen, self._strata[-1], total_triples
+        )
         std_error = math.inf if undetermined else math.sqrt(variance)
         return Estimate(
             value=value, std_error=std_error, num_units=num_units, num_triples=num_triples
         )
+
+    def _frozen_sums(self) -> tuple[int, tuple[float, float, int, int, bool]]:
+        """The strata's triple count and the Eq. (13) sums over every stratum
+        but the newest, computed once per set of strata."""
+        strata = self._strata
+        if self._frozen_terms is None or self._frozen_terms[0] != len(strata):
+            total_triples = sum(stratum.num_triples for stratum in strata)
+            sums = (0.0, 0.0, 0, 0, False)
+            for stratum in strata[:-1] if total_triples else ():
+                sums = _add_stratum(sums, stratum, total_triples)
+            self._frozen_terms = (len(strata), (total_triples, sums))
+        return self._frozen_terms[1]
 
     def _build_report(
         self, iterations: int, totals_before: tuple[float, int, int]
@@ -129,7 +156,7 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
         report = self._build_report(iterations, totals_before)
         return self._record("base", report)
 
-    def apply_update(self, batch: UpdateBatch, batch_oracle: LabelOracle) -> UpdateEvaluation:
+    def apply_update(self, batch: UpdateBatch) -> UpdateEvaluation:
         """Algorithm 2: sample only inside the new batch's stratum until the MoE holds."""
         if not self._strata:
             raise RuntimeError("evaluate_base() must be called before apply_update()")
@@ -138,7 +165,7 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
         # The segment covers only the triples actually added to G + Δ:
         # re-inserted duplicates already belong to an earlier stratum's
         # weight, and counting them twice would bias the Eq. (13) combination.
-        segment = self._append_update(batch, batch_oracle)
+        segment = self._append_update(batch)
         if segment.num_triples == 0:
             # Every batch triple was a duplicate: nothing new to sample.
             report = self._build_report(0, totals_before)

@@ -91,8 +91,8 @@ def figure8_single_update(
         evaluator.evaluate_base()
         workload = UpdateWorkloadGenerator(base, seed=trial_seed)
         update_size = max(1, int(round(update_fraction * base.graph.num_triples)))
-        batch, batch_oracle = workload.generate_batch(update_size, update_accuracy)
-        evaluation = evaluator.apply_update(batch, batch_oracle)
+        batch, _ = workload.generate_batch(update_size, update_accuracy)
+        evaluation = evaluator.apply_update(batch)
         true_accuracy = evaluator.current_true_accuracy()
         return {
             "update_cost_hours": evaluation.incremental_cost_hours,
@@ -185,8 +185,7 @@ def _run_trajectory(
     monitor.evaluate_base()
     workload = UpdateWorkloadGenerator(base, seed=seed)
     batch_size = max(1, int(round(batch_fraction * base.graph.num_triples)))
-    for batch, batch_oracle in workload.generate_sequence(num_batches, batch_size, update_accuracy):
-        monitor.apply_update(batch, batch_oracle)
+    monitor.run(workload.generate_sequence(num_batches, batch_size, update_accuracy))
     records = monitor.records
     return SequenceTrajectory(
         method=method,

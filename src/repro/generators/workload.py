@@ -6,11 +6,13 @@ entities with enrichment of entities that already exist in the base graph.
 :class:`UpdateWorkloadGenerator` reproduces that recipe against any base
 graph: each generated :class:`~repro.kg.updates.UpdateBatch` has a controlled
 size, a controlled fraction of triples landing on new entities, and ground
-truth labels at a controlled accuracy.
+truth labels at a controlled accuracy.  Batches are generated as columns;
+no Triple is built unless a caller asks for one.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -90,6 +92,18 @@ def batch_schedule(total_updates: int, num_batches: int, pattern: str = "uniform
     return [int(size) for size in sizes]
 
 
+class _BatchOracle(LabelOracle):
+    """The labels of one generated batch, keyed by Triple on first lookup."""
+
+    def __init__(self, batch: UpdateBatch) -> None:
+        self._batch = batch
+        self._strict = True
+
+    @functools.cached_property
+    def _labels(self) -> dict[Triple, bool]:
+        return dict(zip(self._batch.triples, self._batch.label_array.tolist()))
+
+
 class UpdateWorkloadGenerator:
     """Generates labelled insertion batches for an evolving knowledge graph.
 
@@ -144,11 +158,12 @@ class UpdateWorkloadGenerator:
     def generate_batch(
         self, num_triples: int, accuracy: float, batch_id: str | None = None
     ) -> tuple[UpdateBatch, LabelOracle]:
-        """Generate one insertion batch of ``num_triples`` triples.
+        """Generate one labelled insertion batch of ``num_triples`` triples.
 
-        Returns the batch and a label oracle covering exactly the inserted
-        triples; an evaluator's ``apply_update`` reads from it the label of
-        every triple the batch adds to the graph.
+        Returns the batch, which carries its labels (an evaluator's
+        ``apply_update`` reads them), and a strict label oracle over exactly
+        its triples for callers that label Triples; the oracle builds its
+        Triple-keyed mapping on first use.
 
         Parameters
         ----------
@@ -169,7 +184,8 @@ class UpdateWorkloadGenerator:
 
         num_new_entity_triples = int(round(num_triples * self.new_entity_fraction))
         num_enrichment_triples = num_triples - num_new_entity_triples
-        triples: list[Triple] = []
+        subjects: list[str] = []
+        objects: list[str] = []
 
         # Brand-new entities, with their own skewed cluster sizes.
         remaining = num_new_entity_triples
@@ -179,10 +195,8 @@ class UpdateWorkloadGenerator:
             )
             size = min(size, remaining)
             subject = self._new_entity_id()
-            for fact_index in range(size):
-                triples.append(
-                    Triple(subject, "insertedFact", f"{batch_id}_value_{subject}_{fact_index}")
-                )
+            subjects += [subject] * size
+            objects += [f"{batch_id}_value_{subject}_{index}" for index in range(size)]
             remaining -= size
 
         # Enrichment of existing entities.
@@ -190,21 +204,28 @@ class UpdateWorkloadGenerator:
             chosen = self._rng.choice(
                 len(self._existing_entities), size=num_enrichment_triples, replace=True
             )
-            for insert_index, entity_index in enumerate(chosen):
-                subject = self._existing_entities[int(entity_index)]
-                triples.append(Triple(subject, "insertedFact", f"{batch_id}_enrich_{insert_index}"))
+            existing = self._existing_entities
+            subjects += [existing[index] for index in chosen.tolist()]
+            objects += [f"{batch_id}_enrich_{index}" for index in range(num_enrichment_triples)]
 
-        batch = UpdateBatch(batch_id, tuple(triples))
-        draws = self._rng.random(len(triples))
-        labels = {triple: bool(draw < accuracy) for triple, draw in zip(triples, draws)}
-        return batch, LabelOracle(labels)
+        count = len(subjects)
+        draws = self._rng.random(count)
+        batch = UpdateBatch(
+            batch_id,
+            subjects,
+            ["insertedFact"] * count,
+            objects,
+            entity_objects=bytes(count),
+            labels=(draws < accuracy).tobytes(),
+        )
+        return batch, _BatchOracle(batch)
 
     def generate_sequence(
         self, num_batches: int, batch_size: int, accuracy: float
-    ) -> Iterator[tuple[UpdateBatch, LabelOracle]]:
-        """Yield a sequence of equally sized batches at the same accuracy."""
+    ) -> Iterator[UpdateBatch]:
+        """Yield a sequence of equally sized labelled batches at the same accuracy."""
         for _ in range(num_batches):
-            yield self.generate_batch(batch_size, accuracy)
+            yield self.generate_batch(batch_size, accuracy)[0]
 
     def generate_scheduled_sequence(
         self,
@@ -212,7 +233,7 @@ class UpdateWorkloadGenerator:
         num_batches: int,
         accuracy: float,
         pattern: str = "uniform",
-    ) -> Iterator[tuple[UpdateBatch, LabelOracle]]:
+    ) -> Iterator[UpdateBatch]:
         """Yield batches whose sizes follow :func:`batch_schedule`.
 
         The schedule conserves the total update count exactly; batches the
@@ -222,7 +243,7 @@ class UpdateWorkloadGenerator:
         """
         for size in batch_schedule(total_updates, num_batches, pattern):
             if size > 0:
-                yield self.generate_batch(size, accuracy)
+                yield self.generate_batch(size, accuracy)[0]
 
     def generate_deletion_batch(
         self,

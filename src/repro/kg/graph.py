@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.kg.triple import Triple
+from repro.kg.triple import Triple, triple_columns
 from repro.storage.backend import StorageBackend
 
 if TYPE_CHECKING:
@@ -247,11 +247,27 @@ class KnowledgeGraph:
         batch = list(triples)
         if not batch:
             return []
-        flags = self._delta().add_batch(batch)
-        if any(flags):
+        return self.add_columns(*triple_columns(batch)).tolist()
+
+    def add_columns(
+        self,
+        subjects: Sequence[str],
+        predicates: Sequence[str],
+        objects: Sequence[str],
+        entity_objects: bytes,
+    ) -> np.ndarray:
+        """:meth:`add_batch` of a batch given as columns; returns its added-mask.
+
+        One string per triple in each of ``subjects``, ``predicates`` and
+        ``objects``, one 0/1 byte per triple in ``entity_objects``: the form
+        an :class:`~repro.kg.updates.UpdateBatch` holds, appended by
+        :meth:`~repro.storage.delta.DeltaStore.add_batch` without a Triple.
+        """
+        added = self._delta().add_batch(subjects, predicates, objects, entity_objects)
+        if added.any():
             self._triples_view = None
             self._entity_ids_view = None
-        return flags
+        return added
 
     def _delta(self) -> DeltaStore:
         """The :class:`~repro.storage.delta.DeltaStore` this graph grows in."""

@@ -8,9 +8,10 @@ literal such as a date or a number (*data property*).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-__all__ = ["Triple"]
+__all__ = ["Triple", "triple_columns"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,3 +50,14 @@ class Triple:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.subject}, {self.predicate}, {self.obj})"
+
+
+def triple_columns(triples: Sequence[Triple]) -> tuple[list[str], list[str], list[str], bytes]:
+    """``triples`` as columns: subjects, predicates, objects and one 0/1
+    entity-object byte per triple, the form a graph grows by."""
+    return (
+        [triple.subject for triple in triples],
+        [triple.predicate for triple in triples],
+        [triple.obj for triple in triples],
+        bytes([triple.is_entity_object for triple in triples]),
+    )

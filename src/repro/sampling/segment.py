@@ -7,8 +7,9 @@ batch's stratum.  Both therefore need a cluster-sampling surface over *just
 the triples of one update batch*, addressed by their global graph positions.
 
 :class:`PositionSegment` is that population: a small CSR index (offsets +
-global positions) over the batch's per-subject clusters, built in one pass
-from the batch without materialising a standalone
+global positions) over the batch's per-subject clusters, with each cluster's
+entity row in the evolved graph, built with array operations from the rows
+the delta tail gave the appended triples — no Triple and no standalone
 :class:`~repro.kg.graph.KnowledgeGraph`.  It answers what TWCS reads from a
 graph (``num_triples``, :meth:`PositionSegment.cluster_size_array` and
 :meth:`PositionSegment.sample_cluster_positions_batch`), so the stratified
@@ -20,13 +21,11 @@ arrays.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.kg.graph import sample_csr_positions_batch
-from repro.kg.triple import Triple
 
 __all__ = ["PositionSegment"]
 
@@ -37,8 +36,9 @@ class PositionSegment:
 
     Attributes
     ----------
-    subjects:
-        Subject id of each cluster, in first-seen batch order.
+    rows:
+        Entity row of each cluster's subject in the evolved graph, in
+        first-seen batch order.
     offsets:
         CSR offsets of length ``K + 1`` (``K`` clusters).
     positions:
@@ -46,46 +46,36 @@ class PositionSegment:
         ``positions[offsets[k]:offsets[k + 1]]``.
     """
 
-    subjects: tuple[str, ...]
+    rows: np.ndarray
     offsets: np.ndarray
     positions: np.ndarray
 
     @classmethod
-    def from_batch(
-        cls,
-        triples: Sequence[Triple],
-        added: Sequence[bool],
-        first_position: int,
-    ) -> "PositionSegment":
-        """Build the segment for a batch just appended to a graph.
+    def from_rows(cls, rows: np.ndarray, first_position: int) -> "PositionSegment":
+        """Build the segment for triples just appended to a graph.
 
-        ``added`` are the per-triple flags returned by the graph's bulk
-        insert (duplicates are skipped by every backend identically);
-        ``first_position`` is the graph's triple count before the append, so
-        the i-th added triple sits at global position ``first_position + i``.
+        ``rows`` holds the entity row of each appended triple's subject
+        (:meth:`~repro.storage.delta.DeltaStore.appended_rows`), and the
+        i-th appended triple sits at global position ``first_position + i``.
+        Clusters come in the order their subjects first appear, each with its
+        positions ascending.
         """
-        grouped: dict[str, list[int]] = {}
-        position = first_position
-        for triple, was_added in zip(triples, added):
-            if not was_added:
-                continue
-            grouped.setdefault(triple.subject, []).append(position)
-            position += 1
-        subjects = tuple(grouped)
-        sizes = np.fromiter(
-            (len(grouped[s]) for s in subjects), dtype=np.int64, count=len(subjects)
+        unique, first, inverse = np.unique(
+            np.asarray(rows, dtype=np.int64), return_index=True, return_inverse=True
         )
+        order = np.argsort(first)
+        cluster_of_rank = np.empty_like(order)
+        cluster_of_rank[order] = np.arange(order.shape[0])
+        clusters = cluster_of_rank[inverse]
+        sizes = np.bincount(clusters, minlength=order.shape[0])
         offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-        if subjects:
-            positions = np.concatenate([np.asarray(grouped[s], dtype=np.int64) for s in subjects])
-        else:
-            positions = np.empty(0, dtype=np.int64)
-        return cls(subjects=subjects, offsets=offsets, positions=positions)
+        positions = first_position + np.argsort(clusters, kind="stable").astype(np.int64)
+        return cls(rows=unique[order], offsets=offsets, positions=positions)
 
     @property
     def num_clusters(self) -> int:
         """Number of per-subject insertion clusters ``Δ_e``."""
-        return len(self.subjects)
+        return int(self.rows.shape[0])
 
     @property
     def num_triples(self) -> int:

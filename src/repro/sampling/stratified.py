@@ -64,7 +64,8 @@ class StratifiedTWCSDesign(SamplingDesign):
         ``"neyman"`` (draws proportional to ``W_h · S_h`` where ``S_h`` is the
         stratum's currently observed standard deviation of cluster accuracies;
         it falls back to proportional allocation until every stratum has at
-        least two annotated cluster draws).
+        least two annotated cluster draws and while any stratum's observed
+        spread is zero).
 
     Notes
     -----
@@ -156,7 +157,9 @@ class StratifiedTWCSDesign(SamplingDesign):
 
         The weights ``W_h``; under Neyman allocation ``W_h · S_h`` instead,
         where ``S_h`` is the stratum's observed standard deviation of cluster
-        accuracies, once every stratum has one and one of them is non-zero.
+        accuracies, once every stratum has one and none of them is zero.  A
+        share of ``W_h · 0`` would never draw that stratum again, so its
+        spread, observed on a few units, could never move.
         """
         if self.allocation == "neyman":
             products = []
@@ -166,7 +169,7 @@ class StratifiedTWCSDesign(SamplingDesign):
                     return self._weights
                 # Recover the spread from the standard error of the mean.
                 products.append(weight * (std_error * math.sqrt(mean.count)))
-            if any(products):
+            if all(products):
                 return products
         return self._weights
 

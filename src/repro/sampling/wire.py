@@ -43,6 +43,14 @@ tag   body
 ``22`` :class:`~repro.evolving.monitor.MonitorRecord` (7 scalar fields)
 ====  =======================================================================
 
+A ``submit`` carries its update batch as columns: three lists of strs (tag
+``8`` of tag-``6`` items) and two bytes values (tag ``7``).  A list whose
+items are all strs is written in one pass and read in one pass, into the
+bytes the item-by-item path gives; the reader hands anything else (another
+tag, a cut, bad UTF-8) back to the item-by-item path, which fails with its
+own message.  Every other value, a Triple (tag ``19``) included, goes
+through the generic reader, one tagged value at a time.
+
 Tags ``11``–``18`` are retired: ``11`` and ``12`` carried NumPy arrays and
 ``SeedSequence`` objects, which no serve message holds, and ``13``–``18``
 the shard tasks, results and trace contexts of a removed worker protocol.
@@ -59,9 +67,9 @@ the container tags bit-exactly.
 
 from __future__ import annotations
 
-import re
 import struct
 import zlib
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -113,10 +121,6 @@ _STR_HEAD = struct.Struct(">BI")
 _TRIPLE_HEAD = struct.Struct(">BBI")
 _TRUE_BYTE = bytes([_T_TRUE])
 _FALSE_BYTE = bytes([_T_FALSE])
-_BOOL_TAGS = _TRUE_BYTE + _FALSE_BYTE
-#: Any byte but a bool tag: searched for in place, so a list's items are
-#: never copied before the decoder knows they are all bools.
-_NOT_BOOL_TAG = re.compile(b"[^%c%c]" % (_T_TRUE, _T_FALSE))
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
@@ -173,9 +177,22 @@ def _triple_bytes(triple: Triple) -> bytes:
 
 
 def _encode_items(tag: int, items, out: bytearray, depth: int) -> None:
-    """A list or tuple whose items sit at ``depth``."""
+    """A list or tuple whose items sit at ``depth``.
+
+    Items that are all strs (a submit's columns) are encoded in one pass,
+    into the bytes the item-by-item path writes.
+    """
     out.append(tag)
     out += _U32.pack(len(items))
+    if depth <= _MAX_DEPTH:
+        try:
+            data = list(map(str.encode, items))
+        except TypeError:
+            pass
+        else:
+            heads = map(_STR_HEAD.pack, repeat(_T_STR), map(len, data))
+            out += b"".join(chain.from_iterable(zip(heads, data)))
+            return
     for item in items:
         _encode(item, out, depth)
 
@@ -196,8 +213,8 @@ def _encode_dict(value: dict, out: bytearray, depth: int) -> None:
 def _encode(value, out: bytearray, depth: int) -> None:
     if depth > _MAX_DEPTH:
         raise WireError("value nests deeper than the wire limit")
-    # Exact types first (a submit is a dict of strs, a list of Triples and a
-    # list of bools); subclasses and numpy scalars take the chain below.
+    # Exact types first (a submit is a dict of strs, lists of strs and
+    # bytes); subclasses and numpy scalars take the chain below.
     cls = type(value)
     if cls is str:
         _encode_str(value, out)
@@ -341,13 +358,31 @@ def _decode_str(reader: _Reader) -> str:
         raise WireError(f"invalid UTF-8 on the wire: {exc}") from None
 
 
-def _decode_str_field(reader: _Reader, depth: int, what: str) -> str:
-    """A str-typed field, read in place when it carries the str tag."""
+def _decode_strs(reader: _Reader, count: int) -> list[str] | None:
+    """``count`` items that all carry the str tag, like a submit's columns,
+    read in one pass; ``None``, with the reader where it was, at anything
+    else, so the item-by-item path reads (and fails on) the same bytes."""
+    data = reader.data
     pos = reader.pos
-    if depth <= _MAX_DEPTH and pos < len(reader.data) and reader.data[pos] == _T_STR:
-        reader.pos = pos + 1
-        return _decode_str(reader)
-    return _expect(_decode(reader, depth), str, what)
+    head = _STR_HEAD.unpack_from
+    head_size = _STR_HEAD.size
+    decode = bytes.decode
+    items: list[str] = []
+    append = items.append
+    try:
+        for _ in range(count):
+            tag, length = head(data, pos)
+            if tag != _T_STR:
+                return None
+            start = pos + head_size
+            pos = start + length
+            append(decode(data[start:pos]))
+    except (struct.error, UnicodeDecodeError):
+        return None
+    if pos > len(data):
+        return None
+    reader.pos = pos
+    return items
 
 
 def _expect(value, kinds, what: str):
@@ -364,14 +399,9 @@ def _decode_float_field(reader: _Reader, depth: int, what: str) -> float:
 
 
 def _decode_triple(reader: _Reader, depth: int) -> Triple:
-    subject = _decode_str_field(reader, depth, "Triple.subject")
-    predicate = _decode_str_field(reader, depth, "Triple.predicate")
-    obj = _decode_str_field(reader, depth, "Triple.obj")
-    pos = reader.pos
-    # The subject got past the nesting check, so the flag may skip it too.
-    if pos < len(reader.data) and reader.data[pos] in _BOOL_TAGS:
-        reader.pos = pos + 1
-        return Triple(subject, predicate, obj, reader.data[pos] == _T_TRUE)
+    subject = _expect(_decode(reader, depth), str, "Triple.subject")
+    predicate = _expect(_decode(reader, depth), str, "Triple.predicate")
+    obj = _expect(_decode(reader, depth), str, "Triple.obj")
     flag = _decode(reader, depth)
     if not isinstance(flag, bool):
         raise WireError("Triple.is_entity_object must be a bool")
@@ -440,11 +470,9 @@ def _decode(reader: _Reader, depth: int):
     if depth > _MAX_DEPTH:
         raise WireError("frame nests deeper than the wire limit")
     tag = reader.u8()
-    # The common tags first: a submit is strs, Triples and bools.
+    # The common tags first: a submit is strs, lists of strs and bytes.
     if tag == _T_STR:
         return _decode_str(reader)
-    if tag == _T_TRIPLE:
-        return _decode_triple(reader, depth + 1)
     if tag == _T_TRUE:
         return True
     if tag == _T_FALSE:
@@ -470,13 +498,8 @@ def _decode(reader: _Reader, depth: int):
         count = reader.u32()
         if count > reader.remaining:
             raise WireError(f"container of {count} items exceeds the frame")
-        start = reader.pos
-        end = start + count
-        if depth < _MAX_DEPTH and _NOT_BOOL_TAG.search(reader.data, start, end) is None:
-            # Every item is a one-byte bool tag, like a submit's labels.
-            reader.pos = end
-            items = list(map(_T_TRUE.__eq__, reader.data[start:end]))
-        else:
+        items = _decode_strs(reader, count) if depth < _MAX_DEPTH else None
+        if items is None:
             items = [_decode(reader, depth + 1) for _ in range(count)]
         return items if tag == _T_LIST else tuple(items)
     if tag == _T_DICT:
@@ -492,6 +515,8 @@ def _decode(reader: _Reader, depth: int):
                 raise WireError(f"invalid UTF-8 dict key: {exc}") from None
             out[key] = _decode(reader, depth + 1)
         return out
+    if tag == _T_TRIPLE:
+        return _decode_triple(reader, depth + 1)
     if tag == _T_ESTIMATE:
         return _decode_estimate(reader, depth + 1)
     if tag == _T_REPORT:

@@ -318,10 +318,14 @@ def _run_evolving_rep(
     generator = UpdateWorkloadGenerator(
         base, new_entity_fraction=workload.new_entity_fraction, seed=seeds[3]
     )
-    for batch, batch_oracle in generator.generate_scheduled_sequence(
-        workload.total_updates, workload.num_batches, workload.update_accuracy, workload.schedule
-    ):
-        monitor.apply_update(batch, batch_oracle)
+    monitor.run(
+        generator.generate_scheduled_sequence(
+            workload.total_updates,
+            workload.num_batches,
+            workload.update_accuracy,
+            workload.schedule,
+        )
+    )
     for record in monitor.records:
         outcome.observe_interval(
             record.estimated_accuracy, record.margin_of_error, record.true_accuracy
@@ -380,9 +384,8 @@ def _run_deletion_rep(
     sizes = batch_schedule(workload.total_updates, workload.num_batches, workload.schedule)
     for index, size in enumerate(sizes, start=1):
         if size > 0:
-            batch, batch_oracle = generator.generate_batch(size, workload.update_accuracy)
-            for triple in batch:
-                live[triple] = batch_oracle.label(triple)
+            batch, _ = generator.generate_batch(size, workload.update_accuracy)
+            live.update(zip(batch.triples, batch.label_array.tolist()))
             deletions = generator.generate_deletion_batch(
                 list(live.keys()), int(round(size * workload.deletion_fraction))
             )
@@ -437,13 +440,13 @@ def _run_fleet_rep(
                         new_entity_fraction=workload.new_entity_fraction,
                         seed=int(seeds[4 + 2 * index]),
                     )
-                    for batch, batch_oracle in generator.generate_scheduled_sequence(
+                    for batch in generator.generate_scheduled_sequence(
                         workload.total_updates,
                         workload.num_batches,
                         workload.update_accuracy,
                         workload.schedule,
                     ):
-                        client.submit_batch(session_name, batch, batch_oracle)
+                        client.submit_batch(session_name, batch)
             except BaseException as exc:  # noqa: BLE001 - surfaced after join
                 errors.append(exc)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import socket
 import time
 
+from repro.kg.updates import UpdateBatch
 from repro.sampling.rpc import (
     RPCError,
     _normalise_secret,
@@ -111,22 +112,29 @@ class ServeClient:
         *,
         wait: bool = True,
     ) -> dict:
-        """Submit one update batch (triples + oracle labels) into a session."""
+        """Submit one update batch given as Triples and one label each.
+
+        The batch goes out as columns, converted here, as
+        :meth:`submit_batch` sends it.
+        """
+        batch = UpdateBatch.from_triples(batch_id, triples, labels)
+        return self.submit_batch(session, batch, wait=wait)
+
+    def submit_batch(self, session: str, batch: UpdateBatch, *, wait: bool = True) -> dict:
+        """Submit a labelled :class:`~repro.kg.updates.UpdateBatch` into a session."""
         return self._request(
             {
                 "op": "submit",
                 "session": session,
-                "batch_id": batch_id,
-                "triples": list(triples),
-                "labels": [bool(label) for label in labels],
+                "batch_id": batch.batch_id,
+                "subjects": list(batch.subjects),
+                "predicates": list(batch.predicates),
+                "objects": list(batch.objects),
+                "entity_objects": batch.entity_objects,
+                "labels": batch.labels,
                 "wait": wait,
             }
         )
-
-    def submit_batch(self, session: str, batch, oracle, *, wait: bool = True) -> dict:
-        """Submit an :class:`~repro.kg.updates.UpdateBatch` with its oracle."""
-        labels = [oracle.label(triple) for triple in batch.triples]
-        return self.submit(session, batch.batch_id, batch.triples, labels, wait=wait)
 
     def estimate(self, session: str) -> dict:
         """O(1) read of the session's latest cached round — never samples."""

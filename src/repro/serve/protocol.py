@@ -7,15 +7,16 @@ mutual HMAC handshake under two domain-separated roles
 ``service: "serve"``, which lets a client that dialed some other service
 fail with a typed error instead of a confusing auth failure.
 
-Requests and replies are plain dicts; update triples and cached results
-ride the serve wire tags (19–22) of :mod:`repro.sampling.wire`.
+Requests and replies are plain dicts.  A ``submit`` carries its update batch
+as columns (:func:`decode_batch`); cached results ride the serve wire tags
+(20–22) of :mod:`repro.sampling.wire`.
 """
 
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
-from repro.kg.triple import Triple
 from repro.sampling.rpc import (
     MAX_HANDSHAKE_BYTES,
     PROTOCOL_VERSION,
@@ -27,6 +28,9 @@ from repro.sampling.rpc import (
     recv_message,
     send_message,
 )
+
+if TYPE_CHECKING:
+    from repro.kg.updates import UpdateBatch
 
 __all__ = [
     "SERVICE",
@@ -146,24 +150,43 @@ def as_number(value, kind: type, field: str):
         raise ValueError(f"{field} is out of range: {exc}") from None
 
 
-def decode_batch(message: dict) -> tuple[str, tuple[Triple, ...], list[bool]]:
-    """Validate a ``submit`` request's batch payload.
+#: The string columns of a ``submit``, one entry per triple.
+_STRING_COLUMNS = ("subjects", "predicates", "objects")
+#: Its byte columns, one 0/1 byte per triple.
+_BYTE_COLUMNS = ("entity_objects", "labels")
 
-    Returns ``(batch_id, triples, labels)``; raises :class:`ValueError` on
-    any malformation so the server replies a typed error instead of letting
-    a bad payload reach the evaluator.
+
+def decode_batch(message: dict) -> UpdateBatch:
+    """Validate a ``submit`` request's batch payload and return the batch.
+
+    The batch arrives as columns: ``subjects``, ``predicates`` and
+    ``objects`` are lists of strings and ``entity_objects`` and ``labels``
+    bytes of 0/1, one entry per triple.  Raises :class:`ValueError`, naming
+    the field, on any malformation, so the server replies a typed error
+    instead of letting a bad payload reach the evaluator; a request in the
+    retired ``triples`` shape is refused the same way.
     """
+    from repro.kg.updates import UpdateBatch
+
+    if "triples" in message:
+        raise ValueError(
+            "submit carries its batch as columns (subjects, predicates, objects, "
+            "entity_objects, labels); the triples field is not accepted"
+        )
     batch_id = message.get("batch_id")
     if not isinstance(batch_id, str) or not batch_id:
         raise ValueError("submit requires a non-empty string batch_id")
-    triples = message.get("triples")
-    if not isinstance(triples, (list, tuple)) or not triples:
-        raise ValueError("submit requires a non-empty triples list")
-    if not all(isinstance(triple, Triple) for triple in triples):
-        raise ValueError("submit triples must all be wire-encoded Triples")
-    labels = message.get("labels")
-    if not isinstance(labels, (list, tuple)) or len(labels) != len(triples):
-        raise ValueError("submit requires one label per triple")
-    if not all(isinstance(label, bool) for label in labels):
-        raise ValueError("submit labels must all be bools")
-    return batch_id, tuple(triples), list(labels)
+    columns = {}
+    for field in _STRING_COLUMNS:
+        column = message.get(field)
+        if not isinstance(column, list) or not column:
+            raise ValueError(f"submit requires {field} as a non-empty list of strings")
+        if set(map(type, column)) != {str}:
+            raise ValueError(f"submit {field} must all be strings")
+        columns[field] = column
+    for field in _BYTE_COLUMNS:
+        column = message.get(field)
+        if not isinstance(column, bytes):
+            raise ValueError(f"submit requires {field} as bytes of 0/1")
+        columns[field] = column
+    return UpdateBatch(batch_id, **columns)

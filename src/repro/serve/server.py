@@ -53,13 +53,12 @@ _MAX_POLL_WAIT = 300.0
 class _Work:
     """One admitted round: a base evaluation or an update batch."""
 
-    __slots__ = ("kind", "session", "batch", "oracle", "done", "payload", "error")
+    __slots__ = ("kind", "session", "batch", "done", "payload", "error")
 
-    def __init__(self, kind: str, session: Session, batch=None, oracle=None) -> None:
+    def __init__(self, kind: str, session: Session, batch=None) -> None:
         self.kind = kind
         self.session = session
         self.batch = batch
-        self.oracle = oracle
         self.done = threading.Event()
         self.payload: dict | None = None
         self.error: str | None = None
@@ -252,7 +251,7 @@ class EvalServer:
                 if work.kind == "base":
                     record = sess.monitor.evaluate_base()
                 else:
-                    record = sess.monitor.apply_update(work.batch, work.oracle)
+                    record = sess.monitor.apply_update(work.batch)
                 work.payload = sess.record_result(record, sess.evaluator.history[-1])
             except Exception as exc:
                 message = f"{type(exc).__name__}: {exc}"
@@ -431,13 +430,7 @@ class EvalServer:
         sess = self._lookup(message)
         if sess.failed is not None:
             return {"op": "error", "code": "session_failed", "message": sess.failed}
-        from repro.kg.updates import UpdateBatch
-        from repro.labels.oracle import LabelOracle
-
-        batch_id, triples, labels = protocol.decode_batch(message)
-        batch = UpdateBatch(batch_id=batch_id, triples=triples)
-        oracle = LabelOracle(dict(zip(triples, labels)))
-        work = _Work("batch", sess, batch=batch, oracle=oracle)
+        work = _Work("batch", sess, batch=protocol.decode_batch(message))
         if not self._admit(work):
             return {
                 "op": "error",

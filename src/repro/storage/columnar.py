@@ -37,21 +37,52 @@ Row = tuple[str, str, str, bool]
 
 
 def key_view(subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray) -> np.ndarray:
-    """Pack (s, p, o) id columns into a single comparable structured array."""
-    stacked = np.ascontiguousarray(
-        np.column_stack(
-            (
-                subjects.astype(np.int32, copy=False),
-                predicates.astype(np.int32, copy=False),
-                objects.astype(np.int32, copy=False),
-            )
-        )
-    )
-    return stacked.view([("", np.int32)] * 3).ravel()
+    """Pack (s, p, o) id columns into one 12-byte key per triple.
+
+    The ids are written big-endian, so the keys' byte order — the order in
+    which NumPy sorts, searches and compares unstructured void values — is
+    the order of ``(s, p, o)``.  Sorting and searching such keys runs two to
+    four times as fast as on a three-field structured array.
+    """
+    stacked = np.empty((len(subjects), 3), dtype=">u4")
+    stacked[:, 0] = subjects
+    stacked[:, 1] = predicates
+    stacked[:, 2] = objects
+    return stacked.view("V12").ravel()
+
+
+def sorted_contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Vectorised membership of ``keys`` in the sorted array ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape[0], dtype=bool)
+    index = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[index] == keys
+
+
+def first_key_occurrences(
+    subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray
+) -> np.ndarray:
+    """Mask keeping the first of each repeated ``(s, p, o)`` id triple.
+
+    One stable lexicographic sort of the three id columns: as fast as
+    ``np.unique`` of the packed keys at build sizes, and up to four times
+    as fast on an update batch.
+    """
+    order = np.lexsort((objects, predicates, subjects))
+    # The sort is stable, so a triple equal to its predecessor in sorted
+    # order repeats an earlier one.
+    repeats = np.ones(order.shape[0], dtype=bool)
+    repeats[0] = False
+    for column in (subjects, predicates, objects):
+        ordered = column[order]
+        repeats[1:] &= ordered[1:] == ordered[:-1]
+    keep = np.ones(order.shape[0], dtype=bool)
+    keep[order[repeats]] = False
+    return keep
 
 
 def first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Boolean mask keeping the first occurrence of each packed key, position or row."""
+    """Boolean mask keeping the first occurrence of each position or row."""
     _, first = np.unique(keys, return_index=True)
     keep = np.zeros(keys.shape[0], dtype=bool)
     keep[first] = True
@@ -136,6 +167,10 @@ class Vocabulary:
             ids_append(token_id)
         return ids
 
+    def ids_of(self, tokens: Sequence[str]) -> list[int]:
+        """The id of each token, ``-1`` for a token never interned (one C-level pass)."""
+        return list(map(self._ensure_index().get, tokens, [-1] * len(tokens)))
+
     def id_of(self, token: str) -> int:
         """Return the id of ``token`` (``KeyError`` if never interned)."""
         return self._ensure_index()[token]
@@ -198,7 +233,7 @@ class ColumnarStore(StorageBackend):
             append_f(is_entity_object)
         subjects, predicates, objects, flags = (np.array(buffer) for buffer in buffers)
         if subjects.size:
-            keep = first_occurrences(key_view(subjects, predicates, objects))
+            keep = first_key_occurrences(subjects, predicates, objects)
             if not bool(keep.all()):
                 subjects, predicates, objects, flags = (
                     column[keep] for column in (subjects, predicates, objects, flags)
@@ -280,11 +315,7 @@ class ColumnarStore(StorageBackend):
         """Vectorised membership of packed keys (:func:`key_view`) in the columns."""
         if self._sorted_keys is None:
             self._sorted_keys = np.sort(key_view(self._col_s, self._col_p, self._col_o))
-        sorted_keys = self._sorted_keys
-        if sorted_keys.size == 0:
-            return np.zeros(keys.shape[0], dtype=bool)
-        index = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-        return sorted_keys[index] == keys
+        return sorted_contains(self._sorted_keys, keys)
 
     def contains(self, triple: Triple) -> bool:
         get = self.vocab.get

@@ -4,9 +4,10 @@
   whose trajectory ``tests/golden/evolving_*.json`` pins, and
   :func:`golden_payload` rebuilds that golden's shape from served rounds.
 * Hypothesis strategies for the values the serve wire carries:
-  :func:`submits` (update batches with Triples and labels) and
-  :func:`replies` (round results with an EvaluationReport and a
-  MonitorRecord).
+  :func:`column_submits` (update batches as columns, as clients send
+  them), :func:`submits` (the Triple shape, which the codec still carries
+  and the daemon refuses) and :func:`replies` (round results with an
+  EvaluationReport and a MonitorRecord).
 * Loopback sockets for fault injection: :class:`SlowReplyProxy` hands the
   daemon's replies back in small delayed chunks, and :class:`ScriptedDaemon`
   completes the real server handshake and then answers with scripted bytes,
@@ -82,8 +83,28 @@ def _triples():
     return st.builds(Triple, _text, _text, _text, is_entity_object=st.booleans())
 
 
+def column_submits():
+    """``submit`` requests as ``ServeClient.submit_batch`` sends them."""
+    rows = st.tuples(_text, _text, _text, st.booleans(), st.booleans())
+    return st.lists(rows, min_size=1, max_size=8).flatmap(
+        lambda rows: st.fixed_dictionaries(
+            {
+                "op": st.just("submit"),
+                "session": _text,
+                "batch_id": _text,
+                "subjects": st.just([row[0] for row in rows]),
+                "predicates": st.just([row[1] for row in rows]),
+                "objects": st.just([row[2] for row in rows]),
+                "entity_objects": st.just(bytes(row[3] for row in rows)),
+                "labels": st.just(bytes(row[4] for row in rows)),
+                "wait": st.booleans(),
+            }
+        )
+    )
+
+
 def submits():
-    """``submit`` requests as ``ServeClient.submit`` sends them."""
+    """``submit`` requests in the retired Triple shape (wire tag 19)."""
     return st.lists(st.tuples(_triples(), st.booleans()), min_size=1, max_size=8).flatmap(
         lambda pairs: st.fixed_dictionaries(
             {

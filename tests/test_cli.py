@@ -501,8 +501,8 @@ _FRESH_PROCESS_CASES = {
         "evaluator = StratifiedIncrementalEvaluator(base, seed=1)\n"
         "evaluator.evaluate_base()\n"
         "workload = UpdateWorkloadGenerator(base, seed=2)\n"
-        "for batch, oracle in workload.generate_sequence(1, 50, 0.8):\n"
-        "    evaluator.apply_update(batch, oracle)\n"
+        "for batch in workload.generate_sequence(1, 50, 0.8):\n"
+        "    evaluator.apply_update(batch)\n"
         "capture_evaluator_state(evaluator)\n"
         "main(['evaluate', '--design', 'twcs-strat'])",
         ("numpy.ma",),

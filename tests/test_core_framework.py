@@ -487,8 +487,8 @@ class TestSharedSessions:
         evaluator.evaluate_base()
         generator = UpdateWorkloadGenerator(base, seed=3)
         for _ in range(2):
-            batch, batch_oracle = generator.generate_batch(base.graph.num_triples // 2, 0.6)
-            evaluator.apply_update(batch, batch_oracle)
+            batch, _ = generator.generate_batch(base.graph.num_triples // 2, 0.6)
+            evaluator.apply_update(batch)
         graph, account = evaluator.evolving.current, evaluator.account
         annotated = np.flatnonzero(account.annotated_mask(graph.num_triples))
         in_base = annotated < base.graph.num_triples

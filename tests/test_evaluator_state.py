@@ -53,8 +53,8 @@ def test_resume_at_every_batch_boundary(kind):
     base, updates = _base_and_updates(num_batches=4)
     reference = _fresh_evaluator(kind, base)
     reference.evaluate_base()
-    for batch, batch_oracle in updates:
-        reference.apply_update(batch, batch_oracle)
+    for batch in updates:
+        reference.apply_update(batch)
     expected = _trajectory(reference)
 
     for boundary in range(len(updates) + 1):
@@ -62,15 +62,15 @@ def test_resume_at_every_batch_boundary(kind):
         base_run = LabelledKG(data.graph.to_columnar(), data.oracle)
         evaluator = _fresh_evaluator(kind, base_run)
         evaluator.evaluate_base()
-        for batch, batch_oracle in updates[:boundary]:
-            evaluator.apply_update(batch, batch_oracle)
+        for batch in updates[:boundary]:
+            evaluator.apply_update(batch)
 
         state = capture_evaluator_state(evaluator)
         data_reload = make_nell_like(seed=0)
         base_reload = LabelledKG(data_reload.graph.to_columnar(), data_reload.oracle)
         resumed = restore_evaluator(state, base_reload)
-        for batch, batch_oracle in updates[boundary:]:
-            resumed.apply_update(batch, batch_oracle)
+        for batch in updates[boundary:]:
+            resumed.apply_update(batch)
 
         assert _trajectory(resumed) == expected, f"{kind} diverged after boundary {boundary}"
         assert resumed.current_true_accuracy() == reference.current_true_accuracy()
@@ -82,28 +82,32 @@ def _updates(base: LabelledKG, seed: int, num_batches: int = 2):
 
 
 def test_sessions_sharing_a_base_restore_in_either_order():
-    """Two sessions over one served base and its one vocabulary both resume.
+    """Two sessions over one served base both resume, in either order.
 
-    Each session's tail names strings the other session interned into the
-    shared vocabulary; restoring interns them by value, so each checkpoint
-    restores over a fresh base whichever is restored first.
+    Each session's tail names strings of its own view's vocabulary, with ids
+    from the base's length up in both; restoring interns them by value, so
+    each checkpoint restores over a fresh base whichever is restored first,
+    and the shared base vocabulary never grows.
     """
     shared = make_nell_like(seed=0).to_columnar()
+    vocab_size = len(shared.graph.backend.vocab)
     streams = {"a": _updates(shared, seed=5), "b": _updates(shared, seed=9)}
     evaluators = {name: _fresh_evaluator("ss", shared) for name in streams}
     for evaluator in evaluators.values():
         evaluator.evaluate_base()
     for name, evaluator in evaluators.items():
-        evaluator.apply_update(*streams[name][0])
+        evaluator.apply_update(streams[name][0])
     states = {name: capture_evaluator_state(evaluator) for name, evaluator in evaluators.items()}
     for name, evaluator in evaluators.items():
-        evaluator.apply_update(*streams[name][1])
+        evaluator.apply_update(streams[name][1])
 
+    assert len(shared.graph.backend.vocab) == vocab_size
     for order in (("a", "b"), ("b", "a")):
         fresh = make_nell_like(seed=0).to_columnar()
         resumed = {name: restore_evaluator(states[name], fresh) for name in order}
+        assert len(fresh.graph.backend.vocab) == vocab_size
         for name in order:
-            resumed[name].apply_update(*streams[name][1])
+            resumed[name].apply_update(streams[name][1])
             assert _trajectory(resumed[name]) == _trajectory(evaluators[name]), (order, name)
             assert resumed[name].total_cost_hours == evaluators[name].total_cost_hours
 
@@ -121,12 +125,12 @@ def test_a_v3_state_of_one_session_still_restores():
     vocab_size = len(base.graph.backend.vocab)
     evaluator = _fresh_evaluator("ss", base)
     evaluator.evaluate_base()
-    evaluator.apply_update(*updates[0])
-    vocab = evaluator.evolving.current.backend.base.vocab
+    evaluator.apply_update(updates[0])
+    vocab = evaluator.evolving.current.backend.vocab
     state = _as_v3(capture_evaluator_state(evaluator), vocab_size, vocab)
-    evaluator.apply_update(*updates[1])
+    evaluator.apply_update(updates[1])
 
     reloaded = make_nell_like(seed=0).to_columnar()
     resumed = restore_evaluator(state, reloaded)
-    resumed.apply_update(*updates[1])
+    resumed.apply_update(updates[1])
     assert _trajectory(resumed) == _trajectory(evaluator)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ def evolving_base() -> LabelledKG:
 
 def make_update(base: LabelledKG, size: int, accuracy: float, seed: int):
     generator = UpdateWorkloadGenerator(base, seed=seed)
-    return generator.generate_batch(size, accuracy)
+    return generator.generate_batch(size, accuracy)[0]
 
 
 class TestCommonBehaviour:
@@ -54,10 +56,10 @@ class TestCommonBehaviour:
     def test_update_keeps_quality_and_tracks_truth(self, evolving_base, evaluator_cls):
         evaluator = evaluator_cls(evolving_base, seed=1)
         evaluator.evaluate_base()
-        batch, batch_oracle = make_update(
+        batch = make_update(
             evolving_base, size=evolving_base.graph.num_triples // 3, accuracy=0.5, seed=1
         )
-        evaluation = evaluator.apply_update(batch, batch_oracle)
+        evaluation = evaluator.apply_update(batch)
         truth = evaluator.current_true_accuracy()
         assert evaluation.report.margin_of_error <= 0.06
         assert abs(evaluation.accuracy - truth) < 0.12
@@ -68,17 +70,17 @@ class TestCommonBehaviour:
     )
     def test_update_before_base_raises(self, evolving_base, evaluator_cls):
         evaluator = evaluator_cls(evolving_base, seed=0)
-        batch, batch_oracle = make_update(evolving_base, 100, 0.9, seed=0)
+        batch = make_update(evolving_base, 100, 0.9, seed=0)
         with pytest.raises(RuntimeError):
-            evaluator.apply_update(batch, batch_oracle)
+            evaluator.apply_update(batch)
 
     @pytest.mark.parametrize("evaluator_cls", ALL_EVALUATORS)
     def test_history_accumulates(self, evolving_base, evaluator_cls):
         evaluator = evaluator_cls(evolving_base, seed=2)
         evaluator.evaluate_base()
         for index in range(2):
-            batch, batch_oracle = make_update(evolving_base, 200, 0.8, seed=10 + index)
-            evaluator.apply_update(batch, batch_oracle)
+            batch = make_update(evolving_base, 200, 0.8, seed=10 + index)
+            evaluator.apply_update(batch)
         assert len(evaluator.history) == 3
         assert evaluator.latest.batch_id == evaluator.history[-1].batch_id
         costs = [h.cumulative_cost_seconds for h in evaluator.history]
@@ -96,8 +98,8 @@ class TestIncrementalCostAdvantage:
             for seed in range(3):
                 evaluator = evaluator_cls(evolving_base, seed=seed)
                 evaluator.evaluate_base()
-                batch, batch_oracle = make_update(evolving_base, update_size, 0.9, seed=seed)
-                evaluation = evaluator.apply_update(batch, batch_oracle)
+                batch = make_update(evolving_base, update_size, 0.9, seed=seed)
+                evaluation = evaluator.apply_update(batch)
                 per_trial.append(evaluation.incremental_cost_hours)
             costs[evaluator_cls.__name__] = float(np.mean(per_trial))
         assert costs["ReservoirIncrementalEvaluator"] < costs["BaselineEvolvingEvaluator"]
@@ -108,8 +110,8 @@ class TestIncrementalCostAdvantage:
         evaluator.evaluate_base()
         num_base = evaluator.evolving.current.num_triples
         annotated_after_base = evaluator.account.annotated_mask(num_base)
-        batch, batch_oracle = make_update(evolving_base, 300, 0.9, seed=5)
-        evaluator.apply_update(batch, batch_oracle)
+        batch = make_update(evolving_base, 300, 0.9, seed=5)
+        evaluator.apply_update(batch)
         num_now = evaluator.evolving.current.num_triples
         annotated_now = evaluator.account.annotated_mask(num_now)
         # Only positions of the new stratum (the appended segment) are
@@ -129,8 +131,8 @@ class TestReservoirEvaluator:
     def test_replacements_bounded_by_insertions(self, evolving_base):
         evaluator = ReservoirIncrementalEvaluator(evolving_base, seed=1)
         evaluator.evaluate_base()
-        batch, batch_oracle = make_update(evolving_base, 400, 0.9, seed=1)
-        evaluator.apply_update(batch, batch_oracle)
+        batch = make_update(evolving_base, 400, 0.9, seed=1)
+        evaluator.apply_update(batch)
         # Each per-entity insertion set is one candidate cluster.
         num_inserted_clusters = len({triple.subject for triple in batch.triples})
         assert 0 <= evaluator.total_replacements <= num_inserted_clusters
@@ -140,14 +142,14 @@ class TestReservoirEvaluator:
         for seed in range(3):
             small = ReservoirIncrementalEvaluator(evolving_base, seed=seed)
             small.evaluate_base()
-            batch, oracle = make_update(evolving_base, 100, 0.9, seed=seed)
-            small.apply_update(batch, oracle)
+            batch = make_update(evolving_base, 100, 0.9, seed=seed)
+            small.apply_update(batch)
             small_totals.append(small.total_replacements)
 
             large = ReservoirIncrementalEvaluator(evolving_base, seed=seed)
             large.evaluate_base()
-            batch, oracle = make_update(evolving_base, 1500, 0.9, seed=seed)
-            large.apply_update(batch, oracle)
+            batch = make_update(evolving_base, 1500, 0.9, seed=seed)
+            large.apply_update(batch)
             large_totals.append(large.total_replacements)
         assert sum(large_totals) > sum(small_totals)
 
@@ -223,8 +225,8 @@ class TestStratifiedEvaluator:
         evaluator = StratifiedIncrementalEvaluator(evolving_base, seed=3)
         evaluator.evaluate_base()
         for index in range(3):
-            batch, batch_oracle = make_update(evolving_base, 150, 0.8, seed=20 + index)
-            evaluator.apply_update(batch, batch_oracle)
+            batch = make_update(evolving_base, 150, 0.8, seed=20 + index)
+            evaluator.apply_update(batch)
         assert evaluator.num_strata == 4
         stratum_ids = [stratum_id for stratum_id, _ in evaluator.stratum_estimates()]
         assert stratum_ids[0] == "base"
@@ -232,8 +234,8 @@ class TestStratifiedEvaluator:
     def test_min_units_per_stratum_enforced(self, evolving_base):
         evaluator = StratifiedIncrementalEvaluator(evolving_base, min_units_per_stratum=8, seed=4)
         evaluator.evaluate_base()
-        batch, batch_oracle = make_update(evolving_base, 400, 0.9, seed=4)
-        evaluator.apply_update(batch, batch_oracle)
+        batch = make_update(evolving_base, 400, 0.9, seed=4)
+        evaluator.apply_update(batch)
         _, new_stratum_estimate = evaluator.stratum_estimates()[-1]
         assert new_stratum_estimate.num_units >= 8
 
@@ -241,14 +243,45 @@ class TestStratifiedEvaluator:
         with pytest.raises(ValueError):
             StratifiedIncrementalEvaluator(evolving_base, min_units_per_stratum=1)
 
+    def test_combined_estimate_is_one_loop_over_the_strata_bit_for_bit(self, evolving_base):
+        """The frozen strata's Eq. (13) sums, kept once per batch, plus the
+        newest stratum's terms equal one loop over every stratum in order."""
+
+        def one_loop(strata) -> tuple:
+            total = sum(stratum.num_triples for stratum in strata)
+            value, variance, units, triples, undetermined = 0.0, 0.0, 0, 0, False
+            for stratum in strata:
+                weight = stratum.num_triples / total
+                estimate = stratum.estimate
+                units += estimate.num_units
+                triples += estimate.num_triples
+                value += weight * estimate.value
+                if math.isinf(estimate.std_error):
+                    undetermined = True
+                else:
+                    variance += weight * weight * estimate.std_error**2
+            return (value, math.inf if undetermined else math.sqrt(variance), units, triples)
+
+        evaluator = StratifiedIncrementalEvaluator(evolving_base, seed=9)
+        evaluator.evaluate_base()
+        generator = UpdateWorkloadGenerator(evolving_base, seed=9)
+        for batch in generator.generate_sequence(6, 60, 0.7):
+            evaluator.apply_update(batch)
+            combined = evaluator._combined_estimate()
+            assert (
+                combined.value,
+                combined.std_error,
+                combined.num_units,
+                combined.num_triples,
+            ) == one_loop(evaluator._strata)
+        assert evaluator.num_strata == 7
+
     def test_combined_estimate_reflects_bad_update(self, evolving_base):
         """A very inaccurate, large update must pull the combined estimate down."""
         evaluator = StratifiedIncrementalEvaluator(evolving_base, seed=6)
         base_estimate = evaluator.evaluate_base().accuracy
-        batch, batch_oracle = make_update(
-            evolving_base, evolving_base.graph.num_triples, 0.1, seed=6
-        )
-        updated = evaluator.apply_update(batch, batch_oracle)
+        batch = make_update(evolving_base, evolving_base.graph.num_triples, 0.1, seed=6)
+        updated = evaluator.apply_update(batch)
         assert updated.accuracy < base_estimate - 0.2
 
 
@@ -268,8 +301,8 @@ class TestMonitor:
     def test_apply_update_lazily_evaluates_base(self, evolving_base):
         evaluator = ReservoirIncrementalEvaluator(evolving_base, seed=8)
         monitor = EvolvingAccuracyMonitor(evaluator)
-        batch, batch_oracle = make_update(evolving_base, 100, 0.9, seed=8)
-        record = monitor.apply_update(batch, batch_oracle)
+        batch = make_update(evolving_base, 100, 0.9, seed=8)
+        record = monitor.apply_update(batch)
         assert len(monitor.records) == 2
         assert record.batch_index == 1
 

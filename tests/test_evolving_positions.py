@@ -28,7 +28,7 @@ from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 from repro.generators.datasets import LabelledKG
 from repro.generators.workload import UpdateWorkloadGenerator
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
+from repro.kg.triple import Triple, triple_columns
 from repro.kg.updates import EvolvingKnowledgeGraph, UpdateBatch
 from repro.labels.oracle import LabelOracle
 from repro.sampling.segment import PositionSegment
@@ -76,28 +76,26 @@ def build_updates(
     spec: list[tuple[int, float]],
     batch_specs: list[list[tuple[int, int, float, bool]]],
     base_triples: list[Triple],
-) -> list[tuple[UpdateBatch, LabelOracle]]:
+) -> list[UpdateBatch]:
     updates = []
     counter = 0
     for batch_index, entries in enumerate(batch_specs):
         triples: list[Triple] = []
-        labels: dict[Triple, bool] = {}
+        labels: list[bool] = []
         for selector, size, accuracy, duplicate in entries:
             if duplicate and base_triples:
                 # Re-insert an existing triple: both backends must skip it
-                # identically (it keeps its original label).
+                # identically (it keeps its original label, not this one).
                 triples.append(base_triples[selector % len(base_triples)])
+                labels.append(False)
                 continue
             subject = f"e{selector % (len(spec) + 8)}"
             num_correct = int(round(size * accuracy))
             for j in range(size):
-                triple = Triple(subject, "ins", f"new_{counter}")
+                triples.append(Triple(subject, "ins", f"new_{counter}"))
+                labels.append(j < num_correct)
                 counter += 1
-                triples.append(triple)
-                labels[triple] = j < num_correct
-        updates.append(
-            (UpdateBatch(f"delta-{batch_index}", tuple(triples)), LabelOracle(labels, strict=False))
-        )
+        updates.append(UpdateBatch.from_triples(f"delta-{batch_index}", triples, labels))
     return updates
 
 
@@ -105,9 +103,13 @@ def assert_evolved_like_model(evaluator, base_triples, base_labels, updates) -> 
     """The evolved graph and its true accuracy, against the pure-Python model."""
     model = StoreModel(base_triples)
     labels = dict(base_labels)
-    for batch, batch_oracle in updates:
-        model.add_all(batch.triples)
-        labels.update(batch_oracle.as_dict())
+    for batch in updates:
+        added = model.add_all(batch.triples)
+        labels.update(
+            (triple, label)
+            for triple, label, new in zip(batch.triples, batch.label_array.tolist(), added)
+            if new
+        )
     assert_matches_model(evaluator.evolving.current, model)
     expected = np.asarray([labels[t] for t in model.triples], dtype=bool).mean()
     assert evaluator.current_true_accuracy() == float(expected)
@@ -117,8 +119,8 @@ def run_position_evaluator(evaluator_cls, base: LabelledKG, updates, seed: int):
     config = EvaluationConfig(moe_target=0.15, batch_size=5, min_units=5, max_units=40)
     evaluator = evaluator_cls(base, config=config, seed=seed)
     states = [evaluator.evaluate_base()]
-    for batch, batch_oracle in updates:
-        states.append(evaluator.apply_update(batch, batch_oracle))
+    for batch in updates:
+        states.append(evaluator.apply_update(batch))
     trail = [
         (
             state.accuracy,
@@ -205,6 +207,11 @@ class TestBackendParity:
 # ---------------------------------------------------------------------------
 
 
+def add_columns(delta: DeltaStore, triples) -> list[bool]:
+    """``DeltaStore.add_batch`` of ``triples``, given as columns."""
+    return delta.add_batch(*triple_columns(list(triples))).tolist()
+
+
 class TestDeltaStore:
     def make_pair(self, base_triples: list[Triple]):
         base = ColumnarStore.from_graph(base_triples)
@@ -221,15 +228,15 @@ class TestDeltaStore:
     def test_duplicate_inserts_rejected(self):
         base_triples, _ = build_base([(3, 1.0), (2, 0.5)])
         delta, _ = self.make_pair(base_triples)
-        assert delta.add_batch(base_triples) == [False] * len(base_triples)
+        assert add_columns(delta, base_triples) == [False] * len(base_triples)
         fresh = Triple("e0", "ins", "x0")
         assert delta.add(fresh) is True
         assert delta.add(fresh) is False
         # Cross-batch duplicate: the same triple arriving in a later batch.
-        assert delta.add_batch([fresh, Triple("e9", "ins", "x1")]) == [False, True]
+        assert add_columns(delta, [fresh, Triple("e9", "ins", "x1")]) == [False, True]
         # Within-batch duplicate keeps the first occurrence only.
         twin = Triple("e9", "ins", "x2")
-        assert delta.add_batch([twin, twin]) == [True, False]
+        assert add_columns(delta, [twin, twin]) == [True, False]
 
     def test_matches_reference_backend_after_updates(self):
         base_triples, _ = build_base([(4, 1.0), (1, 0.0), (6, 0.5)])
@@ -240,15 +247,15 @@ class TestDeltaStore:
             Triple("e0", "ins", "n2"),
             Triple("zz", "ins", "n3"),
         ]
-        delta.add_batch(inserts[:2])
-        delta.add_batch(inserts[2:])
+        add_columns(delta, inserts[:2])
+        add_columns(delta, inserts[2:])
         assert_matches_model(KnowledgeGraph(backend=delta), StoreModel(base_triples + inserts))
 
     def test_merged_csr_matches_fresh_columnar_build(self):
         base_triples, _ = build_base([(4, 1.0), (2, 0.0)])
         delta, _ = self.make_pair(base_triples)
         inserts = [Triple("e0", "ins", "a"), Triple("q", "ins", "b"), Triple("e1", "ins", "c")]
-        delta.add_batch(inserts)
+        add_columns(delta, inserts)
         rebuilt = ColumnarStore.from_graph(base_triples + inserts)
         offsets, positions = delta.csr_arrays()
         expected_offsets, expected_positions = rebuilt.csr_arrays()
@@ -278,9 +285,14 @@ class TestDeltaStore:
             Triple("zz", "ins", "n3"),
             Triple("e1", "ins", "n0"),  # tail duplicate
         ]
-        original.add_batch(inserts[:3])
-        original.add_batch(inserts[3:])
+        add_columns(original, inserts[:3])
+        add_columns(original, inserts[3:])
         restored = DeltaStore(base)
+        # Each view interns its own strings: give the new one the original's,
+        # in order, so the captured ids name the same strings.
+        assert len(base.vocab) == original.vocab.offset
+        vocab = original.vocab
+        restored.vocab.intern_many([vocab[i] for i in range(vocab.offset, len(vocab))])
         restored.restore_tail(*original.tail_arrays())
         for left, right in zip(original.csr_arrays(), restored.csr_arrays()):
             np.testing.assert_array_equal(np.asarray(left), np.asarray(right))
@@ -291,15 +303,17 @@ class TestDeltaStore:
             assert restored.contains(triple) == original.contains(triple)
         follow = [inserts[2], base_triples[1], Triple("o0_1", "ins", "n4"), Triple("yy", "p", "q")]
         expected = [False, False, True, True]
-        assert restored.add_batch(follow) == original.add_batch(follow) == expected
+        assert add_columns(restored, follow) == add_columns(original, follow) == expected
 
     def test_evolving_graph_uses_delta_store_on_columnar_base(self):
         base_triples, _ = build_base([(3, 1.0)])
         columnar = KnowledgeGraph(base_triples, name="b").to_columnar()
         evolving = EvolvingKnowledgeGraph(columnar)
         assert isinstance(evolving.current.backend, DeltaStore)
-        flags = evolving.apply(UpdateBatch("d", (Triple("e0", "ins", "x"), base_triples[0])))
-        assert flags == [True, False]
+        batch = UpdateBatch.from_triples(
+            "d", (Triple("e0", "ins", "x"), base_triples[0]), [True, True]
+        )
+        assert evolving.apply(batch).tolist() == [True, False]
         assert evolving.current.num_triples == columnar.num_triples + 1
         # The frozen base graph is untouched.
         assert columnar.num_triples == len(base_triples)
@@ -312,7 +326,7 @@ class TestDeltaStore:
         grown = [Triple("e1", "q", "f"), Triple("e3", "p", "g"), Triple("e0", "s", "h")]
         base = KnowledgeGraph(base_triples, name="b")
         evolving = EvolvingKnowledgeGraph(base)
-        evolving.apply(UpdateBatch("d", batch))
+        evolving.apply(UpdateBatch.from_triples("d", batch, [True] * len(batch)))
         base.add(grown[0])
         base.add_batch(grown[1:])
         evolved, twin = evolving.current, KnowledgeGraph(base_triples + list(batch))
@@ -344,8 +358,8 @@ class TestDeltaStore:
             base = nell.graph.to_sqlite()
         twin = EvolvingKnowledgeGraph(KnowledgeGraph(base.triples, name="nell"))
         evolved = EvolvingKnowledgeGraph(base)
-        flags = evolved.apply(second)
-        assert flags == twin.apply(second) == model.add_all(second)
+        flags = evolved.apply(second).tolist()
+        assert flags == twin.apply(second).tolist() == model.add_all(second)
         assert isinstance(evolved.current.backend, DeltaStore)
         assert evolved.current.num_triples == base.num_triples + sum(flags)
         for graph in (evolved.current, twin.current):
@@ -358,24 +372,34 @@ class TestDeltaStore:
 
 
 class TestPositionSegment:
-    def test_from_batch_groups_by_subject(self):
+    def test_from_rows_groups_by_subject_in_first_seen_order(self):
+        """A batch appended to a graph, its repeat of a stored triple skipped:
+        the segment groups the appended positions by subject, clusters in
+        first-seen order, each with its subject's row in the evolved graph."""
+        base_triples = [Triple("z", "p", "0"), Triple("c", "p", "4")]
+        evolving = EvolvingKnowledgeGraph(KnowledgeGraph(base_triples, name="b"))
         triples = (
             Triple("a", "p", "1"),
-            Triple("b", "p", "2"),
+            Triple("c", "p", "2"),
             Triple("a", "p", "3"),
             Triple("c", "p", "4"),
         )
-        segment = PositionSegment.from_batch(triples, [True, True, True, False], 100)
-        assert segment.subjects == ("a", "b")
-        assert segment.num_clusters == 3 - 1  # "c" was a duplicate
-        np.testing.assert_array_equal(segment.cluster_positions(0), [100, 102])
-        np.testing.assert_array_equal(segment.cluster_positions(1), [101])
+        first = evolving.current.num_triples
+        added = evolving.apply(UpdateBatch.from_triples("d", triples, [True] * 4))
+        assert added.tolist() == [True, True, True, False]
+        rows = evolving.current.backend.appended_rows(first)
+        segment = PositionSegment.from_rows(rows, first)
+        current = evolving.current
+        assert segment.rows.tolist() == [current.entity_row("a"), current.entity_row("c")]
+        assert segment.rows.tolist() == [2, 1]
+        assert segment.num_clusters == 2
+        np.testing.assert_array_equal(segment.cluster_positions(0), [2, 4])
+        np.testing.assert_array_equal(segment.cluster_positions(1), [3])
         assert segment.num_triples == 3
         np.testing.assert_array_equal(segment.cluster_size_array(), [2, 1])
 
     def test_segment_design_estimates_population(self):
-        triples = tuple(Triple(f"s{i // 4}", "p", f"o{i}") for i in range(40))
-        segment = PositionSegment.from_batch(triples, [True] * 40, 0)
+        segment = PositionSegment.from_rows(np.arange(40) // 4, 0)
         label_array = np.zeros(40, dtype=bool)
         label_array[:30] = True  # 75 % accurate
         design = TwoStageWeightedClusterDesign(segment, second_stage_size=3, seed=0)
@@ -386,12 +410,7 @@ class TestPositionSegment:
 
     def test_twcs_draws_capped_clusters_of_the_segment(self):
         sizes = [1, 7, 3, 12, 2]
-        triples = tuple(
-            Triple(f"s{cluster}", "p", f"o{cluster}_{index}")
-            for cluster, size in enumerate(sizes)
-            for index in range(size)
-        )
-        segment = PositionSegment.from_batch(triples, [True] * len(triples), 500)
+        segment = PositionSegment.from_rows(np.repeat(np.arange(len(sizes)), sizes), 500)
         np.testing.assert_array_equal(segment.cluster_size_array(), sizes)
         design = TwoStageWeightedClusterDesign(segment, second_stage_size=3, seed=4)
         for positions, cluster, cluster_size in design.draw_positions(200):
@@ -402,7 +421,7 @@ class TestPositionSegment:
             assert set(positions.tolist()) <= set(population.tolist())
 
     def test_empty_segment_rejected(self):
-        segment = PositionSegment.from_batch((), [], 0)
+        segment = PositionSegment.from_rows(np.empty(0, dtype=np.int64), 0)
         with pytest.raises(ValueError):
             TwoStageWeightedClusterDesign(segment)
 
@@ -482,8 +501,8 @@ class TestReservoirRunningStats:
         )
         evaluator.evaluate_base()
         updates = build_updates(spec, [[(0, 3, 0.5, False), (50, 2, 1.0, False)]], base_triples)
-        for batch, batch_oracle in updates:
-            evaluator.apply_update(batch, batch_oracle)
+        for batch in updates:
+            evaluator.apply_update(batch)
         accuracies = [entry.accuracy for _, _, entry in evaluator._reservoir]
         estimate = evaluator._current_estimate()
         np.testing.assert_allclose(estimate.value, np.mean(accuracies), rtol=1e-12)
@@ -501,7 +520,7 @@ class TestReviewRegressions:
         spec = [(5, 0.8), (4, 1.0), (6, 0.5)] * 3
         base_triples, base_labels = build_base(spec)
         oracle = LabelOracle(base_labels)
-        duplicate_batch = UpdateBatch("dup", tuple(base_triples[:6]))
+        duplicate_batch = UpdateBatch.from_triples("dup", base_triples[:6], [False] * 6)
         for make_graph in (
             lambda: KnowledgeGraph(base_triples, name="p"),
             lambda: KnowledgeGraph(base_triples, name="p").to_columnar(),
@@ -512,7 +531,7 @@ class TestReviewRegressions:
                 seed=3,
             )
             evaluator.evaluate_base()
-            state = evaluator.apply_update(duplicate_batch, LabelOracle({}, strict=False))
+            state = evaluator.apply_update(duplicate_batch)
             assert evaluator.num_strata == 1  # no stratum for an all-duplicate batch
             assert state.report.num_triples_annotated == 0
 
@@ -526,9 +545,8 @@ class TestReviewRegressions:
         )
         evaluator.evaluate_base()
         fresh = tuple(Triple("e0", "ins", f"w{i}") for i in range(4))
-        mixed = UpdateBatch("mixed", tuple(base_triples[:5]) + fresh)
-        labels = LabelOracle({t: True for t in fresh}, strict=False)
-        evaluator.apply_update(mixed, labels)
+        mixed = UpdateBatch.from_triples("mixed", tuple(base_triples[:5]) + fresh, [True] * 9)
+        evaluator.apply_update(mixed)
         # The new stratum covers only the 4 actually-added triples, so the
         # combined weights sum to the evolved graph's triple count.
         assert evaluator._strata[-1].num_triples == len(fresh)

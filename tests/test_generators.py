@@ -331,7 +331,7 @@ class TestUpdateWorkloadGenerator:
         generator = UpdateWorkloadGenerator(movie_small, seed=3)
         batches = list(generator.generate_sequence(4, 100, 0.7))
         assert len(batches) == 4
-        assert all(batch.size == pytest.approx(100, abs=3) for batch, _ in batches)
+        assert all(batch.size == pytest.approx(100, abs=3) for batch in batches)
 
     def test_validation(self, movie_small):
         generator = UpdateWorkloadGenerator(movie_small, seed=0)

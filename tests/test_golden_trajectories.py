@@ -181,8 +181,8 @@ def _evolving_trajectory(base, cls):
     evaluator = cls(base, config=EvaluationConfig(moe_target=0.06), seed=_SEED)
     evaluator.evaluate_base()
     workload = UpdateWorkloadGenerator(base, seed=_SEED)
-    for batch, batch_oracle in workload.generate_sequence(2, 120, 0.8):
-        evaluator.apply_update(batch, batch_oracle)
+    for batch in workload.generate_sequence(2, 120, 0.8):
+        evaluator.apply_update(batch)
     trajectory = [
         {
             "batch_id": entry.batch_id,

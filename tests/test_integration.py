@@ -176,8 +176,8 @@ class TestEvolvingPipeline:
         monitor.evaluate_base()
         workload = UpdateWorkloadGenerator(base, seed=23)
         for accuracy in (0.9, 0.3, 0.9):
-            batch, oracle = workload.generate_batch(base.graph.num_triples // 4, accuracy)
-            monitor.apply_update(batch, oracle)
+            batch, _ = workload.generate_batch(base.graph.num_triples // 4, accuracy)
+            monitor.apply_update(batch)
         truths = [record.true_accuracy for record in monitor.records]
         estimates = [record.estimated_accuracy for record in monitor.records]
         # The bad batch (30% accurate) must show up both in the truth and in

@@ -17,18 +17,39 @@ from repro.kg.updates import EvolvingKnowledgeGraph, UpdateBatch
 
 class TestUpdateBatch:
     def test_size_and_iteration(self):
-        triples = tuple(Triple("e1", "p", f"o{i}") for i in range(3))
-        batch = UpdateBatch("delta-1", triples)
+        triples = tuple(Triple("e1", "p", f"o{i}", is_entity_object=i == 1) for i in range(3))
+        batch = UpdateBatch.from_triples("delta-1", triples, [True, False, True])
         assert batch.size == 3
         assert len(batch) == 3
         assert list(batch) == list(triples)
+        assert [t.is_entity_object for t in batch] == [False, True, False]
+        assert (batch.subjects, batch.predicates) == (["e1"] * 3, ["p"] * 3)
+        assert batch.objects == ["o0", "o1", "o2"]
+        assert (batch.entity_objects, batch.labels) == (b"\x00\x01\x00", b"\x01\x00\x01")
+        assert batch.label_array.tolist() == [True, False, True]
+        # The Triple view is built once.
+        assert batch.triples is batch.triples
+
+    @pytest.mark.parametrize(
+        "columns, field",
+        [
+            ((["s", "t"], ["p"], ["o"], b"\x00", b"\x01"), "predicates"),
+            ((["s"], ["p"], ["o", "q"], b"\x00", b"\x01"), "objects"),
+            ((["s"], ["p"], ["o"], b"", b"\x01"), "entity_objects"),
+            ((["s"], ["p"], ["o"], b"\x00", b"\x02"), "labels"),
+            ((["s"], ["p"], ["o"], b"\xff", b"\x01"), "entity_objects"),
+        ],
+    )
+    def test_malformed_columns_are_refused_by_name(self, columns, field):
+        with pytest.raises(ValueError, match=field):
+            UpdateBatch("d", *columns)
 
 
 class TestEvolvingKnowledgeGraph:
     def test_apply_updates_current_only(self):
         base = KnowledgeGraph([Triple("e1", "p", "o")], name="base")
         evolving = EvolvingKnowledgeGraph(base)
-        evolving.apply(UpdateBatch("d1", (Triple("e2", "p", "o"),)))
+        evolving.apply(UpdateBatch.from_triples("d1", [Triple("e2", "p", "o")], [True]))
         assert base.num_triples == 1
         assert evolving.current.num_triples == 2
         assert evolving.base.num_triples == 1
@@ -36,7 +57,10 @@ class TestEvolvingKnowledgeGraph:
     def test_batches_are_counted(self):
         base = KnowledgeGraph([Triple("e1", "p", "o")])
         evolving = EvolvingKnowledgeGraph(base)
-        batches = [UpdateBatch(f"d{i}", (Triple(f"x{i}", "p", "o"),)) for i in range(3)]
+        batches = [
+            UpdateBatch.from_triples(f"d{i}", [Triple(f"x{i}", "p", "o")], [True])
+            for i in range(3)
+        ]
         evolving.apply_all(batches)
         assert evolving.num_batches == 3
         assert evolving.current.num_triples == 4
@@ -44,7 +68,7 @@ class TestEvolvingKnowledgeGraph:
     def test_enrichment_of_existing_entity_grows_cluster(self):
         base = KnowledgeGraph([Triple("e1", "p", "o1")])
         evolving = EvolvingKnowledgeGraph(base)
-        evolving.apply(UpdateBatch("d1", (Triple("e1", "p", "o2"),)))
+        evolving.apply(UpdateBatch.from_triples("d1", [Triple("e1", "p", "o2")], [False]))
         assert evolving.current.cluster_size("e1") == 2
 
 

@@ -312,8 +312,8 @@ def test_evolving_goldens_replay_bitwise_with_obs_active(golden, tmp_path, kind,
     evaluator = cls(base, config=EvaluationConfig(moe_target=0.06), seed=_SEED)
     evaluator.evaluate_base()
     workload = UpdateWorkloadGenerator(base, seed=_SEED)
-    for batch, batch_oracle in workload.generate_sequence(2, 120, 0.8):
-        evaluator.apply_update(batch, batch_oracle)
+    for batch in workload.generate_sequence(2, 120, 0.8):
+        evaluator.apply_update(batch)
     trajectory = [
         {
             "batch_id": entry.batch_id,
@@ -358,8 +358,8 @@ def test_baseline_annotation_counters_count_every_snapshot():
     evaluator = BaselineEvolvingEvaluator(base, seed=0)
     evaluator.evaluate_base()
     workload = UpdateWorkloadGenerator(base, seed=0)
-    for batch, batch_oracle in workload.generate_sequence(3, 300, 0.8):
-        evaluator.apply_update(batch, batch_oracle)
+    for batch in workload.generate_sequence(3, 300, 0.8):
+        evaluator.apply_update(batch)
     _assert_counters_sum_reports(evaluator, evaluator.history)
     kind = "BaselineEvolvingEvaluator"
     counted = obs_metrics.counter("annotation_cost_seconds_total", evaluator=kind).value
@@ -371,12 +371,12 @@ def test_resumed_evaluator_counters_count_only_new_work():
     updates = list(UpdateWorkloadGenerator(base, seed=3).generate_sequence(2, 200, 0.8))
     evaluator = StratifiedIncrementalEvaluator(base, seed=3)
     evaluator.evaluate_base()
-    evaluator.apply_update(*updates[0])
+    evaluator.apply_update(updates[0])
     state = capture_evaluator_state(evaluator)
 
     # A fresh process: empty counters, the evaluator rebuilt from its state.
     obs_metrics.reset()
     resumed = restore_evaluator(state, make_nell_like(seed=0))
-    evaluation = resumed.apply_update(*updates[1])
+    evaluation = resumed.apply_update(updates[1])
     assert evaluation.report.annotation_cost_seconds > 0
     _assert_counters_sum_reports(resumed, [evaluation])

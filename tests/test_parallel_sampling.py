@@ -127,9 +127,9 @@ class TestSerialEngine:
     def test_segment_run_covers_only_the_segment(self, labelled):
         data, labels = labelled
         first_position = data.graph.num_triples
-        triples = list(data.graph)[:40]
-        segment = PositionSegment.from_batch(triples, [True] * len(triples), first_position)
-        seg_labels = np.concatenate([labels, np.ones(len(triples), dtype=bool)])
+        rows = data.graph.rows_of_positions(np.arange(40))
+        segment = PositionSegment.from_rows(rows, first_position)
+        seg_labels = np.concatenate([labels, np.ones(len(rows), dtype=bool)])
         design = TwoStageWeightedClusterDesign(segment, seed=2)
         units = design.draw_positions(30)
         design.update_all_positions(units, seg_labels)

@@ -84,8 +84,8 @@ def test_matching_secret_serves_the_golden_trajectory(base, golden, tmp_path):
     try:
         with ServeClient(daemon.address, secret="s3cr3t", connect_retries=1) as client:
             client.attach(spec("ss"), session="authed")
-            for batch, oracle in workload(base):
-                client.submit_batch("authed", batch, oracle)
+            for batch in workload(base):
+                client.submit_batch("authed", batch)
             entries = client.trajectory("authed")["entries"]
     finally:
         daemon.shutdown(drain=True)
@@ -114,15 +114,18 @@ def test_corrupted_task_frame_is_caught_by_crc_and_replayed(server, base, golden
     batches = workload(base)
     with ServeClient(server.address, secret=SECRET, connect_retries=1) as client:
         client.attach(spec("ss"), session="crc")
-        batch, oracle = batches[0]
+        batch = batches[0]
         frame = bytearray(
             wire.encode_frame(
                 {
                     "op": "submit",
                     "session": "crc",
                     "batch_id": batch.batch_id,
-                    "triples": list(batch.triples),
-                    "labels": [oracle.label(triple) for triple in batch.triples],
+                    "subjects": list(batch.subjects),
+                    "predicates": list(batch.predicates),
+                    "objects": list(batch.objects),
+                    "entity_objects": batch.entity_objects,
+                    "labels": batch.labels,
                     "wait": True,
                 }
             )
@@ -138,8 +141,8 @@ def test_corrupted_task_frame_is_caught_by_crc_and_replayed(server, base, golden
         assert errors.value == before + 1
         reply = client.estimate("crc")
         assert reply["num_records"] == 1 and reply["pending"] == 0
-        for batch, oracle in batches:
-            client.submit_batch("crc", batch, oracle)
+        for batch in batches:
+            client.submit_batch("crc", batch)
         entries = client.trajectory("crc")["entries"]
     golden.check("evolving_ss", golden_payload(entries))
 
@@ -152,8 +155,8 @@ def test_delayed_replies_stay_bit_identical(server, base, golden):
     try:
         with ServeClient(proxy.address, secret=SECRET, connect_retries=1) as client:
             client.attach(spec("ss"), session="slow")
-            for batch, oracle in workload(base):
-                client.submit_batch("slow", batch, oracle)
+            for batch in workload(base):
+                client.submit_batch("slow", batch)
             entries = client.trajectory("slow")["entries"]
     finally:
         proxy.close()

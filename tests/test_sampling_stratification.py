@@ -227,3 +227,16 @@ class TestStratifiedTWCSDesign:
         report = StaticEvaluator(design, SimulatedAnnotator(data.oracle, seed=0), config).run()
         assert report.satisfied
         assert all(estimate.num_units >= 2 for _, estimate in design.stratum_estimates())
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_neyman_keeps_drawing_strata_whose_spread_is_zero(self, seed):
+        """A stratum whose first few clusters all read the same accuracy has
+        an observed spread of 0; a Neyman share of ``W_h · 0`` never drew it
+        again, and these seeds stopped with strata at [2, 23, 3, 2] units."""
+        data = make_movie_like(seed=0, scale=0.01)
+        strata = stratify_by_size(data.graph, num_strata=4)
+        design = StratifiedTWCSDesign(data.graph, strata, seed=seed, allocation="neyman")
+        annotator = SimulatedAnnotator(data.oracle, seed=seed)
+        report = StaticEvaluator(design, annotator, EvaluationConfig()).run()
+        assert report.satisfied
+        assert all(estimate.num_units >= 5 for _, estimate in design.stratum_estimates())

@@ -19,6 +19,7 @@ import io
 import re
 import shutil
 import sqlite3
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +28,14 @@ from serve_helpers import SECRET, golden_payload, spec, workload
 from repro.cli import main, monitor_row
 from repro.generators.datasets import LabelledKG, make_nell_like
 from repro.generators.workload import UpdateWorkloadGenerator
+from repro.kg.triple import Triple
 from repro.obs import metrics as obs_metrics
 from repro.sampling.rpc import RPCAuthError
 from repro.serve.client import ServeClient, ServeRequestError
 from repro.serve.server import EvalServer
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +64,8 @@ def _client(server) -> ServeClient:
 def test_served_trajectory_replays_golden(server, base, golden, kind):
     with _client(server) as client:
         client.attach(spec(kind), session=kind)
-        for batch, oracle in workload(base):
-            client.submit_batch(kind, batch, oracle)
+        for batch in workload(base):
+            client.submit_batch(kind, batch)
         entries = client.trajectory(kind)["entries"]
     golden.check(f"evolving_{kind}", golden_payload(entries))
 
@@ -75,7 +80,7 @@ def test_resume_after_drain_replays_golden(base, golden, tmp_path):
     first.start()
     with _client(first) as client:
         client.attach(spec("ss"), session="resumed")
-        client.submit_batch("resumed", *batches[0])
+        client.submit_batch("resumed", batches[0])
     first.shutdown(drain=True)
     assert (state_dir / "resumed.ckpt").is_file()
 
@@ -88,7 +93,7 @@ def test_resume_after_drain_replays_golden(base, golden, tmp_path):
             reply = client.attach(spec("ss"), session="resumed")
             assert reply["resumed"] is True
             assert reply["num_records"] == 2
-            client.submit_batch("resumed", *batches[1])
+            client.submit_batch("resumed", batches[1])
             entries = client.trajectory("resumed")["entries"]
     finally:
         second.shutdown(drain=True)
@@ -108,7 +113,7 @@ def test_every_session_of_a_dataset_resumes_after_drain(server, base, golden, tm
         for name in streams:
             client.attach(spec("ss"), session=name)
         for name, stream in streams.items():
-            client.submit_batch(name, *stream[0])
+            client.submit_batch(name, stream[0])
     first.shutdown(drain=True)
 
     second = EvalServer(port=0, secret=SECRET, state_dir=state_dir, queue_limit=8)
@@ -118,7 +123,7 @@ def test_every_session_of_a_dataset_resumes_after_drain(server, base, golden, tm
             resumed = {}
             for name, stream in streams.items():
                 assert client.attach(spec("ss"), session=name)["resumed"] is True, name
-                client.submit_batch(name, *stream[1])
+                client.submit_batch(name, stream[1])
                 resumed[name] = golden_payload(client.trajectory(name)["entries"])
     finally:
         second.shutdown(drain=True)
@@ -128,9 +133,76 @@ def test_every_session_of_a_dataset_resumes_after_drain(server, base, golden, tm
         for name, stream in streams.items():
             client.attach(spec("ss"), session=name)
             for batch in stream:
-                client.submit_batch(name, *batch)
+                client.submit_batch(name, batch)
             assert resumed[name] == golden_payload(client.trajectory(name)["entries"]), name
     golden.check("evolving_ss", resumed["a"])
+
+
+@pytest.mark.parametrize("kind", ["rs", "ss"])
+@pytest.mark.timeout(300)
+def test_a_state_v4_checkpoint_resumes_and_replays_golden(base, golden, tmp_path, kind):
+    """A checkpoint written in state format v4 (segments name their subjects
+    instead of carrying rows), after the pinned workload's first batch,
+    resumes: the second batch completes the golden trajectory."""
+    state_dir = tmp_path / "state"
+    state_dir.mkdir()
+    name = f"v4-{kind}"
+    shutil.copy(GOLDEN_DIR / f"serve_v4_{kind}.ckpt", state_dir / f"{name}.ckpt")
+    server = EvalServer(port=0, secret=SECRET, state_dir=state_dir, queue_limit=8)
+    server.start()
+    try:
+        with _client(server) as client:
+            assert client.attach(spec(kind), session=name)["resumed"] is True
+            client.submit_batch(name, workload(base)[1])
+            entries = client.trajectory(name)["entries"]
+    finally:
+        server.shutdown(drain=True)
+    golden.check(f"evolving_{kind}", golden_payload(entries))
+
+
+@pytest.mark.timeout(300)
+def test_served_batches_skip_repeats_and_stored_triples(server, base):
+    """A triple repeated within a batch keeps its first occurrence, label
+    included; a stored triple, of the base or of an earlier batch, is
+    skipped and keeps the label it has."""
+    fresh = Triple("dedup-subject", "insertedFact", "dedup-object")
+    stored = base.graph.triple_at(0)
+    stored_label = bool(base.oracle.as_position_array(base.graph)[0])
+    with _client(server) as client:
+        client.attach(spec("ss"), session="dedup")
+        evaluator = server._sessions["dedup"].evaluator
+        client.submit("dedup", "d-0", [fresh, stored, fresh], [True, not stored_label, False])
+        graph = evaluator.evolving.current
+        assert graph.num_triples == base.graph.num_triples + 1
+        assert graph.triple_at(graph.num_triples - 1) == fresh
+        assert evaluator.labels.tolist()[-1] is True
+        assert bool(evaluator.labels[0]) is stored_label
+        client.submit("dedup", "d-1", [fresh], [False])
+        assert graph.num_triples == base.graph.num_triples + 1
+        assert evaluator.labels.shape == (graph.num_triples,)
+        assert evaluator.num_strata == 2  # nothing new in d-1, so no stratum
+        truth = client.trajectory("dedup")["entries"][-1]["record"].true_accuracy
+        assert truth == float(evaluator.labels.mean())
+
+
+@pytest.mark.timeout(300)
+def test_sessions_leave_the_served_base_vocabulary_as_it_was(server, base):
+    """Three sessions on one dataset, attached, fed and detached one after
+    another: each interns its strings into a vocabulary of its own, so the
+    cached base's vocabulary keeps its length."""
+    batches = workload(base)
+    with _client(server) as client:
+        for index in range(3):
+            name = f"vocab-{index}"
+            client.attach(spec("ss"), session=name)
+            (cached,) = server._graphs.values()
+            if not index:
+                vocab_size = len(cached.graph.backend.vocab)
+            for batch in batches:
+                client.submit_batch(name, batch)
+            assert server._sessions[name].evaluator.evolving.current.backend.num_tail_triples
+            client.detach(name)
+            assert len(cached.graph.backend.vocab) == vocab_size
 
 
 @pytest.mark.timeout(300)
@@ -190,9 +262,9 @@ def test_snapshot_session_replays_monitor(server, nell_snapshots, capsys, layout
     with _client(server) as client:
         client.attach(_snapshot_spec(path), session="snapshot")
         client.attach(dataset_spec, session="dataset")
-        for batch, oracle in _monitor_batches(path):
-            client.submit_batch("snapshot", batch, oracle)
-            client.submit_batch("dataset", batch, oracle)
+        for batch in _monitor_batches(path):
+            client.submit_batch("snapshot", batch)
+            client.submit_batch("dataset", batch)
         from_snapshot = client.trajectory("snapshot")["entries"]
         from_dataset = client.trajectory("dataset")["entries"]
     assert _monitor_rows(from_snapshot) == expected
@@ -208,8 +280,8 @@ def test_snapshot_session_resumes_after_drain(server, nell_snapshots, tmp_path, 
     batches = _monitor_batches(path)
     with _client(server) as client:
         client.attach(_snapshot_spec(path), session="whole")
-        for batch, oracle in batches:
-            client.submit_batch("whole", batch, oracle)
+        for batch in batches:
+            client.submit_batch("whole", batch)
         expected = golden_payload(client.trajectory("whole")["entries"])
 
     state_dir = tmp_path / "state"
@@ -217,7 +289,7 @@ def test_snapshot_session_resumes_after_drain(server, nell_snapshots, tmp_path, 
     first.start()
     with _client(first) as client:
         client.attach(_snapshot_spec(path), session="resumed")
-        client.submit_batch("resumed", *batches[0])
+        client.submit_batch("resumed", batches[0])
     first.shutdown(drain=True)
     assert (state_dir / "resumed.ckpt").is_file()
 
@@ -228,7 +300,7 @@ def test_snapshot_session_resumes_after_drain(server, nell_snapshots, tmp_path, 
             reply = client.attach(_snapshot_spec(path), session="resumed")
             assert reply["resumed"] is True
             assert reply["num_records"] == 2
-            client.submit_batch("resumed", *batches[1])
+            client.submit_batch("resumed", batches[1])
             entries = client.trajectory("resumed")["entries"]
     finally:
         second.shutdown(drain=True)
@@ -321,8 +393,8 @@ def test_a_foreign_database_is_refused_and_left_unchanged(server, tmp_path):
 def test_estimate_is_cached_read(server, base):
     with _client(server) as client:
         client.attach(spec("ss"), session="cached")
-        batch, oracle = workload(base)[0]
-        client.submit_batch("cached", batch, oracle)
+        batch = workload(base)[0]
+        client.submit_batch("cached", batch)
         before = obs_metrics.counter("serve_estimate_cache_hits_total").value
         replies = [client.estimate("cached") for _ in range(10)]
         after = obs_metrics.counter("serve_estimate_cache_hits_total").value
@@ -348,9 +420,9 @@ def test_full_admission_queue_rejects_submit(base):
     try:
         with _client(server) as client:
             client.attach(spec("ss"), session="bp", wait=False)
-            batch, oracle = workload(base)[0]
+            batch = workload(base)[0]
             with pytest.raises(ServeRequestError) as excinfo:
-                client.submit_batch("bp", batch, oracle, wait=False)
+                client.submit_batch("bp", batch, wait=False)
             assert excinfo.value.code == "backpressure"
             server.resume()
             # The queued base round still completes after the pressure clears.
@@ -365,8 +437,8 @@ def test_full_admission_queue_rejects_submit(base):
 def test_poll_waits_for_threshold(server, base):
     with _client(server) as client:
         client.attach(spec("ss"), session="poller")
-        batch, oracle = workload(base)[0]
-        client.submit_batch("poller", batch, oracle, wait=False)
+        batch = workload(base)[0]
+        client.submit_batch("poller", batch, wait=False)
         reply = client.poll("poller", min_records=2, timeout=120.0)
         assert reply["satisfied"] is True
         assert reply["num_records"] >= 2
@@ -411,6 +483,20 @@ def test_draining_server_refuses_new_work(server):
 # --------------------------------------------------------------------------- #
 # Malformed input gets a typed error, never a dropped connection
 # --------------------------------------------------------------------------- #
+def _columns(**fields) -> dict:
+    """A well-formed two-triple columnar submit, with ``fields`` replaced."""
+    return {
+        "op": "submit",
+        "batch_id": "b",
+        "subjects": ["s", "t"],
+        "predicates": ["p", "p"],
+        "objects": ["o", "q"],
+        "entity_objects": b"\x00\x01",
+        "labels": b"\x01\x00",
+        **fields,
+    }
+
+
 @pytest.mark.parametrize(
     "request_fields, field",
     [
@@ -420,6 +506,17 @@ def test_draining_server_refuses_new_work(server):
         ({"op": "poll", "min_records": 1, "timeout": None}, "timeout"),
         ({"op": "poll", "min_records": [1]}, "min_records"),
         ({"op": "poll", "moe_below": {}}, "moe_below"),
+        (_columns(predicates=["p"]), "predicates"),
+        (_columns(labels=b"\x01\x02"), "labels"),
+        (_columns(subjects=["s", 7]), "subjects"),
+        (
+            _columns(subjects=[], predicates=[], objects=[], entity_objects=b"", labels=b""),
+            "subjects",
+        ),
+        (
+            {"op": "submit", "batch_id": "b", "triples": [Triple("s", "p", "o")], "labels": [True]},
+            "triples",
+        ),
     ],
     ids=[
         "attach-moe-none",
@@ -428,6 +525,11 @@ def test_draining_server_refuses_new_work(server):
         "poll-timeout-none",
         "poll-min-records-list",
         "poll-moe-below-dict",
+        "submit-unequal-columns",
+        "submit-label-byte-2",
+        "submit-subject-int",
+        "submit-empty-batch",
+        "submit-triples",
     ],
 )
 @pytest.mark.timeout(300)
@@ -469,33 +571,64 @@ def _corrupted(frame: bytes) -> bytes:
     return bytes(flipped)
 
 
-@pytest.mark.parametrize("damage", [_truncated, _corrupted], ids=["truncated", "corrupted"])
-@pytest.mark.timeout(300)
-def test_bad_frame_drops_only_its_connection(server, base, golden, damage):
+def _damaged_frame_drops_only_its_connection(server, base, golden, frame: bytes) -> None:
+    """Send ``frame`` on a connection of its own, mid-stream of a session on
+    another: the daemon counts the error and drops that connection only."""
     import socket
 
-    from repro.sampling import wire
     from repro.serve import protocol
 
     batches = workload(base)
     with _client(server) as client:
         client.attach(spec("ss"), session="bystander")
-        client.submit_batch("bystander", *batches[0])
+        client.submit_batch("bystander", batches[0])
 
         host, port = server.address.rsplit(":", 1)
         before = obs_metrics.counter("serve_conn_errors_total").value
         with socket.create_connection((host, int(port)), timeout=30) as raw:
             protocol.client_handshake(raw, SECRET)
-            frame = wire.encode_frame({"op": "estimate", "session": "bystander"})
-            raw.sendall(damage(frame))
+            raw.sendall(frame)
             raw.shutdown(socket.SHUT_WR)
             # The daemon closes its end once it has counted the error.
             assert raw.recv(1) == b""
         assert obs_metrics.counter("serve_conn_errors_total").value == before + 1
 
-        client.submit_batch("bystander", *batches[1])
+        client.submit_batch("bystander", batches[1])
         entries = client.trajectory("bystander")["entries"]
     golden.check("evolving_ss", golden_payload(entries))
+
+
+@pytest.mark.parametrize("damage", [_truncated, _corrupted], ids=["truncated", "corrupted"])
+@pytest.mark.timeout(300)
+def test_bad_frame_drops_only_its_connection(server, base, golden, damage):
+    from repro.sampling import wire
+
+    frame = wire.encode_frame({"op": "estimate", "session": "bystander"})
+    _damaged_frame_drops_only_its_connection(server, base, golden, damage(frame))
+
+
+@pytest.mark.parametrize("damage", [_truncated, _corrupted], ids=["truncated", "corrupted"])
+@pytest.mark.timeout(300)
+def test_a_damaged_columnar_submit_drops_only_its_connection(server, base, golden, damage):
+    """The submit a client sends, its batch as columns, damaged in flight:
+    the batch never reaches the session it names."""
+    from repro.sampling import wire
+
+    batch = workload(base)[1]
+    message = {
+        "op": "submit",
+        "session": "bystander",
+        "batch_id": batch.batch_id,
+        "subjects": list(batch.subjects),
+        "predicates": list(batch.predicates),
+        "objects": list(batch.objects),
+        "entity_objects": batch.entity_objects,
+        "labels": batch.labels,
+        "wait": True,
+    }
+    _damaged_frame_drops_only_its_connection(
+        server, base, golden, damage(wire.encode_frame(message))
+    )
 
 
 @pytest.mark.timeout(60)

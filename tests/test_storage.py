@@ -28,7 +28,7 @@ from store_model import StoreModel, assert_matches_model
 from repro.generators.datasets import LabelledKG
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.io import read_triples_tsv, write_triples_tsv
-from repro.kg.triple import Triple
+from repro.kg.triple import Triple, triple_columns
 from repro.sampling.rcs import RandomClusterDesign
 from repro.sampling.srs import SimpleRandomDesign
 from repro.sampling.stratification import stratify_by_size
@@ -116,8 +116,33 @@ class TestBackendEquivalence:
         delta = DeltaStore(KnowledgeGraph(first).backend)
         model = StoreModel(first)
         for batch in batches:
-            assert delta.add_batch(batch) == model.add_all(batch)
+            added = delta.add_batch(*triple_columns(batch))
+            assert added.tolist() == model.add_all(batch)
             assert_matches_model(KnowledgeGraph(backend=delta), model)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tail_repeats_are_skipped_over_a_long_stream(self, seed):
+        """Sixty batches over a small string universe, mixed with repeats of
+        earlier tail triples and a few fresh strings: the tail's sorted keys,
+        built by the first batch that needs them and merged into by every
+        later append, answer every repeat as the model does."""
+        rng = np.random.default_rng(seed)
+
+        def triple(prefix=""):
+            s, p, o = rng.integers(0, (9, 3, 13)).tolist()
+            return Triple(f"{prefix}s{s}", f"p{p}", f"o{o}", bool(rng.integers(2)))
+
+        base = [triple() for _ in range(20)]
+        delta, model = DeltaStore(KnowledgeGraph(base).backend), StoreModel(base)
+        for index in range(60):
+            batch = [triple("new" if rng.random() < 0.05 else "") for _ in range(12)]
+            tail = model.triples[len(base) :]
+            if tail:
+                batch += [tail[i] for i in rng.integers(0, len(tail), 4)]
+            added = delta.add_batch(*triple_columns(batch))
+            assert added.tolist() == model.add_all(batch), index
+        assert delta.num_tail_triples > 150
+        assert_matches_model(KnowledgeGraph(backend=delta), model)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

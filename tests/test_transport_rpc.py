@@ -47,19 +47,19 @@ def test_remote_task_failure_raises_instead_of_retrying(server, base, monkeypatc
         client.attach(spec("ss"), session="broken")
         calls = []
 
-        def failing_update(batch, oracle):
+        def failing_update(batch):
             calls.append(batch.batch_id)
             raise RuntimeError("evaluator bug")
 
         monkeypatch.setattr(server._sessions["broken"].monitor, "apply_update", failing_update)
         with pytest.raises(ServeRequestError) as excinfo:
-            client.submit_batch("broken", *batches[0])
+            client.submit_batch("broken", batches[0])
         assert excinfo.value.code == "round_failed"
         assert "RuntimeError: evaluator bug" in str(excinfo.value)
         with pytest.raises(ServeRequestError) as excinfo:
-            client.submit_batch("broken", *batches[1])
+            client.submit_batch("broken", batches[1])
         assert excinfo.value.code == "session_failed"
-        assert calls == [batches[0][0].batch_id]
+        assert calls == [batches[0].batch_id]
         reply = client.estimate("broken")
         assert reply["failed"] == "RuntimeError: evaluator bug"
         assert reply["num_records"] == 1

@@ -3,9 +3,10 @@
 Two properties carry the serve wire's safety story:
 
 * **Fidelity** — ``decode(encode(x)) == x`` over randomized serve messages:
-  update submits carrying Triples and labels, and result replies carrying
-  an :class:`EvaluationReport` and a :class:`MonitorRecord`; live RNG
-  streams included.
+  update submits carrying their batch as columns (and in the Triple shape
+  of wire tag 19), and result replies carrying an
+  :class:`EvaluationReport` and a :class:`MonitorRecord`; live RNG streams
+  included.
 * **Totality under hostility** — decoding mutated or arbitrary bytes never
   executes anything and never escapes with anything but
   :class:`WireError`: every single-byte flip of a valid frame is caught by
@@ -13,11 +14,12 @@ Two properties carry the serve wire's safety story:
   flipped, overwritten or truncated *payloads* (past the CRC) reach the
   decoder's own checks, which fail the same way.
 
-The fast paths (Triples and bool lists read in place, exact-type encoding)
-fail with the messages the generic readers give, and a full-size submit
-keeps its pinned bytes.  No sockets are involved; this runs in the tier-1
-leg, and the payload fuzz runs again at 2,000 examples per value kind in
-the ``slow`` leg.
+The fast paths (str lists read and written in one pass, exact-type
+encoding) fail with the messages the generic readers give, malformed Triples
+and bool lists keep the messages pinned for them, and full-size submits in
+both shapes keep their pinned bytes.
+No sockets are involved; this runs in the tier-1 leg, and the payload fuzz
+runs again at 2,000 examples per value kind in the ``slow`` leg.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from serve_helpers import replies, submits
+from serve_helpers import column_submits, replies, submits
 
 from repro.core.result import EvaluationReport
 from repro.evolving.monitor import MonitorRecord
@@ -43,12 +45,28 @@ from repro.sampling.wire import WireError
 
 
 def _serve_values():
-    return st.one_of(submits(), replies())
+    return st.one_of(column_submits(), submits(), replies())
 
 
 # --------------------------------------------------------------------------- #
 # Fidelity
 # --------------------------------------------------------------------------- #
+@given(message=column_submits())
+def test_columnar_submit_frame_roundtrip(message):
+    """A serve submit as clients send it, its batch as columns, crosses the
+    wire intact, and the one-pass str-list encoder writes the bytes the
+    item-by-item encoder writes."""
+    frame = wire.encode_frame(message)
+    assert wire.decode_frame(frame) == message
+    for column in ("subjects", "predicates", "objects"):
+        one_pass = bytearray()
+        wire._encode_items(wire._T_LIST, message[column], one_pass, 1)
+        item_by_item = bytearray([wire._T_LIST]) + len(message[column]).to_bytes(4, "big")
+        for item in message[column]:
+            wire._encode_str(item, item_by_item)
+        assert one_pass == item_by_item
+
+
 @given(message=submits())
 def test_task_frame_roundtrip(message):
     """A serve submit, the daemon's unit of work, crosses the wire intact."""
@@ -154,6 +172,7 @@ def _rng_message(seed: int) -> dict:
 
 #: The value kinds whose payloads the decoder fuzz mutates.
 PAYLOAD_KINDS = {
+    "columns": column_submits,
     "submit": submits,
     "reply": replies,
     "rng": lambda: st.builds(_rng_message, st.integers(min_value=0, max_value=2**32 - 1)),
@@ -239,7 +258,8 @@ def test_huge_declared_containers_are_bounded():
 def test_nested_frame_size_list_headers_copy_nothing():
     """33 nested list headers, each declaring as many items as the padding
     that follows holds: the decoder must reach the nesting limit without
-    copying the frame once per level (the bool-list scan reads in place)."""
+    copying the frame once per level (the str-list reader stops at the
+    first item that is not a str)."""
     padding = 1 << 20
     header = bytes([wire._T_LIST]) + padding.to_bytes(4, "big")
     payload = header * 33 + bytes(padding)
@@ -259,9 +279,12 @@ def test_nested_frame_size_list_headers_copy_nothing():
 _PAIR = wire.dumps([Triple("athlete_1", "plays_for", "team_2", is_entity_object=True)] * 2)
 _LIST_OF_ONE = bytes([wire._T_LIST, 0, 0, 0, 1])
 _BOOL_LIST = bytes([wire._T_LIST, 0, 0, 0, 2, wire._T_TRUE, wire._T_FALSE])
+_STRS = wire.dumps(["athlete_1", "team_2", "plays_for"])
 
-#: Hand-made payloads that reach the Triple and bool-list fast paths, with
-#: the exact message each one failed with before those paths existed.
+#: Hand-made payloads that reach the str-list fast path, or a Triple or a
+#: bool list (which had fast paths of their own until submits became
+#: columns), with the exact message each one failed with before any fast
+#: path existed.
 FAST_PATH_FAILURES = {
     "subject-int": (
         bytes([wire._T_TRIPLE]) + wire.dumps(7) + wire.dumps("p") + wire.dumps("o") + b"\x01",
@@ -299,6 +322,20 @@ FAST_PATH_FAILURES = {
         _LIST_OF_ONE * 32 + wire.dumps(Triple("s", "p", "o")),
         "frame nests deeper than the wire limit",
     ),
+    # A submit's columns: lists of strs, read in one pass.
+    "str-list-utf8": (
+        bytes([wire._T_LIST, 0, 0, 0, 2])
+        + wire.dumps("s")
+        + bytes([wire._T_STR, 0, 0, 0, 2, 0xC3, 0x28]),
+        "invalid UTF-8 on the wire: 'utf-8' codec can't decode byte 0xc3 in position 0: "
+        "invalid continuation byte",
+    ),
+    "str-list-cut-item": (_STRS[:17], "frame truncated: wanted 9 bytes, 7 left"),
+    "str-list-cut-length": (_STRS[:33], "frame truncated: wanted 4 bytes, 2 left"),
+    "str-list-past-limit": (
+        _LIST_OF_ONE * 32 + wire.dumps(["s", "p"]),
+        "frame nests deeper than the wire limit",
+    ),
 }
 
 
@@ -310,7 +347,9 @@ def test_fast_paths_fail_with_the_generic_messages(name):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("leaf", [[True, False], Triple("s", "p", "o")], ids=["bools", "triple"])
+@pytest.mark.parametrize(
+    "leaf", [[True, False], Triple("s", "p", "o"), ["s", "p"]], ids=["bools", "triple", "strs"]
+)
 def test_fast_paths_decode_at_the_nesting_limit(leaf):
     value = leaf
     for _ in range(31):
@@ -318,6 +357,13 @@ def test_fast_paths_decode_at_the_nesting_limit(leaf):
     payload = _LIST_OF_ONE * 31 + wire.dumps(leaf)
     assert wire.dumps(value) == payload
     assert wire.loads(payload) == value
+
+
+def test_a_list_mixing_strs_with_other_values_decodes_item_by_item():
+    """The str-list reader hands a list with one non-str item back to the
+    item-by-item reader, which decodes it whole."""
+    value = ["s", 7, "o", None, b"\x01", ["p"]]
+    assert wire.loads(wire.dumps(value)) == value
 
 
 @pytest.mark.parametrize("leaf", ["leaf", True], ids=["str", "bool"])
@@ -624,6 +670,17 @@ def full_size_values() -> dict:
         "cumulative_cost_seconds": 15912.0,
     }
     return {
+        "columns": {
+            "op": "submit",
+            "session": "ss-0",
+            "batch_id": batch.batch_id,
+            "subjects": list(batch.subjects),
+            "predicates": list(batch.predicates),
+            "objects": list(batch.objects),
+            "entity_objects": batch.entity_objects,
+            "labels": batch.labels,
+            "wait": False,
+        },
         "submit": {
             "op": "submit",
             "session": "ss-0",
@@ -645,8 +702,11 @@ def full_size_values() -> dict:
 
 
 #: SHA-256 of the frames of the values above: a 661-triple submit (MOVIE
-#: x0.05, a 0.5 % batch) and a poll reply carrying ``latest``.
+#: x0.05, a 0.5 % batch) as columns, as clients send it, and in the Triple
+#: shape (tag 19), and a poll reply carrying ``latest``.  The ``columns``
+#: pin was computed by an encoder without the one-pass str-list writer.
 FULL_SIZE_FRAME_SHA256 = {
+    "columns": "9018fb42debcbee5043eddece1e26a0076a85618060c49cb5e65a8d55bbf1c73",
     "submit": "1274996b9d2d2702bc52b0dd307574ccb882daaa37ee10df0c21e87d28a3fe37",
     "poll": "9e591aae0f43296013445b9cbbb6b423b2e3a7a1686ff3693ccf0187bad00567",
 }

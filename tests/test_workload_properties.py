@@ -46,9 +46,16 @@ def small_base() -> LabelledKG:
     return LabelledKG(graph, LabelOracle({triple: True for triple in triples}))
 
 
-def batch_fingerprint(batch, oracle) -> tuple:
-    # Oracle insertion order mirrors batch order, so it is part of the identity.
-    return (batch.batch_id, batch.triples, tuple(oracle.as_dict().items()))
+def batch_fingerprint(batch) -> tuple:
+    # Every column, labels and entity flags included, is part of the identity.
+    return (
+        batch.batch_id,
+        tuple(batch.subjects),
+        tuple(batch.predicates),
+        tuple(batch.objects),
+        batch.entity_objects,
+        batch.labels,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +117,8 @@ def test_scheduled_sequence_deterministic_under_seed(seed, total, num_batches, a
     def run():
         generator = UpdateWorkloadGenerator(small_base(), seed=seed)
         return [
-            batch_fingerprint(batch, oracle)
-            for batch, oracle in generator.generate_scheduled_sequence(
+            batch_fingerprint(batch)
+            for batch in generator.generate_scheduled_sequence(
                 total, num_batches, accuracy, pattern
             )
         ]
@@ -130,7 +137,7 @@ def test_scheduled_sequence_conserves_total(seed, total, num_batches, pattern):
     generator = UpdateWorkloadGenerator(small_base(), seed=seed)
     emitted = sum(
         batch.size
-        for batch, _ in generator.generate_scheduled_sequence(total, num_batches, 0.8, pattern)
+        for batch in generator.generate_scheduled_sequence(total, num_batches, 0.8, pattern)
     )
     assert emitted == total
 
