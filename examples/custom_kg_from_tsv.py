@@ -8,8 +8,8 @@ downstream user of the library would actually take:
    (here we first write a small demo file so the example is self-contained);
 2. run a *pilot* TWCS round against human annotators — simulated below — to
    get rough cluster-accuracy information;
-3. pick the optimal second-stage size m from the pilot and run the full
-   evaluation to the required margin of error.
+3. pick the optimal second-stage size m from the pilot (Eq. 12) and run the
+   full evaluation to the required margin of error.
 
 Run with:  python examples/custom_kg_from_tsv.py
 """
@@ -21,7 +21,7 @@ from repro import CostModel, SimulatedAnnotator, TwoStageWeightedClusterDesign, 
 from repro.generators import make_nell_like
 from repro.kg.io import read_labelled_tsv, write_labelled_tsv
 from repro.labels import LabelOracle
-from repro.sampling import optimal_second_stage_size
+from repro.sampling.pilot import recommend_design, run_pilot
 
 
 def write_demo_file(path: Path) -> None:
@@ -42,25 +42,18 @@ def main() -> None:
         oracle = LabelOracle(labels)
         print(f"Loaded {graph!r} from {kg_path.name}")
 
-        # 2. Pilot round: a cheap TWCS pass at a loose 10% margin of error.
-        pilot_design = TwoStageWeightedClusterDesign(graph, second_stage_size=3, seed=1)
-        pilot_annotator = SimulatedAnnotator(oracle, seed=1)
-        pilot = evaluate_accuracy(pilot_design, pilot_annotator, moe_target=0.10)
-        print(f"Pilot: {pilot.summary()}")
+        # 2. Pilot round: a cheap TWCS pass of 40 cluster draws, 3 triples each.
+        pilot = run_pilot(graph, SimulatedAnnotator(oracle, seed=1), num_clusters=40, seed=1)
+        print(
+            f"Pilot: {pilot.num_clusters} clusters, {pilot.num_triples_annotated} triples, "
+            f"accuracy~{pilot.accuracy_estimate:.1%}, cost={pilot.cost_hours:.2f}h"
+        )
 
         # 3. Use the pilot's per-cluster picture to choose m, then run the
         #    full evaluation at 5% MoE.  The pilot-derived cluster accuracies
         #    are crude (few triples per cluster), which is exactly the
         #    situation a practitioner is in.
-        pilot_labels = pilot_annotator.labelled_triples
-        sampled_entities = {triple.subject for triple in pilot_labels}
-        sizes, accuracies = [], []
-        for entity_id in sampled_entities:
-            cluster = graph.cluster(entity_id)
-            observed = [pilot_labels[t] for t in cluster if t in pilot_labels]
-            sizes.append(cluster.size)
-            accuracies.append(sum(observed) / len(observed))
-        optimum = optimal_second_stage_size(sizes, accuracies, CostModel(), moe_target=0.05)
+        optimum = recommend_design(pilot, CostModel(), moe_target=0.05)
         print(f"Pilot-estimated optimal m = {optimum.second_stage_size}")
 
         design = TwoStageWeightedClusterDesign(

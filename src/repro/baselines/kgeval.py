@@ -29,10 +29,13 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.baselines.coupling import CouplingGraphBuilder
 from repro.cost.annotator import SimulatedAnnotator
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
+from repro.sampling.base import PositionBatch
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -115,16 +118,16 @@ class KGEvalBaseline:
             self._coupling = self.builder.build(self.graph)
         return self._coupling
 
-    def _select_next(self, coupling: nx.Graph, labelled: dict[Triple, bool]) -> Triple | None:
-        """Pick the unlabelled triple with the most unlabelled coupling weight.
+    def _select_next(self, coupling: nx.Graph, labelled: dict[Triple, bool]) -> int | None:
+        """Position of the unlabelled triple with the most unlabelled coupling weight.
 
         This full scan per selection mirrors KGEval's expensive inference-driven
         selection step; it is intentionally not incrementalised.
         """
-        best_triple: Triple | None = None
+        best_position: int | None = None
         best_benefit = -1.0
         # The cached view: the coupling graph's node objects, built once.
-        for triple in self.graph.triples:
+        for position, triple in enumerate(self.graph.triples):
             if triple in labelled:
                 continue
             benefit = 0.0
@@ -133,8 +136,8 @@ class KGEvalBaseline:
                     benefit += float(data.get("weight", 1.0))
             if benefit > best_benefit:
                 best_benefit = benefit
-                best_triple = triple
-        return best_triple
+                best_position = position
+        return best_position
 
     def _propagate(
         self,
@@ -187,13 +190,14 @@ class KGEvalBaseline:
                 break
 
             start = time.perf_counter()
-            selected = self._select_next(coupling, labelled)
+            position = self._select_next(coupling, labelled)
             machine_time += time.perf_counter() - start
-            if selected is None:
+            if position is None:
                 break
 
-            result = self.annotator.annotate_triples([selected])
-            label = result.labels[selected]
+            batch = PositionBatch.of_triples(np.array([position], dtype=np.int64))
+            label = bool(self.annotator.annotate_positions(self.graph, batch)[position])
+            selected = self.graph.triples[position]
             labelled[selected] = label
             annotated.add(selected)
 

@@ -13,20 +13,21 @@ estimate satisfies the requirement, which is the "avoid oversampling and
 unnecessary manual evaluations" property claimed in Section 4.
 
 The loop runs on the position surface: each round is one
-:class:`~repro.sampling.base.PositionBatch` of integer triple positions, and a
-:class:`~repro.cost.annotator.SimulatedAnnotator` labels the whole round from
-its oracle's position array while charging Eq. (4), so a run builds no Triple
-and a round costs a few array operations.  Annotators whose labels are not the
-oracle's (label flips, majority votes, or any object with only
-``annotate_triples``) get each unit's Triples, and their labels reach the
-design through the same ``update_all_positions``.
+:class:`~repro.sampling.base.PositionBatch` of integer triple positions, which
+the annotator labels in one ``annotate_positions`` call while charging
+Eq. (4), and the label array it returns is folded by position through
+``update_all_positions``.  Every annotator takes this one path, whatever its
+labels are: a :class:`~repro.cost.annotator.SimulatedAnnotator` reads them
+from its oracle's array, a :class:`~repro.cost.pool.NoisyAnnotator` flips
+some and an :class:`~repro.cost.pool.AnnotationTaskPool` votes.  A run builds
+no Triple and a round costs a few array operations.
 
-SRS and RCS read a cursor over an order fixed at their first draw, and a
-``SimulatedAnnotator``'s labels are its oracle's array, so with such an
-annotator the loop draws a *stretch* of rounds in one call (as many as the
-current estimate says the target needs, under a fixed ceiling) and the design
-folds it (``fold_rounds``): it computes the state after every round of the
-stretch and runs the stop rule
+SRS and RCS read a cursor over an order fixed at their first draw, and when
+the annotator's labels are its oracle's array (a ``SimulatedAnnotator`` that
+keeps its ``annotate_positions``), the loop draws a *stretch* of rounds in one
+call (as many as the current estimate says the target needs, under a fixed
+ceiling) and the design folds it (``fold_rounds``): it computes the state
+after every round of the stretch and runs the stop rule
 (:meth:`~repro.core.config.EvaluationConfig.target_met`) once, over per-round
 arrays, with the same operations a single round's check runs.  It keeps the
 state of the first round that meets the rule, the rest of the stretch goes
@@ -36,8 +37,9 @@ The loop therefore still stops at the end of the first round that meets the
 target and never annotates a unit past it: reports, costs, random streams
 and design state are bit for bit those of one round per draw.  Every other
 design draws with replacement or a fresh random call per round, and every
-other annotator labels Triples, so they keep one round per draw in the same
-loop; :meth:`StaticEvaluator.step` is that one-round case.
+other annotator decides its labels as it annotates, so they keep one round
+per draw in the same loop; :meth:`StaticEvaluator.step` is that one-round
+case.
 """
 
 from __future__ import annotations
@@ -45,13 +47,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-import numpy as np
-
 from repro.core.config import EvaluationConfig
 from repro.core.result import EvaluationReport
 from repro.cost.annotator import SimulatedAnnotator
 from repro.obs import metrics as obs_metrics
-from repro.sampling.base import Estimate, PositionBatch, SamplingDesign
+from repro.sampling.base import Estimate, SamplingDesign
 from repro.stats.ci import required_sample_size
 
 __all__ = ["StaticEvaluator", "evaluate_accuracy"]
@@ -61,16 +61,14 @@ _STRETCH_UNITS = 1024
 
 
 def _labels_from_oracle(annotator) -> bool:
-    """Whether ``annotator`` labels exactly as its oracle does.
+    """Whether ``annotator``'s labels are its oracle's array, known before it annotates.
 
     Subclasses that only re-price cost components (lognormal noise, drift)
-    keep ``SimulatedAnnotator.annotate_triples``; one that overrides it
-    (``NoisyAnnotator`` flips labels) must see the Triples.
+    keep ``SimulatedAnnotator.annotate_positions``; one that overrides it
+    (``NoisyAnnotator`` flips labels) or a crew (``AnnotationTaskPool``)
+    decides labels while annotating.
     """
-    return (
-        isinstance(annotator, SimulatedAnnotator)
-        and type(annotator).annotate_triples is SimulatedAnnotator.annotate_triples
-    )
+    return type(annotator).annotate_positions is SimulatedAnnotator.annotate_positions
 
 
 class StaticEvaluator:
@@ -81,9 +79,13 @@ class StaticEvaluator:
     design:
         Any :class:`~repro.sampling.base.SamplingDesign`.
     annotator:
-        The annotator charged with labelling sampled triples (normally a
-        :class:`~repro.cost.annotator.SimulatedAnnotator`; any object with the
-        same ``annotate_triples`` / cost-accounting interface works).
+        The annotator charged with labelling sampled triples: a
+        :class:`~repro.cost.annotator.SimulatedAnnotator`, one of its
+        subclasses, an :class:`~repro.cost.pool.AnnotationTaskPool`, or any
+        object with ``annotate_positions(graph, batch)`` (returning a label
+        array by position), ``reset()`` and the three session totals
+        ``total_cost_seconds``, ``total_triples_annotated`` and
+        ``entities_identified``.
     config:
         Quality/budget requirements; defaults to the paper's standard task
         (5 % MoE at 95 % confidence).
@@ -135,30 +137,11 @@ class StaticEvaluator:
             units = design.fold_rounds(batch, labels, round_size, stop)
             annotator.annotate_positions(graph, batch.head(units))
         else:
-            self._annotate(batch)
+            design.update_all_positions(batch, annotator.annotate_positions(design.graph, batch))
         rounds = -(-units // round_size)
         self._rounds_total.inc(rounds)
         self._units_total.inc(units)
         return units, rounds
-
-    def _annotate(self, batch: PositionBatch) -> None:
-        """Label one round of position units and fold it into the design."""
-        design, annotator = self.design, self.annotator
-        graph = design.graph
-        if _labels_from_oracle(annotator):
-            design.update_all_positions(batch, annotator.annotate_positions(graph, batch))
-            return
-        # Label each unit's Triples, then fold the round re-addressed onto
-        # the round's flat label vector (unit after unit, as drawn).
-        flat: list[bool] = []
-        for positions, _, _ in batch:
-            triples = graph.triples_at(positions)
-            labels = annotator.annotate_triples(triples).labels
-            flat.extend(labels[t] for t in triples)
-        relabelled = PositionBatch(
-            np.arange(len(flat)), batch.counts, batch.entity_rows, batch.cluster_sizes
-        )
-        design.update_all_positions(relabelled, np.array(flat, dtype=bool))
 
     def _stretch_rounds(self, estimate: Estimate) -> int:
         """Rounds to draw at once: enough to reach the sample size ``estimate`` asks for.

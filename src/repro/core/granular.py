@@ -25,7 +25,7 @@ from repro.core.result import EvaluationReport
 from repro.cost.annotator import SimulatedAnnotator
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
-from repro.sampling.base import Estimate
+from repro.sampling.base import Estimate, PositionBatch
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 
 __all__ = ["GroupReport", "GranularEvaluator", "evaluate_by_predicate"]
@@ -108,9 +108,11 @@ class GranularEvaluator:
         cost_before = self.annotator.total_cost_seconds
         triples_before = self.annotator.total_triples_annotated
         entities_before = self.annotator.entities_identified
-        result = self.annotator.annotate_triples(group_graph.triples)
-        labels = [result.labels[t] for t in group_graph]
-        accuracy = sum(labels) / len(labels) if labels else 0.0
+        # Every triple of the group as a triple-level unit, in position order.
+        num_triples = group_graph.num_triples
+        batch = PositionBatch.of_triples(np.arange(num_triples))
+        labels = self.annotator.annotate_positions(group_graph, batch)
+        accuracy = int(np.count_nonzero(labels)) / num_triples if num_triples else 0.0
         estimate = Estimate(
             value=accuracy,
             std_error=0.0,

@@ -7,9 +7,16 @@ distinct entity) and then *validate* each relationship (cost ``c2`` per
 triple).  This subpackage implements:
 
 * the approximate cost function Eq. (4), :class:`~repro.cost.model.CostModel`;
-* a :class:`~repro.cost.annotator.SimulatedAnnotator` that replays the
-  annotation process against a ground-truth oracle while charging time with
-  that cost model (and optional per-task noise, used to reproduce Figure 1);
+* a :class:`~repro.cost.annotator.SimulatedAnnotator` that labels sampled
+  positions from a ground-truth oracle while charging time with that cost
+  model (and optional per-task noise, used to reproduce Figure 1).  Its
+  session is the one Eq. (4) ledger: the static loop, the pilot, the
+  granular census, KGEval, the figures and the evolving evaluators all
+  charge through :meth:`~repro.cost.annotator.SimulatedAnnotator.annotate_positions`;
+* the Sample Pool (:mod:`repro.cost.pool`): a
+  :class:`~repro.cost.pool.NoisyAnnotator` that flips labels and an
+  :class:`~repro.cost.pool.AnnotationTaskPool` that votes over a crew, both
+  on the same position surface;
 * least-squares fitting of ``(c1, c2)`` from timing observations
   (:mod:`repro.cost.fitting`, Figure 4).
 """
@@ -20,12 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".model": ("CostModel",),
-        ".annotator": (
-            "EvaluationTask",
-            "AnnotationResult",
-            "SimulatedAnnotator",
-            "PositionAnnotationAccount",
-        ),
+        ".annotator": ("SimulatedAnnotator",),
         ".pool": ("NoisyAnnotator", "AnnotationTaskPool", "TaskRecord"),
         ".fitting": ("CostObservation", "CostFit", "fit_cost_model"),
     },

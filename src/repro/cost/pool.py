@@ -1,4 +1,4 @@
-"""The Sample Pool: turning sampled triples into evaluation tasks for annotators.
+"""The Sample Pool: handing sampled units to a crew of annotators.
 
 Figure 2 of the paper places a *Sample Pool* between the sample collector and
 the estimator: it accumulates sampled triples, groups them by subject into
@@ -7,36 +7,47 @@ framework is "independent of the manual annotation process — users can specify
 either single evaluation or multiple evaluations (assigned to different
 annotators) per Evaluation Task" (Section 4).
 
-This module implements that component for the simulated setting:
+This module implements that component for the simulated setting, on the
+position surface every annotator shares
+(:meth:`~repro.cost.annotator.SimulatedAnnotator.annotate_positions`):
 
 * :class:`NoisyAnnotator` — a simulated annotator whose labels are wrong with
   a configurable probability, standing in for imperfect human workers;
-* :class:`AnnotationTaskPool` — groups triples into per-entity tasks, assigns
-  each task to one or more annotators (round-robin), resolves disagreements by
-  majority vote and accounts for the total annotation cost across the crew.
+* :class:`AnnotationTaskPool` — hands each sampled unit (one cluster's drawn
+  triples, or one triple) as one task to one or more annotators
+  (round-robin), resolves disagreements by majority vote and accounts for the
+  total annotation cost across the crew.
 
-The pool exposes the same ``annotate_triples`` / cost-accounting interface as
-:class:`~repro.cost.annotator.SimulatedAnnotator`, so it can be dropped into
+Both take a round of :class:`~repro.sampling.base.PositionBatch` units and
+return a label array by position, so either drops into
 :class:`~repro.core.framework.StaticEvaluator` unchanged.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cost.annotator import AnnotationResult, EvaluationTask, SimulatedAnnotator
+from repro.cost.annotator import SimulatedAnnotator
 from repro.cost.model import CostModel
-from repro.kg.triple import Triple
+from repro.kg.graph import KnowledgeGraph
 from repro.labels.oracle import LabelOracle
+from repro.sampling.base import PositionBatch
+from repro.storage.columnar import first_occurrences
 
 __all__ = ["NoisyAnnotator", "TaskRecord", "AnnotationTaskPool"]
 
 
 class NoisyAnnotator(SimulatedAnnotator):
     """A simulated annotator that makes mistakes.
+
+    Each position gets its label once per session, when it is first
+    labelled: the oracle's, flipped with probability ``label_error_rate``.
+    The flips take one draw per newly labelled position from their own
+    random stream, in draw order, and a position keeps its label for the
+    rest of the session.
 
     Parameters
     ----------
@@ -75,48 +86,51 @@ class NoisyAnnotator(SimulatedAnnotator):
         )
         self.label_error_rate = label_error_rate
         self._label_rng = np.random.default_rng(label_rng_or_seed)
+        # The session's labels per graph object: id(graph) -> label array.
+        self._labels: dict[int, np.ndarray] = {}
 
-    def annotate_triples(self, triples: Iterable[Triple]) -> AnnotationResult:
-        """Annotate triples, flipping each fresh label with the error rate."""
-        triples = list(triples)
-        labelled = self._session.labelled
-        fresh = [t for t in triples if t not in labelled]
-        result = super().annotate_triples(triples)
-        if self.label_error_rate == 0.0 or not fresh:
-            return result
-        flips = self._label_rng.random(len(fresh)) < self.label_error_rate
-        labels = dict(result.labels)
-        for triple, flip in zip(fresh, flips):
-            if flip:
-                labels[triple] = not labels[triple]
-                self._session.labelled[triple] = labels[triple]
-        return AnnotationResult(
-            labels=labels,
-            cost_seconds=result.cost_seconds,
-            newly_identified_entities=result.newly_identified_entities,
-            num_triples=result.num_triples,
-        )
+    def reset(self) -> None:
+        """Start a new session: forget the cost, the identifications and the flips."""
+        super().reset()
+        self._labels = {}
 
-    def annotate_positions(self, graph, batch) -> np.ndarray:
-        """Refused: position labels come from the oracle and would skip the flips."""
-        raise TypeError(
-            f"{type(self).__name__} flips labels per Triple; label each unit's "
-            "graph.triples_at(positions) with annotate_triples instead"
-        )
+    def annotate_positions(self, graph: KnowledgeGraph, batch: PositionBatch) -> np.ndarray:
+        """Annotate one round, flipping each newly labelled position with the error rate."""
+        truth = self.oracle.position_labels(graph)
+        positions = batch.positions
+        fresh = positions[~self._ledger(graph).annotated[positions]]
+        fresh = fresh[first_occurrences(fresh)]
+        super().annotate_positions(graph, batch)
+        labels = self._labels.get(id(graph), truth)
+        if labels.shape[0] != truth.shape[0]:
+            # The graph grew: its new positions carry the oracle's labels.
+            labels = np.concatenate((labels, truth[labels.shape[0] :]))
+        if self.label_error_rate and fresh.shape[0]:
+            if not labels.flags.writeable:
+                labels = labels.copy()
+            flips = self._label_rng.random(fresh.shape[0]) < self.label_error_rate
+            labels[fresh] = truth[fresh] != flips
+        self._labels[id(graph)] = labels
+        return labels
 
 
 @dataclass(frozen=True)
 class TaskRecord:
-    """Bookkeeping for one dispatched evaluation task."""
+    """One dispatched evaluation task: a unit's positions, its annotators and the votes."""
 
-    task: EvaluationTask
+    positions: np.ndarray
     annotator_indices: tuple[int, ...]
-    labels: dict[Triple, bool]
+    labels: np.ndarray
     cost_seconds: float
+
+    @property
+    def size(self) -> int:
+        """Number of triples in the task."""
+        return int(self.positions.shape[0])
 
 
 class AnnotationTaskPool:
-    """Groups sampled triples into per-entity tasks and dispatches them to a crew.
+    """Dispatches each sampled unit, as one evaluation task, to a crew.
 
     Parameters
     ----------
@@ -144,19 +158,8 @@ class AnnotationTaskPool:
         self.records: list[TaskRecord] = []
 
     # ------------------------------------------------------------------ #
-    # Task construction and dispatch
+    # Dispatch
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def build_tasks(triples: Iterable[Triple]) -> list[EvaluationTask]:
-        """Group triples by subject id into evaluation tasks (Section 3.1)."""
-        grouped: dict[str, list[Triple]] = {}
-        for triple in triples:
-            grouped.setdefault(triple.subject, []).append(triple)
-        return [
-            EvaluationTask(entity_id, tuple(entity_triples))
-            for entity_id, entity_triples in grouped.items()
-        ]
-
     def _assign(self) -> tuple[int, ...]:
         indices = tuple(
             (self._next_annotator + offset) % len(self.annotators)
@@ -165,44 +168,41 @@ class AnnotationTaskPool:
         self._next_annotator = (self._next_annotator + 1) % len(self.annotators)
         return indices
 
-    def annotate_task(self, task: EvaluationTask) -> TaskRecord:
-        """Dispatch one task to ``annotations_per_task`` annotators and vote."""
-        indices = self._assign()
-        cost_before = self.total_cost_seconds
-        votes: dict[Triple, list[bool]] = {triple: [] for triple in task.triples}
-        for index in indices:
-            result = self.annotators[index].annotate_task(task)
-            for triple in task.triples:
-                votes[triple].append(result.labels[triple])
-        labels = {
-            triple: (sum(ballots) * 2 > len(ballots))
-            or (sum(ballots) * 2 == len(ballots) and ballots[0])
-            for triple, ballots in votes.items()
-        }
-        record = TaskRecord(
-            task=task,
-            annotator_indices=indices,
-            labels=labels,
-            cost_seconds=self.total_cost_seconds - cost_before,
-        )
-        self.records.append(record)
-        return record
+    def annotate_positions(self, graph: KnowledgeGraph, batch: PositionBatch) -> np.ndarray:
+        """Annotate one round through the crew and return its voted label array.
 
-    def annotate_triples(self, triples: Iterable[Triple]) -> AnnotationResult:
-        """Annotate a batch of triples through the pool (drop-in annotator API)."""
-        tasks = self.build_tasks(triples)
-        cost_before = self.total_cost_seconds
-        triples_before = self.total_triples_annotated
-        entities_before = self.entities_identified
-        labels: dict[Triple, bool] = {}
-        for task in tasks:
-            labels.update(self.annotate_task(task).labels)
-        return AnnotationResult(
-            labels=labels,
-            cost_seconds=self.total_cost_seconds - cost_before,
-            newly_identified_entities=self.entities_identified - entities_before,
-            num_triples=self.total_triples_annotated - triples_before,
-        )
+        Each unit is one task: ``annotations_per_task`` members, taken
+        round-robin, label it through their own ``annotate_positions`` and
+        the majority wins.  A position named by two units of the round keeps
+        the first unit's vote.
+        """
+        votes = np.zeros(batch.positions.shape[0], dtype=bool)
+        starts, counts = batch.starts.tolist(), batch.counts.tolist()
+        for unit, (start, count) in enumerate(zip(starts, counts)):
+            task = PositionBatch(
+                batch.positions[start : start + count],
+                batch.counts[unit : unit + 1],
+                batch.entity_rows[unit : unit + 1],
+                batch.cluster_sizes[unit : unit + 1],
+            )
+            indices = self._assign()
+            cost_before = self.total_cost_seconds
+            ballots = np.array(
+                [
+                    self.annotators[index].annotate_positions(graph, task)[task.positions]
+                    for index in indices
+                ]
+            )
+            ayes = 2 * np.count_nonzero(ballots, axis=0)
+            voted = (ayes > len(indices)) | ((ayes == len(indices)) & ballots[0])
+            votes[start : start + count] = voted
+            self.records.append(
+                TaskRecord(task.positions, indices, voted, self.total_cost_seconds - cost_before)
+            )
+        labels = np.zeros(graph.num_triples, dtype=bool)
+        first = first_occurrences(batch.positions)
+        labels[batch.positions[first]] = votes[first]
+        return labels
 
     def reset(self) -> None:
         """Start a fresh session on every annotator and clear task records."""
@@ -234,11 +234,3 @@ class AnnotationTaskPool:
         """Entity identifications performed across the crew (re-identification
         by a second annotator counts, as it costs real time)."""
         return sum(a.entities_identified for a in self.annotators)
-
-    @property
-    def labelled_triples(self) -> dict[Triple, bool]:
-        """The majority-vote labels produced so far."""
-        combined: dict[Triple, bool] = {}
-        for record in self.records:
-            combined.update(record.labels)
-        return combined

@@ -14,6 +14,11 @@ Three evaluators share the interface of
   strata, fully reusing earlier estimates and only annotating inside the new
   stratum.
 
+Each charges Eq. (4) to one
+:class:`~repro.cost.annotator.SimulatedAnnotator` session of its own
+(``evaluator.account``), round by round through ``annotate_positions`` on the
+evolved graph, as the static loop does.
+
 :class:`~repro.evolving.monitor.EvolvingAccuracyMonitor` drives any of them
 over a sequence of update batches and records the estimate trajectory
 (Section 7.3.2 / Figure 9).

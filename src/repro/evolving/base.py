@@ -9,10 +9,11 @@ import numpy as np
 
 from repro.core.config import EvaluationConfig
 from repro.core.result import EvaluationReport
-from repro.cost.annotator import PositionAnnotationAccount
+from repro.cost.annotator import SimulatedAnnotator
 from repro.cost.model import CostModel
 from repro.generators.datasets import LabelledKG
 from repro.kg.updates import EvolvingKnowledgeGraph, UpdateBatch
+from repro.labels.oracle import LabelOracle
 from repro.obs import metrics as obs_metrics
 from repro.sampling.base import Estimate, PositionBatch
 from repro.sampling.segment import PositionSegment
@@ -64,10 +65,11 @@ class IncrementalEvaluator(ABC):
     batches one at a time.  Sampling, labels and cost accounting all run on
     integer triple positions: ground truth is a position-aligned boolean
     array, extended per batch by the batch's own label column, and Eq. (4)
-    cost is charged to one
-    :class:`~repro.cost.annotator.PositionAnnotationAccount` whose session
-    spans the evaluator's lifetime, so annotations paid for earlier states
-    are naturally reused (or deliberately discarded, in the Baseline's case).
+    cost is charged round by round through
+    :meth:`~repro.cost.annotator.SimulatedAnnotator.annotate_positions` on
+    the evolved graph, to one annotator session that spans the evaluator's
+    lifetime, so annotations paid for earlier states are naturally reused
+    (or deliberately discarded, in the Baseline's case).
     Each update batch is sampled as an appended CSR
     :class:`~repro.sampling.segment.PositionSegment`; the evolved graph is a
     :class:`~repro.storage.delta.DeltaStore` view over the base's columns
@@ -106,14 +108,14 @@ class IncrementalEvaluator(ABC):
         self.second_stage_size = second_stage_size
         self.seed = seed
         self.evolving = EvolvingKnowledgeGraph(base.graph)
-        self._labels = base.oracle.as_position_array(base.graph)
+        self._annotator = SimulatedAnnotator(base.oracle, cost_model)
+        self._relabel(base.oracle.as_position_array(base.graph))
         # Running count of correct labels: current_true_accuracy reads it
         # instead of summing the whole label array on every write.
         self._num_correct = int(np.count_nonzero(self._labels))
-        self._account = PositionAnnotationAccount(cost_model)
         self.history: list[UpdateEvaluation] = []
-        # Cost charged to accounts that have since been replaced (only the
-        # Baseline replaces its account); added back so cumulative cost is
+        # Cost charged in sessions that have since been reset (only the
+        # Baseline resets its session); added back so cumulative cost is
         # monotone across snapshots for every evaluator.
         self._discarded_cost_seconds = 0.0
 
@@ -137,9 +139,19 @@ class IncrementalEvaluator(ABC):
         return self._labels
 
     @property
-    def account(self) -> PositionAnnotationAccount:
-        """The cost account charged by the current annotation session."""
-        return self._account
+    def account(self) -> SimulatedAnnotator:
+        """The annotator whose session every round is charged to."""
+        return self._annotator
+
+    def _relabel(self, labels: np.ndarray) -> None:
+        """Make ``labels`` the evolved graph's ground truth, the annotator's too.
+
+        The annotator reads the array through a position oracle over the
+        evolved graph, re-pointed on every append: an oracle whose array is
+        shorter than its graph would fall back to labelling Triples.
+        """
+        self._labels = labels
+        self._annotator.oracle = LabelOracle.from_positions(self.evolving.current, labels)
 
     def _append_update(self, batch: UpdateBatch) -> PositionSegment:
         """Apply one batch and return the appended CSR segment to sample.
@@ -154,26 +166,28 @@ class IncrementalEvaluator(ABC):
             current.backend.appended_rows(first_position), first_position
         )
         labels = batch.label_array[added]
-        self._labels = np.concatenate([self._labels, labels])
+        self._relabel(np.concatenate([self._labels, labels]))
         self._num_correct += int(np.count_nonzero(labels))
         return segment
 
-    def _entity_row(self, segment: PositionSegment | None, cluster: int) -> int:
-        """Evolved-graph entity row of ``cluster`` in ``segment``.
+    def _annotate(self, batch: PositionBatch, segment: PositionSegment | None = None) -> None:
+        """Charge one round of drawn cluster units to the session, in draw order.
 
-        ``segment=None`` means ``cluster`` already is a base graph row: base
-        rows coincide with the evolved graph's rows on every backend
-        (first-seen order is preserved by copy and delta view), so c1 is
-        charged once per entity across the base and every update segment.
+        ``segment=None`` means the units' rows already are evolved-graph
+        rows: base rows coincide with them on every backend (first-seen
+        order is preserved by copy and delta view), so c1 is charged once
+        per entity across the base and every update segment.  A segment's
+        cluster ``k`` is row ``segment.rows[k]``.
         """
-        if segment is None:
-            return cluster
-        return int(segment.rows[cluster])
-
-    def _charge_units(self, batch: PositionBatch, segment: PositionSegment | None) -> None:
-        """Charge the account for one round of drawn cluster units, unit after unit."""
-        for positions, cluster, _ in batch:
-            self._account.charge(self._entity_row(segment, cluster), positions)
+        if segment is not None:
+            batch = PositionBatch(
+                batch.positions,
+                batch.counts,
+                segment.rows[batch.entity_rows],
+                batch.cluster_sizes,
+                batch.starts,
+            )
+        self._annotator.annotate_positions(self.evolving.current, batch)
 
     def _run_static(self, design: TwoStageWeightedClusterDesign) -> int:
         """The static TWCS loop over a whole graph; returns the rounds run.
@@ -193,7 +207,7 @@ class IncrementalEvaluator(ABC):
             batch = design.draw_positions(config.batch_size)
             if not len(batch):
                 break
-            self._charge_units(batch, None)
+            self._annotate(batch)
             design.update_all_positions(batch, self._labels)
             iterations += 1
         return iterations
@@ -215,9 +229,9 @@ class IncrementalEvaluator(ABC):
     def _cost_totals(self) -> tuple[float, int, int]:
         """Current ``(cost_seconds, triples_annotated, entities_identified)``."""
         return (
-            self._account.total_cost_seconds,
-            self._account.total_triples_annotated,
-            self._account.entities_identified,
+            self._annotator.total_cost_seconds,
+            self._annotator.total_triples_annotated,
+            self._annotator.entities_identified,
         )
 
     def _report(
@@ -244,7 +258,7 @@ class IncrementalEvaluator(ABC):
 
     def _record(self, batch_id: str, report: EvaluationReport) -> UpdateEvaluation:
         # The counters advance by this state's own incremental work, which
-        # stays right across a Baseline account swap and a resumed evaluator.
+        # stays right across a Baseline session reset and a resumed evaluator.
         kind = type(self).__name__
         obs_metrics.counter("annotation_cost_seconds_total", evaluator=kind).inc(
             report.annotation_cost_seconds
@@ -263,7 +277,7 @@ class IncrementalEvaluator(ABC):
 
     def _spent_seconds(self) -> float:
         """Annotation seconds charged since the evaluator was created."""
-        return self._account.total_cost_seconds + self._discarded_cost_seconds
+        return self._annotator.total_cost_seconds + self._discarded_cost_seconds
 
     @property
     def latest(self) -> UpdateEvaluation:

@@ -2,14 +2,13 @@
 
 After each update batch the evaluator runs a fresh static TWCS evaluation on
 the full current graph ``G + Δ``, discarding all annotations collected for
-earlier snapshots (each snapshot opens a fresh cost account, so previously
-identified entities and labelled triples are charged again).  This is the
-"Baseline" bar in Figure 8.
+earlier snapshots (each snapshot resets the annotator's session, so
+previously identified entities and labelled triples are charged again).
+This is the "Baseline" bar in Figure 8.
 """
 
 from __future__ import annotations
 
-from repro.cost.annotator import PositionAnnotationAccount
 from repro.evolving.base import IncrementalEvaluator, UpdateEvaluation
 from repro.kg.updates import UpdateBatch
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
@@ -23,9 +22,9 @@ class BaselineEvolvingEvaluator(IncrementalEvaluator):
     def _evaluate_snapshot(self, batch_id: str) -> UpdateEvaluation:
         # The baseline deliberately does not reuse labels or entity
         # identifications from earlier snapshots: bank the cost charged so far
-        # and open a fresh account for this snapshot.
-        self._discarded_cost_seconds += self._account.total_cost_seconds
-        self._account = PositionAnnotationAccount(self._account.cost_model)
+        # and start a fresh session for this snapshot.
+        self._discarded_cost_seconds += self._annotator.total_cost_seconds
+        self._annotator.reset()
         totals_before = self._cost_totals()
         design = TwoStageWeightedClusterDesign(
             self.evolving.current,

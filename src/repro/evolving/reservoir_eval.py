@@ -26,8 +26,10 @@ sampling decision.
 
 Clusters are addressed as CSR rows of the frozen base graph or as clusters
 of an appended update segment; annotation resolves boolean label arrays by
-integer position and cost is charged through the position account, so the
-whole update loop runs without materialising a single Triple.
+integer position, and the clusters a write (or a growth step) annotates are
+charged to the evaluator's annotator session as one round, in the order they
+were drawn, so the whole update loop runs without materialising a single
+Triple.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from repro.evolving.base import IncrementalEvaluator, UpdateEvaluation
 from repro.kg.updates import UpdateBatch
 from repro.obs import metrics as obs_metrics
-from repro.sampling.base import Estimate
+from repro.sampling.base import Estimate, PositionBatch
 from repro.sampling.segment import PositionSegment
 from repro.stats.running import RunningMean
 
@@ -128,12 +130,12 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
         key: float,
         weight: float,
         positions: np.ndarray | None = None,
-    ) -> None:
-        """Annotate one cluster and place it in the reservoir.
+    ) -> _PositionEntry:
+        """Annotate one cluster and place it in the reservoir; the caller charges it.
 
         ``positions`` carries a previously annotated second-stage sample (an
         evicted entry re-entering through the candidate heap): it is reused
-        verbatim, so the account's dedup makes re-annotation free and the
+        verbatim, so the session's dedup makes re-annotation free and the
         accuracy unchanged.
         """
         if positions is None:
@@ -146,12 +148,28 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
             else:
                 positions = population
         accuracy = float(self._labels[positions].mean())
-        self._account.charge(self._entity_row(*source), positions)
-        self._push_reservoir(
-            _PositionEntry(
-                source=source, key=key, weight=weight, positions=positions, accuracy=accuracy
-            )
+        entry = _PositionEntry(
+            source=source, key=key, weight=weight, positions=positions, accuracy=accuracy
         )
+        self._push_reservoir(entry)
+        return entry
+
+    def _charge(self, entries: list[_PositionEntry]) -> None:
+        """Charge the clusters just annotated to the session, as one round in that order."""
+        if not entries:
+            return
+        counts = np.array([entry.num_triples for entry in entries], dtype=np.int64)
+        rows = [
+            cluster if segment is None else int(segment.rows[cluster])
+            for segment, cluster in (entry.source for entry in entries)
+        ]
+        batch = PositionBatch(
+            np.concatenate([entry.positions for entry in entries]),
+            counts,
+            np.array(rows, dtype=np.int64),
+            np.array([entry.weight for entry in entries], dtype=np.int64),
+        )
+        self._annotate(batch)
 
     def _push_position_candidate(
         self,
@@ -169,12 +187,12 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
     # ------------------------------------------------------------------ #
     def _grow_reservoir(self, count: int) -> int:
         """Annotate the ``count`` highest-key candidates; return how many were added."""
-        added = 0
-        while added < count and self._candidates:
+        added = []
+        while len(added) < count and self._candidates:
             negated_key, _, weight, source, positions = heapq.heappop(self._candidates)
-            self._insert_annotated_positions(source, -negated_key, weight, positions)
-            added += 1
-        return added
+            added.append(self._insert_annotated_positions(source, -negated_key, weight, positions))
+        self._charge(added)
+        return len(added)
 
     # ------------------------------------------------------------------ #
     # Estimation
@@ -246,17 +264,19 @@ class ReservoirIncrementalEvaluator(IncrementalEvaluator):
             reservoir = self._reservoir
             candidates = self._candidates
             heappush = heapq.heappush
+            inserted = []
             for index, (key, weight) in enumerate(zip(keys.tolist(), sizes.tolist())):
                 if key > reservoir[0][0]:
                     evicted = self._pop_reservoir_min()
                     self._push_position_candidate(
                         evicted.source, evicted.key, evicted.weight, evicted.positions
                     )
-                    self._insert_annotated_positions((segment, index), key, weight)
+                    inserted.append(self._insert_annotated_positions((segment, index), key, weight))
                     self._replacements_total += 1
                 else:
                     self._tiebreak += 1
                     heappush(candidates, (-key, self._tiebreak, weight, (segment, index), None))
+            self._charge(inserted)
         return self._finish(batch.batch_id, totals_before)
 
     # ------------------------------------------------------------------ #

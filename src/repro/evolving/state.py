@@ -3,7 +3,8 @@
 A monitoring run over an evolving KG accumulates three kinds of state that a
 labelled graph snapshot cannot capture: the sampling state
 (reservoir keys and candidate heaps, or per-stratum accumulators), the
-annotation account (which positions are paid for) and the random streams.
+annotator's Eq. (4) ledger (which positions and subjects are paid for) and
+the random streams.
 This module captures all of it as an explicit state dictionary so a run can
 stop after any update batch and resume later with a **bit-identical**
 trajectory, as if it had never been interrupted.
@@ -26,9 +27,11 @@ ids need not match the capturing process.  Positions, cluster rows and
 segments follow append order, never ids, so the remap leaves the sampling
 stream as it was.
 
-Format history: v5 segments carry their clusters' rows in the evolved
-graph; v4 and older segments name their subjects instead and get the rows
-on restore.  v3 lists the strings its stream added after the base's
+The ledger is stored as its identified rows and annotated positions, sorted,
+and the session's total seconds; a restore rebuilds the annotator's masks
+from them.  Format history: v5 segments carry their clusters' rows in the
+evolved graph; v4 and older segments name their subjects instead and get the
+rows on restore.  v3 lists the strings its stream added after the base's
 vocabulary instead of the tail's ids and strings.
 """
 
@@ -39,7 +42,7 @@ import dataclasses
 import numpy as np
 
 from repro.core.config import EvaluationConfig
-from repro.cost.annotator import PositionAnnotationAccount
+from repro.cost.annotator import _PositionLedger
 from repro.generators.datasets import LabelledKG
 from repro.labels.oracle import LabelOracle
 from repro.sampling.segment import PositionSegment
@@ -66,8 +69,10 @@ def _kind_of(evaluator) -> str:
 def capture_evaluator_state(evaluator) -> dict:
     """Snapshot everything needed to resume ``evaluator`` mid-sequence."""
     kind = _kind_of(evaluator)
-    delta = evaluator.evolving.current.backend
-    account = evaluator.account
+    graph = evaluator.evolving.current
+    delta = graph.backend
+    session = evaluator.account._session
+    ledger = session.positions.get(id(graph))
     vocab = delta.vocab
     tail_s, tail_p, tail_o, tail_f = delta.tail_arrays()
     # return_counts keeps np.unique off the path that imports numpy.ma.
@@ -78,13 +83,13 @@ def capture_evaluator_state(evaluator) -> dict:
         "seed": evaluator.seed,
         "second_stage_size": evaluator.second_stage_size,
         "config": dataclasses.asdict(evaluator.config),
-        "cost_model": account.cost_model,
+        "cost_model": evaluator.account.cost_model,
         "rng_state": evaluator._rng.bit_generator.state,
         "labels": np.asarray(evaluator.labels, dtype=bool).copy(),
         "account": {
-            "identified": np.asarray(sorted(account._identified), dtype=np.int64),
-            "annotated": np.asarray(sorted(account._annotated), dtype=np.int64),
-            "total_seconds": account._total_seconds,
+            "identified": np.flatnonzero(ledger.identified if ledger else ()),
+            "annotated": np.flatnonzero(ledger.annotated if ledger else ()),
+            "total_seconds": session.total_seconds,
         },
         "discarded_cost_seconds": evaluator._discarded_cost_seconds,
         "history": list(evaluator.history),
@@ -185,15 +190,11 @@ def restore_evaluator(state: dict, base: LabelledKG):
     for segment in _segments(state):
         _give_rows(segment, evaluator.evolving.current)
 
-    # Shared evaluator state: labels, random stream, cost account, history.
-    evaluator._labels = labels
+    # Shared evaluator state: labels, random stream, Eq. (4) ledger, history.
+    evaluator._relabel(labels)
     evaluator._num_correct = int(np.count_nonzero(labels))
     evaluator._rng.bit_generator.state = state["rng_state"]
-    account = PositionAnnotationAccount(state["cost_model"])
-    account._identified = {int(key) for key in state["account"]["identified"]}
-    account._annotated = {int(position) for position in state["account"]["annotated"]}
-    account._total_seconds = float(state["account"]["total_seconds"])
-    evaluator._account = account
+    _restore_ledger(evaluator, state["account"])
     evaluator._discarded_cost_seconds = float(state["discarded_cost_seconds"])
     evaluator.history = list(state["history"])
 
@@ -227,6 +228,20 @@ def restore_evaluator(state: dict, base: LabelledKG):
             )
         evaluator._strata = strata
     return evaluator
+
+
+def _restore_ledger(evaluator, account: dict) -> None:
+    """Rebuild the annotator's session: one ledger over the evolved graph."""
+    graph = evaluator.evolving.current
+    identified = np.zeros(graph.num_entities, dtype=bool)
+    identified[np.asarray(account["identified"], dtype=np.int64)] = True
+    annotated = np.zeros(graph.num_triples, dtype=bool)
+    annotated[np.asarray(account["annotated"], dtype=np.int64)] = True
+    ledger = _PositionLedger(graph, annotated, identified, int(np.count_nonzero(identified)))
+    session = evaluator.account._session
+    session.positions[id(graph)] = session.active = ledger
+    session.total_seconds = float(account["total_seconds"])
+    session.total_triples = int(np.count_nonzero(annotated))
 
 
 def _segments(state: dict) -> list[PositionSegment]:

@@ -18,8 +18,9 @@ Every stratum is sampled by
 runs the static TWCS loop over the (frozen) base graph's CSR index, and each
 update batch becomes an appended
 :class:`~repro.sampling.segment.PositionSegment` that the same design samples.
-Labels resolve by integer position and cost is charged through the position
-account, so no Triple objects are materialised anywhere in the update loop.
+Labels resolve by integer position and every round is charged to the
+evaluator's annotator session in one call, so no Triple objects are
+materialised anywhere in the update loop.
 """
 
 from __future__ import annotations
@@ -131,10 +132,7 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
         self, iterations: int, totals_before: tuple[float, int, int]
     ) -> EvaluationReport:
         estimate = self._combined_estimate()
-        satisfied = not math.isinf(estimate.std_error) and estimate.satisfies(
-            self.config.moe_target, self.config.confidence_level
-        )
-        return self._report(estimate, iterations, satisfied, totals_before)
+        return self._report(estimate, iterations, self.config.target_met(estimate), totals_before)
 
     # ------------------------------------------------------------------ #
     # IncrementalEvaluator interface
@@ -184,14 +182,9 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
         config = self.config
         iterations = 0
         while True:
-            stratum_estimate = stratum.estimate
             combined = self._combined_estimate()
-            stratum_ready = stratum_estimate.num_units >= self.min_units_per_stratum
-            if (
-                stratum_ready
-                and not math.isinf(combined.std_error)
-                and combined.satisfies(config.moe_target, config.confidence_level)
-            ):
+            stratum_ready = stratum.estimate.num_units >= self.min_units_per_stratum
+            if stratum_ready and config.target_met(combined):
                 break
             if config.max_units is not None and combined.num_units >= config.max_units:
                 break
@@ -199,7 +192,7 @@ class StratifiedIncrementalEvaluator(IncrementalEvaluator):
             if not len(drawn):
                 break
             iterations += 1
-            self._charge_units(drawn, segment)
+            self._annotate(drawn, segment)
             design.update_all_positions(drawn, self._labels)
 
         report = self._build_report(iterations, totals_before)

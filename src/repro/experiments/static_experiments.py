@@ -30,8 +30,7 @@ from repro.generators.datasets import (
     make_nell_like,
 )
 from repro.kg.statistics import entity_accuracy_by_size, size_accuracy_correlation
-from repro.kg.triple import Triple
-from repro.sampling.base import SamplingDesign
+from repro.sampling.base import PositionBatch, SamplingDesign
 from repro.sampling.optimal import (
     expected_twcs_cost_seconds,
     optimal_second_stage_size,
@@ -43,6 +42,7 @@ from repro.sampling.stratification import stratify_by_oracle_accuracy, stratify_
 from repro.sampling.stratified import StratifiedTWCSDesign
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
 from repro.sampling.wcs import WeightedClusterDesign
+from repro.storage.columnar import first_occurrences
 
 __all__ = [
     "table3_dataset_characteristics",
@@ -203,42 +203,45 @@ def figure1_cost_curves(
     is reached (the paper uses 50 triples from 11 clusters).
     """
     data = make_movie_like(seed=seed, scale=movie_scale)
+    graph = data.graph
     rng = np.random.default_rng(seed)
 
     # Triple-level task: 50 random triples with all-distinct subjects.
-    triple_level: list[Triple] = []
-    seen_subjects: set[str] = set()
-    for triple in data.graph.sample_triples(min(10 * num_triples, data.graph.num_triples), rng):
-        if triple.subject in seen_subjects:
-            continue
-        triple_level.append(triple)
-        seen_subjects.add(triple.subject)
-        if len(triple_level) == num_triples:
-            break
+    count = min(10 * num_triples, graph.num_triples)
+    drawn = rng.choice(graph.num_triples, size=count, replace=False)
+    triple_level = drawn[first_occurrences(graph.rows_of_positions(drawn))][:num_triples]
 
     # Entity-level task: random clusters, at most `triples_per_cluster` each.
-    entity_level: list[Triple] = []
-    entity_ids = list(data.graph.entity_ids)
+    entity_level: list[np.ndarray] = []
+    taken = 0
+    entity_ids = list(graph.entity_ids)
     rng.shuffle(entity_ids)
-    used_entities = 0
     for entity_id in entity_ids:
-        if len(entity_level) >= num_triples:
+        if taken >= num_triples:
             break
-        chosen = data.graph.sample_cluster_triples(entity_id, triples_per_cluster, rng)
-        chosen = chosen[: num_triples - len(entity_level)]
-        if chosen:
-            entity_level.extend(chosen)
-            used_entities += 1
+        chosen = graph.sample_cluster_positions(entity_id, triples_per_cluster, rng)
+        chosen = chosen[: num_triples - taken]
+        if chosen.shape[0]:
+            entity_level.append(chosen)
+            taken += chosen.shape[0]
 
     annotator = SimulatedAnnotator(data.oracle, time_noise_sigma=time_noise_sigma, seed=seed)
-    _, triple_timeline = annotator.annotate_with_timeline(triple_level)
-    annotator.reset()
-    _, entity_timeline = annotator.annotate_with_timeline(entity_level)
+
+    def timeline(positions: np.ndarray) -> tuple[float, ...]:
+        """Cumulative time after each triple, annotated one at a time."""
+        annotator.reset()
+        seconds = []
+        for index in range(positions.shape[0]):
+            one = PositionBatch.of_triples(positions[index : index + 1])
+            annotator.annotate_positions(graph, one)
+            seconds.append(annotator.total_cost_seconds)
+        return tuple(seconds)
+
     return Figure1Result(
-        triple_level_seconds=tuple(triple_timeline),
-        entity_level_seconds=tuple(entity_timeline),
+        triple_level_seconds=timeline(triple_level),
+        entity_level_seconds=timeline(np.concatenate(entity_level)),
         num_triples=num_triples,
-        entity_level_num_entities=used_entities,
+        entity_level_num_entities=len(entity_level),
     )
 
 
@@ -304,20 +307,22 @@ def figure4_cost_fit(
         # Alternate between scattered and clustered task compositions.
         per_cluster = 1 + (task_index % 6)
         total = 20 + 5 * (task_index % 5)
-        triples: list[Triple] = []
+        task: list[np.ndarray] = []
+        taken = 0
         entity_ids = list(data.graph.entity_ids)
         rng.shuffle(entity_ids)
         for entity_id in entity_ids:
-            if len(triples) >= total:
+            if taken >= total:
                 break
-            chosen = data.graph.sample_cluster_triples(entity_id, per_cluster, rng)
-            triples.extend(chosen[: total - len(triples)])
-        result = annotator.annotate_triples(triples)
+            chosen = data.graph.sample_cluster_positions(entity_id, per_cluster, rng)
+            task.append(chosen[: total - taken])
+            taken += task[-1].shape[0]
+        annotator.annotate_positions(data.graph, PositionBatch.of_triples(np.concatenate(task)))
         observations.append(
             CostObservation(
-                num_entities=result.newly_identified_entities,
-                num_triples=result.num_triples,
-                observed_seconds=result.cost_seconds,
+                num_entities=annotator.entities_identified,
+                num_triples=annotator.total_triples_annotated,
+                observed_seconds=annotator.total_cost_seconds,
             )
         )
     fit = fit_cost_model(observations)

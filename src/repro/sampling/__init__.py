@@ -6,15 +6,14 @@ framework (Section 4):
 1. :meth:`~repro.sampling.base.SamplingDesign.draw_positions` one round of
    *sample units* (individual triples for SRS, cluster draws for the cluster
    designs) as a :class:`~repro.sampling.base.PositionBatch`;
-2. hand the batch to an annotator for labels;
+2. hand the batch to an annotator for labels
+   (``annotate_positions(graph, batch)``, a label array by position);
 3. :meth:`~repro.sampling.base.SamplingDesign.update_all_positions` the
    design's internal estimator with those labels;
 4. read the current :meth:`~repro.sampling.base.SamplingDesign.estimate` and
    its margin of error.
 
-These are the only draw and fold steps: an annotator that needs Triple
-objects iterates the batch and reads each unit's triples with
-``graph.triples_at(positions)``.
+These are the only draw and fold steps.
 
 Available designs:
 

@@ -7,10 +7,10 @@ Every design draws and estimates on the *position surface*
 rows and cluster sizes, and labels arrive as one boolean array, so a round
 costs a few array operations and the evaluation loop never allocates a
 :class:`~repro.kg.triple.Triple`.  Draws are fully deterministic under a
-fixed seed on any storage backend.  This is the only surface: a flow that
-labels Triples (a human-style annotator) iterates the batch, reads each
-unit's triples with ``graph.triples_at(positions)`` and folds its labels back
-through the same :meth:`SamplingDesign.update_all_positions`.
+fixed seed on any storage backend.  This is the only surface: every
+annotator labels a round through ``annotate_positions(graph, batch)``, and a
+flow that shows a person the triples reads each unit's with
+``graph.triples_at(positions)``.
 """
 
 from __future__ import annotations
@@ -70,6 +70,13 @@ class PositionBatch:
     def __post_init__(self) -> None:
         if self.starts is None:
             self.starts = self.counts.cumsum() - self.counts
+
+    @classmethod
+    def of_triples(cls, positions: np.ndarray) -> "PositionBatch":
+        """A round of triple-level units, one per position, in the given order."""
+        units = positions.shape[0]
+        ones = np.ones(units, dtype=np.int64)
+        return cls(positions, ones, np.full(units, -1, dtype=np.int64), ones, np.arange(units))
 
     def __len__(self) -> int:
         """Number of units in the round."""

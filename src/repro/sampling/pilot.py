@@ -12,9 +12,9 @@ fuller workflow a practitioner would use:
    pick the second-stage size ``m`` and predict the cluster draws / cost the
    full evaluation will need.
 
-The pilot's own annotations are not wasted: its labels live in the annotator's
-session, so the subsequent full evaluation re-uses them for free when it
-happens to sample the same triples.
+The pilot's own annotations are not wasted: its positions are labelled in the
+annotator's session, so a full evaluation of the same graph in that session
+re-uses them for free when it happens to sample the same triples.
 """
 
 from __future__ import annotations
@@ -98,17 +98,12 @@ def run_pilot(
     design = TwoStageWeightedClusterDesign(graph, second_stage_size, seed=seed)
     cost_before = annotator.total_cost_seconds
     triples_before = annotator.total_triples_annotated
-    sizes: list[int] = []
-    accuracies: list[float] = []
-    for positions, _, cluster_size in design.draw_positions(num_clusters):
-        # Labelled as Triples: they stay in the session's Triple-keyed
-        # record, which any later run in the session reuses for free.
-        triples = graph.triples_at(positions)
-        labels = annotator.annotate_triples(triples).labels
-        sizes.append(cluster_size)
-        accuracies.append(sum(labels[t] for t in triples) / len(triples))
+    batch = design.draw_positions(num_clusters)
+    labels = annotator.annotate_positions(graph, batch)
+    correct = np.add.reduceat(labels[batch.positions], batch.starts, dtype=np.int64)
+    accuracies = (correct / batch.counts).tolist()
     return PilotResult(
-        cluster_sizes=tuple(sizes),
+        cluster_sizes=tuple(batch.cluster_sizes.tolist()),
         cluster_accuracies=tuple(accuracies),
         # Eq. (9): the mean of the within-cluster sample accuracies.
         accuracy_estimate=float(np.mean(accuracies)),

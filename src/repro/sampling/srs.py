@@ -93,13 +93,7 @@ class SimpleRandomDesign(SamplingDesign):
         """Draw up to ``count`` previously undrawn triples uniformly at random."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        positions = self._next_positions(count)
-        units = positions.shape[0]
-        ones = np.ones(units, dtype=np.int64)
-        # Triple-level units: one position each, no cluster row.
-        return PositionBatch(
-            positions, ones, np.full(units, -1, dtype=np.int64), ones, np.arange(units)
-        )
+        return PositionBatch.of_triples(self._next_positions(count))
 
     def update_all_positions(self, batch: PositionBatch, label_array: np.ndarray) -> None:
         """Fold a round: one gather and one count for the whole batch."""

@@ -1,8 +1,8 @@
 """Eq. (4) charging as a pure-Python model (not a test module).
 
 :class:`SessionModel` is one annotation session kept the plain way: a Python
-set of identified subject ids, a Python set of annotated positions per graph
-object and a Triple-keyed record, walked one unit at a time — the loop
+set of identified subject ids and a Python set of annotated positions per
+graph object, walked one unit at a time — the loop
 ``SimulatedAnnotator.annotate_positions`` ran before a sampling round became
 one array batch.  It shares no code with :mod:`repro.cost`, so a slip in the
 batch annotator's masks or unit-cost tables cannot also be in the reference.
@@ -57,24 +57,18 @@ class SessionModel:
         self.identified: set[str] = set()
         self.total_seconds = 0.0
         self.total_triples = 0
-        self.labelled: dict = {}
-        # id(graph) -> (graph, label array, annotated positions)
-        self.positions: dict[int, tuple[object, np.ndarray, set[int]]] = {}
+        # id(graph) -> (graph, annotated positions)
+        self.positions: dict[int, tuple[object, set[int]]] = {}
 
     @property
     def entities_identified(self) -> int:
         return len(self.identified)
 
-    def annotate_positions(self, graph, labels: np.ndarray, units: Iterable[Unit]) -> None:
-        """Charge one round of ``graph``, whose oracle labels are ``labels``."""
-        entry = self.positions.get(id(graph))
-        annotated = entry[2] if entry is not None else set()
-        self.positions[id(graph)] = (graph, labels, annotated)
+    def annotate_positions(self, graph, units: Iterable[Unit]) -> None:
+        """Charge one round of ``graph``."""
+        annotated = self.positions.setdefault(id(graph), (graph, set()))[1]
         for positions, entity_row, _ in units:
             fresh = [int(p) for p in positions if int(p) not in annotated]
-            if self.labelled and fresh:
-                triples = graph.triples_at(fresh)
-                fresh = [p for p, t in zip(fresh, triples) if t not in self.labelled]
             if not fresh:
                 continue
             annotated.update(fresh)
@@ -94,23 +88,3 @@ class SessionModel:
                     cost += self.validation_cost * self.noise(self)
             self.total_seconds += cost
             self.total_triples += len(fresh)
-
-    def annotate_triples(self, triples: Iterable, oracle) -> None:
-        """Charge Triples: position labels move into the record first."""
-        for graph, labels, annotated in self.positions.values():
-            ordered = sorted(annotated)
-            self.labelled.update(zip(graph.triples_at(ordered), labels[ordered].tolist()))
-        self.positions.clear()
-        cost = 0.0
-        new_triples = 0
-        for triple in triples:
-            if triple in self.labelled:
-                continue
-            if triple.subject not in self.identified:
-                self.identified.add(triple.subject)
-                cost += self.identification_cost * self.noise(self)
-            self.labelled[triple] = oracle.label(triple)
-            cost += self.validation_cost * self.noise(self)
-            new_triples += 1
-        self.total_seconds += cost
-        self.total_triples += new_triples

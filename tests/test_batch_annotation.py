@@ -5,12 +5,15 @@ masks; :class:`annotation_model.SessionModel` charges it one unit at a time
 with Python sets.  After every step of a random session both must report the
 same cost (to the bit), triples and entities: rounds that repeat clusters
 within and across rounds (overlapping second stages), triple-level units,
-graph objects that share subjects but not rows, Triples labelled first,
-graphs that grow between rounds, lognormal noise and a noise factor that
-reads the session (drift).
+graph objects that share subjects but not rows, graphs that grow between
+rounds, lognormal noise and a noise factor that reads the session (drift).
+The evolving evaluators charge through the same annotator, so every round
+they charge over an update stream is replayed through the model too.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,8 +21,14 @@ from annotation_model import SessionModel, batch_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import EvaluationConfig
 from repro.cost.annotator import SimulatedAnnotator
 from repro.cost.model import CostModel
+from repro.evolving.baseline import BaselineEvolvingEvaluator
+from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
+from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
+from repro.generators.datasets import LabelledKG, make_nell_like
+from repro.generators.workload import UpdateWorkloadGenerator
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.labels.oracle import LabelOracle
@@ -90,21 +99,16 @@ def test_batch_charges_what_the_unit_loop_charges(kind, data):
     annotator, model = _annotators(kind, oracle)
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
         graph = data.draw(st.sampled_from(graphs), label="graph")
-        op = data.draw(st.sampled_from(["round"] * 4 + ["triples", "grow"]), label="op")
+        op = data.draw(st.sampled_from(["round"] * 4 + ["grow"]), label="op")
         if op == "grow":
             if growth:
                 graph.add(growth.pop())
-        elif op == "triples":
-            positions = st.lists(st.integers(0, graph.num_triples - 1), max_size=6)
-            triples = graph.triples_at(data.draw(positions, label="triples"))
-            annotator.annotate_triples(triples)
-            model.annotate_triples(triples, oracle)
         else:
             # A few clusters per round, so the same one often recurs in a round.
             units = data.draw(st.lists(unit(graph), min_size=1, max_size=8), label="round")
             labels = annotator.annotate_positions(graph, batch_of(units))
             np.testing.assert_array_equal(labels, oracle.position_labels(graph))
-            model.annotate_positions(graph, labels, units)
+            model.annotate_positions(graph, units)
         assert annotator.total_cost_seconds == model.total_seconds
         assert annotator.total_triples_annotated == model.total_triples
         assert annotator.entities_identified == model.entities_identified
@@ -122,8 +126,8 @@ def test_long_rounds_charge_what_the_unit_loop_charges(movie_small, design):
     sampler = make_design(design, graph, second_stage_size=5, seed=3)
     for count in (800, 200, 400):
         batch = sampler.draw_positions(count)
-        annotator.annotate_positions(graph, batch)
-        model.annotate_positions(graph, labels, batch)
+        np.testing.assert_array_equal(annotator.annotate_positions(graph, batch), labels)
+        model.annotate_positions(graph, batch)
         assert annotator.total_cost_seconds == model.total_seconds
         assert annotator.total_triples_annotated == model.total_triples
         assert annotator.entities_identified == model.entities_identified
@@ -138,13 +142,54 @@ def test_a_grown_graph_knows_subjects_named_through_another():
         (group, [(cluster, 0, len(cluster))]),
     ]
     for graph, units in steps:
-        model.annotate_positions(graph, annotator.annotate_positions(graph, batch_of(units)), units)
+        annotator.annotate_positions(graph, batch_of(units))
+        model.annotate_positions(graph, units)
     group.add(growth[-1])  # e0 joins ``group`` as a new row
     row = group.num_entities - 1
     units = [([group.num_triples - 1], row, 1)]
-    model.annotate_positions(group, annotator.annotate_positions(group, batch_of(units)), units)
+    annotator.annotate_positions(group, batch_of(units))
+    model.annotate_positions(group, units)
     assert annotator.entities_identified == model.entities_identified == 2
     assert annotator.total_cost_seconds == model.total_seconds
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [ReservoirIncrementalEvaluator, StratifiedIncrementalEvaluator, BaselineEvolvingEvaluator],
+    ids=["rs", "ss", "baseline"],
+)
+def test_evolving_rounds_charge_what_the_unit_loop_charges(cls):
+    """Every round an evolving evaluator charges, over a stream of batches that
+    grow the graph, replays through the model: the totals agree after every
+    batch, and each unit's row owns its positions in the evolved graph."""
+    data = make_nell_like(seed=0)
+    base = LabelledKG(data.graph.to_columnar(), data.oracle)
+    evaluator = cls(
+        base, EvaluationConfig(moe_target=0.05), cost_model=CostModel(45.1, 24.7), seed=5
+    )
+    annotator = evaluator.account
+    model = SessionModel(45.1, 24.7)
+    charge, reset = annotator.annotate_positions, annotator.reset
+
+    def replay(graph, batch):
+        assert graph is evaluator.evolving.current
+        for positions, row, _ in batch:
+            assert (graph.rows_of_positions(positions) == row).all()
+        model.annotate_positions(graph, batch)
+        return charge(graph, batch)
+
+    def reset_both():
+        reset()
+        model.__init__(45.1, 24.7)
+
+    annotator.annotate_positions, annotator.reset = replay, reset_both
+    stream = UpdateWorkloadGenerator(base, seed=5).generate_sequence(4, 300, 0.7)
+    for step in [evaluator.evaluate_base, *(partial(evaluator.apply_update, b) for b in stream)]:
+        step()
+        assert annotator.total_cost_seconds == model.total_seconds
+        assert annotator.total_triples_annotated == model.total_triples
+        assert annotator.entities_identified == model.entities_identified
+    assert model.total_triples > 0
 
 
 def test_batch_iterates_as_its_units():

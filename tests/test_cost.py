@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.cost.annotator import EvaluationTask, SimulatedAnnotator
+from repro.cost.annotator import SimulatedAnnotator
 from repro.cost.fitting import CostObservation, fit_cost_model
 from repro.cost.model import CostModel
 from repro.kg.triple import Triple
+from repro.sampling.base import PositionBatch
+
+
+def every_triple(graph) -> PositionBatch:
+    """Every triple of ``graph`` as a triple-level unit, in position order."""
+    return PositionBatch.of_triples(np.arange(graph.num_triples))
+
+
+def one_cluster(graph, entity_id: str, take: slice = slice(None)) -> PositionBatch:
+    """One cluster unit: ``take`` of ``entity_id``'s positions."""
+    positions = graph.cluster_positions(entity_id)
+    chosen = np.asarray(positions[take], dtype=np.int64)
+    row, size = graph.entity_row(entity_id), len(positions)
+    return PositionBatch(chosen, np.array([chosen.shape[0]]), np.array([row]), np.array([size]))
 
 
 class TestCostModel:
@@ -51,93 +66,84 @@ class TestCostModel:
             model.per_cluster_cost_upper_bound(0)
 
 
-class TestEvaluationTask:
-    def test_valid_task(self):
-        task = EvaluationTask("e1", (Triple("e1", "p", "o1"), Triple("e1", "q", "o2")))
-        assert task.size == 2
-
-    def test_empty_task_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationTask("e1", ())
-
-    def test_mixed_subject_task_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationTask("e1", (Triple("e2", "p", "o"),))
-
-
 class TestSimulatedAnnotator:
     def test_labels_come_from_oracle(self, toy_kg):
         graph, oracle = toy_kg
         annotator = SimulatedAnnotator(oracle)
-        result = annotator.annotate_triples(list(graph))
-        assert all(result.labels[t] == oracle.label(t) for t in graph)
+        labels = annotator.annotate_positions(graph, every_triple(graph))
+        assert labels.tolist() == [oracle.label(t) for t in graph]
 
     def test_cost_matches_equation_4_without_noise(self, toy_kg):
         graph, oracle = toy_kg
         annotator = SimulatedAnnotator(oracle, cost_model=CostModel())
-        result = annotator.annotate_triples(list(graph))
+        annotator.annotate_positions(graph, every_triple(graph))
         expected = graph.num_entities * 45 + graph.num_triples * 25
-        assert result.cost_seconds == pytest.approx(expected)
         assert annotator.total_cost_seconds == pytest.approx(expected)
-        assert result.cost_hours == pytest.approx(expected / 3600)
+        assert annotator.total_cost_hours == pytest.approx(expected / 3600)
 
     def test_entity_identified_once_per_session(self, toy_kg):
         graph, oracle = toy_kg
         annotator = SimulatedAnnotator(oracle)
-        cluster = list(graph.cluster("movie_1"))
-        first = annotator.annotate_triples(cluster[:2])
-        second = annotator.annotate_triples(cluster[2:])
-        assert first.newly_identified_entities == 1
-        assert second.newly_identified_entities == 0
+        annotator.annotate_positions(graph, one_cluster(graph, "movie_1", slice(None, 2)))
         assert annotator.entities_identified == 1
+        annotator.annotate_positions(graph, one_cluster(graph, "movie_1", slice(2, None)))
+        assert annotator.entities_identified == 1
+        assert annotator.total_triples_annotated == 6
 
     def test_already_labelled_triple_not_recharged(self, toy_kg):
         graph, oracle = toy_kg
         annotator = SimulatedAnnotator(oracle)
-        triple = graph.triple_at(0)
-        annotator.annotate_triples([triple])
+        first = PositionBatch.of_triples(np.array([0]))
+        annotator.annotate_positions(graph, first)
         cost_after_first = annotator.total_cost_seconds
-        result = annotator.annotate_triples([triple])
+        labels = annotator.annotate_positions(graph, first)
         assert annotator.total_cost_seconds == cost_after_first
-        assert result.num_triples == 0
-        assert result.labels[triple] == oracle.label(triple)
+        assert annotator.total_triples_annotated == 1
+        assert labels[0] == oracle.label(graph.triple_at(0))
 
     def test_reset_clears_session(self, toy_kg):
         graph, oracle = toy_kg
         annotator = SimulatedAnnotator(oracle)
-        annotator.annotate_triples(list(graph)[:3])
+        three = PositionBatch.of_triples(np.arange(3))
+        annotator.annotate_positions(graph, three)
+        cost = annotator.total_cost_seconds
         annotator.reset()
         assert annotator.total_cost_seconds == 0.0
         assert annotator.total_triples_annotated == 0
         assert annotator.entities_identified == 0
-        assert annotator.labelled_triples == {}
+        # The same triples are charged again in the new session.
+        annotator.annotate_positions(graph, three)
+        assert annotator.total_cost_seconds == cost
 
-    def test_annotate_task(self, toy_kg):
+    def test_a_cluster_unit_identifies_its_subject_once(self, toy_kg):
         graph, oracle = toy_kg
-        task = EvaluationTask("athlete_1", graph.cluster("athlete_1").triples)
         annotator = SimulatedAnnotator(oracle)
-        result = annotator.annotate_task(task)
-        assert result.num_triples == 4
-        assert result.newly_identified_entities == 1
+        annotator.annotate_positions(graph, one_cluster(graph, "athlete_1"))
+        assert annotator.total_triples_annotated == 4
+        assert annotator.entities_identified == 1
+        assert annotator.total_cost_seconds == 45 + 4 * 25
 
     def test_timeline_is_monotone_and_matches_total(self, toy_kg):
         graph, oracle = toy_kg
         annotator = SimulatedAnnotator(oracle, time_noise_sigma=0.3, seed=0)
-        triples = list(graph)
-        result, timeline = annotator.annotate_with_timeline(triples)
-        assert len(timeline) == len(triples)
-        assert all(b >= a for a, b in zip(timeline, timeline[1:]))
-        assert timeline[-1] == pytest.approx(result.cost_seconds)
+        timeline = []
+        for position in range(graph.num_triples):
+            annotator.annotate_positions(graph, PositionBatch.of_triples(np.array([position])))
+            timeline.append(annotator.total_cost_seconds)
+        assert all(b > a for a, b in zip(timeline, timeline[1:]))
+        assert timeline[-1] == annotator.total_cost_seconds
 
     def test_noise_preserves_expected_cost(self, toy_kg):
         graph, oracle = toy_kg
-        noiseless = SimulatedAnnotator(oracle).annotate_triples(list(graph)).cost_seconds
+        noiseless = SimulatedAnnotator(oracle)
+        noiseless.annotate_positions(graph, every_triple(graph))
         total = 0.0
         runs = 200
         for seed in range(runs):
             annotator = SimulatedAnnotator(oracle, time_noise_sigma=0.4, seed=seed)
-            total += annotator.annotate_triples(list(graph)).cost_seconds
-        assert total / runs == pytest.approx(noiseless, rel=0.05)
+            annotator.annotate_positions(graph, every_triple(graph))
+            total += annotator.total_cost_seconds
+        assert total / runs == pytest.approx(noiseless.total_cost_seconds, rel=0.05)
 
     def test_negative_noise_sigma_rejected(self, toy_oracle):
         with pytest.raises(ValueError):

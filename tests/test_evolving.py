@@ -108,12 +108,13 @@ class TestIncrementalCostAdvantage:
     def test_stratified_reuses_all_base_annotations(self, evolving_base):
         evaluator = StratifiedIncrementalEvaluator(evolving_base, seed=5)
         evaluator.evaluate_base()
-        num_base = evaluator.evolving.current.num_triples
-        annotated_after_base = evaluator.account.annotated_mask(num_base)
+        graph = evaluator.evolving.current
+        num_base = graph.num_triples
+        annotated_after_base = evaluator.account._session.positions[id(graph)].annotated.copy()
         batch = make_update(evolving_base, 300, 0.9, seed=5)
         evaluator.apply_update(batch)
-        num_now = evaluator.evolving.current.num_triples
-        annotated_now = evaluator.account.annotated_mask(num_now)
+        num_now = graph.num_triples
+        annotated_now = evaluator.account._session.positions[id(graph)].annotated
         # Only positions of the new stratum (the appended segment) are
         # annotated after the update; every base annotation is kept.
         np.testing.assert_array_equal(annotated_now[:num_base], annotated_after_base)

@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 from store_model import StoreModel, assert_matches_model
 
 from repro.core.config import EvaluationConfig
-from repro.cost.annotator import PositionAnnotationAccount
-from repro.cost.model import CostModel
 from repro.evolving.reservoir_eval import ReservoirIncrementalEvaluator
 from repro.evolving.stratified_eval import StratifiedIncrementalEvaluator
 from repro.generators.datasets import LabelledKG
@@ -457,31 +455,6 @@ class TestRunningMeanRemove:
         assert running.mean == 0.0
         with pytest.raises(ValueError):
             running.remove(1.0)
-
-
-class TestPositionAnnotationAccount:
-    def test_charges_follow_eq4_with_dedup(self):
-        model = CostModel()
-        account = PositionAnnotationAccount(model)
-        assert account.charge(0, [0, 1, 2]) == 3
-        expected = model.identification_cost + 3 * model.validation_cost
-        assert account.total_cost_seconds == pytest.approx(expected)
-        # Same cluster, one new triple: no identification cost again.
-        assert account.charge(0, [2, 3]) == 1
-        expected += model.validation_cost
-        assert account.total_cost_seconds == pytest.approx(expected)
-        # Fully re-annotated positions are free, even for a new entity key.
-        assert account.charge(5, [0, 1]) == 0
-        assert account.total_cost_seconds == pytest.approx(expected)
-        assert account.entities_identified == 1
-        assert account.total_triples_annotated == 4
-
-    def test_annotated_mask_marks_the_charged_positions(self):
-        account = PositionAnnotationAccount()
-        assert account.charge(2, [4, 5]) == 2
-        assert account.charge(3, [5, 1]) == 1
-        mask = account.annotated_mask(8)
-        np.testing.assert_array_equal(mask, [0, 1, 0, 0, 1, 1, 0, 0])
 
 
 # ---------------------------------------------------------------------------

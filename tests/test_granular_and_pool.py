@@ -15,7 +15,13 @@ from repro.cost.pool import AnnotationTaskPool, NoisyAnnotator
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.labels.oracle import LabelOracle
+from repro.sampling.base import PositionBatch
 from repro.sampling.twcs import TwoStageWeightedClusterDesign
+
+
+def triples_at(*positions) -> PositionBatch:
+    """Triple-level units over ``range(*positions)``, in order."""
+    return PositionBatch.of_triples(np.arange(*positions))
 
 
 def build_predicate_kg() -> tuple[KnowledgeGraph, LabelOracle, dict[str, float]]:
@@ -95,29 +101,28 @@ class TestNoisyAnnotator:
     def test_zero_error_rate_matches_oracle(self, toy_kg):
         graph, oracle = toy_kg
         annotator = NoisyAnnotator(oracle, label_error_rate=0.0, seed=0)
-        result = annotator.annotate_triples(list(graph))
-        assert all(result.labels[t] == oracle.label(t) for t in graph)
+        labels = annotator.annotate_positions(graph, triples_at(graph.num_triples))
+        assert labels.tolist() == [oracle.label(t) for t in graph]
 
     def test_error_rate_produces_flips(self, nell):
         annotator = NoisyAnnotator(nell.oracle, label_error_rate=0.3, seed=0)
-        triples = list(nell.graph)[:500]
-        result = annotator.annotate_triples(triples)
-        flips = sum(result.labels[t] != nell.oracle.label(t) for t in triples)
-        assert flips / len(triples) == pytest.approx(0.3, abs=0.08)
+        labels = annotator.annotate_positions(nell.graph, triples_at(500))
+        flips = np.count_nonzero(labels[:500] != nell.oracle.position_labels(nell.graph)[:500])
+        assert flips / 500 == pytest.approx(0.3, abs=0.08)
 
     def test_relabelling_is_consistent_within_session(self, toy_kg):
         graph, oracle = toy_kg
         annotator = NoisyAnnotator(oracle, label_error_rate=0.5, seed=0)
-        first = annotator.annotate_triples(list(graph)).labels
-        second = annotator.annotate_triples(list(graph)).labels
-        assert first == second
+        first = annotator.annotate_positions(graph, triples_at(graph.num_triples)).copy()
+        second = annotator.annotate_positions(graph, triples_at(graph.num_triples))
+        np.testing.assert_array_equal(first, second)
 
     def test_cost_unaffected_by_label_noise(self, toy_kg):
         graph, oracle = toy_kg
         noisy = NoisyAnnotator(oracle, label_error_rate=0.4, seed=0)
         clean = SimulatedAnnotator(oracle, seed=0)
-        noisy.annotate_triples(list(graph))
-        clean.annotate_triples(list(graph))
+        noisy.annotate_positions(graph, triples_at(graph.num_triples))
+        clean.annotate_positions(graph, triples_at(graph.num_triples))
         assert noisy.total_cost_seconds == pytest.approx(clean.total_cost_seconds)
 
     def test_label_and_cost_streams_are_independent(self, toy_oracle):
@@ -128,43 +133,42 @@ class TestNoisyAnnotator:
         assert not np.allclose(annotator._rng.random(8), annotator._label_rng.random(8))
 
     def test_label_flips_reproducible_under_fixed_seed(self, nell):
-        triples = list(nell.graph)[:200]
-        first = NoisyAnnotator(nell.oracle, label_error_rate=0.3, seed=7).annotate_triples(triples)
-        second = NoisyAnnotator(nell.oracle, label_error_rate=0.3, seed=7).annotate_triples(triples)
-        assert first.labels == second.labels
+        first = NoisyAnnotator(nell.oracle, label_error_rate=0.3, seed=7)
+        second = NoisyAnnotator(nell.oracle, label_error_rate=0.3, seed=7)
+        np.testing.assert_array_equal(
+            first.annotate_positions(nell.graph, triples_at(200)),
+            second.annotate_positions(nell.graph, triples_at(200)),
+        )
 
     def test_fixed_seed_label_and_cost_trajectory(self, nell):
-        triples = list(nell.graph.triples)
-        order = triples[:300] + triples[50:150]
+        # Each 5-triple round is charged unit by unit: every triple's noisy
+        # component costs reach the running total as one sum.
+        order = np.concatenate([np.arange(300), np.arange(50, 150)])
         annotator = NoisyAnnotator(nell.oracle, label_error_rate=0.3, time_noise_sigma=0.4, seed=11)
         bits, costs = [], []
         for start in range(0, len(order), 5):
             unit = order[start : start + 5]
-            labels = annotator.annotate_triples(unit).labels
-            bits.append("".join(str(int(labels[t])) for t in unit))
+            labels = annotator.annotate_positions(nell.graph, PositionBatch.of_triples(unit))
+            bits.append("".join(str(int(label)) for label in labels[unit]))
             costs.append(repr(annotator.total_cost_seconds))
         digest = hashlib.sha256("".join(bits).encode()).hexdigest()[:16]
         assert digest == "f56af20500800438"
-        assert hashlib.sha256(",".join(costs).encode()).hexdigest()[:16] == "16ac4f534f48e10d"
-        assert costs[-1] == "13264.723300808662"
+        assert hashlib.sha256(",".join(costs).encode()).hexdigest()[:16] == "ac69cbe33f547730"
+        assert costs[-1] == "13264.72330080865"
         assert annotator.total_triples_annotated == 300
         assert annotator.entities_identified == 136
 
-    def test_reads_the_session_labels_at_most_once_per_call(self, nell, monkeypatch):
-        annotator = NoisyAnnotator(nell.oracle, label_error_rate=0.3, seed=0)
-        reads = []
-        labelled = NoisyAnnotator.labelled_triples
-
-        def counting(self):
-            reads.append(1)
-            return labelled.fget(self)
-
-        monkeypatch.setattr(NoisyAnnotator, "labelled_triples", property(counting))
-        triples = list(nell.graph.triples)[:50]
-        for start in range(0, len(triples), 5):
-            reads.clear()
-            annotator.annotate_triples(triples[start : start + 5])
-            assert len(reads) <= 1
+    def test_a_grown_graph_keeps_its_flips(self, toy_kg):
+        graph, oracle = toy_kg
+        annotator = NoisyAnnotator(oracle, label_error_rate=1.0, seed=0)
+        first = annotator.annotate_positions(graph, triples_at(4)).copy()
+        added = Triple("city_1", "predicate_1", "object_city_1_1")
+        graph.add(added)
+        oracle = annotator.oracle = LabelOracle({**oracle.as_dict(), added: True})
+        grown = annotator.annotate_positions(graph, triples_at(4, graph.num_triples))
+        truth = oracle.position_labels(graph)
+        np.testing.assert_array_equal(grown[:4], first[:4])
+        np.testing.assert_array_equal(grown, ~truth)
 
     def test_generator_seed_still_supported(self, toy_oracle):
         rng = np.random.default_rng(0)
@@ -181,51 +185,53 @@ class TestAnnotationTaskPool:
         with pytest.raises(ValueError):
             AnnotationTaskPool([annotator], annotations_per_task=2)
 
-    def test_build_tasks_groups_by_subject(self, toy_graph):
-        tasks = AnnotationTaskPool.build_tasks(list(toy_graph))
-        assert {task.entity_id for task in tasks} == set(toy_graph.entity_ids)
-        assert sum(task.size for task in tasks) == toy_graph.num_triples
+    def test_each_unit_is_one_task(self, nell):
+        pool = AnnotationTaskPool([SimulatedAnnotator(nell.oracle, seed=i) for i in range(2)])
+        batch = TwoStageWeightedClusterDesign(nell.graph, 5, seed=3).draw_positions(12)
+        pool.annotate_positions(nell.graph, batch)
+        assert [record.positions.tolist() for record in pool.records] == [
+            positions.tolist() for positions, _, _ in batch
+        ]
+        assert [record.annotator_indices for record in pool.records] == [(0,), (1,)] * 6
 
     def test_single_annotator_pool_matches_direct_annotation(self, toy_kg):
         graph, oracle = toy_kg
         direct = SimulatedAnnotator(oracle, seed=0)
-        direct_result = direct.annotate_triples(list(graph))
+        direct_labels = direct.annotate_positions(graph, triples_at(graph.num_triples))
         pool = AnnotationTaskPool([SimulatedAnnotator(oracle, seed=0)])
-        pool_result = pool.annotate_triples(list(graph))
-        assert pool_result.labels == direct_result.labels
-        assert pool_result.cost_seconds == pytest.approx(direct_result.cost_seconds)
+        pool_labels = pool.annotate_positions(graph, triples_at(graph.num_triples))
+        np.testing.assert_array_equal(pool_labels, direct_labels)
+        assert pool.total_cost_seconds == pytest.approx(direct.total_cost_seconds)
 
     def test_majority_vote_corrects_noisy_annotators(self, nell):
         """Three annotators with 20% error and majority vote recover most labels."""
+        truth = nell.oracle.position_labels(nell.graph)[:300]
         crew = [NoisyAnnotator(nell.oracle, label_error_rate=0.2, seed=i) for i in range(3)]
         pool = AnnotationTaskPool(crew, annotations_per_task=3)
-        triples = list(nell.graph)[:300]
-        voted = pool.annotate_triples(triples).labels
-        voted_errors = sum(voted[t] != nell.oracle.label(t) for t in triples) / len(triples)
+        voted = pool.annotate_positions(nell.graph, triples_at(300))[:300]
+        voted_errors = np.count_nonzero(voted != truth) / 300
         single = NoisyAnnotator(nell.oracle, label_error_rate=0.2, seed=99)
-        single_labels = single.annotate_triples(triples).labels
-        single_errors = sum(single_labels[t] != nell.oracle.label(t) for t in triples) / len(
-            triples
-        )
+        single_labels = single.annotate_positions(nell.graph, triples_at(300))[:300]
+        single_errors = np.count_nonzero(single_labels != truth) / 300
         assert voted_errors < single_errors
         assert voted_errors < 0.15
 
     def test_multi_annotation_costs_more(self, toy_kg):
         graph, oracle = toy_kg
         single_pool = AnnotationTaskPool([SimulatedAnnotator(oracle, seed=0)])
-        single_pool.annotate_triples(list(graph))
+        single_pool.annotate_positions(graph, triples_at(graph.num_triples))
         triple_pool = AnnotationTaskPool(
             [SimulatedAnnotator(oracle, seed=i) for i in range(3)], annotations_per_task=3
         )
-        triple_pool.annotate_triples(list(graph))
+        triple_pool.annotate_positions(graph, triples_at(graph.num_triples))
         assert triple_pool.total_cost_seconds == pytest.approx(3 * single_pool.total_cost_seconds)
 
     def test_round_robin_spreads_tasks(self, nell):
         crew = [SimulatedAnnotator(nell.oracle, seed=i) for i in range(3)]
         pool = AnnotationTaskPool(crew, annotations_per_task=1)
-        pool.annotate_triples(list(nell.graph)[:90])
+        pool.annotate_positions(nell.graph, triples_at(90))
         workloads = [annotator.total_triples_annotated for annotator in crew]
-        assert all(w > 0 for w in workloads)
+        assert workloads == [30, 30, 30]
 
     def test_pool_plugs_into_static_evaluator(self, nell):
         crew = [NoisyAnnotator(nell.oracle, label_error_rate=0.05, seed=i) for i in range(2)]
@@ -235,11 +241,19 @@ class TestAnnotationTaskPool:
         assert report.satisfied
         assert abs(report.accuracy - nell.true_accuracy) < 0.15
 
+    def test_a_position_named_twice_in_a_round_keeps_its_first_vote(self, toy_kg):
+        graph, oracle = toy_kg
+        crew = [NoisyAnnotator(oracle, label_error_rate=rate, seed=0) for rate in (0.0, 1.0)]
+        pool = AnnotationTaskPool(crew)
+        labels = pool.annotate_positions(graph, PositionBatch.of_triples(np.array([4, 4])))
+        assert [record.labels.tolist() for record in pool.records] == [[True], [False]]
+        assert labels[4] == oracle.label(graph.triple_at(4))
+
     def test_reset_clears_everything(self, toy_kg):
         graph, oracle = toy_kg
         pool = AnnotationTaskPool([SimulatedAnnotator(oracle, seed=0)])
-        pool.annotate_triples(list(graph))
+        pool.annotate_positions(graph, triples_at(graph.num_triples))
         pool.reset()
         assert pool.total_cost_seconds == 0.0
         assert pool.records == []
-        assert pool.labelled_triples == {}
+        assert pool.total_triples_annotated == 0

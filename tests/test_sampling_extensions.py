@@ -7,6 +7,7 @@ import pytest
 
 from repro.cost.annotator import SimulatedAnnotator
 from repro.cost.model import CostModel
+from repro.sampling.base import PositionBatch
 from repro.sampling.pilot import PilotResult, recommend_design, run_pilot
 from repro.sampling.stratification import stratify_by_size
 from repro.sampling.stratified import StratifiedTWCSDesign
@@ -97,8 +98,9 @@ class TestPilot:
         run_pilot(nell.graph, annotator, num_clusters=20, seed=0)
         cost_after_pilot = annotator.total_cost_seconds
         # Re-annotating the pilot triples is free within the same session.
-        pilot_triples = list(annotator.labelled_triples)
-        annotator.annotate_triples(pilot_triples)
+        pilot = np.flatnonzero(annotator._session.positions[id(nell.graph)].annotated)
+        assert pilot.shape[0] == annotator.total_triples_annotated
+        annotator.annotate_positions(nell.graph, PositionBatch.of_triples(pilot))
         assert annotator.total_cost_seconds == cost_after_pilot
 
     def test_recommend_design_in_small_m_range(self, nell):

@@ -139,15 +139,18 @@ def test_every_session_of_a_dataset_resumes_after_drain(server, base, golden, tm
 
 
 @pytest.mark.parametrize("kind", ["rs", "ss"])
+@pytest.mark.parametrize("version", ["v4", "v5"])
 @pytest.mark.timeout(300)
-def test_a_state_v4_checkpoint_resumes_and_replays_golden(base, golden, tmp_path, kind):
-    """A checkpoint written in state format v4 (segments name their subjects
-    instead of carrying rows), after the pinned workload's first batch,
-    resumes: the second batch completes the golden trajectory."""
+def test_a_stored_checkpoint_resumes_and_replays_golden(base, golden, tmp_path, version, kind):
+    """A stored checkpoint, written after the pinned workload's first batch,
+    resumes: the second batch completes the golden trajectory.  In state
+    format v4 segments name their subjects instead of carrying rows; the v5
+    files were written when the evolving evaluators charged Eq. (4) through
+    a set-based account, so both check the ledger a restore rebuilds."""
     state_dir = tmp_path / "state"
     state_dir.mkdir()
-    name = f"v4-{kind}"
-    shutil.copy(GOLDEN_DIR / f"serve_v4_{kind}.ckpt", state_dir / f"{name}.ckpt")
+    name = f"{version}-{kind}"
+    shutil.copy(GOLDEN_DIR / f"serve_{version}_{kind}.ckpt", state_dir / f"{name}.ckpt")
     server = EvalServer(port=0, secret=SECRET, state_dir=state_dir, queue_limit=8)
     server.start()
     try:
